@@ -131,7 +131,7 @@ def cmd_bounds(args):
         return 0 if rep.ok else 1
     report = sweep_bounds(args.max_len, allow_large=args.allow_large)
     _write(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return 0
+    return 1 if report["failures"] else 0
 
 
 def cmd_decompose(args):
@@ -218,6 +218,8 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_len < 0:
+            raise ParseError(f"--max-len must be >= 0, got {args.max_len}")
         return args.fn(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

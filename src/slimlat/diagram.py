@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DiagramError
-from .order import FiniteLattice, Poset, lattice_from_poset
+from .order import json_int_lists, json_object, json_poset, lattice_from_poset
 
 
 @dataclass(frozen=True)
@@ -300,9 +300,12 @@ class PlanarDiagram:
 
     @staticmethod
     def from_json(text):
-        data = json.loads(text)
-        lat = lattice_from_poset(Poset(data["n"], [tuple(c) for c in data["covers"]]))
-        return PlanarDiagram(lat, data["upper_order"], data["lower_order"])
+        data = json_object(text, "n", "covers", "upper_order", "lower_order")
+        return PlanarDiagram(
+            lattice_from_poset(json_poset(data)),
+            json_int_lists(data, "upper_order"),
+            json_int_lists(data, "lower_order"),
+        )
 
 
 def mirror(diagram):

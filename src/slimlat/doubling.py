@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .diagram import Edge, cell_address, resolve_address
 from .errors import InternalInconsistencyError, PreconditionError
 from .lamps import lamp_poset, lamps_of_diagram
-from .multifork import ForkStep, MultiforkSequence, build, multifork_extend
+from .multifork import extend_by_step, grid, multifork_extend
 from .order import poset_double, poset_iso
 
 
@@ -112,22 +112,24 @@ def _crossing_cell(pl, rec, t):
 def double(seq, t):
     """Sequence realizing the lamp poset with step t's lamp doubled.
 
-    Returns (new sequence, its built lattice).  Verifies the guarantees:
-    tube count and length grow by exactly 2, and the new lamp poset is the
-    doubling of the old one.
+    Returns (new sequence, its built lattice).  One fold over `seq` keeps
+    the lattice after t - 1 steps and records the flanking tubes of every
+    later step's cell.  Verifies the guarantees: tube count and length grow
+    by exactly 2, and the new lamp poset is the doubling of the old one at
+    the position of step t's lamp in lamp_poset order.
     """
     if not (1 <= t <= len(seq.steps)):
         raise PreconditionError(f"step {t} out of range 1..{len(seq.steps)}")
-    orig = build(seq)
-    ostages = orig.stages()
-    records = {
-        s + 1: locate_retarget(ostages[s], (seq.steps[s].a, seq.steps[s].b))
-        for s in range(t, len(seq.steps))
-    }
+    orig, records = grid(seq.grid_p, seq.grid_q), {}
+    for s, st in enumerate(seq.steps, start=1):
+        before, orig = orig, extend_by_step(orig, s, st)
+        if s == t:
+            prefix = before
+        elif s > t:
+            records[s] = locate_retarget(before, (st.a, st.b))
 
-    pl = build(MultiforkSequence(seq.grid_p, seq.grid_q, seq.steps[: t - 1]))
     step_t = seq.steps[t - 1]
-    pl = multifork_extend(pl, (step_t.a, step_t.b), 2)
+    pl = multifork_extend(prefix, (step_t.a, step_t.b), 2)
 
     # the cell whose peak is the foot of the new lamp's leftmost tube
     new_peak = next(
@@ -152,12 +154,11 @@ def double(seq, t):
     if pl.antube() != orig.antube() + 2 or pl.length() != orig.length() + 2:
         raise InternalInconsistencyError("doubling did not add exactly 2 tubes")
     lamps_o, _, poset_o = lamp_poset(orig)
-    feet_o = sorted(l.foot for l in lamps_o)
-    target_foot = next(
-        l.foot for l in lamps_o
+    target = next(
+        i for i, l in enumerate(lamps_o)
         if l.kind == "internal" and orig.lamp_step_by_peak[l.peak] == t
     )
-    doubled = poset_double(poset_o, feet_o.index(target_foot))
+    doubled = poset_double(poset_o, target)
     _, _, poset_n = lamp_poset(pl)
     if poset_iso(poset_n, doubled) is None:
         raise InternalInconsistencyError("lamp poset is not the doubled poset")

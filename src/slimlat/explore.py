@@ -2,8 +2,8 @@
 
 Depth-first generation over grids and multifork extensions, deduplicated
 by canonical diagram codes (which already fold in the mirror image).
-Search states are pruned on (code, remaining budget): isomorphic stages
-with equal budget reach the same set of lattices.
+Search states are pruned on (code, remaining budget): two isomorphic
+lattices with equal budget extend to the same set of lattices.
 """
 
 from __future__ import annotations

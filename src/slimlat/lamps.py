@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .diagram import Edge
 from .errors import InternalInconsistencyError, PreconditionError
-from .order import Poset, congruence_lattice, poset_iso, principal_congruence
+from .order import Poset, congruence_lattice, principal_congruence
 
 
 @dataclass(frozen=True)
@@ -47,21 +47,17 @@ def lamps_of_diagram(d):
     return tuple(out)
 
 
+def _diagram_of(obj):
+    return obj.diagram if hasattr(obj, "diagram") else obj
+
+
 def lamps(obj):
     """Lamps of a built lattice or a bare diagram."""
-    return lamps_of_diagram(obj.diagram if hasattr(obj, "diagram") else obj)
+    return lamps_of_diagram(_diagram_of(obj))
 
 
-def lamp_by_foot(d):
-    return {l.foot: l for l in lamps_of_diagram(d)}
-
-
-def _tube_to_lamp(d):
-    out = {}
-    for l in lamps_of_diagram(d):
-        for e in l.tubes:
-            out[(e.foot, e.peak)] = l
-    return out
+def _tube_to_lamp(lamps):
+    return {(e.foot, e.peak): l for l in lamps for e in l.tubes}
 
 
 def circ_r(obj, lamp):
@@ -70,7 +66,7 @@ def circ_r(obj, lamp):
     With a built lattice, also returns the forest node of the cell at which
     the lamp's multifork was performed.
     """
-    d = obj.diagram if hasattr(obj, "diagram") else obj
+    d = _diagram_of(obj)
     if lamp.kind != "internal":
         raise PreconditionError("boundary lamps have no circumscribed rectangle")
     lat = d.lattice
@@ -85,76 +81,58 @@ def circ_r(obj, lamp):
 def nwl_nel(d, lamp):
     """Lamps owning the trajectories through the upper-left and upper-right
     edges of the circumscribed rectangle of an internal lamp."""
+    return _nwl_nel(d, lamp, _tube_to_lamp(lamps_of_diagram(d)))
+
+
+def _nwl_nel(d, lamp, tmap):
     if lamp.kind != "internal":
         raise PreconditionError("nwl/nel are defined for internal lamps")
     lowers = d.lower[lamp.peak]
-    tmap = _tube_to_lamp(d)
-    ul = Edge(lowers[0], lamp.peak)
-    ur = Edge(lowers[-1], lamp.peak)
     out = []
-    for e in (ul, ur):
-        traj = d.trajectory_through(e)
-        tube = traj.tube
+    for e in (Edge(lowers[0], lamp.peak), Edge(lowers[-1], lamp.peak)):
+        tube = d.trajectory_through(e).tube
         out.append(tmap[(tube.foot, tube.peak)])
     return out[0], out[1]
 
 
-def diagram_lamp_order(d):
-    """(lamps, strict-order pairs on lamp feet) from the trajectory cover rule.
+def lamp_poset(obj):
+    """(lamps, strict order pairs on lamp feet, Poset) of a built lattice or
+    a bare diagram.
 
-    The order is the reflexive-transitive closure of U < Nwl U, U < Nel U
-    over internal lamps U; boundary lamps are maximal.
+    Element i of the Poset is lamps[i], in lamps_of_diagram order: boundary
+    lamps first, then internal lamps by peak.  The order is generated by
+    U < Nwl U and U < Nel U over internal lamps U, which needs no
+    provenance; boundary lamps are maximal.  The closures of rho_foot and
+    rho_circr give the same order and serve as test oracles.
     """
+    d = _diagram_of(obj)
     lamps = lamps_of_diagram(d)
-    lt = set()
-    for u in lamps:
-        if u.kind != "internal":
-            continue
-        for v in nwl_nel(d, u):
-            if v.foot != u.foot:
-                lt.add((u.foot, v.foot))
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(lt):
-            for c, e in list(lt):
-                if b == c and (a, e) not in lt and a != e:
-                    lt.add((a, e))
-                    changed = True
-    return lamps, frozenset(lt)
+    tmap = _tube_to_lamp(lamps)
+    idx = {l.foot: i for i, l in enumerate(lamps)}
+    poset = Poset.from_relation(len(lamps), {
+        (idx[u.foot], idx[v.foot])
+        for u in lamps
+        if u.kind == "internal"
+        for v in _nwl_nel(d, u, tmap)
+        if v.foot != u.foot
+    })
+    lt = frozenset(
+        (lamps[i].foot, lamps[j].foot) for i in range(poset.n) for j in poset.up[i] if j != i
+    )
+    return lamps, lt, poset
 
 
 def covers_via_nwl_nel(d):
     """Cover pairs of the lamp poset from the Nwl/Nel rule directly:
     U is covered exactly by the minimal elements of {Nwl U, Nel U}."""
-    lamps, lt = diagram_lamp_order(d)
+    lamps, lt, _ = lamp_poset(d)
     covers = set()
     for u in lamps:
         if u.kind != "internal":
             continue
-        nwl, nel = nwl_nel(d, u)
-        cand = {nwl.foot, nel.foot}
-        mins = {
-            f for f in cand
-            if not any(g != f and (g, f) in lt for g in cand)
-        }
-        for f in mins:
-            covers.add((u.foot, f))
+        cand = {l.foot for l in nwl_nel(d, u)}
+        covers.update((u.foot, f) for f in cand if not any((g, f) in lt for g in cand))
     return frozenset(covers)
-
-
-def lamp_order_poset(lamps, lt):
-    """The lamp order as a Poset over lamp indices (sorted by foot)."""
-    feet = [l.foot for l in lamps]
-    idx = {f: i for i, f in enumerate(feet)}
-    n = len(feet)
-    ltp = {(idx[a], idx[b]) for a, b in lt}
-    covers = {
-        (a, b)
-        for a, b in ltp
-        if not any((a, w) in ltp and (w, b) in ltp for w in range(n))
-    }
-    return Poset(n, covers)
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +247,6 @@ def rho_foot(pl):
     return frozenset(pairs)
 
 
-def lamp_poset(pl):
-    """(lamps, strict order pairs, Poset) from the closure of rho_foot."""
-    lamps = lamps_of_diagram(pl.diagram)
-    base = rho_foot(pl)
-    lt = set(base)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(lt):
-            for c, e in list(lt):
-                if b == c and a != e and (a, e) not in lt:
-                    lt.add((a, e))
-                    changed = True
-    return lamps, frozenset(lt), lamp_order_poset(lamps, frozenset(lt))
-
-
 def lamp_creation_step(pl, lamp):
     if lamp.kind == "boundary":
         return 0
@@ -341,22 +303,27 @@ class UsageStats:
         return self.patterns[foot].count("0")
 
 
-def is_used(pl, tube, check_order=True):
+def is_used(pl, tube):
     """A tube's territory is used when another internal lamp's origin cell
-    sits inside its left or right essential part."""
-    d = pl.diagram
-    tmap = _tube_to_lamp(d)
-    owner = tmap[(tube.foot, tube.peak)]
+    sits inside its left or right essential part.
+
+    Self-check: every such lamp lies below the tube's lamp in the lamp
+    order, else InternalInconsistencyError.
+    """
+    lamps, lt, _ = lamp_poset(pl)
+    return _is_used(pl, tube, _tube_to_lamp(lamps)[(tube.foot, tube.peak)], lamps, lt)
+
+
+def _is_used(pl, tube, owner, lamps, lt):
     targets = frozenset(_essential_nodes(pl, tube))
     if not targets:
         return False
-    lamps, lt, _ = lamp_poset(pl) if check_order else (lamps_of_diagram(d), None, None)
     for i_lamp in lamps:
         if i_lamp.kind != "internal" or i_lamp.foot == owner.foot:
             continue
         _, origin = circ_r(pl, i_lamp)
         if _node_is_desc_or_eq(pl, origin, targets):
-            if check_order and (i_lamp.foot, owner.foot) not in lt:
+            if (i_lamp.foot, owner.foot) not in lt:
                 raise InternalInconsistencyError(
                     "a using lamp is not below the owner in the lamp order"
                 )
@@ -365,28 +332,22 @@ def is_used(pl, tube, check_order=True):
 
 
 def usage_stats(pl):
+    lamps, lt, _ = lamp_poset(pl)
     patterns = {}
-    for l in lamps_of_diagram(pl.diagram):
+    for l in lamps:
         if l.kind != "internal":
             continue
         patterns[l.foot] = "".join(
-            "u" if is_used(pl, tube) else "0" for tube in l.tubes
+            "u" if _is_used(pl, tube, l, lamps, lt) else "0" for tube in l.tubes
         )
     return UsageStats(patterns)
 
 
 def lamp_report(pl):
     """JSON-ready lamp summary: lamps, poset covers, iso witness, patterns."""
-    lamps, lt, poset = lamp_poset(pl)
+    lamps, _, poset = lamp_poset(pl)
     stats = usage_stats(pl)
     ok, witness = verify_lamp_con_iso(pl)
-    feet = [l.foot for l in lamps]
-    idx = {f: i for i, f in enumerate(feet)}
-    covers = sorted(
-        [idx[a], idx[b]]
-        for a, b in lt
-        if not any((a, w) in lt and (w, b) in lt for w in feet)
-    )
     return {
         "lamps": [
             {
@@ -398,7 +359,7 @@ def lamp_report(pl):
             }
             for l in lamps
         ],
-        "poset_covers": covers,
+        "poset_covers": sorted(map(list, poset.covers)),
         "congruence_iso_ok": ok,
         "iso_witness": witness,
     }

@@ -27,7 +27,7 @@ from .errors import (
     OrderError,
     PreconditionError,
 )
-from .lamps import diagram_lamp_order, fork_interval, lamps_of_diagram
+from .lamps import fork_interval, lamp_poset
 from .order import FiniteLattice, Poset, is_distributive_ideal_grid
 
 
@@ -68,12 +68,12 @@ class TubeRecord:
 class ProvenancedLattice:
     """A slim rectangular lattice with construction provenance.
 
-    Immutable after construction; extensions return new values and share
-    the read-only history.
+    Immutable after construction; extensions return new values.  Only the
+    final lattice is kept: an earlier one is rebuilt from a prefix of `seq`.
     """
 
     def __init__(self, diagram, seq, forest, leaf_by_bottom, tube_records,
-                 lamp_step_by_peak, step_origin, coords, history):
+                 lamp_step_by_peak, step_origin, coords):
         self.diagram = diagram
         self.seq = seq
         self.forest = forest
@@ -82,7 +82,6 @@ class ProvenancedLattice:
         self.lamp_step_by_peak = dict(lamp_step_by_peak)
         self.step_origin = dict(step_origin)
         self.coords = dict(coords)
-        self.history = tuple(history)
         self._code = None
 
     @property
@@ -103,9 +102,6 @@ class ProvenancedLattice:
         if self._code is None:
             self._code = self.diagram.canonical_code()
         return self._code
-
-    def stages(self):
-        return self.history + (self,)
 
     def __repr__(self):
         return f"ProvenancedLattice(n={self.n}, len={self.length()}, steps={len(self.seq.steps)})"
@@ -144,7 +140,7 @@ def grid(p, q):
         leaf[c.bottom] = len(forest)
         forest.append(ForestNode((c.bottom, c.left, c.right, c.top), 0, None))
     pl = ProvenancedLattice(
-        d, MultiforkSequence(p, q, ()), tuple(forest), leaf, {}, {}, {}, coords, ()
+        d, MultiforkSequence(p, q, ()), tuple(forest), leaf, {}, {}, {}, coords
     )
     records = {}
     boundary, _ = d.neon_tubes()
@@ -374,19 +370,23 @@ def multifork_extend(pl, address, k):
         lamp_steps,
         step_origin,
         coords,
-        pl.stages(),
     )
 
 
 def build(seq):
-    """Fold a sequence into a built lattice, all stages retained."""
+    """Fold a sequence into a built lattice."""
     pl = grid(seq.grid_p, seq.grid_q)
     for i, st in enumerate(seq.steps, start=1):
-        try:
-            pl = multifork_extend(pl, (st.a, st.b), st.k)
-        except (PreconditionError, DiagramError) as e:
-            raise PreconditionError(f"step {i}: {e}") from e
+        pl = extend_by_step(pl, i, st)
     return pl
+
+
+def extend_by_step(pl, i, st):
+    """Apply step i (1-based) of a sequence; a bad step is a PreconditionError."""
+    try:
+        return multifork_extend(pl, (st.a, st.b), st.k)
+    except (PreconditionError, DiagramError) as e:
+        raise PreconditionError(f"step {i}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +434,11 @@ def _decompose(d, memo):
         memo[code] = seq
         return seq
 
-    lamps, lt = diagram_lamp_order(d)
-    internal_lamps = [l for l in lamps if l.kind == "internal"]
-    internal_feet = {l.foot for l in internal_lamps}
-    minimal = [
-        l for l in internal_lamps
-        if not any(f != l.foot and (f, l.foot) in lt for f in internal_feet)
-    ]
-    rest = [l for l in internal_lamps if l not in minimal]
+    # boundary lamps are maximal, so an internal lamp is minimal among the
+    # internal lamps iff it is minimal in the lamp poset
+    lamps, _, poset = lamp_poset(d)
+    minimal = [lamps[i] for i in poset.minimal_elements() if lamps[i].kind == "internal"]
+    rest = [l for l in lamps if l.kind == "internal" and l not in minimal]
     lc, _ = d.corners()
 
     for cand in sorted(minimal, key=lambda l: l.foot) + sorted(rest, key=lambda l: l.foot):

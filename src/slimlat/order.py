@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import OrderError
+from .errors import OrderError, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -23,20 +23,48 @@ class Poset:
     """Finite poset given by its (transitively reduced) cover relation."""
 
     def __init__(self, n, covers):
-        covers = frozenset((int(a), int(b)) for a, b in covers)
+        self._close(n, covers)
+        for a, b in self.covers:
+            between = (self.up[a] & self.down[b]) - {a, b}
+            if between:
+                w = min(between)
+                raise OrderError(f"cover ({a},{b}) is not reduced: {a}<{w}<{b}")
+
+    @classmethod
+    def from_relation(cls, n, pairs):
+        """The poset on 0..n-1 generated by strict pairs a < b.
+
+        The pairs are closed transitively and reduced to covers: b covers a
+        iff a < b is generating and b lies above no other generating
+        successor of a.  A cycle raises OrderError.
+        """
+        rel = cls.__new__(cls)
+        rel._close(n, pairs)
+        covers = set()
+        for a in range(n):
+            succ = rel._upcov[a]
+            above = set()
+            for c in succ:
+                above |= rel.up[c] - {c}
+            covers.update((a, b) for b in succ if b not in above)
+        return cls(n, covers)
+
+    def _close(self, n, pairs):
+        """Store the pairs as covers and compute up- and down-sets."""
+        covers = frozenset((int(a), int(b)) for a, b in pairs)
+        upcov = [[] for _ in range(n)]
+        dncov = [[] for _ in range(n)]
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
                 raise OrderError(f"cover ({a},{b}) out of range 0..{n - 1}")
             if a == b:
                 raise OrderError(f"cover ({a},{b}) is a loop")
+            upcov[a].append(b)
+            dncov[b].append(a)
         self.n = n
         self.covers = covers
-        self._upcov = tuple(
-            tuple(sorted(b for a, b in covers if a == u)) for u in range(n)
-        )
-        self._dncov = tuple(
-            tuple(sorted(a for a, b in covers if b == u)) for u in range(n)
-        )
+        self._upcov = tuple(tuple(sorted(c)) for c in upcov)
+        self._dncov = tuple(tuple(sorted(c)) for c in dncov)
         order = self._toposort()
         up = [None] * n
         for u in reversed(order):
@@ -52,11 +80,6 @@ class Poset:
                 s |= dn[v]
             dn[u] = frozenset(s)
         self.down = tuple(dn)
-        for a, b in covers:
-            between = (self.up[a] & self.down[b]) - {a, b}
-            if between:
-                w = min(between)
-                raise OrderError(f"cover ({a},{b}) is not reduced: {a}<{w}<{b}")
 
     def _toposort(self):
         indeg = [0] * self.n
@@ -120,24 +143,10 @@ class Poset:
         """Induced subposet on `keep`; returns (poset, old ids by new id)."""
         keep = sorted(set(keep))
         idx = {old: new for new, old in enumerate(keep)}
-        n = len(keep)
         pairs = [
-            (a, b)
-            for a, b in combinations(keep, 2)
-            if self.lt(a, b) or self.lt(b, a)
+            (idx[a], idx[b]) for a in keep for b in self.up[a] if b != a and b in idx
         ]
-        lt = set()
-        for a, b in pairs:
-            if self.lt(a, b):
-                lt.add((idx[a], idx[b]))
-            else:
-                lt.add((idx[b], idx[a]))
-        covers = {
-            (a, b)
-            for a, b in lt
-            if not any((a, w) in lt and (w, b) in lt for w in range(n))
-        }
-        return Poset(n, covers), keep
+        return Poset.from_relation(len(keep), pairs), keep
 
     def dual(self):
         return Poset(self.n, {(b, a) for a, b in self.covers})
@@ -167,8 +176,7 @@ class Poset:
 
     @staticmethod
     def from_json(text):
-        data = json.loads(text)
-        return Poset(data["n"], [tuple(c) for c in data["covers"]])
+        return json_poset(json_object(text, "n", "covers"))
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.n == other.n and self.covers == other.covers
@@ -178,6 +186,42 @@ class Poset:
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={sorted(self.covers)})"
+
+
+def json_object(text, *keys):
+    """Decoded JSON object holding the given keys; ParseError otherwise."""
+    try:
+        data = json.loads(text)
+    except ValueError as e:
+        raise ParseError(f"invalid JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise ParseError("expected a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ParseError(f"missing key {key!r}")
+    return data
+
+
+def json_int_lists(data, key, width=None):
+    """data[key] as a list of integer lists, each `width` long if given."""
+    rows = data[key]
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list)
+        and (width is None or len(r) == width)
+        and all(type(x) is int for x in r)
+        for r in rows
+    ):
+        size = f" of length {width}" if width else ""
+        raise ParseError(f"{key!r} must be a list of integer lists{size}")
+    return rows
+
+
+def json_poset(data):
+    """Poset from a decoded {"n": ..., "covers": ...} object."""
+    n = data["n"]
+    if type(n) is not int or n < 0:
+        raise ParseError("'n' must be a non-negative integer")
+    return Poset(n, [tuple(c) for c in json_int_lists(data, "covers", 2)])
 
 
 def order_from_covers(covers, n=None):
@@ -534,18 +578,9 @@ def congruence_lattice(lat):
             congs.append(c)
     congs.sort(key=lambda c: (c.block_count(), c.block_index), reverse=True)
     m = len(congs)
-    lt = {
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if i != j and congs[i].refines(congs[j])
-    }
-    covers = {
-        (i, j)
-        for i, j in lt
-        if not any((i, w) in lt and (w, j) in lt for w in range(m))
-    }
-    poset = Poset(m, covers)
+    poset = Poset.from_relation(m, [
+        (i, j) for i in range(m) for j in range(m) if i != j and congs[i].refines(congs[j])
+    ])
     return CongruenceLattice(lat, tuple(congs), poset, poset.count_downsets())
 
 
@@ -565,40 +600,44 @@ def verify_jir_congruences(cl):
 def poset_iso(p, q):
     """An order isomorphism p -> q as a dict, or None.
 
-    Backtracking over invariant-refined classes; fine for <= ~40 elements.
+    Colour refinement, then backtracking within colour classes.  Colours
+    are ints from one signature table per round shared by p and q, so equal
+    colours mean equal invariants; refinement stops at the first round that
+    splits no class.
     """
     if p.n != q.n or len(p.covers) != len(q.covers):
         return None
 
-    def invariants(poset):
-        inv = [
-            (
-                len(poset.down[u]),
-                len(poset.up[u]),
-                len(poset.lower_covers(u)),
-                len(poset.upper_covers(u)),
-            )
+    def relabel(p_sigs, q_sigs):
+        table = {}
+        return ([table.setdefault(s, len(table)) for s in p_sigs],
+                [table.setdefault(s, len(table)) for s in q_sigs])
+
+    def degrees(poset):
+        return [
+            (len(poset.down[u]), len(poset.up[u]),
+             len(poset.lower_covers(u)), len(poset.upper_covers(u)))
             for u in range(poset.n)
         ]
-        for _ in range(poset.n):
-            nxt = [
-                (
-                    inv[u],
-                    tuple(sorted(inv[v] for v in poset.upper_covers(u))),
-                    tuple(sorted(inv[v] for v in poset.lower_covers(u))),
-                )
-                for u in range(poset.n)
-            ]
-            if nxt == inv:
-                break
-            inv = nxt
-        return inv
 
-    pinv, qinv = invariants(p), invariants(q)
-    if sorted(pinv) != sorted(qinv):
-        return None
+    def signatures(poset, col):
+        return [
+            (col[u],
+             tuple(sorted(col[v] for v in poset.upper_covers(u))),
+             tuple(sorted(col[v] for v in poset.lower_covers(u))))
+            for u in range(poset.n)
+        ]
+
+    pcol, qcol = relabel(degrees(p), degrees(q))
+    while True:
+        if sorted(pcol) != sorted(qcol):
+            return None
+        p_next, q_next = relabel(signatures(p, pcol), signatures(q, qcol))
+        if len(set(p_next)) == len(set(pcol)) and len(set(q_next)) == len(set(qcol)):
+            break
+        pcol, qcol = p_next, q_next
     candidates = [
-        [v for v in range(q.n) if qinv[v] == pinv[u]] for u in range(p.n)
+        [v for v in range(q.n) if qcol[v] == pcol[u]] for u in range(p.n)
     ]
     order = sorted(range(p.n), key=lambda u: len(candidates[u]))
     image = {}

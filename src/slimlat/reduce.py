@@ -20,10 +20,10 @@ from .errors import (
     PreconditionError,
 )
 from .lamps import (
-    diagram_lamp_order,
     fork_interval,
     is_used,
     lamp_creation_step,
+    lamp_poset,
     lamps_of_diagram,
     usage_stats,
 )
@@ -55,7 +55,7 @@ class ReductionStep:
         }
 
 
-def _lamp_by_foot(d, foot):
+def _lamp_with_foot(d, foot):
     for l in lamps_of_diagram(d):
         if l.foot == foot:
             return l
@@ -137,8 +137,8 @@ def _remove_fork(pl, lamp, tube, rule):
                     f"lamp with foot {foot} was re-peaked against the join rule"
                 )
         phi[foot] = img.foot
-    _, old_lt = diagram_lamp_order(d)
-    _, new_lt = diagram_lamp_order(subd)
+    _, old_lt, _ = lamp_poset(d)
+    _, new_lt, _ = lamp_poset(subd)
     if {(phi[a], phi[b]) for a, b in old_lt} != new_lt:
         raise InternalInconsistencyError("lamp poset changed under the removal")
 
@@ -162,7 +162,7 @@ def _remove_fork(pl, lamp, tube, rule):
 
 def remove_sandwiched(pl, lamp_foot, tube):
     """Remove a used tube sandwiched between two unused tubes of its lamp."""
-    lamp = _lamp_by_foot(pl.diagram, lamp_foot)
+    lamp = _lamp_with_foot(pl.diagram, lamp_foot)
     if lamp.kind != "internal":
         raise PreconditionError("sandwiched removal needs an internal lamp")
     tubes = list(lamp.tubes)
@@ -188,7 +188,7 @@ def remove_neighboring(pl, lamp_foot, n1, n2):
     the mirrored application; the deleted element set is mirror-invariant,
     so a single code path serves both orientations.
     """
-    lamp = _lamp_by_foot(pl.diagram, lamp_foot)
+    lamp = _lamp_with_foot(pl.diagram, lamp_foot)
     if lamp.kind != "internal":
         raise PreconditionError("neighboring removal needs an internal lamp")
     tubes = list(lamp.tubes)
@@ -332,16 +332,11 @@ def check_bounds(obj, at_fixpoint=False):
     rectangular = d is not None and is_slim_rectangular(d).ok
     if rectangular:
         antube = d.antube()
-        lamps, lt = diagram_lamp_order(d)
+        lamps, _, poset = lamp_poset(d)
         m = sum(1 for l in lamps if l.kind == "boundary")
-        k = sum(1 for l in lamps if l.kind == "internal")
-        internal_feet = {l.foot for l in lamps if l.kind == "internal"}
-        s = sum(
-            1
-            for l in lamps
-            if l.kind == "internal"
-            and not any(f != l.foot and (f, l.foot) in lt for f in internal_feet)
-        )
+        k = len(lamps) - m
+        # boundary lamps are maximal: minimal internal = minimal and internal
+        s = sum(1 for i in poset.minimal_elements() if lamps[i].kind == "internal")
         assertions.append((
             "length == total neon tubes",
             length == antube,

@@ -185,11 +185,8 @@ def test_criterion_07_q_and_p_witnesses():
             iso = poset_iso(poset, target)
             if iso is None:
                 continue
-            feet = sorted(l.foot for l in lamps)
-            by_foot = {l.foot: l for l in lamps}
-            u_lamp = next(
-                by_foot[feet[i]] for i in range(len(feet)) if iso[i] == u_index
-            )
+            # element i of the lamp poset is lamps[i]
+            u_lamp = next(lamps[i] for i in range(len(lamps)) if iso[i] == u_index)
             if len(u_lamp.tubes) == 2:
                 found_two_tube_u = True
                 break
@@ -197,20 +194,17 @@ def test_criterion_07_q_and_p_witnesses():
     verdict(7, "Q_n and P_n realizations", True, "Q: len n (n=3,4,5); P: len n+1, NTube(U)=2")
 
 
-def test_criterion_08_doubling(index5):
+def test_criterion_08_doubling(index6):
     doubled = 0
-    for entry in index5.entries():
-        if entry.pl.length() > 4:
-            continue
+    for entry in index6.entries():
         seq = entry.seq
+        lamps_o, _, poset_o = lamp_poset(entry.pl)
         for t in range(1, len(seq.steps) + 1):
-            lamps_o, _, poset_o = lamp_poset(entry.pl)
-            feet_o = sorted(l.foot for l in lamps_o)
-            target_foot = next(
-                l.foot for l in lamps_o
+            target = next(
+                i for i, l in enumerate(lamps_o)
                 if l.kind == "internal" and entry.pl.lamp_step_by_peak[l.peak] == t
             )
-            expected = poset_double(poset_o, feet_o.index(target_foot))
+            expected = poset_double(poset_o, target)
             new_seq, pl2 = double(seq, t)
             assert pl2.antube() == entry.pl.antube() + 2
             assert pl2.length() == entry.pl.length() + 2
@@ -219,7 +213,7 @@ def test_criterion_08_doubling(index5):
             assert poset_iso(cl.jir_poset, expected) is not None
             doubled += 1
     verdict(8, "lamp doubling", True, f"{doubled} (sequence, step) pairs, 100%")
-    assert doubled > 0
+    assert doubled == 182
 
 
 def test_criterion_09_roundtrip(index5):

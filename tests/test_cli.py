@@ -102,3 +102,66 @@ def test_exit_codes(tmp_path):
     chain.write_text('{"n": 3, "covers": [[0, 1], [1, 2]], '
                      '"upper_order": [[1], [2], []], "lower_order": [[], [0], [1]]}')
     assert main(["validate", "--input", str(chain), "--format", "json"]) == 1
+
+
+def test_double_cli_where_lamp_order_and_foot_order_differ(tmp_path):
+    seq = tmp_path / "g21.seq"
+    seq.write_text("grid 2 1\nfork 1 0 1\nfork 0 1 1\n")
+    out = tmp_path / "doubled.seq"
+    assert main(["double", "--input", str(seq), "--step", "1", "--out", str(out)]) == 0
+    assert out.read_text().count("fork") == 3
+
+
+def test_bounds_sweep_failure_exits_1(tmp_path, monkeypatch):
+    failure = {"code": "x", "assertion": "length >= n", "detail": "length 1, n 2"}
+    monkeypatch.setattr(
+        "slimlat.cli.sweep_bounds",
+        lambda max_len, allow_large=False: {
+            "max_len": max_len, "counts": {}, "lattices": [], "failures": [failure],
+        },
+    )
+    out = tmp_path / "sweep.json"
+    assert main(["bounds", "--max-len", "2", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["failures"] == [failure]
+
+
+def _one_line_parse_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("parse error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "covers": [[0, 1]',
+    '[[0, 1]]',
+    '{"covers": [[0, 1]]}',
+    '{"n": 3}',
+    '{"n": "3", "covers": [[0, 1]]}',
+    '{"n": 3, "covers": [[0, 1, 2]]}',
+    '{"n": 3, "covers": [["0", "1"]]}',
+    '{"n": 3, "covers": 7}',
+])
+def test_realize_malformed_poset_json_exits_2(tmp_path, capsys, text):
+    poset_file = tmp_path / "bad.poset"
+    poset_file.write_text(text)
+    assert main(["realize", "--input", str(poset_file), "--max-len", "3"]) == 2
+    assert _one_line_parse_error(capsys)
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "covers": [[0, 1], [1, 2]], "upper_order": [[1], [2], []]',
+    '{"n": 3, "covers": [[0, 1], [1, 2]], "upper_order": [[1], [2], []]}',
+    '{"n": 3, "covers": [[0, 1], [1, 2]], "upper_order": 5, "lower_order": []}',
+    '{"n": 3, "covers": [[0, 1], [1, 2]], "upper_order": [[1], [2], []], '
+    '"lower_order": [null, [0], [1]]}',
+    '{"n": null, "covers": [], "upper_order": [], "lower_order": []}',
+])
+def test_validate_malformed_lattice_json_exits_2(tmp_path, capsys, text):
+    lattice_json = tmp_path / "bad.json"
+    lattice_json.write_text(text)
+    assert main(["validate", "--input", str(lattice_json), "--format", "json"]) == 2
+    assert _one_line_parse_error(capsys)
+
+
+def test_negative_max_len_exits_2(capsys):
+    assert main(["enumerate", "--max-len", "-3"]) == 2
+    assert _one_line_parse_error(capsys)

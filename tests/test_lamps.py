@@ -5,7 +5,6 @@ from slimlat.errors import PreconditionError
 from slimlat.lamps import (
     circ_r,
     covers_via_nwl_nel,
-    diagram_lamp_order,
     fork_interval,
     lamp_poset,
     lamp_report,
@@ -16,8 +15,9 @@ from slimlat.lamps import (
     usage_stats,
     verify_lamp_con_iso,
 )
+from slimlat.explore import enumerate_index
 from slimlat.multifork import build, grid, multifork_extend
-from slimlat.order import named_posets, poset_iso
+from slimlat.order import Poset, named_posets, poset_iso
 
 
 def s7():
@@ -26,6 +26,17 @@ def s7():
 
 def g22_fork2():
     return multifork_extend(grid(2, 2), (1, 1), 2)
+
+
+def rho_order(pl):
+    """(strict order pairs, cover pairs) on lamp feet from the
+    Poset.from_relation closure of rho_foot."""
+    lamps = lamps_of_diagram(pl.diagram)
+    idx = {l.foot: i for i, l in enumerate(lamps)}
+    poset = Poset.from_relation(len(lamps), {(idx[a], idx[b]) for a, b in rho_foot(pl)})
+    lt = {(lamps[i].foot, lamps[j].foot) for i in range(poset.n) for j in poset.up[i] if j != i}
+    covers = {(lamps[a].foot, lamps[b].foot) for a, b in poset.covers}
+    return frozenset(lt), frozenset(covers)
 
 
 # Lamps -------------------------------------------------------------------------
@@ -182,21 +193,14 @@ def test_covers_via_nwl_nel_match_rho_closure():
     ]
     for text in fixtures:
         pl = build(parse_dsl(text))
-        _, lt, _ = lamp_poset(pl)
-        closure_covers = {
-            (a, b)
-            for a, b in lt
-            if not any((a, w) in lt and (w, b) in lt for w in {x for p in lt for x in p})
-        }
-        assert covers_via_nwl_nel(pl.diagram) == frozenset(closure_covers), text
+        assert covers_via_nwl_nel(pl.diagram) == rho_order(pl)[1], text
 
 
 def test_diagram_lamp_order_matches_rho_order():
-    for text in ["grid 1 1\nfork 0 0 2", "grid 1 1\nfork 0 0 3\nfork 2 0 1"]:
-        pl = build(parse_dsl(text))
-        _, lt_rho, _ = lamp_poset(pl)
-        _, lt_diag = diagram_lamp_order(pl.diagram)
-        assert lt_rho == lt_diag
+    entries = enumerate_index(6).entries()
+    assert len(entries) == 106
+    for entry in entries:
+        assert lamp_poset(entry.pl)[1] == rho_order(entry.pl)[0], entry.seq
 
 
 # Lamp-congruence isomorphism --------------------------------------------------------

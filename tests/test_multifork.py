@@ -135,7 +135,7 @@ def test_forest_children_counts():
 
 def test_lower_covers_of_peak_stable_across_stages():
     pl = build(parse_dsl("grid 2 2\nfork 1 1 2\nfork 0 0 1\n"))
-    stage1 = pl.stages()[1]
+    stage1 = build(parse_dsl("grid 2 2\nfork 1 1 2\n"))
     peak = stage1.lattice.top
     assert stage1.lattice.lower_covers(peak) == pl.lattice.lower_covers(peak)
 

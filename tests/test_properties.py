@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from slimlat.diagram import cell_address
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import DiagramError, PreconditionError
-from slimlat.lamps import covers_via_nwl_nel, diagram_lamp_order
+from slimlat.lamps import covers_via_nwl_nel, lamp_poset, lamps_of_diagram, rho_foot
 from slimlat.multifork import ForkStep, MultiforkSequence, build, grid, multifork_extend
 from slimlat.order import (
     Poset,
@@ -78,8 +78,8 @@ def test_principal_congruences_random(seq):
 def test_lamp_poset_mirror_invariant(seq):
     pl = build(seq)
     d = pl.diagram
-    _, lt = diagram_lamp_order(d)
-    _, lt_m = diagram_lamp_order(d.mirror())
+    _, lt, _ = lamp_poset(d)
+    _, lt_m, _ = lamp_poset(d.mirror())
     assert lt == lt_m  # same elements, same relation: invariance up to iso
 
 
@@ -165,12 +165,9 @@ def test_double_distinguishes_orbit_classes():
 
 def test_nwl_nel_covers_match_on_deeper_fixture():
     pl = build(parse_dsl("grid 2 2\nfork 1 1 1\nfork 0 0 2\nfork 0 0 1"))
-    from slimlat.lamps import lamp_poset
-    _, lt, _ = lamp_poset(pl)
-    feet = {x for p in lt for x in p}
-    closure_covers = {
-        (a, b)
-        for a, b in lt
-        if not any((a, w) in lt and (w, b) in lt for w in feet)
-    }
+    # covers of the rho_foot closure, an order that needs provenance
+    lamps = lamps_of_diagram(pl.diagram)
+    idx = {l.foot: i for i, l in enumerate(lamps)}
+    rho = Poset.from_relation(len(lamps), {(idx[a], idx[b]) for a, b in rho_foot(pl)})
+    closure_covers = {(lamps[a].foot, lamps[b].foot) for a, b in rho.covers}
     assert covers_via_nwl_nel(pl.diagram) == frozenset(closure_covers)

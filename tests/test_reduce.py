@@ -146,10 +146,10 @@ def test_minimize_terminates_and_preserves_con():
 
 
 def test_fixpoint_minimal_lamps_have_one_tube():
-    from slimlat.lamps import diagram_lamp_order
+    from slimlat.lamps import lamp_poset
     for text in [SANDWICH, "grid 1 1\nfork 0 0 4", "grid 2 2\nfork 1 1 3"]:
         fixed, _ = minimize(build(parse_dsl(text)))
-        lamps, lt = diagram_lamp_order(fixed.diagram)
+        lamps, lt, _ = lamp_poset(fixed.diagram)
         internal_feet = {l.foot for l in lamps if l.kind == "internal"}
         stats = usage_stats(fixed)
         for l in lamps:
