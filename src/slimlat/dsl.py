@@ -1,6 +1,7 @@
 """Line-oriented construction recipes.
 
-Grammar ('#' starts a comment, blank lines ignored):
+Grammar ('#' starts a comment, blank lines ignored, tokens separated by
+any whitespace):
 
     file     := gridLine forkLine*
     gridLine := "grid" INT INT
@@ -11,6 +12,8 @@ Canonical emission uses single spaces and '\n' line ends.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 from .multifork import ForkStep, MultiforkSequence
 
@@ -19,13 +22,7 @@ def _tokenize(line):
     """(token, 1-based column) pairs, comments stripped."""
     if "#" in line:
         line = line[: line.index("#")]
-    out = []
-    col = 1
-    for raw in line.split(" "):
-        if raw.strip():
-            out.append((raw.strip(), col))
-        col += len(raw) + 1
-    return out
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
 def _int_token(tok, col, lineno, minimum):

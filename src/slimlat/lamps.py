@@ -259,8 +259,12 @@ def verify_lamp_con_iso(pl):
     Returns (ok, witness) where witness maps lamp foot -> index of its
     congruence in the independently computed list.
     """
-    lat = pl.lattice
     lamps, lt, _ = lamp_poset(pl)
+    return _verify_lamp_con_iso(pl, lamps, lt)
+
+
+def _verify_lamp_con_iso(pl, lamps, lt):
+    lat = pl.lattice
     cl = congruence_lattice(lat)
     if len(lamps) != len(cl.jir_congs):
         return False, None
@@ -333,6 +337,10 @@ def _is_used(pl, tube, owner, lamps, lt):
 
 def usage_stats(pl):
     lamps, lt, _ = lamp_poset(pl)
+    return _usage_stats(pl, lamps, lt)
+
+
+def _usage_stats(pl, lamps, lt):
     patterns = {}
     for l in lamps:
         if l.kind != "internal":
@@ -345,9 +353,9 @@ def usage_stats(pl):
 
 def lamp_report(pl):
     """JSON-ready lamp summary: lamps, poset covers, iso witness, patterns."""
-    lamps, _, poset = lamp_poset(pl)
-    stats = usage_stats(pl)
-    ok, witness = verify_lamp_con_iso(pl)
+    lamps, lt, poset = lamp_poset(pl)
+    stats = _usage_stats(pl, lamps, lt)
+    ok, witness = _verify_lamp_con_iso(pl, lamps, lt)
     return {
         "lamps": [
             {

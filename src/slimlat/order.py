@@ -1,9 +1,21 @@
 """Finite posets and lattices with fully materialized structure.
 
-Elements are dense integers 0..n-1.  Closures, meet/join tables and
-congruences are computed by brute force; this module is the trust anchor
-for everything else, so it prefers the obvious algorithm over the clever
-one.  All values are immutable after construction.
+Elements are dense integers 0..n-1.  All values are immutable after
+construction.  Two textbook facts keep the lattice kernels well below
+cubic cost:
+
+- Join tables are filled from the top down.  If y is not below x, every
+  upper bound of x and y lies above some upper cover c of x, so x v y is
+  the least of the c v y, and it exists iff one of them lies below all
+  the others.  Meet tables are the dual.
+- Perspective intervals generate the same congruence in any lattice
+  (Graetzer, The Congruences of a Finite Lattice, 2nd ed., 2016, sec. 3).
+  Con L therefore needs one principal congruence per transposition class
+  of covers; in a slim rectangular lattice these classes are its
+  trajectories, so it needs length(L) closures.
+
+The brute-force versions of both kernels (a cubic table search and one
+closure per cover) are kept in tests/ as reference implementations.
 """
 
 from __future__ import annotations
@@ -12,7 +24,11 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import OrderError, ParseError
+from .errors import BudgetError, OrderError, ParseError
+
+# Largest element count accepted from a JSON file: more than ten times the
+# largest lattice the tests and the benchmark build (n <= 171).
+MAX_JSON_ELEMENTS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +233,15 @@ def json_int_lists(data, key, width=None):
 
 
 def json_poset(data):
-    """Poset from a decoded {"n": ..., "covers": ...} object."""
+    """Poset from a decoded {"n": ..., "covers": ...} object.
+
+    n is checked against MAX_JSON_ELEMENTS before anything is allocated.
+    """
     n = data["n"]
     if type(n) is not int or n < 0:
         raise ParseError("'n' must be a non-negative integer")
+    if n > MAX_JSON_ELEMENTS:
+        raise BudgetError(f"'n' is {n}, above the limit of {MAX_JSON_ELEMENTS} elements")
     return Poset(n, [tuple(c) for c in json_int_lists(data, "covers", 2)])
 
 
@@ -255,23 +276,48 @@ class FiniteLattice:
             )
         self.bottom = bottoms[0]
         self.top = tops[0]
-        self.meet = self._table(poset.down)
-        self.join = self._table(poset.up)
+        order = poset._toposort()
+        self.meet = self._table(poset.down, poset.up, poset.lower_covers, order)
+        self.join = self._table(poset.up, poset.down, poset.upper_covers, order[::-1])
 
-    def _table(self, cones):
+    def _table(self, cones, opposite, covers, order):
+        """Meet table (cones = down-sets) or join table (cones = up-sets).
+
+        Rows are filled in `order`, where each of x's covers in `cones[x]`
+        comes before x.  For y outside both cones of x, the entry is the
+        candidate c * y (c one of those covers) whose cone holds all the
+        candidates; with no such candidate the pair has no bound, and
+        OrderError.  O(n * covers) table lookups.
+        """
         n = self.poset.n
-        size = [len(cones[u]) for u in range(n)]
-        table = []
-        for x in range(n):
-            row = []
-            for y in range(n):
-                common = cones[x] & cones[y]
-                g = max(common, key=lambda u: (size[u], u))
-                if not common <= cones[g]:
-                    kind = "glb" if cones is self.poset.down else "lub"
-                    raise OrderError(f"no {kind} for pair ({x},{y})")
-                row.append(g)
-            table.append(tuple(row))
+        size = [len(c) for c in cones]
+
+        def least(cands):
+            g = max(cands, key=size.__getitem__)
+            return g if all(c in cones[g] for c in cands) else None
+
+        table = [None] * n
+        for x in order:
+            rows = [table[c] for c in covers(x)]
+            if len(rows) == 1:
+                row = list(rows[0])
+            elif len(rows) == 2:
+                # slim lattices have at most two covers per element; this
+                # case spares them a least() call per entry
+                row = [a if b in cones[a] else b if a in cones[b] else None
+                       for a, b in zip(*rows)]
+            elif rows:
+                row = [least(cands) for cands in zip(*rows)]
+            else:
+                row = [None] * n
+            for y in cones[x]:
+                row[y] = y
+            for y in opposite[x]:
+                row[y] = x
+            if None in row:
+                kind = "glb" if cones is self.poset.down else "lub"
+                raise OrderError(f"no {kind} for pair ({x},{row.index(None)})")
+            table[x] = tuple(row)
         return tuple(table)
 
     # -- basic queries -------------------------------------------------------
@@ -566,12 +612,40 @@ class CongruenceLattice:
 def congruence_lattice(lat):
     """All distinct con(a, b) over covering pairs a < b, with their order.
 
+    One closure per transposition class of covers: for u with upper covers
+    v, w whose join t covers both, [u,v] and [w,t] are perspective (v ^ w
+    = u, v v w = t), and so are [u,w] and [v,t]; perspective intervals
+    generate the same congruence in any lattice.  The classes are found by
+    union-find over the covers and each class is closed from its least
+    cover.  In a slim rectangular lattice the classes are the trajectories,
+    so this takes length(L) closures.
+
     Con L of a finite lattice is distributive, so |Con L| is the number of
     down-sets of the join-irreducible poset.
     """
+    covers = lat.poset.covers
+    parent = {c: c for c in covers}
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def union(c, d):
+        rc, rd = find(c), find(d)
+        if rc != rd:
+            parent[max(rc, rd)] = min(rc, rd)
+
+    for u in range(lat.n):
+        for v, w in combinations(lat.upper_covers(u), 2):
+            t = lat.join[v][w]
+            if (v, t) in covers and (w, t) in covers:
+                union((u, v), (w, t))
+                union((u, w), (v, t))
     congs = []
     seen = set()
-    for a, b in sorted(lat.poset.covers):
+    for a, b in sorted(c for c in covers if find(c) == c):
         c = principal_congruence(lat, a, b)
         if c.block_index not in seen:
             seen.add(c.block_index)

@@ -20,8 +20,8 @@ from .errors import (
     PreconditionError,
 )
 from .lamps import (
+    _is_used,
     fork_interval,
-    is_used,
     lamp_creation_step,
     lamp_poset,
     lamps_of_diagram,
@@ -55,8 +55,8 @@ class ReductionStep:
         }
 
 
-def _lamp_with_foot(d, foot):
-    for l in lamps_of_diagram(d):
+def _lamp_with_foot(lamps, foot):
+    for l in lamps:
         if l.foot == foot:
             return l
     raise PreconditionError(f"no lamp with foot {foot}")
@@ -71,8 +71,11 @@ def _con_isomorphic(lat_a, lat_b):
     )
 
 
-def _remove_fork(pl, lamp, tube, rule):
-    """Core removal: delete F(tube), restrict, validate, check guarantees."""
+def _remove_fork(pl, lamp, tube, rule, old_lt):
+    """Core removal: delete F(tube), restrict, validate, check guarantees.
+
+    old_lt is the strict lamp order of pl, as lamp_poset derives it.
+    """
     d = pl.diagram
     lat = d.lattice
     removed = fork_interval(d, tube.foot)
@@ -137,7 +140,6 @@ def _remove_fork(pl, lamp, tube, rule):
                     f"lamp with foot {foot} was re-peaked against the join rule"
                 )
         phi[foot] = img.foot
-    _, old_lt, _ = lamp_poset(d)
     _, new_lt, _ = lamp_poset(subd)
     if {(phi[a], phi[b]) for a, b in old_lt} != new_lt:
         raise InternalInconsistencyError("lamp poset changed under the removal")
@@ -162,7 +164,8 @@ def _remove_fork(pl, lamp, tube, rule):
 
 def remove_sandwiched(pl, lamp_foot, tube):
     """Remove a used tube sandwiched between two unused tubes of its lamp."""
-    lamp = _lamp_with_foot(pl.diagram, lamp_foot)
+    lamps, lt, _ = lamp_poset(pl)
+    lamp = _lamp_with_foot(lamps, lamp_foot)
     if lamp.kind != "internal":
         raise PreconditionError("sandwiched removal needs an internal lamp")
     tubes = list(lamp.tubes)
@@ -172,13 +175,13 @@ def remove_sandwiched(pl, lamp_foot, tube):
     if i == 0 or i == len(tubes) - 1:
         raise PreconditionError("tube has no neighbor on one side")
     n1, n2 = tubes[i - 1], tubes[i + 1]
-    if not is_used(pl, tube):
+    if not _is_used(pl, tube, lamp, lamps, lt):
         raise PreconditionError("the middle tube's territory is not used")
-    if is_used(pl, n1):
+    if _is_used(pl, n1, lamp, lamps, lt):
         raise PreconditionError("left neighbor's territory is used")
-    if is_used(pl, n2):
+    if _is_used(pl, n2, lamp, lamps, lt):
         raise PreconditionError("right neighbor's territory is used")
-    return _remove_fork(pl, lamp, tube, "sandwiched")
+    return _remove_fork(pl, lamp, tube, "sandwiched", lt)
 
 
 def remove_neighboring(pl, lamp_foot, n1, n2):
@@ -188,7 +191,8 @@ def remove_neighboring(pl, lamp_foot, n1, n2):
     the mirrored application; the deleted element set is mirror-invariant,
     so a single code path serves both orientations.
     """
-    lamp = _lamp_with_foot(pl.diagram, lamp_foot)
+    lamps, lt, _ = lamp_poset(pl)
+    lamp = _lamp_with_foot(lamps, lamp_foot)
     if lamp.kind != "internal":
         raise PreconditionError("neighboring removal needs an internal lamp")
     tubes = list(lamp.tubes)
@@ -196,9 +200,9 @@ def remove_neighboring(pl, lamp_foot, n1, n2):
         raise PreconditionError("tubes do not belong to the lamp")
     if abs(tubes.index(n1) - tubes.index(n2)) != 1:
         raise PreconditionError("tubes are not adjacent")
-    if is_used(pl, n1) or is_used(pl, n2):
+    if _is_used(pl, n1, lamp, lamps, lt) or _is_used(pl, n2, lamp, lamps, lt):
         raise PreconditionError("a tube of the pair has a used territory")
-    return _remove_fork(pl, lamp, n2, "neighboring")
+    return _remove_fork(pl, lamp, n2, "neighboring", lt)
 
 
 # ---------------------------------------------------------------------------

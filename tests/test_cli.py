@@ -165,3 +165,28 @@ def test_validate_malformed_lattice_json_exits_2(tmp_path, capsys, text):
 def test_negative_max_len_exits_2(capsys):
     assert main(["enumerate", "--max-len", "-3"]) == 2
     assert _one_line_parse_error(capsys)
+
+
+def test_validate_tab_separated_dsl(tmp_path):
+    seq = tmp_path / "tabs.seq"
+    seq.write_text("grid\t2 1\nfork\t1\t0\t1\n")
+    assert main(["validate", "--input", str(seq)]) == 0
+
+
+def _one_line_budget_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
+def test_json_element_budget_exits_3(tmp_path, capsys):
+    poset_file = tmp_path / "huge.poset"
+    poset_file.write_text('{"n": 100000000, "covers": []}')
+    assert main(["realize", "--input", str(poset_file), "--max-len", "3"]) == 3
+    assert _one_line_budget_error(capsys)
+
+    lattice_json = tmp_path / "huge.json"
+    lattice_json.write_text(
+        '{"n": 100000000, "covers": [], "upper_order": [], "lower_order": []}'
+    )
+    assert main(["validate", "--input", str(lattice_json), "--format", "json"]) == 3
+    assert _one_line_budget_error(capsys)

@@ -240,3 +240,12 @@ def test_emit_dsl_canonical_roundtrip():
     seq = parse_dsl(text)
     assert emit_dsl(seq) == text
     assert parse_dsl(emit_dsl(seq)) == seq
+
+
+def test_parse_dsl_any_whitespace_separates_tokens():
+    text = "grid 2 1\nfork 1 0 1\nfork 0 1 1\n"
+    for variant in (text.replace(" ", "\t"), text.replace(" ", "  \t ")):
+        assert parse_dsl(variant) == parse_dsl(text)
+    with pytest.raises(ParseError) as e:
+        parse_dsl("grid\t2\t1\nfork\t0\t0\tzero\n")
+    assert (e.value.line, e.value.col) == (2, 10)

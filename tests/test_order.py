@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
+import slimlat.order
 from slimlat.errors import OrderError
+from slimlat.explore import enumerate_index
 from slimlat.order import (
     Congruence,
+    CongruenceLattice,
     FiniteLattice,
     Poset,
     congruence_join,
@@ -239,3 +244,141 @@ def test_named_posets():
 def test_poset_json_roundtrip():
     p = order_from_covers(S7_COVERS)
     assert Poset.from_json(p.to_json()) == p
+
+
+# Brute-force references for the lattice kernels ----------------------------
+
+def reference_table(poset, cones):
+    """Meet (cones = down-sets) or join (cones = up-sets) table by the cubic
+    search: x * y is the common cone element whose own cone is largest, if
+    that cone holds all common elements."""
+    n = poset.n
+    table = []
+    for x in range(n):
+        row = []
+        for y in range(n):
+            common = cones[x] & cones[y]
+            g = max(common, key=lambda u: (len(cones[u]), u))
+            if not common <= cones[g]:
+                raise OrderError(f"no bound for pair ({x},{y})")
+            row.append(g)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def reference_tables(poset):
+    """(meet, join) of a lattice, or OrderError."""
+    if len(poset.minimal_elements()) != 1 or len(poset.maximal_elements()) != 1:
+        raise OrderError("no unique bottom/top")
+    return reference_table(poset, poset.down), reference_table(poset, poset.up)
+
+
+def reference_congruence_lattice(lat):
+    """Con L from one principal congruence per cover."""
+    congs = []
+    seen = set()
+    for a, b in sorted(lat.poset.covers):
+        c = principal_congruence(lat, a, b)
+        if c.block_index not in seen:
+            seen.add(c.block_index)
+            congs.append(c)
+    congs.sort(key=lambda c: (c.block_count(), c.block_index), reverse=True)
+    m = len(congs)
+    poset = Poset.from_relation(m, [
+        (i, j) for i in range(m) for j in range(m) if i != j and congs[i].refines(congs[j])
+    ])
+    return CongruenceLattice(lat, tuple(congs), poset, poset.count_downsets())
+
+
+def assert_kernels_match_references(lat):
+    assert (lat.meet, lat.join) == reference_tables(lat.poset)
+    got, want = congruence_lattice(lat), reference_congruence_lattice(lat)
+    assert got.jir_congs == want.jir_congs
+    assert got.jir_poset == want.jir_poset
+    assert got.con_size == want.con_size
+
+
+@pytest.fixture(scope="module")
+def lattices6():
+    """The 106 slim rectangular lattices of length <= 6."""
+    return [e.pl.lattice for e in enumerate_index(6).entries()]
+
+
+def test_kernels_match_references_up_to_length_six(lattices6):
+    assert len(lattices6) == 106
+    for lat in lattices6:
+        assert_kernels_match_references(lat)
+
+
+def random_poset(rng):
+    """A random poset on 1..9 elements; half of them get a bottom and a top."""
+    if rng.random() < 0.5:
+        n = rng.randint(1, 7)
+        pairs = set()
+        offset = 0
+    else:
+        n = rng.randint(1, 7) + 2
+        pairs = {(0, i) for i in range(1, n - 1)} | {(i, n - 1) for i in range(1, n - 1)}
+        offset = 1
+    density = rng.random()
+    for a in range(offset, n - offset):
+        for b in range(a + 1, n - offset):
+            if rng.random() < density:
+                pairs.add((a, b))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Poset.from_relation(n, [(perm[a], perm[b]) for a, b in pairs])
+
+
+def test_kernels_match_references_on_random_posets():
+    rng = random.Random(2024)
+    outcomes = {"lattice": 0, "not a lattice": 0}
+    for _ in range(2000):
+        p = random_poset(rng)
+        try:
+            want = reference_tables(p)
+        except OrderError:
+            with pytest.raises(OrderError):
+                FiniteLattice(p)
+            outcomes["not a lattice"] += 1
+            continue
+        assert_kernels_match_references(FiniteLattice(p))
+        outcomes["lattice"] += 1
+    # both branches are exercised many times
+    assert min(outcomes.values()) > 300
+
+
+@pytest.mark.parametrize("covers", [
+    # unique bottom 0 and top 5, but 1 v 2 has the two minimal upper bounds
+    # 3 and 4 (and, dually, 3 ^ 4 has the two maximal lower bounds 1 and 2)
+    [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)],
+    # the same with three atoms 1, 2, 6 and three coatoms 3, 4, 7: every
+    # element that has to choose a bound has three covers
+    [(0, a) for a in (1, 2, 6)] + [(a, b) for a in (1, 2, 6) for b in (3, 4, 7)]
+    + [(b, 5) for b in (3, 4, 7)],
+])
+def test_bounded_non_lattice_rejected(covers):
+    p = order_from_covers(covers)
+    with pytest.raises(OrderError, match="no glb for pair"):
+        FiniteLattice(p)
+    with pytest.raises(OrderError):
+        reference_tables(p)
+    lat = FiniteLattice.__new__(FiniteLattice)
+    lat.poset = p
+    with pytest.raises(OrderError, match="no lub for pair"):
+        lat._table(p.up, p.down, p.upper_covers, p._toposort()[::-1])
+
+
+def test_congruence_lattice_closes_once_per_trajectory(lattices6, monkeypatch):
+    calls = []
+    closure = slimlat.order.principal_congruence
+
+    def counted(lat, a, b):
+        calls.append((a, b))
+        return closure(lat, a, b)
+
+    monkeypatch.setattr(slimlat.order, "principal_congruence", counted)
+    for lat in lattices6:
+        calls.clear()
+        congruence_lattice(lat)
+        assert len(calls) == lat.length()
