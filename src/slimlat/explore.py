@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .diagram import cell_address
 from .errors import BudgetError
 from .lamps import lamp_poset
 from .multifork import grid, multifork_extend
@@ -47,7 +48,6 @@ class EnumerationIndex:
 def _distributive_cells(pl):
     d = pl.diagram
     lat = d.lattice
-    from .diagram import cell_address
     out = []
     for c in d.four_cells():
         if is_distributive_ideal_grid(lat, c.top):

@@ -22,13 +22,14 @@ from .diagram import (
     resolve_address,
 )
 from .errors import (
+    BudgetError,
     DiagramError,
     InternalInconsistencyError,
     OrderError,
     PreconditionError,
 )
 from .lamps import fork_interval, lamp_poset
-from .order import FiniteLattice, Poset, is_distributive_ideal_grid
+from .order import MAX_ELEMENTS, FiniteLattice, Poset, is_distributive_ideal_grid
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,11 @@ def grid(p, q):
     """The (p+1) x (q+1) grid with stage-0 provenance."""
     if p < 1 or q < 1:
         raise PreconditionError("grid needs p >= 1 and q >= 1")
+    if (p + 1) * (q + 1) > MAX_ELEMENTS:
+        raise BudgetError(
+            f"grid {p} {q} has {(p + 1) * (q + 1)} elements,"
+            f" above the limit of {MAX_ELEMENTS}"
+        )
     width = q + 1
 
     def eid(i, j):
@@ -198,22 +204,6 @@ def _walk_right_path(d, w, b):
     return edges, cells
 
 
-def _point_in_quad(quad, p):
-    sign = 0
-    for i in range(4):
-        ax, ay = quad[i]
-        bx, by = quad[(i + 1) % 4]
-        cr = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
-        if cr == 0:
-            continue
-        s = 1 if cr > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
-
-
 def multifork_extend(pl, address, k):
     """k-fold multifork extension at the addressed distributive 4-cell.
 
@@ -223,6 +213,9 @@ def multifork_extend(pl, address, k):
     legs inside the cell (legs of distinct branches cross in shared
     elements).  Self-verifying: the result must pass the full slim
     rectangular validation and grow length and tube count by exactly k.
+    Each new cell subdivides the one destroyed cell whose interval
+    [bottom, top] contains its own; old ids keep their meaning, because
+    new elements are appended.
     """
     if k < 1:
         raise PreconditionError("multiplicity must be >= 1")
@@ -237,6 +230,12 @@ def multifork_extend(pl, address, k):
     right_edges, right_cells = _walk_right_path(d, w, b)
     np_, nq = len(left_edges), len(right_edges)
     n0 = lat.n
+    total = n0 + (np_ + nq) * k + k * (k - 1) // 2 + k
+    if total > MAX_ELEMENTS:
+        raise BudgetError(
+            f"a {k}-fold fork at {address} gives {total} elements,"
+            f" above the limit of {MAX_ELEMENTS}"
+        )
 
     def xid(j, s):
         return n0 + j * k + (s - 1)
@@ -254,8 +253,6 @@ def multifork_extend(pl, address, k):
 
     def mid(i):
         return mbase + (i - 1)
-
-    total = mbase + k
 
     covers = set(lat.poset.covers)
     for edges, ids in ((left_edges, xid), (right_edges, yid)):
@@ -317,10 +314,6 @@ def multifork_extend(pl, address, k):
     destroyed_nodes = {
         key: pl.leaf_by_bottom[key[0]] for key in destroyed_keys
     }
-    destroyed_quads = {
-        key: tuple(pl.coords[v] for v in key)  # (bottom, left, right, top)
-        for key in destroyed_keys
-    }
     forest = list(pl.forest)
     stage = len(pl.seq.steps) + 1
     leaf = {}
@@ -329,12 +322,9 @@ def multifork_extend(pl, address, k):
         if key in old_cells and key not in destroyed_keys:
             leaf[c2.bottom] = pl.leaf_by_bottom[c2.bottom]
             continue
-        cx = sum(coords[v][0] for v in key) / 4
-        cy = sum(coords[v][1] for v in key) / 4
         parents = [
-            destroyed_nodes[dk]
-            for dk, quad in destroyed_quads.items()
-            if _point_in_quad((quad[0], quad[1], quad[3], quad[2]), (cx, cy))
+            node for dk, node in destroyed_nodes.items()
+            if lat2.leq(dk[0], key[0]) and lat2.leq(key[3], dk[3])
         ]
         if len(parents) != 1:
             raise InternalInconsistencyError(

@@ -190,3 +190,11 @@ def test_json_element_budget_exits_3(tmp_path, capsys):
     )
     assert main(["validate", "--input", str(lattice_json), "--format", "json"]) == 3
     assert _one_line_budget_error(capsys)
+
+
+@pytest.mark.parametrize("text", ["grid 5000 5000\n", "grid 1 1\nfork 0 0 100000\n"])
+def test_dsl_element_budget_exits_3(tmp_path, capsys, text):
+    seq = tmp_path / "huge.seq"
+    seq.write_text(text)
+    assert main(["build", "--input", str(seq)]) == 3
+    assert _one_line_budget_error(capsys)

@@ -1,8 +1,10 @@
 import pytest
 
 from slimlat.diagram import cell_address, is_slim_rectangular, resolve_address
+from slimlat.doubling import double
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import ParseError, PreconditionError
+from slimlat.explore import enumerate_index
 from slimlat.multifork import (
     ForkStep,
     MultiforkSequence,
@@ -131,6 +133,54 @@ def test_forest_children_counts():
         for parent in path_parents:
             kids = [nd for nd in pl.forest if nd.parent == parent]
             assert len(kids) == k + 1
+
+
+def point_in_quad(quad, p):
+    """True iff p lies in the convex quadrilateral (boundary included)."""
+    sign = 0
+    for i in range(4):
+        ax, ay = quad[i]
+        bx, by = quad[(i + 1) % 4]
+        cr = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
+        if cr == 0:
+            continue
+        s = 1 if cr > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return False
+    return True
+
+
+def assert_parents_match_geometry(pl):
+    """The centroid of each stage-s cell lies in its parent's quadrilateral
+    and in no other quadrilateral subdivided at stage s."""
+    parents_by_stage = {}
+    for nd in pl.forest:
+        if nd.parent is not None:
+            parents_by_stage.setdefault(nd.stage, set()).add(nd.parent)
+
+    def quad(node):
+        bottom, left, right, top = pl.forest[node].cell
+        return [pl.coords[v] for v in (bottom, left, top, right)]
+
+    for nd in pl.forest:
+        if nd.parent is None:
+            continue
+        centroid = tuple(sum(pl.coords[v][i] for v in nd.cell) / 4 for i in (0, 1))
+        inside = [p for p in parents_by_stage[nd.stage] if point_in_quad(quad(p), centroid)]
+        assert inside == [nd.parent], (emit_dsl(pl.seq), nd)
+
+
+def test_forest_parents_match_geometry_up_to_length_six():
+    entries = enumerate_index(6).entries()
+    doubles = [
+        build(double(e.seq, step)[0])
+        for e in entries for step in range(1, len(e.seq.steps) + 1)
+    ]
+    assert len(entries) == 106 and len(doubles) == 182
+    for pl in [e.pl for e in entries] + doubles:
+        assert_parents_match_geometry(pl)
 
 
 def test_lower_covers_of_peak_stable_across_stages():

@@ -36,6 +36,10 @@ M3_COVERS = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
 
 B2_COVERS = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
+# B_3 = 2^3: 0 < atoms 1, 2, 3 < coatoms 4, 5, 6 < top 7
+B3_COVERS = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 6), (3, 5), (3, 6),
+             (4, 7), (5, 7), (6, 7)]
+
 
 def b2():
     return lattice_from_poset(order_from_covers(B2_COVERS))
@@ -133,9 +137,7 @@ def test_is_slim():
     assert lattice_from_poset(grid_poset(2, 2)).is_slim()
     assert not lattice_from_poset(order_from_covers(M3_COVERS)).is_slim()
     # B_3 = 2^3 has a 3-atom antichain
-    cube = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 6), (3, 5), (3, 6),
-            (4, 7), (5, 7), (6, 7)]
-    assert not lattice_from_poset(order_from_covers(cube)).is_slim()
+    assert not lattice_from_poset(order_from_covers(B3_COVERS)).is_slim()
 
 
 def test_distributive_ideal_grid():
@@ -382,3 +384,79 @@ def test_congruence_lattice_closes_once_per_trajectory(lattices6, monkeypatch):
         calls.clear()
         congruence_lattice(lat)
         assert len(calls) == lat.length()
+
+
+# Brute-force reference for distributive cells -------------------------------
+
+def reference_two_disjoint_chains(poset, elems):
+    """True iff the induced order on elems is a disjoint union of <= 2 chains,
+    by connected components of the comparability graph."""
+    comp = {
+        u: {v for v in elems if v != u and (poset.leq(u, v) or poset.leq(v, u))}
+        for u in elems
+    }
+    unseen = set(elems)
+    components = []
+    while unseen:
+        stack = [unseen.pop()]
+        comp_elems = set(stack)
+        while stack:
+            u = stack.pop()
+            for v in comp[u]:
+                if v in unseen:
+                    unseen.remove(v)
+                    comp_elems.add(v)
+                    stack.append(v)
+        components.append(comp_elems)
+    if len(components) > 2:
+        return False
+    return all(
+        poset.leq(a, b) or poset.leq(b, a)
+        for c in components for a in c for b in c
+    )
+
+
+def reference_is_distributive_ideal_grid(lat, x):
+    """The ideal of x rebuilt as a lattice, scanned for distributivity over
+    all triples, with its join-irreducibles split into <= 2 chains."""
+    sub, _ = lat.poset.restrict(lat.ideal(x))
+    ideal = FiniteLattice(sub)
+    meet, join = ideal.meet, ideal.join
+    m = ideal.n
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                    return False
+    return reference_two_disjoint_chains(sub, ideal.jir())
+
+
+def test_distributive_ideal_grid_matches_reference(lattices6):
+    fixtures = [lattice_from_poset(order_from_covers(c))
+                for c in (N5_COVERS, M3_COVERS, B3_COVERS, S7_COVERS)]
+    n5 = fixtures[0]
+    # the join-irreducibles of N5 are two disjoint chains; only the count
+    # (5 elements, not 6) tells that N5 is not a product of two chains
+    assert not is_distributive_ideal_grid(n5, n5.top)
+    rng = random.Random(2025)
+    random_lattices = []
+    while len(random_lattices) < 200:
+        p = random_poset(rng)
+        try:
+            random_lattices.append(FiniteLattice(p))
+        except OrderError:
+            pass
+    outcomes = {"grid": 0, "two chains, too few elements": 0, "other": 0}
+    for lat in lattices6 + fixtures + random_lattices:
+        for x in range(lat.n):
+            got = is_distributive_ideal_grid(lat, x)
+            assert got == reference_is_distributive_ideal_grid(lat, x), (lat.poset, x)
+            jir_below = [u for u in lat.jir() if lat.leq(u, x)]
+            if got:
+                outcomes["grid"] += 1
+            elif reference_two_disjoint_chains(lat.poset, jir_below):
+                outcomes["two chains, too few elements"] += 1
+            else:
+                outcomes["other"] += 1
+    # every branch is exercised, the one only the count decides included
+    assert min(outcomes.values()) > 100

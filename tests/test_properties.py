@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slimlat.diagram import cell_address
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import DiagramError, PreconditionError
+from slimlat.explore import _distributive_cells
 from slimlat.lamps import covers_via_nwl_nel, lamp_poset, lamps_of_diagram, rho_foot
 from slimlat.multifork import ForkStep, MultiforkSequence, build, grid, multifork_extend
 from slimlat.order import (
@@ -30,14 +30,10 @@ def sequences(draw):
     pl = grid(p, q)
     steps = []
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        cells = []
-        from slimlat.order import is_distributive_ideal_grid
-        for c in pl.diagram.four_cells():
-            if is_distributive_ideal_grid(pl.lattice, c.top):
-                cells.append(cell_address(pl.diagram, c))
+        cells = _distributive_cells(pl)
         if not cells:
             break
-        addr = draw(st.sampled_from(sorted(cells)))
+        addr = draw(st.sampled_from(cells))
         k = draw(st.integers(min_value=1, max_value=2))
         pl = multifork_extend(pl, addr, k)
         steps.append(ForkStep(addr[0], addr[1], k))
