@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .diagram import Edge
 from .errors import InternalInconsistencyError, PreconditionError
-from .order import Poset, congruence_lattice, principal_congruence
+from .order import Poset, congruence_lattice
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ def lamp_creation_step(pl, lamp):
 
 
 def verify_lamp_con_iso(pl):
-    """Check Lamp L = Jir(Con L) via foot-peak principal congruences.
+    """Check Lamp L = Jir(Con L) via the congruences of the neon tubes.
 
     Returns (ok, witness) where witness maps lamp foot -> index of its
     congruence in the independently computed list.
@@ -264,18 +264,21 @@ def verify_lamp_con_iso(pl):
 
 
 def _verify_lamp_con_iso(pl, lamps, lt):
-    lat = pl.lattice
-    cl = congruence_lattice(lat)
+    cl = congruence_lattice(pl.lattice)
     if len(lamps) != len(cl.jir_congs):
         return False, None
-    key_to_idx = {c.block_index: i for i, c in enumerate(cl.jir_congs)}
     witness = {}
     for l in lamps:
-        c = principal_congruence(lat, l.foot, l.peak)
-        idx = key_to_idx.get(c.block_index)
-        if idx is None:
+        # a tube is a prime interval, so its congruence is join-irreducible
+        # and listed; listed coarser congruences have fewer blocks, so it is
+        # the first listed one that collapses the tube
+        found = {
+            next((i for i, c in enumerate(cl.jir_congs) if c.same(e.foot, e.peak)), None)
+            for e in l.tubes
+        }
+        if len(found) != 1 or None in found:
             return False, None
-        witness[l.foot] = idx
+        witness[l.foot] = found.pop()
     if len(set(witness.values())) != len(lamps):
         return False, None
     # order preservation both ways
@@ -284,8 +287,7 @@ def _verify_lamp_con_iso(pl, lamps, lt):
             if a.foot == b.foot:
                 continue
             lamp_le = (a.foot, b.foot) in lt
-            cong_le = cl.jir_congs[witness[a.foot]].refines(cl.jir_congs[witness[b.foot]])
-            if lamp_le != cong_le:
+            if lamp_le != cl.jir_poset.leq(witness[a.foot], witness[b.foot]):
                 return False, None
     return True, witness
 

@@ -8,11 +8,11 @@ cubic cost:
   upper bound of x and y lies above some upper cover c of x, so x v y is
   the least of the c v y, and it exists iff one of them lies below all
   the others.  Meet tables are the dual.
-- Perspective intervals generate the same congruence in any lattice
-  (Graetzer, The Congruences of a Finite Lattice, 2nd ed., 2016, sec. 3).
-  Con L therefore needs one principal congruence per transposition class
-  of covers; in a slim rectangular lattice these classes are its
-  trajectories, so it needs length(L) closures.
+- For join-irreducibles j != k with lower covers j_ and k_, say j D k
+  when j <= k v x but not j <= k_ v x for some x.  Then con(j_, j) <=
+  con(k_, k) iff D steps lead from j to k (Freese, Jezek, Nation, Free
+  Lattices, 1995, ch. II), and every con(a, b) of a cover is a con(k_, k).
+  Con L is therefore read off the D order on J(L), with no closure.
 - Sending u to the join-irreducibles below it embeds a finite lattice M
   into the down-sets of its poset J(M) of join-irreducibles, so M is
   distributive iff it has as many elements as J(M) has down-sets
@@ -23,7 +23,9 @@ cubic cost:
 
 The brute-force versions of these kernels (a cubic table search, one
 closure per cover and a cubic distributivity scan of the rebuilt ideal)
-are kept in tests/ as reference implementations.
+are kept in tests/ as reference implementations.  The closure helpers
+here (_closure, principal_congruence, congruence_join, is_congruence and
+verify_jir_congruences) serve only as test oracles.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from .errors import BudgetError, OrderError, ParseError
 
 # Largest element count accepted from any input, a JSON file or a DSL
 # construction: more than ten times the largest lattice the tests and the
-# benchmark build (n <= 171).
+# benchmark build (n <= 171).  --allow-large does not lift it: the limit is
+# the n x n meet and join tables, not Con.  `grid 43 44` (1,980 elements)
+# takes about 1.4 s and 170 MB to build (Python 3.11, 2-vCPU VM).
 MAX_ELEMENTS = 2000
 
 
@@ -145,10 +149,6 @@ class Poset:
     def minimal_elements(self):
         return tuple(u for u in range(self.n) if not self._dncov[u])
 
-    def height_of(self, u):
-        """Length of the longest chain from a minimal element up to u."""
-        return self._heights()[u]
-
     def _heights(self):
         try:
             return self._h
@@ -172,9 +172,6 @@ class Poset:
             (idx[a], idx[b]) for a in keep for b in self.up[a] if b != a and b in idx
         ]
         return Poset.from_relation(len(keep), pairs), keep
-
-    def dual(self):
-        return Poset(self.n, {(b, a) for a, b in self.covers})
 
     def count_downsets(self):
         """Number of down-sets, by divide and conquer on a maximal element."""
@@ -602,50 +599,48 @@ class CongruenceLattice:
 def congruence_lattice(lat):
     """All distinct con(a, b) over covering pairs a < b, with their order.
 
-    One closure per transposition class of covers: for u with upper covers
-    v, w whose join t covers both, [u,v] and [w,t] are perspective (v ^ w
-    = u, v v w = t), and so are [u,w] and [v,t]; perspective intervals
-    generate the same congruence in any lattice.  The classes are found by
-    union-find over the covers and each class is closed from its least
-    cover.  In a slim rectangular lattice the classes are the trajectories,
-    so this takes length(L) closures.
+    For join-irreducibles j != k with lower covers j_ and k_, say j D k
+    when j <= k v x but not j <= k_ v x for some x.  Then con(j_, j) <=
+    con(k_, k) iff D steps lead from j to k (Freese, Jezek, Nation, Free
+    Lattices, 1995, ch. II).  Every con(a, b) of a cover is a con(k_, k),
+    so con(k_, k) collapses exactly the join-irreducibles C that reach k,
+    and x, y share a block iff the join-irreducibles below them outside C
+    agree.  Sets of join-irreducibles are int bitmasks.
 
     Con L of a finite lattice is distributive, so |Con L| is the number of
     down-sets of the join-irreducible poset.
     """
-    covers = lat.poset.covers
-    parent = {c: c for c in covers}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    def union(c, d):
-        rc, rd = find(c), find(d)
-        if rc != rd:
-            parent[max(rc, rd)] = min(rc, rd)
-
-    for u in range(lat.n):
-        for v, w in combinations(lat.upper_covers(u), 2):
-            t = lat.join[v][w]
-            if (v, t) in covers and (w, t) in covers:
-                union((u, v), (w, t))
-                union((u, w), (v, t))
-    congs = []
-    seen = set()
-    for a, b in sorted(c for c in covers if find(c) == c):
-        c = principal_congruence(lat, a, b)
-        if c.block_index not in seen:
-            seen.add(c.block_index)
-            congs.append(c)
-    congs.sort(key=lambda c: (c.block_count(), c.block_index), reverse=True)
-    m = len(congs)
+    jir = lat.jir()
+    bit = {j: 1 << i for i, j in enumerate(jir)}
+    below = [0] * lat.n
+    for x in lat.poset._toposort():
+        m = bit.get(x, 0)
+        for c in lat.lower_covers(x):
+            m |= below[c]
+        below[x] = m
+    # dep[i]: the j with j D jir[i]
+    dep = []
+    for k in jir:
+        m = 0
+        for a, b in zip(lat.join[k], lat.join[lat.lower_covers(k)[0]]):
+            m |= below[a] & ~below[b]
+        dep.append(m & ~bit[k])
+    congs = {}
+    for i in range(len(jir)):
+        collapsed, todo = 0, 1 << i
+        while todo:
+            j = todo.bit_length() - 1
+            collapsed |= 1 << j
+            todo = (todo | dep[j]) & ~collapsed
+        if collapsed not in congs:
+            congs[collapsed] = Congruence.from_parent([b & ~collapsed for b in below])
+    masks = sorted(congs, key=lambda c: (congs[c].block_count(), congs[c].block_index),
+                   reverse=True)
+    m = len(masks)
     poset = Poset.from_relation(m, [
-        (i, j) for i in range(m) for j in range(m) if i != j and congs[i].refines(congs[j])
+        (i, j) for i in range(m) for j in range(m) if i != j and masks[i] & ~masks[j] == 0
     ])
-    return CongruenceLattice(lat, tuple(congs), poset, poset.count_downsets())
+    return CongruenceLattice(lat, tuple(congs[c] for c in masks), poset, poset.count_downsets())
 
 
 def verify_jir_congruences(cl):

@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 
 from slimlat.dsl import parse_dsl
 from slimlat.errors import PreconditionError
 from slimlat.lamps import (
+    _verify_lamp_con_iso,
     circ_r,
     covers_via_nwl_nel,
     fork_interval,
@@ -223,6 +226,32 @@ def test_lamp_con_iso_various():
     ]:
         ok, _ = verify_lamp_con_iso(build(parse_dsl(text)))
         assert ok, text
+
+
+def test_lamp_con_iso_rejects_a_dropped_or_added_order_pair():
+    pl = build(parse_dsl("grid 1 1\nfork 0 0 3\nfork 2 0 1"))
+    lamps, lt, _ = lamp_poset(pl)
+    assert _verify_lamp_con_iso(pl, lamps, lt)[0]
+    feet = [l.foot for l in lamps]
+    absent = [(a, b) for a in feet for b in feet if a != b and (a, b) not in lt]
+    assert lt and absent
+    for pair in lt:
+        assert _verify_lamp_con_iso(pl, lamps, lt - {pair}) == (False, None), pair
+    for pair in absent:
+        assert _verify_lamp_con_iso(pl, lamps, lt | {pair}) == (False, None), pair
+
+
+def test_lamp_report_flags_a_wrong_lamp_order(monkeypatch):
+    pl = g22_fork2()
+    lamps, lt, poset = lamp_poset(pl)
+    # boundary lamps are maximal, so no two of them are comparable
+    boundary = [l.foot for l in lamps if l.kind == "boundary"]
+    wrong = lt | {(boundary[0], boundary[1])}
+    # the module itself: slimlat.lamps names the function lamps()
+    monkeypatch.setattr(sys.modules["slimlat.lamps"], "lamp_poset",
+                        lambda obj: (lamps, wrong, poset))
+    rep = lamp_report(pl)
+    assert rep["congruence_iso_ok"] is False and rep["iso_witness"] is None
 
 
 # Usage --------------------------------------------------------------------------

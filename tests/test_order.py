@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-import slimlat.order
 from slimlat.errors import OrderError
 from slimlat.explore import enumerate_index
 from slimlat.order import (
@@ -294,6 +293,10 @@ def reference_congruence_lattice(lat):
 
 def assert_kernels_match_references(lat):
     assert (lat.meet, lat.join) == reference_tables(lat.poset)
+    assert_con_matches_reference(lat)
+
+
+def assert_con_matches_reference(lat):
     got, want = congruence_lattice(lat), reference_congruence_lattice(lat)
     assert got.jir_congs == want.jir_congs
     assert got.jir_poset == want.jir_poset
@@ -371,19 +374,20 @@ def test_bounded_non_lattice_rejected(covers):
         lat._table(p.up, p.down, p.upper_covers, p._toposort()[::-1])
 
 
-def test_congruence_lattice_closes_once_per_trajectory(lattices6, monkeypatch):
-    calls = []
-    closure = slimlat.order.principal_congruence
-
-    def counted(lat, a, b):
-        calls.append((a, b))
-        return closure(lat, a, b)
-
-    monkeypatch.setattr(slimlat.order, "principal_congruence", counted)
-    for lat in lattices6:
-        calls.clear()
-        congruence_lattice(lat)
-        assert len(calls) == lat.length()
+@pytest.mark.parametrize("covers, jir_count, con_size, jir_covers", [
+    (N5_COVERS, 3, 5, {(0, 1), (0, 2)}),
+    (M3_COVERS, 1, 2, set()),
+    (B3_COVERS, 3, 8, set()),
+    (S7_COVERS, 3, 5, {(0, 1), (0, 2)}),
+], ids=["N5", "M3", "B3", "S7"])
+def test_congruence_lattice_matches_reference(covers, jir_count, con_size, jir_covers):
+    """Con from the D order against one closure per cover, on the non-slim
+    fixtures too; the lattices of length <= 6 and the random lattices are
+    compared by assert_kernels_match_references."""
+    lat = lattice_from_poset(order_from_covers(covers))
+    assert_con_matches_reference(lat)
+    cl = congruence_lattice(lat)
+    assert (cl.jir_count(), cl.con_size, cl.jir_poset.covers) == (jir_count, con_size, jir_covers)
 
 
 # Brute-force reference for distributive cells -------------------------------
