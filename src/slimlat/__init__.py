@@ -52,10 +52,7 @@ from .lamps import (
     UsageStats,
     lamps,
     circ_r,
-    rho_foot,
-    rho_circr,
     lamp_poset,
-    covers_via_nwl_nel,
     verify_lamp_con_iso,
     is_used,
     usage_stats,
@@ -91,9 +88,8 @@ __all__ = [
     "ForkStep", "MultiforkSequence", "ProvenancedLattice", "grid",
     "multifork_extend", "build", "decompose", "reprovenance",
     "parse_dsl", "emit_dsl",
-    "Lamp", "UsageStats", "lamps", "circ_r", "rho_foot", "rho_circr",
-    "lamp_poset", "covers_via_nwl_nel", "verify_lamp_con_iso", "is_used",
-    "usage_stats", "lamp_report",
+    "Lamp", "UsageStats", "lamps", "circ_r", "lamp_poset",
+    "verify_lamp_con_iso", "is_used", "usage_stats", "lamp_report",
     "ReductionStep", "BoundReport", "remove_sandwiched", "remove_neighboring",
     "minimize", "check_bounds", "length_bound",
     "RetargetRecord", "locate_retarget", "double",

@@ -220,6 +220,8 @@ def main(argv=None):
     try:
         if args.max_len < 0:
             raise ParseError(f"--max-len must be >= 0, got {args.max_len}")
+        if args.input is None and args.command not in ("bounds", "enumerate"):
+            raise ParseError(f"--input FILE is required for {args.command}")
         return args.fn(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

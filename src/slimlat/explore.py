@@ -4,6 +4,15 @@ Depth-first generation over grids and multifork extensions, deduplicated
 by canonical diagram codes (which already fold in the mirror image).
 Search states are pruned on (code, remaining budget): two isomorphic
 lattices with equal budget extend to the same set of lattices.
+
+Realizability rests on two lamp facts (Czedli, "Lamps in slim rectangular
+planar semimodular lattices", Acta Sci. Math. 2021): every multifork adds
+exactly one lamp, and every new lamp lies strictly below its Nwl and Nel
+lamps.  So a lattice built from `grid p q` with f forks has p + q + f
+lamps, and its maximal lamps are its p + q boundary lamps.  A poset P with
+n elements can only be the lamp poset of a descendant of a grid with
+p + q = #maximal(P) that uses at most n - p - q forks, and `realize`
+searches nothing else.
 """
 
 from __future__ import annotations
@@ -55,13 +64,15 @@ def _distributive_cells(pl):
     return sorted(out)
 
 
-def enumerate_index(max_len, allow_large=False):
-    """All slim rectangular lattices of length <= max_len, up to isomorphism
-    (including mirror images), each with a witness sequence."""
-    if max_len > PRACTICAL_MAX_LEN and not allow_large:
-        raise BudgetError(
-            f"max_len {max_len} exceeds the practical budget {PRACTICAL_MAX_LEN}"
-        )
+def _enumerate(max_len, boundary=None, max_forks=None):
+    """length -> entries of length <= max_len, in first-visit order.
+
+    With `boundary`, only grids with p + q == boundary are searched; with
+    `max_forks`, no sequence grows past that many forks.  Both the
+    boundary lamp count and the lamp count are isomorphism invariants, so
+    the (code, remaining) dedupe never meets a state these cuts removed,
+    and the entries that survive keep their witnesses and their order.
+    """
     found = {}
     visited = set()
 
@@ -75,7 +86,7 @@ def enumerate_index(max_len, allow_large=False):
     def dfs(pl):
         code = record(pl)
         remaining = max_len - pl.length()
-        if remaining < 1 or (code, remaining) in visited:
+        if remaining < 1 or len(pl.seq.steps) == max_forks or (code, remaining) in visited:
             return
         visited.add((code, remaining))
         for addr in _distributive_cells(pl):
@@ -84,12 +95,19 @@ def enumerate_index(max_len, allow_large=False):
 
     for p in range(1, max_len):
         for q in range(1, p + 1):
-            if p + q <= max_len:
+            if p + q <= max_len and boundary in (None, p + q):
                 dfs(grid(p, q))
-    return EnumerationIndex(
-        max_len,
-        {length: tuple(bucket.values()) for length, bucket in found.items()},
-    )
+    return {length: tuple(bucket.values()) for length, bucket in found.items()}
+
+
+def enumerate_index(max_len, allow_large=False):
+    """All slim rectangular lattices of length <= max_len, up to isomorphism
+    (including mirror images), each with a witness sequence."""
+    if max_len > PRACTICAL_MAX_LEN and not allow_large:
+        raise BudgetError(
+            f"max_len {max_len} exceeds the practical budget {PRACTICAL_MAX_LEN}"
+        )
+    return EnumerationIndex(max_len, _enumerate(max_len))
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +134,13 @@ def realize(poset, max_len, allow_large=False):
     Posets with at most one element are realized by chains (length n) and
     answered without search.  A definitive negative needs the full window
     up to 2n^2 - 10n + 15; shorter budgets return "unresolved".
+
+    Each length searches only the descendants of grids with p + q equal to
+    the number of maximal elements, with at most n - p - q forks, and
+    compares lamp posets only on the lattices with exactly n lamps (see the
+    module docstring).  A poset with one maximal element therefore finishes
+    at once.  The witness is the first match `enumerate_index(length)`
+    lists at that length.
     """
     n = poset.n
     if n <= 1:
@@ -127,10 +152,11 @@ def realize(poset, max_len, allow_large=False):
             f"search cap {cap} exceeds the practical budget {PRACTICAL_MAX_LEN};"
             " rerun with allow_large"
         )
+    boundary = len(poset.maximal_elements())
     for length in range(max(2, n), cap + 1):
-        index = enumerate_index(length, allow_large=allow_large)
-        for entry in index.entries(length):
-            if poset_iso(entry.lamp_poset(), poset) is not None:
+        for entry in _enumerate(length, boundary, n - boundary).get(length, ()):
+            if (boundary + len(entry.seq.steps) == n
+                    and poset_iso(entry.lamp_poset(), poset) is not None):
                 return RealizabilityAnswer(poset, "found", length, entry.seq, length)
     if cap >= bound:
         return RealizabilityAnswer(poset, "not_representable", -1, None, cap)

@@ -2,9 +2,9 @@
 
 A lamp is a boundary neon tube, or the interval from the meet of the feet
 of all internal neon tubes sharing a peak up to that peak.  Diagram-level
-functions need only a PlanarDiagram; territory-based functions
-(rho relations, usage) also need the provenance carried by a built
-lattice (cell forest and per-tube territory records).
+functions need only a PlanarDiagram; territory-based functions (usage)
+also need the provenance carried by a built lattice (cell forest and
+per-tube territory records).
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ def lamp_poset(obj):
     Element i of the Poset is lamps[i], in lamps_of_diagram order: boundary
     lamps first, then internal lamps by peak.  The order is generated by
     U < Nwl U and U < Nel U over internal lamps U, which needs no
-    provenance; boundary lamps are maximal.  The closures of rho_foot and
-    rho_circr give the same order and serve as test oracles.
+    provenance; boundary lamps are maximal.  The closures of the territory
+    relations rho_foot and rho_circr give the same order; they are kept in
+    tests/oracles.py.
     """
     d = _diagram_of(obj)
     lamps = lamps_of_diagram(d)
@@ -120,19 +121,6 @@ def lamp_poset(obj):
         (lamps[i].foot, lamps[j].foot) for i in range(poset.n) for j in poset.up[i] if j != i
     )
     return lamps, lt, poset
-
-
-def covers_via_nwl_nel(d):
-    """Cover pairs of the lamp poset from the Nwl/Nel rule directly:
-    U is covered exactly by the minimal elements of {Nwl U, Nel U}."""
-    lamps, lt, _ = lamp_poset(d)
-    covers = set()
-    for u in lamps:
-        if u.kind != "internal":
-            continue
-        cand = {l.foot for l in nwl_nel(d, u)}
-        covers.update((u.foot, f) for f in cand if not any((g, f) in lt for g in cand))
-    return frozenset(covers)
 
 
 # ---------------------------------------------------------------------------
@@ -156,95 +144,9 @@ def _node_is_desc_or_eq(pl, node, targets):
     return False
 
 
-def _interior_vertices_under(pl, nodes):
-    """Vertices strictly inside the region tiled by the current leaf cells
-    descending from the given forest nodes.
-
-    A vertex on the region's boundary polygon is excluded: region borders
-    are whole edges, so the boundary vertices are exactly the endpoints of
-    sides whose across-the-edge neighbor cell lies outside the region.
-    """
-    targets = frozenset(nodes)
-    if not targets:
-        return frozenset()
-    d = pl.diagram
-    cells = d.cells_by_bottom()
-    leaves = [
-        cells[bottom]
-        for bottom, leaf in pl.leaf_by_bottom.items()
-        if _node_is_desc_or_eq(pl, leaf, targets)
-    ]
-    in_region = {(c.bottom, c.left, c.right, c.top) for c in leaves}
-    maps = d._side_maps()
-    verts = set()
-    boundary_pts = set()
-    for c in leaves:
-        verts.update((c.bottom, c.left, c.right, c.top))
-        for edge in (
-            (c.bottom, c.left),
-            (c.bottom, c.right),
-            (c.left, c.top),
-            (c.right, c.top),
-        ):
-            # the cell on the other side of this edge, whatever role it
-            # plays there (precipitous edges pair NE with NW)
-            others = {
-                (o.bottom, o.left, o.right, o.top)
-                for role in ("SW", "SE", "NW", "NE")
-                if (o := maps[role].get(edge)) is not None
-            } - {(c.bottom, c.left, c.right, c.top)}
-            if not others & in_region:
-                boundary_pts.update(edge)
-    return frozenset(verts - boundary_pts)
-
-
 def _essential_nodes(pl, tube):
     rec = pl.tube_records[(tube.foot, tube.peak)]
     return rec.leot + rec.reot
-
-
-def rho_circr(pl):
-    """(I, J) pairs: internal I whose origin cell sits inside the essential
-    territory of some tube of J (forest descendant test)."""
-    d = pl.diagram
-    lamps = lamps_of_diagram(d)
-    pairs = set()
-    for i_lamp in lamps:
-        if i_lamp.kind != "internal":
-            continue
-        _, origin = circ_r(pl, i_lamp)
-        for j_lamp in lamps:
-            if j_lamp.foot == i_lamp.foot:
-                continue
-            for tube in j_lamp.tubes:
-                if _node_is_desc_or_eq(pl, origin, frozenset(_essential_nodes(pl, tube))):
-                    pairs.add((i_lamp.foot, j_lamp.foot))
-                    break
-    return frozenset(pairs)
-
-
-def rho_foot(pl):
-    """(I, J) pairs by direct vertex membership: Foot I lies strictly inside
-    the left or right essential territory of some tube of J."""
-    d = pl.diagram
-    lamps = lamps_of_diagram(d)
-    pairs = set()
-    vert_cache = {}
-    for j_lamp in lamps:
-        verts = set()
-        for tube in j_lamp.tubes:
-            key = (tube.foot, tube.peak)
-            if key not in vert_cache:
-                rec = pl.tube_records[key]
-                vert_cache[key] = _interior_vertices_under(pl, rec.leot) | \
-                    _interior_vertices_under(pl, rec.reot)
-            verts |= vert_cache[key]
-        for i_lamp in lamps:
-            if i_lamp.kind != "internal" or i_lamp.foot == j_lamp.foot:
-                continue
-            if i_lamp.foot in verts:
-                pairs.add((i_lamp.foot, j_lamp.foot))
-    return frozenset(pairs)
 
 
 def lamp_creation_step(pl, lamp):

@@ -24,8 +24,8 @@ cubic cost:
 The brute-force versions of these kernels (a cubic table search, one
 closure per cover and a cubic distributivity scan of the rebuilt ideal)
 are kept in tests/ as reference implementations.  The closure helpers
-here (_closure, principal_congruence, congruence_join, is_congruence and
-verify_jir_congruences) serve only as test oracles.
+here (_closure and principal_congruence) serve only as test oracles; the
+rest of the closure oracles live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -553,36 +553,6 @@ def principal_congruence(lat, a, b):
     return _closure(lat, [(a, b)])
 
 
-def congruence_join(lat, congs):
-    pairs = []
-    for c in congs:
-        rep = {}
-        for x in range(c.n):
-            bid = c.block_index[x]
-            if bid in rep:
-                pairs.append((rep[bid], x))
-            else:
-                rep[bid] = x
-    if not pairs:
-        return Congruence.from_parent(list(range(lat.n)))
-    return _closure(lat, pairs)
-
-
-def is_congruence(lat, cong):
-    """Check the compatibility laws directly (used as a test oracle)."""
-    n = lat.n
-    for x in range(n):
-        for y in range(n):
-            if not cong.same(x, y):
-                continue
-            for z in range(n):
-                if not cong.same(lat.meet[x][z], lat.meet[y][z]):
-                    return False
-                if not cong.same(lat.join[x][z], lat.join[y][z]):
-                    return False
-    return True
-
-
 @dataclass(frozen=True)
 class CongruenceLattice:
     """Join-irreducible congruences of a finite lattice, ordered by refinement."""
@@ -641,15 +611,6 @@ def congruence_lattice(lat):
         (i, j) for i in range(m) for j in range(m) if i != j and masks[i] & ~masks[j] == 0
     ])
     return CongruenceLattice(lat, tuple(congs[c] for c in masks), poset, poset.count_downsets())
-
-
-def verify_jir_congruences(cl):
-    """Each listed congruence must not be the join of strictly smaller ones."""
-    for i, c in enumerate(cl.jir_congs):
-        below = [d for d in cl.jir_congs if d != c and d.refines(c)]
-        if congruence_join(cl.lattice, below).block_index == c.block_index:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from slimlat.lamps import (
     fork_interval,
     lamp_poset,
     lamps_of_diagram,
-    rho_circr,
-    rho_foot,
     usage_stats,
     verify_lamp_con_iso,
 )
@@ -32,6 +30,8 @@ from slimlat.reduce import (
     remove_neighboring,
     remove_sandwiched,
 )
+
+from oracles import rho_circr, rho_foot
 
 
 @pytest.fixture(scope="module")

@@ -198,3 +198,13 @@ def test_dsl_element_budget_exits_3(tmp_path, capsys, text):
     seq.write_text(text)
     assert main(["build", "--input", str(seq)]) == 3
     assert _one_line_budget_error(capsys)
+
+
+@pytest.mark.parametrize("command", [
+    "realize", "lamps", "validate", "build", "con", "reduce", "minimize",
+    "decompose", "double", "render",
+])
+def test_missing_input_exits_2(command, capsys):
+    assert main([command]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parse error: --input FILE is required for {command}\n"

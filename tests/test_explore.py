@@ -1,15 +1,23 @@
+from itertools import combinations
+
 import pytest
 
 from slimlat.errors import BudgetError
 from slimlat.explore import enumerate_index, realize, sweep_bounds
 from slimlat.lamps import lamp_poset
 from slimlat.multifork import build
-from slimlat.order import named_posets, poset_iso
+from slimlat.order import Poset, named_posets, poset_iso
+from slimlat.reduce import length_bound
 
 
 @pytest.fixture(scope="module")
 def index5():
     return enumerate_index(5)
+
+
+@pytest.fixture(scope="module")
+def index7():
+    return enumerate_index(7)
 
 
 def test_counts_small(index5):
@@ -113,47 +121,33 @@ def test_sweep_bounds_small():
     assert "length >= n" in names and "size <= length^2" in names
 
 
-def _all_four_element_posets():
-    """All 16 posets on four unlabeled elements."""
-    from itertools import combinations, product
-    from slimlat.order import Poset, order_from_covers
-
-    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+def _posets(n):
+    """All posets on n unlabeled elements.  Every poset has a natural
+    labelling (i below j only if i < j), so the transitive relations on the
+    pairs i < j give each one at least once; poset_iso drops the repeats."""
+    pairs = list(combinations(range(n), 2))
     seen = []
-    for bits in product([0, 1], repeat=len(pairs)):
-        rel = {p for p, b in zip(pairs, bits) if b}
-        # reflexive-transitive-antisymmetric check
-        ok = True
-        for a, b in rel:
-            if (b, a) in rel:
-                ok = False
-                break
-            for c, d in rel:
-                if b == c and (a, d) not in rel:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+    for mask in range(1 << len(pairs)):
+        rel = {pair for i, pair in enumerate(pairs) if mask >> i & 1}
+        if any((a, d) not in rel for a, b in rel for c, d in rel if b == c):
             continue
-        covers = {
-            (a, b)
-            for a, b in rel
-            if not any((a, w) in rel and (w, b) in rel for w in range(4))
-        }
-        p = Poset(4, covers)
+        p = Poset.from_relation(n, rel)
         if not any(poset_iso(p, q) is not None for q in seen):
             seen.append(p)
     return seen
 
 
-def test_every_four_element_poset_classified_within_length_five():
+def _all_four_element_posets():
+    """All 16 posets on four unlabeled elements."""
+    return _posets(4)
+
+
+def test_every_four_element_poset_classified_within_length_five(index7):
     """Survey: each 4-element poset is either realizable at length <= 5 or
     definitively not realizable (full window up to the bound 7 searched).
     Nothing is realizable only above length 5."""
     posets = _all_four_element_posets()
     assert len(posets) == 16
-    index7 = enumerate_index(7, allow_large=True)
     results = {}
     for i, p in enumerate(posets):
         found_at = None
@@ -191,3 +185,53 @@ def test_roundtrip_sample_at_length_six():
     for entry in entries[::7]:
         seq = decompose(entry.pl)
         assert build(seq).canonical_code() == entry.code
+
+
+def test_grid_and_forks_count_the_lamps(index7):
+    # the two lamp facts realize prunes on: the maximal lamps are the p + q
+    # boundary lamps, and each fork adds exactly one lamp
+    assert len(index7.entries()) == 493
+    for entry in index7.entries():
+        seq, poset = entry.seq, entry.lamp_poset()
+        assert len(poset.maximal_elements()) == seq.grid_p + seq.grid_q, seq
+        assert poset.n == seq.grid_p + seq.grid_q + len(seq.steps), seq
+
+
+def reference_realize(poset, levels, max_len, allow_large=False):
+    """(status, min_length, searched_up_to) of realize(poset, max_len) by
+    brute force over `levels`: length -> every lamp poset at that length."""
+    n = poset.n
+    if n <= 1:
+        return "trivial", n, 0
+    bound = max(n, length_bound(n))
+    cap = max_len if allow_large else min(max_len, bound)
+    for length in range(max(2, n), cap + 1):
+        if any(poset_iso(q, poset) is not None for q in levels[length]):
+            return "found", length, length
+    return ("not_representable" if cap >= bound else "unresolved"), -1, cap
+
+
+def _check_realize_against_reference(index, allow_large=False):
+    levels = {
+        length: [e.lamp_poset() for e in index.entries(length)]
+        for length in range(2, index.max_len + 1)
+    }
+    posets = [p for n in range(2, 6) for p in _posets(n)]
+    assert len(posets) == 2 + 5 + 16 + 63
+    for p in posets:
+        ans = realize(p, index.max_len, allow_large=allow_large)
+        got = (ans.status, ans.min_length, ans.searched_up_to)
+        assert got == reference_realize(p, levels, index.max_len, allow_large), p
+        if ans.found:
+            pl = build(ans.witness_seq)
+            assert pl.length() == ans.min_length
+            assert poset_iso(lamp_poset(pl)[2], p) is not None
+
+
+def test_realize_matches_brute_force_on_small_posets(index7):
+    _check_realize_against_reference(index7)
+
+
+@pytest.mark.slow
+def test_realize_matches_brute_force_at_length_eight():
+    _check_realize_against_reference(enumerate_index(8, allow_large=True), allow_large=True)

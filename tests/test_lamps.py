@@ -7,20 +7,19 @@ from slimlat.errors import PreconditionError
 from slimlat.lamps import (
     _verify_lamp_con_iso,
     circ_r,
-    covers_via_nwl_nel,
     fork_interval,
     lamp_poset,
     lamp_report,
     lamps_of_diagram,
     nwl_nel,
-    rho_circr,
-    rho_foot,
     usage_stats,
     verify_lamp_con_iso,
 )
 from slimlat.explore import enumerate_index
 from slimlat.multifork import build, grid, multifork_extend
 from slimlat.order import Poset, named_posets, poset_iso
+
+from oracles import covers_via_nwl_nel, rho_circr, rho_foot
 
 
 def s7():

@@ -9,9 +9,7 @@ from slimlat.order import (
     CongruenceLattice,
     FiniteLattice,
     Poset,
-    congruence_join,
     congruence_lattice,
-    is_congruence,
     is_distributive_ideal_grid,
     lattice_from_poset,
     named_posets,
@@ -19,8 +17,9 @@ from slimlat.order import (
     poset_double,
     poset_iso,
     principal_congruence,
-    verify_jir_congruences,
 )
+
+from oracles import congruence_join, is_congruence, verify_jir_congruences
 
 # Fixture cover sets ---------------------------------------------------------
 

@@ -7,18 +7,18 @@ from hypothesis import strategies as st
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import DiagramError, PreconditionError
 from slimlat.explore import _distributive_cells
-from slimlat.lamps import covers_via_nwl_nel, lamp_poset, lamps_of_diagram, rho_foot
+from slimlat.lamps import lamp_poset, lamps_of_diagram
 from slimlat.multifork import ForkStep, MultiforkSequence, build, grid, multifork_extend
 from slimlat.order import (
     Poset,
     congruence_lattice,
-    is_congruence,
     lattice_from_poset,
     poset_double,
     poset_iso,
     principal_congruence,
-    verify_jir_congruences,
 )
+
+from oracles import covers_via_nwl_nel, is_congruence, rho_foot, verify_jir_congruences
 
 
 # -- random small sequences ----------------------------------------------------
