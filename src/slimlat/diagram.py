@@ -5,6 +5,11 @@ covers listed left to right.  Planarity is purely combinatorial: the
 ordered lists are derived from boundary-height coordinates (meet with the
 two corners), never from drawn positions.  Cells, boundary chains,
 trajectories, neon tubes, mirroring and canonical codes all live here.
+
+A diagram computes its cells, boundary chains, corners, boundary heights,
+meet-irreducible set and neon tubes once, on first use; a failure is not
+cached and is raised again on the next call.  Nothing is cached per edge:
+trajectories are walked afresh through the cell side maps.
 """
 
 from __future__ import annotations
@@ -63,6 +68,12 @@ class PlanarDiagram:
             raise DiagramError("lower order lists disagree with the cover relation")
         self._cells = None
         self._sides = None
+        self._chains = None
+        self._chain_sets = None
+        self._corners = None
+        self._heights = None
+        self._mirset = None
+        self._tubes = None
 
     @property
     def n(self):
@@ -72,33 +83,54 @@ class PlanarDiagram:
 
     def boundary_chains(self):
         """(left chain, right chain): extreme-cover walks from bottom to top."""
-        left = [self.lattice.bottom]
-        while self.upper[left[-1]]:
-            left.append(self.upper[left[-1]][0])
-        right = [self.lattice.bottom]
-        while self.upper[right[-1]]:
-            right.append(self.upper[right[-1]][-1])
-        return tuple(left), tuple(right)
+        if self._chains is None:
+            left = [self.lattice.bottom]
+            while self.upper[left[-1]]:
+                left.append(self.upper[left[-1]][0])
+            right = [self.lattice.bottom]
+            while self.upper[right[-1]]:
+                right.append(self.upper[right[-1]][-1])
+            self._chains = (tuple(left), tuple(right))
+            self._chain_sets = (frozenset(left), frozenset(right))
+        return self._chains
+
+    def _boundary_sets(self):
+        """The two boundary chains as sets."""
+        self.boundary_chains()
+        return self._chain_sets
 
     def boundary(self):
-        l, r = self.boundary_chains()
-        return frozenset(l) | frozenset(r)
+        l, r = self._boundary_sets()
+        return l | r
 
     def corners(self):
         """The two doubly irreducible elements as (lcorner, rcorner)."""
-        di = self.lattice.doubly_irreducible()
-        if len(di) != 2:
-            raise DiagramError(f"expected exactly 2 doubly irreducible elements, got {len(di)}")
-        lchain, rchain = self.boundary_chains()
-        in_l = [d for d in di if d in lchain]
-        in_r = [d for d in di if d in rchain]
-        if len(in_l) != 1 or len(in_r) != 1 or in_l[0] == in_r[0]:
-            raise DiagramError("doubly irreducible elements are not split over the two boundaries")
-        lc, rc = in_l[0], in_r[0]
-        lat = self.lattice
-        if lat.meet[lc][rc] != lat.bottom or lat.join[lc][rc] != lat.top:
-            raise DiagramError("corners are not complements")
-        return lc, rc
+        if self._corners is None:
+            di = self.lattice.doubly_irreducible()
+            if len(di) != 2:
+                raise DiagramError(
+                    f"expected exactly 2 doubly irreducible elements, got {len(di)}"
+                )
+            lset, rset = self._boundary_sets()
+            in_l = [d for d in di if d in lset]
+            in_r = [d for d in di if d in rset]
+            if len(in_l) != 1 or len(in_r) != 1 or in_l[0] == in_r[0]:
+                raise DiagramError(
+                    "doubly irreducible elements are not split over the two boundaries"
+                )
+            lc, rc = in_l[0], in_r[0]
+            lat = self.lattice
+            if lat.meet[lc][rc] != lat.bottom or lat.join[lc][rc] != lat.top:
+                raise DiagramError("corners are not complements")
+            self._corners = (lc, rc)
+        return self._corners
+
+    def heights(self):
+        """boundary_heights at the corners: (hl, hr, lchain, rchain)."""
+        if self._heights is None:
+            lc, rc = self.corners()
+            self._heights = boundary_heights(self.lattice, lc, rc)
+        return self._heights
 
     def l_proj(self, x):
         lc, _ = self.corners()
@@ -206,12 +238,12 @@ class PlanarDiagram:
             east.append(nxt)
             cur = nxt
         edges = tuple(reversed(west)) + (edge,) + tuple(east)
-        mirset = set(self.lattice.mir())
-        tubes = [i for i, e in enumerate(edges) if e.foot in mirset]
+        if self._mirset is None:
+            self._mirset = frozenset(self.lattice.mir())
+        tubes = [i for i, e in enumerate(edges) if e.foot in self._mirset]
         if len(tubes) != 1:
             raise DiagramError(f"trajectory has {len(tubes)} neon tubes, expected 1")
-        lchain, rchain = self.boundary_chains()
-        lset, rset = set(lchain), set(rchain)
+        lset, rset = self._boundary_sets()
         first, last = edges[0], edges[-1]
         if not (first.foot in lset and first.peak in lset):
             raise DiagramError("trajectory does not start on the left boundary")
@@ -243,15 +275,17 @@ class PlanarDiagram:
 
     def neon_tubes(self):
         """(boundary tubes, internal tubes): prime intervals with mir foot."""
-        bnd = self.boundary()
-        boundary, internal = [], []
-        for f in self.lattice.mir():
-            p = self.upper[f][0]
-            if f in bnd:
-                boundary.append(Edge(f, p))
-            else:
-                internal.append(Edge(f, p))
-        return tuple(boundary), tuple(internal)
+        if self._tubes is None:
+            bnd = self.boundary()
+            boundary, internal = [], []
+            for f in self.lattice.mir():
+                p = self.upper[f][0]
+                if f in bnd:
+                    boundary.append(Edge(f, p))
+                else:
+                    internal.append(Edge(f, p))
+            self._tubes = (tuple(boundary), tuple(internal))
+        return self._tubes
 
     def antube(self):
         b, i = self.neon_tubes()
@@ -449,16 +483,14 @@ def is_slim_rectangular(obj):
 
 def cell_address(diagram, cell):
     """(left height, right height) of the cell's bottom: a stable address."""
-    lc, rc = diagram.corners()
-    hl, hr, _, _ = boundary_heights(diagram.lattice, lc, rc)
+    hl, hr, _, _ = diagram.heights()
     return hl[cell.bottom], hr[cell.bottom]
 
 
 def resolve_address(diagram, address):
     """The cell whose bottom sits at the given boundary heights."""
     a, b = address
-    lc, rc = diagram.corners()
-    hl, hr, lchain, rchain = boundary_heights(diagram.lattice, lc, rc)
+    hl, hr, lchain, rchain = diagram.heights()
     if not (0 <= a < len(lchain) and 0 <= b < len(rchain)):
         raise DiagramError(f"address {address} is outside the boundary chains")
     bottom = diagram.lattice.join[lchain[a]][rchain[b]]

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .diagram import (
     Edge,
     PlanarDiagram,
-    boundary_heights,
     cell_address,
     embed_rectangular,
     is_slim_rectangular,
@@ -179,9 +178,9 @@ def _walk_left_path(d, w, a):
             break
         cells.append(c)
         edges.append(Edge(c.bottom, c.left))
-    lchain, _ = d.boundary_chains()
+    lset, _ = d._boundary_sets()
     last = edges[-1]
-    if not (last.foot in lchain and last.peak in lchain):
+    if not (last.foot in lset and last.peak in lset):
         raise InternalInconsistencyError("left path did not reach the left boundary")
     return edges, cells
 
@@ -197,9 +196,9 @@ def _walk_right_path(d, w, b):
             break
         cells.append(c)
         edges.append(Edge(c.bottom, c.right))
-    _, rchain = d.boundary_chains()
+    _, rset = d._boundary_sets()
     last = edges[-1]
-    if not (last.foot in rchain and last.peak in rchain):
+    if not (last.foot in rset and last.peak in rset):
         raise InternalInconsistencyError("right path did not reach the right boundary")
     return edges, cells
 
@@ -401,18 +400,29 @@ def decompose(diagram_or_pl):
     cell rebuilds the current lattice (canonical codes); backtrack across
     candidate lamps otherwise.
     """
-    d = diagram_or_pl.diagram if hasattr(diagram_or_pl, "diagram") else diagram_or_pl
+    return reprovenance(diagram_or_pl).seq
+
+
+def reprovenance(diagram):
+    """A fresh built lattice isomorphic to the given diagram: build of its
+    decomposition, which the decomposition has already folded."""
+    d = diagram.diagram if hasattr(diagram, "diagram") else diagram
     report = is_slim_rectangular(d)
     if not report.ok:
         raise PreconditionError(f"not slim rectangular: {report.failures}")
-    memo = {}
-    seq = _decompose(d, memo)
-    if seq is None:
+    pl = _decompose(d, {})
+    if pl is None:
         raise InternalInconsistencyError("no multifork decomposition found")
-    return seq
+    return pl
 
 
 def _decompose(d, memo):
+    """The built lattice of a decomposition of d (its `seq`), or None; memo
+    maps canonical codes to results.
+
+    A candidate step is checked by one extension of the built sub-lattice,
+    not by a fresh build of the whole sequence.
+    """
     code = d.canonical_code()
     if code in memo:
         return memo[code]
@@ -420,9 +430,8 @@ def _decompose(d, memo):
     _, internal = d.neon_tubes()
     if not internal:
         p, q = _grid_dims(d)
-        seq = MultiforkSequence(p, q, ())
-        memo[code] = seq
-        return seq
+        memo[code] = grid(p, q)
+        return memo[code]
 
     # boundary lamps are maximal, so an internal lamp is minimal among the
     # internal lamps iff it is minimal in the lamp poset
@@ -455,23 +464,17 @@ def _decompose(d, memo):
         if subcell is None or sublat.join[subcell.left][subcell.right] != peak2:
             continue
         addr = cell_address(subd, subcell)
-        subseq = _decompose(subd, memo)
-        if subseq is None:
+        subpl = _decompose(subd, memo)
+        if subpl is None:
             continue
         k = len(cand.tubes)
         for a2 in dict.fromkeys([addr, (addr[1], addr[0])]):
             try:
-                built = build(subseq.extended(ForkStep(a2[0], a2[1], k)))
+                built = extend_by_step(subpl, len(subpl.seq.steps) + 1, ForkStep(a2[0], a2[1], k))
             except (PreconditionError, DiagramError, InternalInconsistencyError):
                 continue
             if built.canonical_code() == code:
-                seq = subseq.extended(ForkStep(a2[0], a2[1], k))
-                memo[code] = seq
-                return seq
+                memo[code] = built
+                return built
     memo[code] = None
     return None
-
-
-def reprovenance(diagram):
-    """A fresh built lattice isomorphic to the given diagram."""
-    return build(decompose(diagram))

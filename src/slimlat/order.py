@@ -1,13 +1,21 @@
 """Finite posets and lattices with fully materialized structure.
 
-Elements are dense integers 0..n-1.  All values are immutable after
-construction.  Three textbook facts keep the lattice kernels well below
-cubic cost:
+Elements are dense integers 0..n-1.  Values do not change after
+construction; derived data (heights, irreducibles) is computed on first
+use and cached on the object.  Five textbook facts keep the lattice
+kernels well below cubic cost:
 
 - Join tables are filled from the top down.  If y is not below x, every
   upper bound of x and y lies above some upper cover c of x, so x v y is
   the least of the c v y, and it exists iff one of them lies below all
   the others.  Meet tables are the dual.
+- A lattice of finite length is (upper) semimodular iff it satisfies
+  Birkhoff's covering condition: any two upper covers a, b of an element
+  are both covered by a v b (Graetzer, Lattice Theory: Foundation, 2011,
+  ch. V).  Testing it runs over pairs of upper covers, O(sum deg^2).
+- By Dilworth's theorem (Ann. Math. 51, 1950), J(L) has width <= 2 iff it
+  splits into two chains, that is iff the incomparability graph of J(L) is
+  bipartite.  A 2-colouring of that graph decides slimness in O(|J|^2).
 - For join-irreducibles j != k with lower covers j_ and k_, say j D k
   when j <= k v x but not j <= k_ v x for some x.  Then con(j_, j) <=
   con(k_, k) iff D steps lead from j to k (Freese, Jezek, Nation, Free
@@ -21,7 +29,8 @@ cubic cost:
   join-irreducibles form disjoint chains of sizes a and b and it has
   (a+1)(b+1) elements.
 
-The brute-force versions of these kernels (a cubic table search, one
+The brute-force versions of these kernels (a cubic table search, a scan
+of all pairs for semimodularity, of all triples of J(L) for slimness, one
 closure per cover and a cubic distributivity scan of the rebuilt ideal)
 are kept in tests/ as reference implementations.  The closure helpers
 here (_closure and principal_congruence) serve only as test oracles; the
@@ -371,37 +380,64 @@ class FiniteLattice:
 
     def jir(self):
         """Join-irreducible elements: exactly one lower cover (bottom excluded)."""
-        return tuple(
-            u for u in range(self.n)
-            if u != self.bottom and len(self.lower_covers(u)) == 1
-        )
+        try:
+            return self._jir
+        except AttributeError:
+            self._jir = tuple(
+                u for u in range(self.n)
+                if u != self.bottom and len(self.lower_covers(u)) == 1
+            )
+            return self._jir
 
     def mir(self):
         """Meet-irreducible elements: exactly one upper cover (top excluded)."""
-        return tuple(
-            u for u in range(self.n)
-            if u != self.top and len(self.upper_covers(u)) == 1
-        )
+        try:
+            return self._mir
+        except AttributeError:
+            self._mir = tuple(
+                u for u in range(self.n)
+                if u != self.top and len(self.upper_covers(u)) == 1
+            )
+            return self._mir
 
     def doubly_irreducible(self):
         j = set(self.jir())
         return tuple(u for u in self.mir() if u in j)
 
     def is_semimodular(self):
+        """Birkhoff's covering condition: two upper covers a, b of any
+        element are both covered by a v b."""
+        covers = self.poset.covers
         for x in range(self.n):
-            for y in range(self.n):
-                if self.covers(self.meet[x][y], x) and not self.covers(y, self.join[x][y]):
-                    return False
+            ups = self.upper_covers(x)
+            for i, a in enumerate(ups):
+                row = self.join[a]
+                for b in ups[i + 1:]:
+                    top = row[b]
+                    if (a, top) not in covers or (b, top) not in covers:
+                        return False
         return True
 
     def is_slim(self):
-        """Join-irreducibles form a union of two chains (no 3-antichain)."""
+        """Join-irreducibles form a union of two chains (no 3-antichain):
+        their incomparability graph is 2-coloured by breadth-first search."""
         j = self.jir()
-        for a, b, c in combinations(j, 3):
-            if (not self.poset.leq(a, b) and not self.poset.leq(b, a)
-                    and not self.poset.leq(a, c) and not self.poset.leq(c, a)
-                    and not self.poset.leq(b, c) and not self.poset.leq(c, b)):
-                return False
+        up = self.poset.up
+        colour = {}
+        for root in j:
+            if root in colour:
+                continue
+            colour[root] = 0
+            queue = [root]
+            for u in queue:
+                for v in j:
+                    if u in up[v] or v in up[u]:
+                        continue
+                    if v not in colour:
+                        colour[v] = 1 - colour[u]
+                        queue.append(v)
+                    elif colour[v] == colour[u]:
+                        return False
         return True
 
     def sublattice(self, elems):

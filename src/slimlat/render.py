@@ -81,14 +81,10 @@ def render_svg(pl, scale=40, margin=30):
     xs = [c[0] for c in pl.coords.values()]
     ys = [c[1] for c in pl.coords.values()]
     minx, maxy = min(xs), max(ys)
-
-    def pt(u):
+    pts = []
+    for u in range(pl.n):
         x, y = pl.coords[u]
-        return (
-            float((x - minx) * scale) + margin,
-            float((maxy - y) * scale) + margin,
-        )
-
+        pts.append((float((x - minx) * scale) + margin, float((maxy - y) * scale) + margin))
     width = float((max(xs) - minx) * scale) + 2 * margin
     height = float((maxy - min(ys)) * scale) + 2 * margin
     out = [
@@ -98,14 +94,14 @@ def render_svg(pl, scale=40, margin=30):
     bnd = pl.diagram.boundary()
     internal_mir = {f for f in pl.lattice.mir() if f not in bnd}
     for a, b in sorted(pl.lattice.poset.covers):
-        (x1, y1), (x2, y2) = pt(a), pt(b)
+        (x1, y1), (x2, y2) = pts[a], pts[b]
         w = 3 if a in internal_mir else 1
         out.append(
             f'<line x1="{_decimal(x1)}" y1="{_decimal(y1)}" x2="{_decimal(x2)}" '
             f'y2="{_decimal(y2)}" stroke="black" stroke-width="{w}"/>'
         )
     for u in range(pl.n):
-        x, y = pt(u)
+        x, y = pts[u]
         out.append(f'<circle cx="{_decimal(x)}" cy="{_decimal(y)}" r="4" fill="black"/>')
         out.append(
             f'<text x="{_decimal(x + 6)}" y="{_decimal(y - 6)}" font-size="10">{u}</text>'

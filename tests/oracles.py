@@ -10,7 +10,13 @@ does not use.
   off the join-dependency order on J(L) (`slimlat.order.congruence_lattice`).
   `_closure` and `principal_congruence` stay in `slimlat.order`, where the
   benchmark's span tracer wraps `principal_congruence` by name.
+- Semimodularity and slimness by definition: a scan of all pairs for the
+  covering law and of all triples of join-irreducibles for an antichain.
+  Production tests Birkhoff's covering condition and 2-colours the
+  incomparability graph of J(L) (`slimlat.order.FiniteLattice`).
 """
+
+from itertools import combinations
 
 from slimlat.lamps import (
     _essential_nodes,
@@ -157,5 +163,26 @@ def verify_jir_congruences(cl):
     for i, c in enumerate(cl.jir_congs):
         below = [d for d in cl.jir_congs if d != c and d.refines(c)]
         if congruence_join(cl.lattice, below).block_index == c.block_index:
+            return False
+    return True
+
+
+def is_semimodular_by_pairs(lat):
+    """Upper semimodularity over all pairs: if x ^ y is covered by x, then
+    y is covered by x v y."""
+    for x in range(lat.n):
+        for y in range(lat.n):
+            if lat.covers(lat.meet[x][y], x) and not lat.covers(y, lat.join[x][y]):
+                return False
+    return True
+
+
+def is_slim_by_triples(lat):
+    """No three pairwise incomparable join-irreducibles."""
+    leq = lat.poset.leq
+    for a, b, c in combinations(lat.jir(), 3):
+        if (not leq(a, b) and not leq(b, a)
+                and not leq(a, c) and not leq(c, a)
+                and not leq(b, c) and not leq(c, b)):
             return False
     return True

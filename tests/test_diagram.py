@@ -3,6 +3,7 @@ import pytest
 from slimlat.diagram import (
     Edge,
     PlanarDiagram,
+    boundary_heights,
     canonical_code,
     cell_address,
     embed_rectangular,
@@ -10,7 +11,8 @@ from slimlat.diagram import (
     resolve_address,
 )
 from slimlat.errors import DiagramError
-from slimlat.order import lattice_from_poset, named_posets, order_from_covers
+from slimlat.explore import enumerate_index
+from slimlat.order import FiniteLattice, Poset, lattice_from_poset, named_posets, order_from_covers
 
 from test_order import B2_COVERS, S7_COVERS, grid_poset
 
@@ -51,6 +53,51 @@ def test_corners_error_on_chain():
     lat = lattice_from_poset(named_posets("chain", 3))
     with pytest.raises(DiagramError):
         embed_rectangular(lat)
+
+
+def test_failed_corners_are_not_cached():
+    lat = lattice_from_poset(named_posets("chain", 4))
+    d = PlanarDiagram(lat, [[1], [2], [3], []], [[], [0], [1], [2]])
+    for _ in range(2):
+        with pytest.raises(DiagramError, match="not split"):
+            d.corners()
+
+
+# Derived data computed once --------------------------------------------------
+
+def derived(d):
+    """Everything a diagram and its lattice compute once, and the
+    trajectories, which are walked afresh."""
+    return {
+        "corners": d.corners(),
+        "boundary_chains": d.boundary_chains(),
+        "heights": d.heights(),
+        "jir": d.lattice.jir(),
+        "mir": d.lattice.mir(),
+        "neon_tubes": d.neon_tubes(),
+        "trajectories": d.trajectories(),
+    }
+
+
+def test_cached_structure_matches_a_fresh_embedding():
+    """On every lattice of length <= 6 and its mirror, the cached values
+    read back after validation equal those of a freshly embedded copy."""
+    diagrams = [e.pl.diagram for e in enumerate_index(6).entries()]
+    assert len(diagrams) == 106
+    for d in diagrams + [d.mirror() for d in diagrams]:
+        assert is_slim_rectangular(d).ok
+        first = derived(d)
+        again = derived(d)
+        for key in first:
+            if key != "trajectories":
+                assert again[key] is first[key], key
+        lat = d.lattice
+        fresh = embed_rectangular(
+            FiniteLattice(Poset(lat.n, lat.poset.covers)), lcorner=d.corners()[0]
+        )
+        assert (fresh.upper, fresh.lower) == (d.upper, d.lower)
+        assert derived(fresh) == again
+        assert again["heights"] == boundary_heights(fresh.lattice, *fresh.corners())
 
 
 # Projections -----------------------------------------------------------------

@@ -19,7 +19,13 @@ from slimlat.order import (
     principal_congruence,
 )
 
-from oracles import congruence_join, is_congruence, verify_jir_congruences
+from oracles import (
+    congruence_join,
+    is_congruence,
+    is_semimodular_by_pairs,
+    is_slim_by_triples,
+    verify_jir_congruences,
+)
 
 # Fixture cover sets ---------------------------------------------------------
 
@@ -350,6 +356,29 @@ def test_kernels_match_references_on_random_posets():
         outcomes["lattice"] += 1
     # both branches are exercised many times
     assert min(outcomes.values()) > 300
+
+
+def test_semimodular_and_slim_match_definitions(lattices6):
+    """Birkhoff's covering condition and the 2-colouring of J(L) against the
+    scans of all pairs and all triples, on every outcome."""
+    fixtures = {name: lattice_from_poset(order_from_covers(c)) for name, c in (
+        ("N5", N5_COVERS), ("M3", M3_COVERS), ("B3", B3_COVERS), ("S7", S7_COVERS))}
+    assert {name: (lat.is_semimodular(), lat.is_slim()) for name, lat in fixtures.items()} == {
+        "N5": (False, True), "M3": (True, False), "B3": (True, False), "S7": (True, True)}
+    rng = random.Random(7)
+    random_lattices = []
+    for _ in range(2000):
+        try:
+            random_lattices.append(FiniteLattice(random_poset(rng)))
+        except OrderError:
+            pass
+    outcomes = dict.fromkeys([(a, b) for a in (True, False) for b in (True, False)], 0)
+    for lat in lattices6 + list(fixtures.values()) + random_lattices:
+        got = (lat.is_semimodular(), lat.is_slim())
+        assert got == (is_semimodular_by_pairs(lat), is_slim_by_triples(lat)), lat.poset
+        outcomes[got] += 1
+    # every (semimodular, slim) outcome is exercised many times
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 @pytest.mark.parametrize("covers", [
