@@ -185,32 +185,37 @@ def make_parser():
         description="Slim rectangular lattice toolkit: build, analyze, reduce, enumerate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--input": {"help": "input file"},
+        "--format": {"choices": ["dsl", "json"], "default": "dsl"},
+        "--max-len": {"type": int, "default": 5},
+        "--step": {"type": int, "default": 1},
+        "--allow-large": {"action": "store_true"},
+        "--render-format": {"choices": ["dot", "svg", "tikz"], "default": "dot"},
+        "--out": {"help": "output file (default stdout)"},
+    }
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, names, summary):
+        """A subcommand that accepts the named flags and --out."""
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=fn)
-        p.add_argument("--input", help="input file")
-        p.add_argument("--format", choices=["dsl", "json"], default="dsl")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--max-len", type=int, default=5, dest="max_len")
-        p.add_argument("--step", type=int, default=1)
-        p.add_argument("--allow-large", action="store_true", dest="allow_large")
-        return p
+        for flag in (*names.split(), "--out"):
+            p.add_argument(flag, **flags[flag])
 
-    add("build", cmd_build, help="build a lattice from a DSL sequence, emit JSON")
-    add("validate", cmd_validate, help="slim-rectangularity report")
-    add("lamps", cmd_lamps, help="lamp report: lamps, poset, congruence witness")
-    add("con", cmd_con, help="congruence lattice summary")
-    add("reduce", cmd_reduce, help="apply one length reduction if possible")
-    add("minimize", cmd_minimize, help="reduce to a fixpoint, emit the trace")
-    add("bounds", cmd_bounds, help="bound report for one lattice or a sweep")
-    add("decompose", cmd_decompose, help="recover a construction sequence")
-    add("double", cmd_double, help="double the lamp of step T (--step)")
-    add("enumerate", cmd_enumerate, help="enumerate lattices up to --max-len")
-    add("realize", cmd_realize, help="minimal-length realization of a poset (JSON)")
-    p = add("render", cmd_render, help="render to dot/svg/tikz")
-    p.add_argument("--render-format", choices=["dot", "svg", "tikz"], default="dot")
-
+    loaded = "--input --format"
+    search = "--max-len --allow-large"
+    add("build", cmd_build, "--input", "build a lattice from a DSL sequence, emit JSON")
+    add("validate", cmd_validate, loaded, "slim-rectangularity report")
+    add("lamps", cmd_lamps, loaded, "lamp report: lamps, poset, congruence witness")
+    add("con", cmd_con, loaded, "congruence lattice summary")
+    add("reduce", cmd_reduce, loaded, "apply one length reduction if possible")
+    add("minimize", cmd_minimize, loaded, "reduce to a fixpoint, emit the trace")
+    add("bounds", cmd_bounds, f"{loaded} {search}", "bound report for one lattice or a sweep")
+    add("decompose", cmd_decompose, loaded, "recover a construction sequence")
+    add("double", cmd_double, "--input --step", "double the lamp of step T (--step)")
+    add("enumerate", cmd_enumerate, search, "enumerate lattices up to --max-len")
+    add("realize", cmd_realize, f"--input {search}", "minimal-length realization of a poset (JSON)")
+    add("render", cmd_render, f"{loaded} --render-format", "render to dot/svg/tikz")
     return parser
 
 
@@ -218,9 +223,9 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        if args.max_len < 0:
+        if getattr(args, "max_len", 0) < 0:
             raise ParseError(f"--max-len must be >= 0, got {args.max_len}")
-        if args.input is None and args.command not in ("bounds", "enumerate"):
+        if getattr(args, "input", "") is None and args.command != "bounds":
             raise ParseError(f"--input FILE is required for {args.command}")
         return args.fn(args)
     except ParseError as e:

@@ -9,7 +9,8 @@ trajectories, neon tubes, mirroring and canonical codes all live here.
 A diagram computes its cells, boundary chains, corners, boundary heights,
 meet-irreducible set and neon tubes once, on first use; a failure is not
 cached and is raised again on the next call.  Nothing is cached per edge:
-trajectories are walked afresh through the cell side maps.
+trajectories are walked afresh through the cell side maps, and one walk
+gives a trajectory both its edges and the cells it crosses.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ class FourCell:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Edges ordered from the left boundary to the right boundary."""
+    """Edges ordered from the left boundary to the right boundary, and the
+    cells they cross: cells[i] lies between edges[i] and edges[i + 1]."""
 
     edges: tuple
     top_index: int
+    cells: tuple
 
     @property
     def tube(self):
@@ -164,48 +167,39 @@ class PlanarDiagram:
         return {c.bottom: c for c in self.four_cells()}
 
     def _side_maps(self):
-        """edge -> cell maps for each of the four side roles."""
+        """(west, east): edge -> the cell on that side of it."""
         if self._sides is None:
-            maps = {"SW": {}, "SE": {}, "NW": {}, "NE": {}}
+            west, east = {}, {}
             for c in self.four_cells():
-                for role, e in (
-                    ("SW", (c.bottom, c.left)),
-                    ("SE", (c.bottom, c.right)),
-                    ("NW", (c.left, c.top)),
-                    ("NE", (c.right, c.top)),
+                for side, e in (
+                    (east, (c.bottom, c.left)),
+                    (east, (c.left, c.top)),
+                    (west, (c.bottom, c.right)),
+                    (west, (c.right, c.top)),
                 ):
-                    if e in maps[role]:
-                        raise DiagramError(f"edge {e} is the {role} side of two cells")
-                    maps[role][e] = c
-            self._sides = maps
+                    if e in side:
+                        name = "west" if side is west else "east"
+                        raise DiagramError(f"edge {e} has two {name} cells")
+                    side[e] = c
+            self._sides = (west, east)
         return self._sides
 
     def west_step(self, edge):
         """(next edge, shared cell) to the west, or (None, None) at the boundary."""
-        maps = self._side_maps()
-        e = (edge.foot, edge.peak)
-        cne = maps["NE"].get(e)
-        cse = maps["SE"].get(e)
-        if cne is not None and cse is not None:
-            raise DiagramError(f"edge {e} has two west cells")
-        if cne is not None:
-            return Edge(cne.bottom, cne.left), cne
-        if cse is not None:
-            return Edge(cse.left, cse.top), cse
-        return None, None
+        c = self._side_maps()[0].get((edge.foot, edge.peak))
+        if c is None:
+            return None, None
+        if edge.peak == c.top:
+            return Edge(c.bottom, c.left), c
+        return Edge(c.left, c.top), c
 
     def east_step(self, edge):
-        maps = self._side_maps()
-        e = (edge.foot, edge.peak)
-        cnw = maps["NW"].get(e)
-        csw = maps["SW"].get(e)
-        if cnw is not None and csw is not None:
-            raise DiagramError(f"edge {e} has two east cells")
-        if cnw is not None:
-            return Edge(cnw.bottom, cnw.right), cnw
-        if csw is not None:
-            return Edge(csw.right, csw.top), csw
-        return None, None
+        c = self._side_maps()[1].get((edge.foot, edge.peak))
+        if c is None:
+            return None, None
+        if edge.peak == c.top:
+            return Edge(c.bottom, c.right), c
+        return Edge(c.right, c.top), c
 
     # -- trajectories and neon tubes ---------------------------------------
 
@@ -214,29 +208,22 @@ class PlanarDiagram:
 
     def trajectory_through(self, edge):
         """The full trajectory containing `edge`, with its unique neon tube."""
-        west = []
-        cur = edge
-        seen = {(cur.foot, cur.peak)}
-        while True:
-            nxt, _ = self.west_step(cur)
-            if nxt is None:
-                break
-            if (nxt.foot, nxt.peak) in seen:
-                raise DiagramError("trajectory revisits an edge (diagram corruption)")
-            seen.add((nxt.foot, nxt.peak))
-            west.append(nxt)
-            cur = nxt
-        east = []
-        cur = edge
-        while True:
-            nxt, _ = self.east_step(cur)
-            if nxt is None:
-                break
-            if (nxt.foot, nxt.peak) in seen:
-                raise DiagramError("trajectory revisits an edge (diagram corruption)")
-            seen.add((nxt.foot, nxt.peak))
-            east.append(nxt)
-            cur = nxt
+        seen = {(edge.foot, edge.peak)}
+
+        def walk(step):
+            edges, cells = [], []
+            cur, cell = step(edge)
+            while cur is not None:
+                if (cur.foot, cur.peak) in seen:
+                    raise DiagramError("trajectory revisits an edge (diagram corruption)")
+                seen.add((cur.foot, cur.peak))
+                edges.append(cur)
+                cells.append(cell)
+                cur, cell = step(cur)
+            return edges, cells
+
+        west, west_cells = walk(self.west_step)
+        east, east_cells = walk(self.east_step)
         edges = tuple(reversed(west)) + (edge,) + tuple(east)
         if self._mirset is None:
             self._mirset = frozenset(self.lattice.mir())
@@ -249,7 +236,7 @@ class PlanarDiagram:
             raise DiagramError("trajectory does not start on the left boundary")
         if not (last.foot in rset and last.peak in rset):
             raise DiagramError("trajectory does not end on the right boundary")
-        return Trajectory(edges, tubes[0])
+        return Trajectory(edges, tubes[0], tuple(reversed(west_cells)) + tuple(east_cells))
 
     def trajectories(self):
         """All trajectories, each listed from left boundary to right boundary."""
@@ -262,16 +249,6 @@ class PlanarDiagram:
             out.append(t)
             done.update((x.foot, x.peak) for x in t.edges)
         return tuple(out)
-
-    def trajectory_cells(self, traj):
-        """Cells between consecutive edges, west to east."""
-        cells = []
-        for i in range(len(traj.edges) - 1):
-            nxt, cell = self.east_step(traj.edges[i])
-            if nxt != traj.edges[i + 1]:
-                raise DiagramError("trajectory edges are not east-consecutive")
-            cells.append(cell)
-        return tuple(cells)
 
     def neon_tubes(self):
         """(boundary tubes, internal tubes): prime intervals with mir foot."""

@@ -74,14 +74,6 @@ def locate_retarget(stage_pl, address):
     )
 
 
-def _translate_step(original_step, t):
-    if original_step < t:
-        return original_step
-    if original_step == t:
-        return t + 1
-    return original_step + 1
-
-
 def _crossing_cell(pl, rec, t):
     """The unique 4-cell where the descending part of the trajectory through
     tube alpha of lamp u crosses the ascending part through tube beta of v."""
@@ -90,7 +82,8 @@ def _crossing_cell(pl, rec, t):
 
     def primed_id(lamp_id):
         if lamp_id[0] == "s":
-            return ("s", _translate_step(lamp_id[1], t))
+            s = lamp_id[1]
+            return ("s", s + (s >= t))
         return lamp_id
 
     lamp_u = by_id[primed_id(rec.u)]
@@ -99,8 +92,8 @@ def _crossing_cell(pl, rec, t):
     q_tube = lamp_v.tubes[rec.beta]
     traj_p = d.trajectory_through(p_tube)
     traj_q = d.trajectory_through(q_tube)
-    desc = set(d.trajectory_cells(traj_p)[traj_p.top_index:])
-    asc = set(d.trajectory_cells(traj_q)[: traj_q.top_index])
+    desc = set(traj_p.cells[traj_p.top_index:])
+    asc = set(traj_q.cells[: traj_q.top_index])
     common = desc & asc
     if len(common) != 1:
         raise InternalInconsistencyError(

@@ -151,8 +151,7 @@ def grid(p, q):
     boundary, _ = d.neon_tubes()
     lc, rc = d.corners()
     for e in boundary:
-        traj = d.trajectory_through(e)
-        nodes = tuple(leaf[c.bottom] for c in d.trajectory_cells(traj))
+        nodes = tuple(leaf[c.bottom] for c in d.trajectory_through(e).cells)
         side = "L" if lat.leq(lc, e.foot) else "R"
         leot = () if side == "L" else nodes
         reot = nodes if side == "L" else ()
@@ -164,44 +163,6 @@ def grid(p, q):
 # ---------------------------------------------------------------------------
 # Multifork extension
 # ---------------------------------------------------------------------------
-
-def _walk_left_path(d, w, a):
-    """Edges of the descending trajectory path from [w, a] to the left
-    boundary, with the cells traversed."""
-    edges = [Edge(w, a)]
-    cells = []
-    maps = d._side_maps()
-    while True:
-        cur = edges[-1]
-        c = maps["NE"].get((cur.foot, cur.peak))
-        if c is None:
-            break
-        cells.append(c)
-        edges.append(Edge(c.bottom, c.left))
-    lset, _ = d._boundary_sets()
-    last = edges[-1]
-    if not (last.foot in lset and last.peak in lset):
-        raise InternalInconsistencyError("left path did not reach the left boundary")
-    return edges, cells
-
-
-def _walk_right_path(d, w, b):
-    edges = [Edge(w, b)]
-    cells = []
-    maps = d._side_maps()
-    while True:
-        cur = edges[-1]
-        c = maps["NW"].get((cur.foot, cur.peak))
-        if c is None:
-            break
-        cells.append(c)
-        edges.append(Edge(c.bottom, c.right))
-    _, rset = d._boundary_sets()
-    last = edges[-1]
-    if not (last.foot in rset and last.peak in rset):
-        raise InternalInconsistencyError("right path did not reach the right boundary")
-    return edges, cells
-
 
 def multifork_extend(pl, address, k):
     """k-fold multifork extension at the addressed distributive 4-cell.
@@ -225,8 +186,14 @@ def multifork_extend(pl, address, k):
     if not is_distributive_ideal_grid(lat, t):
         raise PreconditionError(f"cell at {address} is not distributive")
 
-    left_edges, left_cells = _walk_left_path(d, w, a)
-    right_edges, right_cells = _walk_right_path(d, w, b)
+    # the trajectory paths that descend from [w, a] to the left boundary and
+    # from [w, b] to the right one, each listed from its upper end
+    left, right = d.trajectory_through(Edge(w, a)), d.trajectory_through(Edge(w, b))
+    i, j = left.edges.index(Edge(w, a)), right.edges.index(Edge(w, b))
+    if left.top_index <= i or right.top_index >= j:
+        raise InternalInconsistencyError("the cell's lower edges do not descend to the boundaries")
+    left_edges, left_cells = left.edges[i::-1], left.cells[:i][::-1]
+    right_edges, right_cells = right.edges[j:], right.cells[j:]
     np_, nq = len(left_edges), len(right_edges)
     n0 = lat.n
     total = n0 + (np_ + nq) * k + k * (k - 1) // 2 + k
@@ -308,7 +275,7 @@ def multifork_extend(pl, address, k):
 
     # forest update
     old_cells = {(c.bottom, c.left, c.right, c.top) for c in d.four_cells()}
-    destroyed = [cell] + left_cells + right_cells
+    destroyed = (cell,) + left_cells + right_cells
     destroyed_keys = {(c.bottom, c.left, c.right, c.top) for c in destroyed}
     destroyed_nodes = {
         key: pl.leaf_by_bottom[key[0]] for key in destroyed_keys
@@ -337,7 +304,7 @@ def multifork_extend(pl, address, k):
     for i in range(1, k + 1):
         tube = Edge(mid(i), t)
         traj = d2.trajectory_through(tube)
-        nodes = tuple(leaf[c.bottom] for c in d2.trajectory_cells(traj))
+        nodes = tuple(leaf[c.bottom] for c in traj.cells)
         ti = traj.top_index
         if traj.edges[ti] != tube:
             raise InternalInconsistencyError("new tube is not its trajectory's top edge")

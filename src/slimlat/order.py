@@ -88,7 +88,8 @@ class Poset:
         return cls(n, covers)
 
     def _close(self, n, pairs):
-        """Store the pairs as covers and compute up- and down-sets."""
+        """Store the pairs as covers, a topological order (`_order`, every
+        element after its lower covers) and the up- and down-sets."""
         covers = frozenset((int(a), int(b)) for a, b in pairs)
         upcov = [[] for _ in range(n)]
         dncov = [[] for _ in range(n)]
@@ -103,7 +104,7 @@ class Poset:
         self.covers = covers
         self._upcov = tuple(tuple(sorted(c)) for c in upcov)
         self._dncov = tuple(tuple(sorted(c)) for c in dncov)
-        order = self._toposort()
+        order = self._order = tuple(self._toposort())
         up = [None] * n
         for u in reversed(order):
             s = {u}
@@ -163,7 +164,7 @@ class Poset:
             return self._h
         except AttributeError:
             h = [0] * self.n
-            for u in self._toposort():
+            for u in self._order:
                 for v in self._upcov[u]:
                     h[v] = max(h[v], h[u] + 1)
             self._h = tuple(h)
@@ -291,7 +292,7 @@ class FiniteLattice:
             )
         self.bottom = bottoms[0]
         self.top = tops[0]
-        order = poset._toposort()
+        order = poset._order
         self.meet = self._table(poset.down, poset.up, poset.lower_covers, order)
         self.join = self._table(poset.up, poset.down, poset.upper_covers, order[::-1])
 
@@ -619,7 +620,7 @@ def congruence_lattice(lat):
     jir = lat.jir()
     bit = {j: 1 << i for i, j in enumerate(jir)}
     below = [0] * lat.n
-    for x in lat.poset._toposort():
+    for x in lat.poset._order:
         m = bit.get(x, 0)
         for c in lat.lower_covers(x):
             m |= below[c]

@@ -16,25 +16,26 @@ from .errors import InternalInconsistencyError, ParseError
 from .order import Poset
 
 
+def _internal_mir(pl):
+    """Feet of the internal neon tubes: the internal meet-irreducibles."""
+    return {e.foot for e in pl.diagram.neon_tubes()[1]}
+
+
 def validate_slopes(pl):
-    """Check the normal/precipitous edge discipline; raises on violation."""
-    d = pl.diagram
-    lat = d.lattice
-    bnd = d.boundary()
-    internal_mir = {f for f in lat.mir() if f not in bnd}
-    for foot, peak in sorted(lat.poset.covers):
-        fx, fy = pl.coords[foot]
-        px, py = pl.coords[peak]
-        dx, dy = px - fx, py - fy
-        if dy <= 0:
-            raise InternalInconsistencyError(f"edge ({foot},{peak}) does not ascend")
-        steep = abs(dx) < dy
-        normal = abs(dx) == dy
-        if not (steep or normal):
-            raise InternalInconsistencyError(
-                f"edge ({foot},{peak}) has a slight slope"
-            )
-        if steep != (foot in internal_mir):
+    """Check the normal/precipitous edge discipline; raises on violation.
+
+    In u = y + x and v = y - x an edge ascends iff du + dv > 0; it is
+    normal iff min(du, dv) = 0 and steep iff min(du, dv) > 0.  So a
+    sound edge is decided by comparisons alone.
+    """
+    internal_mir = _internal_mir(pl)
+    uv = {u: (y + x, y - x) for u, (x, y) in pl.coords.items()}
+    for foot, peak in sorted(pl.lattice.poset.covers):
+        (uf, vf), (up, vp) = uv[foot], uv[peak]
+        if up < uf or vp < vf or (up == uf and vp == vf):
+            fault = "does not ascend" if up + vp <= uf + vf else "has a slight slope"
+            raise InternalInconsistencyError(f"edge ({foot},{peak}) {fault}")
+        if (up > uf and vp > vf) != (foot in internal_mir):
             raise InternalInconsistencyError(
                 f"edge ({foot},{peak}) breaks the precipitous-foot rule"
             )
@@ -91,8 +92,7 @@ def render_svg(pl, scale=40, margin=30):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_decimal(width)}" '
         f'height="{_decimal(height)}" viewBox="0 0 {_decimal(width)} {_decimal(height)}">'
     ]
-    bnd = pl.diagram.boundary()
-    internal_mir = {f for f in pl.lattice.mir() if f not in bnd}
+    internal_mir = _internal_mir(pl)
     for a, b in sorted(pl.lattice.poset.covers):
         (x1, y1), (x2, y2) = pts[a], pts[b]
         w = 3 if a in internal_mir else 1
@@ -119,8 +119,7 @@ def render_tikz(pl):
             f"  \\node[circle,fill,inner sep=1.2pt,label=above right:{{\\tiny {u}}}] "
             f"(n{u}) at ({_decimal(x)},{_decimal(y)}) {{}};"
         )
-    bnd = pl.diagram.boundary()
-    internal_mir = {f for f in pl.lattice.mir() if f not in bnd}
+    internal_mir = _internal_mir(pl)
     for a, b in sorted(pl.lattice.poset.covers):
         style = "very thick" if a in internal_mir else "thin"
         out.append(f"  \\draw[{style}] (n{a}) -- (n{b});")

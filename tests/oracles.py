@@ -61,7 +61,7 @@ def _interior_vertices_under(pl, nodes):
         if _node_is_desc_or_eq(pl, leaf, targets)
     ]
     in_region = {(c.bottom, c.left, c.right, c.top) for c in leaves}
-    maps = d._side_maps()
+    west, east = d._side_maps()
     verts = set()
     boundary_pts = set()
     for c in leaves:
@@ -72,12 +72,11 @@ def _interior_vertices_under(pl, nodes):
             (c.left, c.top),
             (c.right, c.top),
         ):
-            # the cell on the other side of this edge, whatever role it
-            # plays there (precipitous edges pair NE with NW)
+            # the cell on the other side of this edge, west or east of it
             others = {
                 (o.bottom, o.left, o.right, o.top)
-                for role in ("SW", "SE", "NW", "NE")
-                if (o := maps[role].get(edge)) is not None
+                for o in (west.get(edge), east.get(edge))
+                if o is not None
             } - {(c.bottom, c.left, c.right, c.top)}
             if not others & in_region:
                 boundary_pts.update(edge)

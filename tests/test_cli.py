@@ -208,3 +208,16 @@ def test_missing_input_exits_2(command, capsys):
     assert main([command]) == 2
     err = capsys.readouterr().err
     assert err == f"parse error: --input FILE is required for {command}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--input", "s7.seq", "--format", "json"],
+    ["enumerate", "--step", "3"],
+    ["double", "--input", "s7.seq", "--max-len", "4"],
+    ["validate", "--input", "s7.json", "--render-format", "svg"],
+])
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -153,8 +153,20 @@ def test_each_trajectory_has_one_tube_and_cells_line_up():
         mirset = set(d.lattice.mir())
         for t in d.trajectories():
             assert sum(1 for e in t.edges if e.foot in mirset) == 1
-            cells = d.trajectory_cells(t)
-            assert len(cells) == len(t.edges) - 1
+            assert len(t.cells) == len(t.edges) - 1
+
+
+def test_trajectory_cells_match_an_east_walk():
+    """On every lattice of length <= 6 and its mirror, a trajectory carries
+    the cells that a fresh walk east along its edges crosses, and the walk
+    from any of its edges gives the same trajectory."""
+    diagrams = [e.pl.diagram for e in enumerate_index(6).entries()]
+    for d in diagrams + [d.mirror() for d in diagrams]:
+        for t in d.trajectories():
+            walk = [d.east_step(e) for e in t.edges]
+            assert [nxt for nxt, _ in walk] == [*t.edges[1:], None]
+            assert tuple(cell for _, cell in walk[:-1]) == t.cells
+            assert all(d.trajectory_through(e) == t for e in t.edges)
 
 
 def test_neon_tubes():

@@ -1,6 +1,10 @@
+import copy
+from fractions import Fraction
+
 import pytest
 
 from slimlat.dsl import parse_dsl
+from slimlat.errors import InternalInconsistencyError
 from slimlat.multifork import build, grid, multifork_extend
 from slimlat.render import parse_dot, render, render_dot, validate_slopes
 
@@ -33,6 +37,22 @@ def test_slope_validator_passes_on_fixtures():
         "grid 3 1\nfork 2 0 1\nfork 0 0 1",
     ]:
         assert validate_slopes(build(parse_dsl(text)))
+
+
+@pytest.mark.parametrize("top, fault", [
+    ((0, 1), "does not ascend"),
+    ((0, Fraction(3, 2)), "has a slight slope"),
+    ((0, 3), "breaks the precipitous-foot rule"),
+    ((Fraction(1, 2), Fraction(5, 2)), "breaks the precipitous-foot rule"),
+])
+def test_slope_validator_names_a_planted_fault(top, fault):
+    """grid(1, 1) has bottom (0, 0), corners (-1, 1) and (1, 1) and top
+    (0, 2); moving the top breaks the edges into it."""
+    pl = copy.copy(grid(1, 1))
+    pl.coords = dict(pl.coords)
+    pl.coords[pl.lattice.top] = top
+    with pytest.raises(InternalInconsistencyError, match=f"^edge \\(\\d+,{pl.lattice.top}\\) {fault}$"):
+        validate_slopes(pl)
 
 
 def test_dot_roundtrip():
