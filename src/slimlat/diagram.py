@@ -123,7 +123,7 @@ class PlanarDiagram:
                 )
             lc, rc = in_l[0], in_r[0]
             lat = self.lattice
-            if lat.meet[lc][rc] != lat.bottom or lat.join[lc][rc] != lat.top:
+            if lat.meet[lc][rc] != lat.bottom or not lat.is_join(lc, rc, lat.top):
                 raise DiagramError("corners are not complements")
             self._corners = (lc, rc)
         return self._corners
@@ -154,8 +154,8 @@ class PlanarDiagram:
                 ups = self.upper[u]
                 for i in range(len(ups) - 1):
                     v, w = ups[i], ups[i + 1]
-                    top = lat.join[v][w]
-                    if not (lat.covers(v, top) and lat.covers(w, top)):
+                    top = lat.cover_join(v, w)
+                    if top is None:
                         raise DiagramError(
                             f"region over {u} between covers {v},{w} is not a 4-cell"
                         )
@@ -279,23 +279,11 @@ class PlanarDiagram:
 
     def bfs_code(self):
         """Breadth-first encoding from the bottom following cover order."""
-        ids = {self.lattice.bottom: 0}
-        queue = [self.lattice.bottom]
-        i = 0
-        while i < len(queue):
-            u = queue[i]
-            i += 1
-            for v in self.upper[u]:
-                if v not in ids:
-                    ids[v] = len(ids)
-                    queue.append(v)
-        parts = []
-        for u in queue:
-            parts.append(",".join(str(ids[v]) for v in self.upper[u]))
-        return "|".join(parts)
+        return _bfs_code(self.lattice.bottom, self.upper)
 
     def canonical_code(self):
-        return min(self.bfs_code(), self.mirror().bfs_code())
+        # the mirror image's upper cover lists are the reversed ones
+        return min(self.bfs_code(), _bfs_code(self.lattice.bottom, [r[::-1] for r in self.upper]))
 
     # -- serialization --------------------------------------------------------
 
@@ -319,6 +307,23 @@ class PlanarDiagram:
         )
 
 
+def _bfs_code(bottom, upper):
+    ids = {bottom: 0}
+    queue = [bottom]
+    i = 0
+    while i < len(queue):
+        u = queue[i]
+        i += 1
+        for v in upper[u]:
+            if v not in ids:
+                ids[v] = len(ids)
+                queue.append(v)
+    parts = []
+    for u in queue:
+        parts.append(",".join(str(ids[v]) for v in upper[u]))
+    return "|".join(parts)
+
+
 def mirror(diagram):
     return diagram.mirror()
 
@@ -337,8 +342,8 @@ def boundary_heights(lat, lcorner, rcorner):
     These pairs embed a slim rectangular lattice into a grid; the planar
     cover order is recovered by sorting covers on the left height.
     """
-    lchain = sorted(lat.ideal(lcorner), key=lambda u: len(lat.ideal(u)))
-    rchain = sorted(lat.ideal(rcorner), key=lambda u: len(lat.ideal(u)))
+    lchain = sorted(lat.ideal(lcorner), key=lat.ideal_size)
+    rchain = sorted(lat.ideal(rcorner), key=lat.ideal_size)
     for chain in (lchain, rchain):
         for a, b in zip(chain, chain[1:]):
             if not lat.leq(a, b):
@@ -349,7 +354,7 @@ def boundary_heights(lat, lcorner, rcorner):
     for x in range(lat.n):
         lp = lat.meet[x][lcorner]
         rp = lat.meet[x][rcorner]
-        if lat.join[lp][rp] != x:
+        if not lat.is_join(lp, rp, x):
             raise DiagramError(f"element {x} is not the join of its two projections")
         hl.append(lindex[lp])
         hr.append(rindex[rp])
@@ -371,7 +376,7 @@ def embed_rectangular(lat, lcorner=None):
     if lcorner not in di:
         raise DiagramError(f"{lcorner} is not doubly irreducible")
     rcorner = di[0] if di[1] == lcorner else di[1]
-    if lat.meet[lcorner][rcorner] != lat.bottom or lat.join[lcorner][rcorner] != lat.top:
+    if lat.meet[lcorner][rcorner] != lat.bottom or not lat.is_join(lcorner, rcorner, lat.top):
         raise DiagramError("corners are not complements")
     hl, _, _, _ = boundary_heights(lat, lcorner, rcorner)
     upper, lower = [], []
@@ -427,7 +432,7 @@ def is_slim_rectangular(obj):
         failures.append(f"{len(di)} doubly irreducible elements, expected 2")
     else:
         a, b = di
-        if lat.meet[a][b] != lat.bottom or lat.join[a][b] != lat.top:
+        if lat.meet[a][b] != lat.bottom or not lat.is_join(a, b, lat.top):
             failures.append("doubly irreducible elements are not complements")
     for u in range(lat.n):
         if len(lat.upper_covers(u)) > 2:
@@ -470,7 +475,7 @@ def resolve_address(diagram, address):
     hl, hr, lchain, rchain = diagram.heights()
     if not (0 <= a < len(lchain) and 0 <= b < len(rchain)):
         raise DiagramError(f"address {address} is outside the boundary chains")
-    bottom = diagram.lattice.join[lchain[a]][rchain[b]]
+    bottom = diagram.lattice.join_of((lchain[a], rchain[b]))
     if (hl[bottom], hr[bottom]) != (a, b):
         raise DiagramError(f"no element at address {address}")
     cell = diagram.cells_by_bottom().get(bottom)

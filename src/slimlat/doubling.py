@@ -35,7 +35,7 @@ def _upper_chain_index(d, side, foot):
     lat = d.lattice
     lc, rc = d.corners()
     corner = lc if side == "L" else rc
-    chain = sorted(lat.filter(corner), key=lambda u: len(lat.ideal(u)))
+    chain = sorted(lat.filter(corner), key=lat.ideal_size)
     return chain.index(foot)
 
 

@@ -71,7 +71,7 @@ def circ_r(obj, lamp):
         raise PreconditionError("boundary lamps have no circumscribed rectangle")
     lat = d.lattice
     x = lat.meet_of(lat.lower_covers(lamp.peak))
-    interval = frozenset(lat.filter(x) & lat.ideal(lamp.peak))
+    interval = lat.interval(x, lamp.peak)
     if hasattr(obj, "lamp_step_by_peak"):
         step = obj.lamp_step_by_peak[lamp.peak]
         return interval, obj.step_origin[step]
@@ -118,7 +118,8 @@ def lamp_poset(obj):
         if v.foot != u.foot
     })
     lt = frozenset(
-        (lamps[i].foot, lamps[j].foot) for i in range(poset.n) for j in poset.up[i] if j != i
+        (lamps[i].foot, lamps[j].foot) for i in range(poset.n) for j in range(poset.n)
+        if poset.lt(i, j)
     )
     return lamps, lt, poset
 
@@ -131,8 +132,7 @@ def fork_interval(d, foot):
     """Elements of [l_proj(foot), foot] union [r_proj(foot), foot]."""
     lat = d.lattice
     lp, rp = d.l_proj(foot), d.r_proj(foot)
-    ideal = lat.ideal(foot)
-    return frozenset((lat.filter(lp) & ideal) | (lat.filter(rp) & ideal))
+    return lat.interval(lp, foot) | lat.interval(rp, foot)
 
 
 def _node_is_desc_or_eq(pl, node, targets):

@@ -352,8 +352,8 @@ def extend_by_step(pl, i, st):
 def _grid_dims(d):
     lc, rc = d.corners()
     lat = d.lattice
-    p = len(lat.ideal(lc)) - 1
-    q = len(lat.ideal(rc)) - 1
+    p = lat.ideal_size(lc) - 1
+    q = lat.ideal_size(rc) - 1
     if (p + 1) * (q + 1) != lat.n:
         raise InternalInconsistencyError("tube-free lattice is not a grid")
     return p, q
@@ -428,7 +428,7 @@ def _decompose(d, memo):
             continue
         bottom = sublat.meet[lowers[0]][lowers[1]]
         subcell = subd.cells_by_bottom().get(bottom)
-        if subcell is None or sublat.join[subcell.left][subcell.right] != peak2:
+        if subcell is None or subcell.top != peak2:
             continue
         addr = cell_address(subd, subcell)
         subpl = _decompose(subd, memo)

@@ -1,14 +1,20 @@
 """Finite posets and lattices with fully materialized structure.
 
 Elements are dense integers 0..n-1.  Values do not change after
-construction; derived data (heights, irreducibles) is computed on first
-use and cached on the object.  Five textbook facts keep the lattice
-kernels well below cubic cost:
+construction; derived data (heights, irreducibles, the join table) is
+computed on first use and cached on the object.  Sets of elements are int
+bitmasks, bit y for y: `Poset.up[x]` holds the y >= x, `Poset.down[x]` the
+y <= x.  Other modules get elements, not masks, from FiniteLattice.  Six
+textbook facts keep the lattice kernels well below cubic cost:
 
-- Join tables are filled from the top down.  If y is not below x, every
-  upper bound of x and y lies above some upper cover c of x, so x v y is
-  the least of the c v y, and it exists iff one of them lies below all
-  the others.  Meet tables are the dual.
+- Meet tables are filled from the bottom up.  If y is not above x, every
+  lower bound of x and y lies below some lower cover c of x, so x ^ y is
+  the greatest of the c ^ y, and it exists iff one of them lies above all
+  the others.  Join tables are the dual.
+- A finite poset with a top in which every pair has a meet is a lattice
+  (Graetzer, Lattice Theory: Foundation, 2011, ch. I), so the meet table
+  alone certifies one; the join table is filled on first use and cannot
+  fail.  Point queries answer joins from the masks without it.
 - A lattice of finite length is (upper) semimodular iff it satisfies
   Birkhoff's covering condition: any two upper covers a, b of an element
   are both covered by a v b (Graetzer, Lattice Theory: Foundation, 2011,
@@ -41,16 +47,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
 
 from .errors import BudgetError, OrderError, ParseError
 
 # Largest element count accepted from any input, a JSON file or a DSL
 # construction: more than ten times the largest lattice the tests and the
 # benchmark build (n <= 171).  --allow-large does not lift it: the limit is
-# the n x n meet and join tables, not Con.  `grid 43 44` (1,980 elements)
-# takes about 1.4 s and 170 MB to build (Python 3.11, 2-vCPU VM).
+# the n x n meet table, built for every lattice, and the join table, filled
+# by Con.  `grid 43 44` (1,980 elements) takes about 0.7 s and 50 MB to build;
+# its lamp report fills the join table, 0.7 s more and 87 MB (Python 3.11).
 MAX_ELEMENTS = 2000
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _elements(mask):
+    """The elements of a mask, ascending, in one C-level pass over its digits."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +76,7 @@ class Poset:
 
     def __init__(self, n, covers):
         self._close(n, covers)
-        for a, b in self.covers:
-            between = (self.up[a] & self.down[b]) - {a, b}
-            if between:
-                w = min(between)
-                raise OrderError(f"cover ({a},{b}) is not reduced: {a}<{w}<{b}")
+        self._check_reduced()
 
     @classmethod
     def from_relation(cls, n, pairs):
@@ -74,22 +84,25 @@ class Poset:
 
         The pairs are closed transitively and reduced to covers: b covers a
         iff a < b is generating and b lies above no other generating
-        successor of a.  A cycle raises OrderError.
+        successor of a.  A cycle raises OrderError.  The poset keeps the
+        up- and down-sets of the pairs, which are its own.
         """
-        rel = cls.__new__(cls)
-        rel._close(n, pairs)
+        poset = cls.__new__(cls)
+        poset._close(n, pairs)
         covers = set()
         for a in range(n):
-            succ = rel._upcov[a]
-            above = set()
+            succ = poset._upcov[a]
+            above = 0
             for c in succ:
-                above |= rel.up[c] - {c}
-            covers.update((a, b) for b in succ if b not in above)
-        return cls(n, covers)
+                above |= poset.up[c] ^ (1 << c)
+            covers.update((a, b) for b in succ if not above >> b & 1)
+        poset._set_covers(n, covers)
+        poset._check_reduced()
+        return poset
 
-    def _close(self, n, pairs):
-        """Store the pairs as covers, a topological order (`_order`, every
-        element after its lower covers) and the up- and down-sets."""
+    def _set_covers(self, n, pairs):
+        """Store the pairs as covers and a topological order (`_order`,
+        every element after its lower covers)."""
         covers = frozenset((int(a), int(b)) for a, b in pairs)
         upcov = [[] for _ in range(n)]
         dncov = [[] for _ in range(n)]
@@ -104,21 +117,28 @@ class Poset:
         self.covers = covers
         self._upcov = tuple(tuple(sorted(c)) for c in upcov)
         self._dncov = tuple(tuple(sorted(c)) for c in dncov)
-        order = self._order = tuple(self._toposort())
-        up = [None] * n
-        for u in reversed(order):
-            s = {u}
-            for v in self._upcov[u]:
-                s |= up[v]
-            up[u] = frozenset(s)
-        self.up = tuple(up)
-        dn = [None] * n
-        for u in order:
-            s = {u}
-            for v in self._dncov[u]:
-                s |= dn[v]
-            dn[u] = frozenset(s)
-        self.down = tuple(dn)
+        self._order = tuple(self._toposort())
+
+    def _close(self, n, pairs):
+        """_set_covers, then the up- and down-set masks: one OR per cover."""
+        self._set_covers(n, pairs)
+        for name, covers, order in (("up", self._upcov, self._order[::-1]),
+                                    ("down", self._dncov, self._order)):
+            masks = [0] * n
+            for u in order:
+                m = 1 << u
+                for v in covers[u]:
+                    m |= masks[v]
+                masks[u] = m
+            setattr(self, name, tuple(masks))
+
+    def _check_reduced(self):
+        """OrderError unless no cover (a, b) has b above another cover of a."""
+        up = self.up
+        for a, b in self.covers:
+            if any(c != b and up[c] >> b & 1 for c in self._upcov[a]):
+                w = min(set(_elements(up[a] & self.down[b])) - {a, b})
+                raise OrderError(f"cover ({a},{b}) is not reduced: {a}<{w}<{b}")
 
     def _toposort(self):
         indeg = [0] * self.n
@@ -142,10 +162,10 @@ class Poset:
     # -- queries ------------------------------------------------------------
 
     def leq(self, a, b):
-        return b in self.up[a]
+        return self.up[a] >> b & 1 == 1
 
     def lt(self, a, b):
-        return a != b and b in self.up[a]
+        return a != b and self.leq(a, b)
 
     def upper_covers(self, u):
         return self._upcov[u]
@@ -178,28 +198,24 @@ class Poset:
         """Induced subposet on `keep`; returns (poset, old ids by new id)."""
         keep = sorted(set(keep))
         idx = {old: new for new, old in enumerate(keep)}
-        pairs = [
-            (idx[a], idx[b]) for a in keep for b in self.up[a] if b != a and b in idx
-        ]
+        kept = sum(1 << u for u in keep)
+        pairs = [(idx[a], idx[b]) for a in keep for b in _elements(self.up[a] & kept) if b != a]
         return Poset.from_relation(len(keep), pairs), keep
 
     def count_downsets(self):
         """Number of down-sets, by divide and conquer on a maximal element."""
-        memo = {}
-
-        def count(elems):
-            if not elems:
-                return 1
-            key = elems
-            if key in memo:
-                return memo[key]
-            x = max(elems)
-            without = count(elems - (self.up[x] & elems))
-            with_x = count(elems - (self.down[x] & elems))
-            memo[key] = without + with_x
-            return memo[key]
-
-        return count(frozenset(range(self.n)))
+        memo = {0: 1}
+        full = (1 << self.n) - 1
+        stack = [full]
+        while full not in memo:
+            s = stack[-1]
+            x = s.bit_length() - 1
+            parts = (s & ~self.up[x], s & ~self.down[x])
+            todo = [t for t in parts if t not in memo]
+            stack += todo
+            if not todo:
+                memo[stack.pop()] = memo[parts[0]] + memo[parts[1]]
+        return memo[full]
 
     # -- serialization, equality --------------------------------------------
 
@@ -277,7 +293,7 @@ def order_from_covers(covers, n=None):
 # ---------------------------------------------------------------------------
 
 class FiniteLattice:
-    """A finite lattice: a poset with total meet and join tables."""
+    """A finite lattice: a poset with a meet table; the join table is filled on first use."""
 
     def __init__(self, poset):
         self.poset = poset
@@ -292,27 +308,35 @@ class FiniteLattice:
             )
         self.bottom = bottoms[0]
         self.top = tops[0]
-        order = poset._order
-        self.meet = self._table(poset.down, poset.up, poset.lower_covers, order)
-        self.join = self._table(poset.up, poset.down, poset.upper_covers, order[::-1])
+        self.meet = self._table(poset.down, poset.up, poset.lower_covers, poset._order)
+
+    @property
+    def join(self):
+        """The join table; the meet table has certified a lattice, so it fills."""
+        try:
+            return self._join
+        except AttributeError:
+            p = self.poset
+            self._join = self._table(p.up, p.down, p.upper_covers, p._order[::-1])
+            return self._join
 
     def _table(self, cones, opposite, covers, order):
         """Meet table (cones = down-sets) or join table (cones = up-sets).
 
         Rows are filled in `order`, where each of x's covers in `cones[x]`
-        comes before x.  For y outside both cones of x, the entry is the
-        candidate c * y (c one of those covers) whose cone holds all the
-        candidates; with no such candidate the pair has no bound, and
-        OrderError.  O(n * covers) table lookups.
+        comes before x.  Entry y of row x is x for y in x's opposite cone,
+        else the candidate c * y (c one of those covers) whose cone holds
+        all the candidates, as b in cone a iff table[a][b] == b; with none,
+        the pair has no bound, and OrderError.  O(n * covers) lookups.
         """
         n = self.poset.n
-        size = [len(c) for c in cones]
+        table = [None] * n
+        size = [m.bit_count() for m in cones]
 
         def least(cands):
             g = max(cands, key=size.__getitem__)
-            return g if all(c in cones[g] for c in cands) else None
+            return g if all(table[g][c] == c for c in cands) else None
 
-        table = [None] * n
         for x in order:
             rows = [table[c] for c in covers(x)]
             if len(rows) == 1:
@@ -320,15 +344,14 @@ class FiniteLattice:
             elif len(rows) == 2:
                 # slim lattices have at most two covers per element; this
                 # case spares them a least() call per entry
-                row = [a if b in cones[a] else b if a in cones[b] else None
+                row = [a if table[a][b] == b else b if table[b][a] == a else None
                        for a, b in zip(*rows)]
             elif rows:
                 row = [least(cands) for cands in zip(*rows)]
             else:
                 row = [None] * n
-            for y in cones[x]:
-                row[y] = y
-            for y in opposite[x]:
+            row[x] = x
+            for y in _elements(opposite[x] ^ (1 << x)):
                 row[y] = x
             if None in row:
                 kind = "glb" if cones is self.poset.down else "lub"
@@ -355,10 +378,17 @@ class FiniteLattice:
         return self.poset.lower_covers(u)
 
     def ideal(self, x):
-        return self.poset.down[x]
+        return tuple(_elements(self.poset.down[x]))
 
     def filter(self, x):
-        return self.poset.up[x]
+        return tuple(_elements(self.poset.up[x]))
+
+    def ideal_size(self, x):
+        return self.poset.down[x].bit_count()
+
+    def interval(self, a, b):
+        """The elements of [a, b]."""
+        return frozenset(_elements(self.poset.up[a] & self.poset.down[b]))
 
     def length(self):
         return self.poset.height()
@@ -371,11 +401,22 @@ class FiniteLattice:
         return acc
 
     def join_of(self, elems):
-        it = iter(elems)
-        acc = next(it)
-        for x in it:
-            acc = self.join[acc][x]
-        return acc
+        """The least element above all of elems: its up-set is their common one."""
+        up = self.poset.up
+        common = -1
+        for x in elems:
+            common &= up[x]
+        return next(g for g in _elements(common) if up[g] == common)
+
+    def is_join(self, a, b, x):
+        """x == a v b, no join table read: x has the upper bounds of a and b."""
+        return self.poset.up[a] & self.poset.up[b] == self.poset.up[x]
+
+    def cover_join(self, a, b):
+        """a v b if it covers the distinct elements a and b, else None: two distinct
+        elements of a lattice share at most one upper cover, and it is their join."""
+        shared = [c for c in self.upper_covers(a) if (b, c) in self.poset.covers]
+        return shared[0] if len(shared) == 1 else None
 
     # -- structural predicates ----------------------------------------------
 
@@ -408,22 +449,18 @@ class FiniteLattice:
     def is_semimodular(self):
         """Birkhoff's covering condition: two upper covers a, b of any
         element are both covered by a v b."""
-        covers = self.poset.covers
         for x in range(self.n):
             ups = self.upper_covers(x)
-            for i, a in enumerate(ups):
-                row = self.join[a]
-                for b in ups[i + 1:]:
-                    top = row[b]
-                    if (a, top) not in covers or (b, top) not in covers:
-                        return False
+            if any(self.cover_join(a, b) is None for a, b in combinations(ups, 2)):
+                return False
         return True
 
     def is_slim(self):
         """Join-irreducibles form a union of two chains (no 3-antichain):
         their incomparability graph is 2-coloured by breadth-first search."""
         j = self.jir()
-        up = self.poset.up
+        up, down = self.poset.up, self.poset.down
+        jmask = sum(1 << u for u in j)
         colour = {}
         for root in j:
             if root in colour:
@@ -431,9 +468,7 @@ class FiniteLattice:
             colour[root] = 0
             queue = [root]
             for u in queue:
-                for v in j:
-                    if u in up[v] or v in up[u]:
-                        continue
+                for v in _elements(jmask & ~(up[u] | down[u])):
                     if v not in colour:
                         colour[v] = 1 - colour[u]
                         queue.append(v)
@@ -473,18 +508,14 @@ def is_slim(lat):
 
 def _two_disjoint_chains(poset, elems):
     """Sizes (a, b) of the components when the induced order on elems is a
-    disjoint union of at most two chains (b = 0 for one chain), else None."""
-
-    def comparable(u, v):
-        return poset.leq(u, v) or poset.leq(v, u)
-
-    # side[u]: u lies outside the component of the first element
-    side = {u: not comparable(elems[0], u) for u in elems}
-    for u, v in combinations(elems, 2):
-        if comparable(u, v) != (side[u] == side[v]):
+    disjoint union of at most two chains (b = 0 for one chain), else None:
+    then each element is comparable to exactly its own component."""
+    e = sum(1 << u for u in elems)
+    a = (poset.up[elems[0]] | poset.down[elems[0]]) & e if elems else 0
+    for u in elems:
+        if (poset.up[u] | poset.down[u]) & e != (a if a >> u & 1 else e & ~a):
             return None
-    b = sum(side.values())
-    return len(elems) - b, b
+    return a.bit_count(), (e & ~a).bit_count()
 
 
 def is_distributive_ideal_grid(lat, x):
@@ -496,9 +527,8 @@ def is_distributive_ideal_grid(lat, x):
     is needed: N5 has the join-irreducible chains {a < c} and {b}, but 5
     elements, not 6.
     """
-    ideal = lat.ideal(x)
-    sizes = _two_disjoint_chains(lat.poset, [u for u in lat.jir() if u in ideal])
-    return sizes is not None and len(ideal) == (sizes[0] + 1) * (sizes[1] + 1)
+    sizes = _two_disjoint_chains(lat.poset, [u for u in lat.jir() if lat.leq(u, x)])
+    return sizes is not None and lat.ideal_size(x) == (sizes[0] + 1) * (sizes[1] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -618,23 +648,18 @@ def congruence_lattice(lat):
     down-sets of the join-irreducible poset.
     """
     jir = lat.jir()
-    bit = {j: 1 << i for i, j in enumerate(jir)}
-    below = [0] * lat.n
-    for x in lat.poset._order:
-        m = bit.get(x, 0)
-        for c in lat.lower_covers(x):
-            m |= below[c]
-        below[x] = m
-    # dep[i]: the j with j D jir[i]
-    dep = []
+    jmask = sum(1 << j for j in jir)
+    below = [m & jmask for m in lat.poset.down]
+    # dep[k]: the j with j D k
+    dep = {}
     for k in jir:
         m = 0
         for a, b in zip(lat.join[k], lat.join[lat.lower_covers(k)[0]]):
             m |= below[a] & ~below[b]
-        dep.append(m & ~bit[k])
+        dep[k] = m & ~(1 << k)
     congs = {}
-    for i in range(len(jir)):
-        collapsed, todo = 0, 1 << i
+    for k in jir:
+        collapsed, todo = 0, 1 << k
         while todo:
             j = todo.bit_length() - 1
             collapsed |= 1 << j
@@ -672,7 +697,7 @@ def poset_iso(p, q):
 
     def degrees(poset):
         return [
-            (len(poset.down[u]), len(poset.up[u]),
+            (poset.down[u].bit_count(), poset.up[u].bit_count(),
              len(poset.lower_covers(u)), len(poset.upper_covers(u)))
             for u in range(poset.n)
         ]

@@ -99,8 +99,8 @@ def _remove_fork(pl, lamp, tube, rule, old_lt):
     # preconditions keep all foreign peaks off the fork)
     lowers = d.lower[lamp.peak]
     pos = lowers.index(tube.foot)
-    left_chain = lat.filter(d.l_proj(tube.foot)) & lat.ideal(tube.foot)
-    right_chain = lat.filter(d.r_proj(tube.foot)) & lat.ideal(tube.foot)
+    left_chain = lat.interval(d.l_proj(tube.foot), tube.foot)
+    right_chain = lat.interval(d.r_proj(tube.foot), tube.foot)
 
     def repeaked(old_peak):
         if old_peak in left_chain:
@@ -109,7 +109,7 @@ def _remove_fork(pl, lamp, tube, rule, old_lt):
             supp = d.r_proj(lowers[pos + 1])
         else:
             raise InternalInconsistencyError("deleted peak is off both fork chains")
-        return lat.join[old_peak][supp]
+        return lat.join_of((old_peak, supp))
 
     # per-lamp bookkeeping through the id map
     old_lamps = {l.foot: l for l in lamps_of_diagram(d)}

@@ -14,6 +14,9 @@ does not use.
   covering law and of all triples of join-irreducibles for an antichain.
   Production tests Birkhoff's covering condition and 2-colours the
   incomparability graph of J(L) (`slimlat.order.FiniteLattice`).
+- Up- and down-sets as frozensets, by a search along the covers from each
+  element.  Production ORs bitmasks along a topological order
+  (`slimlat.order.Poset`).
 """
 
 from itertools import combinations
@@ -185,3 +188,27 @@ def is_slim_by_triples(lat):
                 and not leq(b, c) and not leq(c, b)):
             return False
     return True
+
+
+def reachability(poset):
+    """(up-sets, down-sets) of a poset as frozensets: the elements reached
+    from each element by upward, respectively downward, cover steps."""
+
+    def reach(step):
+        sets = []
+        for x in range(poset.n):
+            seen, stack = {x}, [x]
+            while stack:
+                for v in step(stack.pop()):
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            sets.append(frozenset(seen))
+        return tuple(sets)
+
+    return reach(poset.upper_covers), reach(poset.lower_covers)
+
+
+def mask_sets(masks):
+    """Bitmasks over 0..len(masks)-1 as frozensets, one bit test per element."""
+    return tuple(frozenset(y for y in range(len(masks)) if m >> y & 1) for m in masks)

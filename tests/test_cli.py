@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slimlat
 from slimlat.cli import main
 from slimlat.order import named_posets
 
@@ -221,3 +226,28 @@ def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.slow
+def test_con_on_a_thousand_element_chain(tmp_path):
+    """A chain's congruences are independent, one per cover, so Con has
+    2**999 elements; counting them must not recurse once per element."""
+    n = 1000
+    lattice = tmp_path / "chain.json"
+    lattice.write_text(json.dumps({
+        "n": n,
+        "covers": [[i, i + 1] for i in range(n - 1)],
+        "upper_order": [[i + 1] for i in range(n - 1)] + [[]],
+        "lower_order": [[]] + [[i] for i in range(n - 1)],
+    }))
+    out = tmp_path / "con.json"
+    src = str(Path(slimlat.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slimlat.cli", "con", "--input", str(lattice),
+         "--format", "json", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(out.read_text())["con_size"] == 2 ** 999

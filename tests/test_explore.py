@@ -9,6 +9,8 @@ from slimlat.multifork import build
 from slimlat.order import Poset, named_posets, poset_iso
 from slimlat.reduce import length_bound
 
+from oracles import mask_sets, reachability
+
 
 @pytest.fixture(scope="module")
 def index5():
@@ -232,6 +234,19 @@ def test_realize_matches_brute_force_on_small_posets(index7):
     _check_realize_against_reference(index7)
 
 
+@pytest.fixture(scope="module")
+def index8():
+    return enumerate_index(8, allow_large=True)
+
+
 @pytest.mark.slow
-def test_realize_matches_brute_force_at_length_eight():
-    _check_realize_against_reference(enumerate_index(8, allow_large=True), allow_large=True)
+def test_realize_matches_brute_force_at_length_eight(index8):
+    _check_realize_against_reference(index8, allow_large=True)
+
+
+@pytest.mark.slow
+def test_level_eight_counts_and_order_masks(index8):
+    assert index8.counts() == {2: 1, 3: 2, 4: 6, 5: 19, 6: 78, 7: 387, 8: 2327}
+    for entry in index8.entries(8):
+        p = entry.pl.lattice.poset
+        assert (mask_sets(p.up), mask_sets(p.down)) == reachability(p), entry.seq

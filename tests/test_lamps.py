@@ -36,7 +36,8 @@ def rho_order(pl):
     lamps = lamps_of_diagram(pl.diagram)
     idx = {l.foot: i for i, l in enumerate(lamps)}
     poset = Poset.from_relation(len(lamps), {(idx[a], idx[b]) for a, b in rho_foot(pl)})
-    lt = {(lamps[i].foot, lamps[j].foot) for i in range(poset.n) for j in poset.up[i] if j != i}
+    lt = {(lamps[i].foot, lamps[j].foot)
+          for i in range(poset.n) for j in range(poset.n) if poset.lt(i, j)}
     covers = {(lamps[a].foot, lamps[b].foot) for a, b in poset.covers}
     return frozenset(lt), frozenset(covers)
 

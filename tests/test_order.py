@@ -4,6 +4,7 @@ import pytest
 
 from slimlat.errors import OrderError
 from slimlat.explore import enumerate_index
+from slimlat.multifork import build
 from slimlat.order import (
     Congruence,
     CongruenceLattice,
@@ -17,6 +18,7 @@ from slimlat.order import (
     poset_double,
     poset_iso,
     principal_congruence,
+    _elements,
 )
 
 from oracles import (
@@ -24,6 +26,8 @@ from oracles import (
     is_congruence,
     is_semimodular_by_pairs,
     is_slim_by_triples,
+    mask_sets,
+    reachability,
     verify_jir_congruences,
 )
 
@@ -94,6 +98,16 @@ def test_poset_restrict_keeps_order():
 def test_count_downsets_chain_and_antichain():
     assert named_posets("chain", 4).count_downsets() == 5
     assert named_posets("antichain", 4).count_downsets() == 16
+    # one split per element, far past the interpreter's recursion limit
+    assert named_posets("chain", 1500).count_downsets() == 1501
+    assert named_posets("antichain", 1500).count_downsets() == 2 ** 1500
+
+
+def test_mask_decoder():
+    assert list(_elements(0)) == []
+    assert list(_elements(1)) == [0]
+    assert list(_elements(1 << 1999)) == [1999]
+    assert list(_elements(0b101100)) == [2, 3, 5]
 
 
 # Lattices -------------------------------------------------------------------
@@ -276,7 +290,8 @@ def reference_tables(poset):
     """(meet, join) of a lattice, or OrderError."""
     if len(poset.minimal_elements()) != 1 or len(poset.maximal_elements()) != 1:
         raise OrderError("no unique bottom/top")
-    return reference_table(poset, poset.down), reference_table(poset, poset.up)
+    up, down = reachability(poset)
+    return reference_table(poset, down), reference_table(poset, up)
 
 
 def reference_congruence_lattice(lat):
@@ -320,6 +335,15 @@ def test_kernels_match_references_up_to_length_six(lattices6):
         assert_kernels_match_references(lat)
 
 
+def test_join_table_filled_on_first_use():
+    """Building a lattice never fills its join table; read, it is the
+    reference table."""
+    for entry in enumerate_index(6).entries():
+        lat = build(entry.seq).lattice
+        assert "_join" not in vars(lat)
+        assert lat.join == reference_tables(lat.poset)[1]
+
+
 def random_poset(rng):
     """A random poset on 1..9 elements; half of them get a bottom and a top."""
     if rng.random() < 0.5:
@@ -345,6 +369,7 @@ def test_kernels_match_references_on_random_posets():
     outcomes = {"lattice": 0, "not a lattice": 0}
     for _ in range(2000):
         p = random_poset(rng)
+        assert (mask_sets(p.up), mask_sets(p.down)) == reachability(p)
         try:
             want = reference_tables(p)
         except OrderError:
@@ -400,6 +425,8 @@ def test_bounded_non_lattice_rejected(covers):
     lat.poset = p
     with pytest.raises(OrderError, match="no lub for pair"):
         lat._table(p.up, p.down, p.upper_covers, p._toposort()[::-1])
+    # 1 and 2 share the upper covers 3 and 4, and neither is their join
+    assert lat.cover_join(1, 2) is None
 
 
 @pytest.mark.parametrize("covers, jir_count, con_size, jir_covers", [
