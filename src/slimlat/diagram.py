@@ -6,9 +6,9 @@ ordered lists are derived from boundary-height coordinates (meet with the
 two corners), never from drawn positions.  Cells, boundary chains,
 trajectories, neon tubes, mirroring and canonical codes all live here.
 
-A diagram computes its cells, boundary chains, corners, boundary heights,
-meet-irreducible set and neon tubes once, on first use; a failure is not
-cached and is raised again on the next call.  Nothing is cached per edge:
+A diagram computes its cells, boundary chains, corners, boundary heights
+and neon tubes once, on first use (an embedding hands over the heights it
+derived); a failure is not cached and is raised again on the next call.  Nothing is cached per edge:
 trajectories are walked afresh through the cell side maps, and one walk
 gives a trajectory both its edges and the cells it crosses.
 """
@@ -60,22 +60,18 @@ class PlanarDiagram:
         n = lattice.n
         if len(self.upper) != n or len(self.lower) != n:
             raise DiagramError("cover order lists must cover all elements")
-        covers = set()
-        for u in range(n):
-            for v in self.upper[u]:
-                covers.add((u, v))
-        if covers != set(lattice.poset.covers):
-            raise DiagramError("upper order lists disagree with the cover relation")
-        lowers = {(a, b) for b in range(n) for a in self.lower[b]}
-        if lowers != set(lattice.poset.covers):
-            raise DiagramError("lower order lists disagree with the cover relation")
+        covers = lattice.poset.covers
+        for side, pairs in (("upper", [(u, v) for u in range(n) for v in self.upper[u]]),
+                            ("lower", [(a, b) for b in range(n) for a in self.lower[b]])):
+            # equal sets and equal lengths: no cover is missing or listed twice
+            if len(pairs) != len(covers) or set(pairs) != covers:
+                raise DiagramError(f"{side} order lists disagree with the cover relation")
         self._cells = None
         self._sides = None
         self._chains = None
         self._chain_sets = None
         self._corners = None
         self._heights = None
-        self._mirset = None
         self._tubes = None
 
     @property
@@ -123,7 +119,7 @@ class PlanarDiagram:
                 )
             lc, rc = in_l[0], in_r[0]
             lat = self.lattice
-            if lat.meet[lc][rc] != lat.bottom or not lat.is_join(lc, rc, lat.top):
+            if not lat.is_meet(lc, rc, lat.bottom) or not lat.is_join(lc, rc, lat.top):
                 raise DiagramError("corners are not complements")
             self._corners = (lc, rc)
         return self._corners
@@ -136,12 +132,12 @@ class PlanarDiagram:
         return self._heights
 
     def l_proj(self, x):
-        lc, _ = self.corners()
-        return self.lattice.meet[x][lc]
+        hl, _, lchain, _ = self.heights()
+        return lchain[hl[x]]
 
     def r_proj(self, x):
-        _, rc = self.corners()
-        return self.lattice.meet[x][rc]
+        _, hr, _, rchain = self.heights()
+        return rchain[hr[x]]
 
     # -- cells ------------------------------------------------------------
 
@@ -225,9 +221,8 @@ class PlanarDiagram:
         west, west_cells = walk(self.west_step)
         east, east_cells = walk(self.east_step)
         edges = tuple(reversed(west)) + (edge,) + tuple(east)
-        if self._mirset is None:
-            self._mirset = frozenset(self.lattice.mir())
-        tubes = [i for i, e in enumerate(edges) if e.foot in self._mirset]
+        # a tube's foot is meet-irreducible: it has one upper cover
+        tubes = [i for i, e in enumerate(edges) if len(self.upper[e.foot]) == 1]
         if len(tubes) != 1:
             raise DiagramError(f"trajectory has {len(tubes)} neon tubes, expected 1")
         lset, rset = self._boundary_sets()
@@ -340,7 +335,8 @@ def boundary_heights(lat, lcorner, rcorner):
     """Per element, (height of meet with lcorner, height of meet with rcorner).
 
     These pairs embed a slim rectangular lattice into a grid; the planar
-    cover order is recovered by sorting covers on the left height.
+    cover order is recovered by sorting covers on the left height.  As the
+    corner ideals are chains, x ^ lc = lchain[hl(x)], hl(x) = |ideal(x) & ideal(lc)| - 1.
     """
     lchain = sorted(lat.ideal(lcorner), key=lat.ideal_size)
     rchain = sorted(lat.ideal(rcorner), key=lat.ideal_size)
@@ -348,17 +344,12 @@ def boundary_heights(lat, lcorner, rcorner):
         for a, b in zip(chain, chain[1:]):
             if not lat.leq(a, b):
                 raise DiagramError("corner ideal is not a chain")
-    lindex = {u: i for i, u in enumerate(lchain)}
-    rindex = {u: i for i, u in enumerate(rchain)}
-    hl, hr = [], []
+    hl = tuple(lat.shared_ideal_size(x, lcorner) - 1 for x in range(lat.n))
+    hr = tuple(lat.shared_ideal_size(x, rcorner) - 1 for x in range(lat.n))
     for x in range(lat.n):
-        lp = lat.meet[x][lcorner]
-        rp = lat.meet[x][rcorner]
-        if not lat.is_join(lp, rp, x):
+        if not lat.is_join(lchain[hl[x]], rchain[hr[x]], x):
             raise DiagramError(f"element {x} is not the join of its two projections")
-        hl.append(lindex[lp])
-        hr.append(rindex[rp])
-    return tuple(hl), tuple(hr), tuple(lchain), tuple(rchain)
+    return hl, hr, tuple(lchain), tuple(rchain)
 
 
 def embed_rectangular(lat, lcorner=None):
@@ -376,9 +367,10 @@ def embed_rectangular(lat, lcorner=None):
     if lcorner not in di:
         raise DiagramError(f"{lcorner} is not doubly irreducible")
     rcorner = di[0] if di[1] == lcorner else di[1]
-    if lat.meet[lcorner][rcorner] != lat.bottom or not lat.is_join(lcorner, rcorner, lat.top):
+    if not lat.is_meet(lcorner, rcorner, lat.bottom) or not lat.is_join(lcorner, rcorner, lat.top):
         raise DiagramError("corners are not complements")
-    hl, _, _, _ = boundary_heights(lat, lcorner, rcorner)
+    heights = boundary_heights(lat, lcorner, rcorner)
+    hl = heights[0]
     upper, lower = [], []
     for u in range(lat.n):
         ups = sorted(lat.upper_covers(u), key=lambda v: -hl[v])
@@ -389,7 +381,10 @@ def embed_rectangular(lat, lcorner=None):
                     raise DiagramError(f"covers {a},{b} of {u} collide in the embedding")
         upper.append(tuple(ups))
         lower.append(tuple(dns))
-    return PlanarDiagram(lat, upper, lower)
+    d = PlanarDiagram(lat, upper, lower)
+    # lcorner starts the left boundary chain, so these are d.heights()
+    d._heights = heights
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +405,9 @@ def is_slim_rectangular(obj):
 
     Checks semimodularity, slimness, the two complementary doubly
     irreducible elements, that every region is a 4-cell with a unique
-    bottom, and trajectory sanity (one neon tube each, count = length).
+    bottom, that each two neighbouring lower covers of an element are the
+    left and right sides of a cell with that top, and trajectory sanity
+    (one neon tube each, count = length).
     """
     failures = []
     if isinstance(obj, PlanarDiagram):
@@ -432,7 +429,7 @@ def is_slim_rectangular(obj):
         failures.append(f"{len(di)} doubly irreducible elements, expected 2")
     else:
         a, b = di
-        if lat.meet[a][b] != lat.bottom or not lat.is_join(a, b, lat.top):
+        if not lat.is_meet(a, b, lat.bottom) or not lat.is_join(a, b, lat.top):
             failures.append("doubly irreducible elements are not complements")
     for u in range(lat.n):
         if len(lat.upper_covers(u)) > 2:
@@ -446,6 +443,10 @@ def is_slim_rectangular(obj):
     if lchain[-1] != lat.top or rchain[-1] != lat.top:
         failures.append("boundary chains do not reach the top")
     if not failures:
+        sides = {(c.left, c.right, c.top) for c in d.four_cells()}
+        failures += [f"lower covers {a},{b} of {t} are not the left and right sides of a cell"
+                     for t in range(lat.n) for a, b in zip(d.lower[t], d.lower[t][1:])
+                     if (a, b, t) not in sides]
         try:
             trajs = d.trajectories()
             if len(trajs) != lat.length():

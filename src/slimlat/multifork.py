@@ -388,7 +388,10 @@ def _decompose(d, memo):
     maps canonical codes to results.
 
     A candidate step is checked by one extension of the built sub-lattice,
-    not by a fresh build of the whole sequence.
+    not by a fresh build of the whole sequence.  Only a minimal lamp can be
+    the last step: a fork adds its lamp strictly below its Nwl and Nel
+    lamps, which are older (the lamp facts of the explore module), so no
+    lamp lies below the newest one.
     """
     code = d.canonical_code()
     if code in memo:
@@ -404,10 +407,9 @@ def _decompose(d, memo):
     # internal lamps iff it is minimal in the lamp poset
     lamps, _, poset = lamp_poset(d)
     minimal = [lamps[i] for i in poset.minimal_elements() if lamps[i].kind == "internal"]
-    rest = [l for l in lamps if l.kind == "internal" and l not in minimal]
     lc, _ = d.corners()
 
-    for cand in sorted(minimal, key=lambda l: l.foot) + sorted(rest, key=lambda l: l.foot):
+    for cand in sorted(minimal, key=lambda l: l.foot):
         removed = set()
         for tube in cand.tubes:
             removed |= fork_interval(d, tube.foot)
@@ -426,7 +428,7 @@ def _decompose(d, memo):
         lowers = sublat.lower_covers(peak2)
         if len(lowers) != 2:
             continue
-        bottom = sublat.meet[lowers[0]][lowers[1]]
+        bottom = sublat.meet_of(lowers)
         subcell = subd.cells_by_bottom().get(bottom)
         if subcell is None or subcell.top != peak2:
             continue

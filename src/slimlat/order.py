@@ -1,20 +1,19 @@
-"""Finite posets and lattices with fully materialized structure.
+"""Finite posets and lattices, stored as up- and down-set bitmasks.
 
 Elements are dense integers 0..n-1.  Values do not change after
-construction; derived data (heights, irreducibles, the join table) is
-computed on first use and cached on the object.  Sets of elements are int
-bitmasks, bit y for y: `Poset.up[x]` holds the y >= x, `Poset.down[x]` the
-y <= x.  Other modules get elements, not masks, from FiniteLattice.  Six
-textbook facts keep the lattice kernels well below cubic cost:
+construction; derived data (heights, irreducibles) is computed on first
+use and cached on the object.  Sets of elements are int bitmasks, bit y
+for y: `Poset.up[x]` holds the y >= x, `Poset.down[x]` the y <= x.  A
+FiniteLattice keeps no table; other modules get elements, not masks, from
+its point queries.  Six textbook facts keep the kernels below cubic cost:
 
 - Meet tables are filled from the bottom up.  If y is not above x, every
   lower bound of x and y lies below some lower cover c of x, so x ^ y is
   the greatest of the c ^ y, and it exists iff one of them lies above all
   the others.  Join tables are the dual.
 - A finite poset with a top in which every pair has a meet is a lattice
-  (Graetzer, Lattice Theory: Foundation, 2011, ch. I), so the meet table
-  alone certifies one; the join table is filled on first use and cannot
-  fail.  Point queries answer joins from the masks without it.
+  (Graetzer, Lattice Theory: Foundation, 2011, ch. I), so filling the meet
+  table certifies one; the table is then dropped.
 - A lattice of finite length is (upper) semimodular iff it satisfies
   Birkhoff's covering condition: any two upper covers a, b of an element
   are both covered by a v b (Graetzer, Lattice Theory: Foundation, 2011,
@@ -26,7 +25,9 @@ textbook facts keep the lattice kernels well below cubic cost:
   when j <= k v x but not j <= k_ v x for some x.  Then con(j_, j) <=
   con(k_, k) iff D steps lead from j to k (Freese, Jezek, Nation, Free
   Lattices, 1995, ch. II), and every con(a, b) of a cover is a con(k_, k).
-  Con L is therefore read off the D order on J(L), with no closure.
+  D is read off Wille's arrow relations (Ganter and Wille, Formal Concept
+  Analysis, 1999, sec. 1.2; see _dependencies), so Con L is read off the
+  D order on J(L), with no table and no closure.
 - Sending u to the join-irreducibles below it embeds a finite lattice M
   into the down-sets of its poset J(M) of join-irreducibles, so M is
   distributive iff it has as many elements as J(M) has down-sets
@@ -36,11 +37,11 @@ textbook facts keep the lattice kernels well below cubic cost:
   (a+1)(b+1) elements.
 
 The brute-force versions of these kernels (a cubic table search, a scan
-of all pairs for semimodularity, of all triples of J(L) for slimness, one
-closure per cover and a cubic distributivity scan of the rebuilt ideal)
-are kept in tests/ as reference implementations.  The closure helpers
-here (_closure and principal_congruence) serve only as test oracles; the
-rest of the closure oracles live in tests/oracles.py.
+of all pairs for semimodularity, of all triples of J(L) for slimness, D
+from join rows, one closure per cover and a cubic distributivity scan of
+the rebuilt ideal) are kept in tests/ as reference implementations.  The
+closure helpers here (_closure and principal_congruence) serve only as
+test oracles; the rest of the closure oracles live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ from .errors import BudgetError, OrderError, ParseError
 # Largest element count accepted from any input, a JSON file or a DSL
 # construction: more than ten times the largest lattice the tests and the
 # benchmark build (n <= 171).  --allow-large does not lift it: the limit is
-# the n x n meet table, built for every lattice, and the join table, filled
-# by Con.  `grid 43 44` (1,980 elements) takes about 0.7 s and 50 MB to build;
-# its lamp report fills the join table, 0.7 s more and 87 MB (Python 3.11).
+# the transient n x n meet table that certifies every lattice while it is
+# built, and is dropped once it is filled.  `grid 43 44` (1,980 elements)
+# takes about 0.5 s to build and 0.1 s to report its lamps, at a peak of
+# 48 MB (Python 3.11).
 MAX_ELEMENTS = 2000
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -293,7 +295,7 @@ def order_from_covers(covers, n=None):
 # ---------------------------------------------------------------------------
 
 class FiniteLattice:
-    """A finite lattice: a poset with a meet table; the join table is filled on first use."""
+    """A finite lattice: a bounded poset whose meet table fills; only its masks are kept."""
 
     def __init__(self, poset):
         self.poset = poset
@@ -308,17 +310,10 @@ class FiniteLattice:
             )
         self.bottom = bottoms[0]
         self.top = tops[0]
-        self.meet = self._table(poset.down, poset.up, poset.lower_covers, poset._order)
-
-    @property
-    def join(self):
-        """The join table; the meet table has certified a lattice, so it fills."""
-        try:
-            return self._join
-        except AttributeError:
-            p = self.poset
-            self._join = self._table(p.up, p.down, p.upper_covers, p._order[::-1])
-            return self._join
+        self._jir = tuple(u for u in range(n) if len(poset.lower_covers(u)) == 1)
+        self._mir = tuple(u for u in range(n) if len(poset.upper_covers(u)) == 1)
+        # the certificate: OrderError unless every pair has a meet
+        self._table(poset.down, poset.up, poset.lower_covers, poset._order)
 
     def _table(self, cones, opposite, covers, order):
         """Meet table (cones = down-sets) or join table (cones = up-sets).
@@ -393,23 +388,31 @@ class FiniteLattice:
     def length(self):
         return self.poset.height()
 
+    def shared_ideal_size(self, a, b):
+        """The number of elements below both a and b, that is |ideal(a ^ b)|."""
+        return (self.poset.down[a] & self.poset.down[b]).bit_count()
+
     def meet_of(self, elems):
-        it = iter(elems)
-        acc = next(it)
-        for x in it:
-            acc = self.meet[acc][x]
-        return acc
+        """The greatest element below all of elems: its down-set is their common one."""
+        return self._bound(elems, self.poset.down)
 
     def join_of(self, elems):
         """The least element above all of elems: its up-set is their common one."""
-        up = self.poset.up
+        return self._bound(elems, self.poset.up)
+
+    @staticmethod
+    def _bound(elems, cones):
         common = -1
         for x in elems:
-            common &= up[x]
-        return next(g for g in _elements(common) if up[g] == common)
+            common &= cones[x]
+        return next(g for g in _elements(common) if cones[g] == common)
+
+    def is_meet(self, a, b, x):
+        """x == a ^ b: x has the lower bounds of a and b."""
+        return self.poset.down[a] & self.poset.down[b] == self.poset.down[x]
 
     def is_join(self, a, b, x):
-        """x == a v b, no join table read: x has the upper bounds of a and b."""
+        """x == a v b: x has the upper bounds of a and b."""
         return self.poset.up[a] & self.poset.up[b] == self.poset.up[x]
 
     def cover_join(self, a, b):
@@ -421,30 +424,15 @@ class FiniteLattice:
     # -- structural predicates ----------------------------------------------
 
     def jir(self):
-        """Join-irreducible elements: exactly one lower cover (bottom excluded)."""
-        try:
-            return self._jir
-        except AttributeError:
-            self._jir = tuple(
-                u for u in range(self.n)
-                if u != self.bottom and len(self.lower_covers(u)) == 1
-            )
-            return self._jir
+        """Join-irreducible elements: exactly one lower cover."""
+        return self._jir
 
     def mir(self):
-        """Meet-irreducible elements: exactly one upper cover (top excluded)."""
-        try:
-            return self._mir
-        except AttributeError:
-            self._mir = tuple(
-                u for u in range(self.n)
-                if u != self.top and len(self.upper_covers(u)) == 1
-            )
-            return self._mir
+        """Meet-irreducible elements: exactly one upper cover."""
+        return self._mir
 
     def doubly_irreducible(self):
-        j = set(self.jir())
-        return tuple(u for u in self.mir() if u in j)
+        return tuple(u for u in self.mir() if len(self.lower_covers(u)) == 1)
 
     def is_semimodular(self):
         """Birkhoff's covering condition: two upper covers a, b of any
@@ -486,7 +474,7 @@ class FiniteLattice:
 
 
 def lattice_from_poset(poset):
-    """Lattice with meet/join tables, or OrderError naming the failure."""
+    """The lattice on a poset, or OrderError naming the failure."""
     return FiniteLattice(poset)
 
 
@@ -590,6 +578,9 @@ class Congruence:
 
 def _closure(lat, seed_pairs):
     n = lat.n
+    p = lat.poset
+    meet = lat._table(p.down, p.up, p.lower_covers, p._order)
+    join = lat._table(p.up, p.down, p.upper_covers, p._order[::-1])
     parent = list(range(n))
 
     def find(x):
@@ -606,10 +597,10 @@ def _closure(lat, seed_pairs):
             continue
         parent[max(rx, ry)] = min(rx, ry)
         for z in range(n):
-            mx, my = lat.meet[x][z], lat.meet[y][z]
+            mx, my = meet[x][z], meet[y][z]
             if find(mx) != find(my):
                 queue.append((mx, my))
-            jx, jy = lat.join[x][z], lat.join[y][z]
+            jx, jy = join[x][z], join[y][z]
             if find(jx) != find(jy):
                 queue.append((jx, jy))
     return Congruence.from_parent([find(x) for x in range(n)])
@@ -633,16 +624,38 @@ class CongruenceLattice:
         return len(self.jir_congs)
 
 
+def _dependencies(lat):
+    """{k: mask of the j with j D k}, k over J(L).  For join-irreducibles
+    j != k with lower covers j_ and k_, j D k when j <= k v x but not
+    j <= k_ v x for some x, that is iff some meet-irreducible m, with upper
+    cover m*, has k_ <= m, k not <= m, j <= m* and j not <= m:
+    - if: take x = m.  Then k v m >= m* >= j, and k_ v m = m.
+    - only if: take m maximal above k_ v x with j not <= m.  Then m has
+      a single upper cover, and it lies above j.
+    """
+    up, down = lat.poset.up, lat.poset.down
+    jmask = sum(1 << j for j in lat.jir())
+    # arrow[m]: the join-irreducibles below m* but not below m
+    arrow = {m: jmask & down[lat.upper_covers(m)[0]] & ~down[m] for m in lat.mir()}
+    mmask = sum(1 << m for m in arrow)
+    dep = {}
+    for k in lat.jir():
+        d = 0
+        for m in _elements(mmask & up[lat.lower_covers(k)[0]] & ~up[k]):
+            d |= arrow[m]
+        dep[k] = d & ~(1 << k)
+    return dep
+
+
 def congruence_lattice(lat):
     """All distinct con(a, b) over covering pairs a < b, with their order.
 
-    For join-irreducibles j != k with lower covers j_ and k_, say j D k
-    when j <= k v x but not j <= k_ v x for some x.  Then con(j_, j) <=
-    con(k_, k) iff D steps lead from j to k (Freese, Jezek, Nation, Free
-    Lattices, 1995, ch. II).  Every con(a, b) of a cover is a con(k_, k),
-    so con(k_, k) collapses exactly the join-irreducibles C that reach k,
-    and x, y share a block iff the join-irreducibles below them outside C
-    agree.  Sets of join-irreducibles are int bitmasks.
+    con(j_, j) <= con(k_, k) iff D steps lead from j to k (_dependencies;
+    Freese, Jezek, Nation, Free Lattices, 1995, ch. II).  Every con(a, b)
+    of a cover is a con(k_, k), so con(k_, k) collapses exactly the
+    join-irreducibles C that reach k, and x, y share a block iff the
+    join-irreducibles below them outside C agree.  Sets of
+    join-irreducibles are int bitmasks.
 
     Con L of a finite lattice is distributive, so |Con L| is the number of
     down-sets of the join-irreducible poset.
@@ -650,13 +663,7 @@ def congruence_lattice(lat):
     jir = lat.jir()
     jmask = sum(1 << j for j in jir)
     below = [m & jmask for m in lat.poset.down]
-    # dep[k]: the j with j D k
-    dep = {}
-    for k in jir:
-        m = 0
-        for a, b in zip(lat.join[k], lat.join[lat.lower_covers(k)[0]]):
-            m |= below[a] & ~below[b]
-        dep[k] = m & ~(1 << k)
+    dep = _dependencies(lat)
     congs = {}
     for k in jir:
         collapsed, todo = 0, 1 << k

@@ -10,6 +10,9 @@ does not use.
   off the join-dependency order on J(L) (`slimlat.order.congruence_lattice`).
   `_closure` and `principal_congruence` stay in `slimlat.order`, where the
   benchmark's span tracer wraps `principal_congruence` by name.
+- The join-dependency relation D from whole rows of the join table.
+  Production reads D off the arrow relations
+  (`slimlat.order._dependencies`).
 - Semimodularity and slimness by definition: a scan of all pairs for the
   covering law and of all triples of join-irreducibles for an antichain.
   Production tests Birkhoff's covering condition and 2-colours the
@@ -145,17 +148,26 @@ def congruence_join(lat, congs):
     return _closure(lat, pairs)
 
 
+def tables(lat):
+    """(meet, join) tables of a lattice from the recurrence that certifies
+    it, which the tests check against the cubic reference tables."""
+    p = lat.poset
+    return (lat._table(p.down, p.up, p.lower_covers, p._order),
+            lat._table(p.up, p.down, p.upper_covers, p._order[::-1]))
+
+
 def is_congruence(lat, cong):
     """Check the compatibility laws directly (used as a test oracle)."""
     n = lat.n
+    meet, join = tables(lat)
     for x in range(n):
         for y in range(n):
             if not cong.same(x, y):
                 continue
             for z in range(n):
-                if not cong.same(lat.meet[x][z], lat.meet[y][z]):
+                if not cong.same(meet[x][z], meet[y][z]):
                     return False
-                if not cong.same(lat.join[x][z], lat.join[y][z]):
+                if not cong.same(join[x][z], join[y][z]):
                     return False
     return True
 
@@ -172,11 +184,28 @@ def verify_jir_congruences(cl):
 def is_semimodular_by_pairs(lat):
     """Upper semimodularity over all pairs: if x ^ y is covered by x, then
     y is covered by x v y."""
+    meet, join = tables(lat)
     for x in range(lat.n):
         for y in range(lat.n):
-            if lat.covers(lat.meet[x][y], x) and not lat.covers(y, lat.join[x][y]):
+            if lat.covers(meet[x][y], x) and not lat.covers(y, join[x][y]):
                 return False
     return True
+
+
+def join_row_dependencies(lat):
+    """{k: mask of the join-irreducibles j with j D k}, k over J(L), from
+    whole join rows: j D k when j != k, j <= k v x and not j <= k_ v x for
+    some x, k_ the lower cover of k."""
+    join = tables(lat)[1]
+    jmask = sum(1 << j for j in lat.jir())
+    below = [m & jmask for m in lat.poset.down]
+    dep = {}
+    for k in lat.jir():
+        m = 0
+        for a, b in zip(join[k], join[lat.lower_covers(k)[0]]):
+            m |= below[a] & ~below[b]
+        dep[k] = m & ~(1 << k)
+    return dep
 
 
 def is_slim_by_triples(lat):

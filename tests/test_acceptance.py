@@ -111,7 +111,7 @@ def test_criterion_04_meet_closure(index5):
             keep = set(range(lat.n)) - fork_interval(entry.pl.diagram, tube.foot)
             for x in keep:
                 for y in keep:
-                    assert lat.meet[x][y] in keep, (entry.seq, tube)
+                    assert lat.meet_of((x, y)) in keep, (entry.seq, tube)
             checked += 1
     verdict(4, "meet closure of fork removal", True, f"{checked} tubes, exact")
 

@@ -109,6 +109,16 @@ def test_exit_codes(tmp_path):
     assert main(["validate", "--input", str(chain), "--format", "json"]) == 1
 
 
+def test_validate_repeated_lower_cover_exits_1(tmp_path, capsys):
+    lattice_json = tmp_path / "b2.json"
+    lattice_json.write_text('{"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]], '
+                            '"upper_order": [[1, 2], [3], [3], []], '
+                            '"lower_order": [[], [0], [0], [1, 2, 2]]}')
+    assert main(["validate", "--input", str(lattice_json), "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: lower order lists disagree with the cover relation\n"
+
+
 def test_double_cli_where_lamp_order_and_foot_order_differ(tmp_path):
     seq = tmp_path / "g21.seq"
     seq.write_text("grid 2 1\nfork 1 0 1\nfork 0 1 1\n")

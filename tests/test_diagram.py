@@ -108,7 +108,8 @@ def test_projections():
     lc, rc = d.corners()
     assert d.l_proj(lat.top) == lc and d.r_proj(lat.top) == rc
     for x in range(lat.n):
-        assert lat.join[d.l_proj(x)][d.r_proj(x)] == x
+        assert d.l_proj(x) == lat.meet_of((x, lc)) and d.r_proj(x) == lat.meet_of((x, rc))
+        assert lat.join_of((d.l_proj(x), d.r_proj(x))) == x
 
 
 def test_s7_projection_of_internal_foot():
@@ -185,6 +186,40 @@ def test_is_slim_rectangular():
     rep = is_slim_rectangular(lattice_from_poset(named_posets("chain", 3)))
     assert not rep.ok
     assert any("doubly irreducible" in f or "embedding" in f for f in rep.failures)
+
+
+def test_reversed_lower_cover_order_rejected():
+    """Reversing the lower covers of one element keeps the cover sets, but
+    its two neighbouring lower covers no longer bound a cell from the left
+    and the right: each such mutant of a lattice of length <= 6 fails."""
+    diagrams = [e.pl.diagram for e in enumerate_index(6).entries()]
+    mutants = 0
+    for d in diagrams:
+        for t in range(d.n):
+            if len(d.lower[t]) < 2:
+                continue
+            lower = list(d.lower)
+            lower[t] = lower[t][::-1]
+            rep = is_slim_rectangular(PlanarDiagram(d.lattice, d.upper, lower))
+            a, b = lower[t][:2]
+            assert rep.failures[0] == (
+                f"lower covers {a},{b} of {t} are not the left and right sides of a cell"
+            ), (d.bfs_code(), t)
+            assert all(f.startswith("lower covers ") and f" of {t} are" in f
+                       for f in rep.failures)
+            mutants += 1
+    assert mutants == 746
+
+
+def test_repeated_cover_in_order_list_rejected():
+    d = grid_diagram(1, 1)
+    top = d.lattice.top
+    lower = [row + row[-1:] if u == top else row for u, row in enumerate(d.lower)]
+    with pytest.raises(DiagramError, match="lower order lists disagree"):
+        PlanarDiagram(d.lattice, d.upper, lower)
+    upper = [row + row[-1:] if u == d.lattice.bottom else row for u, row in enumerate(d.upper)]
+    with pytest.raises(DiagramError, match="upper order lists disagree"):
+        PlanarDiagram(d.lattice, upper, d.lower)
 
 
 def test_validation_counts_trajectories_against_length():

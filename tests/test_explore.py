@@ -6,10 +6,10 @@ from slimlat.errors import BudgetError
 from slimlat.explore import enumerate_index, realize, sweep_bounds
 from slimlat.lamps import lamp_poset
 from slimlat.multifork import build
-from slimlat.order import Poset, named_posets, poset_iso
+from slimlat.order import Poset, _dependencies, named_posets, poset_iso
 from slimlat.reduce import length_bound
 
-from oracles import mask_sets, reachability
+from oracles import join_row_dependencies, mask_sets, reachability
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +234,19 @@ def test_realize_matches_brute_force_on_small_posets(index7):
     _check_realize_against_reference(index7)
 
 
+def _check_dependencies_against_join_rows(index):
+    for entry in index.entries():
+        lat = entry.pl.lattice
+        assert _dependencies(lat) == join_row_dependencies(lat), entry.seq
+
+
+def test_dependencies_match_join_rows(index7):
+    """D from the arrow relations against D from whole join rows, on every
+    lattice of length <= 7."""
+    assert len(index7.entries()) == 493
+    _check_dependencies_against_join_rows(index7)
+
+
 @pytest.fixture(scope="module")
 def index8():
     return enumerate_index(8, allow_large=True)
@@ -242,6 +255,12 @@ def index8():
 @pytest.mark.slow
 def test_realize_matches_brute_force_at_length_eight(index8):
     _check_realize_against_reference(index8, allow_large=True)
+
+
+@pytest.mark.slow
+def test_dependencies_match_join_rows_at_length_eight(index8):
+    assert len(index8.entries(8)) == 2327
+    _check_dependencies_against_join_rows(index8)
 
 
 @pytest.mark.slow

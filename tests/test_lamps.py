@@ -70,7 +70,7 @@ def test_g22_fork2_lamps():
     # foot of a 2-tube lamp is the meet of its tube feet
     lat = pl.lattice
     i = internal[0]
-    assert i.foot == lat.meet[i.tubes[0].foot][i.tubes[1].foot]
+    assert i.foot == lat.meet_of((i.tubes[0].foot, i.tubes[1].foot))
 
 
 def test_lamp_feet_distinct():
@@ -291,3 +291,11 @@ def test_fork_interval_s7():
     f = fork_interval(pl.diagram, internal.foot)
     assert len(f) == 3  # foot plus its two projections
     assert internal.foot in f
+
+
+@pytest.mark.slow
+def test_lamp_report_at_the_element_budget():
+    """`grid 43 44` has 1,980 elements, the largest grid within the budget."""
+    pl = build(parse_dsl("grid 43 44"))
+    assert pl.lattice.n == 1980
+    assert lamp_report(pl)["congruence_iso_ok"] is True

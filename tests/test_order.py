@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from slimlat.diagram import is_slim_rectangular
 from slimlat.errors import OrderError
 from slimlat.explore import enumerate_index
-from slimlat.multifork import build
 from slimlat.order import (
     Congruence,
     CongruenceLattice,
@@ -18,6 +18,7 @@ from slimlat.order import (
     poset_double,
     poset_iso,
     principal_congruence,
+    _dependencies,
     _elements,
 )
 
@@ -26,8 +27,10 @@ from oracles import (
     is_congruence,
     is_semimodular_by_pairs,
     is_slim_by_triples,
+    join_row_dependencies,
     mask_sets,
     reachability,
+    tables,
     verify_jir_congruences,
 )
 
@@ -115,8 +118,11 @@ def test_mask_decoder():
 def test_lattice_from_grid_poset():
     lat = lattice_from_poset(grid_poset(1, 1))
     assert lat.n == 4
-    assert lat.join[1][2] == 3
-    assert lat.meet[1][2] == 0
+    assert lat.join_of((1, 2)) == 3
+    assert lat.meet_of((1, 2)) == 0
+    assert lat.is_join(1, 2, 3) and lat.is_meet(1, 2, 0)
+    assert not lat.is_join(1, 2, 2) and not lat.is_meet(1, 2, 1)
+    assert lat.shared_ideal_size(1, 2) == 1 and lat.shared_ideal_size(3, 2) == 2
 
 
 def test_lattice_missing_lub():
@@ -132,7 +138,7 @@ def test_s7_is_a_lattice():
     # exhaustive glb/lub sanity: meet/join agree with the order
     for x in range(7):
         for y in range(7):
-            m, j = lat.meet[x][y], lat.join[x][y]
+            m, j = lat.meet_of((x, y)), lat.join_of((x, y))
             assert lat.leq(m, x) and lat.leq(m, y)
             assert lat.leq(x, j) and lat.leq(y, j)
 
@@ -189,8 +195,8 @@ def test_congruence_blocks_convex_and_closed():
         for block in c.blocks():
             for x in block:
                 for y in block:
-                    assert lat.meet[x][y] in block
-                    assert lat.join[x][y] in block
+                    assert lat.meet_of((x, y)) in block
+                    assert lat.join_of((x, y)) in block
                     for z in range(lat.n):
                         if lat.leq(x, z) and lat.leq(z, y):
                             assert z in block
@@ -312,7 +318,13 @@ def reference_congruence_lattice(lat):
 
 
 def assert_kernels_match_references(lat):
-    assert (lat.meet, lat.join) == reference_tables(lat.poset)
+    meet, join = reference_tables(lat.poset)
+    # the recurrence that certifies a lattice and feeds the oracles
+    assert tables(lat) == (meet, join)
+    for x in range(lat.n):
+        for y in range(lat.n):
+            assert lat.meet_of((x, y)) == meet[x][y] and lat.join_of((x, y)) == join[x][y]
+    assert _dependencies(lat) == join_row_dependencies(lat)
     assert_con_matches_reference(lat)
 
 
@@ -335,13 +347,17 @@ def test_kernels_match_references_up_to_length_six(lattices6):
         assert_kernels_match_references(lat)
 
 
-def test_join_table_filled_on_first_use():
-    """Building a lattice never fills its join table; read, it is the
-    reference table."""
-    for entry in enumerate_index(6).entries():
-        lat = build(entry.seq).lattice
-        assert "_join" not in vars(lat)
-        assert lat.join == reference_tables(lat.poset)[1]
+def test_lattice_keeps_no_table(lattices6):
+    """A lattice keeps no n-row table, not even after the queries that once
+    read the meet or join table: Con, an embedding and point queries."""
+    for lat in lattices6:
+        congruence_lattice(lat)
+        assert is_slim_rectangular(lat).ok
+        lat.meet_of(range(lat.n))
+        lat.join_of(range(lat.n))
+        for name, value in vars(lat).items():
+            assert not (isinstance(value, (tuple, list)) and len(value) == lat.n
+                        and all(isinstance(row, (tuple, list)) for row in value)), name
 
 
 def random_poset(rng):
@@ -480,7 +496,7 @@ def reference_is_distributive_ideal_grid(lat, x):
     all triples, with its join-irreducibles split into <= 2 chains."""
     sub, _ = lat.poset.restrict(lat.ideal(x))
     ideal = FiniteLattice(sub)
-    meet, join = ideal.meet, ideal.join
+    meet, join = tables(ideal)
     m = ideal.n
     for a in range(m):
         for b in range(m):

@@ -48,7 +48,7 @@ def test_built_lattices_satisfy_core_invariants(seq):
     lat = pl.lattice
     assert pl.length() == pl.antube() == len(d.trajectories())
     for x in range(lat.n):
-        assert lat.join[d.l_proj(x)][d.r_proj(x)] == x
+        assert lat.join_of((d.l_proj(x), d.r_proj(x))) == x
     for u in range(lat.n):
         assert len(lat.upper_covers(u)) <= 2
 

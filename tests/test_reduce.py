@@ -37,7 +37,7 @@ def test_meet_closure_of_fork_removal():
             keep = set(range(lat.n)) - removed
             for x in keep:
                 for y in keep:
-                    assert lat.meet[x][y] in keep, (text, tube)
+                    assert lat.meet_of((x, y)) in keep, (text, tube)
 
 
 # Sandwiched removal -------------------------------------------------------------
