@@ -47,11 +47,8 @@ def _load_built(args):
     text = _read(args.input)
     if args.format == "dsl":
         return build(parse_dsl(text))
-    diagram = PlanarDiagram.from_json(text)
-    report = is_slim_rectangular(diagram)
-    if not report.ok:
-        raise PreconditionError(f"input is not slim rectangular: {report.failures}")
-    return reprovenance(diagram)
+    # reprovenance validates the diagram, and raises PreconditionError
+    return reprovenance(PlanarDiagram.from_json(text))
 
 
 def _load_diagram(args):

@@ -8,7 +8,8 @@ trajectories, neon tubes, mirroring and canonical codes all live here.
 
 A diagram computes its cells, boundary chains, corners, boundary heights
 and neon tubes once, on first use (an embedding hands over the heights it
-derived); a failure is not cached and is raised again on the next call.  Nothing is cached per edge:
+derived), and keeps the lamp data the lamps module derives; a failure is
+not cached and is raised again on the next call.  Nothing is cached per edge:
 trajectories are walked afresh through the cell side maps, and one walk
 gives a trajectory both its edges and the cells it crosses.
 """
@@ -73,6 +74,9 @@ class PlanarDiagram:
         self._corners = None
         self._heights = None
         self._tubes = None
+        # lamp list and lamp order, filled by the lamps module; a mirror derives its own
+        self._lamps = None
+        self._lamp_order = None
 
     @property
     def n(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .diagram import Edge, cell_address, resolve_address
 from .errors import InternalInconsistencyError, PreconditionError
-from .lamps import lamp_poset, lamps_of_diagram
+from .lamps import lamp_poset, lamps_of_diagram, tube_lamp
 from .multifork import extend_by_step, grid, multifork_extend
 from .order import poset_double, poset_iso
 
@@ -50,25 +50,13 @@ def _lamps_by_id(pl):
     return {_lamp_id(pl, l): l for l in lamps_of_diagram(pl.diagram)}
 
 
-def _tube_lamp_of_edge(pl, edge):
-    d = pl.diagram
-    traj = d.trajectory_through(edge)
-    tube = traj.tube
-    for l in lamps_of_diagram(d):
-        for i, e in enumerate(l.tubes):
-            if e == tube:
-                return l, i
-    raise InternalInconsistencyError("trajectory top edge is not a neon tube")
-
-
 def locate_retarget(stage_pl, address):
     """Identify the flanking tubes of the cell at `address` in a stage
     lattice, as (lamp id, tube index) pairs for the two upper edges."""
     d = stage_pl.diagram
     cell = resolve_address(d, address)
-    ul, ur = Edge(cell.left, cell.top), Edge(cell.right, cell.top)
-    lamp_u, alpha = _tube_lamp_of_edge(stage_pl, ul)
-    lamp_v, beta = _tube_lamp_of_edge(stage_pl, ur)
+    lamp_u, alpha = tube_lamp(d, d.trajectory_through(Edge(cell.left, cell.top)).tube)
+    lamp_v, beta = tube_lamp(d, d.trajectory_through(Edge(cell.right, cell.top)).tube)
     return RetargetRecord(
         _lamp_id(stage_pl, lamp_u), alpha, _lamp_id(stage_pl, lamp_v), beta
     )

@@ -2,8 +2,9 @@
 
 Depth-first generation over grids and multifork extensions, deduplicated
 by canonical diagram codes (which already fold in the mirror image).
-Search states are pruned on (code, remaining budget): two isomorphic
-lattices with equal budget extend to the same set of lattices.
+A state is expanded only the first time its code is seen: the code fixes
+the length, so the remaining budget, and the fork count, and two
+isomorphic lattices extend to the same set of lattices.
 
 Realizability rests on two lamp facts (Czedli, "Lamps in slim rectangular
 planar semimodular lattices", Acta Sci. Math. 2021): every multifork adds
@@ -70,25 +71,26 @@ def _enumerate(max_len, boundary=None, max_forks=None):
     With `boundary`, only grids with p + q == boundary are searched; with
     `max_forks`, no sequence grows past that many forks.  Both the
     boundary lamp count and the lamp count are isomorphism invariants, so
-    the (code, remaining) dedupe never meets a state these cuts removed,
-    and the entries that survive keep their witnesses and their order.
+    the dedupe on codes never meets a state these cuts removed, and the
+    entries that survive keep their witnesses and their order.
     """
     found = {}
-    visited = set()
 
     def record(pl):
+        """Whether pl is the first lattice with its code."""
         code = pl.canonical_code()
         bucket = found.setdefault(pl.length(), {})
-        if code not in bucket:
-            bucket[code] = EnumEntry(code, pl.seq, pl)
-        return code
+        if code in bucket:
+            return False
+        bucket[code] = EnumEntry(code, pl.seq, pl)
+        return True
 
     def dfs(pl):
-        code = record(pl)
-        remaining = max_len - pl.length()
-        if remaining < 1 or len(pl.seq.steps) == max_forks or (code, remaining) in visited:
+        if not record(pl):
             return
-        visited.add((code, remaining))
+        remaining = max_len - pl.length()
+        if remaining < 1 or len(pl.seq.steps) == max_forks:
+            return
         for addr in _distributive_cells(pl):
             for k in range(1, remaining + 1):
                 dfs(multifork_extend(pl, addr, k))

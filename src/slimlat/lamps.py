@@ -4,7 +4,9 @@ A lamp is a boundary neon tube, or the interval from the meet of the feet
 of all internal neon tubes sharing a peak up to that peak.  Diagram-level
 functions need only a PlanarDiagram; territory-based functions (usage)
 also need the provenance carried by a built lattice (cell forest and
-per-tube territory records).
+per-tube territory records).  Each diagram keeps its lamp list, with the
+map from each neon tube to its (lamp, index), and its lamp order (lamps,
+lt, poset), each derived at most once, on first use, by this module alone.
 """
 
 from __future__ import annotations
@@ -27,6 +29,19 @@ class Lamp:
 
 def lamps_of_diagram(d):
     """All lamps of a diagram, keyed by foot; boundary lamps first."""
+    return _lamp_list(d)[0]
+
+
+def tube_lamp(d, tube):
+    """(lamp, index of the tube among the lamp's tubes) of a neon tube of d."""
+    return _lamp_list(d)[1][(tube.foot, tube.peak)]
+
+
+def _lamp_list(d):
+    """(lamps, tube map) of d, derived on first use: the map sends each
+    neon tube's (foot, peak) to its (lamp, index)."""
+    if d._lamps is not None:
+        return d._lamps
     boundary, internal = d.neon_tubes()
     lat = d.lattice
     lc, rc = d.corners()
@@ -44,7 +59,9 @@ def lamps_of_diagram(d):
         tubes.sort(key=lambda e: pos[e.foot])
         foot = lat.meet_of(e.foot for e in tubes)
         out.append(Lamp("internal", foot, peak, tuple(tubes)))
-    return tuple(out)
+    tmap = {(e.foot, e.peak): (l, i) for l in out for i, e in enumerate(l.tubes)}
+    d._lamps = (tuple(out), tmap)
+    return d._lamps
 
 
 def _diagram_of(obj):
@@ -54,10 +71,6 @@ def _diagram_of(obj):
 def lamps(obj):
     """Lamps of a built lattice or a bare diagram."""
     return lamps_of_diagram(_diagram_of(obj))
-
-
-def _tube_to_lamp(lamps):
-    return {(e.foot, e.peak): l for l in lamps for e in l.tubes}
 
 
 def circ_r(obj, lamp):
@@ -81,18 +94,11 @@ def circ_r(obj, lamp):
 def nwl_nel(d, lamp):
     """Lamps owning the trajectories through the upper-left and upper-right
     edges of the circumscribed rectangle of an internal lamp."""
-    return _nwl_nel(d, lamp, _tube_to_lamp(lamps_of_diagram(d)))
-
-
-def _nwl_nel(d, lamp, tmap):
     if lamp.kind != "internal":
         raise PreconditionError("nwl/nel are defined for internal lamps")
     lowers = d.lower[lamp.peak]
-    out = []
-    for e in (Edge(lowers[0], lamp.peak), Edge(lowers[-1], lamp.peak)):
-        tube = d.trajectory_through(e).tube
-        out.append(tmap[(tube.foot, tube.peak)])
-    return out[0], out[1]
+    return tuple(tube_lamp(d, d.trajectory_through(Edge(x, lamp.peak)).tube)[0]
+                 for x in (lowers[0], lowers[-1]))
 
 
 def lamp_poset(obj):
@@ -107,21 +113,23 @@ def lamp_poset(obj):
     tests/oracles.py.
     """
     d = _diagram_of(obj)
+    if d._lamp_order is not None:
+        return d._lamp_order
     lamps = lamps_of_diagram(d)
-    tmap = _tube_to_lamp(lamps)
     idx = {l.foot: i for i, l in enumerate(lamps)}
     poset = Poset.from_relation(len(lamps), {
         (idx[u.foot], idx[v.foot])
         for u in lamps
         if u.kind == "internal"
-        for v in _nwl_nel(d, u, tmap)
+        for v in nwl_nel(d, u)
         if v.foot != u.foot
     })
     lt = frozenset(
         (lamps[i].foot, lamps[j].foot) for i in range(poset.n) for j in range(poset.n)
         if poset.lt(i, j)
     )
-    return lamps, lt, poset
+    d._lamp_order = (lamps, lt, poset)
+    return d._lamp_order
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +170,6 @@ def verify_lamp_con_iso(pl):
     congruence in the independently computed list.
     """
     lamps, lt, _ = lamp_poset(pl)
-    return _verify_lamp_con_iso(pl, lamps, lt)
-
-
-def _verify_lamp_con_iso(pl, lamps, lt):
     cl = congruence_lattice(pl.lattice)
     if len(lamps) != len(cl.jir_congs):
         return False, None
@@ -218,18 +222,16 @@ def is_used(pl, tube):
     Self-check: every such lamp lies below the tube's lamp in the lamp
     order, else InternalInconsistencyError.
     """
-    lamps, lt, _ = lamp_poset(pl)
-    return _is_used(pl, tube, _tube_to_lamp(lamps)[(tube.foot, tube.peak)], lamps, lt)
-
-
-def _is_used(pl, tube, owner, lamps, lt):
     targets = frozenset(_essential_nodes(pl, tube))
     if not targets:
         return False
+    owner, _ = tube_lamp(pl.diagram, tube)
+    lamps, lt, _ = lamp_poset(pl)
     for i_lamp in lamps:
         if i_lamp.kind != "internal" or i_lamp.foot == owner.foot:
             continue
-        _, origin = circ_r(pl, i_lamp)
+        # the cell at which i_lamp's multifork was performed
+        origin = pl.step_origin[pl.lamp_step_by_peak[i_lamp.peak]]
         if _node_is_desc_or_eq(pl, origin, targets):
             if (i_lamp.foot, owner.foot) not in lt:
                 raise InternalInconsistencyError(
@@ -240,26 +242,19 @@ def _is_used(pl, tube, owner, lamps, lt):
 
 
 def usage_stats(pl):
-    lamps, lt, _ = lamp_poset(pl)
-    return _usage_stats(pl, lamps, lt)
-
-
-def _usage_stats(pl, lamps, lt):
     patterns = {}
-    for l in lamps:
+    for l in lamps_of_diagram(pl.diagram):
         if l.kind != "internal":
             continue
-        patterns[l.foot] = "".join(
-            "u" if _is_used(pl, tube, l, lamps, lt) else "0" for tube in l.tubes
-        )
+        patterns[l.foot] = "".join("u" if is_used(pl, tube) else "0" for tube in l.tubes)
     return UsageStats(patterns)
 
 
 def lamp_report(pl):
     """JSON-ready lamp summary: lamps, poset covers, iso witness, patterns."""
-    lamps, lt, poset = lamp_poset(pl)
-    stats = _usage_stats(pl, lamps, lt)
-    ok, witness = _verify_lamp_con_iso(pl, lamps, lt)
+    lamps, _, poset = lamp_poset(pl)
+    stats = usage_stats(pl)
+    ok, witness = verify_lamp_con_iso(pl)
     return {
         "lamps": [
             {

@@ -144,20 +144,18 @@ def grid(p, q):
     for c in d.four_cells():
         leaf[c.bottom] = len(forest)
         forest.append(ForestNode((c.bottom, c.left, c.right, c.top), 0, None))
-    pl = ProvenancedLattice(
-        d, MultiforkSequence(p, q, ()), tuple(forest), leaf, {}, {}, {}, coords
-    )
     records = {}
     boundary, _ = d.neon_tubes()
-    lc, rc = d.corners()
+    lc, _ = d.corners()
     for e in boundary:
         nodes = tuple(leaf[c.bottom] for c in d.trajectory_through(e).cells)
         side = "L" if lat.leq(lc, e.foot) else "R"
         leot = () if side == "L" else nodes
         reot = nodes if side == "L" else ()
         records[(e.foot, e.peak)] = TubeRecord("boundary", side, 0, nodes, leot, reot)
-    pl.tube_records = records
-    return pl
+    return ProvenancedLattice(
+        d, MultiforkSequence(p, q, ()), tuple(forest), leaf, records, {}, {}, coords
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +368,25 @@ def decompose(diagram_or_pl):
     return reprovenance(diagram_or_pl).seq
 
 
+def _delete_forks(d, tubes):
+    """(sub-diagram, old id -> new id) left when the forks of the given
+    internal neon tubes are deleted from d: the order restricted to the
+    rest, re-embedded with the same left corner and validated.  Raises
+    DiagramError or OrderError naming the failure."""
+    lat = d.lattice
+    removed = set()
+    for tube in tubes:
+        removed |= fork_interval(d, tube.foot)
+    sublat, old_ids = lat.sublattice(sorted(set(range(lat.n)) - removed))
+    idx = {old: new for new, old in enumerate(old_ids)}
+    # an internal tube's fork lies off the upper left boundary, so lc is kept
+    subd = embed_rectangular(sublat, lcorner=idx[d.corners()[0]])
+    report = is_slim_rectangular(subd)
+    if not report.ok:
+        raise DiagramError(f"validation failed: {report.failures}")
+    return subd, idx
+
+
 def reprovenance(diagram):
     """A fresh built lattice isomorphic to the given diagram: build of its
     decomposition, which the decomposition has already folded."""
@@ -396,7 +413,6 @@ def _decompose(d, memo):
     code = d.canonical_code()
     if code in memo:
         return memo[code]
-    lat = d.lattice
     _, internal = d.neon_tubes()
     if not internal:
         p, q = _grid_dims(d)
@@ -407,21 +423,13 @@ def _decompose(d, memo):
     # internal lamps iff it is minimal in the lamp poset
     lamps, _, poset = lamp_poset(d)
     minimal = [lamps[i] for i in poset.minimal_elements() if lamps[i].kind == "internal"]
-    lc, _ = d.corners()
 
     for cand in sorted(minimal, key=lambda l: l.foot):
-        removed = set()
-        for tube in cand.tubes:
-            removed |= fork_interval(d, tube.foot)
-        keep = sorted(set(range(lat.n)) - removed)
         try:
-            sublat, old_ids = lat.sublattice(keep)
-            idx = {old: new for new, old in enumerate(old_ids)}
-            subd = embed_rectangular(sublat, lcorner=idx[lc])
-        except (OrderError, DiagramError, KeyError):
+            subd, idx = _delete_forks(d, cand.tubes)
+        except (OrderError, DiagramError):
             continue
-        if not is_slim_rectangular(subd).ok:
-            continue
+        sublat = subd.lattice
         peak2 = idx.get(cand.peak)
         if peak2 is None:
             continue

@@ -337,8 +337,9 @@ class FiniteLattice:
             if len(rows) == 1:
                 row = list(rows[0])
             elif len(rows) == 2:
-                # slim lattices have at most two covers per element; this
-                # case spares them a least() call per entry
+                # slim lattices have at most two upper covers per element,
+                # but a k-fold fork's peak has k + 2 lower covers; this
+                # case spares the others a least() call per entry
                 row = [a if table[a][b] == b else b if table[b][a] == a else None
                        for a, b in zip(*rows)]
             elif rows:

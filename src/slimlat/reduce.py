@@ -3,7 +3,8 @@
 Two removal rules on an internal lamp's neon tubes: a used tube whose two
 neighbors are unused (the sandwiched rule), and two adjacent unused tubes
 (the neighboring rule).  Each removal deletes the fork of one tube,
-restricts the order, rebuilds the diagram and re-derives provenance.
+restricts the order, rebuilds and validates the diagram once, and
+re-derives provenance by decomposing it.
 `minimize` drives the rules to a fixpoint; `check_bounds` evaluates the
 length and size bounds.
 """
@@ -20,14 +21,13 @@ from .errors import (
     PreconditionError,
 )
 from .lamps import (
-    _is_used,
-    fork_interval,
+    is_used,
     lamp_creation_step,
     lamp_poset,
     lamps_of_diagram,
     usage_stats,
 )
-from .multifork import reprovenance
+from .multifork import _decompose, _delete_forks
 from .order import congruence_lattice, poset_iso
 
 
@@ -71,25 +71,15 @@ def _con_isomorphic(lat_a, lat_b):
     )
 
 
-def _remove_fork(pl, lamp, tube, rule, old_lt):
-    """Core removal: delete F(tube), restrict, validate, check guarantees.
-
-    old_lt is the strict lamp order of pl, as lamp_poset derives it.
-    """
+def _remove_fork(pl, lamp, tube, rule):
+    """Core removal: delete F(tube), restrict, validate, check guarantees."""
     d = pl.diagram
     lat = d.lattice
-    removed = fork_interval(d, tube.foot)
-    keep = sorted(set(range(lat.n)) - removed)
-    lc, _ = d.corners()
     try:
-        sublat, old_ids = lat.sublattice(keep)
-        idx = {old: new for new, old in enumerate(old_ids)}
-        subd = embed_rectangular(sublat, lcorner=idx[lc])
-    except (OrderError, DiagramError, KeyError) as e:
+        subd, idx = _delete_forks(d, (tube,))
+    except (OrderError, DiagramError) as e:
         raise InternalInconsistencyError(f"removal produced an invalid lattice: {e}")
-    report = is_slim_rectangular(subd)
-    if not report.ok:
-        raise InternalInconsistencyError(f"removal validation failed: {report.failures}")
+    sublat = subd.lattice
     if not (sublat.n < lat.n and subd.antube() == d.antube() - 1):
         raise InternalInconsistencyError("removal did not shrink size and tube count by 1")
 
@@ -140,15 +130,18 @@ def _remove_fork(pl, lamp, tube, rule, old_lt):
                     f"lamp with foot {foot} was re-peaked against the join rule"
                 )
         phi[foot] = img.foot
+    _, lt, _ = lamp_poset(pl)
     _, new_lt, _ = lamp_poset(subd)
-    if {(phi[a], phi[b]) for a, b in old_lt} != new_lt:
+    if {(phi[a], phi[b]) for a, b in lt} != new_lt:
         raise InternalInconsistencyError("lamp poset changed under the removal")
 
     con_ok = _con_isomorphic(lat, sublat)
     if not con_ok:
         raise InternalInconsistencyError("congruence lattice changed under the removal")
 
-    new_pl = reprovenance(subd)
+    new_pl = _decompose(subd, {})
+    if new_pl is None:
+        raise InternalInconsistencyError("no multifork decomposition found")
     step = ReductionStep(
         rule,
         lamp.foot,
@@ -164,8 +157,7 @@ def _remove_fork(pl, lamp, tube, rule, old_lt):
 
 def remove_sandwiched(pl, lamp_foot, tube):
     """Remove a used tube sandwiched between two unused tubes of its lamp."""
-    lamps, lt, _ = lamp_poset(pl)
-    lamp = _lamp_with_foot(lamps, lamp_foot)
+    lamp = _lamp_with_foot(lamps_of_diagram(pl.diagram), lamp_foot)
     if lamp.kind != "internal":
         raise PreconditionError("sandwiched removal needs an internal lamp")
     tubes = list(lamp.tubes)
@@ -175,13 +167,13 @@ def remove_sandwiched(pl, lamp_foot, tube):
     if i == 0 or i == len(tubes) - 1:
         raise PreconditionError("tube has no neighbor on one side")
     n1, n2 = tubes[i - 1], tubes[i + 1]
-    if not _is_used(pl, tube, lamp, lamps, lt):
+    if not is_used(pl, tube):
         raise PreconditionError("the middle tube's territory is not used")
-    if _is_used(pl, n1, lamp, lamps, lt):
+    if is_used(pl, n1):
         raise PreconditionError("left neighbor's territory is used")
-    if _is_used(pl, n2, lamp, lamps, lt):
+    if is_used(pl, n2):
         raise PreconditionError("right neighbor's territory is used")
-    return _remove_fork(pl, lamp, tube, "sandwiched", lt)
+    return _remove_fork(pl, lamp, tube, "sandwiched")
 
 
 def remove_neighboring(pl, lamp_foot, n1, n2):
@@ -191,8 +183,7 @@ def remove_neighboring(pl, lamp_foot, n1, n2):
     the mirrored application; the deleted element set is mirror-invariant,
     so a single code path serves both orientations.
     """
-    lamps, lt, _ = lamp_poset(pl)
-    lamp = _lamp_with_foot(lamps, lamp_foot)
+    lamp = _lamp_with_foot(lamps_of_diagram(pl.diagram), lamp_foot)
     if lamp.kind != "internal":
         raise PreconditionError("neighboring removal needs an internal lamp")
     tubes = list(lamp.tubes)
@@ -200,9 +191,9 @@ def remove_neighboring(pl, lamp_foot, n1, n2):
         raise PreconditionError("tubes do not belong to the lamp")
     if abs(tubes.index(n1) - tubes.index(n2)) != 1:
         raise PreconditionError("tubes are not adjacent")
-    if _is_used(pl, n1, lamp, lamps, lt) or _is_used(pl, n2, lamp, lamps, lt):
+    if is_used(pl, n1) or is_used(pl, n2):
         raise PreconditionError("a tube of the pair has a used territory")
-    return _remove_fork(pl, lamp, n2, "neighboring", lt)
+    return _remove_fork(pl, lamp, n2, "neighboring")
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ import pytest
 from slimlat.dsl import parse_dsl
 from slimlat.errors import PreconditionError
 from slimlat.lamps import (
-    _verify_lamp_con_iso,
     circ_r,
     fork_interval,
     lamp_poset,
     lamp_report,
     lamps_of_diagram,
     nwl_nel,
+    tube_lamp,
     usage_stats,
     verify_lamp_con_iso,
 )
@@ -206,6 +206,28 @@ def test_diagram_lamp_order_matches_rho_order():
         assert lamp_poset(entry.pl)[1] == rho_order(entry.pl)[0], entry.seq
 
 
+def test_lamp_data_is_derived_once_per_diagram():
+    d = build(parse_dsl("grid 1 1\nfork 0 0 3\nfork 2 0 1")).diagram
+    lamps, lt, _ = lamp_poset(d)
+    m = d.mirror()
+    for diagram in (d, m):
+        assert lamp_poset(diagram) is lamp_poset(diagram)
+        assert lamps_of_diagram(diagram) is lamps_of_diagram(diagram)
+        assert lamp_poset(diagram)[0] is lamps_of_diagram(diagram)
+    # the mirror derives its own: same lamps and order, tubes reversed and
+    # boundary sides swapped
+    swap = {"L": "R", "R": "L", None: None}
+    mirrored = {l.foot: l for l in lamps_of_diagram(m)}
+    assert lamp_poset(m)[1] == lt and len(mirrored) == len(lamps)
+    for l in lamps:
+        ml = mirrored[l.foot]
+        assert (ml.kind, ml.peak, ml.side) == (l.kind, l.peak, swap[l.side])
+        assert ml.tubes == l.tubes[::-1]
+        for i, tube in enumerate(l.tubes):
+            assert tube_lamp(d, tube) == (l, i)
+            assert tube_lamp(m, tube) == (ml, len(l.tubes) - 1 - i)
+
+
 # Lamp-congruence isomorphism --------------------------------------------------------
 
 def test_lamp_con_iso_s7():
@@ -228,17 +250,23 @@ def test_lamp_con_iso_various():
         assert ok, text
 
 
-def test_lamp_con_iso_rejects_a_dropped_or_added_order_pair():
+def test_lamp_con_iso_rejects_a_dropped_or_added_order_pair(monkeypatch):
     pl = build(parse_dsl("grid 1 1\nfork 0 0 3\nfork 2 0 1"))
-    lamps, lt, _ = lamp_poset(pl)
-    assert _verify_lamp_con_iso(pl, lamps, lt)[0]
+    lamps, lt, poset = lamp_poset(pl)
+    assert verify_lamp_con_iso(pl)[0]
     feet = [l.foot for l in lamps]
     absent = [(a, b) for a in feet for b in feet if a != b and (a, b) not in lt]
     assert lt and absent
+
+    def with_order(order):
+        monkeypatch.setattr(sys.modules["slimlat.lamps"], "lamp_poset",
+                            lambda obj: (lamps, order, poset))
+        return verify_lamp_con_iso(pl)
+
     for pair in lt:
-        assert _verify_lamp_con_iso(pl, lamps, lt - {pair}) == (False, None), pair
+        assert with_order(lt - {pair}) == (False, None), pair
     for pair in absent:
-        assert _verify_lamp_con_iso(pl, lamps, lt | {pair}) == (False, None), pair
+        assert with_order(lt | {pair}) == (False, None), pair
 
 
 def test_lamp_report_flags_a_wrong_lamp_order(monkeypatch):

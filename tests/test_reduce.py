@@ -145,6 +145,23 @@ def test_minimize_terminates_and_preserves_con():
         assert is_reduction_fixpoint(fixed)
 
 
+def test_minimize_validates_each_diagram_once(monkeypatch):
+    import sys
+    validated = []     # the diagrams themselves, so that no id is reused
+
+    def counting(obj):
+        validated.append(obj)
+        return is_slim_rectangular(obj)
+
+    for name in ("slimlat.multifork", "slimlat.reduce"):
+        monkeypatch.setattr(sys.modules[name], "is_slim_rectangular", counting)
+    removals = 0
+    for text in [SANDWICH, "grid 1 1\nfork 0 0 4", "grid 2 1\nfork 1 0 2\nfork 0 0 2"]:
+        removals += len(minimize(build(parse_dsl(text)))[1])
+    assert removals >= 5
+    assert len({id(d) for d in validated}) == len(validated)
+
+
 def test_fixpoint_minimal_lamps_have_one_tube():
     from slimlat.lamps import lamp_poset
     for text in [SANDWICH, "grid 1 1\nfork 0 0 4", "grid 2 2\nfork 1 1 3"]:
