@@ -87,7 +87,9 @@ def cmd_con(args):
             sorted(sorted(b) for b in c.blocks()) for c in cl.jir_congs
         ],
     }
-    _write(args, json.dumps(out, indent=2, sort_keys=True) + "\n")
+    # compact: the blocks are O(|J| * n) numbers, and indent=2 would force
+    # the pure-Python encoder
+    _write(args, json.dumps(out, separators=(",", ":"), sort_keys=True) + "\n")
     return 0
 
 

@@ -8,10 +8,11 @@ trajectories, neon tubes, mirroring and canonical codes all live here.
 
 A diagram computes its cells, boundary chains, corners, boundary heights
 and neon tubes once, on first use (an embedding hands over the heights it
-derived), and keeps the lamp data the lamps module derives; a failure is
-not cached and is raised again on the next call.  Nothing is cached per edge:
-trajectories are walked afresh through the cell side maps, and one walk
-gives a trajectory both its edges and the cells it crosses.
+used, which for a built lattice are those that certified it), and keeps
+the lamp data the lamps module derives; a failure is not cached and is
+raised again on the next call.  Nothing is cached per edge: trajectories
+are walked afresh through the cell side maps, and one walk gives a
+trajectory both its edges and the cells it crosses.
 """
 
 from __future__ import annotations
@@ -19,8 +20,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DiagramError
-from .order import json_int_lists, json_object, json_poset, lattice_from_poset
+from .errors import DiagramError, OrderError
+from .order import (
+    _corner_coordinates,
+    json_int_lists,
+    json_object,
+    json_poset,
+    lattice_from_poset,
+)
 
 
 @dataclass(frozen=True)
@@ -132,7 +139,7 @@ class PlanarDiagram:
         """boundary_heights at the corners: (hl, hr, lchain, rchain)."""
         if self._heights is None:
             lc, rc = self.corners()
-            self._heights = boundary_heights(self.lattice, lc, rc)
+            self._heights = _heights(self.lattice, lc, rc)
         return self._heights
 
     def l_proj(self, x):
@@ -336,24 +343,26 @@ def canonical_code(diagram):
 # ---------------------------------------------------------------------------
 
 def boundary_heights(lat, lcorner, rcorner):
-    """Per element, (height of meet with lcorner, height of meet with rcorner).
+    """Per element, (height of meet with lcorner, height of meet with rcorner),
+    then the two corner chains: (hl, hr, lchain, rchain).
 
     These pairs embed a slim rectangular lattice into a grid; the planar
     cover order is recovered by sorting covers on the left height.  As the
     corner ideals are chains, x ^ lc = lchain[hl(x)], hl(x) = |ideal(x) & ideal(lc)| - 1.
+    DiagramError unless the corner ideals are chains and every x is the
+    join of lchain[hl(x)] and rchain[hr(x)].  A built lattice passed this
+    test when it was certified, so only foreign lattices run it (_heights).
     """
-    lchain = sorted(lat.ideal(lcorner), key=lat.ideal_size)
-    rchain = sorted(lat.ideal(rcorner), key=lat.ideal_size)
-    for chain in (lchain, rchain):
-        for a, b in zip(chain, chain[1:]):
-            if not lat.leq(a, b):
-                raise DiagramError("corner ideal is not a chain")
-    hl = tuple(lat.shared_ideal_size(x, lcorner) - 1 for x in range(lat.n))
-    hr = tuple(lat.shared_ideal_size(x, rcorner) - 1 for x in range(lat.n))
-    for x in range(lat.n):
-        if not lat.is_join(lchain[hl[x]], rchain[hr[x]], x):
-            raise DiagramError(f"element {x} is not the join of its two projections")
-    return hl, hr, tuple(lchain), tuple(rchain)
+    try:
+        return _corner_coordinates(lat.poset, lcorner, rcorner)
+    except OrderError as e:
+        raise DiagramError(str(e)) from None
+
+
+def _heights(lat, lcorner, rcorner):
+    """boundary_heights, read off the corner coordinates that certified a
+    built lattice (order._CornerLattice), in either orientation."""
+    return lat._coords.get((lcorner, rcorner)) or boundary_heights(lat, lcorner, rcorner)
 
 
 def embed_rectangular(lat, lcorner=None):
@@ -373,7 +382,7 @@ def embed_rectangular(lat, lcorner=None):
     rcorner = di[0] if di[1] == lcorner else di[1]
     if not lat.is_meet(lcorner, rcorner, lat.bottom) or not lat.is_join(lcorner, rcorner, lat.top):
         raise DiagramError("corners are not complements")
-    heights = boundary_heights(lat, lcorner, rcorner)
+    heights = _heights(lat, lcorner, rcorner)
     hl = heights[0]
     upper, lower = [], []
     for u in range(lat.n):

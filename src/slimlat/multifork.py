@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
 )
 from .lamps import fork_interval, lamp_poset
-from .order import MAX_ELEMENTS, FiniteLattice, Poset, is_distributive_ideal_grid
+from .order import MAX_ELEMENTS, Poset, _CornerLattice, is_distributive_ideal_grid
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def grid(p, q):
                 covers.add((eid(i, j), eid(i + 1, j)))
             if j < q:
                 covers.add((eid(i, j), eid(i, j + 1)))
-    lat = FiniteLattice(Poset((p + 1) * (q + 1), covers))
+    lat = _CornerLattice(Poset((p + 1) * (q + 1), covers), eid(p, 0), eid(0, q))
     d = embed_rectangular(lat, lcorner=eid(p, 0))
     coords = {
         eid(i, j): (Fraction(j - i), Fraction(i + j))
@@ -240,8 +240,8 @@ def multifork_extend(pl, address, k):
             covers.add((lower, upper))
 
     try:
-        lat2 = FiniteLattice(Poset(total, covers))
-        lc, _ = d.corners()
+        lc, rc = d.corners()
+        lat2 = _CornerLattice(Poset(total, covers), lc, rc)
         d2 = embed_rectangular(lat2, lcorner=lc)
     except (OrderError, DiagramError) as e:
         raise InternalInconsistencyError(f"extension produced an invalid lattice: {e}")
@@ -371,16 +371,18 @@ def decompose(diagram_or_pl):
 def _delete_forks(d, tubes):
     """(sub-diagram, old id -> new id) left when the forks of the given
     internal neon tubes are deleted from d: the order restricted to the
-    rest, re-embedded with the same left corner and validated.  Raises
+    rest, certified at the same corners, embedded and validated.  Raises
     DiagramError or OrderError naming the failure."""
     lat = d.lattice
     removed = set()
     for tube in tubes:
         removed |= fork_interval(d, tube.foot)
-    sublat, old_ids = lat.sublattice(sorted(set(range(lat.n)) - removed))
+    sub, old_ids = lat.poset.restrict(set(range(lat.n)) - removed)
     idx = {old: new for new, old in enumerate(old_ids)}
-    # an internal tube's fork lies off the upper left boundary, so lc is kept
-    subd = embed_rectangular(sublat, lcorner=idx[d.corners()[0]])
+    # the fork lies below an internal foot, which lies above neither corner
+    # (what does is on an upper boundary), so both corners are kept
+    lc, rc = (idx[c] for c in d.corners())
+    subd = embed_rectangular(_CornerLattice(sub, lc, rc), lcorner=lc)
     report = is_slim_rectangular(subd)
     if not report.ok:
         raise DiagramError(f"validation failed: {report.failures}")

@@ -5,7 +5,7 @@ construction; derived data (heights, irreducibles) is computed on first
 use and cached on the object.  Sets of elements are int bitmasks, bit y
 for y: `Poset.up[x]` holds the y >= x, `Poset.down[x]` the y <= x.  A
 FiniteLattice keeps no table; other modules get elements, not masks, from
-its point queries.  Six textbook facts keep the kernels below cubic cost:
+its point queries.  Seven textbook facts keep the kernels below cubic cost:
 
 - Meet tables are filled from the bottom up.  If y is not above x, every
   lower bound of x and y lies below some lower cover c of x, so x ^ y is
@@ -13,7 +13,28 @@ its point queries.  Six textbook facts keep the kernels below cubic cost:
   the others.  Join tables are the dual.
 - A finite poset with a top in which every pair has a meet is a lattice
   (Graetzer, Lattice Theory: Foundation, 2011, ch. I), so filling the meet
-  table certifies one; the table is then dropped.
+  table certifies foreign input; the table is then dropped.
+- A built lattice is certified by its corner coordinates instead, with no
+  table: Graetzer and Knapp (Acta Sci. Math. 75, 2009) place a slim
+  rectangular lattice in the grid of its boundary heights.  Let the ideals
+  of lc and rc be chains lchain and rchain, and let x sit at the point
+  (hl(x), hr(x)) = (|ideal(x) & ideal(lc)| - 1, |ideal(x) & ideal(rc)| - 1).
+  ideal(x) & ideal(lc) is the initial segment lchain[:hl(x) + 1], so
+  lchain[i] <= y iff i <= hl(y): up(lchain[i]) holds the points of left
+  height >= i.  If up(x) = up(lchain[hl(x)]) & up(rchain[hr(x)]) for
+  every x, then x <= y iff x's point is below y's coordinatewise, and no
+  two elements share a point.  If the points are also closed under the
+  coordinatewise minimum, the element at the minimum of x's and y's points
+  is below both and above every common lower bound, so it is x ^ y; with
+  the top, the poset is a lattice.  The up-set test says that x is the
+  join of lchain[hl(x)] and rchain[hr(x)], so the embedding's own join
+  test (diagram.boundary_heights) runs only on foreign lattices.  The
+  minimum test is one right-to-left sweep over the columns: every right
+  height that occurs right of column a, below the column's top point,
+  occurs in the column.  Both tests take O(n) mask operations.  In a
+  lattice ideal(x ^ y) = ideal(x) & ideal(y), so the minimum test holds
+  whenever the up-set test does; a slim rectangular lattice passes both
+  at its corners.
 - A lattice of finite length is (upper) semimodular iff it satisfies
   Birkhoff's covering condition: any two upper covers a, b of an element
   are both covered by a v b (Graetzer, Lattice Theory: Foundation, 2011,
@@ -40,8 +61,9 @@ The brute-force versions of these kernels (a cubic table search, a scan
 of all pairs for semimodularity, of all triples of J(L) for slimness, D
 from join rows, one closure per cover and a cubic distributivity scan of
 the rebuilt ideal) are kept in tests/ as reference implementations.  The
-closure helpers here (_closure and principal_congruence) serve only as
-test oracles; the rest of the closure oracles live in tests/oracles.py.
+closure helpers here (_tables, _closure and principal_congruence) serve
+only as test oracles; the rest of the closure oracles live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -55,10 +77,11 @@ from .errors import BudgetError, OrderError, ParseError
 # Largest element count accepted from any input, a JSON file or a DSL
 # construction: more than ten times the largest lattice the tests and the
 # benchmark build (n <= 171).  --allow-large does not lift it: the limit is
-# the transient n x n meet table that certifies every lattice while it is
-# built, and is dropped once it is filled.  `grid 43 44` (1,980 elements)
-# takes about 0.5 s to build and 0.1 s to report its lamps, at a peak of
-# 48 MB (Python 3.11).
+# the transient n x n meet table that certifies a lattice read from JSON,
+# and is dropped once it is filled.  A built lattice is certified by its
+# corner coordinates and fills no table: `grid 43 44` (1,980 elements)
+# takes about 0.04 s to build, at a peak of 23 MB, and 0.1 s more to report
+# its lamps, at a peak of 27 MB (Python 3.11).
 MAX_ELEMENTS = 2000
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -295,7 +318,12 @@ def order_from_covers(covers, n=None):
 # ---------------------------------------------------------------------------
 
 class FiniteLattice:
-    """A finite lattice: a bounded poset whose meet table fills; only its masks are kept."""
+    """A finite lattice: a bounded poset whose meet table fills (a built lattice
+    is certified by its corner coordinates instead); only its masks are kept."""
+
+    # (lcorner, rcorner) -> (hl, hr, lchain, rchain), both orientations of
+    # the corner coordinates that certified a built lattice; none here
+    _coords = {}
 
     def __init__(self, poset):
         self.poset = poset
@@ -312,8 +340,12 @@ class FiniteLattice:
         self.top = tops[0]
         self._jir = tuple(u for u in range(n) if len(poset.lower_covers(u)) == 1)
         self._mir = tuple(u for u in range(n) if len(poset.upper_covers(u)) == 1)
-        # the certificate: OrderError unless every pair has a meet
-        self._table(poset.down, poset.up, poset.lower_covers, poset._order)
+        self._certify()
+
+    def _certify(self):
+        """The certificate of foreign input: OrderError unless every pair has a meet."""
+        p = self.poset
+        self._table(p.down, p.up, p.lower_covers, p._order)
 
     def _table(self, cones, opposite, covers, order):
         """Meet table (cones = down-sets) or join table (cones = up-sets).
@@ -389,10 +421,6 @@ class FiniteLattice:
     def length(self):
         return self.poset.height()
 
-    def shared_ideal_size(self, a, b):
-        """The number of elements below both a and b, that is |ideal(a ^ b)|."""
-        return (self.poset.down[a] & self.poset.down[b]).bit_count()
-
     def meet_of(self, elems):
         """The greatest element below all of elems: its down-set is their common one."""
         return self._bound(elems, self.poset.down)
@@ -465,13 +493,62 @@ class FiniteLattice:
                         return False
         return True
 
-    def sublattice(self, elems):
-        """Induced lattice on a meet- and join-closed subset."""
-        sub, old_ids = self.poset.restrict(elems)
-        return FiniteLattice(sub), old_ids
-
     def __repr__(self):
         return f"FiniteLattice(n={self.n})"
+
+
+class _CornerLattice(FiniteLattice):
+    """A built lattice, certified by the coordinates of its two corners
+    (module docstring), which it keeps for the embedding."""
+
+    def __init__(self, poset, lcorner, rcorner):
+        self._corners = (lcorner, rcorner)
+        super().__init__(poset)
+
+    def _certify(self):
+        """OrderError unless the corner coordinates pass the up-set test and
+        are closed under the coordinatewise minimum."""
+        lc, rc = self._corners
+        hl, hr, lchain, rchain = _corner_coordinates(self.poset, lc, rc)
+        columns = [0] * len(lchain)  # column a: the right heights at left height a
+        for a, b in zip(hl, hr):
+            columns[a] |= 1 << b
+        right = 0  # the right heights of the columns right of a
+        for a in range(len(columns) - 1, -1, -1):
+            top = columns[a].bit_length() - 1
+            gap = right & ~columns[a] & ((1 << top) - 1)
+            if gap:
+                points = list(zip(hl, hr))
+                b = gap.bit_length() - 1
+                y = next(u for u, (i, j) in enumerate(points) if i > a and j == b)
+                raise OrderError(f"elements {points.index((a, top))} and {y} have no"
+                                 f" element at their coordinatewise minimum ({a},{b})")
+            right |= columns[a]
+        self._coords = {(lc, rc): (hl, hr, lchain, rchain),
+                        (rc, lc): (hr, hl, rchain, lchain)}
+
+
+def _corner_coordinates(poset, lcorner, rcorner):
+    """(hl, hr, lchain, rchain): the corner ideals listed upwards, and each
+    element's heights hl(x) = |ideal(x) & ideal(lcorner)| - 1 and hr(x).
+    OrderError unless both ideals are chains and each x has the up-set
+    up(lchain[hl(x)]) & up(rchain[hr(x)]), that is, x is their join."""
+    down, up = poset.down, poset.up
+    chains = []
+    for c in (lcorner, rcorner):
+        chain = tuple(sorted(_elements(down[c]), key=lambda u: down[u].bit_count()))
+        if any(not down[b] >> a & 1 for a, b in zip(chain, chain[1:])):
+            raise OrderError("corner ideal is not a chain")
+        chains.append(chain)
+    lchain, rchain = chains
+    hl = tuple((m & down[lcorner]).bit_count() - 1 for m in down)
+    hr = tuple((m & down[rcorner]).bit_count() - 1 for m in down)
+    lup = [up[u] for u in lchain]
+    rup = [up[u] for u in rchain]
+    for x, (a, b, m) in enumerate(zip(hl, hr, up)):
+        if lup[a] & rup[b] != m:
+            raise OrderError(f"element {x} is not the join of its two projections")
+    return hl, hr, lchain, rchain
 
 
 def lattice_from_poset(poset):
@@ -577,11 +654,16 @@ class Congruence:
         return self.block_count() == 1
 
 
-def _closure(lat, seed_pairs):
-    n = lat.n
+def _tables(lat):
+    """(meet, join) tables, filled by the recurrence that certifies foreign input."""
     p = lat.poset
-    meet = lat._table(p.down, p.up, p.lower_covers, p._order)
-    join = lat._table(p.up, p.down, p.upper_covers, p._order[::-1])
+    return (lat._table(p.down, p.up, p.lower_covers, p._order),
+            lat._table(p.up, p.down, p.upper_covers, p._order[::-1]))
+
+
+def _closure(meet, join, seed_pairs):
+    """The smallest congruence holding the seed pairs, from the meet and join tables."""
+    n = len(meet)
     parent = list(range(n))
 
     def find(x):
@@ -609,7 +691,7 @@ def _closure(lat, seed_pairs):
 
 def principal_congruence(lat, a, b):
     """Smallest congruence identifying a and b (fixpoint of compatibility)."""
-    return _closure(lat, [(a, b)])
+    return _closure(*_tables(lat), [(a, b)])
 
 
 @dataclass(frozen=True)

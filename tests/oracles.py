@@ -8,8 +8,8 @@ does not use.
 - Congruences by closure: joins of congruences, the compatibility laws and
   the join-irreducibility of listed congruences.  Production reads Con L
   off the join-dependency order on J(L) (`slimlat.order.congruence_lattice`).
-  `_closure` and `principal_congruence` stay in `slimlat.order`, where the
-  benchmark's span tracer wraps `principal_congruence` by name.
+  `_tables`, `_closure` and `principal_congruence` stay in `slimlat.order`,
+  where the benchmark's span tracer wraps `principal_congruence` by name.
 - The join-dependency relation D from whole rows of the join table.
   Production reads D off the arrow relations
   (`slimlat.order._dependencies`).
@@ -17,6 +17,9 @@ does not use.
   covering law and of all triples of join-irreducibles for an antichain.
   Production tests Birkhoff's covering condition and 2-colours the
   incomparability graph of J(L) (`slimlat.order.FiniteLattice`).
+- Induced sublattices, certified by the meet table as foreign input is.
+  Production deletes forks (`slimlat.multifork._delete_forks`) and
+  certifies what is left by its corner coordinates.
 - Up- and down-sets as frozensets, by a search along the covers from each
   element.  Production ORs bitmasks along a topological order
   (`slimlat.order.Poset`).
@@ -32,7 +35,9 @@ from slimlat.lamps import (
     lamps_of_diagram,
     nwl_nel,
 )
-from slimlat.order import Congruence, _closure
+# tables(lat): the (meet, join) tables from the recurrence that certifies
+# foreign input, which the tests check against the cubic reference tables
+from slimlat.order import Congruence, FiniteLattice, _closure, _tables as tables
 
 
 def covers_via_nwl_nel(d):
@@ -145,15 +150,14 @@ def congruence_join(lat, congs):
                 rep[bid] = x
     if not pairs:
         return Congruence.from_parent(list(range(lat.n)))
-    return _closure(lat, pairs)
+    return _closure(*tables(lat), pairs)
 
 
-def tables(lat):
-    """(meet, join) tables of a lattice from the recurrence that certifies
-    it, which the tests check against the cubic reference tables."""
-    p = lat.poset
-    return (lat._table(p.down, p.up, p.lower_covers, p._order),
-            lat._table(p.up, p.down, p.upper_covers, p._order[::-1]))
+def sublattice(lat, elems):
+    """(the lattice induced on elems, old ids by new id), certified by its
+    meet table, as foreign input is; OrderError if it is no lattice."""
+    sub, old_ids = lat.poset.restrict(elems)
+    return FiniteLattice(sub), old_ids
 
 
 def is_congruence(lat, cong):

@@ -33,6 +33,8 @@ from slimlat.multifork import decompose
 from slimlat.reduce import minimize
 from slimlat.render import render
 
+from oracles import sublattice
+
 GOLDEN = Path(__file__).with_name("golden.json")
 
 
@@ -53,7 +55,7 @@ def _deletion_failures(lat):
     out = []
     for x in range(lat.n):
         try:
-            sub, _ = lat.sublattice([u for u in range(lat.n) if u != x])
+            sub, _ = sublattice(lat, [u for u in range(lat.n) if u != x])
         except OrderError:
             continue
         out.append(is_slim_rectangular(sub).failures)

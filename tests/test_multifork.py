@@ -3,7 +3,8 @@ import pytest
 from slimlat.diagram import cell_address, is_slim_rectangular, resolve_address
 from slimlat.doubling import double
 from slimlat.dsl import emit_dsl, parse_dsl
-from slimlat.errors import ParseError, PreconditionError
+from slimlat.cli import main
+from slimlat.errors import ParseError, PreconditionError, SlimlatError
 from slimlat.explore import enumerate_index
 from slimlat.multifork import (
     ForkStep,
@@ -13,7 +14,8 @@ from slimlat.multifork import (
     grid,
     multifork_extend,
 )
-from slimlat.order import lattice_from_poset, order_from_covers, poset_iso
+from slimlat.order import FiniteLattice, lattice_from_poset, order_from_covers, poset_iso
+from slimlat.reduce import minimize
 
 from test_order import S7_COVERS
 
@@ -21,6 +23,42 @@ from test_order import S7_COVERS
 def s7_diagram():
     from slimlat.diagram import embed_rectangular
     return embed_rectangular(lattice_from_poset(order_from_covers(S7_COVERS)))
+
+
+# Certificates ----------------------------------------------------------------
+
+def test_only_foreign_input_fills_a_meet_table(monkeypatch, tmp_path, capsys):
+    """Building, minimizing and doubling the lattices of length <= 6 fill no
+    meet table: each step is certified by its corner coordinates.  A lattice
+    read from JSON is still certified by its table, and a non-lattice exits
+    1 with the table's one-line message."""
+    seqs = [e.pl.seq for e in enumerate_index(6).entries()]
+    filled = []
+    table = FiniteLattice._table
+
+    def counted(lat, *args):
+        filled.append(lat.n)
+        return table(lat, *args)
+
+    monkeypatch.setattr(FiniteLattice, "_table", counted)
+    for seq in seqs:
+        minimize(build(seq))
+        for t in range(1, len(seq.steps) + 1):
+            try:
+                double(seq, t)
+            except SlimlatError:
+                pass
+    assert filled == []
+
+    # 1 v 2 has the two minimal upper bounds 3 and 4
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 6, "covers": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 3], [2, 4],'
+                   ' [3, 5], [4, 5]], "upper_order": [[1, 2], [3, 4], [3, 4], [5], [5], []],'
+                   ' "lower_order": [[], [0], [0], [1, 2], [1, 2], [3, 4]]}')
+    assert main(["validate", "--input", str(bad), "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no glb for pair (") and err.count("\n") == 1
+    assert filled == [6]
 
 
 # Grid ------------------------------------------------------------------------

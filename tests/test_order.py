@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from slimlat.diagram import is_slim_rectangular
-from slimlat.errors import OrderError
+from slimlat import multifork
+from slimlat.diagram import boundary_heights, embed_rectangular, is_slim_rectangular
+from slimlat.errors import DiagramError, OrderError
 from slimlat.explore import enumerate_index
+from slimlat.lamps import fork_interval, lamps_of_diagram
 from slimlat.order import (
     Congruence,
     CongruenceLattice,
@@ -18,6 +20,9 @@ from slimlat.order import (
     poset_double,
     poset_iso,
     principal_congruence,
+    _closure,
+    _corner_coordinates,
+    _CornerLattice,
     _dependencies,
     _elements,
 )
@@ -122,7 +127,6 @@ def test_lattice_from_grid_poset():
     assert lat.meet_of((1, 2)) == 0
     assert lat.is_join(1, 2, 3) and lat.is_meet(1, 2, 0)
     assert not lat.is_join(1, 2, 2) and not lat.is_meet(1, 2, 1)
-    assert lat.shared_ideal_size(1, 2) == 1 and lat.shared_ideal_size(3, 2) == 2
 
 
 def test_lattice_missing_lub():
@@ -301,11 +305,13 @@ def reference_tables(poset):
 
 
 def reference_congruence_lattice(lat):
-    """Con L from one principal congruence per cover."""
+    """Con L from one principal congruence per cover, all closed over one
+    pair of tables."""
+    meet, join = tables(lat)
     congs = []
     seen = set()
     for a, b in sorted(lat.poset.covers):
-        c = principal_congruence(lat, a, b)
+        c = _closure(meet, join, [(a, b)])
         if c.block_index not in seen:
             seen.add(c.block_index)
             congs.append(c)
@@ -443,6 +449,13 @@ def test_bounded_non_lattice_rejected(covers):
         lat._table(p.up, p.down, p.upper_covers, p._toposort()[::-1])
     # 1 and 2 share the upper covers 3 and 4, and neither is their join
     assert lat.cover_join(1, 2) is None
+    # at 1 and 2 the corner ideals are chains and the coordinates are
+    # meet-closed; only the up-set test rejects the poset there
+    for lc in range(p.n):
+        for rc in range(p.n):
+            if lc != rc:
+                with pytest.raises(OrderError):
+                    _CornerLattice(p, lc, rc)
 
 
 @pytest.mark.parametrize("covers, jir_count, con_size, jir_covers", [
@@ -535,3 +548,124 @@ def test_distributive_ideal_grid_matches_reference(lattices6):
                 outcomes["other"] += 1
     # every branch is exercised, the one only the count decides included
     assert min(outcomes.values()) > 100
+
+
+# The corner-coordinate certificate ------------------------------------------
+
+# The points of [0, 2] x [0, 2] on the two axes and (1, 2), (2, 1), (2, 2),
+# ordered coordinatewise.  Ids 0..7 are (0,0), (1,0), (2,0), (0,1), (0,2),
+# (1,2), (2,1), (2,2).  The corners 2 = (2,0) and 4 = (0,2) have the axes as
+# ideals, so every element's heights are its own point, and the up-set test
+# passes.  But (1,1) is missing: 1 and 3 are both maximal below 5 and 6.
+UNCLOSED_COVERS = [(0, 1), (1, 2), (2, 6), (6, 7), (0, 3), (3, 4), (4, 5), (5, 7),
+                   (3, 6), (1, 5)]
+
+
+def certified_heights(poset, lc, rc):
+    """The coordinates that certify the poset at the corners lc, rc, or
+    None when the certificate rejects it."""
+    try:
+        return _CornerLattice(poset, lc, rc)._coords[(lc, rc)]
+    except OrderError:
+        return None
+
+
+def table_heights(poset, lc, rc):
+    """(hl, hr) off the cubic reference meet table: hl(x) = |ideal(x ^ lc)| - 1."""
+    meet = reference_tables(poset)[0]
+    size = [m.bit_count() for m in poset.down]
+    return tuple(tuple(size[row[c]] - 1 for row in meet) for c in (lc, rc))
+
+
+def assert_certificate_sound(poset, lc, rc):
+    """The certificate accepts the poset at (lc, rc) iff the meet table
+    accepts it and boundary_heights succeeds there; then all three agree on
+    the heights.  Returns whether it accepted."""
+    got = certified_heights(poset, lc, rc)
+    try:
+        want = boundary_heights(FiniteLattice(poset), lc, rc)
+    except (OrderError, DiagramError):
+        assert got is None, (poset, lc, rc)
+        return False
+    assert got == want, (poset, lc, rc)
+    assert got[:2] == table_heights(poset, lc, rc), (poset, lc, rc)
+    return True
+
+
+def corner_pairs(poset):
+    """Ordered pairs of distinct doubly irreducible elements."""
+    di = [u for u in range(poset.n)
+          if len(poset.upper_covers(u)) == 1 and len(poset.lower_covers(u)) == 1]
+    return [(a, b) for a in di for b in di if a != b]
+
+
+def test_certificate_accepts_every_built_and_deleted_fork_lattice(lattices6):
+    """Every lattice of length <= 6, at its corners in both orientations,
+    and every lattice left when the forks of an internal lamp, or of one of
+    its tubes, are deleted."""
+    deletions = 0
+    for lat in lattices6:
+        assert isinstance(lat, _CornerLattice)
+        assert len(corner_pairs(lat.poset)) == 2
+        for lc, rc in corner_pairs(lat.poset):
+            assert assert_certificate_sound(lat.poset, lc, rc)
+            assert lat._coords[(lc, rc)] == certified_heights(lat.poset, lc, rc)
+        d = embed_rectangular(lat, lcorner=lat._corners[0])
+        lc, rc = d.corners()
+        for lamp in lamps_of_diagram(d):
+            if lamp.kind != "internal":
+                continue
+            for tubes in [lamp.tubes] + [(t,) for t in lamp.tubes]:
+                removed = set().union(*(fork_interval(d, t.foot) for t in tubes))
+                sub, old_ids = lat.poset.restrict(set(range(lat.n)) - removed)
+                assert assert_certificate_sound(sub, old_ids.index(lc), old_ids.index(rc))
+                deletions += 1
+    assert deletions == 420
+
+
+def test_certificate_is_sound_on_random_posets():
+    """At every ordered pair of doubly irreducible elements of 2,000 seeded
+    random posets, lattices or not."""
+    rng = random.Random(2024)
+    outcomes = {"accepted": 0, "lattice rejected": 0, "non-lattice rejected": 0}
+    for _ in range(2000):
+        p = random_poset(rng)
+        for lc, rc in corner_pairs(p):
+            if assert_certificate_sound(p, lc, rc):
+                outcomes["accepted"] += 1
+            else:
+                try:
+                    FiniteLattice(p)
+                    outcomes["lattice rejected"] += 1
+                except OrderError:
+                    outcomes["non-lattice rejected"] += 1
+    # every outcome is exercised many times
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_certificate_rejects_coordinates_that_are_not_meet_closed():
+    p = order_from_covers(UNCLOSED_COVERS)
+    hl, hr, _, _ = _corner_coordinates(p, 2, 4)
+    points = list(zip(hl, hr))
+    assert points == [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1), (2, 2)]
+    with pytest.raises(OrderError, match=r"elements 5 and 6 .* minimum \(1,1\)"):
+        _CornerLattice(p, 2, 4)
+    with pytest.raises(OrderError, match="no glb for pair"):
+        FiniteLattice(p)
+
+
+@pytest.mark.slow
+def test_certificate_matches_table_on_every_step_to_length_eight(monkeypatch):
+    """Every lattice that grid and multifork_extend certify while
+    enumerate_index(8) runs, against the meet table and boundary_heights."""
+    steps = []
+
+    def checked(poset, lc, rc):
+        assert assert_certificate_sound(poset, lc, rc)
+        steps.append(poset.n)
+        return _CornerLattice(poset, lc, rc)
+
+    monkeypatch.setattr(multifork, "_CornerLattice", checked)
+    index8 = enumerate_index(8, allow_large=True)
+    assert index8.counts() == {2: 1, 3: 2, 4: 6, 5: 19, 6: 78, 7: 387, 8: 2327}
+    assert len(steps) > sum(index8.counts().values())
