@@ -7,12 +7,15 @@ two corners), never from drawn positions.  Cells, boundary chains,
 trajectories, neon tubes, mirroring and canonical codes all live here.
 
 A diagram computes its cells, boundary chains, corners, boundary heights
-and neon tubes once, on first use (an embedding hands over the heights it
-used, which for a built lattice are those that certified it), and keeps
-the lamp data the lamps module derives; a failure is not cached and is
-raised again on the next call.  Nothing is cached per edge: trajectories
-are walked afresh through the cell side maps, and one walk gives a
-trajectory both its edges and the cells it crosses.
+and neon tubes once, on first use, and keeps the lamp data the lamps
+module derives; a failure is not cached and is raised again on the next
+call.  A built lattice's corner coordinates go to its diagram: the one
+constructor of grids, forks and fork deletions (_certified_diagram) sorts
+the covers by them and keeps them as the diagram's heights, and its
+corners as corners(); embed_rectangular derives both for a foreign
+lattice.  Nothing is cached per edge: trajectories are walked afresh
+through the cell side maps, and one walk gives a trajectory both its
+edges and the cells it crosses.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from .errors import DiagramError, OrderError
 from .order import (
     _corner_coordinates,
+    _corner_lattice,
     json_int_lists,
     json_object,
     json_poset,
@@ -62,28 +66,37 @@ class PlanarDiagram:
     """Ordered-cover view of a planar lattice diagram."""
 
     def __init__(self, lattice, upper, lower):
-        self.lattice = lattice
-        self.upper = tuple(tuple(row) for row in upper)
-        self.lower = tuple(tuple(row) for row in lower)
-        n = lattice.n
+        """The diagram with the given cover lists, which come from outside, so
+        each must list exactly the element's covers in the lattice."""
+        self._set(lattice, tuple(map(tuple, upper)), tuple(map(tuple, lower)))
+        self._check_order_lists()
+
+    @classmethod
+    def _sorted(cls, lattice, upper, lower, corners=None, heights=None):
+        """The diagram with cover lists (tuples) sorted from the poset's own
+        cover tuples, or reversed from a diagram's: each lists its element's
+        covers once, so they are not compared with the cover relation."""
+        d = cls.__new__(cls)
+        d._set(lattice, upper, lower, corners, heights)
+        return d
+
+    def _set(self, lattice, upper, lower, corners=None, heights=None):
+        self.lattice, self.upper, self.lower = lattice, upper, lower
+        self._corners, self._heights = corners, heights
+        self._cells = self._sides = self._chains = self._chain_sets = self._tubes = None
+        # lamp list and lamp order, filled by the lamps module; a mirror derives its own
+        self._lamps = self._lamp_order = None
+
+    def _check_order_lists(self):
+        n = self.lattice.n
         if len(self.upper) != n or len(self.lower) != n:
             raise DiagramError("cover order lists must cover all elements")
-        covers = lattice.poset.covers
+        covers = self.lattice.poset.covers
         for side, pairs in (("upper", [(u, v) for u in range(n) for v in self.upper[u]]),
                             ("lower", [(a, b) for b in range(n) for a in self.lower[b]])):
             # equal sets and equal lengths: no cover is missing or listed twice
             if len(pairs) != len(covers) or set(pairs) != covers:
                 raise DiagramError(f"{side} order lists disagree with the cover relation")
-        self._cells = None
-        self._sides = None
-        self._chains = None
-        self._chain_sets = None
-        self._corners = None
-        self._heights = None
-        self._tubes = None
-        # lamp list and lamp order, filled by the lamps module; a mirror derives its own
-        self._lamps = None
-        self._lamp_order = None
 
     @property
     def n(self):
@@ -128,18 +141,14 @@ class PlanarDiagram:
                 raise DiagramError(
                     "doubly irreducible elements are not split over the two boundaries"
                 )
-            lc, rc = in_l[0], in_r[0]
-            lat = self.lattice
-            if not lat.is_meet(lc, rc, lat.bottom) or not lat.is_join(lc, rc, lat.top):
-                raise DiagramError("corners are not complements")
-            self._corners = (lc, rc)
+            _check_complements(self.lattice, in_l[0], in_r[0])
+            self._corners = (in_l[0], in_r[0])
         return self._corners
 
     def heights(self):
         """boundary_heights at the corners: (hl, hr, lchain, rchain)."""
         if self._heights is None:
-            lc, rc = self.corners()
-            self._heights = _heights(self.lattice, lc, rc)
+            self._heights = boundary_heights(self.lattice, *self.corners())
         return self._heights
 
     def l_proj(self, x):
@@ -277,11 +286,8 @@ class PlanarDiagram:
     # -- mirroring and codes -------------------------------------------------
 
     def mirror(self):
-        return PlanarDiagram(
-            self.lattice,
-            tuple(tuple(reversed(r)) for r in self.upper),
-            tuple(tuple(reversed(r)) for r in self.lower),
-        )
+        return PlanarDiagram._sorted(self.lattice, tuple(r[::-1] for r in self.upper),
+                                     tuple(r[::-1] for r in self.lower))
 
     def bfs_code(self):
         """Breadth-first encoding from the bottom following cover order."""
@@ -316,18 +322,12 @@ class PlanarDiagram:
 def _bfs_code(bottom, upper):
     ids = {bottom: 0}
     queue = [bottom]
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
+    for u in queue:  # the loop also visits what it appends
         for v in upper[u]:
             if v not in ids:
                 ids[v] = len(ids)
                 queue.append(v)
-    parts = []
-    for u in queue:
-        parts.append(",".join(str(ids[v]) for v in upper[u]))
-    return "|".join(parts)
+    return "|".join(",".join(str(ids[v]) for v in upper[u]) for u in queue)
 
 
 def mirror(diagram):
@@ -350,8 +350,9 @@ def boundary_heights(lat, lcorner, rcorner):
     cover order is recovered by sorting covers on the left height.  As the
     corner ideals are chains, x ^ lc = lchain[hl(x)], hl(x) = |ideal(x) & ideal(lc)| - 1.
     DiagramError unless the corner ideals are chains and every x is the
-    join of lchain[hl(x)] and rchain[hr(x)].  A built lattice passed this
-    test when it was certified, so only foreign lattices run it (_heights).
+    join of lchain[hl(x)] and rchain[hr(x)].  A built diagram keeps the
+    coordinates that certified its lattice, so only foreign lattices and
+    mirror images run this test.
     """
     try:
         return _corner_coordinates(lat.poset, lcorner, rcorner)
@@ -359,10 +360,9 @@ def boundary_heights(lat, lcorner, rcorner):
         raise DiagramError(str(e)) from None
 
 
-def _heights(lat, lcorner, rcorner):
-    """boundary_heights, read off the corner coordinates that certified a
-    built lattice (order._CornerLattice), in either orientation."""
-    return lat._coords.get((lcorner, rcorner)) or boundary_heights(lat, lcorner, rcorner)
+def _check_complements(lat, lcorner, rcorner):
+    if not lat.is_meet(lcorner, rcorner, lat.bottom) or not lat.is_join(lcorner, rcorner, lat.top):
+        raise DiagramError("corners are not complements")
 
 
 def embed_rectangular(lat, lcorner=None):
@@ -380,24 +380,38 @@ def embed_rectangular(lat, lcorner=None):
     if lcorner not in di:
         raise DiagramError(f"{lcorner} is not doubly irreducible")
     rcorner = di[0] if di[1] == lcorner else di[1]
-    if not lat.is_meet(lcorner, rcorner, lat.bottom) or not lat.is_join(lcorner, rcorner, lat.top):
-        raise DiagramError("corners are not complements")
-    heights = _heights(lat, lcorner, rcorner)
+    _check_complements(lat, lcorner, rcorner)
+    return _sorted_diagram(lat, lcorner, rcorner, boundary_heights(lat, lcorner, rcorner))
+
+
+def _certified_diagram(poset, lcorner, rcorner):
+    """The diagram of a built lattice on poset with the given corners.  Its
+    lattice is certified by their coordinates (order._corner_lattice), and
+    those coordinates are its heights.  OrderError or DiagramError naming
+    the failure."""
+    lat, heights = _corner_lattice(poset, lcorner, rcorner)
+    _check_complements(lat, lcorner, rcorner)
+    return _sorted_diagram(lat, lcorner, rcorner, heights)
+
+
+def _sorted_diagram(lat, lcorner, rcorner, heights):
+    """The diagram whose cover lists run by falling left height.  DiagramError
+    if two covers of an element share a left height.  The first upper cover
+    of lchain[i] is then lchain[i + 1], so the left boundary chain climbs the
+    ideal of lcorner, the right one that of rcorner, and the given corners
+    and heights are the diagram's corners() and heights()."""
     hl = heights[0]
     upper, lower = [], []
     for u in range(lat.n):
-        ups = sorted(lat.upper_covers(u), key=lambda v: -hl[v])
-        dns = sorted(lat.lower_covers(u), key=lambda v: -hl[v])
+        ups = tuple(sorted(lat.upper_covers(u), key=lambda v: -hl[v]))
+        dns = tuple(sorted(lat.lower_covers(u), key=lambda v: -hl[v]))
         for row in (ups, dns):
             for a, b in zip(row, row[1:]):
                 if hl[a] == hl[b]:
                     raise DiagramError(f"covers {a},{b} of {u} collide in the embedding")
-        upper.append(tuple(ups))
-        lower.append(tuple(dns))
-    d = PlanarDiagram(lat, upper, lower)
-    # lcorner starts the left boundary chain, so these are d.heights()
-    d._heights = heights
-    return d
+        upper.append(ups)
+        lower.append(dns)
+    return PlanarDiagram._sorted(lat, tuple(upper), tuple(lower), (lcorner, rcorner), heights)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,11 @@ class RetargetRecord:
 
 
 def _upper_chain_index(d, side, foot):
-    lat = d.lattice
+    """Position of foot on the upper boundary chain that starts at the
+    side's corner: the size of [corner, foot], less one."""
     lc, rc = d.corners()
-    corner = lc if side == "L" else rc
-    chain = sorted(lat.filter(corner), key=lat.ideal_size)
-    return chain.index(foot)
+    poset = d.lattice.poset
+    return (poset.down[foot] & poset.up[lc if side == "L" else rc]).bit_count() - 1
 
 
 def _lamp_id(pl, lamp):

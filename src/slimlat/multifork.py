@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from .diagram import (
     Edge,
-    PlanarDiagram,
+    _certified_diagram,
     cell_address,
-    embed_rectangular,
     is_slim_rectangular,
     resolve_address,
 )
@@ -28,7 +27,7 @@ from .errors import (
     PreconditionError,
 )
 from .lamps import fork_interval, lamp_poset
-from .order import MAX_ELEMENTS, Poset, _CornerLattice, is_distributive_ideal_grid
+from .order import MAX_ELEMENTS, Poset, is_distributive_ideal_grid
 
 
 @dataclass(frozen=True)
@@ -125,15 +124,10 @@ def grid(p, q):
     def eid(i, j):
         return i * width + j
 
-    covers = set()
-    for i in range(p + 1):
-        for j in range(q + 1):
-            if i < p:
-                covers.add((eid(i, j), eid(i + 1, j)))
-            if j < q:
-                covers.add((eid(i, j), eid(i, j + 1)))
-    lat = _CornerLattice(Poset((p + 1) * (q + 1), covers), eid(p, 0), eid(0, q))
-    d = embed_rectangular(lat, lcorner=eid(p, 0))
+    covers = {(eid(i, j), eid(i + 1, j)) for i in range(p) for j in range(q + 1)}
+    covers |= {(eid(i, j), eid(i, j + 1)) for i in range(p + 1) for j in range(q)}
+    lc = eid(p, 0)
+    d = _certified_diagram(Poset((p + 1) * (q + 1), covers), lc, eid(0, q))
     coords = {
         eid(i, j): (Fraction(j - i), Fraction(i + j))
         for i in range(p + 1)
@@ -146,10 +140,9 @@ def grid(p, q):
         forest.append(ForestNode((c.bottom, c.left, c.right, c.top), 0, None))
     records = {}
     boundary, _ = d.neon_tubes()
-    lc, _ = d.corners()
     for e in boundary:
         nodes = tuple(leaf[c.bottom] for c in d.trajectory_through(e).cells)
-        side = "L" if lat.leq(lc, e.foot) else "R"
+        side = "L" if d.lattice.leq(lc, e.foot) else "R"
         leot = () if side == "L" else nodes
         reot = nodes if side == "L" else ()
         records[(e.foot, e.peak)] = TubeRecord("boundary", side, 0, nodes, leot, reot)
@@ -209,11 +202,8 @@ def multifork_extend(pl, address, k):
 
     cpairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
     cbase = n0 + (np_ + nq) * k
-    cindex = {pair: cbase + i for i, pair in enumerate(cpairs)}
+    cid = {pair: cbase + i for i, pair in enumerate(cpairs)}
     mbase = cbase + len(cpairs)
-
-    def cid(i, j):
-        return cindex[(i, j)]
 
     def mid(i):
         return mbase + (i - 1)
@@ -231,20 +221,19 @@ def multifork_extend(pl, address, k):
     for i in range(1, k + 1):
         covers.add((mid(i), t))
     for j in range(1, k + 1):       # left leg of m_j
-        leg = [mid(j)] + [cid(i, j) for i in range(j - 1, 0, -1)] + [xid(0, j)]
+        leg = [mid(j)] + [cid[i, j] for i in range(j - 1, 0, -1)] + [xid(0, j)]
         for upper, lower in zip(leg, leg[1:]):
             covers.add((lower, upper))
     for i in range(1, k + 1):       # right leg of m_i
-        leg = [mid(i)] + [cid(i, jj) for jj in range(i + 1, k + 1)] + [yid(0, k + 1 - i)]
+        leg = [mid(i)] + [cid[i, jj] for jj in range(i + 1, k + 1)] + [yid(0, k + 1 - i)]
         for upper, lower in zip(leg, leg[1:]):
             covers.add((lower, upper))
 
     try:
-        lc, rc = d.corners()
-        lat2 = _CornerLattice(Poset(total, covers), lc, rc)
-        d2 = embed_rectangular(lat2, lcorner=lc)
+        d2 = _certified_diagram(Poset(total, covers), *d.corners())
     except (OrderError, DiagramError) as e:
         raise InternalInconsistencyError(f"extension produced an invalid lattice: {e}")
+    lat2 = d2.lattice
     report = is_slim_rectangular(d2)
     if not report.ok:
         raise InternalInconsistencyError(f"extension validation failed: {report.failures}")
@@ -269,15 +258,13 @@ def multifork_extend(pl, address, k):
     for i in range(1, k + 1):
         coords[mid(i)] = legs_cross(coords[xid(0, i)], coords[yid(0, k + 1 - i)])
     for i, j in cpairs:
-        coords[cid(i, j)] = legs_cross(coords[xid(0, j)], coords[yid(0, k + 1 - i)])
+        coords[cid[i, j]] = legs_cross(coords[xid(0, j)], coords[yid(0, k + 1 - i)])
 
     # forest update
     old_cells = {(c.bottom, c.left, c.right, c.top) for c in d.four_cells()}
     destroyed = (cell,) + left_cells + right_cells
     destroyed_keys = {(c.bottom, c.left, c.right, c.top) for c in destroyed}
-    destroyed_nodes = {
-        key: pl.leaf_by_bottom[key[0]] for key in destroyed_keys
-    }
+    destroyed_nodes = {key: pl.leaf_by_bottom[key[0]] for key in destroyed_keys}
     forest = list(pl.forest)
     stage = len(pl.seq.steps) + 1
     leaf = {}
@@ -371,7 +358,7 @@ def decompose(diagram_or_pl):
 def _delete_forks(d, tubes):
     """(sub-diagram, old id -> new id) left when the forks of the given
     internal neon tubes are deleted from d: the order restricted to the
-    rest, certified at the same corners, embedded and validated.  Raises
+    rest, certified at the same corners and validated.  Raises
     DiagramError or OrderError naming the failure."""
     lat = d.lattice
     removed = set()
@@ -382,7 +369,7 @@ def _delete_forks(d, tubes):
     # the fork lies below an internal foot, which lies above neither corner
     # (what does is on an upper boundary), so both corners are kept
     lc, rc = (idx[c] for c in d.corners())
-    subd = embed_rectangular(_CornerLattice(sub, lc, rc), lcorner=lc)
+    subd = _certified_diagram(sub, lc, rc)
     report = is_slim_rectangular(subd)
     if not report.ok:
         raise DiagramError(f"validation failed: {report.failures}")

@@ -28,7 +28,9 @@ its point queries.  Seven textbook facts keep the kernels below cubic cost:
   is below both and above every common lower bound, so it is x ^ y; with
   the top, the poset is a lattice.  The up-set test says that x is the
   join of lchain[hl(x)] and rchain[hr(x)], so the embedding's own join
-  test (diagram.boundary_heights) runs only on foreign lattices.  The
+  test (diagram.boundary_heights) runs only on foreign lattices:
+  _corner_lattice returns the coordinates beside the lattice, which keeps
+  none, and the built diagram keeps them as its heights().  The
   minimum test is one right-to-left sweep over the columns: every right
   height that occurs right of column a, below the column's top point,
   occurs in the column.  Both tests take O(n) mask operations.  In a
@@ -170,19 +172,14 @@ class Poset:
         for _, b in self.covers:
             indeg[b] += 1
         queue = sorted(u for u in range(self.n) if indeg[u] == 0)
-        order = []
-        i = 0
-        while i < len(queue):
-            u = queue[i]
-            i += 1
-            order.append(u)
+        for u in queue:  # the loop also visits what it appends
             for v in self._upcov[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
                     queue.append(v)
-        if len(order) != self.n:
+        if len(queue) != self.n:
             raise OrderError("cycle detected in cover relation")
-        return order
+        return queue
 
     # -- queries ------------------------------------------------------------
 
@@ -220,12 +217,15 @@ class Poset:
         return max(self._heights(), default=0)
 
     def restrict(self, keep):
-        """Induced subposet on `keep`; returns (poset, old ids by new id)."""
+        """Induced subposet on `keep`; returns (poset, old ids by new id).
+        A kept a is covered by the minimal kept elements strictly above it."""
         keep = sorted(set(keep))
         idx = {old: new for new, old in enumerate(keep)}
-        kept = sum(1 << u for u in keep)
-        pairs = [(idx[a], idx[b]) for a in keep for b in _elements(self.up[a] & kept) if b != a]
-        return Poset.from_relation(len(keep), pairs), keep
+        kept, down, covers = sum(1 << u for u in keep), self.down, []
+        for a in keep:
+            above = self.up[a] & kept & ~(1 << a)
+            covers += [(idx[a], idx[b]) for b in _elements(above) if down[b] & above == 1 << b]
+        return Poset(len(keep), covers), keep
 
     def count_downsets(self):
         """Number of down-sets, by divide and conquer on a maximal element."""
@@ -320,10 +320,6 @@ def order_from_covers(covers, n=None):
 class FiniteLattice:
     """A finite lattice: a bounded poset whose meet table fills (a built lattice
     is certified by its corner coordinates instead); only its masks are kept."""
-
-    # (lcorner, rcorner) -> (hl, hr, lchain, rchain), both orientations of
-    # the corner coordinates that certified a built lattice; none here
-    _coords = {}
 
     def __init__(self, poset):
         self.poset = poset
@@ -498,34 +494,35 @@ class FiniteLattice:
 
 
 class _CornerLattice(FiniteLattice):
-    """A built lattice, certified by the coordinates of its two corners
-    (module docstring), which it keeps for the embedding."""
-
-    def __init__(self, poset, lcorner, rcorner):
-        self._corners = (lcorner, rcorner)
-        super().__init__(poset)
+    """A built lattice: _corner_lattice certifies it by the coordinates of
+    its two corners, in place of the meet table."""
 
     def _certify(self):
-        """OrderError unless the corner coordinates pass the up-set test and
-        are closed under the coordinatewise minimum."""
-        lc, rc = self._corners
-        hl, hr, lchain, rchain = _corner_coordinates(self.poset, lc, rc)
-        columns = [0] * len(lchain)  # column a: the right heights at left height a
-        for a, b in zip(hl, hr):
-            columns[a] |= 1 << b
-        right = 0  # the right heights of the columns right of a
-        for a in range(len(columns) - 1, -1, -1):
-            top = columns[a].bit_length() - 1
-            gap = right & ~columns[a] & ((1 << top) - 1)
-            if gap:
-                points = list(zip(hl, hr))
-                b = gap.bit_length() - 1
-                y = next(u for u, (i, j) in enumerate(points) if i > a and j == b)
-                raise OrderError(f"elements {points.index((a, top))} and {y} have no"
-                                 f" element at their coordinatewise minimum ({a},{b})")
-            right |= columns[a]
-        self._coords = {(lc, rc): (hl, hr, lchain, rchain),
-                        (rc, lc): (hr, hl, rchain, lchain)}
+        pass
+
+
+def _corner_lattice(poset, lcorner, rcorner):
+    """(lattice, (hl, hr, lchain, rchain)): the built lattice on poset and
+    the coordinates of its corners, which certify it (module docstring).
+    OrderError unless the poset is bounded and the coordinates pass the
+    up-set test and are closed under the coordinatewise minimum."""
+    lat = _CornerLattice(poset)
+    coords = hl, hr, lchain, _ = _corner_coordinates(poset, lcorner, rcorner)
+    columns = [0] * len(lchain)  # column a: the right heights at left height a
+    for a, b in zip(hl, hr):
+        columns[a] |= 1 << b
+    right = 0  # the right heights of the columns right of a
+    for a in range(len(columns) - 1, -1, -1):
+        top = columns[a].bit_length() - 1
+        gap = right & ~columns[a] & ((1 << top) - 1)
+        if gap:
+            points = list(zip(hl, hr))
+            b = gap.bit_length() - 1
+            y = next(u for u, (i, j) in enumerate(points) if i > a and j == b)
+            raise OrderError(f"elements {points.index((a, top))} and {y} have no"
+                             f" element at their coordinatewise minimum ({a},{b})")
+        right |= columns[a]
+    return lat, coords
 
 
 def _corner_coordinates(poset, lcorner, rcorner):

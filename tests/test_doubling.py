@@ -1,9 +1,10 @@
 import pytest
 
 from slimlat.diagram import resolve_address
-from slimlat.doubling import double, locate_retarget
+from slimlat.doubling import _upper_chain_index, double, locate_retarget
 from slimlat.dsl import parse_dsl
 from slimlat.errors import PreconditionError
+from slimlat.explore import enumerate_index
 from slimlat.lamps import lamp_poset
 from slimlat.multifork import build, grid
 from slimlat.order import (
@@ -19,6 +20,19 @@ def test_locate_retarget_on_grid_step():
     rec = locate_retarget(pl, (0, 0))
     assert rec.u[0] == "b" and rec.v[0] == "b"
     assert rec.alpha == 0 and rec.beta == 0
+    # a boundary lamp's id holds its foot's position on the upper boundary
+    # chain, its corner's filter sorted by ideal size, on every lattice of
+    # length <= 6 and its mirror
+    checked = 0
+    for entry in enumerate_index(6).entries():
+        for d in (entry.pl.diagram, entry.pl.diagram.mirror()):
+            lat = d.lattice
+            for side, corner in zip("LR", d.corners()):
+                chain = sorted(lat.filter(corner), key=lat.ideal_size)
+                for foot in chain:
+                    assert _upper_chain_index(d, side, foot) == chain.index(foot)
+                    checked += 1
+    assert checked == 1138
 
 
 def test_double_s7():

@@ -1,6 +1,7 @@
 import pytest
 
-from slimlat.diagram import cell_address, is_slim_rectangular, resolve_address
+from slimlat import diagram
+from slimlat.diagram import PlanarDiagram, cell_address, is_slim_rectangular, resolve_address
 from slimlat.doubling import double
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.cli import main
@@ -59,6 +60,42 @@ def test_only_foreign_input_fills_a_meet_table(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: no glb for pair (") and err.count("\n") == 1
     assert filled == [6]
+
+
+def test_built_diagrams_derive_neither_heights_nor_order_lists(monkeypatch):
+    """Building, minimizing and doubling the lattices of length <= 6 run
+    neither boundary_heights nor the order-list comparison: a built diagram
+    keeps the coordinates that certified its lattice, and sorts its lists
+    from the cover relation.  A diagram read from JSON compares its lists
+    once, and derives its heights on first use."""
+    seqs = [e.pl.seq for e in enumerate_index(6).entries()]
+    calls = []
+    heights, compare = diagram.boundary_heights, PlanarDiagram._check_order_lists
+
+    def counted_heights(*args):
+        calls.append("heights")
+        return heights(*args)
+
+    def counted_compare(d):
+        calls.append("order lists")
+        return compare(d)
+
+    monkeypatch.setattr(diagram, "boundary_heights", counted_heights)
+    monkeypatch.setattr(PlanarDiagram, "_check_order_lists", counted_compare)
+    for seq in seqs:
+        minimize(build(seq))
+        for t in range(1, len(seq.steps) + 1):
+            try:
+                double(seq, t)
+            except SlimlatError:
+                pass
+    assert calls == []
+
+    built = build(seqs[-1]).diagram
+    read = PlanarDiagram.from_json(built.to_json())
+    assert calls == ["order lists"]
+    assert read.heights() == built.heights()
+    assert calls == ["order lists", "heights"]
 
 
 # Grid ------------------------------------------------------------------------

@@ -3,7 +3,12 @@ import random
 import pytest
 
 from slimlat import multifork
-from slimlat.diagram import boundary_heights, embed_rectangular, is_slim_rectangular
+from slimlat.diagram import (
+    PlanarDiagram,
+    boundary_heights,
+    embed_rectangular,
+    is_slim_rectangular,
+)
 from slimlat.errors import DiagramError, OrderError
 from slimlat.explore import enumerate_index
 from slimlat.lamps import fork_interval, lamps_of_diagram
@@ -22,6 +27,7 @@ from slimlat.order import (
     principal_congruence,
     _closure,
     _corner_coordinates,
+    _corner_lattice,
     _CornerLattice,
     _dependencies,
     _elements,
@@ -342,9 +348,15 @@ def assert_con_matches_reference(lat):
 
 
 @pytest.fixture(scope="module")
-def lattices6():
+def diagrams6():
+    """The built diagrams of the 106 slim rectangular lattices of length <= 6."""
+    return [e.pl.diagram for e in enumerate_index(6).entries()]
+
+
+@pytest.fixture(scope="module")
+def lattices6(diagrams6):
     """The 106 slim rectangular lattices of length <= 6."""
-    return [e.pl.lattice for e in enumerate_index(6).entries()]
+    return [d.lattice for d in diagrams6]
 
 
 def test_kernels_match_references_up_to_length_six(lattices6):
@@ -455,7 +467,7 @@ def test_bounded_non_lattice_rejected(covers):
         for rc in range(p.n):
             if lc != rc:
                 with pytest.raises(OrderError):
-                    _CornerLattice(p, lc, rc)
+                    _corner_lattice(p, lc, rc)
 
 
 @pytest.mark.parametrize("covers, jir_count, con_size, jir_covers", [
@@ -565,7 +577,7 @@ def certified_heights(poset, lc, rc):
     """The coordinates that certify the poset at the corners lc, rc, or
     None when the certificate rejects it."""
     try:
-        return _CornerLattice(poset, lc, rc)._coords[(lc, rc)]
+        return _corner_lattice(poset, lc, rc)[1]
     except OrderError:
         return None
 
@@ -599,18 +611,20 @@ def corner_pairs(poset):
     return [(a, b) for a in di for b in di if a != b]
 
 
-def test_certificate_accepts_every_built_and_deleted_fork_lattice(lattices6):
+def test_certificate_accepts_every_built_and_deleted_fork_lattice(diagrams6):
     """Every lattice of length <= 6, at its corners in both orientations,
     and every lattice left when the forks of an internal lamp, or of one of
     its tubes, are deleted."""
     deletions = 0
-    for lat in lattices6:
+    for d in diagrams6:
+        lat = d.lattice
         assert isinstance(lat, _CornerLattice)
         assert len(corner_pairs(lat.poset)) == 2
         for lc, rc in corner_pairs(lat.poset):
             assert assert_certificate_sound(lat.poset, lc, rc)
-            assert lat._coords[(lc, rc)] == certified_heights(lat.poset, lc, rc)
-        d = embed_rectangular(lat, lcorner=lat._corners[0])
+            # the built diagram keeps the heights that certified it
+            oriented = d if d.corners() == (lc, rc) else d.mirror()
+            assert oriented.heights() == certified_heights(lat.poset, lc, rc)
         lc, rc = d.corners()
         for lamp in lamps_of_diagram(d):
             if lamp.kind != "internal":
@@ -649,7 +663,7 @@ def test_certificate_rejects_coordinates_that_are_not_meet_closed():
     points = list(zip(hl, hr))
     assert points == [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1), (2, 2)]
     with pytest.raises(OrderError, match=r"elements 5 and 6 .* minimum \(1,1\)"):
-        _CornerLattice(p, 2, 4)
+        _corner_lattice(p, 2, 4)
     with pytest.raises(OrderError, match="no glb for pair"):
         FiniteLattice(p)
 
@@ -657,15 +671,23 @@ def test_certificate_rejects_coordinates_that_are_not_meet_closed():
 @pytest.mark.slow
 def test_certificate_matches_table_on_every_step_to_length_eight(monkeypatch):
     """Every lattice that grid and multifork_extend certify while
-    enumerate_index(8) runs, against the meet table and boundary_heights."""
+    enumerate_index(8) runs, against the meet table and boundary_heights;
+    and its built diagram against the embedding of the same covers read as
+    foreign input, and its corners against those derived from its lists."""
     steps = []
+    certified = multifork._certified_diagram
 
     def checked(poset, lc, rc):
         assert assert_certificate_sound(poset, lc, rc)
+        d = certified(poset, lc, rc)
+        fresh = embed_rectangular(FiniteLattice(Poset(poset.n, poset.covers)), lcorner=lc)
+        assert (d.upper, d.lower, d.corners(), d.heights()) == (
+            fresh.upper, fresh.lower, fresh.corners(), fresh.heights())
+        assert d.corners() == PlanarDiagram(d.lattice, d.upper, d.lower).corners()
         steps.append(poset.n)
-        return _CornerLattice(poset, lc, rc)
+        return d
 
-    monkeypatch.setattr(multifork, "_CornerLattice", checked)
+    monkeypatch.setattr(multifork, "_certified_diagram", checked)
     index8 = enumerate_index(8, allow_large=True)
     assert index8.counts() == {2: 1, 3: 2, 4: 6, 5: 19, 6: 78, 7: 387, 8: 2327}
     assert len(steps) > sum(index8.counts().values())
