@@ -13,9 +13,11 @@ call.  A built lattice's corner coordinates go to its diagram: the one
 constructor of grids, forks and fork deletions (_certified_diagram) sorts
 the covers by them and keeps them as the diagram's heights, and its
 corners as corners(); embed_rectangular derives both for a foreign
-lattice.  Nothing is cached per edge: trajectories are walked afresh
-through the cell side maps, and one walk gives a trajectory both its
-edges and the cells it crosses.
+lattice.  Nothing is cached per edge but the cell side maps: validation
+checks every trajectory in one sweep over (foot, peak) pairs
+(_trajectory_failure), and trajectory_through walks the side maps on
+pairs and makes Edge objects only for the one trajectory it returns,
+with the cells it crosses.
 """
 
 from __future__ import annotations
@@ -202,20 +204,12 @@ class PlanarDiagram:
 
     def west_step(self, edge):
         """(next edge, shared cell) to the west, or (None, None) at the boundary."""
-        c = self._side_maps()[0].get((edge.foot, edge.peak))
-        if c is None:
-            return None, None
-        if edge.peak == c.top:
-            return Edge(c.bottom, c.left), c
-        return Edge(c.left, c.top), c
+        nxt, c = _cross(self._side_maps()[0], (edge.foot, edge.peak), False)
+        return (None if nxt is None else Edge(*nxt)), c
 
     def east_step(self, edge):
-        c = self._side_maps()[1].get((edge.foot, edge.peak))
-        if c is None:
-            return None, None
-        if edge.peak == c.top:
-            return Edge(c.bottom, c.right), c
-        return Edge(c.right, c.top), c
+        nxt, c = _cross(self._side_maps()[1], (edge.foot, edge.peak), True)
+        return (None if nxt is None else Edge(*nxt)), c
 
     # -- trajectories and neon tubes ---------------------------------------
 
@@ -224,34 +218,39 @@ class PlanarDiagram:
 
     def trajectory_through(self, edge):
         """The full trajectory containing `edge`, with its unique neon tube."""
-        seen = {(edge.foot, edge.peak)}
+        start = (edge.foot, edge.peak)
+        seen = {start}
 
-        def walk(step):
-            edges, cells = [], []
-            cur, cell = step(edge)
+        def walk(side, east):
+            pairs, cells = [], []
+            cur, cell = _cross(side, start, east)
             while cur is not None:
-                if (cur.foot, cur.peak) in seen:
+                if cur in seen:
                     raise DiagramError("trajectory revisits an edge (diagram corruption)")
-                seen.add((cur.foot, cur.peak))
-                edges.append(cur)
+                seen.add(cur)
+                pairs.append(cur)
                 cells.append(cell)
-                cur, cell = step(cur)
-            return edges, cells
+                cur, cell = _cross(side, cur, east)
+            return pairs, cells
 
-        west, west_cells = walk(self.west_step)
-        east, east_cells = walk(self.east_step)
-        edges = tuple(reversed(west)) + (edge,) + tuple(east)
+        west_map, east_map = self._side_maps()
+        west, west_cells = walk(west_map, False)
+        east, east_cells = walk(east_map, True)
+        west.reverse()
+        pairs = west + [start] + east
         # a tube's foot is meet-irreducible: it has one upper cover
-        tubes = [i for i, e in enumerate(edges) if len(self.upper[e.foot]) == 1]
+        tubes = [i for i, (foot, _) in enumerate(pairs) if len(self.upper[foot]) == 1]
         if len(tubes) != 1:
             raise DiagramError(f"trajectory has {len(tubes)} neon tubes, expected 1")
         lset, rset = self._boundary_sets()
-        first, last = edges[0], edges[-1]
-        if not (first.foot in lset and first.peak in lset):
+        (f0, p0), (f1, p1) = pairs[0], pairs[-1]
+        if not (f0 in lset and p0 in lset):
             raise DiagramError("trajectory does not start on the left boundary")
-        if not (last.foot in rset and last.peak in rset):
+        if not (f1 in rset and p1 in rset):
             raise DiagramError("trajectory does not end on the right boundary")
-        return Trajectory(edges, tubes[0], tuple(reversed(west_cells)) + tuple(east_cells))
+        west_cells.reverse()
+        return Trajectory(tuple(Edge(*e) for e in pairs), tubes[0],
+                          tuple(west_cells + east_cells))
 
     def trajectories(self):
         """All trajectories, each listed from left boundary to right boundary."""
@@ -317,6 +316,18 @@ class PlanarDiagram:
             json_int_lists(data, "upper_order"),
             json_int_lists(data, "lower_order"),
         )
+
+
+def _cross(side, pair, east):
+    """(next pair, shared cell) across the cell that the side map gives the
+    (foot, peak) pair, or (None, None) at the boundary: the cell's side
+    opposite the pair at the same height.  Crossing a cell east, (b, l) goes
+    to (r, t) and (l, t) to (b, r); crossing it west inverts this."""
+    c = side.get(pair)
+    if c is None:
+        return None, None
+    far = c.right if east else c.left
+    return ((c.bottom, far) if pair[1] == c.top else (far, c.top)), c
 
 
 def _bfs_code(bottom, upper):
@@ -434,7 +445,7 @@ def is_slim_rectangular(obj):
     irreducible elements, that every region is a 4-cell with a unique
     bottom, that each two neighbouring lower covers of an element are the
     left and right sides of a cell with that top, and trajectory sanity
-    (one neon tube each, count = length).
+    (one neon tube each, count = length) in one sweep, _trajectory_failure.
     """
     failures = []
     if isinstance(obj, PlanarDiagram):
@@ -474,17 +485,65 @@ def is_slim_rectangular(obj):
         failures += [f"lower covers {a},{b} of {t} are not the left and right sides of a cell"
                      for t in range(lat.n) for a, b in zip(d.lower[t], d.lower[t][1:])
                      if (a, b, t) not in sides]
-        try:
-            trajs = d.trajectories()
-            if len(trajs) != lat.length():
-                failures.append(
-                    f"{len(trajs)} trajectories but length {lat.length()}"
-                )
-            if d.antube() != lat.length():
-                failures.append("neon tube count differs from length")
-        except DiagramError as e:
-            failures.append(str(e))
+        failure = _trajectory_failure(d)
+        if failure is not None:
+            failures.append(failure)
     return ValidationReport(not failures, tuple(failures))
+
+
+def _trajectory_failure(d):
+    """The first failure of d's trajectories, or None: each must run from
+    the left boundary to the right boundary with exactly one neon tube, and
+    their number and the number of neon tubes must be the length.
+
+    One sweep on (foot, peak) pairs checks this: a walk east from each of
+    the len(lchain) - 1 left-chain edges, through a transient map from each
+    edge to the next one east, with one `seen` set for all walks.  It
+    suffices because a cell's east step, (b, l) -> (r, t) and (l, t) ->
+    (b, r), and its west step are mutually inverse partial maps, and
+    _side_maps rejects an edge with two east or two west cells; so the
+    trajectories split the edges into paths and cycles.  If no walk
+    revisits an edge (a walk into a start, taken or still to come, is a
+    revisit), no left-chain edge has a west neighbour and the walks are
+    disjoint whole paths.  The walks visit covers only, the sides of cells,
+    so if they reach as many edges as there are covers they reach every
+    edge: no other path or cycle is left, every trajectory starts on the
+    left boundary (the left-chain edges are the edges with both ends on
+    it), and there are len(lchain) - 1 of them.
+    """
+    try:
+        d._side_maps()
+    except DiagramError as e:
+        return str(e)
+    east = {}
+    for c in d.four_cells():
+        east[c.bottom, c.left] = (c.right, c.top)
+        east[c.left, c.top] = (c.bottom, c.right)
+    upper = d.upper
+    lchain, _ = d.boundary_chains()
+    rset = d._boundary_sets()[1]
+    seen = set()
+    for e in zip(lchain, lchain[1:]):
+        tubes = 0
+        while e is not None:
+            if e in seen:
+                return "trajectory revisits an edge (diagram corruption)"
+            seen.add(e)
+            # a tube's foot is meet-irreducible: it has one upper cover
+            tubes += len(upper[e[0]]) == 1
+            last, e = e, east.get(e)
+        if tubes != 1:
+            return f"trajectory has {tubes} neon tubes, expected 1"
+        if not (last[0] in rset and last[1] in rset):
+            return "trajectory does not end on the right boundary"
+    if len(seen) != len(d.lattice.poset.covers):
+        return "trajectory does not start on the left boundary"
+    length = d.lattice.length()
+    if len(lchain) - 1 != length:
+        return f"{len(lchain) - 1} trajectories but length {length}"
+    if d.antube() != length:
+        return "neon tube count differs from length"
+    return None
 
 
 # ---------------------------------------------------------------------------

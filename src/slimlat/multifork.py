@@ -2,15 +2,19 @@
 
 A lattice is built from a grid by a sequence of k-fold multifork
 extensions at distributive 4-cells.  Each extension keeps full
-provenance: a cell-subdivision forest, per-neon-tube territory records,
-and exact rational coordinates for rendering.  A built lattice can be
-decomposed back into a sequence (round-trip stable up to isomorphism).
+provenance: a cell-subdivision forest and per-neon-tube territory
+records.  It also records, in a few integers per new element, how to
+place that element in the drawing; the exact rational coordinates that
+rendering reads are replayed from these recipes on first use.  A built
+lattice can be decomposed back into a sequence (round-trip stable up to
+isomorphism).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .diagram import (
     Edge,
@@ -72,7 +76,7 @@ class ProvenancedLattice:
     """
 
     def __init__(self, diagram, seq, forest, leaf_by_bottom, tube_records,
-                 lamp_step_by_peak, step_origin, coords):
+                 lamp_step_by_peak, step_origin, recipes):
         self.diagram = diagram
         self.seq = seq
         self.forest = forest
@@ -80,8 +84,37 @@ class ProvenancedLattice:
         self.tube_records = dict(tube_records)
         self.lamp_step_by_peak = dict(lamp_step_by_peak)
         self.step_origin = dict(step_origin)
-        self.coords = dict(coords)
+        # per fork element, in order of creation: (id, foot, peak, s, k + 1)
+        # for a subdivision point, (id, left anchor, right anchor) for a leg crossing
+        self.recipes = recipes
         self._code = None
+
+    @cached_property
+    def coords(self):
+        """Exact drawing coordinates, element -> (x, y): grid element (i, j)
+        at (j - i, i + j), then the recipes replayed in order.  A subdivision
+        point lies s / (k + 1) of the way down from its edge's peak to its
+        foot; a leg crossing meets the down-right line through its left
+        anchor and the down-left line through its right anchor.  Computed
+        on first read, since only drawing needs it."""
+        width = self.seq.grid_q + 1
+        coords = {
+            i * width + j: (Fraction(j - i), Fraction(i + j))
+            for i in range(self.seq.grid_p + 1)
+            for j in range(width)
+        }
+        for r in self.recipes:
+            if len(r) == 5:
+                new, foot, peak, s, parts = r
+                (fx, fy), (px, py) = coords[foot], coords[peak]
+                f = Fraction(s, parts)
+                coords[new] = (px + f * (fx - px), py + f * (fy - py))
+            else:
+                new, left, right = r
+                (ax, ay), (bx, by) = coords[left], coords[right]
+                x = (ax - ay + bx + by) / 2
+                coords[new] = (x, x - ax + ay)
+        return coords
 
     @property
     def lattice(self):
@@ -128,11 +161,6 @@ def grid(p, q):
     covers |= {(eid(i, j), eid(i, j + 1)) for i in range(p + 1) for j in range(q)}
     lc = eid(p, 0)
     d = _certified_diagram(Poset((p + 1) * (q + 1), covers), lc, eid(0, q))
-    coords = {
-        eid(i, j): (Fraction(j - i), Fraction(i + j))
-        for i in range(p + 1)
-        for j in range(q + 1)
-    }
     forest = []
     leaf = {}
     for c in d.four_cells():
@@ -147,7 +175,7 @@ def grid(p, q):
         reot = nodes if side == "L" else ()
         records[(e.foot, e.peak)] = TubeRecord("boundary", side, 0, nodes, leot, reot)
     return ProvenancedLattice(
-        d, MultiforkSequence(p, q, ()), tuple(forest), leaf, records, {}, {}, coords
+        d, MultiforkSequence(p, q, ()), tuple(forest), leaf, records, {}, {}, ()
     )
 
 
@@ -240,25 +268,12 @@ def multifork_extend(pl, address, k):
     if lat2.length() != lat.length() + k or d2.antube() != d.antube() + k:
         raise InternalInconsistencyError("extension did not add k to length and tube count")
 
-    # coordinates
-    coords = dict(pl.coords)
-    for edges, ids in ((left_edges, xid), (right_edges, yid)):
-        for j, e in enumerate(edges):
-            fx, fy = coords[e.foot]
-            px, py = coords[e.peak]
-            for s in range(1, k + 1):
-                f = Fraction(s, k + 1)
-                coords[ids(j, s)] = (px + f * (fx - px), py + f * (fy - py))
-
-    def legs_cross(left_anchor, right_anchor):
-        (ax, ay), (bx, by) = left_anchor, right_anchor
-        px = (ax - ay + bx + by) / 2
-        return (px, px - ax + ay)
-
-    for i in range(1, k + 1):
-        coords[mid(i)] = legs_cross(coords[xid(0, i)], coords[yid(0, k + 1 - i)])
-    for i, j in cpairs:
-        coords[cid[i, j]] = legs_cross(coords[xid(0, j)], coords[yid(0, k + 1 - i)])
+    # drawing recipes, replayed by ProvenancedLattice.coords
+    recipes = [(ids(j, s), e.foot, e.peak, s, k + 1)
+               for edges, ids in ((left_edges, xid), (right_edges, yid))
+               for j, e in enumerate(edges) for s in range(1, k + 1)]
+    recipes += [(mid(i), xid(0, i), yid(0, k + 1 - i)) for i in range(1, k + 1)]
+    recipes += [(cid[i, j], xid(0, j), yid(0, k + 1 - i)) for i, j in cpairs]
 
     # forest update
     old_cells = {(c.bottom, c.left, c.right, c.top) for c in d.four_cells()}
@@ -310,7 +325,7 @@ def multifork_extend(pl, address, k):
         records,
         lamp_steps,
         step_origin,
-        coords,
+        pl.recipes + tuple(recipes),
     )
 
 

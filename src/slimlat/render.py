@@ -1,8 +1,10 @@
 """Rendering built lattices: DOT, SVG and TikZ.
 
-Coordinates are exact rationals assigned while replaying the construction
-(grids on integer diagonals, fork legs on unit slopes, tube feet at leg
-crossings).  A slope validator enforces the drawing discipline: every
+Coordinates are exact rationals, which a built lattice computes on the
+first read of its `coords` by replaying its construction recipes (grids
+on integer diagonals, fork legs on unit slopes, tube feet at leg
+crossings); nothing is drawn, nor computed, before a render or a slope
+check asks.  A slope validator enforces the drawing discipline: every
 edge has slope +-1 except edges whose foot is an internal meet-irreducible
 element, which are strictly steeper.  Renders are presentation only; no
 predicate consumes coordinates.

@@ -23,10 +23,21 @@ does not use.
 - Up- and down-sets as frozensets, by a search along the covers from each
   element.  Production ORs bitmasks along a topological order
   (`slimlat.order.Poset`).
+- The trajectory check by whole trajectories: every trajectory walked
+  with `trajectory_through`, then one neon tube each, the two boundary
+  ends and count = length.  Production checks them in one sweep over
+  (foot, peak) pairs (`slimlat.diagram._trajectory_failure`).
+- Drawing coordinates by the eager fold that computes them with each
+  step, from the step's own trajectories.  Production records a recipe
+  per new element and replays the recipes on first read
+  (`slimlat.multifork.ProvenancedLattice.coords`).
 """
 
+from fractions import Fraction
 from itertools import combinations
 
+from slimlat.diagram import Edge, resolve_address
+from slimlat.errors import DiagramError
 from slimlat.lamps import (
     _essential_nodes,
     _node_is_desc_or_eq,
@@ -35,6 +46,7 @@ from slimlat.lamps import (
     lamps_of_diagram,
     nwl_nel,
 )
+from slimlat.multifork import grid, multifork_extend
 # tables(lat): the (meet, join) tables from the recurrence that certifies
 # foreign input, which the tests check against the cubic reference tables
 from slimlat.order import Congruence, FiniteLattice, _closure, _tables as tables
@@ -245,3 +257,82 @@ def reachability(poset):
 def mask_sets(masks):
     """Bitmasks over 0..len(masks)-1 as frozensets, one bit test per element."""
     return tuple(frozenset(y for y in range(len(masks)) if m >> y & 1) for m in masks)
+
+
+def trajectory_failure_by_walks(d):
+    """The first failure of d's trajectories, or None, from the list of
+    whole trajectories: each must have one neon tube (its foot
+    meet-irreducible), start on the left boundary and end on the right one,
+    and their number and the number of neon tubes must be the length."""
+    try:
+        trajs = d.trajectories()
+    except DiagramError as e:
+        return str(e)
+    lset, rset = map(set, d.boundary_chains())
+    mir = set(d.lattice.mir())
+    for t in trajs:
+        tubes = sum(e.foot in mir for e in t.edges)
+        if tubes != 1:
+            return f"trajectory has {tubes} neon tubes, expected 1"
+        if not {t.edges[0].foot, t.edges[0].peak} <= lset:
+            return "trajectory does not start on the left boundary"
+        if not {t.edges[-1].foot, t.edges[-1].peak} <= rset:
+            return "trajectory does not end on the right boundary"
+    length = d.lattice.length()
+    if len(trajs) != length:
+        return f"{len(trajs)} trajectories but length {length}"
+    if d.antube() != length:
+        return "neon tube count differs from length"
+    return None
+
+
+def eager_coords(seq):
+    """Drawing coordinates of build(seq), element -> (x, y), folded step by
+    step: grid element (i, j) at (j - i, i + j); a k-fold fork puts k
+    points evenly on each edge of the trajectory paths that descend from
+    its cell's lower edges to the boundaries, and each new tube foot and
+    leg crossing where the down-right line through one left-path point
+    meets the down-left line through one right-path point.  The new ids
+    follow multifork_extend: left-path points, right-path points, leg
+    crossings, tube feet."""
+    pl = grid(seq.grid_p, seq.grid_q)
+    width = seq.grid_q + 1
+    coords = {i * width + j: (Fraction(j - i), Fraction(i + j))
+              for i in range(seq.grid_p + 1) for j in range(width)}
+
+    def cross(left, right):
+        (ax, ay), (bx, by) = left, right
+        x = (ax - ay + bx + by) / 2
+        return (x, x - ax + ay)
+
+    for st in seq.steps:
+        d, k, n0 = pl.diagram, st.k, pl.n
+        cell = resolve_address(d, (st.a, st.b))
+        lower_left, lower_right = Edge(cell.bottom, cell.left), Edge(cell.bottom, cell.right)
+        left = d.trajectory_through(lower_left).edges
+        right = d.trajectory_through(lower_right).edges
+        paths = (left[left.index(lower_left)::-1], right[right.index(lower_right):])
+        new = n0
+        points = []                 # per path, per edge: its k points from the peak down
+        for path in paths:
+            points.append([])
+            for e in path:
+                (fx, fy), (px, py) = coords[e.foot], coords[e.peak]
+                row = []
+                for s in range(1, k + 1):
+                    f = Fraction(s, k + 1)
+                    coords[new] = (px + f * (fx - px), py + f * (fy - py))
+                    row.append(new)
+                    new += 1
+                points[-1].append(row)
+        xs, ys = points[0][0], points[1][0]     # the points on the cell's lower edges
+        pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+        for i, j in pairs:
+            coords[new] = cross(coords[xs[j - 1]], coords[ys[k - i]])
+            new += 1
+        for i in range(1, k + 1):
+            coords[new] = cross(coords[xs[i - 1]], coords[ys[k - i]])
+            new += 1
+        pl = multifork_extend(pl, (st.a, st.b), k)
+        assert new == pl.n
+    return coords

@@ -1,8 +1,12 @@
+import copy
+
 import pytest
 
 from slimlat.diagram import (
     Edge,
+    FourCell,
     PlanarDiagram,
+    _trajectory_failure,
     boundary_heights,
     canonical_code,
     cell_address,
@@ -12,8 +16,10 @@ from slimlat.diagram import (
 )
 from slimlat.errors import DiagramError
 from slimlat.explore import enumerate_index
+from slimlat.multifork import grid
 from slimlat.order import FiniteLattice, Poset, lattice_from_poset, named_posets, order_from_covers
 
+from oracles import trajectory_failure_by_walks
 from test_order import B2_COVERS, S7_COVERS, grid_poset
 
 
@@ -168,6 +174,79 @@ def test_trajectory_cells_match_an_east_walk():
             assert [nxt for nxt, _ in walk] == [*t.edges[1:], None]
             assert tuple(cell for _, cell in walk[:-1]) == t.cells
             assert all(d.trajectory_through(e) == t for e in t.edges)
+
+
+def test_trajectory_sweep_agrees_with_the_walk_oracle():
+    """On every lattice of length <= 6 and its mirror, the sweep that
+    validation runs and the check over whole trajectories both pass."""
+    diagrams = [e.pl.diagram for e in enumerate_index(6).entries()]
+    assert len(diagrams) == 106
+    for d in diagrams + [d.mirror() for d in diagrams]:
+        assert _trajectory_failure(d) is None
+        assert trajectory_failure_by_walks(d) is None
+
+
+def _patched(d, cells=None, **state):
+    """A copy of d with the given cell list, or other derived state, in
+    place of its own."""
+    p = copy.copy(d)
+    if cells is not None:
+        p._cells, p._sides = tuple(cells), None
+    for name, value in state.items():
+        setattr(p, name, value)
+    return p
+
+
+def _planted(kind):
+    """A built grid diagram with one planted trajectory defect.  Grid element
+    (i, j) is i * (q + 1) + j; grid(2, 1) has the left chain 0, 2, 4, 5, the
+    right chain 0, 1, 3, 5 and the cells (0, 2, 1, 3) and (2, 4, 3, 5), given
+    as (bottom, left, right, top)."""
+    g11, g21, g12 = (grid(p, q).diagram for p, q in ((1, 1), (2, 1), (1, 2)))
+    if kind == "two east cells":
+        # (2, 3) is an upper left side of (0, 2, 1, 3), a lower left one of (2, 3, 4, 5)
+        return _patched(g21, g21.four_cells() + (FourCell(2, 3, 4, 5),))
+    if kind == "revisit":
+        # the walk from (4, 5) ends at (0, 1), which (0, 1, 2, 4) sends on
+        # into the left-chain edge (2, 4), where an earlier walk started
+        return _patched(g21, g21.four_cells() + (FourCell(0, 1, 2, 4),))
+    if kind == "tubes":
+        # no cells: the edge (0, 2) is a trajectory of its own, with no tube
+        return _patched(g11, ())
+    if kind == "end":
+        # the first cell's top moved to 5: the walk from (4, 5) stops at (2, 3)
+        return _patched(g21, (FourCell(0, 2, 1, 5), g21.four_cells()[1]))
+    if kind == "unreached":
+        # grid(1, 2) has the left chain 0, 3, 4, 5 and the right chain 0, 1,
+        # 2, 5; the cells send each left-chain edge straight to a cover on
+        # the right chain, so the trajectory of (1, 4) starts off the boundary
+        return _patched(g12, (FourCell(0, 3, 2, 5), FourCell(1, 3, 2, 4), FourCell(0, 4, 1, 5)))
+    if kind == "count":
+        lat = copy.copy(g21.lattice)
+        lat.length = lambda: 4
+        return _patched(g21, lattice=lat)
+    if kind == "tube count":
+        boundary, internal = g21.neon_tubes()
+        return _patched(g21, _tubes=(boundary[1:], internal))
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("two east cells", "edge (2, 3) has two east cells"),
+    ("revisit", "trajectory revisits an edge (diagram corruption)"),
+    ("tubes", "trajectory has 0 neon tubes, expected 1"),
+    ("end", "trajectory does not end on the right boundary"),
+    ("unreached", "trajectory does not start on the left boundary"),
+    ("count", "3 trajectories but length 4"),
+    ("tube count", "neon tube count differs from length"),
+])
+def test_trajectory_sweep_names_a_planted_defect(kind, message):
+    """No lattice that passes the checks run before the sweep fails it, so
+    each defect is planted in a grid's cells, its length or its tubes.  The
+    walk oracle fails too, though it may meet another defect first."""
+    d = _planted(kind)
+    assert _trajectory_failure(d) == message
+    assert trajectory_failure_by_walks(d) is not None
 
 
 def test_neon_tubes():

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from functools import cached_property
+
 import pytest
 
 from slimlat import diagram
@@ -10,6 +13,7 @@ from slimlat.explore import enumerate_index
 from slimlat.multifork import (
     ForkStep,
     MultiforkSequence,
+    ProvenancedLattice,
     build,
     decompose,
     grid,
@@ -17,7 +21,9 @@ from slimlat.multifork import (
 )
 from slimlat.order import FiniteLattice, lattice_from_poset, order_from_covers, poset_iso
 from slimlat.reduce import minimize
+from slimlat.render import render
 
+from oracles import eager_coords
 from test_order import S7_COVERS
 
 
@@ -96,6 +102,42 @@ def test_built_diagrams_derive_neither_heights_nor_order_lists(monkeypatch):
     assert calls == ["order lists"]
     assert read.heights() == built.heights()
     assert calls == ["order lists", "heights"]
+
+
+def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
+    """Enumerating the lattices of length <= 6, then building, minimizing
+    and doubling them, never lists a diagram's trajectories and computes no
+    drawing coordinates: validation sweeps the trajectories on pairs, and
+    a built lattice keeps only the recipes of its coordinates.  One svg
+    render computes them once, for its slope check and its drawing."""
+    calls = []
+    trajectories, coords = PlanarDiagram.trajectories, ProvenancedLattice.coords.func
+
+    def counted_trajectories(d):
+        calls.append("trajectories")
+        return trajectories(d)
+
+    def counted_coords(pl):
+        calls.append("coords")
+        return coords(pl)
+
+    counted = cached_property(counted_coords)
+    counted.__set_name__(ProvenancedLattice, "coords")
+    monkeypatch.setattr(PlanarDiagram, "trajectories", counted_trajectories)
+    monkeypatch.setattr(ProvenancedLattice, "coords", counted)
+    seqs = [e.pl.seq for e in enumerate_index(6).entries()]
+    for seq in seqs:
+        minimize(build(seq))
+        for t in range(1, len(seq.steps) + 1):
+            try:
+                double(seq, t)
+            except SlimlatError:
+                pass
+    assert calls == []
+
+    pl = build(seqs[-1])
+    render(pl, "svg")
+    assert calls == ["coords"]
 
 
 # Grid ------------------------------------------------------------------------
@@ -247,7 +289,19 @@ def assert_parents_match_geometry(pl):
         assert inside == [nd.parent], (emit_dsl(pl.seq), nd)
 
 
+def assert_coords_match_the_eager_fold(pl):
+    """The coordinates replayed from the recipes are those that the step
+    by step fold gives, each a Fraction."""
+    coords = pl.coords
+    assert coords == eager_coords(pl.seq), emit_dsl(pl.seq)
+    assert sorted(coords) == list(range(pl.n))
+    assert all(type(v) is Fraction for xy in coords.values() for v in xy)
+
+
 def test_forest_parents_match_geometry_up_to_length_six():
+    """The forest agrees with the drawing, and the drawing with the eager
+    fold, on the lattices of length <= 6, their doublings and one lattice of
+    the benchmark's large size (a grid and three forks, 106 elements)."""
     entries = enumerate_index(6).entries()
     doubles = [
         build(double(e.seq, step)[0])
@@ -256,6 +310,10 @@ def test_forest_parents_match_geometry_up_to_length_six():
     assert len(entries) == 106 and len(doubles) == 182
     for pl in [e.pl for e in entries] + doubles:
         assert_parents_match_geometry(pl)
+        assert_coords_match_the_eager_fold(pl)
+    large = build(parse_dsl("grid 7 6\nfork 5 0 2\nfork 3 4 1\nfork 1 7 2\n"))
+    assert large.n == 106
+    assert_coords_match_the_eager_fold(large)
 
 
 def test_lower_covers_of_peak_stable_across_stages():
