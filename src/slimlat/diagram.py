@@ -6,24 +6,29 @@ ordered lists are derived from boundary-height coordinates (meet with the
 two corners), never from drawn positions.  Cells, boundary chains,
 trajectories, neon tubes, mirroring and canonical codes all live here.
 
-A diagram computes its cells, boundary chains, corners, boundary heights
-and neon tubes once, on first use, and keeps the lamp data the lamps
-module derives; a failure is not cached and is raised again on the next
-call.  A built lattice's corner coordinates go to its diagram: the one
-constructor of grids, forks and fork deletions (_certified_diagram) sorts
-the covers by them and keeps them as the diagram's heights, and its
+A diagram computes its cells (with the map from each bottom to its
+cell), boundary chains, corners, boundary heights and neon tubes once, on
+first use, and keeps the lamp data that the lamps module derives for it;
+a failure is not cached and is raised again on the next call.  A built
+lattice's corner coordinates go to its diagram: the one constructor of
+grids, forks and fork deletions (_certified_diagram) orders the poset's
+cover rows by them and keeps them as the diagram's heights, and its
 corners as corners(); embed_rectangular derives both for a foreign
-lattice.  Nothing is cached per edge but the cell side maps: validation
-checks every trajectory in one sweep over (foot, peak) pairs
-(_trajectory_failure), and trajectory_through walks the side maps on
-pairs and makes Edge objects only for the one trajectory it returns,
-with the cells it crosses.
+lattice.  The row helper behind both (_falling_rows) keeps every row that
+already runs by falling left height, the same tuple, and sorts only the
+others, so a grid or fork step, whose rows are spliced in order, shares
+its poset's rows and sorts none.  Nothing is cached per edge but the
+cell side maps: validation checks every trajectory in one sweep over
+(foot, peak) pairs (_trajectory_failure), and trajectory_through walks
+the side maps on pairs and makes Edge objects only for the one
+trajectory it returns, with the cells it crosses.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DiagramError, OrderError
 from .order import (
@@ -75,9 +80,9 @@ class PlanarDiagram:
 
     @classmethod
     def _sorted(cls, lattice, upper, lower, corners=None, heights=None):
-        """The diagram with cover lists (tuples) sorted from the poset's own
-        cover tuples, or reversed from a diagram's: each lists its element's
-        covers once, so they are not compared with the cover relation."""
+        """The diagram with cover lists (tuples) ordered from the poset's own
+        rows, or reversed from a diagram's: each lists its element's covers
+        once, so they are not compared with the cover relation."""
         d = cls.__new__(cls)
         d._set(lattice, upper, lower, corners, heights)
         return d
@@ -85,9 +90,8 @@ class PlanarDiagram:
     def _set(self, lattice, upper, lower, corners=None, heights=None):
         self.lattice, self.upper, self.lower = lattice, upper, lower
         self._corners, self._heights = corners, heights
-        self._cells = self._sides = self._chains = self._chain_sets = self._tubes = None
-        # lamp list and lamp order, filled by the lamps module; a mirror derives its own
-        self._lamps = self._lamp_order = None
+        self._cells = self._by_bottom = self._sides = None
+        self._chains = self._chain_sets = self._tubes = None
 
     def _check_order_lists(self):
         n = self.lattice.n
@@ -179,10 +183,13 @@ class PlanarDiagram:
                         )
                     cells.append(FourCell(u, v, w, top))
             self._cells = tuple(cells)
+            self._by_bottom = {c.bottom: c for c in cells}
         return self._cells
 
     def cells_by_bottom(self):
-        return {c.bottom: c for c in self.four_cells()}
+        """bottom -> cell, derived with the cells."""
+        self.four_cells()
+        return self._by_bottom
 
     def _side_maps(self):
         """(west, east): edge -> the cell on that side of it."""
@@ -281,6 +288,20 @@ class PlanarDiagram:
     def antube(self):
         b, i = self.neon_tubes()
         return len(b) + len(i)
+
+    # -- lamps, derived by the lamps module (which imports this one) ---------
+
+    @cached_property
+    def _lamp_list(self):
+        """(lamps, map from each neon tube's (foot, peak) to its (lamp, index))."""
+        from .lamps import _derive_lamp_list
+        return _derive_lamp_list(self)
+
+    @cached_property
+    def _lamp_order(self):
+        """(lamps, strict order pairs on lamp feet, Poset): lamps.lamp_poset."""
+        from .lamps import _derive_lamp_order
+        return _derive_lamp_order(self)
 
     # -- mirroring and codes -------------------------------------------------
 
@@ -406,23 +427,41 @@ def _certified_diagram(poset, lcorner, rcorner):
 
 
 def _sorted_diagram(lat, lcorner, rcorner, heights):
-    """The diagram whose cover lists run by falling left height.  DiagramError
-    if two covers of an element share a left height.  The first upper cover
-    of lchain[i] is then lchain[i + 1], so the left boundary chain climbs the
-    ideal of lcorner, the right one that of rcorner, and the given corners
-    and heights are the diagram's corners() and heights()."""
-    hl = heights[0]
-    upper, lower = [], []
-    for u in range(lat.n):
-        ups = tuple(sorted(lat.upper_covers(u), key=lambda v: -hl[v]))
-        dns = tuple(sorted(lat.lower_covers(u), key=lambda v: -hl[v]))
-        for row in (ups, dns):
-            for a, b in zip(row, row[1:]):
-                if hl[a] == hl[b]:
-                    raise DiagramError(f"covers {a},{b} of {u} collide in the embedding")
-        upper.append(ups)
-        lower.append(dns)
-    return PlanarDiagram._sorted(lat, tuple(upper), tuple(lower), (lcorner, rcorner), heights)
+    """The diagram whose cover lists run by falling left height, from the
+    poset's rows (_falling_rows).  DiagramError if two covers of an element
+    share a left height.  The first upper cover of lchain[i] is then
+    lchain[i + 1], so the left boundary chain climbs the ideal of lcorner,
+    the right one that of rcorner, and the given corners and heights are
+    the diagram's corners() and heights()."""
+    hl, p = heights[0], lat.poset
+    return PlanarDiagram._sorted(lat, _falling_rows(p._upcov, hl), _falling_rows(p._dncov, hl),
+                                 (lcorner, rcorner), heights)
+
+
+def _falling_rows(rows, hl):
+    """The rows listed by falling left height.  A row that already falls
+    strictly is kept, the same tuple, and so is `rows` if every row is; the
+    others are sorted (_falling)."""
+    out = None
+    for u, row in enumerate(rows):
+        # most rows hold one or two covers
+        if len(row) < 2 or len(row) == 2 and hl[row[0]] > hl[row[1]]:
+            continue
+        if any(hl[a] <= hl[b] for a, b in zip(row, row[1:])):
+            if out is None:
+                out = list(rows)
+            out[u] = _falling(u, row, hl)
+    return rows if out is None else tuple(out)
+
+
+def _falling(u, row, hl):
+    """The covers of u in row, sorted by falling left height; DiagramError
+    if two of them share one."""
+    row = tuple(sorted(row, key=hl.__getitem__, reverse=True))
+    for a, b in zip(row, row[1:]):
+        if hl[a] == hl[b]:
+            raise DiagramError(f"covers {a},{b} of {u} collide in the embedding")
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +485,8 @@ def is_slim_rectangular(obj):
     bottom, that each two neighbouring lower covers of an element are the
     left and right sides of a cell with that top, and trajectory sanity
     (one neon tube each, count = length) in one sweep, _trajectory_failure.
+    Each element's upper-cover join is computed once: when no element has
+    three upper covers, the cells decide semimodularity too.
     """
     failures = []
     if isinstance(obj, PlanarDiagram):
@@ -458,7 +499,15 @@ def is_slim_rectangular(obj):
         except DiagramError as e:
             return ValidationReport(False, (f"embedding: {e}",))
 
-    if not lat.is_semimodular():
+    wide = next((u for u, row in enumerate(d.upper) if len(row) > 2), None)
+    try:
+        d.four_cells()
+        cell_failure = None
+    except DiagramError as e:
+        cell_failure = str(e)
+    # four_cells takes the join of each two neighbouring upper covers; when
+    # no element has three, these are all the joins Birkhoff's condition needs
+    if not (lat.is_semimodular() if wide is not None else cell_failure is None):
         failures.append("not semimodular")
     if not lat.is_slim():
         failures.append("not slim: 3-element antichain in join-irreducibles")
@@ -469,14 +518,10 @@ def is_slim_rectangular(obj):
         a, b = di
         if not lat.is_meet(a, b, lat.bottom) or not lat.is_join(a, b, lat.top):
             failures.append("doubly irreducible elements are not complements")
-    for u in range(lat.n):
-        if len(lat.upper_covers(u)) > 2:
-            failures.append(f"element {u} has more than 2 upper covers (shared cell bottom)")
-            break
-    try:
-        d.four_cells()
-    except DiagramError as e:
-        failures.append(str(e))
+    if wide is not None:
+        failures.append(f"element {wide} has more than 2 upper covers (shared cell bottom)")
+    if cell_failure is not None:
+        failures.append(cell_failure)
     lchain, rchain = d.boundary_chains()
     if lchain[-1] != lat.top or rchain[-1] != lat.top:
         failures.append("boundary chains do not reach the top")
@@ -536,7 +581,7 @@ def _trajectory_failure(d):
             return f"trajectory has {tubes} neon tubes, expected 1"
         if not (last[0] in rset and last[1] in rset):
             return "trajectory does not end on the right boundary"
-    if len(seen) != len(d.lattice.poset.covers):
+    if len(seen) != sum(map(len, upper)):
         return "trajectory does not start on the left boundary"
     length = d.lattice.length()
     if len(lchain) - 1 != length:

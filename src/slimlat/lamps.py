@@ -6,7 +6,8 @@ functions need only a PlanarDiagram; territory-based functions (usage)
 also need the provenance carried by a built lattice (cell forest and
 per-tube territory records).  Each diagram keeps its lamp list, with the
 map from each neon tube to its (lamp, index), and its lamp order (lamps,
-lt, poset), each derived at most once, on first use, by this module alone.
+lt, poset), in cached properties that call this module's derivations
+once, on first use.
 """
 
 from __future__ import annotations
@@ -29,19 +30,17 @@ class Lamp:
 
 def lamps_of_diagram(d):
     """All lamps of a diagram, keyed by foot; boundary lamps first."""
-    return _lamp_list(d)[0]
+    return d._lamp_list[0]
 
 
 def tube_lamp(d, tube):
     """(lamp, index of the tube among the lamp's tubes) of a neon tube of d."""
-    return _lamp_list(d)[1][(tube.foot, tube.peak)]
+    return d._lamp_list[1][(tube.foot, tube.peak)]
 
 
-def _lamp_list(d):
-    """(lamps, tube map) of d, derived on first use: the map sends each
-    neon tube's (foot, peak) to its (lamp, index)."""
-    if d._lamps is not None:
-        return d._lamps
+def _derive_lamp_list(d):
+    """(lamps, tube map) of d, which keeps them as its _lamp_list: the map
+    sends each neon tube's (foot, peak) to its (lamp, index)."""
     boundary, internal = d.neon_tubes()
     lat = d.lattice
     lc, rc = d.corners()
@@ -60,8 +59,7 @@ def _lamp_list(d):
         foot = lat.meet_of(e.foot for e in tubes)
         out.append(Lamp("internal", foot, peak, tuple(tubes)))
     tmap = {(e.foot, e.peak): (l, i) for l in out for i, e in enumerate(l.tubes)}
-    d._lamps = (tuple(out), tmap)
-    return d._lamps
+    return tuple(out), tmap
 
 
 def _diagram_of(obj):
@@ -110,11 +108,13 @@ def lamp_poset(obj):
     U < Nwl U and U < Nel U over internal lamps U, which needs no
     provenance; boundary lamps are maximal.  The closures of the territory
     relations rho_foot and rho_circr give the same order; they are kept in
-    tests/oracles.py.
+    tests/oracles.py.  Each diagram derives it once (_derive_lamp_order)
+    and keeps it.
     """
-    d = _diagram_of(obj)
-    if d._lamp_order is not None:
-        return d._lamp_order
+    return _diagram_of(obj)._lamp_order
+
+
+def _derive_lamp_order(d):
     lamps = lamps_of_diagram(d)
     idx = {l.foot: i for i, l in enumerate(lamps)}
     poset = Poset.from_relation(len(lamps), {
@@ -128,8 +128,7 @@ def lamp_poset(obj):
         (lamps[i].foot, lamps[j].foot) for i in range(poset.n) for j in range(poset.n)
         if poset.lt(i, j)
     )
-    d._lamp_order = (lamps, lt, poset)
-    return d._lamp_order
+    return lamps, lt, poset
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Multifork construction of slim rectangular lattices.
 
 A lattice is built from a grid by a sequence of k-fold multifork
-extensions at distributive 4-cells.  Each extension keeps full
-provenance: a cell-subdivision forest and per-neon-tube territory
-records.  It also records, in a few integers per new element, how to
-place that element in the drawing; the exact rational coordinates that
-rendering reads are replayed from these recipes on first use.  A built
-lattice can be decomposed back into a sequence (round-trip stable up to
-isomorphism).
+extensions at distributive 4-cells.  A grid lists its cover rows left to
+right, and an extension splices its child's rows from its parent's: each
+path edge gives way to its subdivision chain, the cell's peak gains its
+new lower covers between its two old ones, and every other old row is
+kept, the same tuple.  The child's poset and diagram share these rows
+(order.Poset._from_rows, diagram._certified_diagram), which are checked,
+not sorted.  Each extension keeps full provenance: a cell-subdivision
+forest and per-neon-tube territory records.  It also records, in a few
+integers per new element, how to place that element in the drawing; the
+exact rational coordinates that rendering reads are replayed from these
+recipes on first use.  A built lattice can be decomposed back into a
+sequence (round-trip stable up to isomorphism).
 """
 
 from __future__ import annotations
@@ -157,10 +162,16 @@ def grid(p, q):
     def eid(i, j):
         return i * width + j
 
-    covers = {(eid(i, j), eid(i + 1, j)) for i in range(p) for j in range(q + 1)}
-    covers |= {(eid(i, j), eid(i, j + 1)) for i in range(p + 1) for j in range(q)}
+    # rows left to right: (i, j) has left height i, and falling left height
+    # puts (i + 1, j) before (i, j + 1) above it, (i, j - 1) before (i - 1, j) below
+    upper, lower = [], []
+    for i in range(p + 1):
+        for j in range(width):
+            u = eid(i, j)
+            upper.append(tuple(v for v, ok in ((u + width, i < p), (u + 1, j < q)) if ok))
+            lower.append(tuple(v for v, ok in ((u - 1, j > 0), (u - width, i > 0)) if ok))
     lc = eid(p, 0)
-    d = _certified_diagram(Poset((p + 1) * (q + 1), covers), lc, eid(0, q))
+    d = _certified_diagram(Poset._from_rows(tuple(upper), tuple(lower)), lc, eid(0, q))
     forest = []
     leaf = {}
     for c in d.four_cells():
@@ -236,29 +247,52 @@ def multifork_extend(pl, address, k):
     def mid(i):
         return mbase + (i - 1)
 
-    covers = set(lat.poset.covers)
+    # The child's rows, spliced from the parent's, which run left to right:
+    # a path edge (f, p) is the first upper cover of f and the last lower
+    # cover of p on the left path (the last and the first on the right one),
+    # and its subdivision points take its place in both rows; the k new
+    # lower covers of t go between a and b.  Every other old row is kept.
+    upper, lower = list(d.upper), list(d.lower)
     for edges, ids in ((left_edges, xid), (right_edges, yid)):
         for j, e in enumerate(edges):
-            covers.remove((e.foot, e.peak))
-            chain = [e.peak] + [ids(j, s) for s in range(1, k + 1)] + [e.foot]
-            for upper, lower in zip(chain, chain[1:]):
-                covers.add((lower, upper))
-        for j in range(len(edges) - 1):
-            for s in range(1, k + 1):
-                covers.add((ids(j + 1, s), ids(j, s)))
+            _swap(upper, e.foot, e.peak, ids(j, k))
+            _swap(lower, e.peak, e.foot, ids(j, 1))
+    row = lower[t]
+    at = row.index(a) + 1
+    lower[t] = row[:at] + tuple(mid(s) for s in range(1, k + 1)) + row[at:]
+    # The new rows, left to right: north-west before north-east above an
+    # element, south-west before south-east below it.  Subdivision point s
+    # of left edge j has its edge's upper part north-west and lower part
+    # south-east, point s of the edge east of it north-east (on the cell's
+    # own edge, the left leg of m_s) and point s of the edge west of it
+    # south-west; right edges mirror this.  The left leg of m_j runs
+    # south-west, the right leg of m_i south-east, and cid[i, j] is where
+    # they cross.
+    for j, e in enumerate(left_edges):
+        for s in range(1, k + 1):
+            north_east = xid(j - 1, s) if j else cid[1, s] if s > 1 else mid(1)
+            south_west = (xid(j + 1, s),) if j + 1 < np_ else ()
+            upper.append((xid(j, s - 1) if s > 1 else e.peak, north_east))
+            lower.append(south_west + (xid(j, s + 1) if s < k else e.foot,))
+    for j, e in enumerate(right_edges):
+        for s in range(1, k + 1):
+            i = k + 1 - s       # y(0, s) ends the right leg of m_i
+            north_west = yid(j - 1, s) if j else cid[i, k] if i < k else mid(k)
+            south_east = (yid(j + 1, s),) if j + 1 < nq else ()
+            upper.append((north_west, yid(j, s - 1) if s > 1 else e.peak))
+            lower.append((yid(j, s + 1) if s < k else e.foot,) + south_east)
+    for i, j in cpairs:
+        upper.append((cid[i, j - 1] if j - 1 > i else mid(i),
+                      cid[i + 1, j] if i + 1 < j else mid(j)))
+        lower.append((cid[i - 1, j] if i > 1 else xid(0, j),
+                      cid[i, j + 1] if j < k else yid(0, k + 1 - i)))
     for i in range(1, k + 1):
-        covers.add((mid(i), t))
-    for j in range(1, k + 1):       # left leg of m_j
-        leg = [mid(j)] + [cid[i, j] for i in range(j - 1, 0, -1)] + [xid(0, j)]
-        for upper, lower in zip(leg, leg[1:]):
-            covers.add((lower, upper))
-    for i in range(1, k + 1):       # right leg of m_i
-        leg = [mid(i)] + [cid[i, jj] for jj in range(i + 1, k + 1)] + [yid(0, k + 1 - i)]
-        for upper, lower in zip(leg, leg[1:]):
-            covers.add((lower, upper))
+        upper.append((t,))
+        lower.append((cid[i - 1, i] if i > 1 else xid(0, i),
+                      cid[i, i + 1] if i < k else yid(0, 1)))
 
     try:
-        d2 = _certified_diagram(Poset(total, covers), *d.corners())
+        d2 = _certified_diagram(Poset._from_rows(tuple(upper), tuple(lower)), *d.corners())
     except (OrderError, DiagramError) as e:
         raise InternalInconsistencyError(f"extension produced an invalid lattice: {e}")
     lat2 = d2.lattice
@@ -327,6 +361,13 @@ def multifork_extend(pl, address, k):
         step_origin,
         pl.recipes + tuple(recipes),
     )
+
+
+def _swap(rows, u, old, new):
+    """Put new in old's place in row u."""
+    row = rows[u]
+    i = row.index(old)
+    rows[u] = row[:i] + (new,) + row[i + 1:]
 
 
 def build(seq):

@@ -1,8 +1,11 @@
 """Finite posets and lattices, stored as up- and down-set bitmasks.
 
 Elements are dense integers 0..n-1.  Values do not change after
-construction; derived data (heights, irreducibles) is computed on first
-use and cached on the object.  Sets of elements are int bitmasks, bit y
+construction; derived data (heights, irreducibles, a built poset's cover
+set) is computed on first use and cached on the object.  A poset keeps
+its covers as rows, upper_covers(u) and lower_covers(u): a poset from
+pairs lists them ascending, a built one (Poset._from_rows) left to right,
+as its diagram does.  Sets of elements are int bitmasks, bit y
 for y: `Poset.up[x]` holds the y >= x, `Poset.down[x]` the y <= x.  A
 FiniteLattice keeps no table; other modules get elements, not masks, from
 its point queries.  Seven textbook facts keep the kernels below cubic cost:
@@ -72,6 +75,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, compress, count
 
 from .errors import BudgetError, OrderError, ParseError
@@ -99,11 +103,42 @@ def _elements(mask):
 # ---------------------------------------------------------------------------
 
 class Poset:
-    """Finite poset given by its (transitively reduced) cover relation."""
+    """Finite poset given by its (transitively reduced) cover relation.
+
+    upper_covers(u) and lower_covers(u) are the rows of that relation.  A
+    poset from pairs lists each row ascending; a built one (_from_rows)
+    keeps the rows it is handed, which list the covers left to right in the
+    diagram.  `covers`, the set of (lower, upper) pairs, is kept by a poset
+    from pairs and derived on first read for one from rows.
+    """
 
     def __init__(self, n, covers):
-        self._close(n, covers)
+        self._set_covers(n, covers)
+        self._close()
         self._check_reduced()
+
+    @classmethod
+    def _from_rows(cls, upper, lower):
+        """The poset whose upper_covers(u) is upper[u] and lower_covers(u) is
+        lower[u], the same tuples.  OrderError unless the rows are each
+        other's transpose (every upper pair is listed once, the lower rows
+        hold the same pairs) and the relation is acyclic and reduced."""
+        n = len(upper)
+        if len(lower) != n:
+            raise OrderError(f"{n} upper rows but {len(lower)} lower rows")
+        count = 0
+        for a, row in enumerate(upper):
+            for b in row:
+                if not 0 <= b < n or a not in lower[b]:
+                    raise OrderError(f"cover ({a},{b}) is missing from the lower rows")
+            count += len(row)
+        if count != sum(map(len, lower)):
+            raise OrderError("the lower rows list covers that the upper rows do not")
+        poset = cls.__new__(cls)
+        poset._set_rows(upper, lower)
+        poset._close()
+        poset._check_reduced()
+        return poset
 
     @classmethod
     def from_relation(cls, n, pairs):
@@ -115,7 +150,8 @@ class Poset:
         up- and down-sets of the pairs, which are its own.
         """
         poset = cls.__new__(cls)
-        poset._close(n, pairs)
+        poset._set_covers(n, pairs)
+        poset._close()
         covers = set()
         for a in range(n):
             succ = poset._upcov[a]
@@ -128,8 +164,7 @@ class Poset:
         return poset
 
     def _set_covers(self, n, pairs):
-        """Store the pairs as covers and a topological order (`_order`,
-        every element after its lower covers)."""
+        """Store the pairs as covers, and as rows listed ascending."""
         covers = frozenset((int(a), int(b)) for a, b in pairs)
         upcov = [[] for _ in range(n)]
         dncov = [[] for _ in range(n)]
@@ -140,15 +175,25 @@ class Poset:
                 raise OrderError(f"cover ({a},{b}) is a loop")
             upcov[a].append(b)
             dncov[b].append(a)
-        self.n = n
         self.covers = covers
-        self._upcov = tuple(tuple(sorted(c)) for c in upcov)
-        self._dncov = tuple(tuple(sorted(c)) for c in dncov)
+        self._set_rows(tuple(tuple(sorted(c)) for c in upcov),
+                       tuple(tuple(sorted(c)) for c in dncov))
+
+    def _set_rows(self, upper, lower):
+        """Store the rows and a topological order (`_order`, every element
+        after its lower covers)."""
+        self.n = len(upper)
+        self._upcov, self._dncov = upper, lower
         self._order = tuple(self._toposort())
 
-    def _close(self, n, pairs):
-        """_set_covers, then the up- and down-set masks: one OR per cover."""
-        self._set_covers(n, pairs)
+    @cached_property
+    def covers(self):
+        """The cover pairs (a, b), b an upper cover of a, as a frozenset."""
+        return frozenset((a, b) for a, row in enumerate(self._upcov) for b in row)
+
+    def _close(self):
+        """The up- and down-set masks: one OR per cover."""
+        n = self.n
         for name, covers, order in (("up", self._upcov, self._order[::-1]),
                                     ("down", self._dncov, self._order)):
             masks = [0] * n
@@ -160,18 +205,28 @@ class Poset:
             setattr(self, name, tuple(masks))
 
     def _check_reduced(self):
-        """OrderError unless no cover (a, b) has b above another cover of a."""
+        """OrderError unless no upper row lists a cover twice or a cover b
+        above another one of its covers: one mask of the elements strictly
+        above the row's covers per row of two or more."""
         up = self.up
-        for a, b in self.covers:
-            if any(c != b and up[c] >> b & 1 for c in self._upcov[a]):
+        for a, row in enumerate(self._upcov):
+            if len(row) < 2:
+                continue
+            listed = above = 0
+            for c in row:
+                listed |= 1 << c
+                above |= up[c] ^ (1 << c)
+            if listed.bit_count() != len(row):
+                b = next(b for i, b in enumerate(row) if b in row[:i])
+                raise OrderError(f"cover ({a},{b}) is listed twice")
+            if listed & above:
+                b = next(b for b in row if above >> b & 1)
                 w = min(set(_elements(up[a] & self.down[b])) - {a, b})
                 raise OrderError(f"cover ({a},{b}) is not reduced: {a}<{w}<{b}")
 
     def _toposort(self):
-        indeg = [0] * self.n
-        for _, b in self.covers:
-            indeg[b] += 1
-        queue = sorted(u for u in range(self.n) if indeg[u] == 0)
+        indeg = [len(r) for r in self._dncov]
+        queue = [u for u, d in enumerate(indeg) if d == 0]
         for u in queue:  # the loop also visits what it appends
             for v in self._upcov[u]:
                 indeg[v] -= 1
@@ -393,7 +448,7 @@ class FiniteLattice:
         return self.poset.leq(a, b)
 
     def covers(self, a, b):
-        return (a, b) in self.poset.covers
+        return b in self.poset.upper_covers(a)
 
     def upper_covers(self, u):
         return self.poset.upper_covers(u)
@@ -443,7 +498,8 @@ class FiniteLattice:
     def cover_join(self, a, b):
         """a v b if it covers the distinct elements a and b, else None: two distinct
         elements of a lattice share at most one upper cover, and it is their join."""
-        shared = [c for c in self.upper_covers(a) if (b, c) in self.poset.covers]
+        ups = self.upper_covers(b)
+        shared = [c for c in self.upper_covers(a) if c in ups]
         return shared[0] if len(shared) == 1 else None
 
     # -- structural predicates ----------------------------------------------
@@ -631,24 +687,6 @@ class Congruence:
 
     def block_count(self):
         return len(set(self.block_index))
-
-    def refines(self, other):
-        """True iff every block of self is inside a block of other."""
-        seen = {}
-        for x in range(self.n):
-            mine = self.block_index[x]
-            if mine in seen:
-                if seen[mine] != other.block_index[x]:
-                    return False
-            else:
-                seen[mine] = other.block_index[x]
-        return True
-
-    def is_identity(self):
-        return self.block_count() == self.n
-
-    def is_full(self):
-        return self.block_count() == 1
 
 
 def _tables(lat):

@@ -243,13 +243,6 @@ def minimize(pl):
         trace.append(step)
 
 
-def is_reduction_fixpoint(pl):
-    stats = usage_stats(pl)
-    return not any(
-        "00" in pat or "0u0" in pat for pat in stats.patterns.values()
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bounds
 # ---------------------------------------------------------------------------

@@ -31,6 +31,9 @@ does not use.
   step, from the step's own trajectories.  Production records a recipe
   per new element and replays the recipes on first read
   (`slimlat.multifork.ProvenancedLattice.coords`).
+- Predicates that only tests ask: refinement, identity and fullness of a
+  congruence, and whether a built lattice is a fixpoint of the reduction
+  rules (`slimlat.reduce.minimize` runs the rules themselves).
 """
 
 from fractions import Fraction
@@ -45,6 +48,7 @@ from slimlat.lamps import (
     lamp_poset,
     lamps_of_diagram,
     nwl_nel,
+    usage_stats,
 )
 from slimlat.multifork import grid, multifork_extend
 # tables(lat): the (meet, join) tables from the recurrence that certifies
@@ -150,6 +154,35 @@ def rho_foot(pl):
     return frozenset(pairs)
 
 
+def refines(c, other):
+    """True iff every block of the congruence c is inside a block of other."""
+    seen = {}
+    for x in range(c.n):
+        mine = c.block_index[x]
+        if mine in seen:
+            if seen[mine] != other.block_index[x]:
+                return False
+        else:
+            seen[mine] = other.block_index[x]
+    return True
+
+
+def is_identity(c):
+    return c.block_count() == c.n
+
+
+def is_full(c):
+    return c.block_count() == 1
+
+
+def is_reduction_fixpoint(pl):
+    """No internal lamp's usage pattern has a 00 or 0u0 that minimize removes."""
+    stats = usage_stats(pl)
+    return not any(
+        "00" in pat or "0u0" in pat for pat in stats.patterns.values()
+    )
+
+
 def congruence_join(lat, congs):
     pairs = []
     for c in congs:
@@ -191,7 +224,7 @@ def is_congruence(lat, cong):
 def verify_jir_congruences(cl):
     """Each listed congruence must not be the join of strictly smaller ones."""
     for i, c in enumerate(cl.jir_congs):
-        below = [d for d in cl.jir_congs if d != c and d.refines(c)]
+        below = [d for d in cl.jir_congs if d != c and refines(d, c)]
         if congruence_join(cl.lattice, below).block_index == c.block_index:
             return False
     return True

@@ -6,6 +6,8 @@ from slimlat.diagram import (
     Edge,
     FourCell,
     PlanarDiagram,
+    _certified_diagram,
+    _sorted_diagram,
     _trajectory_failure,
     boundary_heights,
     canonical_code,
@@ -247,6 +249,32 @@ def test_trajectory_sweep_names_a_planted_defect(kind, message):
     d = _planted(kind)
     assert _trajectory_failure(d) == message
     assert trajectory_failure_by_walks(d) is not None
+
+
+def test_a_row_out_of_order_is_sorted():
+    """Rows handed to the built-lattice constructor in another order come out
+    by falling left height; every row already in order is kept."""
+    d = grid(2, 2).diagram
+    for side in (0, 1):             # upper, lower
+        for u in range(d.n):
+            rows = [list(d.upper), list(d.lower)]
+            if len(rows[side][u]) < 2:
+                continue
+            rows[side][u] = rows[side][u][::-1]
+            built = _certified_diagram(Poset._from_rows(*map(tuple, rows)), *d.corners())
+            assert (built.upper, built.lower) == (d.upper, d.lower)
+            got = (built.upper, built.lower)[side]
+            assert [v is w for v, w in zip(got, rows[side])] == [v != u for v in range(d.n)]
+
+
+def test_covers_at_one_left_height_collide():
+    # grid(1, 1): 0 = (0, 0) has the upper covers 2 = (1, 0) and 1 = (0, 1)
+    d = grid(1, 1).diagram
+    hl, hr, lchain, rchain = d.heights()
+    assert d.upper[0] == (2, 1) and hl[1] == 0
+    planted = (hl[:1] + (1,) + hl[2:], hr, lchain, rchain)
+    with pytest.raises(DiagramError, match=r"^covers 2,1 of 0 collide in the embedding$"):
+        _sorted_diagram(d.lattice, *d.corners(), planted)
 
 
 def test_neon_tubes():

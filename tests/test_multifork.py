@@ -3,7 +3,7 @@ from functools import cached_property
 
 import pytest
 
-from slimlat import diagram
+from slimlat import diagram, doubling, explore, multifork, reduce
 from slimlat.diagram import PlanarDiagram, cell_address, is_slim_rectangular, resolve_address
 from slimlat.doubling import double
 from slimlat.dsl import emit_dsl, parse_dsl
@@ -19,7 +19,7 @@ from slimlat.multifork import (
     grid,
     multifork_extend,
 )
-from slimlat.order import FiniteLattice, lattice_from_poset, order_from_covers, poset_iso
+from slimlat.order import FiniteLattice, Poset, lattice_from_poset, order_from_covers, poset_iso
 from slimlat.reduce import minimize
 from slimlat.render import render
 
@@ -138,6 +138,101 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
     pl = build(seqs[-1])
     render(pl, "svg")
     assert calls == ["coords"]
+
+
+def test_steps_sort_no_row_and_derive_no_cover_set(monkeypatch):
+    """Enumerating the lattices of length <= 6, then building, minimizing
+    and doubling them, sorts no row of a grid or fork step, whose rows are
+    spliced in order from the parent's; only fork deletions, whose rows come
+    ascending from Poset.restrict, are sorted.  No built lattice derives its
+    cover set: one JSON write derives it once."""
+    events, deleting = [], []
+    falling, covers, delete = diagram._falling, Poset.covers.func, multifork._delete_forks
+
+    def counted_falling(u, row, hl):
+        events.append("deletion sort" if deleting else "step sort")
+        return falling(u, row, hl)
+
+    def counted_covers(poset):
+        events.append("covers")
+        return covers(poset)
+
+    def counted_delete(*args):
+        deleting.append(True)
+        try:
+            return delete(*args)
+        finally:
+            deleting.pop()
+
+    counted = cached_property(counted_covers)
+    counted.__set_name__(Poset, "covers")
+    monkeypatch.setattr(diagram, "_falling", counted_falling)
+    monkeypatch.setattr(Poset, "covers", counted)
+    monkeypatch.setattr(multifork, "_delete_forks", counted_delete)
+    monkeypatch.setattr(reduce, "_delete_forks", counted_delete)
+    seqs = [e.pl.seq for e in enumerate_index(6).entries()]
+    for seq in seqs:
+        minimize(build(seq))
+        for t in range(1, len(seq.steps) + 1):
+            try:
+                double(seq, t)
+            except SlimlatError:
+                pass
+    assert "step sort" not in events and "covers" not in events
+    assert "deletion sort" in events    # the counter sees the sorts that happen
+
+    d = build(seqs[-1]).diagram
+    d.to_json()
+    d.to_json()
+    assert events.count("covers") == 1
+
+
+def assert_rows_spliced(parent, child):
+    """The child's rows are its covers sorted by falling left height, read
+    off its masks (b covers a iff [a, b] has two elements); its upper and
+    lower rows are each other's transpose and its poset's own rows; and
+    each old element whose covers the fork left alone keeps the parent's
+    row, the same tuple.  Returns the number of rows kept."""
+    d, p = child.diagram, child.lattice.poset
+    n, lc = p.n, d.corners()[0]
+    hl = [(m & p.down[lc]).bit_count() - 1 for m in p.down]
+    ups = [[b for b in range(n) if b != a and (p.up[a] & p.down[b]).bit_count() == 2]
+           for a in range(n)]
+    downs = [[a for a in range(n) if b in ups[a]] for b in range(n)]
+    assert d.upper == tuple(tuple(sorted(r, key=lambda v: -hl[v])) for r in ups)
+    assert d.lower == tuple(tuple(sorted(r, key=lambda v: -hl[v])) for r in downs)
+    pairs = sorted((a, b) for a in range(n) for b in d.upper[a])
+    assert pairs == sorted((a, b) for b in range(n) for a in d.lower[b])
+    assert d.upper is p._upcov and d.lower is p._dncov
+    kept = 0
+    for old, new in ((parent.diagram.upper, d.upper), (parent.diagram.lower, d.lower)):
+        for u, row in enumerate(old):
+            if set(row) == set(new[u]):
+                assert new[u] is row, (emit_dsl(child.seq), u)
+                kept += 1
+    return kept
+
+
+def test_fork_steps_splice_their_rows_from_the_parent(monkeypatch):
+    """Every fork step of enumerate_index(6), of the 182 doublings of its
+    lattices and of one lattice of the benchmark's large size."""
+    steps = []
+    extend = multifork.multifork_extend
+
+    def checked(pl, address, k):
+        child = extend(pl, address, k)
+        steps.append(assert_rows_spliced(pl, child))
+        return child
+
+    for module in (explore, doubling, multifork):
+        monkeypatch.setattr(module, "multifork_extend", checked)
+    entries = enumerate_index(6).entries()
+    doubled = sum(1 for e in entries for step in range(1, len(e.seq.steps) + 1)
+                  if double(e.seq, step))
+    assert len(entries) == 106 and doubled == 182
+    assert build(parse_dsl("grid 7 6\nfork 5 0 2\nfork 3 4 1\nfork 1 7 2\n")).n == 106
+    # every step keeps some old rows
+    assert len(steps) == 974 and all(steps)
 
 
 # Grid ------------------------------------------------------------------------

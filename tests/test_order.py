@@ -36,11 +36,14 @@ from slimlat.order import (
 from oracles import (
     congruence_join,
     is_congruence,
+    is_full,
+    is_identity,
     is_semimodular_by_pairs,
     is_slim_by_triples,
     join_row_dependencies,
     mask_sets,
     reachability,
+    refines,
     tables,
     verify_jir_congruences,
 )
@@ -107,6 +110,36 @@ def test_poset_restrict_keeps_order():
     assert sub.n == 4
     assert old == [0, 1, 3, 6]
     assert sub.leq(0, 3) and sub.leq(1, 2)
+
+
+def test_poset_from_rows_rejects_rows_that_are_not_transposes():
+    # the chain 0 < 1 < 2
+    with pytest.raises(OrderError, match=r"cover \(1,2\) is missing from the lower rows"):
+        Poset._from_rows(((1,), (2,), ()), ((), (0,), ()))
+    with pytest.raises(OrderError, match="lower rows list covers that the upper rows do not"):
+        Poset._from_rows(((1,), (2,), ()), ((), (0,), (1, 0)))
+    with pytest.raises(OrderError, match=r"cover \(0,1\) is listed twice"):
+        Poset._from_rows(((1, 1), (2,), ()), ((), (0, 0), (1,)))
+    with pytest.raises(OrderError, match="cycle"):
+        Poset._from_rows(((1,), (0,)), ((1,), (0,)))
+
+
+def test_poset_from_rows_rejects_a_row_that_is_not_reduced():
+    with pytest.raises(OrderError, match=r"^cover \(0,2\) is not reduced: 0<1<2$"):
+        Poset._from_rows(((1, 2), (2,), ()), ((), (0,), (0, 1)))
+
+
+def test_poset_from_rows_agrees_with_the_poset_from_its_pairs(diagrams6):
+    """A built poset keeps its rows, in diagram order, and derives its cover
+    set; the poset from that set lists the same rows ascending."""
+    for d in diagrams6:
+        p = d.lattice.poset
+        assert "covers" not in vars(p)
+        q = Poset(p.n, p.covers)
+        assert (q.up, q.down, q._heights(), q.covers) == (p.up, p.down, p._heights(), p.covers)
+        assert q == p and hash(q) == hash(p)
+        assert q._upcov == tuple(tuple(sorted(r)) for r in p._upcov)
+        assert q._dncov == tuple(tuple(sorted(r)) for r in p._dncov)
 
 
 def test_count_downsets_chain_and_antichain():
@@ -187,9 +220,9 @@ def test_distributive_ideal_grid():
 def test_principal_congruence_trivial_cases():
     lat = s7()
     full = principal_congruence(lat, lat.bottom, lat.top)
-    assert full.is_full()
+    assert is_full(full)
     ident = principal_congruence(lat, 3, 3)
-    assert ident.is_identity()
+    assert is_identity(ident)
 
 
 def test_principal_congruences_are_congruences():
@@ -236,7 +269,7 @@ def test_congruence_lattice_s7():
 def test_congruence_join_identity():
     lat = b2()
     empty = congruence_join(lat, [])
-    assert empty.is_identity()
+    assert is_identity(empty)
 
 
 # Poset utilities ------------------------------------------------------------
@@ -324,7 +357,7 @@ def reference_congruence_lattice(lat):
     congs.sort(key=lambda c: (c.block_count(), c.block_index), reverse=True)
     m = len(congs)
     poset = Poset.from_relation(m, [
-        (i, j) for i in range(m) for j in range(m) if i != j and congs[i].refines(congs[j])
+        (i, j) for i in range(m) for j in range(m) if i != j and refines(congs[i], congs[j])
     ])
     return CongruenceLattice(lat, tuple(congs), poset, poset.count_downsets())
 

@@ -8,12 +8,13 @@ from slimlat.multifork import build, grid, multifork_extend
 from slimlat.order import congruence_lattice, poset_iso
 from slimlat.reduce import (
     check_bounds,
-    is_reduction_fixpoint,
     length_bound,
     minimize,
     remove_neighboring,
     remove_sandwiched,
 )
+
+from oracles import is_reduction_fixpoint
 
 SANDWICH = "grid 1 1\nfork 0 0 3\nfork 2 0 1"
 
