@@ -8,11 +8,20 @@ check asks.  A slope validator enforces the drawing discipline: every
 edge has slope +-1 except edges whose foot is an internal meet-irreducible
 element, which are strictly steeper.  Renders are presentation only; no
 predicate consumes coordinates.
+
+The validator and the SVG/TikZ renderers compute on integers: each call
+reads `coords` once and scales every coordinate to an int over the lcm
+of all denominators (`_integer_points`).  The slope test compares these
+ints, which order exactly as the rationals do.  A drawn number is
+`int / den`; Python rounds an int true division correctly, as it does
+`float(Fraction)`, so the output bytes are those of the Fraction
+arithmetic the integers replace.
 """
 
 from __future__ import annotations
 
 import re
+from math import lcm
 
 from .errors import InternalInconsistencyError, ParseError
 from .order import Poset
@@ -23,17 +32,32 @@ def _internal_mir(pl):
     return {e.foot for e in pl.diagram.neon_tubes()[1]}
 
 
+def _integer_points(pl):
+    """(den, xs, ys): den is the lcm of the denominators of all drawing
+    coordinates, and element u lies at (xs[u] / den, ys[u] / den)."""
+    coords = pl.coords
+    pts = [coords[u] for u in range(pl.n)]
+    den = lcm(*{c.denominator for xy in pts for c in xy})
+    xs = [x.numerator * (den // x.denominator) for x, _ in pts]
+    ys = [y.numerator * (den // y.denominator) for _, y in pts]
+    return den, xs, ys
+
+
 def validate_slopes(pl):
     """Check the normal/precipitous edge discipline; raises on violation.
 
     In u = y + x and v = y - x an edge ascends iff du + dv > 0; it is
     normal iff min(du, dv) = 0 and steep iff min(du, dv) > 0.  So a
-    sound edge is decided by comparisons alone.
+    sound edge is decided by comparisons alone, and these run on the
+    coordinates scaled by their common denominator: exact ints, in the
+    same order as the rationals, so no rounding can hide a fault.
     """
     internal_mir = _internal_mir(pl)
-    uv = {u: (y + x, y - x) for u, (x, y) in pl.coords.items()}
+    _, xs, ys = _integer_points(pl)
+    us = [y + x for x, y in zip(xs, ys)]
+    vs = [y - x for x, y in zip(xs, ys)]
     for foot, peak in sorted(pl.lattice.poset.covers):
-        (uf, vf), (up, vp) = uv[foot], uv[peak]
+        uf, vf, up, vp = us[foot], vs[foot], us[peak], vs[peak]
         if up < uf or vp < vf or (up == uf and vp == vf):
             fault = "does not ascend" if up + vp <= uf + vf else "has a slight slope"
             raise InternalInconsistencyError(f"edge ({foot},{peak}) {fault}")
@@ -76,37 +100,35 @@ def parse_dot(text):
 
 
 def _decimal(x, places=6):
-    return f"{float(x):.{places}f}".rstrip("0").rstrip(".") or "0"
+    return f"{x:.{places}f}".rstrip("0").rstrip(".") or "0"
 
 
 def render_svg(pl, scale=40, margin=30):
+    """SVG with y pointing down; `scale` (an int) is pixels per unit.  Each
+    point is formatted once, and its lines reuse the text."""
     validate_slopes(pl)
-    xs = [c[0] for c in pl.coords.values()]
-    ys = [c[1] for c in pl.coords.values()]
+    den, xs, ys = _integer_points(pl)
     minx, maxy = min(xs), max(ys)
-    pts = []
-    for u in range(pl.n):
-        x, y = pl.coords[u]
-        pts.append((float((x - minx) * scale) + margin, float((maxy - y) * scale) + margin))
-    width = float((max(xs) - minx) * scale) + 2 * margin
-    height = float((maxy - min(ys)) * scale) + 2 * margin
+    fx = [(x - minx) * scale / den + margin for x in xs]
+    fy = [(maxy - y) * scale / den + margin for y in ys]
+    sx, sy = [_decimal(x) for x in fx], [_decimal(y) for y in fy]
+    width = _decimal((max(xs) - minx) * scale / den + 2 * margin)
+    height = _decimal((maxy - min(ys)) * scale / den + 2 * margin)
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_decimal(width)}" '
-        f'height="{_decimal(height)}" viewBox="0 0 {_decimal(width)} {_decimal(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
     internal_mir = _internal_mir(pl)
     for a, b in sorted(pl.lattice.poset.covers):
-        (x1, y1), (x2, y2) = pts[a], pts[b]
         w = 3 if a in internal_mir else 1
         out.append(
-            f'<line x1="{_decimal(x1)}" y1="{_decimal(y1)}" x2="{_decimal(x2)}" '
-            f'y2="{_decimal(y2)}" stroke="black" stroke-width="{w}"/>'
+            f'<line x1="{sx[a]}" y1="{sy[a]}" x2="{sx[b]}" '
+            f'y2="{sy[b]}" stroke="black" stroke-width="{w}"/>'
         )
     for u in range(pl.n):
-        x, y = pts[u]
-        out.append(f'<circle cx="{_decimal(x)}" cy="{_decimal(y)}" r="4" fill="black"/>')
+        out.append(f'<circle cx="{sx[u]}" cy="{sy[u]}" r="4" fill="black"/>')
         out.append(
-            f'<text x="{_decimal(x + 6)}" y="{_decimal(y - 6)}" font-size="10">{u}</text>'
+            f'<text x="{_decimal(fx[u] + 6)}" y="{_decimal(fy[u] - 6)}" font-size="10">{u}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -114,12 +136,12 @@ def render_svg(pl, scale=40, margin=30):
 
 def render_tikz(pl):
     validate_slopes(pl)
+    den, xs, ys = _integer_points(pl)
     out = ["\\begin{tikzpicture}[scale=0.8]"]
-    for u in range(pl.n):
-        x, y = pl.coords[u]
+    for u, (x, y) in enumerate(zip(xs, ys)):
         out.append(
             f"  \\node[circle,fill,inner sep=1.2pt,label=above right:{{\\tiny {u}}}] "
-            f"(n{u}) at ({_decimal(x)},{_decimal(y)}) {{}};"
+            f"(n{u}) at ({_decimal(x / den)},{_decimal(y / den)}) {{}};"
         )
     internal_mir = _internal_mir(pl)
     for a, b in sorted(pl.lattice.poset.covers):

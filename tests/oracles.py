@@ -31,6 +31,9 @@ does not use.
   step, from the step's own trajectories.  Production records a recipe
   per new element and replays the recipes on first read
   (`slimlat.multifork.ProvenancedLattice.coords`).
+- The slope check and the SVG and TikZ renders in `Fraction` arithmetic,
+  as they were before production scaled the coordinates to ints over one
+  common denominator (`slimlat.render._integer_points`).
 - Predicates that only tests ask: refinement, identity and fullness of a
   congruence, and whether a built lattice is a fixpoint of the reduction
   rules (`slimlat.reduce.minimize` runs the rules themselves).
@@ -40,7 +43,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from slimlat.diagram import Edge, resolve_address
-from slimlat.errors import DiagramError
+from slimlat.errors import DiagramError, InternalInconsistencyError
 from slimlat.lamps import (
     _essential_nodes,
     _node_is_desc_or_eq,
@@ -369,3 +372,80 @@ def eager_coords(seq):
         pl = multifork_extend(pl, (st.a, st.b), k)
         assert new == pl.n
     return coords
+
+
+def _internal_mir(pl):
+    return {e.foot for e in pl.diagram.neon_tubes()[1]}
+
+
+def validate_slopes_by_fractions(pl):
+    """The slope discipline on the exact `Fraction` coordinates, with the
+    fault texts and order of `slimlat.render.validate_slopes`."""
+    internal_mir = _internal_mir(pl)
+    uv = {u: (y + x, y - x) for u, (x, y) in pl.coords.items()}
+    for foot, peak in sorted(pl.lattice.poset.covers):
+        (uf, vf), (up, vp) = uv[foot], uv[peak]
+        if up < uf or vp < vf or (up == uf and vp == vf):
+            fault = "does not ascend" if up + vp <= uf + vf else "has a slight slope"
+            raise InternalInconsistencyError(f"edge ({foot},{peak}) {fault}")
+        if (up > uf and vp > vf) != (foot in internal_mir):
+            raise InternalInconsistencyError(
+                f"edge ({foot},{peak}) breaks the precipitous-foot rule"
+            )
+    return True
+
+
+def _decimal(x, places=6):
+    return f"{float(x):.{places}f}".rstrip("0").rstrip(".") or "0"
+
+
+def svg_by_fractions(pl, scale=40, margin=30):
+    """`slimlat.render.render_svg`, each number folded as a `Fraction`."""
+    validate_slopes_by_fractions(pl)
+    xs = [c[0] for c in pl.coords.values()]
+    ys = [c[1] for c in pl.coords.values()]
+    minx, maxy = min(xs), max(ys)
+    pts = []
+    for u in range(pl.n):
+        x, y = pl.coords[u]
+        pts.append((float((x - minx) * scale) + margin, float((maxy - y) * scale) + margin))
+    width = float((max(xs) - minx) * scale) + 2 * margin
+    height = float((maxy - min(ys)) * scale) + 2 * margin
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_decimal(width)}" '
+        f'height="{_decimal(height)}" viewBox="0 0 {_decimal(width)} {_decimal(height)}">'
+    ]
+    internal_mir = _internal_mir(pl)
+    for a, b in sorted(pl.lattice.poset.covers):
+        (x1, y1), (x2, y2) = pts[a], pts[b]
+        w = 3 if a in internal_mir else 1
+        out.append(
+            f'<line x1="{_decimal(x1)}" y1="{_decimal(y1)}" x2="{_decimal(x2)}" '
+            f'y2="{_decimal(y2)}" stroke="black" stroke-width="{w}"/>'
+        )
+    for u in range(pl.n):
+        x, y = pts[u]
+        out.append(f'<circle cx="{_decimal(x)}" cy="{_decimal(y)}" r="4" fill="black"/>')
+        out.append(
+            f'<text x="{_decimal(x + 6)}" y="{_decimal(y - 6)}" font-size="10">{u}</text>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def tikz_by_fractions(pl):
+    """`slimlat.render.render_tikz`, each coordinate a `Fraction` to float."""
+    validate_slopes_by_fractions(pl)
+    out = ["\\begin{tikzpicture}[scale=0.8]"]
+    for u in range(pl.n):
+        x, y = pl.coords[u]
+        out.append(
+            f"  \\node[circle,fill,inner sep=1.2pt,label=above right:{{\\tiny {u}}}] "
+            f"(n{u}) at ({_decimal(x)},{_decimal(y)}) {{}};"
+        )
+    internal_mir = _internal_mir(pl)
+    for a, b in sorted(pl.lattice.poset.covers):
+        style = "very thick" if a in internal_mir else "thin"
+        out.append(f"  \\draw[{style}] (n{a}) -- (n{b});")
+    out.append("\\end{tikzpicture}")
+    return "\n".join(out) + "\n"

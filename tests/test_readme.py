@@ -1,8 +1,10 @@
 """The README's examples: every `slimlat ...` line of the command block
-parses, and the quick-tour Python block runs and prints what its
-comments claim."""
+parses, the quick-tour Python block runs and prints what its comments
+claim, and every Python name the README spells out resolves."""
 
 import contextlib
+import importlib
+import importlib.util
 import io
 import re
 import shlex
@@ -35,3 +37,24 @@ def test_quick_tour_prints_what_it_claims():
     with contextlib.redirect_stdout(out):
         exec(code, {})
     assert out.getvalue().splitlines() == claims
+
+
+def test_named_python_objects_resolve():
+    """A backticked dotted name `slimlat.m.f` resolves as a user writes it:
+    `import slimlat.m`, then the attributes from `slimlat` (so a package
+    attribute that shadows its submodule fails); a backticked
+    `from slimlat... import ...` statement runs."""
+    names = re.findall(r"`(slimlat(?:\.\w+)+)`", README)
+    assert "slimlat.render" in names
+    for name in names:
+        parts = name.split(".")
+        if importlib.util.find_spec(f"slimlat.{parts[1]}"):
+            importlib.import_module(f"slimlat.{parts[1]}")
+        obj = importlib.import_module("slimlat")
+        for attr in parts[1:]:
+            assert hasattr(obj, attr), f"`{name}` does not resolve"
+            obj = getattr(obj, attr)
+    statements = re.findall(r"`(from slimlat[\w.]* import \w+(?:, \w+)*)`", README)
+    assert statements
+    for statement in statements:
+        exec(statement, {})

@@ -3,10 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+from slimlat.doubling import double
 from slimlat.dsl import parse_dsl
 from slimlat.errors import InternalInconsistencyError
+from slimlat.explore import enumerate_index
 from slimlat.multifork import build, grid, multifork_extend
-from slimlat.render import parse_dot, render, render_dot, validate_slopes
+from slimlat.render import _integer_points, parse_dot, render, render_dot, validate_slopes
+
+from oracles import svg_by_fractions, tikz_by_fractions, validate_slopes_by_fractions
+
+# a shift below float resolution: a check that rounds to floats misses it
+EPS = Fraction(1, 10**30)
+
+# n = 162, common denominator 3^2 * 5^2 * 7^2 = 11025
+FINE = "grid 2 1\nfork 1 0 2\nfork 2 0 4\nfork 0 0 6\nfork 4 0 4\nfork 0 1 6\nfork 3 1 2\n"
+# the shape of the benchmark's large lattices: a grid and three forks, n = 106
+LARGE = "grid 7 6\nfork 5 0 2\nfork 3 4 1\nfork 1 7 2\n"
 
 
 def test_grid_slopes_all_normal():
@@ -44,6 +56,10 @@ def test_slope_validator_passes_on_fixtures():
     ((0, Fraction(3, 2)), "has a slight slope"),
     ((0, 3), "breaks the precipitous-foot rule"),
     ((Fraction(1, 2), Fraction(5, 2)), "breaks the precipitous-foot rule"),
+    ((EPS, 2), "breaks the precipitous-foot rule"),
+    ((0, 2 + EPS), "breaks the precipitous-foot rule"),
+    ((-EPS, 2), "has a slight slope"),
+    ((0, 2 - EPS), "has a slight slope"),
 ])
 def test_slope_validator_names_a_planted_fault(top, fault):
     """grid(1, 1) has bottom (0, 0), corners (-1, 1) and (1, 1) and top
@@ -53,6 +69,42 @@ def test_slope_validator_names_a_planted_fault(top, fault):
     pl.coords[pl.lattice.top] = top
     with pytest.raises(InternalInconsistencyError, match=f"^edge \\(\\d+,{pl.lattice.top}\\) {fault}$"):
         validate_slopes(pl)
+
+
+def _verdict(check, pl):
+    try:
+        return check(pl)
+    except InternalInconsistencyError as e:
+        return str(e)
+
+
+def test_integer_kernel_matches_the_fraction_reference():
+    """Same slope verdict and byte-identical SVG and TikZ as the Fraction
+    arithmetic, on the 182 doublings of the lattices of length <= 6 (the
+    lattices themselves are in golden.json), one lattice of the
+    benchmark's large shape and one with common denominator 11025; on the
+    last, also with each element moved off its place."""
+    entries = enumerate_index(6).entries()
+    doubles = [build(double(e.seq, step)[0])
+               for e in entries for step in range(1, len(e.seq.steps) + 1)]
+    assert len(doubles) == 182
+    fine = build(parse_dsl(FINE))
+    assert (fine.n, _integer_points(fine)[0]) == (162, 11025)
+    for pl in doubles + [build(parse_dsl(LARGE)), fine]:
+        assert validate_slopes(pl) and validate_slopes_by_fractions(pl)
+        assert render(pl, "svg") == svg_by_fractions(pl)
+        assert render(pl, "tikz") == tikz_by_fractions(pl)
+    faults = set()
+    for u in range(fine.n):
+        for dx, dy in [(Fraction(1, 3), 0), (0, Fraction(-1, 7))]:
+            pl = copy.copy(fine)
+            x, y = fine.coords[u]
+            pl.coords = {**fine.coords, u: (x + dx, y + dy)}
+            verdict = _verdict(validate_slopes, pl)
+            assert verdict == _verdict(validate_slopes_by_fractions, pl)
+            faults.add(verdict if verdict is True else verdict.split(") ")[1])
+    assert faults == {"does not ascend", "has a slight slope",
+                      "breaks the precipitous-foot rule"}
 
 
 def test_dot_roundtrip():
