@@ -25,7 +25,7 @@ from .doubling import double
 from .lamps import lamp_report
 from .multifork import build, decompose, reprovenance
 from .order import Poset, congruence_lattice
-from .reduce import check_bounds, minimize, remove_neighboring, remove_sandwiched
+from .reduce import _reduce_once, check_bounds, minimize
 from .render import render
 
 
@@ -94,18 +94,12 @@ def cmd_con(args):
 
 
 def cmd_reduce(args):
-    from .reduce import find_removable
-    pl = _load_built(args)
-    target = find_removable(pl)
-    if target is None:
+    removal = _reduce_once(_load_built(args))
+    if removal is None:
         _write(args, json.dumps({"applied": None, "note": "no removable pattern"}) + "\n")
         return 0
-    lamp, kind, pos = target
-    if kind == "00":
-        pl2, step = remove_neighboring(pl, lamp.foot, lamp.tubes[pos], lamp.tubes[pos + 1])
-    else:
-        pl2, step = remove_sandwiched(pl, lamp.foot, lamp.tubes[pos + 1])
-    out = {"applied": step.to_dict(), "sequence": emit_dsl(pl2.seq)}
+    pl, step = removal
+    out = {"applied": step.to_dict(), "sequence": emit_dsl(pl.seq)}
     _write(args, json.dumps(out, indent=2, sort_keys=True) + "\n")
     return 0
 

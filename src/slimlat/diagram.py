@@ -18,10 +18,13 @@ lattice.  The row helper behind both (_falling_rows) keeps every row that
 already runs by falling left height, the same tuple, and sorts only the
 others, so a grid or fork step, whose rows are spliced in order, shares
 its poset's rows and sorts none.  Nothing is cached per edge but the
-cell side maps: validation checks every trajectory in one sweep over
-(foot, peak) pairs (_trajectory_failure), and trajectory_through walks
-the side maps on pairs and makes Edge objects only for the one
-trajectory it returns, with the cells it crosses.
+cell side maps, and every walk across cells steps through them (_cross):
+validation checks every trajectory in one sweep (_trajectory_failure),
+and trajectory_through walks the one trajectory it returns, with the
+cells it crosses.  An Edge is a named (foot, peak) pair and a FourCell a
+named (bottom, left, right, top) quadruple, so each equals, hashes and
+looks up as its plain tuple; the side maps and the lamp and tube-record
+maps take either.  Listing every trajectory is left to the test oracles.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DiagramError, OrderError
 from .order import (
@@ -41,14 +45,12 @@ from .order import (
 )
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     foot: int
     peak: int
 
 
-@dataclass(frozen=True)
-class FourCell:
+class FourCell(NamedTuple):
     bottom: int
     left: int
     right: int
@@ -57,8 +59,8 @@ class FourCell:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Edges ordered from the left boundary to the right boundary, and the
-    cells they cross: cells[i] lies between edges[i] and edges[i + 1]."""
+    """Edges (pairs) ordered from the left boundary to the right boundary,
+    and the cells they cross: cells[i] lies between edges[i] and edges[i + 1]."""
 
     edges: tuple
     top_index: int
@@ -90,8 +92,7 @@ class PlanarDiagram:
     def _set(self, lattice, upper, lower, corners=None, heights=None):
         self.lattice, self.upper, self.lower = lattice, upper, lower
         self._corners, self._heights = corners, heights
-        self._cells = self._by_bottom = self._sides = None
-        self._chains = self._chain_sets = self._tubes = None
+        self._cells = self._sides = self._chains = self._tubes = None
 
     def _check_order_lists(self):
         n = self.lattice.n
@@ -119,14 +120,14 @@ class PlanarDiagram:
             right = [self.lattice.bottom]
             while self.upper[right[-1]]:
                 right.append(self.upper[right[-1]][-1])
-            self._chains = (tuple(left), tuple(right))
-            self._chain_sets = (frozenset(left), frozenset(right))
-        return self._chains
+            # one store, so that no read sees the chains without their sets
+            self._chains = (tuple(left), tuple(right)), (frozenset(left), frozenset(right))
+        return self._chains[0]
 
     def _boundary_sets(self):
         """The two boundary chains as sets."""
         self.boundary_chains()
-        return self._chain_sets
+        return self._chains[1]
 
     def boundary(self):
         l, r = self._boundary_sets()
@@ -182,17 +183,17 @@ class PlanarDiagram:
                             f"region over {u} between covers {v},{w} is not a 4-cell"
                         )
                     cells.append(FourCell(u, v, w, top))
-            self._cells = tuple(cells)
-            self._by_bottom = {c.bottom: c for c in cells}
-        return self._cells
+            # one store, so that no read sees the cells without their map
+            self._cells = tuple(cells), {c.bottom: c for c in cells}
+        return self._cells[0]
 
     def cells_by_bottom(self):
         """bottom -> cell, derived with the cells."""
         self.four_cells()
-        return self._by_bottom
+        return self._cells[1]
 
     def _side_maps(self):
-        """(west, east): edge -> the cell on that side of it."""
+        """(west, east): (foot, peak) -> the cell on that side of the edge."""
         if self._sides is None:
             west, east = {}, {}
             for c in self.four_cells():
@@ -209,67 +210,42 @@ class PlanarDiagram:
             self._sides = (west, east)
         return self._sides
 
-    def west_step(self, edge):
-        """(next edge, shared cell) to the west, or (None, None) at the boundary."""
-        nxt, c = _cross(self._side_maps()[0], (edge.foot, edge.peak), False)
-        return (None if nxt is None else Edge(*nxt)), c
-
-    def east_step(self, edge):
-        nxt, c = _cross(self._side_maps()[1], (edge.foot, edge.peak), True)
-        return (None if nxt is None else Edge(*nxt)), c
-
     # -- trajectories and neon tubes ---------------------------------------
 
-    def all_edges(self):
-        return tuple(Edge(a, b) for a, b in sorted(self.lattice.poset.covers))
-
     def trajectory_through(self, edge):
-        """The full trajectory containing `edge`, with its unique neon tube."""
-        start = (edge.foot, edge.peak)
-        seen = {start}
+        """The full trajectory containing `edge`, a (foot, peak) pair or an
+        Edge, with its unique neon tube."""
+        seen = {edge}
 
         def walk(side, east):
-            pairs, cells = [], []
-            cur, cell = _cross(side, start, east)
+            edges, cells = [], []
+            cur, cell = _cross(side, edge, east)
             while cur is not None:
                 if cur in seen:
                     raise DiagramError("trajectory revisits an edge (diagram corruption)")
                 seen.add(cur)
-                pairs.append(cur)
+                edges.append(cur)
                 cells.append(cell)
                 cur, cell = _cross(side, cur, east)
-            return pairs, cells
+            return edges, cells
 
         west_map, east_map = self._side_maps()
         west, west_cells = walk(west_map, False)
         east, east_cells = walk(east_map, True)
         west.reverse()
-        pairs = west + [start] + east
+        edges = west + [edge] + east
         # a tube's foot is meet-irreducible: it has one upper cover
-        tubes = [i for i, (foot, _) in enumerate(pairs) if len(self.upper[foot]) == 1]
+        tubes = [i for i, (foot, _) in enumerate(edges) if len(self.upper[foot]) == 1]
         if len(tubes) != 1:
             raise DiagramError(f"trajectory has {len(tubes)} neon tubes, expected 1")
         lset, rset = self._boundary_sets()
-        (f0, p0), (f1, p1) = pairs[0], pairs[-1]
+        (f0, p0), (f1, p1) = edges[0], edges[-1]
         if not (f0 in lset and p0 in lset):
             raise DiagramError("trajectory does not start on the left boundary")
         if not (f1 in rset and p1 in rset):
             raise DiagramError("trajectory does not end on the right boundary")
         west_cells.reverse()
-        return Trajectory(tuple(Edge(*e) for e in pairs), tubes[0],
-                          tuple(west_cells + east_cells))
-
-    def trajectories(self):
-        """All trajectories, each listed from left boundary to right boundary."""
-        out = []
-        done = set()
-        for e in self.all_edges():
-            if (e.foot, e.peak) in done:
-                continue
-            t = self.trajectory_through(e)
-            out.append(t)
-            done.update((x.foot, x.peak) for x in t.edges)
-        return tuple(out)
+        return Trajectory(tuple(edges), tubes[0], tuple(west_cells + east_cells))
 
     def neon_tubes(self):
         """(boundary tubes, internal tubes): prime intervals with mir foot."""
@@ -339,16 +315,16 @@ class PlanarDiagram:
         )
 
 
-def _cross(side, pair, east):
-    """(next pair, shared cell) across the cell that the side map gives the
-    (foot, peak) pair, or (None, None) at the boundary: the cell's side
-    opposite the pair at the same height.  Crossing a cell east, (b, l) goes
-    to (r, t) and (l, t) to (b, r); crossing it west inverts this."""
-    c = side.get(pair)
+def _cross(side, edge, east):
+    """(next edge, shared cell) across the cell that the side map gives the
+    (foot, peak) pair, or (None, None) at the boundary: the pair of the
+    cell's opposite side at the same height.  Crossing a cell east, (b, l)
+    goes to (r, t) and (l, t) to (b, r); crossing it west inverts this."""
+    c = side.get(edge)
     if c is None:
         return None, None
     far = c.right if east else c.left
-    return ((c.bottom, far) if pair[1] == c.top else (far, c.top)), c
+    return ((c.bottom, far) if edge[1] == c.top else (far, c.top)), c
 
 
 def _bfs_code(bottom, upper):
@@ -541,29 +517,24 @@ def _trajectory_failure(d):
     the left boundary to the right boundary with exactly one neon tube, and
     their number and the number of neon tubes must be the length.
 
-    One sweep on (foot, peak) pairs checks this: a walk east from each of
-    the len(lchain) - 1 left-chain edges, through a transient map from each
-    edge to the next one east, with one `seen` set for all walks.  It
-    suffices because a cell's east step, (b, l) -> (r, t) and (l, t) ->
-    (b, r), and its west step are mutually inverse partial maps, and
-    _side_maps rejects an edge with two east or two west cells; so the
-    trajectories split the edges into paths and cycles.  If no walk
-    revisits an edge (a walk into a start, taken or still to come, is a
-    revisit), no left-chain edge has a west neighbour and the walks are
-    disjoint whole paths.  The walks visit covers only, the sides of cells,
-    so if they reach as many edges as there are covers they reach every
-    edge: no other path or cycle is left, every trajectory starts on the
-    left boundary (the left-chain edges are the edges with both ends on
-    it), and there are len(lchain) - 1 of them.
+    One sweep checks this: a walk east from each of the len(lchain) - 1
+    left-chain edges, across the cells of the east side map (_cross), with
+    one `seen` set for all walks.  It suffices because a cell's east step,
+    (b, l) -> (r, t) and (l, t) -> (b, r), and its west step are mutually
+    inverse partial maps, and _side_maps rejects an edge with two east or
+    two west cells; so the trajectories split the edges into paths and
+    cycles.  If no walk revisits an edge (a walk into a start, taken or
+    still to come, is a revisit), no left-chain edge has a west neighbour
+    and the walks are disjoint whole paths.  The walks visit covers only,
+    the sides of cells, so if they reach as many edges as there are covers
+    they reach every edge: no other path or cycle is left, every trajectory
+    starts on the left boundary (the left-chain edges are the edges with
+    both ends on it), and there are len(lchain) - 1 of them.
     """
     try:
-        d._side_maps()
+        east = d._side_maps()[1]
     except DiagramError as e:
         return str(e)
-    east = {}
-    for c in d.four_cells():
-        east[c.bottom, c.left] = (c.right, c.top)
-        east[c.left, c.top] = (c.bottom, c.right)
     upper = d.upper
     lchain, _ = d.boundary_chains()
     rset = d._boundary_sets()[1]
@@ -576,7 +547,7 @@ def _trajectory_failure(d):
             seen.add(e)
             # a tube's foot is meet-irreducible: it has one upper cover
             tubes += len(upper[e[0]]) == 1
-            last, e = e, east.get(e)
+            last, (e, _) = e, _cross(east, e, True)
         if tubes != 1:
             return f"trajectory has {tubes} neon tubes, expected 1"
         if not (last[0] in rset and last[1] in rset):

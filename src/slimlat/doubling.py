@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Edge, cell_address, resolve_address
+from .diagram import cell_address, resolve_address
 from .errors import InternalInconsistencyError, PreconditionError
 from .lamps import lamp_poset, lamps_of_diagram, tube_lamp
 from .multifork import extend_by_step, grid, multifork_extend
@@ -55,8 +55,8 @@ def locate_retarget(stage_pl, address):
     lattice, as (lamp id, tube index) pairs for the two upper edges."""
     d = stage_pl.diagram
     cell = resolve_address(d, address)
-    lamp_u, alpha = tube_lamp(d, d.trajectory_through(Edge(cell.left, cell.top)).tube)
-    lamp_v, beta = tube_lamp(d, d.trajectory_through(Edge(cell.right, cell.top)).tube)
+    lamp_u, alpha = tube_lamp(d, d.trajectory_through((cell.left, cell.top)).tube)
+    lamp_v, beta = tube_lamp(d, d.trajectory_through((cell.right, cell.top)).tube)
     return RetargetRecord(
         _lamp_id(stage_pl, lamp_u), alpha, _lamp_id(stage_pl, lamp_v), beta
     )

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Edge
 from .errors import InternalInconsistencyError, PreconditionError
-from .order import Poset, congruence_lattice
+from .order import Poset, _elements, congruence_lattice
 
 
 @dataclass(frozen=True)
@@ -34,13 +33,14 @@ def lamps_of_diagram(d):
 
 
 def tube_lamp(d, tube):
-    """(lamp, index of the tube among the lamp's tubes) of a neon tube of d."""
-    return d._lamp_list[1][(tube.foot, tube.peak)]
+    """(lamp, index of the tube among the lamp's tubes) of a neon tube of d,
+    an Edge or its (foot, peak) pair."""
+    return d._lamp_list[1][tube]
 
 
 def _derive_lamp_list(d):
     """(lamps, tube map) of d, which keeps them as its _lamp_list: the map
-    sends each neon tube's (foot, peak) to its (lamp, index)."""
+    sends each neon tube to its (lamp, index)."""
     boundary, internal = d.neon_tubes()
     lat = d.lattice
     lc, rc = d.corners()
@@ -58,7 +58,7 @@ def _derive_lamp_list(d):
         tubes.sort(key=lambda e: pos[e.foot])
         foot = lat.meet_of(e.foot for e in tubes)
         out.append(Lamp("internal", foot, peak, tuple(tubes)))
-    tmap = {(e.foot, e.peak): (l, i) for l in out for i, e in enumerate(l.tubes)}
+    tmap = {e: (l, i) for l in out for i, e in enumerate(l.tubes)}
     return tuple(out), tmap
 
 
@@ -95,7 +95,7 @@ def nwl_nel(d, lamp):
     if lamp.kind != "internal":
         raise PreconditionError("nwl/nel are defined for internal lamps")
     lowers = d.lower[lamp.peak]
-    return tuple(tube_lamp(d, d.trajectory_through(Edge(x, lamp.peak)).tube)[0]
+    return tuple(tube_lamp(d, d.trajectory_through((x, lamp.peak)).tube)[0]
                  for x in (lowers[0], lowers[-1]))
 
 
@@ -124,10 +124,8 @@ def _derive_lamp_order(d):
         for v in nwl_nel(d, u)
         if v.foot != u.foot
     })
-    lt = frozenset(
-        (lamps[i].foot, lamps[j].foot) for i in range(poset.n) for j in range(poset.n)
-        if poset.lt(i, j)
-    )
+    lt = frozenset((lamps[i].foot, lamps[j].foot)
+                   for i in range(poset.n) for j in _elements(poset.up[i] ^ (1 << i)))
     return lamps, lt, poset
 
 
@@ -152,7 +150,7 @@ def _node_is_desc_or_eq(pl, node, targets):
 
 
 def _essential_nodes(pl, tube):
-    rec = pl.tube_records[(tube.foot, tube.peak)]
+    rec = pl.tube_records[tube]
     return rec.leot + rec.reot
 
 
@@ -260,7 +258,7 @@ def lamp_report(pl):
                 "kind": l.kind,
                 "foot": l.foot,
                 "peak": l.peak,
-                "tubes": [[e.foot, e.peak] for e in l.tubes],
+                "tubes": [list(e) for e in l.tubes],
                 "pattern": stats.patterns.get(l.foot),
             }
             for l in lamps

@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .diagram import (
-    Edge,
     _certified_diagram,
     cell_address,
     is_slim_rectangular,
@@ -172,11 +171,13 @@ def grid(p, q):
             lower.append(tuple(v for v, ok in ((u - 1, j > 0), (u - width, i > 0)) if ok))
     lc = eid(p, 0)
     d = _certified_diagram(Poset._from_rows(tuple(upper), tuple(lower)), lc, eid(0, q))
+    # forest cells and tube-record keys stay plain tuples: their repr is
+    # part of a built lattice's recorded output (tests/golden.json)
     forest = []
     leaf = {}
     for c in d.four_cells():
         leaf[c.bottom] = len(forest)
-        forest.append(ForestNode((c.bottom, c.left, c.right, c.top), 0, None))
+        forest.append(ForestNode(tuple(c), 0, None))
     records = {}
     boundary, _ = d.neon_tubes()
     for e in boundary:
@@ -184,7 +185,7 @@ def grid(p, q):
         side = "L" if d.lattice.leq(lc, e.foot) else "R"
         leot = () if side == "L" else nodes
         reot = nodes if side == "L" else ()
-        records[(e.foot, e.peak)] = TubeRecord("boundary", side, 0, nodes, leot, reot)
+        records[tuple(e)] = TubeRecord("boundary", side, 0, nodes, leot, reot)
     return ProvenancedLattice(
         d, MultiforkSequence(p, q, ()), tuple(forest), leaf, records, {}, {}, ()
     )
@@ -212,14 +213,14 @@ def multifork_extend(pl, address, k):
     d = pl.diagram
     lat = d.lattice
     cell = resolve_address(d, address)
-    w, a, b, t = cell.bottom, cell.left, cell.right, cell.top
+    w, a, b, t = cell
     if not is_distributive_ideal_grid(lat, t):
         raise PreconditionError(f"cell at {address} is not distributive")
 
     # the trajectory paths that descend from [w, a] to the left boundary and
     # from [w, b] to the right one, each listed from its upper end
-    left, right = d.trajectory_through(Edge(w, a)), d.trajectory_through(Edge(w, b))
-    i, j = left.edges.index(Edge(w, a)), right.edges.index(Edge(w, b))
+    left, right = d.trajectory_through((w, a)), d.trajectory_through((w, b))
+    i, j = left.edges.index((w, a)), right.edges.index((w, b))
     if left.top_index <= i or right.top_index >= j:
         raise InternalInconsistencyError("the cell's lower edges do not descend to the boundaries")
     left_edges, left_cells = left.edges[i::-1], left.cells[:i][::-1]
@@ -254,9 +255,9 @@ def multifork_extend(pl, address, k):
     # lower covers of t go between a and b.  Every other old row is kept.
     upper, lower = list(d.upper), list(d.lower)
     for edges, ids in ((left_edges, xid), (right_edges, yid)):
-        for j, e in enumerate(edges):
-            _swap(upper, e.foot, e.peak, ids(j, k))
-            _swap(lower, e.peak, e.foot, ids(j, 1))
+        for j, (foot, peak) in enumerate(edges):
+            _swap(upper, foot, peak, ids(j, k))
+            _swap(lower, peak, foot, ids(j, 1))
     row = lower[t]
     at = row.index(a) + 1
     lower[t] = row[:at] + tuple(mid(s) for s in range(1, k + 1)) + row[at:]
@@ -268,19 +269,19 @@ def multifork_extend(pl, address, k):
     # south-west; right edges mirror this.  The left leg of m_j runs
     # south-west, the right leg of m_i south-east, and cid[i, j] is where
     # they cross.
-    for j, e in enumerate(left_edges):
+    for j, (foot, peak) in enumerate(left_edges):
         for s in range(1, k + 1):
             north_east = xid(j - 1, s) if j else cid[1, s] if s > 1 else mid(1)
             south_west = (xid(j + 1, s),) if j + 1 < np_ else ()
-            upper.append((xid(j, s - 1) if s > 1 else e.peak, north_east))
-            lower.append(south_west + (xid(j, s + 1) if s < k else e.foot,))
-    for j, e in enumerate(right_edges):
+            upper.append((xid(j, s - 1) if s > 1 else peak, north_east))
+            lower.append(south_west + (xid(j, s + 1) if s < k else foot,))
+    for j, (foot, peak) in enumerate(right_edges):
         for s in range(1, k + 1):
             i = k + 1 - s       # y(0, s) ends the right leg of m_i
             north_west = yid(j - 1, s) if j else cid[i, k] if i < k else mid(k)
             south_east = (yid(j + 1, s),) if j + 1 < nq else ()
-            upper.append((north_west, yid(j, s - 1) if s > 1 else e.peak))
-            lower.append((yid(j, s + 1) if s < k else e.foot,) + south_east)
+            upper.append((north_west, yid(j, s - 1) if s > 1 else peak))
+            lower.append((yid(j, s + 1) if s < k else foot,) + south_east)
     for i, j in cpairs:
         upper.append((cid[i, j - 1] if j - 1 > i else mid(i),
                       cid[i + 1, j] if i + 1 < j else mid(j)))
@@ -303,28 +304,27 @@ def multifork_extend(pl, address, k):
         raise InternalInconsistencyError("extension did not add k to length and tube count")
 
     # drawing recipes, replayed by ProvenancedLattice.coords
-    recipes = [(ids(j, s), e.foot, e.peak, s, k + 1)
+    recipes = [(ids(j, s), foot, peak, s, k + 1)
                for edges, ids in ((left_edges, xid), (right_edges, yid))
-               for j, e in enumerate(edges) for s in range(1, k + 1)]
+               for j, (foot, peak) in enumerate(edges) for s in range(1, k + 1)]
     recipes += [(mid(i), xid(0, i), yid(0, k + 1 - i)) for i in range(1, k + 1)]
     recipes += [(cid[i, j], xid(0, j), yid(0, k + 1 - i)) for i, j in cpairs]
 
-    # forest update
-    old_cells = {(c.bottom, c.left, c.right, c.top) for c in d.four_cells()}
-    destroyed = (cell,) + left_cells + right_cells
-    destroyed_keys = {(c.bottom, c.left, c.right, c.top) for c in destroyed}
-    destroyed_nodes = {key: pl.leaf_by_bottom[key[0]] for key in destroyed_keys}
+    # forest update: a cell of the parent that the fork left alone keeps its
+    # leaf; a new cell lies in exactly one destroyed cell
+    old_cells = d.cells_by_bottom()
+    destroyed = {c.bottom: c for c in (cell,) + left_cells + right_cells}
     forest = list(pl.forest)
     stage = len(pl.seq.steps) + 1
     leaf = {}
     for c2 in d2.four_cells():
-        key = (c2.bottom, c2.left, c2.right, c2.top)
-        if key in old_cells and key not in destroyed_keys:
+        if c2.bottom not in destroyed and old_cells.get(c2.bottom) == c2:
             leaf[c2.bottom] = pl.leaf_by_bottom[c2.bottom]
             continue
+        key = tuple(c2)
         parents = [
-            node for dk, node in destroyed_nodes.items()
-            if lat2.leq(dk[0], key[0]) and lat2.leq(key[3], dk[3])
+            pl.leaf_by_bottom[c.bottom] for c in destroyed.values()
+            if lat2.leq(c.bottom, c2.bottom) and lat2.leq(c2.top, c.top)
         ]
         if len(parents) != 1:
             raise InternalInconsistencyError(
@@ -336,20 +336,20 @@ def multifork_extend(pl, address, k):
     # tube records for the k new tubes
     records = dict(pl.tube_records)
     for i in range(1, k + 1):
-        tube = Edge(mid(i), t)
+        tube = (mid(i), t)
         traj = d2.trajectory_through(tube)
         nodes = tuple(leaf[c.bottom] for c in traj.cells)
         ti = traj.top_index
         if traj.edges[ti] != tube:
             raise InternalInconsistencyError("new tube is not its trajectory's top edge")
-        records[(mid(i), t)] = TubeRecord(
+        records[tube] = TubeRecord(
             "internal", None, stage, nodes, nodes[: ti - 1], nodes[ti + 1:]
         )
 
     lamp_steps = dict(pl.lamp_step_by_peak)
     lamp_steps[t] = stage
     step_origin = dict(pl.step_origin)
-    step_origin[stage] = destroyed_nodes[(w, a, b, t)]
+    step_origin[stage] = pl.leaf_by_bottom[w]
 
     return ProvenancedLattice(
         d2,

@@ -6,7 +6,10 @@ set) is computed on first use and cached on the object.  A poset keeps
 its covers as rows, upper_covers(u) and lower_covers(u): a poset from
 pairs lists them ascending, a built one (Poset._from_rows) left to right,
 as its diagram does.  Sets of elements are int bitmasks, bit y
-for y: `Poset.up[x]` holds the y >= x, `Poset.down[x]` the y <= x.  A
+for y: `Poset.up[x]` holds the y >= x, `Poset.down[x]` the y <= x.  One
+helper reduces to covers (_above, the mask of the elements strictly above
+a set): Poset.from_relation, Poset.restrict and the check that a cover
+row is reduced each keep the elements that miss it.  A
 FiniteLattice keeps no table; other modules get elements, not masks, from
 its point queries.  Seven textbook facts keep the kernels below cubic cost:
 
@@ -98,6 +101,16 @@ def _elements(mask):
     return compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))
 
 
+def _above(up, elems):
+    """The mask of the elements strictly above some element of elems.  Of
+    the elements of a set above a, the covers of a are those outside this
+    mask of the set, so a cover row is reduced iff it misses its own."""
+    mask = 0
+    for c in elems:
+        mask |= up[c] ^ (1 << c)
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # Posets
 # ---------------------------------------------------------------------------
@@ -153,11 +166,8 @@ class Poset:
         poset._set_covers(n, pairs)
         poset._close()
         covers = set()
-        for a in range(n):
-            succ = poset._upcov[a]
-            above = 0
-            for c in succ:
-                above |= poset.up[c] ^ (1 << c)
+        for a, succ in enumerate(poset._upcov):
+            above = _above(poset.up, succ)
             covers.update((a, b) for b in succ if not above >> b & 1)
         poset._set_covers(n, covers)
         poset._check_reduced()
@@ -206,16 +216,14 @@ class Poset:
 
     def _check_reduced(self):
         """OrderError unless no upper row lists a cover twice or a cover b
-        above another one of its covers: one mask of the elements strictly
-        above the row's covers per row of two or more."""
+        above another one of its covers: one _above mask per row of two or
+        more."""
         up = self.up
         for a, row in enumerate(self._upcov):
             if len(row) < 2:
                 continue
-            listed = above = 0
-            for c in row:
-                listed |= 1 << c
-                above |= up[c] ^ (1 << c)
+            # a repeated power of two carries, so the sum has fewer bits
+            listed, above = sum(map((1).__lshift__, row)), _above(up, row)
             if listed.bit_count() != len(row):
                 b = next(b for i, b in enumerate(row) if b in row[:i])
                 raise OrderError(f"cover ({a},{b}) is listed twice")
@@ -276,10 +284,10 @@ class Poset:
         A kept a is covered by the minimal kept elements strictly above it."""
         keep = sorted(set(keep))
         idx = {old: new for new, old in enumerate(keep)}
-        kept, down, covers = sum(1 << u for u in keep), self.down, []
+        kept, up, covers = sum(1 << u for u in keep), self.up, []
         for a in keep:
-            above = self.up[a] & kept & ~(1 << a)
-            covers += [(idx[a], idx[b]) for b in _elements(above) if down[b] & above == 1 << b]
+            above = up[a] & kept & ~(1 << a)
+            covers += [(idx[a], idx[b]) for b in _elements(above & ~_above(up, _elements(above)))]
         return Poset(len(keep), covers), keep
 
     def count_downsets(self):

@@ -145,7 +145,7 @@ def _remove_fork(pl, lamp, tube, rule):
     step = ReductionStep(
         rule,
         lamp.foot,
-        (tube.foot, tube.peak),
+        tube,
         lat.n,
         sublat.n,
         d.antube(),
@@ -222,6 +222,18 @@ def find_removable(pl):
     return None
 
 
+def _reduce_once(pl):
+    """(lattice, ReductionStep) of the removal that find_removable picks, or
+    None: a '00' deletes the fork of its second tube, a '0u0' its middle's."""
+    target = find_removable(pl)
+    if target is None:
+        return None
+    lamp, kind, pos = target
+    if kind == "00":
+        return remove_neighboring(pl, lamp.foot, lamp.tubes[pos], lamp.tubes[pos + 1])
+    return remove_sandwiched(pl, lamp.foot, lamp.tubes[pos + 1])
+
+
 def minimize(pl):
     """Apply removals until no '00' or '0u0' pattern remains.
 
@@ -229,18 +241,10 @@ def minimize(pl):
     Returns (fixpoint lattice, trace of ReductionStep).
     """
     trace = []
-    while True:
-        target = find_removable(pl)
-        if target is None:
-            return pl, tuple(trace)
-        lamp, kind, pos = target
-        if kind == "00":
-            pl, step = remove_neighboring(
-                pl, lamp.foot, lamp.tubes[pos], lamp.tubes[pos + 1]
-            )
-        else:
-            pl, step = remove_sandwiched(pl, lamp.foot, lamp.tubes[pos + 1])
+    while (removal := _reduce_once(pl)) is not None:
+        pl, step = removal
         trace.append(step)
+    return pl, tuple(trace)
 
 
 # ---------------------------------------------------------------------------

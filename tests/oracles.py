@@ -23,10 +23,13 @@ does not use.
 - Up- and down-sets as frozensets, by a search along the covers from each
   element.  Production ORs bitmasks along a topological order
   (`slimlat.order.Poset`).
-- The trajectory check by whole trajectories: every trajectory walked
-  with `trajectory_through`, then one neon tube each, the two boundary
-  ends and count = length.  Production checks them in one sweep over
-  (foot, peak) pairs (`slimlat.diagram._trajectory_failure`).
+- The trajectory listing: every cover as an edge, every trajectory walked
+  with `trajectory_through`, and the east step of one edge.  Production
+  lists no trajectory; it walks one when asked.
+- The trajectory check by whole trajectories: every trajectory listed,
+  then one neon tube each, the two boundary ends and count = length.
+  Production checks them in one sweep across the east side map
+  (`slimlat.diagram._trajectory_failure`).
 - Drawing coordinates by the eager fold that computes them with each
   step, from the step's own trajectories.  Production records a recipe
   per new element and replays the recipes on first read
@@ -42,7 +45,7 @@ does not use.
 from fractions import Fraction
 from itertools import combinations
 
-from slimlat.diagram import Edge, resolve_address
+from slimlat.diagram import _cross, resolve_address
 from slimlat.errors import DiagramError, InternalInconsistencyError
 from slimlat.lamps import (
     _essential_nodes,
@@ -295,24 +298,46 @@ def mask_sets(masks):
     return tuple(frozenset(y for y in range(len(masks)) if m >> y & 1) for m in masks)
 
 
+def all_edges(d):
+    """Every cover of d, a (foot, peak) pair, in ascending order."""
+    return tuple(sorted(d.lattice.poset.covers))
+
+
+def east_step(d, edge):
+    """(next edge, shared cell) east of edge, or (None, None) at the right
+    boundary."""
+    return _cross(d._side_maps()[1], edge, True)
+
+
+def trajectories(d):
+    """All trajectories of d, each listed from left boundary to right boundary."""
+    out, done = [], set()
+    for e in all_edges(d):
+        if e not in done:
+            t = d.trajectory_through(e)
+            out.append(t)
+            done.update(t.edges)
+    return tuple(out)
+
+
 def trajectory_failure_by_walks(d):
     """The first failure of d's trajectories, or None, from the list of
     whole trajectories: each must have one neon tube (its foot
     meet-irreducible), start on the left boundary and end on the right one,
     and their number and the number of neon tubes must be the length."""
     try:
-        trajs = d.trajectories()
+        trajs = trajectories(d)
     except DiagramError as e:
         return str(e)
     lset, rset = map(set, d.boundary_chains())
     mir = set(d.lattice.mir())
     for t in trajs:
-        tubes = sum(e.foot in mir for e in t.edges)
+        tubes = sum(foot in mir for foot, _ in t.edges)
         if tubes != 1:
             return f"trajectory has {tubes} neon tubes, expected 1"
-        if not {t.edges[0].foot, t.edges[0].peak} <= lset:
+        if not set(t.edges[0]) <= lset:
             return "trajectory does not start on the left boundary"
-        if not {t.edges[-1].foot, t.edges[-1].peak} <= rset:
+        if not set(t.edges[-1]) <= rset:
             return "trajectory does not end on the right boundary"
     length = d.lattice.length()
     if len(trajs) != length:
@@ -344,7 +369,7 @@ def eager_coords(seq):
     for st in seq.steps:
         d, k, n0 = pl.diagram, st.k, pl.n
         cell = resolve_address(d, (st.a, st.b))
-        lower_left, lower_right = Edge(cell.bottom, cell.left), Edge(cell.bottom, cell.right)
+        lower_left, lower_right = (cell.bottom, cell.left), (cell.bottom, cell.right)
         left = d.trajectory_through(lower_left).edges
         right = d.trajectory_through(lower_right).edges
         paths = (left[left.index(lower_left)::-1], right[right.index(lower_right):])
@@ -352,8 +377,8 @@ def eager_coords(seq):
         points = []                 # per path, per edge: its k points from the peak down
         for path in paths:
             points.append([])
-            for e in path:
-                (fx, fy), (px, py) = coords[e.foot], coords[e.peak]
+            for foot, peak in path:
+                (fx, fy), (px, py) = coords[foot], coords[peak]
                 row = []
                 for s in range(1, k + 1):
                     f = Fraction(s, k + 1)

@@ -57,6 +57,27 @@ def test_minimize_cli(tmp_path):
     assert trace["steps"][0]["rule"] == "neighboring"
 
 
+def test_reduce_cli_prints_the_first_minimize_step(tmp_path, s7_seq, capsys):
+    """`reduce` applies the removal that starts `minimize`'s trace, and
+    says so when there is none."""
+    seq = tmp_path / "two.seq"
+    seq.write_text("grid 2 2\nfork 1 1 2\n")
+    assert main(["reduce", "--input", str(seq)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    _, trace = slimlat.minimize(slimlat.build(slimlat.parse_dsl(seq.read_text())))
+    assert out == {
+        "applied": {
+            "rule": "neighboring", "lamp_foot": 17, "removed_tube": [19, 8],
+            "size_before": 20, "size_after": 14, "antube_before": 6,
+            "antube_after": 5, "con_preserved": True,
+        },
+        "sequence": "grid 2 2\nfork 1 1 1\n",
+    }
+    assert out["applied"] == trace[0].to_dict()
+    assert main(["reduce", "--input", str(s7_seq)]) == 0
+    assert capsys.readouterr().out == '{"applied": null, "note": "no removable pattern"}\n'
+
+
 def test_decompose_cli(tmp_path, s7_seq):
     lattice_json = tmp_path / "s7.json"
     main(["build", "--input", str(s7_seq), "--out", str(lattice_json)])

@@ -4,12 +4,20 @@ from functools import cached_property
 import pytest
 
 from slimlat import diagram, doubling, explore, multifork, reduce
-from slimlat.diagram import PlanarDiagram, cell_address, is_slim_rectangular, resolve_address
+from slimlat.diagram import (
+    Edge,
+    FourCell,
+    PlanarDiagram,
+    cell_address,
+    is_slim_rectangular,
+    resolve_address,
+)
 from slimlat.doubling import double
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.cli import main
 from slimlat.errors import ParseError, PreconditionError, SlimlatError
 from slimlat.explore import enumerate_index
+from slimlat.lamps import lamps_of_diagram, tube_lamp
 from slimlat.multifork import (
     ForkStep,
     MultiforkSequence,
@@ -106,16 +114,27 @@ def test_built_diagrams_derive_neither_heights_nor_order_lists(monkeypatch):
 
 def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
     """Enumerating the lattices of length <= 6, then building, minimizing
-    and doubling them, never lists a diagram's trajectories and computes no
-    drawing coordinates: validation sweeps the trajectories on pairs, and
-    a built lattice keeps only the recipes of its coordinates.  One svg
-    render computes them once, for its slope check and its drawing."""
-    calls = []
-    trajectories, coords = PlanarDiagram.trajectories, ProvenancedLattice.coords.func
+    and doubling them, walks no single trajectory while validating and
+    computes no drawing coordinates: the trajectory check sweeps them all
+    across the east side map, and a built lattice keeps only the recipes of
+    its coordinates.  One svg render computes them once, for its slope
+    check and its drawing."""
+    calls, sweeps = [], {"count": 0, "running": False}
+    sweep, through = diagram._trajectory_failure, PlanarDiagram.trajectory_through
+    coords = ProvenancedLattice.coords.func
 
-    def counted_trajectories(d):
-        calls.append("trajectories")
-        return trajectories(d)
+    def counted_sweep(d):
+        sweeps["count"] += 1
+        sweeps["running"] = True
+        try:
+            return sweep(d)
+        finally:
+            sweeps["running"] = False
+
+    def counted_through(d, edge):
+        if sweeps["running"]:
+            calls.append("trajectory_through")
+        return through(d, edge)
 
     def counted_coords(pl):
         calls.append("coords")
@@ -123,7 +142,8 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
 
     counted = cached_property(counted_coords)
     counted.__set_name__(ProvenancedLattice, "coords")
-    monkeypatch.setattr(PlanarDiagram, "trajectories", counted_trajectories)
+    monkeypatch.setattr(diagram, "_trajectory_failure", counted_sweep)
+    monkeypatch.setattr(PlanarDiagram, "trajectory_through", counted_through)
     monkeypatch.setattr(ProvenancedLattice, "coords", counted)
     seqs = [e.pl.seq for e in enumerate_index(6).entries()]
     for seq in seqs:
@@ -133,7 +153,7 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
                 double(seq, t)
             except SlimlatError:
                 pass
-    assert calls == []
+    assert calls == [] and sweeps["count"] > len(seqs)
 
     pl = build(seqs[-1])
     render(pl, "svg")
@@ -270,6 +290,26 @@ def test_grid_tube_records():
             assert rec.leot == () and rec.reot == rec.ot
         else:
             assert rec.reot == () and rec.leot == rec.ot
+
+
+def test_edges_and_cells_are_their_tuples():
+    """An Edge is its (foot, peak) pair and a FourCell its (bottom, left,
+    right, top) quadruple, so maps keyed by either answer the other; the
+    forest cells and the tube record keys are stored as plain tuples."""
+    assert Edge(3, 6) == (3, 6) and hash(Edge(3, 6)) == hash((3, 6))
+    assert FourCell(0, 1, 2, 3) == (0, 1, 2, 3)
+    pl = build(parse_dsl("grid 2 2\nfork 1 1 2\nfork 0 0 1\n"))
+    d = pl.diagram
+    tubes = [(l, i, e) for l in lamps_of_diagram(d) for i, e in enumerate(l.tubes)]
+    assert len(tubes) == pl.antube() == 7
+    for lamp, i, (f, p) in tubes:
+        assert tube_lamp(d, (f, p)) == (lamp, i)
+        assert pl.tube_records[f, p] is pl.tube_records[Edge(f, p)]
+    for c in d.four_cells():
+        assert d.cells_by_bottom()[c.bottom] == tuple(c)
+    assert {type(node.cell) for node in pl.forest} == {tuple}
+    assert {type(key) for key in pl.tube_records} == {tuple}
+    assert len(pl.tube_records) == 7
 
 
 # Extension ---------------------------------------------------------------------

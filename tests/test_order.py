@@ -411,8 +411,9 @@ def test_lattice_keeps_no_table(lattices6):
                         and all(isinstance(row, (tuple, list)) for row in value)), name
 
 
-def random_poset(rng):
-    """A random poset on 1..9 elements; half of them get a bottom and a top."""
+def random_relation(rng):
+    """(n, strict pairs) of a random acyclic relation on 1..9 elements; half
+    of them get a bottom and a top."""
     if rng.random() < 0.5:
         n = rng.randint(1, 7)
         pairs = set()
@@ -428,7 +429,12 @@ def random_poset(rng):
                 pairs.add((a, b))
     perm = list(range(n))
     rng.shuffle(perm)
-    return Poset.from_relation(n, [(perm[a], perm[b]) for a, b in pairs])
+    return n, [(perm[a], perm[b]) for a, b in pairs]
+
+
+def random_poset(rng):
+    """The poset that a random relation generates."""
+    return Poset.from_relation(*random_relation(rng))
 
 
 def test_kernels_match_references_on_random_posets():
@@ -448,6 +454,61 @@ def test_kernels_match_references_on_random_posets():
         outcomes["lattice"] += 1
     # both branches are exercised many times
     assert min(outcomes.values()) > 300
+
+
+def strict_order(n, pairs):
+    """The strict pairs a < b of the order that the pairs generate, by a
+    search along them from each element."""
+    succ = [[b for a, b in pairs if a == x] for x in range(n)]
+    lt = set()
+    for a in range(n):
+        stack = list(succ[a])
+        while stack:
+            b = stack.pop()
+            if (a, b) not in lt:
+                lt.add((a, b))
+                stack += succ[b]
+    return lt
+
+
+def covers_by_definition(lt, elems):
+    """The covers of the order lt on elems: a < b with nothing of elems
+    strictly between."""
+    return {(a, b) for a in elems for b in elems if (a, b) in lt
+            and not any((a, c) in lt and (c, b) in lt for c in elems)}
+
+
+def test_cover_reduction_matches_its_definition_on_random_posets():
+    """Poset.from_relation on random generating pairs, Poset.restrict to
+    random subsets and the reduced-row check agree with a brute-force
+    reduction.  A pair that is no cover and a row that lists a cover twice
+    are refused with today's texts."""
+    rng = random.Random(2025)
+    refused = 0
+    for _ in range(1000):
+        n, pairs = random_relation(rng)
+        lt = strict_order(n, pairs)
+        p = Poset.from_relation(n, pairs)
+        assert p.covers == covers_by_definition(lt, range(n))
+        assert Poset(n, p.covers) == p
+        keep = [u for u in range(n) if rng.random() < 0.6]
+        sub, old = p.restrict(keep)
+        assert old == keep
+        assert {(old[a], old[b]) for a, b in sub.covers} == covers_by_definition(lt, keep)
+        if lt == p.covers:
+            continue
+        a, b = rng.choice(sorted(lt - p.covers))
+        w = min(c for c in range(n) if (a, c) in lt and (c, b) in lt)
+        with pytest.raises(OrderError, match=rf"^cover \({a},{b}\) is not reduced: {a}<{w}<{b}$"):
+            Poset(n, p.covers | {(a, b)})
+        a, b = rng.choice(sorted(p.covers))
+        upper, lower = list(p._upcov), list(p._dncov)
+        upper[a] += (b,)
+        lower[b] += (a,)
+        with pytest.raises(OrderError, match=rf"^cover \({a},{b}\) is listed twice$"):
+            Poset._from_rows(tuple(upper), tuple(lower))
+        refused += 1
+    assert refused > 300
 
 
 def test_semimodular_and_slim_match_definitions(lattices6):

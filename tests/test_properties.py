@@ -18,7 +18,13 @@ from slimlat.order import (
     principal_congruence,
 )
 
-from oracles import covers_via_nwl_nel, is_congruence, rho_foot, verify_jir_congruences
+from oracles import (
+    covers_via_nwl_nel,
+    is_congruence,
+    rho_foot,
+    trajectories,
+    verify_jir_congruences,
+)
 
 
 # -- random small sequences ----------------------------------------------------
@@ -46,7 +52,7 @@ def test_built_lattices_satisfy_core_invariants(seq):
     pl = build(seq)
     d = pl.diagram
     lat = pl.lattice
-    assert pl.length() == pl.antube() == len(d.trajectories())
+    assert pl.length() == pl.antube() == len(trajectories(d))
     for x in range(lat.n):
         assert lat.join_of((d.l_proj(x), d.r_proj(x))) == x
     for u in range(lat.n):
@@ -119,8 +125,8 @@ def test_cells_and_trajectories_mirror_to_reversal():
         (c.bottom, c.right, c.left, c.top) for c in d.four_cells()
     }
     assert {(c.bottom, c.left, c.right, c.top) for c in m.four_cells()} == mirrored_cells
-    trajs = {tuple(sorted((e.foot, e.peak) for e in t.edges)) for t in d.trajectories()}
-    trajs_m = {tuple(sorted((e.foot, e.peak) for e in t.edges)) for t in m.trajectories()}
+    trajs = {tuple(sorted(t.edges)) for t in trajectories(d)}
+    trajs_m = {tuple(sorted(t.edges)) for t in trajectories(m)}
     assert trajs == trajs_m
 
 
