@@ -13,10 +13,6 @@ from .order import (
     CongruenceLattice,
     order_from_covers,
     lattice_from_poset,
-    is_semimodular,
-    jir,
-    mir,
-    is_slim,
     is_distributive_ideal_grid,
     principal_congruence,
     congruence_lattice,
@@ -31,7 +27,6 @@ from .diagram import (
     PlanarDiagram,
     embed_rectangular,
     is_slim_rectangular,
-    mirror,
     canonical_code,
     cell_address,
     resolve_address,
@@ -79,12 +74,11 @@ from .render import render, validate_slopes
 
 __all__ = [
     "Poset", "FiniteLattice", "Congruence", "CongruenceLattice",
-    "order_from_covers", "lattice_from_poset", "is_semimodular", "jir", "mir",
-    "is_slim", "is_distributive_ideal_grid", "principal_congruence",
-    "congruence_lattice", "poset_iso", "poset_double", "named_posets",
+    "order_from_covers", "lattice_from_poset", "is_distributive_ideal_grid",
+    "principal_congruence", "congruence_lattice", "poset_iso", "poset_double",
+    "named_posets",
     "Edge", "FourCell", "Trajectory", "PlanarDiagram", "embed_rectangular",
-    "is_slim_rectangular", "mirror", "canonical_code", "cell_address",
-    "resolve_address",
+    "is_slim_rectangular", "canonical_code", "cell_address", "resolve_address",
     "ForkStep", "MultiforkSequence", "ProvenancedLattice", "grid",
     "multifork_extend", "build", "decompose", "reprovenance",
     "parse_dsl", "emit_dsl",

@@ -338,10 +338,6 @@ def _bfs_code(bottom, upper):
     return "|".join(",".join(str(ids[v]) for v in upper[u]) for u in queue)
 
 
-def mirror(diagram):
-    return diagram.mirror()
-
-
 def canonical_code(diagram):
     return diagram.canonical_code()
 

@@ -91,7 +91,6 @@ class ProvenancedLattice:
         # per fork element, in order of creation: (id, foot, peak, s, k + 1)
         # for a subdivision point, (id, left anchor, right anchor) for a leg crossing
         self.recipes = recipes
-        self._code = None
 
     @cached_property
     def coords(self):
@@ -135,9 +134,7 @@ class ProvenancedLattice:
         return self.diagram.antube()
 
     def canonical_code(self):
-        if self._code is None:
-            self._code = self.diagram.canonical_code()
-        return self._code
+        return self.diagram.canonical_code()
 
     def __repr__(self):
         return f"ProvenancedLattice(n={self.n}, len={self.length()}, steps={len(self.seq.steps)})"

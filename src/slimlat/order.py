@@ -68,10 +68,7 @@ its point queries.  Seven textbook facts keep the kernels below cubic cost:
 The brute-force versions of these kernels (a cubic table search, a scan
 of all pairs for semimodularity, of all triples of J(L) for slimness, D
 from join rows, one closure per cover and a cubic distributivity scan of
-the rebuilt ideal) are kept in tests/ as reference implementations.  The
-closure helpers here (_tables, _closure and principal_congruence) serve
-only as test oracles; the rest of the closure oracles live in
-tests/oracles.py.
+the rebuilt ideal) are kept in tests/ as reference implementations.
 """
 
 from __future__ import annotations
@@ -490,7 +487,7 @@ class FiniteLattice:
 
     @staticmethod
     def _bound(elems, cones):
-        common = -1
+        common = (1 << len(cones)) - 1  # no elems: the top or the bottom
         for x in elems:
             common &= cones[x]
         return next(g for g in _elements(common) if cones[g] == common)
@@ -617,22 +614,6 @@ def lattice_from_poset(poset):
     return FiniteLattice(poset)
 
 
-def is_semimodular(lat):
-    return lat.is_semimodular()
-
-
-def jir(lat):
-    return lat.jir()
-
-
-def mir(lat):
-    return lat.mir()
-
-
-def is_slim(lat):
-    return lat.is_slim()
-
-
 def _two_disjoint_chains(poset, elems):
     """Sizes (a, b) of the components when the induced order on elems is a
     disjoint union of at most two chains (b = 0 for one chain), else None:
@@ -697,46 +678,6 @@ class Congruence:
         return len(set(self.block_index))
 
 
-def _tables(lat):
-    """(meet, join) tables, filled by the recurrence that certifies foreign input."""
-    p = lat.poset
-    return (lat._table(p.down, p.up, p.lower_covers, p._order),
-            lat._table(p.up, p.down, p.upper_covers, p._order[::-1]))
-
-
-def _closure(meet, join, seed_pairs):
-    """The smallest congruence holding the seed pairs, from the meet and join tables."""
-    n = len(meet)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue = list(seed_pairs)
-    while queue:
-        x, y = queue.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[max(rx, ry)] = min(rx, ry)
-        for z in range(n):
-            mx, my = meet[x][z], meet[y][z]
-            if find(mx) != find(my):
-                queue.append((mx, my))
-            jx, jy = join[x][z], join[y][z]
-            if find(jx) != find(jy):
-                queue.append((jx, jy))
-    return Congruence.from_parent([find(x) for x in range(n)])
-
-
-def principal_congruence(lat, a, b):
-    """Smallest congruence identifying a and b (fixpoint of compatibility)."""
-    return _closure(*_tables(lat), [(a, b)])
-
-
 @dataclass(frozen=True)
 class CongruenceLattice:
     """Join-irreducible congruences of a finite lattice, ordered by refinement."""
@@ -773,15 +714,49 @@ def _dependencies(lat):
     return dep
 
 
+def _collapsed(dep, todo):
+    """The mask of the join-irreducibles from which D steps lead into todo."""
+    collapsed = 0
+    while todo:
+        j = todo.bit_length() - 1
+        collapsed |= 1 << j
+        todo = (todo | dep[j]) & ~collapsed
+    return collapsed
+
+
+def principal_congruence(lat, a, b):
+    """con(a, b), read off the D order as congruence_lattice reads each
+    con(k_, k).  Let u = a ^ b, v = a v b and S = {j in J(L) : j <= v, j
+    not <= u}.  a = b iff u = v (blocks are convex), so con(a, b) =
+    con(u, v), and this is the join theta of the con(j_, j), j in S:
+    - u = v gives j = j ^ v = j ^ u <= j_ < j, so j_ = j.
+    - While u <= x < v, some j in S is not below x, and a minimal one has
+      every join-irreducible below j_ below x, so x = x v j_ theta x v j > x.
+    Hence, for any congruence theta with C = {j : j_ theta j}, x theta y
+    iff the join-irreducibles below x and below y outside C agree: if x
+    theta y, those below x v y and not below x ^ y lie in C; if they agree,
+    those below x and not below x ^ y lie in C too, so x theta x ^ y theta
+    y.  For theta the join of the con(k_, k), k in S, j lies in C iff D
+    steps lead from j into S (_collapsed): z -> (z v j_) ^ j maps a chain
+    j_ = z0, ..., zm = j whose steps each lie in one con(k_, k) onto
+    {j_, j}, so one con(k_, k) holds (j_, j), that is, con(j_, j) <=
+    con(k_, k) (congruence_lattice).
+    """
+    down, jmask = lat.poset.down, sum(1 << j for j in lat.jir())
+    u, v = lat.meet_of((a, b)), lat.join_of((a, b))
+    collapsed = _collapsed(_dependencies(lat), down[v] & ~down[u] & jmask)
+    return Congruence.from_parent([m & jmask & ~collapsed for m in down])
+
+
 def congruence_lattice(lat):
     """All distinct con(a, b) over covering pairs a < b, with their order.
 
     con(j_, j) <= con(k_, k) iff D steps lead from j to k (_dependencies;
     Freese, Jezek, Nation, Free Lattices, 1995, ch. II).  Every con(a, b)
     of a cover is a con(k_, k), so con(k_, k) collapses exactly the
-    join-irreducibles C that reach k, and x, y share a block iff the
-    join-irreducibles below them outside C agree.  Sets of
-    join-irreducibles are int bitmasks.
+    join-irreducibles C that reach k (_collapsed), and x, y share a block
+    iff the join-irreducibles below them outside C agree
+    (principal_congruence).  Sets of join-irreducibles are int bitmasks.
 
     Con L of a finite lattice is distributive, so |Con L| is the number of
     down-sets of the join-irreducible poset.
@@ -792,11 +767,7 @@ def congruence_lattice(lat):
     dep = _dependencies(lat)
     congs = {}
     for k in jir:
-        collapsed, todo = 0, 1 << k
-        while todo:
-            j = todo.bit_length() - 1
-            collapsed |= 1 << j
-            todo = (todo | dep[j]) & ~collapsed
+        collapsed = _collapsed(dep, 1 << k)
         if collapsed not in congs:
             congs[collapsed] = Congruence.from_parent([b & ~collapsed for b in below])
     masks = sorted(congs, key=lambda c: (congs[c].block_count(), congs[c].block_index),

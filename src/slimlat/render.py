@@ -99,21 +99,25 @@ def parse_dot(text):
     return Poset(n, covers)
 
 
-def _decimal(x, places=6):
-    return f"{x:.{places}f}".rstrip("0").rstrip(".") or "0"
+# SVG pixels per unit (an int, so scaled points stay exact), margin, places
+_SCALE, _MARGIN, _PLACES = 40, 30, 6
 
 
-def render_svg(pl, scale=40, margin=30):
-    """SVG with y pointing down; `scale` (an int) is pixels per unit.  Each
-    point is formatted once, and its lines reuse the text."""
+def _decimal(x):
+    return f"{x:.{_PLACES}f}".rstrip("0").rstrip(".") or "0"
+
+
+def render_svg(pl):
+    """SVG with y pointing down.  Each point is formatted once, and its
+    lines reuse the text."""
     validate_slopes(pl)
     den, xs, ys = _integer_points(pl)
     minx, maxy = min(xs), max(ys)
-    fx = [(x - minx) * scale / den + margin for x in xs]
-    fy = [(maxy - y) * scale / den + margin for y in ys]
+    fx = [(x - minx) * _SCALE / den + _MARGIN for x in xs]
+    fy = [(maxy - y) * _SCALE / den + _MARGIN for y in ys]
     sx, sy = [_decimal(x) for x in fx], [_decimal(y) for y in fy]
-    width = _decimal((max(xs) - minx) * scale / den + 2 * margin)
-    height = _decimal((maxy - min(ys)) * scale / den + 2 * margin)
+    width = _decimal((max(xs) - minx) * _SCALE / den + 2 * _MARGIN)
+    height = _decimal((maxy - min(ys)) * _SCALE / den + 2 * _MARGIN)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'

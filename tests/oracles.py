@@ -5,11 +5,12 @@ does not use.
   rho_circr (forest descent), and the lamp covers read off the Nwl/Nel
   rule directly.  Production derives the order from Nwl/Nel alone
   (`slimlat.lamps.lamp_poset`).
-- Congruences by closure: joins of congruences, the compatibility laws and
-  the join-irreducibility of listed congruences.  Production reads Con L
-  off the join-dependency order on J(L) (`slimlat.order.congruence_lattice`).
-  `_tables`, `_closure` and `principal_congruence` stay in `slimlat.order`,
-  where the benchmark's span tracer wraps `principal_congruence` by name.
+- Congruences by closure: the meet and join tables (`tables`), the
+  union-find closure of seed pairs over them (`_closure`), joins of
+  congruences, the compatibility laws and the join-irreducibility of listed
+  congruences.  Production closes no pairs over tables: it reads Con L and
+  each principal congruence off the join-dependency order on J(L)
+  (`slimlat.order.congruence_lattice`, `slimlat.order.principal_congruence`).
 - The join-dependency relation D from whole rows of the join table.
   Production reads D off the arrow relations
   (`slimlat.order._dependencies`).
@@ -57,9 +58,7 @@ from slimlat.lamps import (
     usage_stats,
 )
 from slimlat.multifork import grid, multifork_extend
-# tables(lat): the (meet, join) tables from the recurrence that certifies
-# foreign input, which the tests check against the cubic reference tables
-from slimlat.order import Congruence, FiniteLattice, _closure, _tables as tables
+from slimlat.order import Congruence, FiniteLattice
 
 
 def covers_via_nwl_nel(d):
@@ -187,6 +186,42 @@ def is_reduction_fixpoint(pl):
     return not any(
         "00" in pat or "0u0" in pat for pat in stats.patterns.values()
     )
+
+
+def tables(lat):
+    """(meet, join) tables, filled by the recurrence that certifies foreign
+    input, which the tests check against the cubic reference tables."""
+    p = lat.poset
+    return (lat._table(p.down, p.up, p.lower_covers, p._order),
+            lat._table(p.up, p.down, p.upper_covers, p._order[::-1]))
+
+
+def _closure(meet, join, seed_pairs):
+    """The smallest congruence holding the seed pairs, from the meet and join tables."""
+    n = len(meet)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    queue = list(seed_pairs)
+    while queue:
+        x, y = queue.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[max(rx, ry)] = min(rx, ry)
+        for z in range(n):
+            mx, my = meet[x][z], meet[y][z]
+            if find(mx) != find(my):
+                queue.append((mx, my))
+            jx, jy = join[x][z], join[y][z]
+            if find(jx) != find(jy):
+                queue.append((jx, jy))
+    return Congruence.from_parent([find(x) for x in range(n)])
 
 
 def congruence_join(lat, congs):

@@ -9,6 +9,7 @@ from slimlat.diagram import (
     embed_rectangular,
     is_slim_rectangular,
 )
+from slimlat.dsl import parse_dsl
 from slimlat.errors import DiagramError, OrderError
 from slimlat.explore import enumerate_index
 from slimlat.lamps import fork_interval, lamps_of_diagram
@@ -25,7 +26,6 @@ from slimlat.order import (
     poset_double,
     poset_iso,
     principal_congruence,
-    _closure,
     _corner_coordinates,
     _corner_lattice,
     _CornerLattice,
@@ -34,6 +34,7 @@ from slimlat.order import (
 )
 
 from oracles import (
+    _closure,
     congruence_join,
     is_congruence,
     is_full,
@@ -166,6 +167,15 @@ def test_lattice_from_grid_poset():
     assert lat.meet_of((1, 2)) == 0
     assert lat.is_join(1, 2, 3) and lat.is_meet(1, 2, 0)
     assert not lat.is_join(1, 2, 2) and not lat.is_meet(1, 2, 1)
+
+
+def test_meet_and_join_of_no_elements_are_the_top_and_the_bottom():
+    """The meet of no elements is the top, the join of none the bottom, on
+    a built lattice and on the same lattice certified from its JSON."""
+    built = multifork.build(parse_dsl("grid 1 1\nfork 0 0 1\n")).diagram
+    for d in (built, PlanarDiagram.from_json(built.to_json())):
+        lat = d.lattice
+        assert (lat.meet_of(()), lat.join_of(())) == (lat.top, lat.bottom)
 
 
 def test_lattice_missing_lub():
@@ -378,6 +388,10 @@ def assert_con_matches_reference(lat):
     assert got.jir_congs == want.jir_congs
     assert got.jir_poset == want.jir_poset
     assert got.con_size == want.con_size
+    meet, join = tables(lat)
+    for a in range(lat.n):
+        for b in range(a, lat.n):
+            assert principal_congruence(lat, a, b) == _closure(meet, join, [(a, b)]), (a, b)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """The README's examples: every `slimlat ...` line of the command block
 parses, the quick-tour Python block runs and prints what its comments
-claim, and every Python name the README spells out resolves."""
+claim, and every Python name the README spells out resolves.  Every name
+that `slimlat.__all__` exports is bound on the package."""
 
 import contextlib
 import importlib
@@ -10,6 +11,7 @@ import re
 import shlex
 from pathlib import Path
 
+import slimlat
 from slimlat.cli import make_parser
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
@@ -58,3 +60,8 @@ def test_named_python_objects_resolve():
     assert statements
     for statement in statements:
         exec(statement, {})
+
+
+def test_every_exported_name_is_bound():
+    assert len(slimlat.__all__) == len(set(slimlat.__all__))
+    assert [name for name in slimlat.__all__ if not hasattr(slimlat, name)] == []
