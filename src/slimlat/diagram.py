@@ -7,24 +7,26 @@ two corners), never from drawn positions.  Cells, boundary chains,
 trajectories, neon tubes, mirroring and canonical codes all live here.
 
 A diagram computes its cells (with the map from each bottom to its
-cell), boundary chains, corners, boundary heights and neon tubes once, on
-first use, and keeps the lamp data that the lamps module derives for it;
-a failure is not cached and is raised again on the next call.  A built
-lattice's corner coordinates go to its diagram: the one constructor of
-grids, forks and fork deletions (_certified_diagram) orders the poset's
-cover rows by them and keeps them as the diagram's heights, and its
-corners as corners(); embed_rectangular derives both for a foreign
-lattice.  The row helper behind both (_falling_rows) keeps every row that
-already runs by falling left height, the same tuple, and sorts only the
-others, so a grid or fork step, whose rows are spliced in order, shares
-its poset's rows and sorts none.  Nothing is cached per edge but the
-cell side maps, and every walk across cells steps through them (_cross):
-validation checks every trajectory in one sweep (_trajectory_failure),
-and trajectory_through walks the one trajectory it returns, with the
-cells it crosses.  An Edge is a named (foot, peak) pair and a FourCell a
-named (bottom, left, right, top) quadruple, so each equals, hashes and
-looks up as its plain tuple; the side maps and the lamp and tube-record
-maps take either.  Listing every trajectory is left to the test oracles.
+cell), boundary chains, corners, boundary heights and neon tubes once,
+on first use, and keeps the lamp data that the lamps module derives for
+it and its validation report (is_slim_rectangular), ok or not; a failure
+that a derivation raises is not cached and is raised again on the next
+call.  A built lattice's corner coordinates go to its diagram: the one
+constructor of grids, forks and fork deletions (_certified_diagram)
+orders the poset's cover rows by them and keeps them as the diagram's
+heights, and its corners as corners(); embed_rectangular derives both
+for a foreign lattice.  The row helper behind both (_falling_rows) keeps
+every row that already runs by falling left height, the same tuple, and
+sorts only the others, so a grid or fork step, whose rows are spliced in
+order, shares its poset's rows and sorts none.  Nothing is cached per
+edge but the cell side maps, and every walk across cells steps through
+them (_cross): validation checks every trajectory in one sweep
+(_trajectory_failure), and trajectory_through walks the one trajectory
+it returns, with the cells it crosses.  An Edge is a named (foot, peak)
+pair and a FourCell a named (bottom, left, right, top) quadruple, so
+each equals, hashes and looks up as its plain tuple; the side maps and
+the lamp and tube-record maps take either.  Listing every trajectory is
+left to the test oracles.
 """
 
 from __future__ import annotations
@@ -279,6 +281,11 @@ class PlanarDiagram:
         from .lamps import _derive_lamp_order
         return _derive_lamp_order(self)
 
+    @cached_property
+    def _report(self):
+        """The validation report (is_slim_rectangular), derived on first use."""
+        return _validate(self)
+
     # -- mirroring and codes -------------------------------------------------
 
     def mirror(self):
@@ -452,6 +459,21 @@ class ValidationReport:
 def is_slim_rectangular(obj):
     """Full validity report for a diagram or abstract lattice.
 
+    A diagram derives its report once, on the first call, and keeps it, ok
+    or not; a built diagram's first call is its constructor's self-check.
+    A lattice is embedded afresh (embed_rectangular) on every call.
+    """
+    if not isinstance(obj, PlanarDiagram):
+        try:
+            obj = embed_rectangular(obj)
+        except DiagramError as e:
+            return ValidationReport(False, (f"embedding: {e}",))
+    return obj._report
+
+
+def _validate(d):
+    """The validation report of d (is_slim_rectangular).
+
     Checks semimodularity, slimness, the two complementary doubly
     irreducible elements, that every region is a 4-cell with a unique
     bottom, that each two neighbouring lower covers of an element are the
@@ -461,16 +483,7 @@ def is_slim_rectangular(obj):
     three upper covers, the cells decide semimodularity too.
     """
     failures = []
-    if isinstance(obj, PlanarDiagram):
-        d = obj
-        lat = d.lattice
-    else:
-        lat = obj
-        try:
-            d = embed_rectangular(lat)
-        except DiagramError as e:
-            return ValidationReport(False, (f"embedding: {e}",))
-
+    lat = d.lattice
     wide = next((u for u, row in enumerate(d.upper) if len(row) > 2), None)
     try:
         d.four_cells()

@@ -1,8 +1,9 @@
 """Finite posets and lattices, stored as up- and down-set bitmasks.
 
 Elements are dense integers 0..n-1.  Values do not change after
-construction; derived data (heights, irreducibles, a built poset's cover
-set) is computed on first use and cached on the object.  A poset keeps
+construction; derived data (heights, a built poset's cover set, a
+lattice's Con L) is computed on first use and cached on the object, so a
+lattice derives Con L once however often it is asked.  A poset keeps
 its covers as rows, upper_covers(u) and lower_covers(u): a poset from
 pairs lists them ascending, a built one (Poset._from_rows) left to right,
 as its diagram does.  Sets of elements are int bitmasks, bit y
@@ -379,7 +380,8 @@ def order_from_covers(covers, n=None):
 
 class FiniteLattice:
     """A finite lattice: a bounded poset whose meet table fills (a built lattice
-    is certified by its corner coordinates instead); only its masks are kept."""
+    is certified by its corner coordinates instead); it keeps its masks, and
+    its Con L once derived, but no table."""
 
     def __init__(self, poset):
         self.poset = poset
@@ -550,6 +552,11 @@ class FiniteLattice:
                         return False
         return True
 
+    @cached_property
+    def _con(self):
+        """Con L, derived on first use (congruence_lattice)."""
+        return _congruence_lattice(self)
+
     def __repr__(self):
         return f"FiniteLattice(n={self.n})"
 
@@ -655,15 +662,9 @@ class Congruence:
 
     @staticmethod
     def from_parent(parent):
-        n = len(parent)
+        # the first, least, member of a block gives it the next id
         reps = {}
-        index = []
-        for x in range(n):
-            r = parent[x]
-            if r not in reps:
-                reps[r] = len(reps)
-            index.append(reps[r])
-        return Congruence(n, tuple(index))
+        return Congruence(len(parent), tuple([reps.setdefault(r, len(reps)) for r in parent]))
 
     def blocks(self):
         out = {}
@@ -749,7 +750,14 @@ def principal_congruence(lat, a, b):
 
 
 def congruence_lattice(lat):
-    """All distinct con(a, b) over covering pairs a < b, with their order.
+    """Con L: all distinct con(a, b) over covering pairs a < b, with their
+    order.  A lattice derives it once, on the first call, and keeps it, so
+    every later call on the same lattice returns the same object."""
+    return lat._con
+
+
+def _congruence_lattice(lat):
+    """Con L, derived (congruence_lattice).
 
     con(j_, j) <= con(k_, k) iff D steps lead from j to k (_dependencies;
     Freese, Jezek, Nation, Free Lattices, 1995, ch. II).  Every con(a, b)

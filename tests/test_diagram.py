@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+from slimlat import diagram, order
 from slimlat.diagram import (
     Edge,
     FourCell,
@@ -16,13 +17,16 @@ from slimlat.diagram import (
     is_slim_rectangular,
     resolve_address,
 )
+from slimlat.dsl import parse_dsl
 from slimlat.errors import DiagramError
 from slimlat.explore import enumerate_index
-from slimlat.multifork import grid
+from slimlat.lamps import lamp_report
+from slimlat.multifork import build, grid
 from slimlat.order import FiniteLattice, Poset, lattice_from_poset, named_posets, order_from_covers
+from slimlat.reduce import check_bounds
 
 from oracles import east_step, trajectories, trajectory_failure_by_walks
-from test_order import B2_COVERS, S7_COVERS, grid_poset
+from test_order import B2_COVERS, S7_COVERS, counted_calls, grid_poset
 
 
 def embed(covers):
@@ -212,8 +216,9 @@ def test_trajectory_sweep_agrees_with_the_walk_oracle():
 
 def _patched(d, cells=None, **state):
     """A copy of d with the given cell list, or other derived state, in
-    place of its own."""
+    place of its own, and without the validation report d may keep."""
     p = copy.copy(d)
+    vars(p).pop("_report", None)
     if cells is not None:
         p._cells, p._sides = (tuple(cells), {c.bottom: c for c in cells}), None
     for name, value in state.items():
@@ -221,12 +226,15 @@ def _patched(d, cells=None, **state):
     return p
 
 
-def _planted(kind):
-    """A built grid diagram with one planted trajectory defect.  Grid element
-    (i, j) is i * (q + 1) + j; grid(2, 1) has the left chain 0, 2, 4, 5, the
-    right chain 0, 1, 3, 5 and the cells (0, 2, 1, 3) and (2, 4, 3, 5), given
-    as (bottom, left, right, top)."""
+def _planted(kind, validated=False):
+    """A built grid diagram with one planted trajectory defect, patched into
+    a copy of the grid's diagram, which is validated first if `validated`.
+    Grid element (i, j) is i * (q + 1) + j; grid(2, 1) has the left chain
+    0, 2, 4, 5, the right chain 0, 1, 3, 5 and the cells (0, 2, 1, 3) and
+    (2, 4, 3, 5), given as (bottom, left, right, top)."""
     g11, g21, g12 = (grid(p, q).diagram for p, q in ((1, 1), (2, 1), (1, 2)))
+    if validated:
+        assert all(is_slim_rectangular(g).ok for g in (g11, g21, g12))
     if kind == "two east cells":
         # (2, 3) is an upper left side of (0, 2, 1, 3), a lower left one of (2, 3, 4, 5)
         return _patched(g21, g21.four_cells() + (FourCell(2, 3, 4, 5),))
@@ -255,7 +263,7 @@ def _planted(kind):
     raise ValueError(kind)
 
 
-@pytest.mark.parametrize("kind, message", [
+PLANTED = [
     ("two east cells", "edge (2, 3) has two east cells"),
     ("revisit", "trajectory revisits an edge (diagram corruption)"),
     ("tubes", "trajectory has 0 neon tubes, expected 1"),
@@ -263,7 +271,10 @@ def _planted(kind):
     ("unreached", "trajectory does not start on the left boundary"),
     ("count", "3 trajectories but length 4"),
     ("tube count", "neon tube count differs from length"),
-])
+]
+
+
+@pytest.mark.parametrize("kind, message", PLANTED)
 def test_trajectory_sweep_names_a_planted_defect(kind, message):
     """No lattice that passes the checks run before the sweep fails it, so
     each defect is planted in a grid's cells, its length or its tubes.  The
@@ -271,6 +282,14 @@ def test_trajectory_sweep_names_a_planted_defect(kind, message):
     d = _planted(kind)
     assert _trajectory_failure(d) == message
     assert trajectory_failure_by_walks(d) is not None
+
+
+@pytest.mark.parametrize("kind, message", PLANTED)
+def test_a_kept_report_hides_no_planted_defect(kind, message):
+    """The grid diagram keeps its ok report, but the patched copy derives
+    its own, and it names the planted defect."""
+    d = _planted(kind, validated=True)
+    assert message in is_slim_rectangular(d).failures
 
 
 def test_a_row_out_of_order_is_sorted():
@@ -315,6 +334,48 @@ def test_is_slim_rectangular():
     rep = is_slim_rectangular(lattice_from_poset(named_posets("chain", 3)))
     assert not rep.ok
     assert any("doubly irreducible" in f or "embedding" in f for f in rep.failures)
+
+
+def test_a_diagram_keeps_its_report(monkeypatch):
+    """is_slim_rectangular returns the report a diagram derived on its first
+    call, ok or not: for a built diagram that call is its constructor's own
+    self-check.  A diagram read from JSON, a mirror image and a mutant each
+    derive their own; a bare lattice is embedded and validated every time."""
+    validated = counted_calls(monkeypatch, diagram, "_validate")
+    built = build(parse_dsl("grid 2 1\nfork 1 0 2\n")).diagram
+    assert validated == [built]
+    assert is_slim_rectangular(built) is is_slim_rectangular(built)
+    assert is_slim_rectangular(built).ok and validated == [built]
+    read = PlanarDiagram.from_json(built.to_json())
+    mirror = built.mirror()
+    lower = list(built.lower)
+    lower[built.lattice.top] = lower[built.lattice.top][::-1]
+    mutant = PlanarDiagram(built.lattice, built.upper, lower)
+    for d in (read, mirror, mutant):
+        assert is_slim_rectangular(d) is is_slim_rectangular(d)
+        assert validated[-1] is d
+    assert len(validated) == 4
+    assert is_slim_rectangular(read).ok and is_slim_rectangular(mirror).ok
+    assert not is_slim_rectangular(mutant).ok
+    reports = [is_slim_rectangular(built.lattice) for _ in range(2)]
+    assert reports[0] == reports[1] and reports[0] is not reports[1]
+    assert len(validated) == 6
+
+
+def test_a_large_round_derives_con_and_each_report_once(monkeypatch):
+    """One round of the benchmark's large workload on a 106-element lattice:
+    build, validate, lamp report and bounds derive Con L once and validate
+    each diagram once, the last one in build's own last fork step."""
+    dependencies = counted_calls(monkeypatch, order, "_dependencies")
+    validated = counted_calls(monkeypatch, diagram, "_validate")
+    pl = build(parse_dsl("grid 7 6\nfork 5 0 2\nfork 3 4 1\nfork 1 7 2\n"))
+    assert pl.n == 106
+    assert is_slim_rectangular(pl.diagram).ok
+    assert lamp_report(pl)["congruence_iso_ok"]
+    assert check_bounds(pl).ok
+    assert dependencies == [pl.lattice]
+    assert len(validated) == 3 and validated[-1] is pl.diagram
+    assert len({id(d) for d in validated}) == 3
 
 
 def test_reversed_lower_cover_order_rejected():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from slimlat import multifork
+from slimlat import multifork, order
 from slimlat.diagram import (
     PlanarDiagram,
     boundary_heights,
@@ -276,6 +276,34 @@ def test_congruence_lattice_s7():
     assert verify_jir_congruences(cl)
 
 
+def counted_calls(monkeypatch, module, name):
+    """The list of first arguments of every call to module.name from now on."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(arg, *rest):
+        calls.append(arg)
+        return fn(arg, *rest)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_lattice_keeps_its_con(monkeypatch):
+    """congruence_lattice returns the Con L that a lattice derived on its
+    first call: a built lattice, one read from JSON, and the lattice of a
+    mirror image, which is the built one."""
+    derived = counted_calls(monkeypatch, order, "_dependencies")
+    d = multifork.build(parse_dsl("grid 2 1\nfork 1 0 2\n")).diagram
+    read = PlanarDiagram.from_json(d.to_json()).lattice
+    for lat in (d.lattice, read, d.mirror().lattice):
+        assert congruence_lattice(lat) is congruence_lattice(lat)
+    assert congruence_lattice(d.mirror().lattice) is congruence_lattice(d.lattice)
+    assert derived == [d.lattice, read]
+    a, b = congruence_lattice(read), congruence_lattice(d.lattice)
+    assert a is not b
+    assert (a.jir_congs, a.jir_poset, a.con_size) == (b.jir_congs, b.jir_poset, b.con_size)
+
+
 def test_congruence_join_identity():
     lat = b2()
     empty = congruence_join(lat, [])
@@ -385,6 +413,8 @@ def assert_kernels_match_references(lat):
 
 def assert_con_matches_reference(lat):
     got, want = congruence_lattice(lat), reference_congruence_lattice(lat)
+    # a second read returns the Con L the lattice kept, checked here
+    assert congruence_lattice(lat) is got
     assert got.jir_congs == want.jir_congs
     assert got.jir_poset == want.jir_poset
     assert got.con_size == want.con_size
