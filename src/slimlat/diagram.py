@@ -22,7 +22,12 @@ order, shares its poset's rows and sorts none.  Nothing is cached per
 edge but the cell side maps, and every walk across cells steps through
 them (_cross): validation checks every trajectory in one sweep
 (_trajectory_failure), and trajectory_through walks the one trajectory
-it returns, with the cells it crosses.  An Edge is a named (foot, peak)
+it returns, with the cells it crosses.  The sweep records only the
+right-chain peak where each walk ends, one append per trajectory; from
+these a valid diagram derives, on first use, its Jordan-Holder
+permutation pi and the key min(pi, pi^-1) (_jh_key), on which the
+enumeration and the decomposition memo dedupe.  Canonical codes are
+computed only where something outputs them.  An Edge is a named (foot, peak)
 pair and a FourCell a named (bottom, left, right, top) quadruple, so
 each equals, hashes and looks up as its plain tuple; the side maps and
 the lamp and tube-record maps take either.  Listing every trajectory is
@@ -286,6 +291,21 @@ class PlanarDiagram:
         """The validation report (is_slim_rectangular), derived on first use."""
         return _validate(self)
 
+    @cached_property
+    def _jh_key(self):
+        """min(pi, pi^-1) of the Jordan-Holder permutation pi (_jh_permutation),
+        derived on first use: the key of the lattice up to isomorphism.  pi
+        fixes a slim rectangular lattice up to its mirror image, whose
+        permutation is pi^-1, so two valid diagrams share their key iff their
+        lattices are isomorphic (Czedli and Schmidt, Algebra Universalis 66,
+        2011, and Acta Sci. Math. 79, 2013).  DiagramError unless the
+        diagram's report is ok."""
+        pi = _jh_permutation(self)
+        inv = [0] * len(pi)
+        for i, j in enumerate(pi, 1):
+            inv[j - 1] = i
+        return min(pi, tuple(inv))
+
     # -- mirroring and codes -------------------------------------------------
 
     def mirror(self):
@@ -347,6 +367,20 @@ def _bfs_code(bottom, upper):
 
 def canonical_code(diagram):
     return diagram.canonical_code()
+
+
+def _jh_permutation(d):
+    """The Jordan-Holder permutation of a valid diagram as the tuple
+    (pi(1), ..., pi(n)), n the length: pi(i) = j when the trajectory through
+    the i-th edge of the left boundary chain, counted from the bottom, ends
+    on the j-th edge of the right one.  Read off the peaks that the
+    validation sweep recorded (_trajectory_failure); DiagramError unless
+    d's report is ok."""
+    report = d._report
+    if not report.ok:
+        raise DiagramError(f"no Jordan-Holder permutation: {report.failures}")
+    pos = {v: j for j, v in enumerate(d.boundary_chains()[1])}
+    return tuple([pos[v] for v in d._ends])
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +573,10 @@ def _trajectory_failure(d):
     they reach every edge: no other path or cycle is left, every trajectory
     starts on the left boundary (the left-chain edges are the edges with
     both ends on it), and there are len(lchain) - 1 of them.
+
+    The sweep keeps, as d._ends, the peak of the edge each walk ends on, in
+    left-chain order: the Jordan-Holder permutation (_jh_permutation) of a
+    diagram whose report is ok.
     """
     try:
         east = d._side_maps()[1]
@@ -548,6 +586,7 @@ def _trajectory_failure(d):
     lchain, _ = d.boundary_chains()
     rset = d._boundary_sets()[1]
     seen = set()
+    ends = d._ends = []
     for e in zip(lchain, lchain[1:]):
         tubes = 0
         while e is not None:
@@ -557,6 +596,7 @@ def _trajectory_failure(d):
             # a tube's foot is meet-irreducible: it has one upper cover
             tubes += len(upper[e[0]]) == 1
             last, (e, _) = e, _cross(east, e, True)
+        ends.append(last[1])
         if tubes != 1:
             return f"trajectory has {tubes} neon tubes, expected 1"
         if not (last[0] in rset and last[1] in rset):

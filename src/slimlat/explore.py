@@ -1,10 +1,13 @@
 """Exhaustive enumeration by length and poset realizability search.
 
 Depth-first generation over grids and multifork extensions, deduplicated
-by canonical diagram codes (which already fold in the mirror image).
-A state is expanded only the first time its code is seen: the code fixes
-the length, so the remaining budget, and the fork count, and two
-isomorphic lattices extend to the same set of lattices.
+by the Jordan-Holder key min(pi, pi^-1) of each diagram (diagram._jh_key),
+which the validation sweep of every fork step already walks and which
+folds in the mirror image.  A state is expanded only the first time its
+key is seen: the key fixes the length, so the remaining budget, and the
+fork count, and two isomorphic lattices extend to the same set of
+lattices.  Canonical codes partition the lattices as the keys do; they
+are only output (EnumEntry.code, sweep_bounds), computed when read.
 
 Realizability rests on two lamp facts (Czedli, "Lamps in slim rectangular
 planar semimodular lattices", Acta Sci. Math. 2021): every multifork adds
@@ -30,11 +33,16 @@ from .reduce import check_bounds, length_bound, minimize
 PRACTICAL_MAX_LEN = 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnumEntry:
-    code: str
+    key: tuple      # the Jordan-Holder key min(pi, pi^-1) (diagram._jh_key)
     seq: object
     pl: object
+
+    @property
+    def code(self):
+        """The canonical code, derived on each read (canonical_code)."""
+        return self.pl.canonical_code()
 
     def lamp_poset(self):
         _, _, poset = lamp_poset(self.pl)
@@ -71,35 +79,44 @@ def _enumerate(max_len, boundary=None, max_forks=None):
     With `boundary`, only grids with p + q == boundary are searched; with
     `max_forks`, no sequence grows past that many forks.  Both the
     boundary lamp count and the lamp count are isomorphism invariants, so
-    the dedupe on codes never meets a state these cuts removed, and the
-    entries that survive keep their witnesses and their order.
+    the dedupe never meets a state these cuts removed, and the entries that
+    survive keep their witnesses and their order.  The dedupe is on the
+    Jordan-Holder key of each validated diagram (diagram._jh_key), which
+    partitions the lattices as canonical codes do; no code is computed.
     """
     found = {}
 
     def record(pl):
-        """Whether pl is the first lattice with its code."""
-        code = pl.canonical_code()
-        bucket = found.setdefault(pl.length(), {})
-        if code in bucket:
+        """Whether pl is the first lattice with its key."""
+        key = pl.diagram._jh_key
+        # the key has one entry per trajectory, so its length is pl's
+        bucket = found.setdefault(len(key), {})
+        if key in bucket:
             return False
-        bucket[code] = EnumEntry(code, pl.seq, pl)
+        bucket[key] = EnumEntry(key, pl.seq, pl)
         return True
-
-    def dfs(pl):
-        if not record(pl):
-            return
-        remaining = max_len - pl.length()
-        if remaining < 1 or len(pl.seq.steps) == max_forks:
-            return
-        for addr in _distributive_cells(pl):
-            for k in range(1, remaining + 1):
-                dfs(multifork_extend(pl, addr, k))
 
     for p in range(1, max_len):
         for q in range(1, p + 1):
             if p + q <= max_len and boundary in (None, p + q):
-                dfs(grid(p, q))
+                _dfs(grid(p, q), record, max_len, max_forks)
     return {length: tuple(bucket.values()) for length, bucket in found.items()}
+
+
+def _dfs(pl, record, max_len, max_forks):
+    """Record pl and, if it is new, every extension of it within the
+    budget, depth first.  A module function, not a nested one: a nested
+    function that calls itself is a reference cycle through its closure,
+    which would keep the found entries, and every lattice in them, alive
+    after _enumerate returns, until the cyclic collector runs."""
+    if not record(pl):
+        return
+    remaining = max_len - pl.length()
+    if remaining < 1 or len(pl.seq.steps) == max_forks:
+        return
+    for addr in _distributive_cells(pl):
+        for k in range(1, remaining + 1):
+            _dfs(multifork_extend(pl, addr, k), record, max_len, max_forks)
 
 
 def enumerate_index(max_len, allow_large=False):

@@ -402,8 +402,8 @@ def decompose(diagram_or_pl):
 
     Strategy: repeatedly pick a minimal internal lamp, delete all its fork
     branches, validate the remainder and check that re-forking the merged
-    cell rebuilds the current lattice (canonical codes); backtrack across
-    candidate lamps otherwise.
+    cell rebuilds the current lattice (Jordan-Holder keys); backtrack
+    across candidate lamps otherwise.
     """
     return reprovenance(diagram_or_pl).seq
 
@@ -444,7 +444,9 @@ def reprovenance(diagram):
 
 def _decompose(d, memo):
     """The built lattice of a decomposition of d (its `seq`), or None; memo
-    maps canonical codes to results.
+    maps Jordan-Holder keys (diagram._jh_key) to results.  d is valid, and
+    a built lattice is isomorphic to d iff its diagram has d's key, which
+    partitions lattices as canonical codes do; no code is computed.
 
     A candidate step is checked by one extension of the built sub-lattice,
     not by a fresh build of the whole sequence.  Only a minimal lamp can be
@@ -452,14 +454,14 @@ def _decompose(d, memo):
     lamps, which are older (the lamp facts of the explore module), so no
     lamp lies below the newest one.
     """
-    code = d.canonical_code()
-    if code in memo:
-        return memo[code]
+    key = d._jh_key
+    if key in memo:
+        return memo[key]
     _, internal = d.neon_tubes()
     if not internal:
         p, q = _grid_dims(d)
-        memo[code] = grid(p, q)
-        return memo[code]
+        memo[key] = grid(p, q)
+        return memo[key]
 
     # boundary lamps are maximal, so an internal lamp is minimal among the
     # internal lamps iff it is minimal in the lamp poset
@@ -492,8 +494,8 @@ def _decompose(d, memo):
                 built = extend_by_step(subpl, len(subpl.seq.steps) + 1, ForkStep(a2[0], a2[1], k))
             except (PreconditionError, DiagramError, InternalInconsistencyError):
                 continue
-            if built.canonical_code() == code:
-                memo[code] = built
+            if built.diagram._jh_key == key:
+                memo[key] = built
                 return built
-    memo[code] = None
+    memo[key] = None
     return None

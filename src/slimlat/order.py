@@ -2,8 +2,9 @@
 
 Elements are dense integers 0..n-1.  Values do not change after
 construction; derived data (heights, a built poset's cover set, a
-lattice's Con L) is computed on first use and cached on the object, so a
-lattice derives Con L once however often it is asked.  A poset keeps
+lattice's D relation and Con L) is computed on first use and cached on
+the object, so a lattice derives D and Con L once however often it is
+asked, and Con L holds no reference back to its lattice.  A poset keeps
 its covers as rows, upper_covers(u) and lower_covers(u): a poset from
 pairs lists them ascending, a built one (Poset._from_rows) left to right,
 as its diagram does.  Sets of elements are int bitmasks, bit y
@@ -381,7 +382,7 @@ def order_from_covers(covers, n=None):
 class FiniteLattice:
     """A finite lattice: a bounded poset whose meet table fills (a built lattice
     is certified by its corner coordinates instead); it keeps its masks, and
-    its Con L once derived, but no table."""
+    its D relation and Con L once derived, but no table."""
 
     def __init__(self, poset):
         self.poset = poset
@@ -553,6 +554,12 @@ class FiniteLattice:
         return True
 
     @cached_property
+    def _dep(self):
+        """D on J(L), derived on first use (_dependencies): principal_congruence
+        and Con L read the same value."""
+        return _dependencies(self)
+
+    @cached_property
     def _con(self):
         """Con L, derived on first use (congruence_lattice)."""
         return _congruence_lattice(self)
@@ -681,9 +688,10 @@ class Congruence:
 
 @dataclass(frozen=True)
 class CongruenceLattice:
-    """Join-irreducible congruences of a finite lattice, ordered by refinement."""
+    """Join-irreducible congruences of a finite lattice, ordered by refinement.
+    It holds no reference to its lattice, which keeps it (FiniteLattice._con),
+    so a lattice is freed with its last reference, not by the cyclic collector."""
 
-    lattice: FiniteLattice
     jir_congs: tuple
     jir_poset: Poset
     con_size: int
@@ -745,7 +753,7 @@ def principal_congruence(lat, a, b):
     """
     down, jmask = lat.poset.down, sum(1 << j for j in lat.jir())
     u, v = lat.meet_of((a, b)), lat.join_of((a, b))
-    collapsed = _collapsed(_dependencies(lat), down[v] & ~down[u] & jmask)
+    collapsed = _collapsed(lat._dep, down[v] & ~down[u] & jmask)
     return Congruence.from_parent([m & jmask & ~collapsed for m in down])
 
 
@@ -772,7 +780,7 @@ def _congruence_lattice(lat):
     jir = lat.jir()
     jmask = sum(1 << j for j in jir)
     below = [m & jmask for m in lat.poset.down]
-    dep = _dependencies(lat)
+    dep = lat._dep
     congs = {}
     for k in jir:
         collapsed = _collapsed(dep, 1 << k)
@@ -784,7 +792,7 @@ def _congruence_lattice(lat):
     poset = Poset.from_relation(m, [
         (i, j) for i in range(m) for j in range(m) if i != j and masks[i] & ~masks[j] == 0
     ])
-    return CongruenceLattice(lat, tuple(congs[c] for c in masks), poset, poset.count_downsets())
+    return CongruenceLattice(tuple(congs[c] for c in masks), poset, poset.count_downsets())
 
 
 # ---------------------------------------------------------------------------

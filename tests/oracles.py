@@ -31,6 +31,10 @@ does not use.
   then one neon tube each, the two boundary ends and count = length.
   Production checks them in one sweep across the east side map
   (`slimlat.diagram._trajectory_failure`).
+- A slim rectangular lattice rebuilt from its Jordan-Holder permutation
+  alone, as the point set S(pi) (`lattice_of_permutation`).  Production
+  reads pi off the validation sweep and dedupes on min(pi, pi^-1)
+  (`slimlat.diagram.PlanarDiagram._jh_key`); it never builds S(pi).
 - Drawing coordinates by the eager fold that computes them with each
   step, from the step's own trajectories.  Production records a recipe
   per new element and replays the recipes on first read
@@ -58,7 +62,7 @@ from slimlat.lamps import (
     usage_stats,
 )
 from slimlat.multifork import grid, multifork_extend
-from slimlat.order import Congruence, FiniteLattice
+from slimlat.order import Congruence, FiniteLattice, Poset
 
 
 def covers_via_nwl_nel(d):
@@ -262,11 +266,12 @@ def is_congruence(lat, cong):
     return True
 
 
-def verify_jir_congruences(cl):
-    """Each listed congruence must not be the join of strictly smaller ones."""
-    for i, c in enumerate(cl.jir_congs):
+def verify_jir_congruences(lat, cl):
+    """Each congruence that cl, Con of lat, lists must not be the join of
+    strictly smaller ones."""
+    for c in cl.jir_congs:
         below = [d for d in cl.jir_congs if d != c and refines(d, c)]
-        if congruence_join(cl.lattice, below).block_index == c.block_index:
+        if congruence_join(lat, below).block_index == c.block_index:
             return False
     return True
 
@@ -296,6 +301,30 @@ def join_row_dependencies(lat):
             m |= below[a] & ~below[b]
         dep[k] = m & ~(1 << k)
     return dep
+
+
+def lattice_of_permutation(pi):
+    """(points, lattice) of the permutation pi = (pi(1), ..., pi(n)): the
+    points S(pi) = {(i, j) in {0..n}^2 : (i = n or pi(i+1) > j) and (j = n
+    or pi^-1(j+1) > i)} in sorted order, and the lattice of S(pi) under the
+    componentwise order, element k at points[k].  A slim rectangular
+    lattice of length n with left and right boundary chains c_0 < ... < c_n
+    and d_0 < ... < d_n is isomorphic to S(pi) of its Jordan-Holder
+    permutation by x -> (max{i : c_i <= x}, max{j : d_j <= x}) (Czedli and
+    Schmidt, "The Jordan-Holder theorem with uniqueness for groups and
+    semimodular lattices", Algebra Universalis 66 (2011), and "Composition
+    series in groups and the structure of slim semimodular lattices", Acta
+    Sci. Math. (Szeged) 79 (2013)).  The meet table certifies S(pi) as a
+    lattice, as it does foreign input."""
+    n = len(pi)
+    inv = [0] * n
+    for i, j in enumerate(pi, 1):
+        inv[j - 1] = i
+    points = tuple((i, j) for i in range(n + 1) for j in range(n + 1)
+                   if (i == n or pi[i] > j) and (j == n or inv[j] > i))
+    pairs = [(a, b) for a, p in enumerate(points) for b, q in enumerate(points)
+             if a != b and p[0] <= q[0] and p[1] <= q[1]]
+    return points, FiniteLattice(Poset.from_relation(len(points), pairs))
 
 
 def is_slim_by_triples(lat):

@@ -1,15 +1,20 @@
+import gc
+import weakref
 from itertools import combinations
 
 import pytest
 
+from slimlat import explore
+from slimlat.diagram import PlanarDiagram, _jh_permutation
 from slimlat.errors import BudgetError
 from slimlat.explore import enumerate_index, realize, sweep_bounds
 from slimlat.lamps import lamp_poset
 from slimlat.multifork import build
-from slimlat.order import Poset, _dependencies, named_posets, poset_iso
+from slimlat.order import Poset, _dependencies, congruence_lattice, named_posets, poset_iso
 from slimlat.reduce import length_bound
 
-from oracles import join_row_dependencies, mask_sets, reachability
+from oracles import join_row_dependencies, lattice_of_permutation, mask_sets, reachability
+from test_order import counted_calls
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +69,84 @@ def test_classification_cross_validated_by_lattice_iso(index5):
 def test_mirror_closure(index5):
     for entry in index5.entries():
         assert entry.pl.diagram.mirror().canonical_code() == entry.code
+
+
+def _keys_and_codes(monkeypatch, max_len):
+    """(lattices built, classes) of _enumerate(max_len).  Over every lattice
+    it builds, duplicates included, the Jordan-Holder key and the canonical
+    code induce the same partition, and the permutation the mirror image's
+    validation records is the inverse of the lattice's own."""
+    pairs = []
+
+    def keep(fn):
+        def built(*args):
+            pl = fn(*args)
+            d = pl.diagram
+            pi, mirrored = _jh_permutation(d), _jh_permutation(d.mirror())
+            assert sorted(pi) == list(range(1, len(pi) + 1)), pl.seq
+            assert all(mirrored[j - 1] == i for i, j in enumerate(pi, 1)), pl.seq
+            pairs.append((d._jh_key, d.canonical_code()))
+            return pl
+        return built
+
+    for name in ("grid", "multifork_extend"):
+        monkeypatch.setattr(explore, name, keep(getattr(explore, name)))
+    explore._enumerate(max_len)
+    classes = {key for key, _ in pairs}
+    assert len(classes) == len({code for _, code in pairs}) == len(set(pairs))
+    return len(pairs), len(classes)
+
+
+def test_keys_partition_as_codes(monkeypatch):
+    assert _keys_and_codes(monkeypatch, 7) == (566, 493)
+
+
+def test_enumeration_computes_no_canonical_code(monkeypatch):
+    """The DFS dedupes on keys; an entry derives its code when it is read."""
+    codes = counted_calls(monkeypatch, PlanarDiagram, "canonical_code")
+    index = enumerate_index(7)
+    assert len(index.entries()) == 493
+    assert codes == []
+    entry = index.entries(7)[0]
+    assert entry.code == entry.pl.diagram.canonical_code()
+    assert codes == [entry.pl.diagram] * 2
+
+
+def test_an_index_is_freed_with_its_last_reference():
+    """Neither the DFS nor a derived Con L holds a lattice in a reference
+    cycle, so dropping an index frees its lattices without the cyclic
+    collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        index = enumerate_index(4)
+        pl = index.entries(4)[0].pl
+        congruence_lattice(pl.lattice)
+        refs = weakref.ref(pl), weakref.ref(pl.lattice)
+        del index, pl
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_lattices_are_the_point_sets_of_their_permutations():
+    """Every lattice of length <= 6 sits on the points S(pi) of its own
+    Jordan-Holder permutation, in the componentwise order: x at
+    (max{i : c_i <= x}, max{j : d_j <= x}), c and d its boundary chains."""
+    entries = enumerate_index(6).entries()
+    assert len(entries) == 106
+    for entry in entries:
+        d = entry.pl.diagram
+        lat = d.lattice
+        points, s_pi = lattice_of_permutation(_jh_permutation(d))
+        lchain, rchain = d.boundary_chains()
+        index = {p: k for k, p in enumerate(points)}
+        image = [index[max(i for i, c in enumerate(lchain) if lat.leq(c, x)),
+                       max(j for j, c in enumerate(rchain) if lat.leq(c, x))]
+                 for x in range(lat.n)]
+        assert sorted(image) == list(range(len(points))), entry.seq
+        assert all(lat.leq(x, y) == s_pi.leq(image[x], image[y])
+                   for x in range(lat.n) for y in range(lat.n)), entry.seq
 
 
 def test_antichain_lamp_posets_are_exactly_grids(index5):
@@ -261,6 +344,11 @@ def test_realize_matches_brute_force_at_length_eight(index8):
 def test_dependencies_match_join_rows_at_length_eight(index8):
     assert len(index8.entries(8)) == 2327
     _check_dependencies_against_join_rows(index8)
+
+
+@pytest.mark.slow
+def test_keys_partition_as_codes_at_length_eight(monkeypatch):
+    assert _keys_and_codes(monkeypatch, 8) == (3369, 2820)
 
 
 @pytest.mark.slow

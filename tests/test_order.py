@@ -268,12 +268,13 @@ def test_congruence_lattice_chain3_and_b2():
 
 
 def test_congruence_lattice_s7():
-    cl = congruence_lattice(s7())
+    lat = s7()
+    cl = congruence_lattice(lat)
     assert cl.jir_count() == 3
     assert cl.con_size == 5
     # V: one bottom below two incomparable tops
     assert poset_iso(cl.jir_poset, named_posets("V")) is not None
-    assert verify_jir_congruences(cl)
+    assert verify_jir_congruences(lat, cl)
 
 
 def counted_calls(monkeypatch, module, name):
@@ -302,6 +303,15 @@ def test_a_lattice_keeps_its_con(monkeypatch):
     a, b = congruence_lattice(read), congruence_lattice(d.lattice)
     assert a is not b
     assert (a.jir_congs, a.jir_poset, a.con_size) == (b.jir_congs, b.jir_poset, b.con_size)
+    # principal_congruence reads the D that the lattice keeps beside Con L:
+    # n^2 calls on a fresh lattice derive it once, and its Con L reads it too
+    fresh = PlanarDiagram.from_json(d.to_json()).lattice
+    derived.clear()
+    for x in range(fresh.n):
+        for y in range(fresh.n):
+            principal_congruence(fresh, x, y)
+    assert congruence_lattice(fresh).jir_congs == b.jir_congs
+    assert derived == [fresh]
 
 
 def test_congruence_join_identity():
@@ -397,7 +407,7 @@ def reference_congruence_lattice(lat):
     poset = Poset.from_relation(m, [
         (i, j) for i in range(m) for j in range(m) if i != j and refines(congs[i], congs[j])
     ])
-    return CongruenceLattice(lat, tuple(congs), poset, poset.count_downsets())
+    return CongruenceLattice(tuple(congs), poset, poset.count_downsets())
 
 
 def assert_kernels_match_references(lat):

@@ -90,7 +90,8 @@ def test_lamp_poset_mirror_invariant(seq):
 def test_jir_congruences_are_join_irreducible_everywhere():
     from slimlat.explore import enumerate_index
     for entry in enumerate_index(4).entries():
-        assert verify_jir_congruences(congruence_lattice(entry.pl.lattice))
+        lat = entry.pl.lattice
+        assert verify_jir_congruences(lat, congruence_lattice(lat))
 
 
 def test_jir_elements_lie_on_the_boundary_in_two_chains():
