@@ -22,16 +22,23 @@ order, shares its poset's rows and sorts none.  Nothing is cached per
 edge but the cell side maps, and every walk across cells steps through
 them (_cross): validation checks every trajectory in one sweep
 (_trajectory_failure), and trajectory_through walks the one trajectory
-it returns, with the cells it crosses.  The sweep records only the
-right-chain peak where each walk ends, one append per trajectory; from
-these a valid diagram derives, on first use, its Jordan-Holder
-permutation pi and the key min(pi, pi^-1) (_jh_key), on which the
-enumeration and the decomposition memo dedupe.  Canonical codes are
-computed only where something outputs them.  An Edge is a named (foot, peak)
-pair and a FourCell a named (bottom, left, right, top) quadruple, so
-each equals, hashes and looks up as its plain tuple; the side maps and
-the lamp and tube-record maps take either.  Listing every trajectory is
-left to the test oracles.
+it returns, with the cells it crosses, as two half-walks (_half_walk),
+which a fork step also takes, from its cell's lower sides.  The sweep
+records only the right-chain peak where each walk ends, one append per
+trajectory; from these a valid diagram derives its Jordan-Holder
+permutation pi and, on first use, the key min(pi, pi^-1) (_jh_key), on
+which the enumeration and the decomposition memo dedupe (Czedli and
+Schmidt, Algebra Universalis 66, 2011, and Acta Sci. Math. 79, 2013).  A
+k-fold fork at the cell whose bottom has address (a, b) changes pi by a
+fixed rule (_forked_permutation): the left- and right-chain edges a + 1
+and b + 1 split into k + 1 pieces each, every old trajectory keeps the
+lowest piece, and the k new trajectories pair the new pieces in reverse
+order; so the enumeration knows a child's key before it builds the
+child.  Canonical codes are computed only where something outputs them.
+An Edge is a named (foot, peak) pair and a FourCell a named (bottom,
+left, right, top) quadruple, so each equals, hashes and looks up as its
+plain tuple; the side maps and the lamp and tube-record maps take
+either.  Listing every trajectory is left to the test oracles.
 """
 
 from __future__ import annotations
@@ -223,22 +230,9 @@ class PlanarDiagram:
         """The full trajectory containing `edge`, a (foot, peak) pair or an
         Edge, with its unique neon tube."""
         seen = {edge}
-
-        def walk(side, east):
-            edges, cells = [], []
-            cur, cell = _cross(side, edge, east)
-            while cur is not None:
-                if cur in seen:
-                    raise DiagramError("trajectory revisits an edge (diagram corruption)")
-                seen.add(cur)
-                edges.append(cur)
-                cells.append(cell)
-                cur, cell = _cross(side, cur, east)
-            return edges, cells
-
         west_map, east_map = self._side_maps()
-        west, west_cells = walk(west_map, False)
-        east, east_cells = walk(east_map, True)
+        west, west_cells = _half_walk(west_map, edge, False, seen)
+        east, east_cells = _half_walk(east_map, edge, True, seen)
         west.reverse()
         edges = west + [edge] + east
         # a tube's foot is meet-irreducible: it has one upper cover
@@ -293,18 +287,10 @@ class PlanarDiagram:
 
     @cached_property
     def _jh_key(self):
-        """min(pi, pi^-1) of the Jordan-Holder permutation pi (_jh_permutation),
-        derived on first use: the key of the lattice up to isomorphism.  pi
-        fixes a slim rectangular lattice up to its mirror image, whose
-        permutation is pi^-1, so two valid diagrams share their key iff their
-        lattices are isomorphic (Czedli and Schmidt, Algebra Universalis 66,
-        2011, and Acta Sci. Math. 79, 2013).  DiagramError unless the
+        """The key min(pi, pi^-1) (_jh_min) of the Jordan-Holder permutation
+        pi (_jh_permutation), derived on first use.  DiagramError unless the
         diagram's report is ok."""
-        pi = _jh_permutation(self)
-        inv = [0] * len(pi)
-        for i, j in enumerate(pi, 1):
-            inv[j - 1] = i
-        return min(pi, tuple(inv))
+        return _jh_min(_jh_permutation(self))
 
     # -- mirroring and codes -------------------------------------------------
 
@@ -354,6 +340,23 @@ def _cross(side, edge, east):
     return ((c.bottom, far) if edge[1] == c.top else (far, c.top)), c
 
 
+def _half_walk(side, edge, east, seen):
+    """(edges, cells) of the walk from edge across the cells of the side
+    map (_cross) to the boundary, in walking order, edge itself excluded:
+    half a trajectory.  `seen` holds the edges walked so far, and the walk
+    adds its own; DiagramError if it revisits one."""
+    edges, cells = [], []
+    cur, cell = _cross(side, edge, east)
+    while cur is not None:
+        if cur in seen:
+            raise DiagramError("trajectory revisits an edge (diagram corruption)")
+        seen.add(cur)
+        edges.append(cur)
+        cells.append(cell)
+        cur, cell = _cross(side, cur, east)
+    return edges, cells
+
+
 def _bfs_code(bottom, upper):
     ids = {bottom: 0}
     queue = [bottom]
@@ -381,6 +384,49 @@ def _jh_permutation(d):
         raise DiagramError(f"no Jordan-Holder permutation: {report.failures}")
     pos = {v: j for j, v in enumerate(d.boundary_chains()[1])}
     return tuple([pos[v] for v in d._ends])
+
+
+def _jh_min(pi):
+    """min(pi, pi^-1), the key of a lattice up to isomorphism: pi fixes a
+    slim rectangular lattice up to its mirror image, whose permutation is
+    pi^-1, so two valid diagrams share their key iff their lattices are
+    isomorphic (Czedli and Schmidt, Algebra Universalis 66, 2011, and Acta
+    Sci. Math. 79, 2013)."""
+    inv = [0] * len(pi)
+    for i, j in enumerate(pi, 1):
+        inv[j - 1] = i
+    return min(pi, tuple(inv))
+
+
+def _forked_permutation(pi, address, k):
+    """The Jordan-Holder permutation of the k-fold fork at the cell whose
+    bottom has the given address (a, b), read off the parent's pi with no
+    lattice built.  With sigma(j) = j for j <= b + 1 and j + k otherwise:
+
+        pi'(i) = sigma(pi(i))            for i <= a + 1,
+        pi'(a + 1 + s) = b + 2 + k - s   for s = 1..k,
+        pi'(i + k) = sigma(pi(i))        for i > a + 1.
+
+    Let the cell have bottom w, sides l and r and top t.  Its lower left
+    side [w, l] descends to the left-chain edge a + 1, and its lower right
+    side [w, r] to the right-chain edge b + 1 (multifork_extend's two
+    paths).  The fork splits every edge of these paths, so these two
+    boundary edges too, into k + 1 pieces, and the boundary edges above
+    them move up by k.  An old trajectory crosses each subdivided edge on
+    its lowest piece, so it keeps its two ends, renumbered by the shift
+    (sigma on the right).  The k new trajectories run through the new
+    lower covers m_1, ..., m_k of t, left to right.  The left leg of m_i
+    ends at the i-th subdivision point of [w, l] from the top, its right
+    leg at the (k + 1 - i)-th of [w, r] (multifork_extend's
+    `i = k + 1 - s`), so its trajectory runs on piece k + 2 - i of each
+    left path edge, counted from the bottom, and on piece i + 1 of each
+    right path edge.  The new pieces thus pair in reverse order: piece
+    s + 1 of edge a + 1, the left-chain edge a + 1 + s, with piece
+    k + 2 - s of edge b + 1, the right-chain edge b + 2 + k - s.
+    """
+    a, b = address
+    shifted = [j if j <= b + 1 else j + k for j in pi]
+    return (*shifted[:a + 1], *range(b + 1 + k, b + 1, -1), *shifted[a + 1:])
 
 
 # ---------------------------------------------------------------------------

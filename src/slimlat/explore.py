@@ -6,8 +6,15 @@ which the validation sweep of every fork step already walks and which
 folds in the mirror image.  A state is expanded only the first time its
 key is seen: the key fixes the length, so the remaining budget, and the
 fork count, and two isomorphic lattices extend to the same set of
-lattices.  Canonical codes partition the lattices as the keys do; they
-are only output (EnumEntry.code, sweep_bounds), computed when read.
+lattices.  A k-fold fork changes pi by a fixed rule
+(diagram._forked_permutation), so each child's key is predicted from its
+parent's pi in O(length), and a child is built only when its predicted
+key is new; every built child is still certified and validated, and its
+swept permutation must be the predicted one.  A skipped child is exactly
+one whose key was already recorded, so the entries, their witnesses and
+their order are those of building every child.  Canonical codes partition
+the lattices as the keys do; they are only output (EnumEntry.code,
+sweep_bounds), computed when read.
 
 Realizability rests on two lamp facts (Czedli, "Lamps in slim rectangular
 planar semimodular lattices", Acta Sci. Math. 2021): every multifork adds
@@ -23,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import cell_address
-from .errors import BudgetError
+from .diagram import _forked_permutation, _jh_min, _jh_permutation, cell_address
+from .dsl import emit_dsl
+from .errors import BudgetError, InternalInconsistencyError
 from .lamps import lamp_poset
 from .multifork import grid, multifork_extend
 from .order import is_distributive_ideal_grid, poset_iso
@@ -81,42 +89,59 @@ def _enumerate(max_len, boundary=None, max_forks=None):
     boundary lamp count and the lamp count are isomorphism invariants, so
     the dedupe never meets a state these cuts removed, and the entries that
     survive keep their witnesses and their order.  The dedupe is on the
-    Jordan-Holder key of each validated diagram (diagram._jh_key), which
-    partitions the lattices as canonical codes do; no code is computed.
+    Jordan-Holder key (diagram._jh_key), which partitions the lattices as
+    canonical codes do; no code is computed.  A grid's key is read off its
+    validated diagram, a fork child's is predicted (_dfs).
     """
     found = {}
-
-    def record(pl):
-        """Whether pl is the first lattice with its key."""
-        key = pl.diagram._jh_key
-        # the key has one entry per trajectory, so its length is pl's
-        bucket = found.setdefault(len(key), {})
-        if key in bucket:
-            return False
-        bucket[key] = EnumEntry(key, pl.seq, pl)
-        return True
-
     for p in range(1, max_len):
         for q in range(1, p + 1):
             if p + q <= max_len and boundary in (None, p + q):
-                _dfs(grid(p, q), record, max_len, max_forks)
+                pl = grid(p, q)
+                pi = _jh_permutation(pl.diagram)
+                if _record(found, _jh_min(pi), pl):
+                    _dfs(pl, pi, found, max_len, max_forks)
     return {length: tuple(bucket.values()) for length, bucket in found.items()}
 
 
-def _dfs(pl, record, max_len, max_forks):
-    """Record pl and, if it is new, every extension of it within the
-    budget, depth first.  A module function, not a nested one: a nested
-    function that calls itself is a reference cycle through its closure,
-    which would keep the found entries, and every lattice in them, alive
-    after _enumerate returns, until the cyclic collector runs."""
-    if not record(pl):
-        return
-    remaining = max_len - pl.length()
+def _record(found, key, pl):
+    """Whether pl is the first lattice with its key; if so, it is recorded."""
+    # the key has one entry per trajectory, so its length is pl's
+    bucket = found.setdefault(len(key), {})
+    if key in bucket:
+        return False
+    bucket[key] = EnumEntry(key, pl.seq, pl)
+    return True
+
+
+def _dfs(pl, pi, found, max_len, max_forks):
+    """Extend the recorded lattice pl, whose Jordan-Holder permutation is pi,
+    by every fork within the budget, depth first, and record and extend
+    each child whose key is new.  A child's permutation is predicted from pi
+    (_forked_permutation), and only a child with a new key is built; a
+    built child whose validation sweep reads another permutation is an
+    InternalInconsistencyError.  A module function, not a nested one: a
+    nested function that calls itself is a reference cycle through its
+    closure, which would keep the found entries, and every lattice in them,
+    alive after _enumerate returns, until the cyclic collector runs."""
+    remaining = max_len - len(pi)
     if remaining < 1 or len(pl.seq.steps) == max_forks:
         return
     for addr in _distributive_cells(pl):
         for k in range(1, remaining + 1):
-            _dfs(multifork_extend(pl, addr, k), record, max_len, max_forks)
+            child_pi = _forked_permutation(pi, addr, k)
+            key = _jh_min(child_pi)
+            if key in found.get(len(key), ()):
+                continue
+            child = multifork_extend(pl, addr, k)
+            swept = _jh_permutation(child.diagram)
+            if swept != child_pi:
+                raise InternalInconsistencyError(
+                    f"the {k}-fold fork at {addr} built\n{emit_dsl(child.seq)}with"
+                    f" permutation {swept}, not the predicted {child_pi}"
+                )
+            _record(found, key, child)
+            _dfs(child, child_pi, found, max_len, max_forks)
 
 
 def enumerate_index(max_len, allow_large=False):

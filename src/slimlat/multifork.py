@@ -23,6 +23,7 @@ from functools import cached_property
 
 from .diagram import (
     _certified_diagram,
+    _half_walk,
     cell_address,
     is_slim_rectangular,
     resolve_address,
@@ -215,13 +216,18 @@ def multifork_extend(pl, address, k):
         raise PreconditionError(f"cell at {address} is not distributive")
 
     # the trajectory paths that descend from [w, a] to the left boundary and
-    # from [w, b] to the right one, each listed from its upper end
-    left, right = d.trajectory_through((w, a)), d.trajectory_through((w, b))
-    i, j = left.edges.index((w, a)), right.edges.index((w, b))
-    if left.top_index <= i or right.top_index >= j:
+    # from [w, b] to the right one, each listed from its upper end: half of
+    # the trajectory of each lower edge, which holds no neon tube (a tube's
+    # foot has one upper cover) and ends on its boundary chain
+    west_map, east_map = d._side_maps()
+    seen = {(w, a), (w, b)}
+    left_edges, left_cells = _half_walk(west_map, (w, a), False, seen)
+    right_edges, right_cells = _half_walk(east_map, (w, b), True, seen)
+    left_edges, right_edges = [(w, a)] + left_edges, [(w, b)] + right_edges
+    lset, rset = d._boundary_sets()
+    if (any(len(d.upper[foot]) == 1 for foot, _ in left_edges + right_edges)
+            or not lset.issuperset(left_edges[-1]) or not rset.issuperset(right_edges[-1])):
         raise InternalInconsistencyError("the cell's lower edges do not descend to the boundaries")
-    left_edges, left_cells = left.edges[i::-1], left.cells[:i][::-1]
-    right_edges, right_cells = right.edges[j:], right.cells[j:]
     np_, nq = len(left_edges), len(right_edges)
     n0 = lat.n
     total = n0 + (np_ + nq) * k + k * (k - 1) // 2 + k
@@ -310,7 +316,11 @@ def multifork_extend(pl, address, k):
     # forest update: a cell of the parent that the fork left alone keeps its
     # leaf; a new cell lies in exactly one destroyed cell
     old_cells = d.cells_by_bottom()
-    destroyed = {c.bottom: c for c in (cell,) + left_cells + right_cells}
+    destroyed = {c.bottom: c for c in (cell, *left_cells, *right_cells)}
+    # each destroyed cell's leaf and interval [bottom, top] as a mask: a new
+    # cell lies in the interval iff its bottom and top do
+    up2, down2 = lat2.poset.up, lat2.poset.down
+    intervals = [(pl.leaf_by_bottom[u], up2[u] & down2[c.top]) for u, c in destroyed.items()]
     forest = list(pl.forest)
     stage = len(pl.seq.steps) + 1
     leaf = {}
@@ -319,10 +329,8 @@ def multifork_extend(pl, address, k):
             leaf[c2.bottom] = pl.leaf_by_bottom[c2.bottom]
             continue
         key = tuple(c2)
-        parents = [
-            pl.leaf_by_bottom[c.bottom] for c in destroyed.values()
-            if lat2.leq(c.bottom, c2.bottom) and lat2.leq(c2.top, c.top)
-        ]
+        ends = 1 << c2.bottom | 1 << c2.top
+        parents = [node for node, mask in intervals if mask & ends == ends]
         if len(parents) != 1:
             raise InternalInconsistencyError(
                 f"new cell {key} has {len(parents)} candidate parents"

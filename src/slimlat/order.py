@@ -221,6 +221,11 @@ class Poset:
         for a, row in enumerate(self._upcov):
             if len(row) < 2:
                 continue
+            if len(row) == 2:
+                # two distinct incomparable covers; b == c fails the test too
+                b, c = row
+                if not (up[b] >> c & 1 or up[c] >> b & 1):
+                    continue
             # a repeated power of two carries, so the sum has fewer bits
             listed, above = sum(map((1).__lshift__, row)), _above(up, row)
             if listed.bit_count() != len(row):
@@ -534,23 +539,29 @@ class FiniteLattice:
 
     def is_slim(self):
         """Join-irreducibles form a union of two chains (no 3-antichain):
-        their incomparability graph is 2-coloured by breadth-first search."""
-        j = self.jir()
+        their incomparability graph is 2-coloured by breadth-first search,
+        one layer at a time.  Sets are masks: a layer's neighbours are the
+        elements outside the intersection of its vertices' comparability
+        masks, and `side[c]` holds the vertices coloured c so far.  A
+        neighbour of a layer lies in the layer before it, in it or in the
+        next, so the graph is bipartite iff no layer of colour c has a
+        neighbour in side[c]."""
         up, down = self.poset.up, self.poset.down
-        jmask = sum(1 << u for u in j)
-        colour = {}
-        for root in j:
-            if root in colour:
-                continue
-            colour[root] = 0
-            queue = [root]
-            for u in queue:
-                for v in _elements(jmask & ~(up[u] | down[u])):
-                    if v not in colour:
-                        colour[v] = 1 - colour[u]
-                        queue.append(v)
-                    elif colour[v] == colour[u]:
-                        return False
+        left = sum(1 << u for u in self.jir())  # not yet coloured
+        while left:
+            layer = left & -left
+            left ^= layer
+            side, c = [layer, 0], 0
+            while layer:
+                both = -1  # the elements comparable to every vertex of the layer
+                for u in _elements(layer):
+                    both &= up[u] | down[u]
+                if side[c] & ~both:
+                    return False
+                layer = left & ~both
+                left &= ~layer
+                c ^= 1
+                side[c] |= layer
         return True
 
     @cached_property
@@ -843,30 +854,30 @@ def poset_iso(p, q):
     ]
     order = sorted(range(p.n), key=lambda u: len(candidates[u]))
     image = {}
-    used = set()
+    return image if _extend_iso(p, q, order, candidates, image, set()) else None
 
-    def extend(i):
-        if i == len(order):
-            return True
-        u = order[i]
-        for v in candidates[u]:
-            if v in used:
-                continue
-            ok = True
-            for w, x in image.items():
-                if p.leq(u, w) != q.leq(v, x) or p.leq(w, u) != q.leq(x, v):
-                    ok = False
-                    break
-            if ok:
-                image[u] = v
-                used.add(v)
-                if extend(i + 1):
-                    return True
-                del image[u]
-                used.remove(v)
-        return False
 
-    return dict(image) if extend(0) else None
+def _extend_iso(p, q, order, candidates, image, used):
+    """Whether the partial isomorphism image, with its values `used`,
+    extends to the elements of `order` past those it maps; it is extended
+    in place.  A module function, not a nested one: a nested function that
+    calls itself is a reference cycle through its closure, which would keep
+    both posets and their colourings alive until the cyclic collector runs."""
+    if len(image) == len(order):
+        return True
+    u = order[len(image)]
+    for v in candidates[u]:
+        if v in used:
+            continue
+        if all(p.leq(u, w) == q.leq(v, x) and p.leq(w, u) == q.leq(x, v)
+               for w, x in image.items()):
+            image[u] = v
+            used.add(v)
+            if _extend_iso(p, q, order, candidates, image, used):
+                return True
+            del image[u]
+            used.remove(v)
+    return False
 
 
 def poset_double(p, j):

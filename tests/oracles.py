@@ -35,6 +35,11 @@ does not use.
   alone, as the point set S(pi) (`lattice_of_permutation`).  Production
   reads pi off the validation sweep and dedupes on min(pi, pi^-1)
   (`slimlat.diagram.PlanarDiagram._jh_key`); it never builds S(pi).
+- Every fork child of an enumeration, duplicates included, built
+  (`every_child`), as the enumeration built them before it predicted each
+  child's key from its parent's permutation.  Production builds only the
+  children whose predicted key is new
+  (`slimlat.diagram._forked_permutation`, `slimlat.explore._dfs`).
 - Drawing coordinates by the eager fold that computes them with each
   step, from the step's own trajectories.  Production records a recipe
   per new element and replays the recipes on first read
@@ -52,6 +57,7 @@ from itertools import combinations
 
 from slimlat.diagram import _cross, resolve_address
 from slimlat.errors import DiagramError, InternalInconsistencyError
+from slimlat.explore import _distributive_cells
 from slimlat.lamps import (
     _essential_nodes,
     _node_is_desc_or_eq,
@@ -409,6 +415,19 @@ def trajectory_failure_by_walks(d):
     if d.antube() != length:
         return "neon tube count differs from length"
     return None
+
+
+def every_child(index):
+    """(entry, address, k, child) for every fork within the budget of the
+    enumeration index, duplicates included: each entry that has room left,
+    forked k-fold, for k = 1 up to that room, at each of its distributive
+    cells, in the enumeration's order."""
+    for entry in index.entries():
+        pl = entry.pl
+        ks = range(1, index.max_len - pl.length() + 1)
+        for address in _distributive_cells(pl) if ks else ():
+            for k in ks:
+                yield entry, address, k, multifork_extend(pl, address, k)
 
 
 def eager_coords(seq):

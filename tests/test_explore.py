@@ -1,19 +1,26 @@
 import gc
+import re
 import weakref
 from itertools import combinations
 
 import pytest
 
 from slimlat import explore
-from slimlat.diagram import PlanarDiagram, _jh_permutation
-from slimlat.errors import BudgetError
+from slimlat.diagram import PlanarDiagram, _forked_permutation, _jh_permutation
+from slimlat.errors import BudgetError, InternalInconsistencyError
 from slimlat.explore import enumerate_index, realize, sweep_bounds
 from slimlat.lamps import lamp_poset
 from slimlat.multifork import build
 from slimlat.order import Poset, _dependencies, congruence_lattice, named_posets, poset_iso
 from slimlat.reduce import length_bound
 
-from oracles import join_row_dependencies, lattice_of_permutation, mask_sets, reachability
+from oracles import (
+    every_child,
+    join_row_dependencies,
+    lattice_of_permutation,
+    mask_sets,
+    reachability,
+)
 from test_order import counted_calls
 
 
@@ -71,34 +78,57 @@ def test_mirror_closure(index5):
         assert entry.pl.diagram.mirror().canonical_code() == entry.code
 
 
-def _keys_and_codes(monkeypatch, max_len):
-    """(lattices built, classes) of _enumerate(max_len).  Over every lattice
-    it builds, duplicates included, the Jordan-Holder key and the canonical
-    code induce the same partition, and the permutation the mirror image's
-    validation records is the inverse of the lattice's own."""
-    pairs = []
+def _keys_and_codes(index):
+    """(lattices, classes) over the grids of the index and every fork child
+    of its entries within its budget, duplicates included (every_child).
+    On each child the permutation predicted from its parent's is the one
+    its validation sweeps; over all of them the Jordan-Holder key and the
+    canonical code induce the same partition, and the permutation the
+    mirror image's validation records is the inverse of the lattice's own."""
+    def key_and_code(pl):
+        d = pl.diagram
+        pi, mirrored = _jh_permutation(d), _jh_permutation(d.mirror())
+        assert sorted(pi) == list(range(1, len(pi) + 1)), pl.seq
+        assert all(mirrored[j - 1] == i for i, j in enumerate(pi, 1)), pl.seq
+        return d._jh_key, d.canonical_code()
 
-    def keep(fn):
-        def built(*args):
-            pl = fn(*args)
-            d = pl.diagram
-            pi, mirrored = _jh_permutation(d), _jh_permutation(d.mirror())
-            assert sorted(pi) == list(range(1, len(pi) + 1)), pl.seq
-            assert all(mirrored[j - 1] == i for i, j in enumerate(pi, 1)), pl.seq
-            pairs.append((d._jh_key, d.canonical_code()))
-            return pl
-        return built
-
-    for name in ("grid", "multifork_extend"):
-        monkeypatch.setattr(explore, name, keep(getattr(explore, name)))
-    explore._enumerate(max_len)
+    pairs = [key_and_code(entry.pl) for entry in index.entries() if not entry.seq.steps]
+    for entry, address, k, child in every_child(index):
+        predicted = _forked_permutation(_jh_permutation(entry.pl.diagram), address, k)
+        assert predicted == _jh_permutation(child.diagram), child.seq
+        pairs.append(key_and_code(child))
     classes = {key for key, _ in pairs}
     assert len(classes) == len({code for _, code in pairs}) == len(set(pairs))
+    assert classes == {entry.key for entry in index.entries()}
     return len(pairs), len(classes)
 
 
-def test_keys_partition_as_codes(monkeypatch):
-    assert _keys_and_codes(monkeypatch, 7) == (566, 493)
+def test_keys_partition_as_codes(index7):
+    assert _keys_and_codes(index7) == (566, 493)
+
+
+def test_enumeration_builds_only_new_lattices(monkeypatch):
+    """The DFS predicts each child's key and builds only the 481 children
+    that are the first of their class, beside the 12 grids."""
+    built = counted_calls(monkeypatch, explore, "multifork_extend")
+    assert sum(map(len, explore._enumerate(7).values())) == 493
+    assert len(built) == 481
+
+
+def test_a_wrong_prediction_names_the_sequence(monkeypatch):
+    """A rule that forgets to renumber the old right ends (sigma) predicts
+    the first child wrongly, and the DFS names it when it builds it.  A
+    wrong rule can also predict keys that are already recorded and skip
+    children unbuilt; test_keys_partition_as_codes checks the rule on
+    every child."""
+    def unshifted(pi, address, k):
+        a, b = address
+        return (*pi[:a + 1], *range(b + 1 + k, b + 1, -1), *pi[a + 1:])
+
+    monkeypatch.setattr(explore, "_forked_permutation", unshifted)
+    with pytest.raises(InternalInconsistencyError, match=re.escape(
+            "the 1-fold fork at (0, 0) built\ngrid 1 1\nfork 0 0 1\nwith permutation (")):
+        explore._enumerate(5)
 
 
 def test_enumeration_computes_no_canonical_code(monkeypatch):
@@ -347,8 +377,8 @@ def test_dependencies_match_join_rows_at_length_eight(index8):
 
 
 @pytest.mark.slow
-def test_keys_partition_as_codes_at_length_eight(monkeypatch):
-    assert _keys_and_codes(monkeypatch, 8) == (3369, 2820)
+def test_keys_partition_as_codes_at_length_eight(index8):
+    assert _keys_and_codes(index8) == (3369, 2820)
 
 
 @pytest.mark.slow

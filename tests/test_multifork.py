@@ -3,7 +3,7 @@ from functools import cached_property
 
 import pytest
 
-from slimlat import diagram, doubling, explore, multifork, reduce
+from slimlat import diagram, doubling, multifork, reduce
 from slimlat.diagram import (
     Edge,
     FourCell,
@@ -31,7 +31,8 @@ from slimlat.order import FiniteLattice, Poset, lattice_from_poset, order_from_c
 from slimlat.reduce import minimize
 from slimlat.render import render
 
-from oracles import eager_coords
+import oracles
+from oracles import eager_coords, every_child
 from test_order import S7_COVERS
 
 
@@ -234,8 +235,9 @@ def assert_rows_spliced(parent, child):
 
 
 def test_fork_steps_splice_their_rows_from_the_parent(monkeypatch):
-    """Every fork step of enumerate_index(6), of the 182 doublings of its
-    lattices and of one lattice of the benchmark's large size."""
+    """Every fork child of enumerate_index(6), duplicates included
+    (every_child), every fork step of the 182 doublings of its lattices and
+    of one lattice of the benchmark's large size."""
     steps = []
     extend = multifork.multifork_extend
 
@@ -244,15 +246,17 @@ def test_fork_steps_splice_their_rows_from_the_parent(monkeypatch):
         steps.append(assert_rows_spliced(pl, child))
         return child
 
-    for module in (explore, doubling, multifork):
+    index = enumerate_index(6)
+    for module in (oracles, doubling, multifork):
         monkeypatch.setattr(module, "multifork_extend", checked)
-    entries = enumerate_index(6).entries()
+    children = sum(1 for _ in every_child(index))
+    entries = index.entries()
     doubled = sum(1 for e in entries for step in range(1, len(e.seq.steps) + 1)
                   if double(e.seq, step))
     assert len(entries) == 106 and doubled == 182
     assert build(parse_dsl("grid 7 6\nfork 5 0 2\nfork 3 4 1\nfork 1 7 2\n")).n == 106
     # every step keeps some old rows
-    assert len(steps) == 974 and all(steps)
+    assert children == 107 and len(steps) == 974 and all(steps)
 
 
 # Grid ------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -36,6 +38,7 @@ from slimlat.order import (
 from oracles import (
     _closure,
     congruence_join,
+    every_child,
     is_congruence,
     is_full,
     is_identity,
@@ -330,6 +333,21 @@ def test_poset_iso_v_cases():
     w = order_from_covers([(2, 0), (2, 1)])
     m = poset_iso(v, w)
     assert m is not None and m[0] == 2
+
+
+def test_poset_iso_frees_its_posets_with_their_last_reference():
+    """The backtracking holds neither poset in a reference cycle, so
+    dropping both frees them without the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        p, q = named_posets("Y"), order_from_covers([(3, 2), (2, 0), (2, 1)])
+        assert poset_iso(p, q)[0] == 3
+        refs = weakref.ref(p), weakref.ref(q)
+        del p, q
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_poset_double_sizes_and_shape():
@@ -819,9 +837,11 @@ def test_certificate_rejects_coordinates_that_are_not_meet_closed():
 @pytest.mark.slow
 def test_certificate_matches_table_on_every_step_to_length_eight(monkeypatch):
     """Every lattice that grid and multifork_extend certify while
-    enumerate_index(8) runs, against the meet table and boundary_heights;
-    and its built diagram against the embedding of the same covers read as
-    foreign input, and its corners against those derived from its lists."""
+    enumerate_index(8) runs, and then every fork child of its entries,
+    duplicates included (every_child), against the meet table and
+    boundary_heights; and its built diagram against the embedding of the
+    same covers read as foreign input, and its corners against those
+    derived from its lists."""
     steps = []
     certified = multifork._certified_diagram
 
@@ -838,4 +858,7 @@ def test_certificate_matches_table_on_every_step_to_length_eight(monkeypatch):
     monkeypatch.setattr(multifork, "_certified_diagram", checked)
     index8 = enumerate_index(8, allow_large=True)
     assert index8.counts() == {2: 1, 3: 2, 4: 6, 5: 19, 6: 78, 7: 387, 8: 2327}
-    assert len(steps) > sum(index8.counts().values())
+    # the enumeration builds each of its 2,820 lattices once
+    assert len(steps) == sum(index8.counts().values()) == 2820
+    assert sum(1 for _ in every_child(index8)) == 3353
+    assert len(steps) == 2820 + 3353
