@@ -45,7 +45,6 @@ from .dsl import parse_dsl, emit_dsl
 from .lamps import (
     Lamp,
     UsageStats,
-    lamps,
     circ_r,
     lamp_poset,
     verify_lamp_con_iso,
@@ -82,7 +81,7 @@ __all__ = [
     "ForkStep", "MultiforkSequence", "ProvenancedLattice", "grid",
     "multifork_extend", "build", "decompose", "reprovenance",
     "parse_dsl", "emit_dsl",
-    "Lamp", "UsageStats", "lamps", "circ_r", "lamp_poset",
+    "Lamp", "UsageStats", "circ_r", "lamp_poset",
     "verify_lamp_con_iso", "is_used", "usage_stats", "lamp_report",
     "ReductionStep", "BoundReport", "remove_sandwiched", "remove_neighboring",
     "minimize", "check_bounds", "length_bound",

@@ -4,41 +4,63 @@ A diagram is the lattice plus, for every element, its upper and lower
 covers listed left to right.  Planarity is purely combinatorial: the
 ordered lists are derived from boundary-height coordinates (meet with the
 two corners), never from drawn positions.  Cells, boundary chains,
-trajectories, neon tubes, mirroring and canonical codes all live here.
+trajectories, neon tubes, mirroring and canonical codes all live here,
+and so does the certificate of a built lattice.
+
+The certificate of a built lattice fills no table: Graetzer and Knapp
+(Acta Sci. Math. 75, 2009) place a slim rectangular lattice in the grid
+of its boundary heights.  Let the ideals of lc and rc be chains lchain
+and rchain, and let x sit at the point (hl(x), hr(x)) = (|ideal(x) &
+ideal(lc)| - 1, |ideal(x) & ideal(rc)| - 1).  ideal(x) & ideal(lc) is the
+initial segment lchain[:hl(x) + 1], so lchain[i] <= y iff i <= hl(y):
+up(lchain[i]) holds the points of left height >= i.  If up(x) =
+up(lchain[hl(x)]) & up(rchain[hr(x)]), that is, x is the join of
+lchain[hl(x)] and rchain[hr(x)], for every x, then x <= y iff x's point
+is below y's coordinatewise, and no two elements share a point.  If the
+points are also closed under the coordinatewise minimum, the element at
+the minimum of x's and y's points is below both and above every common
+lower bound, so it is x ^ y; with the top, the poset is a lattice.  The
+minimum test is one right-to-left sweep over the columns: every right
+height that occurs right of column a, below the column's top point,
+occurs in the column.  Both tests take O(n) mask operations.  In a
+lattice ideal(x ^ y) = ideal(x) & ideal(y), so the minimum test holds
+whenever the up-set test does; a slim rectangular lattice passes both at
+its corners.  boundary_heights computes the points and runs the up-set
+test: on a built lattice as the certificate's first half, on a foreign
+one, which its meet table certified, as the embedding.
+_certified_diagram, the one constructor of grids, forks and fork
+deletions, is the certificate; its diagram keeps the points as heights()
+and the corners as corners(), which embed_rectangular derives for a
+foreign lattice.  Both order the cover rows by falling left height
+(_falling_rows), keeping every row that already falls, the same tuple,
+so a grid or fork step, whose rows are spliced in order, sorts none.
 
 A diagram computes its cells (with the map from each bottom to its
 cell), boundary chains, corners, boundary heights and neon tubes once,
 on first use, and keeps the lamp data that the lamps module derives for
 it and its validation report (is_slim_rectangular), ok or not; a failure
 that a derivation raises is not cached and is raised again on the next
-call.  A built lattice's corner coordinates go to its diagram: the one
-constructor of grids, forks and fork deletions (_certified_diagram)
-orders the poset's cover rows by them and keeps them as the diagram's
-heights, and its corners as corners(); embed_rectangular derives both
-for a foreign lattice.  The row helper behind both (_falling_rows) keeps
-every row that already runs by falling left height, the same tuple, and
-sorts only the others, so a grid or fork step, whose rows are spliced in
-order, shares its poset's rows and sorts none.  Nothing is cached per
-edge but the cell side maps, and every walk across cells steps through
-them (_cross): validation checks every trajectory in one sweep
-(_trajectory_failure), and trajectory_through walks the one trajectory
-it returns, with the cells it crosses, as two half-walks (_half_walk),
-which a fork step also takes, from its cell's lower sides.  The sweep
-records only the right-chain peak where each walk ends, one append per
-trajectory; from these a valid diagram derives its Jordan-Holder
-permutation pi and, on first use, the key min(pi, pi^-1) (_jh_key), on
-which the enumeration and the decomposition memo dedupe (Czedli and
-Schmidt, Algebra Universalis 66, 2011, and Acta Sci. Math. 79, 2013).  A
-k-fold fork at the cell whose bottom has address (a, b) changes pi by a
-fixed rule (_forked_permutation): the left- and right-chain edges a + 1
-and b + 1 split into k + 1 pieces each, every old trajectory keeps the
-lowest piece, and the k new trajectories pair the new pieces in reverse
-order; so the enumeration knows a child's key before it builds the
-child.  Canonical codes are computed only where something outputs them.
-An Edge is a named (foot, peak) pair and a FourCell a named (bottom,
-left, right, top) quadruple, so each equals, hashes and looks up as its
-plain tuple; the side maps and the lamp and tube-record maps take
-either.  Listing every trajectory is left to the test oracles.
+call.  Nothing is cached per edge but the cell side maps, and every walk
+across cells steps through them (_cross): validation checks every
+trajectory in one sweep (_trajectory_failure), and trajectory_through
+walks the one trajectory it returns, with the cells it crosses, as two
+half-walks (_half_walk), which a fork step also takes, from its cell's
+lower sides.  The sweep records only the right-chain peak where each
+walk ends, one append per trajectory; from these a valid diagram derives
+its Jordan-Holder permutation pi and, on first use, the key
+min(pi, pi^-1) (_jh_key), on which the enumeration and the decomposition
+memo dedupe (Czedli and Schmidt, Algebra Universalis 66, 2011, and Acta
+Sci. Math. 79, 2013).  A k-fold fork at the cell whose bottom has address
+(a, b) changes pi by a fixed rule (_forked_permutation): the left- and
+right-chain edges a + 1 and b + 1 split into k + 1 pieces each, every old
+trajectory keeps the lowest piece, and the k new trajectories pair the
+new pieces in reverse order; so the enumeration knows a child's key
+before it builds the child.  Canonical codes are computed only where
+something outputs them.  An Edge is a named (foot, peak) pair and a
+FourCell a named (bottom, left, right, top) quadruple, so each equals,
+hashes and looks up as its plain tuple; the side maps and the lamp and
+tube-record maps take either.  Listing every trajectory is left to the
+test oracles.
 """
 
 from __future__ import annotations
@@ -48,10 +70,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DiagramError, OrderError
+from .errors import DiagramError
 from .order import (
-    _corner_coordinates,
-    _corner_lattice,
+    FiniteLattice,
     json_int_lists,
     json_object,
     json_poset,
@@ -150,11 +171,7 @@ class PlanarDiagram:
     def corners(self):
         """The two doubly irreducible elements as (lcorner, rcorner)."""
         if self._corners is None:
-            di = self.lattice.doubly_irreducible()
-            if len(di) != 2:
-                raise DiagramError(
-                    f"expected exactly 2 doubly irreducible elements, got {len(di)}"
-                )
+            di = _two_corners(self.lattice)
             lset, rset = self._boundary_sets()
             in_l = [d for d in di if d in lset]
             in_r = [d for d in di if d in rset]
@@ -430,25 +447,41 @@ def _forked_permutation(pi, address, k):
 
 
 # ---------------------------------------------------------------------------
-# Embedding an abstract slim rectangular lattice
+# Corner coordinates: the embedding and the certificate
 # ---------------------------------------------------------------------------
 
 def boundary_heights(lat, lcorner, rcorner):
-    """Per element, (height of meet with lcorner, height of meet with rcorner),
-    then the two corner chains: (hl, hr, lchain, rchain).
+    """(hl, hr, lchain, rchain): the corner ideals listed upwards, and each
+    element's point hl(x) = |ideal(x) & ideal(lcorner)| - 1, hr(x) (module
+    docstring).  DiagramError unless both ideals are chains and each x is
+    the join of lchain[hl(x)] and rchain[hr(x)], the up-set test.  A built
+    diagram keeps what its certificate's one call returned; a foreign
+    lattice and a mirror image call this on first read of heights()."""
+    down, up = lat.poset.down, lat.poset.up
+    chains = []
+    for c in (lcorner, rcorner):
+        chain = tuple(sorted(lat.ideal(c), key=lambda u: down[u].bit_count()))
+        if any(not down[b] >> a & 1 for a, b in zip(chain, chain[1:])):
+            raise DiagramError("corner ideal is not a chain")
+        chains.append(chain)
+    lchain, rchain = chains
+    hl = tuple((m & down[lcorner]).bit_count() - 1 for m in down)
+    hr = tuple((m & down[rcorner]).bit_count() - 1 for m in down)
+    lup = [up[u] for u in lchain]
+    rup = [up[u] for u in rchain]
+    for x, (a, b, m) in enumerate(zip(hl, hr, up)):
+        if lup[a] & rup[b] != m:
+            raise DiagramError(f"element {x} is not the join of its two projections")
+    return hl, hr, lchain, rchain
 
-    These pairs embed a slim rectangular lattice into a grid; the planar
-    cover order is recovered by sorting covers on the left height.  As the
-    corner ideals are chains, x ^ lc = lchain[hl(x)], hl(x) = |ideal(x) & ideal(lc)| - 1.
-    DiagramError unless the corner ideals are chains and every x is the
-    join of lchain[hl(x)] and rchain[hr(x)].  A built diagram keeps the
-    coordinates that certified its lattice, so only foreign lattices and
-    mirror images run this test.
-    """
-    try:
-        return _corner_coordinates(lat.poset, lcorner, rcorner)
-    except OrderError as e:
-        raise DiagramError(str(e)) from None
+
+def _two_corners(lat):
+    """The two doubly irreducible elements, unoriented; DiagramError unless
+    there are exactly two."""
+    di = lat.doubly_irreducible()
+    if len(di) != 2:
+        raise DiagramError(f"expected exactly 2 doubly irreducible elements, got {len(di)}")
+    return di
 
 
 def _check_complements(lat, lcorner, rcorner):
@@ -463,9 +496,7 @@ def embed_rectangular(lat, lcorner=None):
     is the left corner fixes the orientation (the other choice gives the
     mirror image).  Raises DiagramError when the lattice has no such diagram.
     """
-    di = lat.doubly_irreducible()
-    if len(di) != 2:
-        raise DiagramError(f"expected exactly 2 doubly irreducible elements, got {len(di)}")
+    di = _two_corners(lat)
     if lcorner is None:
         lcorner = min(di)
     if lcorner not in di:
@@ -475,12 +506,37 @@ def embed_rectangular(lat, lcorner=None):
     return _sorted_diagram(lat, lcorner, rcorner, boundary_heights(lat, lcorner, rcorner))
 
 
+class _CornerLattice(FiniteLattice):
+    """A built lattice: _certified_diagram certifies it by the coordinates
+    of its two corners, in place of the meet table."""
+
+    def _certify(self):
+        pass
+
+
 def _certified_diagram(poset, lcorner, rcorner):
-    """The diagram of a built lattice on poset with the given corners.  Its
-    lattice is certified by their coordinates (order._corner_lattice), and
-    those coordinates are its heights.  OrderError or DiagramError naming
-    the failure."""
-    lat, heights = _corner_lattice(poset, lcorner, rcorner)
+    """The diagram of a built lattice on poset with the given corners, and
+    the certificate of that lattice (module docstring): boundary_heights,
+    the coordinatewise-minimum sweep and the complement check on a lattice
+    that fills no table, then the rows sorted by the certified left
+    heights.  OrderError unless the poset is bounded, else DiagramError
+    naming the failure."""
+    lat = _CornerLattice(poset)
+    heights = hl, hr, lchain, _ = boundary_heights(lat, lcorner, rcorner)
+    columns = [0] * len(lchain)  # column a: the right heights at left height a
+    for a, b in zip(hl, hr):
+        columns[a] |= 1 << b
+    right = 0  # the right heights of the columns right of a
+    for a in range(len(columns) - 1, -1, -1):
+        top = columns[a].bit_length() - 1
+        gap = right & ~columns[a] & ((1 << top) - 1)
+        if gap:
+            points = list(zip(hl, hr))
+            b = gap.bit_length() - 1
+            y = next(u for u, (i, j) in enumerate(points) if i > a and j == b)
+            raise DiagramError(f"elements {points.index((a, top))} and {y} have no"
+                               f" element at their coordinatewise minimum ({a},{b})")
+        right |= columns[a]
     _check_complements(lat, lcorner, rcorner)
     return _sorted_diagram(lat, lcorner, rcorner, heights)
 

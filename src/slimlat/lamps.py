@@ -66,11 +66,6 @@ def _diagram_of(obj):
     return obj.diagram if hasattr(obj, "diagram") else obj
 
 
-def lamps(obj):
-    """Lamps of a built lattice or a bare diagram."""
-    return lamps_of_diagram(_diagram_of(obj))
-
-
 def circ_r(obj, lamp):
     """The circumscribed interval [meet of lower covers of peak, peak].
 

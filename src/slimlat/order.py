@@ -13,7 +13,7 @@ helper reduces to covers (_above, the mask of the elements strictly above
 a set): Poset.from_relation, Poset.restrict and the check that a cover
 row is reduced each keep the elements that miss it.  A
 FiniteLattice keeps no table; other modules get elements, not masks, from
-its point queries.  Seven textbook facts keep the kernels below cubic cost:
+its point queries.  Six textbook facts keep the kernels below cubic cost:
 
 - Meet tables are filled from the bottom up.  If y is not above x, every
   lower bound of x and y lies below some lower cover c of x, so x ^ y is
@@ -22,29 +22,6 @@ its point queries.  Seven textbook facts keep the kernels below cubic cost:
 - A finite poset with a top in which every pair has a meet is a lattice
   (Graetzer, Lattice Theory: Foundation, 2011, ch. I), so filling the meet
   table certifies foreign input; the table is then dropped.
-- A built lattice is certified by its corner coordinates instead, with no
-  table: Graetzer and Knapp (Acta Sci. Math. 75, 2009) place a slim
-  rectangular lattice in the grid of its boundary heights.  Let the ideals
-  of lc and rc be chains lchain and rchain, and let x sit at the point
-  (hl(x), hr(x)) = (|ideal(x) & ideal(lc)| - 1, |ideal(x) & ideal(rc)| - 1).
-  ideal(x) & ideal(lc) is the initial segment lchain[:hl(x) + 1], so
-  lchain[i] <= y iff i <= hl(y): up(lchain[i]) holds the points of left
-  height >= i.  If up(x) = up(lchain[hl(x)]) & up(rchain[hr(x)]) for
-  every x, then x <= y iff x's point is below y's coordinatewise, and no
-  two elements share a point.  If the points are also closed under the
-  coordinatewise minimum, the element at the minimum of x's and y's points
-  is below both and above every common lower bound, so it is x ^ y; with
-  the top, the poset is a lattice.  The up-set test says that x is the
-  join of lchain[hl(x)] and rchain[hr(x)], so the embedding's own join
-  test (diagram.boundary_heights) runs only on foreign lattices:
-  _corner_lattice returns the coordinates beside the lattice, which keeps
-  none, and the built diagram keeps them as its heights().  The
-  minimum test is one right-to-left sweep over the columns: every right
-  height that occurs right of column a, below the column's top point,
-  occurs in the column.  Both tests take O(n) mask operations.  In a
-  lattice ideal(x ^ y) = ideal(x) & ideal(y), so the minimum test holds
-  whenever the up-set test does; a slim rectangular lattice passes both
-  at its corners.
 - A lattice of finite length is (upper) semimodular iff it satisfies
   Birkhoff's covering condition: any two upper covers a, b of an element
   are both covered by a v b (Graetzer, Lattice Theory: Foundation, 2011,
@@ -579,61 +556,6 @@ class FiniteLattice:
         return f"FiniteLattice(n={self.n})"
 
 
-class _CornerLattice(FiniteLattice):
-    """A built lattice: _corner_lattice certifies it by the coordinates of
-    its two corners, in place of the meet table."""
-
-    def _certify(self):
-        pass
-
-
-def _corner_lattice(poset, lcorner, rcorner):
-    """(lattice, (hl, hr, lchain, rchain)): the built lattice on poset and
-    the coordinates of its corners, which certify it (module docstring).
-    OrderError unless the poset is bounded and the coordinates pass the
-    up-set test and are closed under the coordinatewise minimum."""
-    lat = _CornerLattice(poset)
-    coords = hl, hr, lchain, _ = _corner_coordinates(poset, lcorner, rcorner)
-    columns = [0] * len(lchain)  # column a: the right heights at left height a
-    for a, b in zip(hl, hr):
-        columns[a] |= 1 << b
-    right = 0  # the right heights of the columns right of a
-    for a in range(len(columns) - 1, -1, -1):
-        top = columns[a].bit_length() - 1
-        gap = right & ~columns[a] & ((1 << top) - 1)
-        if gap:
-            points = list(zip(hl, hr))
-            b = gap.bit_length() - 1
-            y = next(u for u, (i, j) in enumerate(points) if i > a and j == b)
-            raise OrderError(f"elements {points.index((a, top))} and {y} have no"
-                             f" element at their coordinatewise minimum ({a},{b})")
-        right |= columns[a]
-    return lat, coords
-
-
-def _corner_coordinates(poset, lcorner, rcorner):
-    """(hl, hr, lchain, rchain): the corner ideals listed upwards, and each
-    element's heights hl(x) = |ideal(x) & ideal(lcorner)| - 1 and hr(x).
-    OrderError unless both ideals are chains and each x has the up-set
-    up(lchain[hl(x)]) & up(rchain[hr(x)]), that is, x is their join."""
-    down, up = poset.down, poset.up
-    chains = []
-    for c in (lcorner, rcorner):
-        chain = tuple(sorted(_elements(down[c]), key=lambda u: down[u].bit_count()))
-        if any(not down[b] >> a & 1 for a, b in zip(chain, chain[1:])):
-            raise OrderError("corner ideal is not a chain")
-        chains.append(chain)
-    lchain, rchain = chains
-    hl = tuple((m & down[lcorner]).bit_count() - 1 for m in down)
-    hr = tuple((m & down[rcorner]).bit_count() - 1 for m in down)
-    lup = [up[u] for u in lchain]
-    rup = [up[u] for u in rchain]
-    for x, (a, b, m) in enumerate(zip(hl, hr, up)):
-        if lup[a] & rup[b] != m:
-            raise OrderError(f"element {x} is not the join of its two projections")
-    return hl, hr, lchain, rchain
-
-
 def lattice_from_poset(poset):
     """The lattice on a poset, or OrderError naming the failure."""
     return FiniteLattice(poset)
@@ -712,10 +634,11 @@ class CongruenceLattice:
 
 
 def _dependencies(lat):
-    """{k: mask of the j with j D k}, k over J(L).  For join-irreducibles
-    j != k with lower covers j_ and k_, j D k when j <= k v x but not
-    j <= k_ v x for some x, that is iff some meet-irreducible m, with upper
-    cover m*, has k_ <= m, k not <= m, j <= m* and j not <= m:
+    """D as a tuple indexed by element: entry k is the mask of the j with
+    j D k, and 0 off J(L).  For join-irreducibles j != k with lower covers
+    j_ and k_, j D k when j <= k v x but not j <= k_ v x for some x, that
+    is iff some meet-irreducible m, with upper cover m*, has k_ <= m, k
+    not <= m, j <= m* and j not <= m:
     - if: take x = m.  Then k v m >= m* >= j, and k_ v m = m.
     - only if: take m maximal above k_ v x with j not <= m.  Then m has
       a single upper cover, and it lies above j.
@@ -725,13 +648,13 @@ def _dependencies(lat):
     # arrow[m]: the join-irreducibles below m* but not below m
     arrow = {m: jmask & down[lat.upper_covers(m)[0]] & ~down[m] for m in lat.mir()}
     mmask = sum(1 << m for m in arrow)
-    dep = {}
+    dep = [0] * lat.n
     for k in lat.jir():
         d = 0
         for m in _elements(mmask & up[lat.lower_covers(k)[0]] & ~up[k]):
             d |= arrow[m]
         dep[k] = d & ~(1 << k)
-    return dep
+    return tuple(dep)
 
 
 def _collapsed(dep, todo):

@@ -1,12 +1,17 @@
 import gc
 import re
 import weakref
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from slimlat import explore
-from slimlat.diagram import PlanarDiagram, _forked_permutation, _jh_permutation
+from slimlat.diagram import (
+    PlanarDiagram,
+    _forked_permutation,
+    _jh_permutation,
+    is_slim_rectangular,
+)
 from slimlat.errors import BudgetError, InternalInconsistencyError
 from slimlat.explore import enumerate_index, realize, sweep_bounds
 from slimlat.lamps import lamp_poset
@@ -48,7 +53,6 @@ def test_budget_guard():
 
 
 def test_entries_are_valid_and_deduplicated(index5):
-    from slimlat.diagram import is_slim_rectangular
     seen = set()
     for entry in index5.entries():
         assert entry.code not in seen
@@ -177,6 +181,27 @@ def test_lattices_are_the_point_sets_of_their_permutations():
         assert sorted(image) == list(range(len(points))), entry.seq
         assert all(lat.leq(x, y) == s_pi.leq(image[x], image[y])
                    for x in range(lat.n) for y in range(lat.n)), entry.seq
+
+
+def permutation_lattice_counts(max_len):
+    """{length: the number of slim rectangular S(pi)}, one pi from each
+    pair {pi, pi^-1} of permutations of that length, the one with
+    pi <= pi^-1.  Each S(pi) is embedded as foreign input
+    (is_slim_rectangular of a lattice), which shares no code with the fork
+    DFS; since pi and pi^-1 give mirror images, these are the
+    isomorphism classes of slim rectangular lattices of each length."""
+    counts = {}
+    for n in range(1, max_len + 1):
+        for pi in permutations(range(1, n + 1)):
+            inv = tuple(pi.index(j) + 1 for j in range(1, n + 1))
+            if pi <= inv and is_slim_rectangular(lattice_of_permutation(pi)[1]).ok:
+                counts[n] = counts.get(n, 0) + 1
+    return counts
+
+
+def test_permutation_lattices_count_as_the_enumeration(index7):
+    assert permutation_lattice_counts(7) == index7.counts() == {
+        2: 1, 3: 2, 4: 6, 5: 19, 6: 78, 7: 387}
 
 
 def test_antichain_lamp_posets_are_exactly_grids(index5):
@@ -350,7 +375,8 @@ def test_realize_matches_brute_force_on_small_posets(index7):
 def _check_dependencies_against_join_rows(index):
     for entry in index.entries():
         lat = entry.pl.lattice
-        assert _dependencies(lat) == join_row_dependencies(lat), entry.seq
+        dep = _dependencies(lat)
+        assert {k: dep[k] for k in lat.jir()} == join_row_dependencies(lat), entry.seq
 
 
 def test_dependencies_match_join_rows(index7):
@@ -368,6 +394,12 @@ def index8():
 @pytest.mark.slow
 def test_realize_matches_brute_force_at_length_eight(index8):
     _check_realize_against_reference(index8, allow_large=True)
+
+
+@pytest.mark.slow
+def test_permutation_lattices_count_as_the_enumeration_at_length_eight(index8):
+    assert permutation_lattice_counts(8) == index8.counts() == {
+        2: 1, 3: 2, 4: 6, 5: 19, 6: 78, 7: 387, 8: 2327}
 
 
 @pytest.mark.slow

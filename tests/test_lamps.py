@@ -1,7 +1,8 @@
-import sys
+import types
 
 import pytest
 
+import slimlat.lamps as lamps_module
 from slimlat.dsl import parse_dsl
 from slimlat.errors import PreconditionError
 from slimlat.lamps import (
@@ -24,6 +25,13 @@ from oracles import covers_via_nwl_nel, rho_circr, rho_foot
 
 def s7():
     return multifork_extend(grid(1, 1), (0, 0), 1)
+
+
+def test_import_gives_the_lamps_module():
+    """The package exports no name that hides its lamps submodule."""
+    import slimlat.lamps as m
+    assert isinstance(m, types.ModuleType) and m.__name__ == "slimlat.lamps"
+    assert m.lamp_poset is lamp_poset
 
 
 def g22_fork2():
@@ -259,8 +267,7 @@ def test_lamp_con_iso_rejects_a_dropped_or_added_order_pair(monkeypatch):
     assert lt and absent
 
     def with_order(order):
-        monkeypatch.setattr(sys.modules["slimlat.lamps"], "lamp_poset",
-                            lambda obj: (lamps, order, poset))
+        monkeypatch.setattr(lamps_module, "lamp_poset", lambda obj: (lamps, order, poset))
         return verify_lamp_con_iso(pl)
 
     for pair in lt:
@@ -275,9 +282,7 @@ def test_lamp_report_flags_a_wrong_lamp_order(monkeypatch):
     # boundary lamps are maximal, so no two of them are comparable
     boundary = [l.foot for l in lamps if l.kind == "boundary"]
     wrong = lt | {(boundary[0], boundary[1])}
-    # the module itself: slimlat.lamps names the function lamps()
-    monkeypatch.setattr(sys.modules["slimlat.lamps"], "lamp_poset",
-                        lambda obj: (lamps, wrong, poset))
+    monkeypatch.setattr(lamps_module, "lamp_poset", lambda obj: (lamps, wrong, poset))
     rep = lamp_report(pl)
     assert rep["congruence_iso_ok"] is False and rep["iso_witness"] is None
 

@@ -77,26 +77,36 @@ def test_only_foreign_input_fills_a_meet_table(monkeypatch, tmp_path, capsys):
     assert filled == [6]
 
 
-def test_built_diagrams_derive_neither_heights_nor_order_lists(monkeypatch):
+def test_built_lattices_run_boundary_heights_once_as_their_certificate(monkeypatch):
     """Building, minimizing and doubling the lattices of length <= 6 run
-    neither boundary_heights nor the order-list comparison: a built diagram
-    keeps the coordinates that certified its lattice, and sorts its lists
-    from the cover relation.  A diagram read from JSON compares its lists
-    once, and derives its heights on first use."""
+    boundary_heights exactly once per built lattice, inside the certificate
+    (_certified_diagram), and never the order-list comparison: a built
+    diagram keeps the coordinates that certified its lattice, and sorts its
+    lists from the cover relation.  A diagram read from JSON compares its
+    lists once, and derives its heights on first use."""
     seqs = [e.pl.seq for e in enumerate_index(6).entries()]
-    calls = []
+    calls, certified = [], []
     heights, compare = diagram.boundary_heights, PlanarDiagram._check_order_lists
+    certify = multifork._certified_diagram
 
-    def counted_heights(*args):
-        calls.append("heights")
-        return heights(*args)
+    def counted_heights(lat, lc, rc):
+        calls.append(("heights", lat))
+        return heights(lat, lc, rc)
 
     def counted_compare(d):
         calls.append("order lists")
         return compare(d)
 
+    def counted_certify(poset, lc, rc):
+        before = len(calls)
+        d = certify(poset, lc, rc)
+        assert calls[before:] == [("heights", d.lattice)]
+        certified.append(d.lattice)
+        return d
+
     monkeypatch.setattr(diagram, "boundary_heights", counted_heights)
     monkeypatch.setattr(PlanarDiagram, "_check_order_lists", counted_compare)
+    monkeypatch.setattr(multifork, "_certified_diagram", counted_certify)
     for seq in seqs:
         minimize(build(seq))
         for t in range(1, len(seq.steps) + 1):
@@ -104,13 +114,16 @@ def test_built_diagrams_derive_neither_heights_nor_order_lists(monkeypatch):
                 double(seq, t)
             except SlimlatError:
                 pass
-    assert calls == []
+    # every call ran in a certificate, each on its own lattice
+    assert calls == [("heights", lat) for lat in certified]
+    assert len(set(map(id, certified))) == len(certified) > 1000, len(certified)
 
     built = build(seqs[-1]).diagram
+    calls.clear()
     read = PlanarDiagram.from_json(built.to_json())
     assert calls == ["order lists"]
     assert read.heights() == built.heights()
-    assert calls == ["order lists", "heights"]
+    assert calls == ["order lists", ("heights", read.lattice)]
 
 
 def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):

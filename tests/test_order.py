@@ -7,6 +7,9 @@ import pytest
 from slimlat import multifork, order
 from slimlat.diagram import (
     PlanarDiagram,
+    _certified_diagram,
+    _check_complements,
+    _CornerLattice,
     boundary_heights,
     embed_rectangular,
     is_slim_rectangular,
@@ -28,9 +31,6 @@ from slimlat.order import (
     poset_double,
     poset_iso,
     principal_congruence,
-    _corner_coordinates,
-    _corner_lattice,
-    _CornerLattice,
     _dependencies,
     _elements,
 )
@@ -435,7 +435,8 @@ def assert_kernels_match_references(lat):
     for x in range(lat.n):
         for y in range(lat.n):
             assert lat.meet_of((x, y)) == meet[x][y] and lat.join_of((x, y)) == join[x][y]
-    assert _dependencies(lat) == join_row_dependencies(lat)
+    dep = _dependencies(lat)
+    assert {k: dep[k] for k in lat.jir()} == join_row_dependencies(lat)
     assert_con_matches_reference(lat)
 
 
@@ -632,8 +633,8 @@ def test_bounded_non_lattice_rejected(covers):
     for lc in range(p.n):
         for rc in range(p.n):
             if lc != rc:
-                with pytest.raises(OrderError):
-                    _corner_lattice(p, lc, rc)
+                with pytest.raises(DiagramError):
+                    _certified_diagram(p, lc, rc)
 
 
 @pytest.mark.parametrize("covers, jir_count, con_size, jir_covers", [
@@ -740,11 +741,11 @@ UNCLOSED_COVERS = [(0, 1), (1, 2), (2, 6), (6, 7), (0, 3), (3, 4), (4, 5), (5, 7
 
 
 def certified_heights(poset, lc, rc):
-    """The coordinates that certify the poset at the corners lc, rc, or
-    None when the certificate rejects it."""
+    """The coordinates that certify the poset at the corners lc, rc, which
+    its built diagram keeps, or None when the certificate rejects it."""
     try:
-        return _corner_lattice(poset, lc, rc)[1]
-    except OrderError:
+        return _certified_diagram(poset, lc, rc).heights()
+    except (OrderError, DiagramError):
         return None
 
 
@@ -757,11 +758,16 @@ def table_heights(poset, lc, rc):
 
 def assert_certificate_sound(poset, lc, rc):
     """The certificate accepts the poset at (lc, rc) iff the meet table
-    accepts it and boundary_heights succeeds there; then all three agree on
-    the heights.  Returns whether it accepted."""
+    accepts it, boundary_heights succeeds there and lc, rc are complements;
+    then all three agree on the heights.  The certificate also rejects two
+    covers of one element at one left height, which no poset that passes
+    the up-set test has: its points are ordered as its elements are, and two
+    covers of one element are incomparable.  Returns whether it accepted."""
     got = certified_heights(poset, lc, rc)
     try:
-        want = boundary_heights(FiniteLattice(poset), lc, rc)
+        lat = FiniteLattice(poset)
+        want = boundary_heights(lat, lc, rc)
+        _check_complements(lat, lc, rc)
     except (OrderError, DiagramError):
         assert got is None, (poset, lc, rc)
         return False
@@ -825,11 +831,12 @@ def test_certificate_is_sound_on_random_posets():
 
 def test_certificate_rejects_coordinates_that_are_not_meet_closed():
     p = order_from_covers(UNCLOSED_COVERS)
-    hl, hr, _, _ = _corner_coordinates(p, 2, 4)
+    hl, hr, _, _ = boundary_heights(_CornerLattice(p), 2, 4)
     points = list(zip(hl, hr))
     assert points == [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1), (2, 2)]
-    with pytest.raises(OrderError, match=r"elements 5 and 6 .* minimum \(1,1\)"):
-        _corner_lattice(p, 2, 4)
+    with pytest.raises(DiagramError, match=r"^elements 5 and 6 have no element at their"
+                                           r" coordinatewise minimum \(1,1\)$"):
+        _certified_diagram(p, 2, 4)
     with pytest.raises(OrderError, match="no glb for pair"):
         FiniteLattice(p)
 
