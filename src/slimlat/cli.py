@@ -12,14 +12,7 @@ import sys
 
 from .diagram import PlanarDiagram, is_slim_rectangular
 from .dsl import emit_dsl, parse_dsl
-from .errors import (
-    BudgetError,
-    InternalInconsistencyError,
-    OrderError,
-    ParseError,
-    PreconditionError,
-    SlimlatError,
-)
+from .errors import BudgetError, ParseError, SlimlatError
 from .explore import enumerate_index, realize, sweep_bounds
 from .doubling import double
 from .lamps import lamp_report
@@ -227,7 +220,7 @@ def main(argv=None):
     except BudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
-    except (PreconditionError, OrderError, InternalInconsistencyError, SlimlatError) as e:
+    except SlimlatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

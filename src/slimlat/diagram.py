@@ -71,6 +71,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DiagramError
+from .lamps import _derive_lamp_list, _derive_lamp_order
 from .order import (
     FiniteLattice,
     json_int_lists,
@@ -283,18 +284,16 @@ class PlanarDiagram:
         b, i = self.neon_tubes()
         return len(b) + len(i)
 
-    # -- lamps, derived by the lamps module (which imports this one) ---------
+    # -- lamps, derived by the lamps module --------------------------------
 
     @cached_property
     def _lamp_list(self):
         """(lamps, map from each neon tube's (foot, peak) to its (lamp, index))."""
-        from .lamps import _derive_lamp_list
         return _derive_lamp_list(self)
 
     @cached_property
     def _lamp_order(self):
         """(lamps, strict order pairs on lamp feet, Poset): lamps.lamp_poset."""
-        from .lamps import _derive_lamp_order
         return _derive_lamp_order(self)
 
     @cached_property
@@ -632,13 +631,10 @@ def _validate(d):
         failures.append("not semimodular")
     if not lat.is_slim():
         failures.append("not slim: 3-element antichain in join-irreducibles")
-    di = lat.doubly_irreducible()
-    if len(di) != 2:
-        failures.append(f"{len(di)} doubly irreducible elements, expected 2")
-    else:
-        a, b = di
-        if not lat.is_meet(a, b, lat.bottom) or not lat.is_join(a, b, lat.top):
-            failures.append("doubly irreducible elements are not complements")
+    try:
+        _check_complements(lat, *_two_corners(lat))
+    except DiagramError as e:
+        failures.append(str(e))
     if wide is not None:
         failures.append(f"element {wide} has more than 2 upper covers (shared cell bottom)")
     if cell_failure is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .diagram import cell_address, resolve_address
 from .errors import InternalInconsistencyError, PreconditionError
-from .lamps import lamp_poset, lamps_of_diagram, tube_lamp
+from .lamps import lamp_creation_step, lamp_poset, lamps_of_diagram, tube_lamp
 from .multifork import extend_by_step, grid, multifork_extend
 from .order import poset_double, poset_iso
 
@@ -42,7 +42,7 @@ def _upper_chain_index(d, side, foot):
 def _lamp_id(pl, lamp):
     """Build-independent lamp identity: boundary position or creation step."""
     if lamp.kind == "internal":
-        return ("s", pl.lamp_step_by_peak[lamp.peak])
+        return ("s", lamp_creation_step(pl, lamp))
     return ("b", lamp.side, _upper_chain_index(pl.diagram, lamp.side, lamp.foot))
 
 
@@ -113,12 +113,8 @@ def double(seq, t):
     pl = multifork_extend(prefix, (step_t.a, step_t.b), 2)
 
     # the cell whose peak is the foot of the new lamp's leftmost tube
-    new_peak = next(
-        peak for peak, st in pl.lamp_step_by_peak.items() if st == t
-    )
     j_prime = next(
-        l for l in lamps_of_diagram(pl.diagram)
-        if l.kind == "internal" and l.peak == new_peak
+        l for l in lamps_of_diagram(pl.diagram) if lamp_creation_step(pl, l) == t
     )
     anchor = j_prime.tubes[0].foot
     cells = [c for c in pl.diagram.four_cells() if c.top == anchor]
@@ -135,10 +131,7 @@ def double(seq, t):
     if pl.antube() != orig.antube() + 2 or pl.length() != orig.length() + 2:
         raise InternalInconsistencyError("doubling did not add exactly 2 tubes")
     lamps_o, _, poset_o = lamp_poset(orig)
-    target = next(
-        i for i, l in enumerate(lamps_o)
-        if l.kind == "internal" and orig.lamp_step_by_peak[l.peak] == t
-    )
+    target = next(i for i, l in enumerate(lamps_o) if lamp_creation_step(orig, l) == t)
     doubled = poset_double(poset_o, target)
     _, _, poset_n = lamp_poset(pl)
     if poset_iso(poset_n, doubled) is None:

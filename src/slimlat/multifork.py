@@ -35,7 +35,7 @@ from .errors import (
     OrderError,
     PreconditionError,
 )
-from .lamps import fork_interval, lamp_poset
+from .lamps import _diagram_of, fork_interval, lamp_poset
 from .order import MAX_ELEMENTS, Poset, is_distributive_ideal_grid
 
 
@@ -78,6 +78,7 @@ class ProvenancedLattice:
 
     Immutable after construction; extensions return new values.  Only the
     final lattice is kept: an earlier one is rebuilt from a prefix of `seq`.
+    The four dicts are kept as given, so callers hand over fresh ones.
     """
 
     def __init__(self, diagram, seq, forest, leaf_by_bottom, tube_records,
@@ -85,10 +86,10 @@ class ProvenancedLattice:
         self.diagram = diagram
         self.seq = seq
         self.forest = forest
-        self.leaf_by_bottom = dict(leaf_by_bottom)
-        self.tube_records = dict(tube_records)
-        self.lamp_step_by_peak = dict(lamp_step_by_peak)
-        self.step_origin = dict(step_origin)
+        self.leaf_by_bottom = leaf_by_bottom
+        self.tube_records = tube_records
+        self.lamp_step_by_peak = lamp_step_by_peak
+        self.step_origin = step_origin
         # per fork element, in order of creation: (id, foot, peak, s, k + 1)
         # for a subdivision point, (id, left anchor, right anchor) for a leg crossing
         self.recipes = recipes
@@ -440,7 +441,7 @@ def _delete_forks(d, tubes):
 def reprovenance(diagram):
     """A fresh built lattice isomorphic to the given diagram: build of its
     decomposition, which the decomposition has already folded."""
-    d = diagram.diagram if hasattr(diagram, "diagram") else diagram
+    d = _diagram_of(diagram)
     report = is_slim_rectangular(d)
     if not report.ok:
         raise PreconditionError(f"not slim rectangular: {report.failures}")

@@ -21,6 +21,7 @@ from .errors import (
     PreconditionError,
 )
 from .lamps import (
+    _diagram_of,
     is_used,
     lamp_creation_step,
     lamp_poset,
@@ -28,7 +29,7 @@ from .lamps import (
     usage_stats,
 )
 from .multifork import _decompose, _delete_forks
-from .order import congruence_lattice, poset_iso
+from .order import FiniteLattice, congruence_lattice, poset_iso
 
 
 @dataclass(frozen=True)
@@ -299,18 +300,15 @@ def check_bounds(obj, at_fixpoint=False):
     at least one internal lamp (at_fixpoint=True); the size bound
     |L| <= 4n^4 is asserted for every reduction fixpoint.
     """
-    if hasattr(obj, "diagram"):
-        d = obj.diagram
-        lat = d.lattice
-    elif hasattr(obj, "lattice"):
-        d = obj
-        lat = d.lattice
-    else:
+    if isinstance(obj, FiniteLattice):
         lat = obj
         try:
             d = embed_rectangular(lat)
         except DiagramError:
             d = None
+    else:
+        d = _diagram_of(obj)
+        lat = d.lattice
 
     n = congruence_lattice(lat).jir_count()
     length = lat.length()

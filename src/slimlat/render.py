@@ -10,9 +10,10 @@ element, which are strictly steeper.  Renders are presentation only; no
 predicate consumes coordinates.
 
 The validator and the SVG/TikZ renderers compute on integers: each call
-reads `coords` once and scales every coordinate to an int over the lcm
-of all denominators (`_integer_points`).  The slope test compares these
-ints, which order exactly as the rationals do.  A drawn number is
+reads `coords` once, scales every coordinate to an int over the lcm of
+all denominators and checks the slopes on these ints, which order
+exactly as the rationals do (`_checked_points`); a render draws the
+points the check returns, so it scales them once.  A drawn number is
 `int / den`; Python rounds an int true division correctly, as it does
 `float(Fraction)`, so the output bytes are those of the Fraction
 arithmetic the integers replace.
@@ -27,33 +28,25 @@ from .errors import InternalInconsistencyError, ParseError
 from .order import Poset
 
 
-def _internal_mir(pl):
-    """Feet of the internal neon tubes: the internal meet-irreducibles."""
-    return {e.foot for e in pl.diagram.neon_tubes()[1]}
+def _checked_points(pl):
+    """(den, xs, ys, internal_mir) after checking the normal/precipitous
+    edge discipline; raises on violation.  den is the lcm of the
+    denominators of all drawing coordinates, element u lies at
+    (xs[u] / den, ys[u] / den), and internal_mir holds the feet of the
+    internal neon tubes: the internal meet-irreducibles.
 
-
-def _integer_points(pl):
-    """(den, xs, ys): den is the lcm of the denominators of all drawing
-    coordinates, and element u lies at (xs[u] / den, ys[u] / den)."""
+    In u = y + x and v = y - x an edge ascends iff du + dv > 0; it is
+    normal iff min(du, dv) = 0 and steep iff min(du, dv) > 0.  So a
+    sound edge is decided by comparisons alone, and these run on the
+    scaled coordinates: exact ints, in the same order as the rationals,
+    so no rounding can hide a fault.
+    """
+    internal_mir = {e.foot for e in pl.diagram.neon_tubes()[1]}
     coords = pl.coords
     pts = [coords[u] for u in range(pl.n)]
     den = lcm(*{c.denominator for xy in pts for c in xy})
     xs = [x.numerator * (den // x.denominator) for x, _ in pts]
     ys = [y.numerator * (den // y.denominator) for _, y in pts]
-    return den, xs, ys
-
-
-def validate_slopes(pl):
-    """Check the normal/precipitous edge discipline; raises on violation.
-
-    In u = y + x and v = y - x an edge ascends iff du + dv > 0; it is
-    normal iff min(du, dv) = 0 and steep iff min(du, dv) > 0.  So a
-    sound edge is decided by comparisons alone, and these run on the
-    coordinates scaled by their common denominator: exact ints, in the
-    same order as the rationals, so no rounding can hide a fault.
-    """
-    internal_mir = _internal_mir(pl)
-    _, xs, ys = _integer_points(pl)
     us = [y + x for x, y in zip(xs, ys)]
     vs = [y - x for x, y in zip(xs, ys)]
     for foot, peak in sorted(pl.lattice.poset.covers):
@@ -65,6 +58,13 @@ def validate_slopes(pl):
             raise InternalInconsistencyError(
                 f"edge ({foot},{peak}) breaks the precipitous-foot rule"
             )
+    return den, xs, ys, internal_mir
+
+
+def validate_slopes(pl):
+    """Check the normal/precipitous edge discipline (_checked_points);
+    raises on violation."""
+    _checked_points(pl)
     return True
 
 
@@ -110,8 +110,7 @@ def _decimal(x):
 def render_svg(pl):
     """SVG with y pointing down.  Each point is formatted once, and its
     lines reuse the text."""
-    validate_slopes(pl)
-    den, xs, ys = _integer_points(pl)
+    den, xs, ys, internal_mir = _checked_points(pl)
     minx, maxy = min(xs), max(ys)
     fx = [(x - minx) * _SCALE / den + _MARGIN for x in xs]
     fy = [(maxy - y) * _SCALE / den + _MARGIN for y in ys]
@@ -122,7 +121,6 @@ def render_svg(pl):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    internal_mir = _internal_mir(pl)
     for a, b in sorted(pl.lattice.poset.covers):
         w = 3 if a in internal_mir else 1
         out.append(
@@ -139,15 +137,13 @@ def render_svg(pl):
 
 
 def render_tikz(pl):
-    validate_slopes(pl)
-    den, xs, ys = _integer_points(pl)
+    den, xs, ys, internal_mir = _checked_points(pl)
     out = ["\\begin{tikzpicture}[scale=0.8]"]
     for u, (x, y) in enumerate(zip(xs, ys)):
         out.append(
             f"  \\node[circle,fill,inner sep=1.2pt,label=above right:{{\\tiny {u}}}] "
             f"(n{u}) at ({_decimal(x / den)},{_decimal(y / den)}) {{}};"
         )
-    internal_mir = _internal_mir(pl)
     for a, b in sorted(pl.lattice.poset.covers):
         style = "very thick" if a in internal_mir else "thin"
         out.append(f"  \\draw[{style}] (n{a}) -- (n{b});")

@@ -46,7 +46,7 @@ does not use.
   (`slimlat.multifork.ProvenancedLattice.coords`).
 - The slope check and the SVG and TikZ renders in `Fraction` arithmetic,
   as they were before production scaled the coordinates to ints over one
-  common denominator (`slimlat.render._integer_points`).
+  common denominator (`slimlat.render._checked_points`).
 - Predicates that only tests ask: refinement, identity and fullness of a
   congruence, and whether a built lattice is a fixpoint of the reduction
   rules (`slimlat.reduce.minimize` runs the rules themselves).

@@ -117,7 +117,7 @@ def test_render_cli(tmp_path, s7_seq):
     assert out.read_text().startswith("<svg")
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.seq"
     bad.write_text("fork 0 0 1\n")
     assert main(["build", "--input", str(bad)]) == 2
@@ -127,7 +127,11 @@ def test_exit_codes(tmp_path):
     chain = tmp_path / "chain.json"
     chain.write_text('{"n": 3, "covers": [[0, 1], [1, 2]], '
                      '"upper_order": [[1], [2], []], "lower_order": [[], [0], [1]]}')
+    capsys.readouterr()
     assert main(["validate", "--input", str(chain), "--format", "json"]) == 1
+    # validation states the corner condition as the embedding does
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        "expected exactly 2 doubly irreducible elements, got 1"]
 
 
 def test_validate_repeated_lower_cover_exits_1(tmp_path, capsys):

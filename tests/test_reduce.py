@@ -3,6 +3,7 @@ import pytest
 from slimlat.diagram import is_slim_rectangular
 from slimlat.dsl import parse_dsl
 from slimlat.errors import PreconditionError
+from slimlat.explore import enumerate_index
 from slimlat.lamps import fork_interval, lamps_of_diagram, usage_stats
 from slimlat.multifork import build, grid, multifork_extend
 from slimlat.order import congruence_lattice, poset_iso
@@ -209,6 +210,14 @@ def test_check_bounds_on_plain_lattice():
     assert rep.n == 3
     assert rep.length == 3
     assert rep.ok
+
+
+def test_check_bounds_reports_alike_on_a_built_lattice_its_diagram_and_its_lattice():
+    for entry in enumerate_index(5).entries():
+        pl = entry.pl
+        expected = check_bounds(pl).to_dict()
+        assert check_bounds(pl.diagram).to_dict() == expected
+        assert check_bounds(pl.lattice).to_dict() == expected
 
 
 def test_check_bounds_fixpoint_flag():

@@ -1,5 +1,7 @@
 import copy
+import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,7 +10,7 @@ from slimlat.dsl import parse_dsl
 from slimlat.errors import InternalInconsistencyError
 from slimlat.explore import enumerate_index
 from slimlat.multifork import build, grid, multifork_extend
-from slimlat.render import _integer_points, parse_dot, render, render_dot, validate_slopes
+from slimlat.render import _checked_points, parse_dot, render, render_dot, validate_slopes
 
 from oracles import svg_by_fractions, tikz_by_fractions, validate_slopes_by_fractions
 
@@ -89,7 +91,7 @@ def test_integer_kernel_matches_the_fraction_reference():
                for e in entries for step in range(1, len(e.seq.steps) + 1)]
     assert len(doubles) == 182
     fine = build(parse_dsl(FINE))
-    assert (fine.n, _integer_points(fine)[0]) == (162, 11025)
+    assert (fine.n, _checked_points(fine)[0]) == (162, 11025)
     for pl in doubles + [build(parse_dsl(LARGE)), fine]:
         assert validate_slopes(pl) and validate_slopes_by_fractions(pl)
         assert render(pl, "svg") == svg_by_fractions(pl)
@@ -105,6 +107,26 @@ def test_integer_kernel_matches_the_fraction_reference():
             faults.add(verdict if verdict is True else verdict.split(") ")[1])
     assert faults == {"does not ascend", "has a slight slope",
                       "breaks the precipitous-foot rule"}
+
+
+def test_each_render_scales_the_points_once(monkeypatch):
+    """A render draws the points that its slope check scaled: one lcm of
+    the denominators per call, on the lattice with denominator 11025."""
+    pl = build(parse_dsl(FINE))
+    calls = []
+
+    def counting_lcm(*args):
+        calls.append(len(args))
+        return lcm(*args)
+
+    # the package binds the name `render` to the function, so the module is
+    # taken from sys.modules
+    monkeypatch.setattr(sys.modules["slimlat.render"], "lcm", counting_lcm)
+    for fmt in ("svg", "tikz"):
+        calls.clear()
+        render(pl, fmt)
+        assert len(calls) == 1, fmt
+    assert validate_slopes(pl) is True
 
 
 def test_dot_roundtrip():
