@@ -40,8 +40,11 @@ cell), boundary chains, corners, boundary heights and neon tubes once,
 on first use, and keeps the lamp data that the lamps module derives for
 it and its validation report (is_slim_rectangular), ok or not; a failure
 that a derivation raises is not cached and is raised again on the next
-call.  Nothing is cached per edge but the cell side maps, and every walk
-across cells steps through them (_cross): validation checks every
+call.  The cells, side maps, chains, tubes and the ends the sweep records
+are walk caches: PlanarDiagram._release drops them, as the enumeration
+does on each lattice it leaves, and the next read derives them again.
+Nothing is cached per edge but the cell side maps, and every walk across
+cells steps through them (_cross): validation checks every
 trajectory in one sweep (_trajectory_failure), and trajectory_through
 walks the one trajectory it returns, with the cells it crosses, as two
 half-walks (_half_walk), which a fork step also takes, from its cell's
@@ -128,7 +131,14 @@ class PlanarDiagram:
     def _set(self, lattice, upper, lower, corners=None, heights=None):
         self.lattice, self.upper, self.lower = lattice, upper, lower
         self._corners, self._heights = corners, heights
-        self._cells = self._sides = self._chains = self._tubes = None
+        self._release()
+
+    def _release(self):
+        """Drop the walk caches (cells, side maps, boundary chains, neon
+        tubes, the sweep's ends); the next read derives each again.  Only
+        an owner that no one else reads yet may call it, since a read that
+        runs meanwhile can find None: the enumeration DFS does."""
+        self._cells = self._sides = self._chains = self._tubes = self._ends = None
 
     def _check_order_lists(self):
         n = self.lattice.n
@@ -393,11 +403,14 @@ def _jh_permutation(d):
     (pi(1), ..., pi(n)), n the length: pi(i) = j when the trajectory through
     the i-th edge of the left boundary chain, counted from the bottom, ends
     on the j-th edge of the right one.  Read off the peaks that the
-    validation sweep recorded (_trajectory_failure); DiagramError unless
-    d's report is ok."""
+    validation sweep recorded (_trajectory_failure), swept again, with
+    the kept report untouched, if d released them; DiagramError unless d's
+    report is ok."""
     report = d._report
     if not report.ok:
         raise DiagramError(f"no Jordan-Holder permutation: {report.failures}")
+    if d._ends is None:  # released (PlanarDiagram._release): sweep again
+        _trajectory_failure(d)
     pos = {v: j for j, v in enumerate(d.boundary_chains()[1])}
     return tuple([pos[v] for v in d._ends])
 
@@ -673,8 +686,8 @@ def _trajectory_failure(d):
     both ends on it), and there are len(lchain) - 1 of them.
 
     The sweep keeps, as d._ends, the peak of the edge each walk ends on, in
-    left-chain order: the Jordan-Holder permutation (_jh_permutation) of a
-    diagram whose report is ok.
+    left-chain order, stored once all walks are done: the Jordan-Holder
+    permutation (_jh_permutation) of a diagram whose report is ok.
     """
     try:
         east = d._side_maps()[1]
@@ -684,7 +697,7 @@ def _trajectory_failure(d):
     lchain, _ = d.boundary_chains()
     rset = d._boundary_sets()[1]
     seen = set()
-    ends = d._ends = []
+    ends = []
     for e in zip(lchain, lchain[1:]):
         tubes = 0
         while e is not None:
@@ -699,6 +712,7 @@ def _trajectory_failure(d):
             return f"trajectory has {tubes} neon tubes, expected 1"
         if not (last[0] in rset and last[1] in rset):
             return "trajectory does not end on the right boundary"
+    d._ends = ends  # one store, so that no read sees part of the list
     if len(seen) != sum(map(len, upper)):
         return "trajectory does not start on the left boundary"
     length = d.lattice.length()

@@ -12,9 +12,13 @@ parent's pi in O(length), and a child is built only when its predicted
 key is new; every built child is still certified and validated, and its
 swept permutation must be the predicted one.  A skipped child is exactly
 one whose key was already recorded, so the entries, their witnesses and
-their order are those of building every child.  Canonical codes partition
-the lattices as the keys do; they are only output (EnumEntry.code,
-sweep_bounds), computed when read.
+their order are those of building every child.  When the search leaves a
+lattice, its diagram drops the walk caches that building its children
+read (cells, side maps, boundary chains, neon tubes, the sweep's ends);
+an entry derives them again on first read, so the index holds each
+lattice's rows, heights, report and key, not its walk scaffolding.
+Canonical codes partition the lattices as the keys do; they are only
+output (EnumEntry.code, sweep_bounds), computed when read.
 
 Realizability rests on two lamp facts (Czedli, "Lamps in slim rectangular
 planar semimodular lattices", Acta Sci. Math. 2021): every multifork adds
@@ -123,25 +127,29 @@ def _dfs(pl, pi, found, max_len, max_forks):
     InternalInconsistencyError.  A module function, not a nested one: a
     nested function that calls itself is a reference cycle through its
     closure, which would keep the found entries, and every lattice in them,
-    alive after _enumerate returns, until the cyclic collector runs."""
+    alive after _enumerate returns, until the cyclic collector runs.
+
+    Leaving pl, it releases pl's walk caches (PlanarDiagram._release),
+    which building pl's children read; no one else reads pl before
+    _enumerate returns."""
     remaining = max_len - len(pi)
-    if remaining < 1 or len(pl.seq.steps) == max_forks:
-        return
-    for addr in _distributive_cells(pl):
-        for k in range(1, remaining + 1):
-            child_pi = _forked_permutation(pi, addr, k)
-            key = _jh_min(child_pi)
-            if key in found.get(len(key), ()):
-                continue
-            child = multifork_extend(pl, addr, k)
-            swept = _jh_permutation(child.diagram)
-            if swept != child_pi:
-                raise InternalInconsistencyError(
-                    f"the {k}-fold fork at {addr} built\n{emit_dsl(child.seq)}with"
-                    f" permutation {swept}, not the predicted {child_pi}"
-                )
-            _record(found, key, child)
-            _dfs(child, child_pi, found, max_len, max_forks)
+    if remaining >= 1 and len(pl.seq.steps) != max_forks:
+        for addr in _distributive_cells(pl):
+            for k in range(1, remaining + 1):
+                child_pi = _forked_permutation(pi, addr, k)
+                key = _jh_min(child_pi)
+                if key in found.get(len(key), ()):
+                    continue
+                child = multifork_extend(pl, addr, k)
+                swept = _jh_permutation(child.diagram)
+                if swept != child_pi:
+                    raise InternalInconsistencyError(
+                        f"the {k}-fold fork at {addr} built\n{emit_dsl(child.seq)}with"
+                        f" permutation {swept}, not the predicted {child_pi}"
+                    )
+                _record(found, key, child)
+                _dfs(child, child_pi, found, max_len, max_forks)
+    pl.diagram._release()
 
 
 def enumerate_index(max_len, allow_large=False):

@@ -56,14 +56,14 @@ class MultiforkSequence:
         return MultiforkSequence(self.grid_p, self.grid_q, self.steps + (step,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForestNode:
     cell: tuple        # (bottom, left, right, top) element ids at creation
     stage: int
     parent: int        # node id or None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TubeRecord:
     kind: str          # "boundary" | "internal"
     side: str          # boundary only: "L" | "R"

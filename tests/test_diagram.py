@@ -92,9 +92,10 @@ def derived(d):
 
 
 def test_a_read_while_a_cache_is_stored_gets_both_values():
-    """The boundary chains are stored with their sets, and the cells with
-    the map from each bottom, as one value each: a read that runs right
-    after the store, as a concurrent one may, gets both halves."""
+    """The boundary chains are stored with their sets, the cells with the
+    map from each bottom, and the sweep's ends once all walks are done, as
+    one value each: a read that runs right after the store, as a concurrent
+    one may, gets the whole value."""
     reads = {}
 
     class Reading(PlanarDiagram):
@@ -105,12 +106,16 @@ def test_a_read_while_a_cache_is_stored_gets_both_values():
                 reads["chains"] = (self.boundary_chains(), self._boundary_sets())
             if name == "_cells" and value is not None and "cells" not in reads:
                 reads["cells"] = (self.four_cells(), self.cells_by_bottom())
+            if name == "_ends" and value is not None and "ends" not in reads:
+                reads["ends"] = tuple(self._ends)
 
     g = grid(2, 2).diagram
     d = Reading._sorted(g.lattice, g.upper, g.lower)
     chains, cells = d.boundary_chains(), d.four_cells()
     assert reads["chains"] == (chains, tuple(map(frozenset, chains)))
     assert len(cells) == 4 and reads["cells"] == (cells, {c.bottom: c for c in cells})
+    assert is_slim_rectangular(d).ok
+    assert len(reads["ends"]) == 4 and reads["ends"] == tuple(d._ends)
 
 
 def test_cached_structure_matches_a_fresh_embedding():

@@ -25,6 +25,7 @@ from oracles import (
     lattice_of_permutation,
     mask_sets,
     reachability,
+    trajectories,
 )
 from test_order import counted_calls
 
@@ -117,6 +118,50 @@ def test_enumeration_builds_only_new_lattices(monkeypatch):
     built = counted_calls(monkeypatch, explore, "multifork_extend")
     assert sum(map(len, explore._enumerate(7).values())) == 493
     assert len(built) == 481
+
+
+WALK_CACHES = {"four_cells": "_cells", "_side_maps": "_sides",
+               "boundary_chains": "_chains", "neon_tubes": "_tubes"}
+
+
+def test_the_search_derives_each_walk_cache_once_and_releases_it(monkeypatch):
+    """Building a child reads its parent's cells and side maps before the
+    DFS leaves the parent, so each of the 493 lattices that _enumerate(7)
+    builds (481 children, 12 grids) derives its cells, side maps, boundary
+    chains and neon tubes exactly once, and holds none of them, nor the
+    sweep's ends, when the search returns."""
+    derived = {}
+    for name, cache in WALK_CACHES.items():
+        calls, fn = derived.setdefault(name, []), getattr(PlanarDiagram, name)
+
+        def counted(d, fn=fn, cache=cache, calls=calls):
+            if getattr(d, cache) is None:
+                calls.append(d)
+            return fn(d)
+
+        monkeypatch.setattr(PlanarDiagram, name, counted)
+    diagrams = [e.pl.diagram for bucket in explore._enumerate(7).values() for e in bucket]
+    assert len(diagrams) == 493
+    for name, calls in derived.items():
+        assert len(calls) == 493 and set(calls) == set(diagrams), name
+    for d in diagrams:
+        assert [getattr(d, cache) for cache in WALK_CACHES.values()] == [None] * 4
+        assert d._ends is None
+
+
+def test_released_entries_derive_what_a_fresh_build_derives():
+    """An entry of the index holds none of the five walk caches; what it
+    derives again, its key by a second sweep first, equals what a fresh
+    build of its sequence derives."""
+    for e in enumerate_index(6).entries():
+        d = e.pl.diagram
+        assert [getattr(d, cache) for cache in WALK_CACHES.values()] == [None] * 4
+        assert d._ends is None
+        assert d._jh_key == e.key
+        fresh = build(e.seq).diagram
+        for name in (*WALK_CACHES, "cells_by_bottom"):
+            assert getattr(d, name)() == getattr(fresh, name)(), (name, e.seq)
+        assert trajectories(d) == trajectories(fresh), e.seq
 
 
 def test_a_wrong_prediction_names_the_sequence(monkeypatch):
