@@ -137,7 +137,8 @@ class PlanarDiagram:
         """Drop the walk caches (cells, side maps, boundary chains, neon
         tubes, the sweep's ends); the next read derives each again.  Only
         an owner that no one else reads yet may call it, since a read that
-        runs meanwhile can find None: the enumeration DFS does."""
+        runs meanwhile can find None: the enumeration DFS does, and so does
+        multifork.build on each stage it has just extended."""
         self._cells = self._sides = self._chains = self._tubes = self._ends = None
 
     def _check_order_lists(self):
@@ -688,6 +689,16 @@ def _trajectory_failure(d):
     The sweep keeps, as d._ends, the peak of the edge each walk ends on, in
     left-chain order, stored once all walks are done: the Jordan-Holder
     permutation (_jh_permutation) of a diagram whose report is ok.
+
+    The last check, neon tubes against the length, cannot fail once the
+    others pass; it stays as a guard on this argument.  A neon tube is the
+    one edge above a meet-irreducible foot (neon_tubes), an element with
+    one upper cover in the lattice, and so in d.upper, which lists the
+    lattice's covers (the constructors check or share them).  The sweep
+    counts exactly these edges, and once no walk revisits an edge and the
+    walks reach every cover, it counts each of them once.  So the tube
+    count is the sum of the per-walk counts, each of which is 1: it is
+    len(lchain) - 1, which the check before it compares with the length.
     """
     try:
         east = d._side_maps()[1]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .diagram import cell_address, resolve_address
 from .errors import InternalInconsistencyError, PreconditionError
 from .lamps import lamp_creation_step, lamp_poset, lamps_of_diagram, tube_lamp
-from .multifork import extend_by_step, grid, multifork_extend
+from .multifork import build, multifork_extend
 from .order import poset_double, poset_iso
 
 
@@ -93,21 +93,25 @@ def _crossing_cell(pl, rec, t):
 def double(seq, t):
     """Sequence realizing the lamp poset with step t's lamp doubled.
 
-    Returns (new sequence, its built lattice).  One fold over `seq` keeps
-    the lattice after t - 1 steps and records the flanking tubes of every
-    later step's cell.  Verifies the guarantees: tube count and length grow
-    by exactly 2, and the new lamp poset is the doubling of the old one at
+    Returns (new sequence, its built lattice).  The stages of `seq` are
+    the `parent` chain of build(seq), which reuses the caller's lattice
+    while the caller holds it: the lattice after t - 1 steps is forked,
+    and the stage before each later step gives the flanking tubes of that
+    step's cell.  Verifies the guarantees: tube count and length grow by
+    exactly 2, and the new lamp poset is the doubling of the old one at
     the position of step t's lamp in lamp_poset order.
     """
     if not (1 <= t <= len(seq.steps)):
         raise PreconditionError(f"step {t} out of range 1..{len(seq.steps)}")
-    orig, records = grid(seq.grid_p, seq.grid_q), {}
-    for s, st in enumerate(seq.steps, start=1):
-        before, orig = orig, extend_by_step(orig, s, st)
-        if s == t:
-            prefix = before
-        elif s > t:
-            records[s] = locate_retarget(before, (st.a, st.b))
+    orig = stage = build(seq)
+    stages = []
+    while stage is not None:
+        stages.append(stage)
+        stage = stage.parent
+    stages.reverse()  # stages[s] is the lattice after s steps
+    prefix = stages[t - 1]
+    records = {s: locate_retarget(stages[s - 1], (st.a, st.b))
+               for s, st in enumerate(seq.steps[t:], start=t + 1)}
 
     step_t = seq.steps[t - 1]
     pl = multifork_extend(prefix, (step_t.a, step_t.b), 2)

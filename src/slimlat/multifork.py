@@ -17,6 +17,7 @@ sequence (round-trip stable up to isomorphism).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -76,9 +77,12 @@ class TubeRecord:
 class ProvenancedLattice:
     """A slim rectangular lattice with construction provenance.
 
-    Immutable after construction; extensions return new values.  Only the
-    final lattice is kept: an earlier one is rebuilt from a prefix of `seq`.
-    The four dicts are kept as given, so callers hand over fresh ones.
+    Immutable after construction; extensions return new values.  The four
+    dicts are kept as given, so callers hand over fresh ones.  `parent` is
+    the built lattice of `seq` without its last step, so a lattice from
+    `build` keeps every stage of its sequence.  Only `build` sets it: it is
+    None for a grid and for the lattices that `multifork_extend` makes
+    elsewhere (the enumeration's, the decomposition's, `double`'s output).
     """
 
     def __init__(self, diagram, seq, forest, leaf_by_bottom, tube_records,
@@ -93,6 +97,7 @@ class ProvenancedLattice:
         # per fork element, in order of creation: (id, foot, peak, s, k + 1)
         # for a subdivision point, (id, left anchor, right anchor) for a leg crossing
         self.recipes = recipes
+        self.parent = None
 
     @cached_property
     def coords(self):
@@ -376,11 +381,43 @@ def _swap(rows, u, old, new):
     rows[u] = row[:i] + (new,) + row[i + 1:]
 
 
+# sequence -> its built lattice, kept while someone holds that lattice or a
+# later stage of it (ProvenancedLattice.parent); only build fills it
+_built = weakref.WeakValueDictionary()
+
+
 def build(seq):
-    """Fold a sequence into a built lattice."""
-    pl = grid(seq.grid_p, seq.grid_q)
-    for i, st in enumerate(seq.steps, start=1):
-        pl = extend_by_step(pl, i, st)
+    """Fold a sequence into a built lattice whose `parent` chain holds its
+    stages, the lattices of its prefixes.
+
+    The fold starts from the longest prefix of `seq`, `seq` itself
+    included, whose built lattice is alive (the memo `_built`), and extends
+    the rest, so a bad step is the same PreconditionError as in a cold
+    build.  A built lattice is a function of its sequence, since new ids
+    are appended in construction order, so a stage found in the memo is
+    the lattice a fresh fold would give.  Each stage built here is
+    extended, then released of its walk caches (PlanarDiagram._release),
+    which no one but that extension has read, then published; a stage
+    found in the memo is never released, since its holder may be reading
+    it.
+    """
+    p, q, steps = seq.grid_p, seq.grid_q, tuple(seq.steps)
+    for m in range(len(steps), -1, -1):
+        pl = _built.get(MultiforkSequence(p, q, steps[:m]))
+        if pl is not None:
+            break
+    found = pl
+    if found is None:  # then m == 0: not even the grid is alive
+        pl = grid(p, q)
+    for i in range(m + 1, len(steps) + 1):
+        child = extend_by_step(pl, i, steps[i - 1])
+        child.parent = pl
+        if pl is not found:
+            pl.diagram._release()
+            _built[pl.seq] = pl
+        pl = child
+    if pl is not found:
+        _built[pl.seq] = pl
     return pl
 
 

@@ -246,6 +246,8 @@ class Poset:
         return tuple(u for u in range(self.n) if not self._dncov[u])
 
     def _heights(self):
+        """Each element's height, and their maximum as `_height`, derived
+        once."""
         try:
             return self._h
         except AttributeError:
@@ -253,12 +255,17 @@ class Poset:
             for u in self._order:
                 for v in self._upcov[u]:
                     h[v] = max(h[v], h[u] + 1)
+            self._height = max(h, default=0)
             self._h = tuple(h)
             return self._h
 
     def height(self):
         """Length (number of covers) of the longest chain of the poset."""
-        return max(self._heights(), default=0)
+        try:
+            return self._height
+        except AttributeError:
+            self._heights()
+            return self._height
 
     def restrict(self, keep):
         """Induced subposet on `keep`; returns (poset, old ids by new id).

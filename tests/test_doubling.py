@@ -1,9 +1,12 @@
+import gc
+
 import pytest
 
+from slimlat import doubling, multifork
 from slimlat.diagram import resolve_address
 from slimlat.doubling import _upper_chain_index, double, locate_retarget
-from slimlat.dsl import parse_dsl
-from slimlat.errors import PreconditionError
+from slimlat.dsl import emit_dsl, parse_dsl
+from slimlat.errors import PreconditionError, SlimlatError
 from slimlat.explore import enumerate_index
 from slimlat.lamps import lamp_poset
 from slimlat.multifork import build, grid
@@ -87,3 +90,59 @@ def test_double_bad_step_index():
         double(seq, 2)
     with pytest.raises(PreconditionError):
         double(seq, 0)
+
+
+def assert_doubling_a_held_lattice_matches_a_cold_call(entries):
+    """double on each entry's seq, at every step, with nothing of it built,
+    and again with the caller's build of it held: the same DSL and
+    Jordan-Holder key, or the same error."""
+    pairs = [(e.seq, t) for e in entries for t in range(1, len(e.seq.steps) + 1)]
+
+    def outcome(seq, t):
+        try:
+            new_seq, pl = double(seq, t)
+        except SlimlatError as e:
+            return type(e), str(e)
+        return emit_dsl(new_seq), pl.diagram._jh_key
+
+    gc.collect()
+    cold = [outcome(seq, t) for seq, t in pairs]
+    held = []
+    for seq, t in pairs:
+        pl = build(seq)
+        held.append(outcome(pl.seq, t))
+        assert build(seq) is pl
+    assert held == cold
+    return len(pairs)
+
+
+def test_doubling_a_held_lattice_matches_a_cold_call():
+    assert assert_doubling_a_held_lattice_matches_a_cold_call(enumerate_index(6).entries()) == 182
+
+
+@pytest.mark.slow
+def test_doubling_a_held_lattice_matches_a_cold_call_at_length_seven():
+    assert assert_doubling_a_held_lattice_matches_a_cold_call(enumerate_index(7).entries(7)) == 985
+
+
+def test_double_replays_no_step_of_a_held_lattice(monkeypatch):
+    """double forks step t's cell twice, then each later step once; the
+    fold of its input costs one step per fork unless the caller holds it."""
+    steps = []
+    extend = multifork.multifork_extend
+
+    def counted(pl, address, k):
+        steps.append(address)
+        return extend(pl, address, k)
+
+    for module in (multifork, doubling):
+        monkeypatch.setattr(module, "multifork_extend", counted)
+    seq = parse_dsl("grid 1 1\nfork 0 0 3\nfork 2 0 1")
+    expected = "grid 1 1\nfork 0 0 2\nfork 1 0 3\nfork 3 0 1\n"
+    gc.collect()
+    assert emit_dsl(double(seq, 1)[0]) == expected
+    cold = len(steps)
+    pl = build(seq)
+    steps.clear()
+    assert emit_dsl(double(pl.seq, 1)[0]) == expected
+    assert (cold, len(steps)) == (5, 3)

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from functools import cached_property
 
@@ -506,6 +507,59 @@ def test_build_errors_name_step():
     seq = MultiforkSequence(1, 1, (ForkStep(0, 0, 1), ForkStep(9, 9, 1)))
     with pytest.raises(PreconditionError, match="step 2"):
         build(seq)
+
+
+def test_build_links_its_stages_and_reuses_a_held_one():
+    seq = parse_dsl("grid 2 3\nfork 1 2 2\nfork 0 1 1\nfork 3 0 2")
+    pl = build(seq)
+    assert build(seq) is pl
+    chain = [pl]
+    while chain[0].parent is not None:
+        chain.insert(0, chain[0].parent)
+    assert [s.seq for s in chain] == [
+        MultiforkSequence(2, 3, seq.steps[:m]) for m in range(len(seq.steps) + 1)
+    ]
+    assert build(pl.parent.seq) is pl.parent
+    # what build did not return keeps no stage
+    assert multifork_extend(pl, (0, 0), 1).parent is None and grid(2, 3).parent is None
+    # the grid is a stage of the longer sequence, so it stays while pl does
+    assert build(MultiforkSequence(2, 3, ())) is chain[0]
+
+
+def test_the_memo_holds_only_what_someone_holds():
+    seq = parse_dsl("grid 3 3\nfork 2 1 1\nfork 0 3 2")
+    keys = [MultiforkSequence(3, 3, seq.steps[:m]) for m in range(len(seq.steps) + 1)]
+    pl = build(seq)
+    assert all(multifork._built[key].seq == key for key in keys)
+    del pl
+    gc.collect()
+    assert not any(key in multifork._built for key in keys)
+
+
+def test_build_extends_a_held_prefix_without_releasing_it():
+    """A stage built here is released after its extension; a held one keeps
+    the walk caches its holder derived."""
+    prefix = build(parse_dsl("grid 2 2\nfork 1 1 2"))
+    d = prefix.diagram
+    cells, sides, chains = d.four_cells(), d._side_maps(), d.boundary_chains()
+    pl = build(prefix.seq.extended(ForkStep(0, 1, 1)).extended(ForkStep(2, 0, 1)))
+    assert pl.parent.parent is prefix
+    # the same objects: none was dropped and derived again
+    assert d.four_cells() is cells and d._side_maps() is sides and d.boundary_chains() is chains
+    fresh = pl.parent.diagram
+    assert fresh._cells is None and fresh._sides is None and fresh._chains is None
+
+
+def test_a_bad_step_after_a_held_prefix_fails_as_in_a_cold_build():
+    bad = parse_dsl("grid 1 1\nfork 0 0 3\nfork 2 0 1\nfork 9 9 1")
+    with pytest.raises(PreconditionError) as cold:
+        build(bad)
+    prefix = build(MultiforkSequence(1, 1, bad.steps[:2]))
+    with pytest.raises(PreconditionError) as warm:
+        build(bad)
+    assert str(warm.value) == str(cold.value)
+    assert str(cold.value).startswith("step 3: ")
+    assert build(MultiforkSequence(1, 1, bad.steps[:2])) is prefix
 
 
 def test_decompose_s7():
