@@ -31,19 +31,19 @@ class RetargetRecord:
     beta: int
 
 
-def _upper_chain_index(d, side, foot):
-    """Position of foot on the upper boundary chain that starts at the
-    side's corner: the size of [corner, foot], less one."""
-    lc, rc = d.corners()
-    poset = d.lattice.poset
-    return (poset.down[foot] & poset.up[lc if side == "L" else rc]).bit_count() - 1
-
-
 def _lamp_id(pl, lamp):
-    """Build-independent lamp identity: boundary position or creation step."""
+    """Build-independent lamp identity: ("s", creation step) for an internal
+    lamp, ("b", foot) for a boundary one.  A fork appends new ids and
+    subdivides only the edges on its two paths, which descend to the lower
+    boundary chains; the cell's bottom lies above neither corner, since
+    above a corner the cell's two sides would both lie on that corner's
+    upper chain and so be comparable.  `_swap` keeps every old element's
+    count of upper covers.  So the upper-boundary tubes are the grid's,
+    with the same ids, at every stage and in the lattice `double` rebuilds.
+    """
     if lamp.kind == "internal":
         return ("s", lamp_creation_step(pl, lamp))
-    return ("b", lamp.side, _upper_chain_index(pl.diagram, lamp.side, lamp.foot))
+    return ("b", lamp.foot)
 
 
 def _lamps_by_id(pl):

@@ -4,10 +4,11 @@ A lamp is a boundary neon tube, or the interval from the meet of the feet
 of all internal neon tubes sharing a peak up to that peak.  Diagram-level
 functions need only a PlanarDiagram; territory-based functions (usage)
 also need the provenance carried by a built lattice (cell forest and
-per-tube territory records).  Each diagram keeps its lamp list, with the
-map from each neon tube to its (lamp, index), and its lamp order (lamps,
-lt, poset), in cached properties that call this module's derivations
-once, on first use.
+per-tube territory records): a lamp's creation step is its tube
+records' step, and `step_origin` maps it to the forest node of the cell
+it forked.  Each diagram keeps its lamp list, with the map from each neon
+tube to its (lamp, index), and its lamp order (lamps, lt, poset), in
+cached properties that call this module's derivations once, on first use.
 """
 
 from __future__ import annotations
@@ -78,9 +79,8 @@ def circ_r(obj, lamp):
     lat = d.lattice
     x = lat.meet_of(lat.lower_covers(lamp.peak))
     interval = lat.interval(x, lamp.peak)
-    if hasattr(obj, "lamp_step_by_peak"):
-        step = obj.lamp_step_by_peak[lamp.peak]
-        return interval, obj.step_origin[step]
+    if hasattr(obj, "step_origin"):
+        return interval, obj.step_origin[lamp_creation_step(obj, lamp)]
     return interval, None
 
 
@@ -150,9 +150,8 @@ def _essential_nodes(pl, tube):
 
 
 def lamp_creation_step(pl, lamp):
-    if lamp.kind == "boundary":
-        return 0
-    return pl.lamp_step_by_peak[lamp.peak]
+    """The step that made the lamp, as its first tube record holds it."""
+    return pl.tube_records[lamp.tubes[0]].step
 
 
 def verify_lamp_con_iso(pl):
@@ -223,7 +222,7 @@ def is_used(pl, tube):
         if i_lamp.kind != "internal" or i_lamp.foot == owner.foot:
             continue
         # the cell at which i_lamp's multifork was performed
-        origin = pl.step_origin[pl.lamp_step_by_peak[i_lamp.peak]]
+        origin = pl.step_origin[lamp_creation_step(pl, i_lamp)]
         if _node_is_desc_or_eq(pl, origin, targets):
             if (i_lamp.foot, owner.foot) not in lt:
                 raise InternalInconsistencyError(

@@ -68,7 +68,7 @@ class ForestNode:
 class TubeRecord:
     kind: str          # "boundary" | "internal"
     side: str          # boundary only: "L" | "R"
-    step: int
+    step: int          # the step that made the tube; 0 for a boundary tube
     ot: tuple          # forest node ids, west to east
     leot: tuple
     reot: tuple
@@ -77,7 +77,7 @@ class TubeRecord:
 class ProvenancedLattice:
     """A slim rectangular lattice with construction provenance.
 
-    Immutable after construction; extensions return new values.  The four
+    Immutable after construction; extensions return new values.  The two
     dicts are kept as given, so callers hand over fresh ones.  `parent` is
     the built lattice of `seq` without its last step, so a lattice from
     `build` keeps every stage of its sequence.  Only `build` sets it: it is
@@ -86,13 +86,13 @@ class ProvenancedLattice:
     """
 
     def __init__(self, diagram, seq, forest, leaf_by_bottom, tube_records,
-                 lamp_step_by_peak, step_origin, recipes):
+                 step_origin, recipes):
         self.diagram = diagram
         self.seq = seq
         self.forest = forest
         self.leaf_by_bottom = leaf_by_bottom
         self.tube_records = tube_records
-        self.lamp_step_by_peak = lamp_step_by_peak
+        # step s -> forest node of the cell that step s forked; None for 0
         self.step_origin = step_origin
         # per fork element, in order of creation: (id, foot, peak, s, k + 1)
         # for a subdivision point, (id, left anchor, right anchor) for a leg crossing
@@ -191,7 +191,7 @@ def grid(p, q):
         reot = nodes if side == "L" else ()
         records[tuple(e)] = TubeRecord("boundary", side, 0, nodes, leot, reot)
     return ProvenancedLattice(
-        d, MultiforkSequence(p, q, ()), tuple(forest), leaf, records, {}, {}, ()
+        d, MultiforkSequence(p, q, ()), tuple(forest), leaf, records, (None,), ()
     )
 
 
@@ -357,19 +357,13 @@ def multifork_extend(pl, address, k):
             "internal", None, stage, nodes, nodes[: ti - 1], nodes[ti + 1:]
         )
 
-    lamp_steps = dict(pl.lamp_step_by_peak)
-    lamp_steps[t] = stage
-    step_origin = dict(pl.step_origin)
-    step_origin[stage] = pl.leaf_by_bottom[w]
-
     return ProvenancedLattice(
         d2,
         pl.seq.extended(ForkStep(address[0], address[1], k)),
         tuple(forest),
         leaf,
         records,
-        lamp_steps,
-        step_origin,
+        pl.step_origin + (pl.leaf_by_bottom[w],),
         pl.recipes + tuple(recipes),
     )
 
@@ -520,9 +514,8 @@ def _decompose(d, memo):
         except (OrderError, DiagramError):
             continue
         sublat = subd.lattice
-        peak2 = idx.get(cand.peak)
-        if peak2 is None:
-            continue
+        # the deleted forks lie below the tubes' feet, so the peak is kept
+        peak2 = idx[cand.peak]
         lowers = sublat.lower_covers(peak2)
         if len(lowers) != 2:
             continue
@@ -535,6 +528,7 @@ def _decompose(d, memo):
         if subpl is None:
             continue
         k = len(cand.tubes)
+        # the memo key is mirror-invariant, so subpl may draw subd mirrored
         for a2 in dict.fromkeys([addr, (addr[1], addr[0])]):
             try:
                 built = extend_by_step(subpl, len(subpl.seq.steps) + 1, ForkStep(a2[0], a2[1], k))

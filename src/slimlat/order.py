@@ -261,11 +261,8 @@ class Poset:
 
     def height(self):
         """Length (number of covers) of the longest chain of the poset."""
-        try:
-            return self._height
-        except AttributeError:
-            self._heights()
-            return self._height
+        self._heights()
+        return self._height
 
     def restrict(self, keep):
         """Induced subposet on `keep`; returns (poset, old ids by new id).

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import embed_rectangular, is_slim_rectangular
+from .dsl import emit_dsl
 from .errors import (
     DiagramError,
     InternalInconsistencyError,
@@ -64,12 +65,9 @@ def _lamp_with_foot(lamps, foot):
 
 
 def _con_isomorphic(lat_a, lat_b):
+    """Con L is distributive, so J(Con L) determines it up to isomorphism."""
     ca, cb = congruence_lattice(lat_a), congruence_lattice(lat_b)
-    return (
-        ca.jir_count() == cb.jir_count()
-        and ca.con_size == cb.con_size
-        and poset_iso(ca.jir_poset, cb.jir_poset) is not None
-    )
+    return poset_iso(ca.jir_poset, cb.jir_poset) is not None
 
 
 def _remove_fork(pl, lamp, tube, rule):
@@ -225,14 +223,20 @@ def find_removable(pl):
 
 def _reduce_once(pl):
     """(lattice, ReductionStep) of the removal that find_removable picks, or
-    None: a '00' deletes the fork of its second tube, a '0u0' its middle's."""
+    None: a '00' deletes the fork of its second tube, a '0u0' its middle's.
+    A failed self-check names the sequence that replays it."""
     target = find_removable(pl)
     if target is None:
         return None
     lamp, kind, pos = target
-    if kind == "00":
-        return remove_neighboring(pl, lamp.foot, lamp.tubes[pos], lamp.tubes[pos + 1])
-    return remove_sandwiched(pl, lamp.foot, lamp.tubes[pos + 1])
+    try:
+        if kind == "00":
+            return remove_neighboring(pl, lamp.foot, lamp.tubes[pos], lamp.tubes[pos + 1])
+        return remove_sandwiched(pl, lamp.foot, lamp.tubes[pos + 1])
+    except InternalInconsistencyError as e:
+        raise InternalInconsistencyError(
+            f"{e}; `slimlat reduce` replays it on\n{emit_dsl(pl.seq)}"
+        ) from e
 
 
 def minimize(pl):

@@ -10,6 +10,7 @@ from slimlat.doubling import double
 from slimlat.explore import enumerate_index, realize
 from slimlat.lamps import (
     fork_interval,
+    lamp_creation_step,
     lamp_poset,
     lamps_of_diagram,
     usage_stats,
@@ -202,7 +203,7 @@ def test_criterion_08_doubling(index6):
         for t in range(1, len(seq.steps) + 1):
             target = next(
                 i for i, l in enumerate(lamps_o)
-                if l.kind == "internal" and entry.pl.lamp_step_by_peak[l.peak] == t
+                if lamp_creation_step(entry.pl, l) == t
             )
             expected = poset_double(poset_o, target)
             new_seq, pl2 = double(seq, t)

@@ -4,11 +4,11 @@ import pytest
 
 from slimlat import doubling, multifork
 from slimlat.diagram import resolve_address
-from slimlat.doubling import _upper_chain_index, double, locate_retarget
+from slimlat.doubling import RetargetRecord, double, locate_retarget
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import PreconditionError, SlimlatError
 from slimlat.explore import enumerate_index
-from slimlat.lamps import lamp_poset
+from slimlat.lamps import lamp_poset, lamps_of_diagram
 from slimlat.multifork import build, grid
 from slimlat.order import (
     congruence_lattice,
@@ -18,24 +18,29 @@ from slimlat.order import (
 )
 
 
+def _boundary_feet(pl):
+    return {(l.side, l.foot) for l in lamps_of_diagram(pl.diagram) if l.kind == "boundary"}
+
+
 def test_locate_retarget_on_grid_step():
     pl = grid(1, 1)
-    rec = locate_retarget(pl, (0, 0))
-    assert rec.u[0] == "b" and rec.v[0] == "b"
-    assert rec.alpha == 0 and rec.beta == 0
-    # a boundary lamp's id holds its foot's position on the upper boundary
-    # chain, its corner's filter sorted by ideal size, on every lattice of
-    # length <= 6 and its mirror
+    # a boundary lamp is named by its foot: 2 on the left upper chain, 1 on
+    # the right one
+    assert _boundary_feet(pl) == {("L", 2), ("R", 1)}
+    assert locate_retarget(pl, (0, 0)) == RetargetRecord(("b", 2), 0, ("b", 1), 0)
+    # the boundary feet are the grid's at every stage of every lattice of
+    # length <= 6, and in the lattice that doubling its first step gives
     checked = 0
     for entry in enumerate_index(6).entries():
-        for d in (entry.pl.diagram, entry.pl.diagram.mirror()):
-            lat = d.lattice
-            for side, corner in zip("LR", d.corners()):
-                chain = sorted(lat.filter(corner), key=lat.ideal_size)
-                for foot in chain:
-                    assert _upper_chain_index(d, side, foot) == chain.index(foot)
-                    checked += 1
-    assert checked == 1138
+        stage = build(entry.seq)
+        feet = _boundary_feet(grid(entry.seq.grid_p, entry.seq.grid_q))
+        if entry.seq.steps:
+            assert _boundary_feet(double(entry.seq, 1)[1]) == feet
+        while stage is not None:
+            assert _boundary_feet(stage) == feet
+            stage = stage.parent
+            checked += 1
+    assert checked == 288
 
 
 def test_double_s7():

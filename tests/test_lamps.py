@@ -5,9 +5,11 @@ import pytest
 import slimlat.lamps as lamps_module
 from slimlat.dsl import parse_dsl
 from slimlat.errors import PreconditionError
+from slimlat.diagram import resolve_address
 from slimlat.lamps import (
     circ_r,
     fork_interval,
+    lamp_creation_step,
     lamp_poset,
     lamp_report,
     lamps_of_diagram,
@@ -143,7 +145,6 @@ def test_rho_foot_equals_rho_circr_on_fixtures():
 def test_rho_points_younger_to_older():
     pl = build(parse_dsl("grid 1 1\nfork 0 0 3\nfork 2 0 1"))
     lamps = {l.foot: l for l in lamps_of_diagram(pl.diagram)}
-    from slimlat.lamps import lamp_creation_step
     for a, b in rho_foot(pl):
         assert lamp_creation_step(pl, lamps[a]) > lamp_creation_step(pl, lamps[b])
 
@@ -332,3 +333,29 @@ def test_lamp_report_at_the_element_budget():
     pl = build(parse_dsl("grid 43 44"))
     assert pl.lattice.n == 1980
     assert lamp_report(pl)["congruence_iso_ok"] is True
+
+
+def test_lamp_creation_step_names_the_step_that_forked_the_lamps_peak():
+    # oracle: step s forks the cell (a, b) of stage s - 1, whose top is the
+    # peak of step s's lamp from then on; a boundary lamp's step is 0
+    checked = 0
+    for entry in enumerate_index(6).entries():
+        stages = [build(entry.seq)]
+        while stages[-1].parent is not None:
+            stages.append(stages[-1].parent)
+        stages.reverse()
+        peaks = {resolve_address(stages[s - 1].diagram, (st.a, st.b)).top: s
+                 for s, st in enumerate(entry.seq.steps, start=1)}
+        assert len(peaks) == len(entry.seq.steps)
+        for m, pl in enumerate(stages):
+            assert type(pl.step_origin) is tuple
+            assert len(pl.step_origin) == len(pl.seq.steps) + 1 == m + 1
+            assert pl.step_origin[0] is None
+            lamps = lamps_of_diagram(pl.diagram)
+            assert {l.peak for l in lamps if l.kind == "internal"} == {
+                peak for peak, s in peaks.items() if s <= m}
+            for l in lamps:
+                expected = peaks[l.peak] if l.kind == "internal" else 0
+                assert lamp_creation_step(pl, l) == expected
+                checked += 1
+    assert checked == 1202

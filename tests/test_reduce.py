@@ -1,10 +1,12 @@
 import pytest
 
+import slimlat.reduce as reduce_module
+from slimlat.cli import main
 from slimlat.diagram import is_slim_rectangular
 from slimlat.dsl import parse_dsl
-from slimlat.errors import PreconditionError
+from slimlat.errors import InternalInconsistencyError, PreconditionError
 from slimlat.explore import enumerate_index
-from slimlat.lamps import fork_interval, lamps_of_diagram, usage_stats
+from slimlat.lamps import fork_interval, lamp_poset, lamps_of_diagram, usage_stats
 from slimlat.multifork import build, grid, multifork_extend
 from slimlat.order import congruence_lattice, poset_iso
 from slimlat.reduce import (
@@ -165,7 +167,6 @@ def test_minimize_validates_each_diagram_once(monkeypatch):
 
 
 def test_fixpoint_minimal_lamps_have_one_tube():
-    from slimlat.lamps import lamp_poset
     for text in [SANDWICH, "grid 1 1\nfork 0 0 4", "grid 2 2\nfork 1 1 3"]:
         fixed, _ = minimize(build(parse_dsl(text)))
         lamps, lt, _ = lamp_poset(fixed.diagram)
@@ -228,3 +229,34 @@ def test_check_bounds_fixpoint_flag():
     by_name = {name: ok for name, ok, _ in rep.assertions}
     assert by_name["fixpoint length <= 2n^2 - 10n + 15"]
     assert by_name["length >= n"] and by_name["size <= length^2"]
+
+
+# Replaying a failed removal ----------------------------------------------------
+
+# its first removal is a sandwiched one
+REPLAYED = "grid 1 1\nfork 0 0 3\nfork 0 2 1\n"
+
+
+def _orderless_on_bare_diagrams(obj):
+    """lamp_poset, with no order pairs for a bare diagram: _remove_fork
+    reads the removal's result as one."""
+    lamps, lt, poset = lamp_poset(obj)
+    return (lamps, lt, poset) if hasattr(obj, "diagram") else (lamps, frozenset(), poset)
+
+
+@pytest.mark.parametrize("name, planted, check", [
+    ("_con_isomorphic", lambda a, b: False, "congruence lattice changed under the removal"),
+    ("lamp_poset", _orderless_on_bare_diagrams, "lamp poset changed under the removal"),
+], ids=["congruence", "lamp_poset"])
+def test_a_failed_removal_self_check_names_the_sequence_that_replays_it(
+        monkeypatch, tmp_path, capsys, name, planted, check):
+    monkeypatch.setattr(reduce_module, name, planted)
+    message = f"{check}; `slimlat reduce` replays it on\n{REPLAYED}"
+    with pytest.raises(InternalInconsistencyError) as info:
+        minimize(build(parse_dsl(REPLAYED)))
+    assert str(info.value) == message
+    assert str(info.value.__cause__) == check
+    seq = tmp_path / "replayed.seq"
+    seq.write_text(REPLAYED)
+    assert main(["reduce", "--input", str(seq)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
