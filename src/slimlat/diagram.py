@@ -51,19 +51,19 @@ half-walks (_half_walk), which a fork step also takes, from its cell's
 lower sides.  The sweep records only the right-chain peak where each
 walk ends, one append per trajectory; from these a valid diagram derives
 its Jordan-Holder permutation pi and, on first use, the key
-min(pi, pi^-1) (_jh_key), on which the enumeration and the decomposition
-memo dedupe (Czedli and Schmidt, Algebra Universalis 66, 2011, and Acta
-Sci. Math. 79, 2013).  A k-fold fork at the cell whose bottom has address
-(a, b) changes pi by a fixed rule (_forked_permutation): the left- and
-right-chain edges a + 1 and b + 1 split into k + 1 pieces each, every old
-trajectory keeps the lowest piece, and the k new trajectories pair the
-new pieces in reverse order; so the enumeration knows a child's key
-before it builds the child.  Canonical codes are computed only where
-something outputs them.  An Edge is a named (foot, peak) pair and a
-FourCell a named (bottom, left, right, top) quadruple, so each equals,
-hashes and looks up as its plain tuple; the side maps and the lamp and
-tube-record maps take either.  Listing every trajectory is left to the
-test oracles.
+min(pi, pi^-1) (_jh_key), on which the enumeration dedupes (Czedli and
+Schmidt, Algebra Universalis 66, 2011, and Acta Sci. Math. 79, 2013).
+A k-fold fork at the cell whose bottom has address (a, b) changes pi by
+a fixed rule (_forked_permutation): the left- and right-chain edges
+a + 1 and b + 1 split into k + 1 pieces each, every old trajectory keeps
+the lowest piece, and the k new trajectories pair the new pieces in
+reverse order; so the enumeration knows a child's key before it builds
+the child, and multifork._peeled runs the rule backwards.  Canonical
+codes are computed only where something outputs them.  An Edge is a
+named (foot, peak) pair and a FourCell a named (bottom, left, right,
+top) quadruple, so each equals, hashes and looks up as its plain tuple;
+the side maps and the lamp and tube-record maps take either.  Listing
+every trajectory is left to the test oracles.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ not sorted.  Each extension keeps full provenance: a cell-subdivision
 forest and per-neon-tube territory records.  It also records, in a few
 integers per new element, how to place that element in the drawing; the
 exact rational coordinates that rendering reads are replayed from these
-recipes on first use.  A built lattice can be decomposed back into a
-sequence (round-trip stable up to isomorphism).
+recipes on first use.  A valid diagram is decomposed back into a
+sequence read off its Jordan-Holder permutation, which that sequence's
+built lattice has too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 from .diagram import (
     _certified_diagram,
     _half_walk,
-    cell_address,
+    _jh_permutation,
     is_slim_rectangular,
     resolve_address,
 )
@@ -82,7 +83,7 @@ class ProvenancedLattice:
     the built lattice of `seq` without its last step, so a lattice from
     `build` keeps every stage of its sequence.  Only `build` sets it: it is
     None for a grid and for the lattices that `multifork_extend` makes
-    elsewhere (the enumeration's, the decomposition's, `double`'s output).
+    elsewhere (the enumeration's, `double`'s output).
     """
 
     def __init__(self, diagram, seq, forest, leaf_by_bottom, tube_records,
@@ -427,24 +428,11 @@ def extend_by_step(pl, i, st):
 # Decomposition
 # ---------------------------------------------------------------------------
 
-def _grid_dims(d):
-    lc, rc = d.corners()
-    lat = d.lattice
-    p = lat.ideal_size(lc) - 1
-    q = lat.ideal_size(rc) - 1
-    if (p + 1) * (q + 1) != lat.n:
-        raise InternalInconsistencyError("tube-free lattice is not a grid")
-    return p, q
-
-
 def decompose(diagram_or_pl):
-    """Recover a multifork sequence: build(decompose(L)) is isomorphic to L.
-
-    Strategy: repeatedly pick a minimal internal lamp, delete all its fork
-    branches, validate the remainder and check that re-forking the merged
-    cell rebuilds the current lattice (Jordan-Holder keys); backtrack
-    across candidate lamps otherwise.
-    """
+    """Recover a multifork sequence: build(decompose(L)) has L's own
+    Jordan-Holder permutation, so it is L, drawn the same way.  The
+    sequence is read off that permutation (_peeled) and checked by one
+    build (_rebuilt)."""
     return reprovenance(diagram_or_pl).seq
 
 
@@ -470,72 +458,84 @@ def _delete_forks(d, tubes):
 
 
 def reprovenance(diagram):
-    """A fresh built lattice isomorphic to the given diagram: build of its
-    decomposition, which the decomposition has already folded."""
+    """The built lattice of the given diagram's decomposition (_rebuilt)."""
     d = _diagram_of(diagram)
     report = is_slim_rectangular(d)
     if not report.ok:
         raise PreconditionError(f"not slim rectangular: {report.failures}")
-    pl = _decompose(d, {})
-    if pl is None:
+    return _rebuilt(d)
+
+
+def _rebuilt(d):
+    """build(_peeled(d)) for a valid diagram d, which must have d's own
+    Jordan-Holder permutation; a peel that gets stuck or a step that build
+    rejects fails that check too."""
+    seq = _peeled(d)
+    try:
+        pl = None if seq is None else build(seq)
+    except PreconditionError:
+        pl = None
+    if pl is None or _jh_permutation(pl.diagram) != _jh_permutation(d):
         raise InternalInconsistencyError("no multifork decomposition found")
     return pl
 
 
-def _decompose(d, memo):
-    """The built lattice of a decomposition of d (its `seq`), or None; memo
-    maps Jordan-Holder keys (diagram._jh_key) to results.  d is valid, and
-    a built lattice is isomorphic to d iff its diagram has d's key, which
-    partitions lattices as canonical codes do; no code is computed.
+def _peeled(d):
+    """The sequence whose forks rebuild the Jordan-Holder permutation pi
+    of a valid diagram d (_jh_permutation), read off pi newest fork first;
+    None if the peel is stuck before a grid is left.
 
-    A candidate step is checked by one extension of the built sub-lattice,
-    not by a fresh build of the whole sequence.  Only a minimal lamp can be
-    the last step: a fork adds its lamp strictly below its Nwl and Nel
-    lamps, which are older (the lamp facts of the explore module), so no
-    lamp lies below the newest one.
-    """
-    key = d._jh_key
-    if key in memo:
-        return memo[key]
-    _, internal = d.neon_tubes()
-    if not internal:
-        p, q = _grid_dims(d)
-        memo[key] = grid(p, q)
-        return memo[key]
-
-    # boundary lamps are maximal, so an internal lamp is minimal among the
-    # internal lamps iff it is minimal in the lamp poset
-    lamps, _, poset = lamp_poset(d)
-    minimal = [lamps[i] for i in poset.minimal_elements() if lamps[i].kind == "internal"]
-
-    for cand in sorted(minimal, key=lambda l: l.foot):
-        try:
-            subd, idx = _delete_forks(d, cand.tubes)
-        except (OrderError, DiagramError):
-            continue
-        sublat = subd.lattice
-        # the deleted forks lie below the tubes' feet, so the peak is kept
-        peak2 = idx[cand.peak]
-        lowers = sublat.lower_covers(peak2)
-        if len(lowers) != 2:
-            continue
-        bottom = sublat.meet_of(lowers)
-        subcell = subd.cells_by_bottom().get(bottom)
-        if subcell is None or subcell.top != peak2:
-            continue
-        addr = cell_address(subd, subcell)
-        subpl = _decompose(subd, memo)
-        if subpl is None:
-            continue
-        k = len(cand.tubes)
-        # the memo key is mirror-invariant, so subpl may draw subd mirrored
-        for a2 in dict.fromkeys([addr, (addr[1], addr[0])]):
-            try:
-                built = extend_by_step(subpl, len(subpl.seq.steps) + 1, ForkStep(a2[0], a2[1], k))
-            except (PreconditionError, DiagramError, InternalInconsistencyError):
-                continue
-            if built.diagram._jh_key == key:
-                memo[key] = built
-                return built
-    memo[key] = None
-    return None
+    Positions count left-chain edges and values right-chain edges from 1.
+    A k-fold fork at (a, b) (_forked_permutation) puts its lamp's k
+    trajectories at positions s = a + 2, ..., s + k - 1 with values
+    hi = b + 1 + k, hi - 1, ..., b + 2, and moves the old positions right
+    of them and the old values above b + 1 up by k.  Its cell is
+    distributive: the ideal of its top is a grid, crossed eastwards by the
+    trajectories of left-chain edges 1..a + 1, so they end above b + 1,
+    and above hi after the fork.  A candidate is an internal lamp, minimal
+    among those left in d's lamp order, that sits like that.  Deleting its
+    run and lowering by k the values above hi and the positions right of
+    the run leaves a pi0 whose k-fold fork at (s - 2, hi - k - 1) is pi
+    entry for entry, so each step inverts _forked_permutation, whichever
+    candidate it undoes.  If the peel ends at the grid's
+    (q + 1, ..., q + p, 1, ..., q), the recorded forks rebuild pi wherever
+    build accepts their cells, and pi fixes the lattice and its drawing
+    (Czedli and Schmidt, Algebra Universalis 66, 2011); _rebuilt checks
+    both.  In a built lattice the newest fork's lamp is a candidate,
+    minimal because a fork adds its lamp below its older Nwl and Nel
+    lamps.  But the peel undoes the candidate with the least foot, and
+    that a candidate exists at every stage, with d's lamp order standing
+    for the residue's, rests only on the exhaustive checks in the tests:
+    every lattice of length <= 8, its mirror image and every removal of
+    minimize on them rebuild their own pi."""
+    pi = list(_jh_permutation(d))
+    # a tube's trajectory starts on the left-chain edge below lchain[i],
+    # position i, where its west half-walk ends
+    position = {v: i for i, v in enumerate(d.boundary_chains()[0])}
+    west = d._side_maps()[0]
+    lamps, lt, _ = lamp_poset(d)
+    runs = {
+        l.foot: sorted(position[_half_walk(west, t, False, {t})[0][-1][1]] for t in l.tubes)
+        for l in lamps if l.kind == "internal"
+    }
+    steps = []
+    while runs:
+        for foot in sorted(runs):
+            pos = runs[foot]
+            s, k = pos[0], len(pos)
+            hi = pi[s - 1]
+            if (all((u, foot) not in lt for u in runs)
+                    and pos == list(range(s, s + k))
+                    and pi[s - 1:s - 1 + k] == list(range(hi, hi - k, -1))
+                    and all(v > hi for v in pi[:s - 1])):
+                break
+        else:
+            return None
+        steps.append(ForkStep(s - 2, hi - k - 1, k))
+        del runs[foot]
+        pi = [v - k if v > hi else v for v in pi[:s - 1] + pi[s - 1 + k:]]
+        runs = {f: [x - k if x > s else x for x in p] for f, p in runs.items()}
+    q = pi[0] - 1
+    if pi != [*range(q + 1, len(pi) + 1), *range(1, q + 1)]:
+        return None
+    return MultiforkSequence(len(pi) - q, q, tuple(reversed(steps)))

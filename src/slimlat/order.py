@@ -453,9 +453,6 @@ class FiniteLattice:
     def ideal(self, x):
         return tuple(_elements(self.poset.down[x]))
 
-    def filter(self, x):
-        return tuple(_elements(self.poset.up[x]))
-
     def ideal_size(self, x):
         return self.poset.down[x].bit_count()
 

@@ -3,8 +3,8 @@
 Two removal rules on an internal lamp's neon tubes: a used tube whose two
 neighbors are unused (the sandwiched rule), and two adjacent unused tubes
 (the neighboring rule).  Each removal deletes the fork of one tube,
-restricts the order, rebuilds and validates the diagram once, and
-re-derives provenance by decomposing it.
+restricts the order, validates the result once, and rebuilds it from the
+sequence read off its Jordan-Holder permutation (multifork._rebuilt).
 `minimize` drives the rules to a fixpoint; `check_bounds` evaluates the
 length and size bounds.
 """
@@ -29,7 +29,7 @@ from .lamps import (
     lamps_of_diagram,
     usage_stats,
 )
-from .multifork import _decompose, _delete_forks
+from .multifork import _delete_forks, _rebuilt
 from .order import FiniteLattice, congruence_lattice, poset_iso
 
 
@@ -138,9 +138,7 @@ def _remove_fork(pl, lamp, tube, rule):
     if not con_ok:
         raise InternalInconsistencyError("congruence lattice changed under the removal")
 
-    new_pl = _decompose(subd, {})
-    if new_pl is None:
-        raise InternalInconsistencyError("no multifork decomposition found")
+    new_pl = _rebuilt(subd)
     step = ReductionStep(
         rule,
         lamp.foot,

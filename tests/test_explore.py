@@ -15,9 +15,9 @@ from slimlat.diagram import (
 from slimlat.errors import BudgetError, InternalInconsistencyError
 from slimlat.explore import enumerate_index, realize, sweep_bounds
 from slimlat.lamps import lamp_poset
-from slimlat.multifork import build
+from slimlat.multifork import build, decompose
 from slimlat.order import Poset, _dependencies, congruence_lattice, named_posets, poset_iso
-from slimlat.reduce import length_bound
+from slimlat.reduce import length_bound, minimize
 
 from oracles import (
     every_child,
@@ -364,12 +364,19 @@ def test_length_five_classification_cross_validated(index5):
             ) is None
 
 
-def test_roundtrip_sample_at_length_six():
-    from slimlat.multifork import decompose
-    entries = enumerate_index(6).entries(6)
-    for entry in entries[::7]:
-        seq = decompose(entry.pl)
-        assert build(seq).canonical_code() == entry.code
+def _check_roundtrip(entries):
+    """decompose of each lattice and of its mirror image rebuilds that
+    diagram's own Jordan-Holder permutation, not just its isomorphism
+    class."""
+    for entry in entries:
+        d = entry.pl.diagram
+        for drawn in (d, d.mirror()):
+            rebuilt = build(decompose(drawn)).diagram
+            assert _jh_permutation(rebuilt) == _jh_permutation(drawn), entry.seq
+
+
+def test_roundtrip_rebuilds_the_permutation_to_length_six(index7):
+    _check_roundtrip(e for length in range(2, 7) for e in index7.entries(length))
 
 
 def test_grid_and_forks_count_the_lamps(index7):
@@ -434,6 +441,19 @@ def test_dependencies_match_join_rows(index7):
 @pytest.fixture(scope="module")
 def index8():
     return enumerate_index(8, allow_large=True)
+
+
+@pytest.mark.slow
+def test_roundtrip_rebuilds_the_permutation_at_lengths_seven_and_eight(index8):
+    _check_roundtrip(index8.entries(7) + index8.entries(8))
+
+
+@pytest.mark.slow
+def test_removals_rebuild_their_permutation_at_lengths_seven_and_eight(index8):
+    """Each removal's result is rebuilt through multifork._rebuilt, which
+    raises unless the rebuilt lattice has that result's permutation."""
+    for entry in index8.entries(7) + index8.entries(8):
+        minimize(build(entry.seq))
 
 
 @pytest.mark.slow

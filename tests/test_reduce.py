@@ -1,5 +1,6 @@
 import pytest
 
+import slimlat.multifork as multifork_module
 import slimlat.reduce as reduce_module
 from slimlat.cli import main
 from slimlat.diagram import is_slim_rectangular
@@ -7,7 +8,14 @@ from slimlat.dsl import parse_dsl
 from slimlat.errors import InternalInconsistencyError, PreconditionError
 from slimlat.explore import enumerate_index
 from slimlat.lamps import fork_interval, lamp_poset, lamps_of_diagram, usage_stats
-from slimlat.multifork import build, grid, multifork_extend
+from slimlat.multifork import (
+    ForkStep,
+    MultiforkSequence,
+    build,
+    grid,
+    multifork_extend,
+    reprovenance,
+)
 from slimlat.order import congruence_lattice, poset_iso
 from slimlat.reduce import (
     check_bounds,
@@ -166,6 +174,32 @@ def test_minimize_validates_each_diagram_once(monkeypatch):
     assert len({id(d) for d in validated}) == len(validated)
 
 
+def test_one_fork_deletion_per_removal_and_none_per_decomposition(monkeypatch):
+    """A removal deletes one fork; recovering a sequence, for a removal's
+    result or for a diagram, deletes none."""
+    calls = []
+    delete = multifork_module._delete_forks
+
+    def counted(*args):
+        calls.append(args)
+        return delete(*args)
+
+    for module in (multifork_module, reduce_module):
+        monkeypatch.setattr(module, "_delete_forks", counted)
+    entries = enumerate_index(6).entries()
+    removals = 0
+    for entry in entries:
+        before = len(calls)
+        _, trace = minimize(build(entry.seq))
+        assert len(calls) - before == len(trace), entry.seq
+        removals += len(trace)
+    assert removals > 0
+    calls.clear()
+    for entry in entries:
+        reprovenance(entry.pl.diagram)
+    assert calls == []
+
+
 def test_fixpoint_minimal_lamps_have_one_tube():
     for text in [SANDWICH, "grid 1 1\nfork 0 0 4", "grid 2 2\nfork 1 1 3"]:
         fixed, _ = minimize(build(parse_dsl(text)))
@@ -260,3 +294,34 @@ def test_a_failed_removal_self_check_names_the_sequence_that_replays_it(
     seq.write_text(REPLAYED)
     assert main(["reduce", "--input", str(seq)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# a neighboring removal leaves grid 2 2 / fork 1 1 1
+PEELED = "grid 2 2\nfork 1 1 2\n"
+
+
+def test_a_failed_decomposition_names_the_sequence_that_replays_it(
+        monkeypatch, tmp_path, capsys):
+    peeled = multifork_module._peeled
+
+    def one_tube_too_many(d):
+        seq = peeled(d)
+        *rest, last = seq.steps
+        return MultiforkSequence(
+            seq.grid_p, seq.grid_q, (*rest, ForkStep(last.a, last.b, last.k + 1)))
+
+    monkeypatch.setattr(multifork_module, "_peeled", one_tube_too_many)
+    check = "no multifork decomposition found"
+    message = f"{check}; `slimlat reduce` replays it on\n{PEELED}"
+    pl = build(parse_dsl(PEELED))
+    with pytest.raises(InternalInconsistencyError) as info:
+        reduce_module._reduce_once(pl)
+    assert str(info.value) == message
+    seq = tmp_path / "peeled.seq"
+    seq.write_text(PEELED)
+    assert main(["reduce", "--input", str(seq)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    lattice = tmp_path / "peeled.json"
+    lattice.write_text(pl.diagram.to_json())
+    assert main(["decompose", "--input", str(lattice), "--format", "json"]) == 1
+    assert capsys.readouterr().err == f"error: {check}\n"
