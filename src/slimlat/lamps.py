@@ -2,11 +2,11 @@
 
 A lamp is a boundary neon tube, or the interval from the meet of the feet
 of all internal neon tubes sharing a peak up to that peak.  Diagram-level
-functions need only a PlanarDiagram; territory-based functions (usage)
-also need the provenance carried by a built lattice (cell forest and
-per-tube territory records): a lamp's creation step is its tube
-records' step, and `step_origin` maps it to the forest node of the cell
-it forked.  Each diagram keeps its lamp list, with the map from each neon
+functions need only a PlanarDiagram; territory usage also needs the
+per-tube territory records of a built lattice, the (bottom, top) ids of
+each tube's essential cells, which it tests for interval containment in
+the lattice's own order.  A lamp's creation step is its tube records'
+step.  Each diagram keeps its lamp list, with the map from each neon
 tube to its (lamp, index), and its lamp order (lamps, lt, poset), in
 cached properties that call this module's derivations once, on first use.
 """
@@ -68,20 +68,12 @@ def _diagram_of(obj):
 
 
 def circ_r(obj, lamp):
-    """The circumscribed interval [meet of lower covers of peak, peak].
-
-    With a built lattice, also returns the forest node of the cell at which
-    the lamp's multifork was performed.
-    """
-    d = _diagram_of(obj)
+    """The circumscribed interval [meet of lower covers of peak, peak]: in
+    a built lattice, the cell that the lamp's fork split."""
     if lamp.kind != "internal":
         raise PreconditionError("boundary lamps have no circumscribed rectangle")
-    lat = d.lattice
-    x = lat.meet_of(lat.lower_covers(lamp.peak))
-    interval = lat.interval(x, lamp.peak)
-    if hasattr(obj, "step_origin"):
-        return interval, obj.step_origin[lamp_creation_step(obj, lamp)]
-    return interval, None
+    lat = _diagram_of(obj).lattice
+    return lat.interval(lat.meet_of(lat.lower_covers(lamp.peak)), lamp.peak)
 
 
 def nwl_nel(d, lamp):
@@ -133,20 +125,6 @@ def fork_interval(d, foot):
     lat = d.lattice
     lp, rp = d.l_proj(foot), d.r_proj(foot)
     return lat.interval(lp, foot) | lat.interval(rp, foot)
-
-
-def _node_is_desc_or_eq(pl, node, targets):
-    cur = node
-    while cur is not None:
-        if cur in targets:
-            return True
-        cur = pl.forest[cur].parent
-    return False
-
-
-def _essential_nodes(pl, tube):
-    rec = pl.tube_records[tube]
-    return rec.leot + rec.reot
 
 
 def lamp_creation_step(pl, lamp):
@@ -207,23 +185,41 @@ class UsageStats:
 
 
 def is_used(pl, tube):
-    """A tube's territory is used when another internal lamp's origin cell
-    sits inside its left or right essential part.
+    """A tube's territory is used when another internal lamp's fork split
+    one of the tube's essential cells or a cell inside one.
+
+    The essential cells are the cells the tube's trajectory crossed when
+    the tube was made, less the two that flank an internal tube (its
+    record's (bottom, top) pairs).  Forks append their ids and keep the old
+    comparabilities, so a cell keeps its ids, and a later cell lies inside
+    it exactly when the later cell's interval lies in [bottom, top] in the
+    final lattice.  The cell that a lamp's fork split is [meet of the
+    peak's lower covers, peak] (circ_r), and that meet is the meet of the
+    first and last lower covers, so each (lamp, cell) takes three bit tests
+    on the up-sets: the cell's top is above the peak and its bottom below
+    both covers.  A lamp whose peak is below no cell's top is passed over
+    with one mask test.
 
     Self-check: every such lamp lies below the tube's lamp in the lamp
     order, else InternalInconsistencyError.
     """
-    targets = frozenset(_essential_nodes(pl, tube))
-    if not targets:
+    cells = pl.tube_records[tube].cells
+    if not cells:
         return False
-    owner, _ = tube_lamp(pl.diagram, tube)
+    d = pl.diagram
+    up = d.lattice.poset.up
+    tops = 0
+    for _, t in cells:
+        tops |= 1 << t
+    owner, _ = tube_lamp(d, tube)
     lamps, lt, _ = lamp_poset(pl)
     for i_lamp in lamps:
-        if i_lamp.kind != "internal" or i_lamp.foot == owner.foot:
+        above = up[i_lamp.peak]
+        if i_lamp.kind != "internal" or i_lamp.foot == owner.foot or not above & tops:
             continue
-        # the cell at which i_lamp's multifork was performed
-        origin = pl.step_origin[lamp_creation_step(pl, i_lamp)]
-        if _node_is_desc_or_eq(pl, origin, targets):
+        lowers = d.lower[i_lamp.peak]
+        first, last = lowers[0], lowers[-1]
+        if any(above >> t & 1 and up[b] >> first & 1 and up[b] >> last & 1 for b, t in cells):
             if (i_lamp.foot, owner.foot) not in lt:
                 raise InternalInconsistencyError(
                     "a using lamp is not below the owner in the lamp order"

@@ -7,13 +7,14 @@ path edge gives way to its subdivision chain, the cell's peak gains its
 new lower covers between its two old ones, and every other old row is
 kept, the same tuple.  The child's poset and diagram share these rows
 (order.Poset._from_rows, diagram._certified_diagram), which are checked,
-not sorted.  Each extension keeps full provenance: a cell-subdivision
-forest and per-neon-tube territory records.  It also records, in a few
-integers per new element, how to place that element in the drawing; the
-exact rational coordinates that rendering reads are replayed from these
-recipes on first use.  A valid diagram is decomposed back into a
-sequence read off its Jordan-Holder permutation, which that sequence's
-built lattice has too.
+not sorted.  Each extension records its new neon tubes' territories, as
+the (bottom, top) ids of the cells their trajectories cross (ids keep
+their meaning, because new elements are appended).  It also records, in
+a few integers per new element, how to place that element in the
+drawing; the exact rational coordinates that rendering reads are
+replayed from these recipes on first use.  A valid diagram is decomposed
+back into a sequence read off its Jordan-Holder permutation, which that
+sequence's built lattice has too.
 """
 
 from __future__ import annotations
@@ -59,42 +60,26 @@ class MultiforkSequence:
 
 
 @dataclass(frozen=True, slots=True)
-class ForestNode:
-    cell: tuple        # (bottom, left, right, top) element ids at creation
-    stage: int
-    parent: int        # node id or None
-
-
-@dataclass(frozen=True, slots=True)
 class TubeRecord:
-    kind: str          # "boundary" | "internal"
-    side: str          # boundary only: "L" | "R"
     step: int          # the step that made the tube; 0 for a boundary tube
-    ot: tuple          # forest node ids, west to east
-    leot: tuple
-    reot: tuple
+    cells: tuple       # (bottom, top) of each essential cell at creation, west to east
 
 
 class ProvenancedLattice:
     """A slim rectangular lattice with construction provenance.
 
-    Immutable after construction; extensions return new values.  The two
-    dicts are kept as given, so callers hand over fresh ones.  `parent` is
+    Immutable after construction; extensions return new values.  The tube
+    records are kept as given, so callers hand over fresh ones.  `parent` is
     the built lattice of `seq` without its last step, so a lattice from
     `build` keeps every stage of its sequence.  Only `build` sets it: it is
     None for a grid and for the lattices that `multifork_extend` makes
     elsewhere (the enumeration's, `double`'s output).
     """
 
-    def __init__(self, diagram, seq, forest, leaf_by_bottom, tube_records,
-                 step_origin, recipes):
+    def __init__(self, diagram, seq, tube_records, recipes):
         self.diagram = diagram
         self.seq = seq
-        self.forest = forest
-        self.leaf_by_bottom = leaf_by_bottom
         self.tube_records = tube_records
-        # step s -> forest node of the cell that step s forked; None for 0
-        self.step_origin = step_origin
         # per fork element, in order of creation: (id, foot, peak, s, k + 1)
         # for a subdivision point, (id, left anchor, right anchor) for a leg crossing
         self.recipes = recipes
@@ -176,24 +161,17 @@ def grid(p, q):
             lower.append(tuple(v for v, ok in ((u - 1, j > 0), (u - width, i > 0)) if ok))
     lc = eid(p, 0)
     d = _certified_diagram(Poset._from_rows(tuple(upper), tuple(lower)), lc, eid(0, q))
-    # forest cells and tube-record keys stay plain tuples: their repr is
-    # part of a built lattice's recorded output (tests/golden.json)
-    forest = []
-    leaf = {}
-    for c in d.four_cells():
-        leaf[c.bottom] = len(forest)
-        forest.append(ForestNode(tuple(c), 0, None))
-    records = {}
+    # a boundary tube's whole trajectory is essential; the record keys stay
+    # plain tuples: their repr is part of a built lattice's recorded output
+    # (tests/golden.json)
     boundary, _ = d.neon_tubes()
-    for e in boundary:
-        nodes = tuple(leaf[c.bottom] for c in d.trajectory_through(e).cells)
-        side = "L" if d.lattice.leq(lc, e.foot) else "R"
-        leot = () if side == "L" else nodes
-        reot = nodes if side == "L" else ()
-        records[tuple(e)] = TubeRecord("boundary", side, 0, nodes, leot, reot)
-    return ProvenancedLattice(
-        d, MultiforkSequence(p, q, ()), tuple(forest), leaf, records, (None,), ()
-    )
+    records = {tuple(e): TubeRecord(0, _ends(d.trajectory_through(e).cells)) for e in boundary}
+    return ProvenancedLattice(d, MultiforkSequence(p, q, ()), records, ())
+
+
+def _ends(cells):
+    """The (bottom, top) pair of each cell."""
+    return tuple((c.bottom, c.top) for c in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +187,6 @@ def multifork_extend(pl, address, k):
     legs inside the cell (legs of distinct branches cross in shared
     elements).  Self-verifying: the result must pass the full slim
     rectangular validation and grow length and tube count by exactly k.
-    Each new cell subdivides the one destroyed cell whose interval
-    [bottom, top] contains its own; old ids keep their meaning, because
-    new elements are appended.
     """
     if k < 1:
         raise PreconditionError("multiplicity must be >= 1")
@@ -228,9 +203,8 @@ def multifork_extend(pl, address, k):
     # foot has one upper cover) and ends on its boundary chain
     west_map, east_map = d._side_maps()
     seen = {(w, a), (w, b)}
-    left_edges, left_cells = _half_walk(west_map, (w, a), False, seen)
-    right_edges, right_cells = _half_walk(east_map, (w, b), True, seen)
-    left_edges, right_edges = [(w, a)] + left_edges, [(w, b)] + right_edges
+    left_edges = [(w, a)] + _half_walk(west_map, (w, a), False, seen)[0]
+    right_edges = [(w, b)] + _half_walk(east_map, (w, b), True, seen)[0]
     lset, rset = d._boundary_sets()
     if (any(len(d.upper[foot]) == 1 for foot, _ in left_edges + right_edges)
             or not lset.issuperset(left_edges[-1]) or not rset.issuperset(right_edges[-1])):
@@ -306,11 +280,10 @@ def multifork_extend(pl, address, k):
         d2 = _certified_diagram(Poset._from_rows(tuple(upper), tuple(lower)), *d.corners())
     except (OrderError, DiagramError) as e:
         raise InternalInconsistencyError(f"extension produced an invalid lattice: {e}")
-    lat2 = d2.lattice
     report = is_slim_rectangular(d2)
     if not report.ok:
         raise InternalInconsistencyError(f"extension validation failed: {report.failures}")
-    if lat2.length() != lat.length() + k or d2.antube() != d.antube() + k:
+    if d2.lattice.length() != lat.length() + k or d2.antube() != d.antube() + k:
         raise InternalInconsistencyError("extension did not add k to length and tube count")
 
     # drawing recipes, replayed by ProvenancedLattice.coords
@@ -320,51 +293,22 @@ def multifork_extend(pl, address, k):
     recipes += [(mid(i), xid(0, i), yid(0, k + 1 - i)) for i in range(1, k + 1)]
     recipes += [(cid[i, j], xid(0, j), yid(0, k + 1 - i)) for i, j in cpairs]
 
-    # forest update: a cell of the parent that the fork left alone keeps its
-    # leaf; a new cell lies in exactly one destroyed cell
-    old_cells = d.cells_by_bottom()
-    destroyed = {c.bottom: c for c in (cell, *left_cells, *right_cells)}
-    # each destroyed cell's leaf and interval [bottom, top] as a mask: a new
-    # cell lies in the interval iff its bottom and top do
-    up2, down2 = lat2.poset.up, lat2.poset.down
-    intervals = [(pl.leaf_by_bottom[u], up2[u] & down2[c.top]) for u, c in destroyed.items()]
-    forest = list(pl.forest)
-    stage = len(pl.seq.steps) + 1
-    leaf = {}
-    for c2 in d2.four_cells():
-        if c2.bottom not in destroyed and old_cells.get(c2.bottom) == c2:
-            leaf[c2.bottom] = pl.leaf_by_bottom[c2.bottom]
-            continue
-        key = tuple(c2)
-        ends = 1 << c2.bottom | 1 << c2.top
-        parents = [node for node, mask in intervals if mask & ends == ends]
-        if len(parents) != 1:
-            raise InternalInconsistencyError(
-                f"new cell {key} has {len(parents)} candidate parents"
-            )
-        leaf[c2.bottom] = len(forest)
-        forest.append(ForestNode(key, stage, parents[0]))
-
-    # tube records for the k new tubes
+    # the k new tubes' records: every cell of a tube's trajectory but the
+    # two that flank the tube, both inside the forked cell
     records = dict(pl.tube_records)
+    step = len(pl.seq.steps) + 1
     for i in range(1, k + 1):
         tube = (mid(i), t)
         traj = d2.trajectory_through(tube)
-        nodes = tuple(leaf[c.bottom] for c in traj.cells)
         ti = traj.top_index
         if traj.edges[ti] != tube:
             raise InternalInconsistencyError("new tube is not its trajectory's top edge")
-        records[tube] = TubeRecord(
-            "internal", None, stage, nodes, nodes[: ti - 1], nodes[ti + 1:]
-        )
+        records[tube] = TubeRecord(step, _ends(traj.cells[: ti - 1] + traj.cells[ti + 1:]))
 
     return ProvenancedLattice(
         d2,
         pl.seq.extended(ForkStep(address[0], address[1], k)),
-        tuple(forest),
-        leaf,
         records,
-        pl.step_origin + (pl.leaf_by_bottom[w],),
         pl.recipes + tuple(recipes),
     )
 
@@ -405,7 +349,11 @@ def build(seq):
     if found is None:  # then m == 0: not even the grid is alive
         pl = grid(p, q)
     for i in range(m + 1, len(steps) + 1):
-        child = extend_by_step(pl, i, steps[i - 1])
+        st = steps[i - 1]
+        try:
+            child = multifork_extend(pl, (st.a, st.b), st.k)
+        except (PreconditionError, DiagramError) as e:
+            raise PreconditionError(f"step {i}: {e}") from e
         child.parent = pl
         if pl is not found:
             pl.diagram._release()
@@ -414,14 +362,6 @@ def build(seq):
     if pl is not found:
         _built[pl.seq] = pl
     return pl
-
-
-def extend_by_step(pl, i, st):
-    """Apply step i (1-based) of a sequence; a bad step is a PreconditionError."""
-    try:
-        return multifork_extend(pl, (st.a, st.b), st.k)
-    except (PreconditionError, DiagramError) as e:
-        raise PreconditionError(f"step {i}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

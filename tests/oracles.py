@@ -1,10 +1,16 @@
 """Test oracles: independent, brute-force derivations that production code
 does not use.
 
-- The lamp order from territories: rho_foot (vertex membership) and
-  rho_circr (forest descent), and the lamp covers read off the Nwl/Nel
-  rule directly.  Production derives the order from Nwl/Nel alone
-  (`slimlat.lamps.lamp_poset`).
+- Territories and their usage by geometry: each tube's territory walked
+  at the stage that made it, each fork's cell resolved at the stage
+  before it, and a cell inside another when its centroid lies in the
+  other's quadrilateral, on the final drawing coordinates.  From these,
+  the usage patterns (`usage_patterns`), the lamp order from territories,
+  rho_foot (vertex membership) and rho_circr (cell descent), and the
+  lamp covers read off the Nwl/Nel rule directly.  Production records
+  each tube's essential cells as (bottom, top) pairs and tests interval
+  containment on the final lattice's order (`slimlat.lamps.is_used`), and
+  derives the order from Nwl/Nel alone (`slimlat.lamps.lamp_poset`).
 - Congruences by closure: the meet and join tables (`tables`), the
   union-find closure of seed pairs over them (`_closure`), joins of
   congruences, the compatibility laws and the join-irreducibility of listed
@@ -58,16 +64,8 @@ from itertools import combinations
 from slimlat.diagram import _cross, resolve_address
 from slimlat.errors import DiagramError, InternalInconsistencyError
 from slimlat.explore import _distributive_cells
-from slimlat.lamps import (
-    _essential_nodes,
-    _node_is_desc_or_eq,
-    circ_r,
-    lamp_poset,
-    lamps_of_diagram,
-    nwl_nel,
-    usage_stats,
-)
-from slimlat.multifork import grid, multifork_extend
+from slimlat.lamps import lamp_poset, lamps_of_diagram, nwl_nel, usage_stats
+from slimlat.multifork import build, grid, multifork_extend
 from slimlat.order import Congruence, FiniteLattice, Poset
 
 
@@ -84,30 +82,121 @@ def covers_via_nwl_nel(d):
     return frozenset(covers)
 
 
-def _interior_vertices_under(pl, nodes):
-    """Vertices strictly inside the region tiled by the current leaf cells
-    descending from the given forest nodes.
+def point_in_quad(quad, p):
+    """True iff p lies in the convex quadrilateral (boundary included)."""
+    sign = 0
+    for i in range(4):
+        ax, ay = quad[i]
+        bx, by = quad[(i + 1) % 4]
+        cr = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
+        if cr == 0:
+            continue
+        s = 1 if cr > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return False
+    return True
+
+
+def quad(coords, cell):
+    """The corners of a cell, (bottom, left, right, top), around its
+    quadrilateral."""
+    bottom, left, right, top = cell
+    return [coords[v] for v in (bottom, left, top, right)]
+
+
+def centroid(coords, cell):
+    return tuple(sum(coords[v][i] for v in cell) / 4 for i in (0, 1))
+
+
+def stages(pl):
+    """The built lattices of pl's sequence and its prefixes, the grid first,
+    from the parent chain of build(pl.seq)."""
+    out = [build(pl.seq)]
+    while out[-1].parent is not None:
+        out.append(out[-1].parent)
+    return out[::-1]
+
+
+def _territories(chain, lamps):
+    """{tube: (stage that made it, essential parts)}: the tube's trajectory
+    walked at the first stage that holds both its ends; a boundary tube's
+    part is the whole trajectory, an internal tube's two parts the cells
+    west and east of the two that flank it."""
+    out = {}
+    for lamp in lamps:
+        for tube in lamp.tubes:
+            s = next(s for s, st in enumerate(chain) if max(tube) < st.n)
+            traj = chain[s].diagram.trajectory_through(tube)
+            ti = traj.top_index
+            out[tube] = (s, (traj.cells,) if lamp.kind == "boundary"
+                         else (traj.cells[:ti - 1], traj.cells[ti + 1:]))
+    return out
+
+
+def _origins(chain, lamps):
+    """{internal lamp foot: (its step s, the cell that step s forked, as
+    resolve_address names it at stage s - 1)}; step s is the first stage
+    that holds the lamp's tube feet."""
+    steps = chain[-1].seq.steps
+    out = {}
+    for lamp in lamps:
+        if lamp.kind == "internal":
+            s = next(s for s, st in enumerate(chain) if lamp.tubes[0].foot < st.n)
+            st = steps[s - 1]
+            out[lamp.foot] = (s, resolve_address(chain[s - 1].diagram, (st.a, st.b)))
+    return out
+
+
+def _geometry(pl):
+    """(lamps, final coordinates, territories, origins) of a built lattice."""
+    chain = stages(pl)
+    lamps = lamps_of_diagram(pl.diagram)
+    return lamps, chain[-1].coords, _territories(chain, lamps), _origins(chain, lamps)
+
+
+def _uses(coords, origin, territory):
+    """True iff the fork of origin (step, cell) split a cell inside the
+    territory: a later fork, whose cell's centroid lies in one of the
+    territory's cells."""
+    s, cell = origin
+    made, parts = territory
+    c = centroid(coords, cell)
+    return made < s and any(point_in_quad(quad(coords, t), c) for part in parts for t in part)
+
+
+def usage_patterns(pl):
+    """usage_stats(pl).patterns by geometry: a tube is used when another
+    internal lamp's fork split a cell inside its essential territory."""
+    lamps, coords, terr, origins = _geometry(pl)
+    return {
+        l.foot: "".join(
+            "u" if any(_uses(coords, origins[f], terr[tube]) for f in origins if f != l.foot)
+            else "0"
+            for tube in l.tubes
+        )
+        for l in lamps if l.kind == "internal"
+    }
+
+
+def _interior_vertices(d, coords, cells):
+    """Vertices strictly inside the region tiled by the final cells of d
+    whose centroids lie in the given cells.
 
     A vertex on the region's boundary polygon is excluded: region borders
     are whole edges, so the boundary vertices are exactly the endpoints of
     sides whose across-the-edge neighbor cell lies outside the region.
     """
-    targets = frozenset(nodes)
-    if not targets:
-        return frozenset()
-    d = pl.diagram
-    cells = d.cells_by_bottom()
-    leaves = [
-        cells[bottom]
-        for bottom, leaf in pl.leaf_by_bottom.items()
-        if _node_is_desc_or_eq(pl, leaf, targets)
-    ]
-    in_region = {(c.bottom, c.left, c.right, c.top) for c in leaves}
+    quads = [quad(coords, c) for c in cells]
+    leaves = [c for c in d.four_cells()
+              if any(point_in_quad(q, centroid(coords, c)) for q in quads)]
+    in_region = set(leaves)
     west, east = d._side_maps()
     verts = set()
     boundary_pts = set()
     for c in leaves:
-        verts.update((c.bottom, c.left, c.right, c.top))
+        verts.update(c)
         for edge in (
             (c.bottom, c.left),
             (c.bottom, c.right),
@@ -115,52 +204,36 @@ def _interior_vertices_under(pl, nodes):
             (c.right, c.top),
         ):
             # the cell on the other side of this edge, west or east of it
-            others = {
-                (o.bottom, o.left, o.right, o.top)
-                for o in (west.get(edge), east.get(edge))
-                if o is not None
-            } - {(c.bottom, c.left, c.right, c.top)}
+            others = {o for o in (west.get(edge), east.get(edge)) if o is not None} - {c}
             if not others & in_region:
                 boundary_pts.update(edge)
     return frozenset(verts - boundary_pts)
 
 
 def rho_circr(pl):
-    """(I, J) pairs: internal I whose origin cell sits inside the essential
-    territory of some tube of J (forest descendant test)."""
-    d = pl.diagram
-    lamps = lamps_of_diagram(d)
-    pairs = set()
-    for i_lamp in lamps:
-        if i_lamp.kind != "internal":
-            continue
-        _, origin = circ_r(pl, i_lamp)
-        for j_lamp in lamps:
-            if j_lamp.foot == i_lamp.foot:
-                continue
-            for tube in j_lamp.tubes:
-                if _node_is_desc_or_eq(pl, origin, frozenset(_essential_nodes(pl, tube))):
-                    pairs.add((i_lamp.foot, j_lamp.foot))
-                    break
-    return frozenset(pairs)
+    """(I, J) pairs: internal I whose fork split a cell inside the
+    essential territory of some tube of J (cell descent by centroids)."""
+    lamps, coords, terr, origins = _geometry(pl)
+    return frozenset(
+        (i_foot, j_lamp.foot)
+        for i_foot, origin in origins.items()
+        for j_lamp in lamps
+        if j_lamp.foot != i_foot
+        and any(_uses(coords, origin, terr[tube]) for tube in j_lamp.tubes)
+    )
 
 
 def rho_foot(pl):
     """(I, J) pairs by direct vertex membership: Foot I lies strictly inside
-    the left or right essential territory of some tube of J."""
+    one essential part of the territory of some tube of J."""
+    lamps, coords, terr, _ = _geometry(pl)
     d = pl.diagram
-    lamps = lamps_of_diagram(d)
     pairs = set()
-    vert_cache = {}
     for j_lamp in lamps:
         verts = set()
         for tube in j_lamp.tubes:
-            key = (tube.foot, tube.peak)
-            if key not in vert_cache:
-                rec = pl.tube_records[key]
-                vert_cache[key] = _interior_vertices_under(pl, rec.leot) | \
-                    _interior_vertices_under(pl, rec.reot)
-            verts |= vert_cache[key]
+            for part in terr[tube][1]:
+                verts |= _interior_vertices(d, coords, part)
         for i_lamp in lamps:
             if i_lamp.kind != "internal" or i_lamp.foot == j_lamp.foot:
                 continue

@@ -4,7 +4,7 @@ For every slim rectangular lattice of length <= 6 (keyed by canonical
 code), `tests/golden.json` stores a short SHA-256 of each output below.
 A refactor that must not change behaviour has to keep every hash.
 
-- build: the witness DSL, forest, tube records and coordinates;
+- build: the witness DSL, tube records and coordinates;
 - lamps: the `lamp_report` JSON;
 - minimize: the fixpoint DSL and the trace;
 - decompose: the recovered DSL;
@@ -71,8 +71,7 @@ def _fingerprint(pl):
         return emit_dsl(fixed.seq), [s.to_dict() for s in trace]
 
     return {
-        "build": _h((emit_dsl(seq), pl.forest, sorted(pl.tube_records.items()),
-                     sorted(pl.coords.items()))),
+        "build": _h((emit_dsl(seq), sorted(pl.tube_records.items()), sorted(pl.coords.items()))),
         "lamps": _h(json.dumps(lamp_report(pl), sort_keys=True)),
         "minimize": _h(_attempt(minimized)),
         "decompose": _h(_attempt(lambda: emit_dsl(decompose(d)))),

@@ -3,8 +3,10 @@ import types
 import pytest
 
 import slimlat.lamps as lamps_module
+from slimlat.cli import main
+from slimlat.doubling import double
 from slimlat.dsl import parse_dsl
-from slimlat.errors import PreconditionError
+from slimlat.errors import InternalInconsistencyError, PreconditionError
 from slimlat.diagram import resolve_address
 from slimlat.lamps import (
     circ_r,
@@ -22,7 +24,7 @@ from slimlat.explore import enumerate_index
 from slimlat.multifork import build, grid, multifork_extend
 from slimlat.order import Poset, named_posets, poset_iso
 
-from oracles import covers_via_nwl_nel, rho_circr, rho_foot
+from oracles import covers_via_nwl_nel, rho_circr, rho_foot, stages, usage_patterns
 
 
 def s7():
@@ -95,17 +97,17 @@ def test_lamp_feet_distinct():
 def test_circ_r_s7():
     pl = s7()
     internal = next(l for l in lamps_of_diagram(pl.diagram) if l.kind == "internal")
-    interval, origin = circ_r(pl, internal)
-    assert interval == frozenset(range(7))  # the whole lattice
-    assert pl.forest[origin].stage == 0     # the original square cell
+    square = resolve_address(grid(1, 1).diagram, (0, 0))
+    assert circ_r(pl, internal) == frozenset(range(7))  # the whole lattice
+    assert circ_r(pl, internal) == pl.lattice.interval(square.bottom, square.top)
 
 
 def test_circ_r_g22():
     pl = g22_fork2()
     internal = next(l for l in lamps_of_diagram(pl.diagram) if l.kind == "internal")
-    _, origin = circ_r(pl, internal)
-    node = pl.forest[origin]
-    assert node.stage == 0
+    cell = resolve_address(grid(2, 2).diagram, (1, 1))
+    assert circ_r(pl, internal) == pl.lattice.interval(cell.bottom, cell.top)
+    assert circ_r(pl.diagram, internal) == circ_r(pl, internal)
     boundary = next(l for l in lamps_of_diagram(pl.diagram) if l.kind == "boundary")
     with pytest.raises(PreconditionError):
         circ_r(pl, boundary)
@@ -310,6 +312,51 @@ def test_usage_sandwich_fixture():
     assert stats.t_plus(three.foot) == 1 and stats.t_minus(three.foot) == 2
 
 
+def test_usage_matches_the_geometric_oracle_up_to_length_six():
+    """usage_stats tests interval containment on the lattice's order; the
+    oracle walks each territory at its own stage and tests centroids in
+    quadrilaterals on the final drawing."""
+    entries = enumerate_index(6).entries()
+    doubles = [build(double(e.seq, step)[0])
+               for e in entries for step in range(1, len(e.seq.steps) + 1)]
+    assert len(entries) == 106 and len(doubles) == 182
+    used = 0
+    for pl in [e.pl for e in entries] + doubles:
+        patterns = usage_stats(pl).patterns
+        assert patterns == usage_patterns(pl), pl.seq
+        used += sum(p.count("u") for p in patterns.values())
+    assert used
+
+
+@pytest.mark.slow
+def test_usage_matches_the_geometric_oracle_at_lengths_seven_and_eight():
+    checked = 0
+    for entry in enumerate_index(8, allow_large=True).entries():
+        if entry.pl.length() >= 7:
+            assert usage_stats(entry.pl).patterns == usage_patterns(entry.pl), entry.seq
+            checked += 1
+    assert checked == 387 + 2327
+
+
+def test_a_using_lamp_outside_the_lamp_order_is_reported(monkeypatch, tmp_path, capsys):
+    """With the lamp order planted empty, the used middle tube of the
+    sandwiched fixture fails is_used's self-check, and slimlat lamps exits 1
+    with its message."""
+    text = "grid 1 1\nfork 0 0 3\nfork 0 2 1\n"
+    pl = build(parse_dsl(text))
+    lamps, _, poset = lamp_poset(pl)
+    monkeypatch.setattr(lamps_module, "lamp_poset",
+                        lambda obj: (lamps, frozenset(), Poset.from_relation(poset.n, ())))
+    message = "a using lamp is not below the owner in the lamp order"
+    with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
+        usage_stats(pl)
+    seq = tmp_path / "sandwiched.seq"
+    seq.write_text(text)
+    capsys.readouterr()
+    assert main(["lamps", "--input", str(seq)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_lamp_report_shape():
     rep = lamp_report(g22_fork2())
     assert rep["congruence_iso_ok"]
@@ -337,25 +384,27 @@ def test_lamp_report_at_the_element_budget():
 
 def test_lamp_creation_step_names_the_step_that_forked_the_lamps_peak():
     # oracle: step s forks the cell (a, b) of stage s - 1, whose top is the
-    # peak of step s's lamp from then on; a boundary lamp's step is 0
+    # peak of step s's lamp from then on, and whose interval is the lamp's
+    # circumscribed one (circ_r); a boundary lamp's step is 0
     checked = 0
     for entry in enumerate_index(6).entries():
-        stages = [build(entry.seq)]
-        while stages[-1].parent is not None:
-            stages.append(stages[-1].parent)
-        stages.reverse()
-        peaks = {resolve_address(stages[s - 1].diagram, (st.a, st.b)).top: s
-                 for s, st in enumerate(entry.seq.steps, start=1)}
-        assert len(peaks) == len(entry.seq.steps)
-        for m, pl in enumerate(stages):
-            assert type(pl.step_origin) is tuple
-            assert len(pl.step_origin) == len(pl.seq.steps) + 1 == m + 1
-            assert pl.step_origin[0] is None
+        chain = stages(entry.pl)
+        cells = {}
+        for s, st in enumerate(entry.seq.steps, start=1):
+            cell = resolve_address(chain[s - 1].diagram, (st.a, st.b))
+            cells[cell.top] = s, cell
+        assert len(cells) == len(entry.seq.steps)
+        for m, pl in enumerate(chain):
+            assert len(pl.seq.steps) == m
             lamps = lamps_of_diagram(pl.diagram)
             assert {l.peak for l in lamps if l.kind == "internal"} == {
-                peak for peak, s in peaks.items() if s <= m}
+                peak for peak, (s, _) in cells.items() if s <= m}
             for l in lamps:
-                expected = peaks[l.peak] if l.kind == "internal" else 0
-                assert lamp_creation_step(pl, l) == expected
+                if l.kind == "internal":
+                    s, cell = cells[l.peak]
+                    assert lamp_creation_step(pl, l) == s
+                    assert circ_r(pl, l) == pl.lattice.interval(cell.bottom, cell.top)
+                else:
+                    assert lamp_creation_step(pl, l) == 0
                 checked += 1
     assert checked == 1202

@@ -299,21 +299,20 @@ def test_grid_rejects_degenerate():
 
 
 def test_grid_tube_records():
+    """A grid's tubes are its boundary tubes, made at step 0, and each
+    one's whole trajectory is essential."""
     g = grid(2, 3)
     assert len(g.tube_records) == 5
-    for (f, p), rec in g.tube_records.items():
-        assert rec.kind == "boundary"
-        assert rec.ot
-        if rec.side == "L":
-            assert rec.leot == () and rec.reot == rec.ot
-        else:
-            assert rec.reot == () and rec.leot == rec.ot
+    for tube, rec in g.tube_records.items():
+        assert rec.step == 0
+        cells = g.diagram.trajectory_through(tube).cells
+        assert rec.cells == tuple((c.bottom, c.top) for c in cells) and rec.cells
 
 
 def test_edges_and_cells_are_their_tuples():
     """An Edge is its (foot, peak) pair and a FourCell its (bottom, left,
     right, top) quadruple, so maps keyed by either answer the other; the
-    forest cells and the tube record keys are stored as plain tuples."""
+    tube records' keys and cells are stored as plain tuples."""
     assert Edge(3, 6) == (3, 6) and hash(Edge(3, 6)) == hash((3, 6))
     assert FourCell(0, 1, 2, 3) == (0, 1, 2, 3)
     pl = build(parse_dsl("grid 2 2\nfork 1 1 2\nfork 0 0 1\n"))
@@ -325,8 +324,8 @@ def test_edges_and_cells_are_their_tuples():
         assert pl.tube_records[f, p] is pl.tube_records[Edge(f, p)]
     for c in d.four_cells():
         assert d.cells_by_bottom()[c.bottom] == tuple(c)
-    assert {type(node.cell) for node in pl.forest} == {tuple}
     assert {type(key) for key in pl.tube_records} == {tuple}
+    assert {type(c) for rec in pl.tube_records.values() for c in rec.cells} == {tuple}
     assert len(pl.tube_records) == 7
 
 
@@ -388,58 +387,44 @@ def test_extension_rejects_bad_cells():
         multifork_extend(pl, (5, 5), 1)
 
 
+def inside(lat, outer, cell):
+    """True iff cell's interval [bottom, top] lies in outer's, in lat."""
+    return lat.leq(outer[0], cell[0]) and lat.leq(cell[-1], outer[-1])
+
+
 def test_forest_children_counts():
+    """The cells a fork of grid 2 2 makes, counted by interval containment:
+    the forked cell holds 2k + 1 + k(k - 1) / 2 of them, each of the two
+    cells its paths cross k + 1, and every other grid cell only itself."""
     base = grid(2, 2)
+    origin = resolve_address(base.diagram, (1, 1))
     for k in (1, 2, 3):
         pl = multifork_extend(base, (1, 1), k)
-        h_node = pl.step_origin[1]
-        children = [nd for nd in pl.forest if nd.parent == h_node]
-        assert len(children) == 2 * k + 1 + k * (k - 1) // 2
-        # every path cell splits into k+1 children
-        path_parents = {
-            nd.parent for nd in pl.forest
-            if nd.parent is not None and nd.parent != h_node
-        }
-        for parent in path_parents:
-            kids = [nd for nd in pl.forest if nd.parent == parent]
-            assert len(kids) == k + 1
+        lat, cells = pl.lattice, pl.diagram.four_cells()
+        counts = sorted(sum(inside(lat, c, c2) for c2 in cells)
+                        for c in base.diagram.four_cells() if c != origin)
+        assert sum(inside(lat, origin, c2) for c2 in cells) == 2 * k + 1 + k * (k - 1) // 2
+        assert counts == [1, k + 1, k + 1]
 
 
-def point_in_quad(quad, p):
-    """True iff p lies in the convex quadrilateral (boundary included)."""
-    sign = 0
-    for i in range(4):
-        ax, ay = quad[i]
-        bx, by = quad[(i + 1) % 4]
-        cr = (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
-        if cr == 0:
-            continue
-        s = 1 if cr > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
-
-
-def assert_parents_match_geometry(pl):
-    """The centroid of each stage-s cell lies in its parent's quadrilateral
-    and in no other quadrilateral subdivided at stage s."""
-    parents_by_stage = {}
-    for nd in pl.forest:
-        if nd.parent is not None:
-            parents_by_stage.setdefault(nd.stage, set()).add(nd.parent)
-
-    def quad(node):
-        bottom, left, right, top = pl.forest[node].cell
-        return [pl.coords[v] for v in (bottom, left, top, right)]
-
-    for nd in pl.forest:
-        if nd.parent is None:
-            continue
-        centroid = tuple(sum(pl.coords[v][i] for v in nd.cell) / 4 for i in (0, 1))
-        inside = [p for p in parents_by_stage[nd.stage] if point_in_quad(quad(p), centroid)]
-        assert inside == [nd.parent], (emit_dsl(pl.seq), nd)
+def assert_cells_nest(pl):
+    """Each cell of each stage lies by interval containment, on the final
+    lattice's order, in exactly one cell of the stage before: itself if
+    the fork left it alone, else the one whose quadrilateral holds its
+    centroid on the final drawing."""
+    stages = oracles.stages(pl)
+    lat, coords = pl.lattice, stages[-1].coords
+    for before, after in zip(stages, stages[1:]):
+        old = before.diagram.four_cells()
+        for c in after.diagram.four_cells():
+            holders = [o for o in old if inside(lat, o, c)]
+            if c in old:
+                assert holders == [c], (emit_dsl(pl.seq), c)
+            else:
+                centroid = oracles.centroid(coords, c)
+                assert len(holders) == 1, (emit_dsl(pl.seq), c)
+                assert holders == [
+                    o for o in old if oracles.point_in_quad(oracles.quad(coords, o), centroid)]
 
 
 def assert_coords_match_the_eager_fold(pl):
@@ -452,9 +437,11 @@ def assert_coords_match_the_eager_fold(pl):
 
 
 def test_forest_parents_match_geometry_up_to_length_six():
-    """The forest agrees with the drawing, and the drawing with the eager
-    fold, on the lattices of length <= 6, their doublings and one lattice of
-    the benchmark's large size (a grid and three forks, 106 elements)."""
+    """The cell forest, each cell's parent the cell of the stage before whose
+    interval holds its own, agrees with the drawing, and the drawing with
+    the eager fold, on the lattices of length <= 6, their doublings and one
+    lattice of the benchmark's large size (a grid and three forks, 106
+    elements)."""
     entries = enumerate_index(6).entries()
     doubles = [
         build(double(e.seq, step)[0])
@@ -462,7 +449,7 @@ def test_forest_parents_match_geometry_up_to_length_six():
     ]
     assert len(entries) == 106 and len(doubles) == 182
     for pl in [e.pl for e in entries] + doubles:
-        assert_parents_match_geometry(pl)
+        assert_cells_nest(pl)
         assert_coords_match_the_eager_fold(pl)
     large = build(parse_dsl("grid 7 6\nfork 5 0 2\nfork 3 4 1\nfork 1 7 2\n"))
     assert large.n == 106

@@ -110,12 +110,13 @@ def test_jir_elements_lie_on_the_boundary_in_two_chains():
 
 
 def test_forest_leaves_root_at_stage_zero():
+    """Every final cell lies in exactly one grid cell's interval."""
     pl = build(parse_dsl("grid 2 2\nfork 1 1 2\nfork 0 0 1"))
-    for leaf in pl.leaf_by_bottom.values():
-        node = leaf
-        while pl.forest[node].parent is not None:
-            node = pl.forest[node].parent
-        assert pl.forest[node].stage == 0
+    lat = pl.lattice
+    roots = grid(2, 2).diagram.four_cells()
+    for c in pl.diagram.four_cells():
+        holders = [r for r in roots if lat.leq(r.bottom, c.bottom) and lat.leq(c.top, r.top)]
+        assert len(holders) == 1, c
 
 
 def test_cells_and_trajectories_mirror_to_reversal():
