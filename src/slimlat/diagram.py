@@ -41,8 +41,8 @@ on first use, and keeps the lamp data that the lamps module derives for
 it and its validation report (is_slim_rectangular), ok or not; a failure
 that a derivation raises is not cached and is raised again on the next
 call.  The cells, side maps, chains, tubes and the ends the sweep records
-are walk caches: PlanarDiagram._release drops them, as the enumeration
-does on each lattice it leaves, and the next read derives them again.
+are walk caches: PlanarDiagram._release drops them, as the enumeration's
+replay does on each lattice it leaves, and the next read derives them again.
 Nothing is cached per edge but the cell side maps, and every walk across
 cells steps through them (_cross): validation checks every
 trajectory in one sweep (_trajectory_failure), and trajectory_through
@@ -50,15 +50,15 @@ walks the one trajectory it returns, with the cells it crosses, as two
 half-walks (_half_walk), which a fork step also takes, from its cell's
 lower sides.  The sweep records only the right-chain peak where each
 walk ends, one append per trajectory; from these a valid diagram derives
-its Jordan-Holder permutation pi and, on first use, the key
-min(pi, pi^-1) (_jh_key), on which the enumeration dedupes (Czedli and
+its Jordan-Holder permutation pi, and pi the key min(pi, pi^-1)
+(_jh_min), on which the enumeration dedupes (Czedli and
 Schmidt, Algebra Universalis 66, 2011, and Acta Sci. Math. 79, 2013).
 A k-fold fork at the cell whose bottom has address (a, b) changes pi by
 a fixed rule (_forked_permutation): the left- and right-chain edges
 a + 1 and b + 1 split into k + 1 pieces each, every old trajectory keeps
 the lowest piece, and the k new trajectories pair the new pieces in
-reverse order; so the enumeration knows a child's key before it builds
-the child, and multifork._peeled runs the rule backwards.  Canonical
+reverse order; so the enumeration searches permutations with no
+lattice built, and multifork._peeled runs the rule backwards.  Canonical
 codes are computed only where something outputs them.  An Edge is a
 named (foot, peak) pair and a FourCell a named (bottom, left, right,
 top) quadruple, so each equals, hashes and looks up as its plain tuple;
@@ -137,8 +137,8 @@ class PlanarDiagram:
         """Drop the walk caches (cells, side maps, boundary chains, neon
         tubes, the sweep's ends); the next read derives each again.  Only
         an owner that no one else reads yet may call it, since a read that
-        runs meanwhile can find None: the enumeration DFS does, and so does
-        multifork.build on each stage it has just extended."""
+        runs meanwhile can find None: the enumeration's replay does, and so
+        does multifork.build on each stage it has just extended."""
         self._cells = self._sides = self._chains = self._tubes = self._ends = None
 
     def _check_order_lists(self):
@@ -311,13 +311,6 @@ class PlanarDiagram:
     def _report(self):
         """The validation report (is_slim_rectangular), derived on first use."""
         return _validate(self)
-
-    @cached_property
-    def _jh_key(self):
-        """The key min(pi, pi^-1) (_jh_min) of the Jordan-Holder permutation
-        pi (_jh_permutation), derived on first use.  DiagramError unless the
-        diagram's report is ok."""
-        return _jh_min(_jh_permutation(self))
 
     # -- mirroring and codes -------------------------------------------------
 

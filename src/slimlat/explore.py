@@ -1,24 +1,26 @@
 """Exhaustive enumeration by length and poset realizability search.
 
-Depth-first generation over grids and multifork extensions, deduplicated
-by the Jordan-Holder key min(pi, pi^-1) of each diagram (diagram._jh_key),
-which the validation sweep of every fork step already walks and which
-folds in the mirror image.  A state is expanded only the first time its
-key is seen: the key fixes the length, so the remaining budget, and the
-fork count, and two isomorphic lattices extend to the same set of
-lattices.  A k-fold fork changes pi by a fixed rule
-(diagram._forked_permutation), so each child's key is predicted from its
-parent's pi in O(length), and a child is built only when its predicted
-key is new; every built child is still certified and validated, and its
-swept permutation must be the predicted one.  A skipped child is exactly
-one whose key was already recorded, so the entries, their witnesses and
-their order are those of building every child.  When the search leaves a
-lattice, its diagram drops the walk caches that building its children
-read (cells, side maps, boundary chains, neon tubes, the sweep's ends);
-an entry derives them again on first read, so the index holds each
-lattice's rows, heights, report and key, not its walk scaffolding.
-Canonical codes partition the lattices as the keys do; they are only
-output (EnumEntry.code, sweep_bounds), computed when read.
+The enumeration searches Jordan-Holder permutations and builds no
+lattice.  A slim rectangular lattice is the point set S(pi) of its
+permutation pi (Czedli and Schmidt, Algebra Universalis 66, 2011, and
+Acta Sci. Math. 79, 2013), and min(pi, pi^-1) (diagram._jh_min) keys it
+up to isomorphism, mirror image included.  The depth-first search starts
+from the grids, reads each lattice's distributive cells off its pi
+(_distributive_addresses) and each fork child's pi off its parent's
+(diagram._forked_permutation), and expands a state only the first time
+its key is seen: the key fixes the length, so the remaining budget, and
+the fork count, and isomorphic lattices extend to the same lattices.
+
+The first read of an entry's lattice (EnumEntry.pl, code, lamp_poset)
+replays the whole search tree (_replayed), one `grid` or one fork step
+of the parent's lattice per node, as when the search built them.  Each
+replayed lattice is certified and validated, and its swept permutation
+must be the one the search derived, else InternalInconsistencyError
+names its sequence: the fork and cell rules are checked in the replay,
+not the search, so an enumeration whose lattices no one reads (slimlat
+enumerate, counts) rests on the tests' cross-checks.  The replay drops
+each lattice's walk caches (cells, side maps, boundary chains, neon
+tubes, the sweep's ends) when it leaves its subtree.
 
 Realizability rests on two lamp facts (Czedli, "Lamps in slim rectangular
 planar semimodular lattices", Acta Sci. Math. 2021): every multifork adds
@@ -32,14 +34,14 @@ searches nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .diagram import _forked_permutation, _jh_min, _jh_permutation, cell_address
+from .diagram import _forked_permutation, _jh_min, _jh_permutation
 from .dsl import emit_dsl
-from .errors import BudgetError, InternalInconsistencyError
+from .errors import BudgetError, DiagramError, InternalInconsistencyError, PreconditionError
 from .lamps import lamp_poset
-from .multifork import grid, multifork_extend
-from .order import is_distributive_ideal_grid, poset_iso
+from .multifork import ForkStep, MultiforkSequence, grid, multifork_extend
+from .order import poset_iso
 from .reduce import check_bounds, length_bound, minimize
 
 PRACTICAL_MAX_LEN = 7
@@ -47,9 +49,17 @@ PRACTICAL_MAX_LEN = 7
 
 @dataclass(frozen=True, slots=True)
 class EnumEntry:
-    key: tuple      # the Jordan-Holder key min(pi, pi^-1) (diagram._jh_key)
+    """A lattice's key min(pi, pi^-1), witness sequence and search tree
+    node.  The search builds nothing; the first read of any entry's `pl`
+    replays the tree, which builds and checks every lattice."""
+    key: tuple
     seq: object
-    pl: object
+    tree: object = field(repr=False, compare=False)
+    node: int = field(repr=False, compare=False)
+
+    @property
+    def pl(self):
+        return self.tree.lattice(self.node)
 
     @property
     def code(self):
@@ -75,14 +85,51 @@ class EnumerationIndex:
         return tuple(e for _, es in sorted(self.by_length.items()) for e in es)
 
 
-def _distributive_cells(pl):
-    d = pl.diagram
-    lat = d.lattice
-    out = []
-    for c in d.four_cells():
-        if is_distributive_ideal_grid(lat, c.top):
-            out.append(cell_address(d, c))
-    return sorted(out)
+class _SearchTree:
+    """The sequences the search found, in search order, and their lattices
+    once one is read.  It holds no entry, so it makes no reference cycle."""
+
+    def __init__(self):
+        self.seqs = []
+        self._lattices = None
+
+    def lattice(self, node):
+        if self._lattices is None:
+            self._lattices = _replayed(self.seqs)
+        return self._lattices[node]
+
+
+def _distributive_addresses(pi):
+    """The sorted addresses of the distributive cells of the lattice whose
+    Jordan-Holder permutation is pi, read off pi with no lattice built.
+
+    The corners have heights p = pi^-1(1) - 1 and q = pi(1) - 1.  The
+    element at the point (x, y) of S(pi) lies above the s-th element c_s of
+    the left boundary chain iff s <= x, so its corner heights, the cell
+    addresses, are (min(x, p), min(y, q)), and it is c_hl v d_hr
+    (diagram.boundary_heights): these points H list every element once.
+    The join-irreducibles of a slim rectangular lattice lie on its two
+    boundary chains, so those below an element t at (a + 1, b + 1) are two
+    disjoint chains of sizes a + 1 and b + 1, and by Birkhoff's count
+    (order.is_distributive_ideal_grid) the ideal of t is a product of two
+    chains iff it has (a + 2)(b + 2) elements, iff H holds [0, a + 1] x
+    [0, b + 1].  Then t tops one cell, whose bottom is at (a, b).
+    """
+    n = len(pi)
+    inv = [0] * n
+    for i, j in enumerate(pi, 1):
+        inv[j - 1] = i
+    p, q = inv[0] - 1, pi[0] - 1
+    cols = [0] * (q + 1)  # cols[j]: the mask of the i with (i, j) in H
+    for x in range(n + 1):
+        for y in range(n + 1):
+            if (x == n or pi[x] > y) and (y == n or inv[y] > x):
+                cols[min(y, q)] |= 1 << min(x, p)
+    tops, rect = [], cols[0]  # tops[b]: the largest i with [0, i] x [0, b + 1] in H
+    for col in cols[1:]:
+        rect &= col
+        tops.append((rect + 1 & ~rect).bit_length() - 2)
+    return [(a, b) for a in range(p) for b in range(q) if a < tops[b]]
 
 
 def _enumerate(max_len, boundary=None, max_forks=None):
@@ -92,64 +139,75 @@ def _enumerate(max_len, boundary=None, max_forks=None):
     `max_forks`, no sequence grows past that many forks.  Both the
     boundary lamp count and the lamp count are isomorphism invariants, so
     the dedupe never meets a state these cuts removed, and the entries that
-    survive keep their witnesses and their order.  The dedupe is on the
-    Jordan-Holder key (diagram._jh_key), which partitions the lattices as
-    canonical codes do; no code is computed.  A grid's key is read off its
-    validated diagram, a fork child's is predicted (_dfs).
+    survive keep their witnesses and their order.
     """
-    found = {}
+    found, tree = {}, _SearchTree()
     for p in range(1, max_len):
         for q in range(1, p + 1):
             if p + q <= max_len and boundary in (None, p + q):
-                pl = grid(p, q)
-                pi = _jh_permutation(pl.diagram)
-                if _record(found, _jh_min(pi), pl):
-                    _dfs(pl, pi, found, max_len, max_forks)
+                pi = _grid_permutation(p, q)
+                _visit(found, tree, _jh_min(pi), pi, MultiforkSequence(p, q, ()),
+                       max_len, max_forks)
     return {length: tuple(bucket.values()) for length, bucket in found.items()}
 
 
-def _record(found, key, pl):
-    """Whether pl is the first lattice with its key; if so, it is recorded."""
-    # the key has one entry per trajectory, so its length is pl's
-    bucket = found.setdefault(len(key), {})
-    if key in bucket:
-        return False
-    bucket[key] = EnumEntry(key, pl.seq, pl)
-    return True
+def _grid_permutation(p, q):
+    """pi of the grid p x q: left edge i ends on right edge q + i, p + j on j."""
+    return (*range(q + 1, q + p + 1), *range(1, q + 1))
 
 
-def _dfs(pl, pi, found, max_len, max_forks):
-    """Extend the recorded lattice pl, whose Jordan-Holder permutation is pi,
-    by every fork within the budget, depth first, and record and extend
-    each child whose key is new.  A child's permutation is predicted from pi
-    (_forked_permutation), and only a child with a new key is built; a
-    built child whose validation sweep reads another permutation is an
-    InternalInconsistencyError.  A module function, not a nested one: a
-    nested function that calls itself is a reference cycle through its
-    closure, which would keep the found entries, and every lattice in them,
-    alive after _enumerate returns, until the cyclic collector runs.
-
-    Leaving pl, it releases pl's walk caches (PlanarDiagram._release),
-    which building pl's children read; no one else reads pl before
-    _enumerate returns."""
+def _visit(found, tree, key, pi, seq, max_len, max_forks):
+    """Record pi's lattice, whose key is new (no two grids and no grid and
+    fork child are isomorphic), then visit its fork children with new keys
+    within the budget, depth first.  A module function: a nested one that
+    calls itself is a reference cycle through its closure."""
+    # the key has one entry per trajectory, so its length is the lattice's
+    found.setdefault(len(key), {})[key] = EnumEntry(key, seq, tree, len(tree.seqs))
+    tree.seqs.append(seq)
     remaining = max_len - len(pi)
-    if remaining >= 1 and len(pl.seq.steps) != max_forks:
-        for addr in _distributive_cells(pl):
+    if remaining >= 1 and len(seq.steps) != max_forks:
+        for a, b in _distributive_addresses(pi):
             for k in range(1, remaining + 1):
-                child_pi = _forked_permutation(pi, addr, k)
-                key = _jh_min(child_pi)
-                if key in found.get(len(key), ()):
-                    continue
-                child = multifork_extend(pl, addr, k)
-                swept = _jh_permutation(child.diagram)
-                if swept != child_pi:
-                    raise InternalInconsistencyError(
-                        f"the {k}-fold fork at {addr} built\n{emit_dsl(child.seq)}with"
-                        f" permutation {swept}, not the predicted {child_pi}"
-                    )
-                _record(found, key, child)
-                _dfs(child, child_pi, found, max_len, max_forks)
-    pl.diagram._release()
+                child = _forked_permutation(pi, (a, b), k)
+                key = _jh_min(child)
+                if key not in found.get(len(key), ()):
+                    _visit(found, tree, key, child, seq.extended(ForkStep(a, b, k)),
+                           max_len, max_forks)
+
+
+def _replayed(seqs):
+    """The lattice of each sequence, built in search order, depth first: a
+    child's parent is the last lattice built with one step fewer.  Each
+    swept pi must be the one the search derived, the grid's or the parent's
+    swept pi under the fork rule.  Leaving a lattice's subtree, the replay
+    drops the walk caches (PlanarDiagram._release) its children's builds
+    read; no one else has read them yet."""
+    lattices, path = [], []  # path: (lattice, swept pi) from the grid down
+    for seq in seqs:
+        while len(path) > len(seq.steps):
+            path.pop()[0].diagram._release()
+        try:
+            if path:
+                st = seq.steps[-1]
+                pi = _forked_permutation(path[-1][1], (st.a, st.b), st.k)
+                pl = multifork_extend(path[-1][0], (st.a, st.b), st.k)
+            else:
+                pi = _grid_permutation(seq.grid_p, seq.grid_q)
+                pl = grid(seq.grid_p, seq.grid_q)
+        except (PreconditionError, DiagramError) as e:
+            raise InternalInconsistencyError(
+                f"the replay cannot build\n{emit_dsl(seq)}{e}") from e
+        swept = _jh_permutation(pl.diagram)
+        if swept != pi:
+            raise InternalInconsistencyError(
+                f"the replay built\n{emit_dsl(seq)}with permutation {swept},"
+                f" not the predicted {pi}")
+        pl.seq = seq  # the equal sequence the entry holds, kept once
+        path.append((pl, swept))
+        lattices.append(pl)
+    for pl, _ in path:
+        pl.diagram._release()
+    return lattices
 
 
 def enumerate_index(max_len, allow_large=False):

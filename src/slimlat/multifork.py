@@ -42,14 +42,14 @@ from .lamps import _diagram_of, fork_interval, lamp_poset
 from .order import MAX_ELEMENTS, Poset, is_distributive_ideal_grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForkStep:
     a: int
     b: int
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiforkSequence:
     grid_p: int
     grid_q: int

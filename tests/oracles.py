@@ -40,12 +40,17 @@ does not use.
 - A slim rectangular lattice rebuilt from its Jordan-Holder permutation
   alone, as the point set S(pi) (`lattice_of_permutation`).  Production
   reads pi off the validation sweep and dedupes on min(pi, pi^-1)
-  (`slimlat.diagram.PlanarDiagram._jh_key`); it never builds S(pi).
+  (`slimlat.diagram._jh_min`); it never builds S(pi).
 - Every fork child of an enumeration, duplicates included, built
   (`every_child`), as the enumeration built them before it predicted each
-  child's key from its parent's permutation.  Production builds only the
-  children whose predicted key is new
-  (`slimlat.diagram._forked_permutation`, `slimlat.explore._dfs`).
+  child's key from its parent's permutation.  Production searches
+  permutations and builds no child in the search
+  (`slimlat.diagram._forked_permutation`, `slimlat.explore._visit`); a
+  read of an entry's lattice replays only the children whose key was new.
+- The distributive cells of a diagram by Birkhoff's count on the ideal of
+  each cell's top (`distributive_cells`).  Production reads them off the
+  Jordan-Holder permutation with no lattice built
+  (`slimlat.explore._distributive_addresses`).
 - Drawing coordinates by the eager fold that computes them with each
   step, from the step's own trajectories.  Production records a recipe
   per new element and replays the recipes on first read
@@ -61,12 +66,11 @@ does not use.
 from fractions import Fraction
 from itertools import combinations
 
-from slimlat.diagram import _cross, resolve_address
+from slimlat.diagram import _cross, cell_address, resolve_address
 from slimlat.errors import DiagramError, InternalInconsistencyError
-from slimlat.explore import _distributive_cells
 from slimlat.lamps import lamp_poset, lamps_of_diagram, nwl_nel, usage_stats
 from slimlat.multifork import build, grid, multifork_extend
-from slimlat.order import Congruence, FiniteLattice, Poset
+from slimlat.order import Congruence, FiniteLattice, Poset, is_distributive_ideal_grid
 
 
 def covers_via_nwl_nel(d):
@@ -490,6 +494,13 @@ def trajectory_failure_by_walks(d):
     return None
 
 
+def distributive_cells(d):
+    """The sorted addresses of the diagram's cells whose top has an ideal
+    that is a product of two chains."""
+    return sorted(cell_address(d, c) for c in d.four_cells()
+                  if is_distributive_ideal_grid(d.lattice, c.top))
+
+
 def every_child(index):
     """(entry, address, k, child) for every fork within the budget of the
     enumeration index, duplicates included: each entry that has room left,
@@ -498,7 +509,7 @@ def every_child(index):
     for entry in index.entries():
         pl = entry.pl
         ks = range(1, index.max_len - pl.length() + 1)
-        for address in _distributive_cells(pl) if ks else ():
+        for address in distributive_cells(pl.diagram) if ks else ():
             for k in ks:
                 yield entry, address, k, multifork_extend(pl, address, k)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -99,6 +100,16 @@ def test_enumerate_cli(tmp_path):
     assert main(["enumerate", "--max-len", "4", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["counts"] == {"2": 1, "3": 2, "4": 6}
+
+
+def test_enumerate_cli_output_is_pinned(tmp_path):
+    """`slimlat enumerate --max-len 7` prints, byte for byte, what it
+    printed when the search built every lattice it listed: the same
+    counts, witness sequences and order."""
+    out = tmp_path / "enum.json"
+    assert main(["enumerate", "--max-len", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "7f422678d0b6fbf5d5e9479d38d541accfd3c74bf93e37ead7e277db00c77cc8")
 
 
 def test_realize_cli(tmp_path):

@@ -3,7 +3,7 @@ import gc
 import pytest
 
 from slimlat import doubling, multifork
-from slimlat.diagram import resolve_address
+from slimlat.diagram import _jh_min, _jh_permutation, resolve_address
 from slimlat.doubling import RetargetRecord, double, locate_retarget
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import PreconditionError, SlimlatError
@@ -108,7 +108,7 @@ def assert_doubling_a_held_lattice_matches_a_cold_call(entries):
             new_seq, pl = double(seq, t)
         except SlimlatError as e:
             return type(e), str(e)
-        return emit_dsl(new_seq), pl.diagram._jh_key
+        return emit_dsl(new_seq), _jh_min(_jh_permutation(pl.diagram))
 
     gc.collect()
     cold = [outcome(seq, t) for seq, t in pairs]

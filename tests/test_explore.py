@@ -9,6 +9,7 @@ from slimlat import explore
 from slimlat.diagram import (
     PlanarDiagram,
     _forked_permutation,
+    _jh_min,
     _jh_permutation,
     is_slim_rectangular,
 )
@@ -20,6 +21,7 @@ from slimlat.order import Poset, _dependencies, congruence_lattice, named_posets
 from slimlat.reduce import length_bound, minimize
 
 from oracles import (
+    distributive_cells,
     every_child,
     join_row_dependencies,
     lattice_of_permutation,
@@ -95,7 +97,7 @@ def _keys_and_codes(index):
         pi, mirrored = _jh_permutation(d), _jh_permutation(d.mirror())
         assert sorted(pi) == list(range(1, len(pi) + 1)), pl.seq
         assert all(mirrored[j - 1] == i for i, j in enumerate(pi, 1)), pl.seq
-        return d._jh_key, d.canonical_code()
+        return _jh_min(pi), d.canonical_code()
 
     pairs = [key_and_code(entry.pl) for entry in index.entries() if not entry.seq.steps]
     for entry, address, k, child in every_child(index):
@@ -113,11 +115,19 @@ def test_keys_partition_as_codes(index7):
 
 
 def test_enumeration_builds_only_new_lattices(monkeypatch):
-    """The DFS predicts each child's key and builds only the 481 children
-    that are the first of their class, beside the 12 grids."""
-    built = counted_calls(monkeypatch, explore, "multifork_extend")
-    assert sum(map(len, explore._enumerate(7).values())) == 493
-    assert len(built) == 481
+    """The search builds no lattice.  The first read of an entry's lattice
+    replays the whole search tree: the 12 grids and the 481 children that
+    are the first of their class, one step each; later reads build
+    nothing, and each lattice's sequence is its entry's."""
+    extended = counted_calls(monkeypatch, explore, "multifork_extend")
+    grids = counted_calls(monkeypatch, explore, "grid")
+    entries = [e for bucket in explore._enumerate(7).values() for e in bucket]
+    assert len(entries) == 493
+    assert (len(extended), len(grids)) == (0, 0)
+    assert entries[-1].pl.length() == 7
+    assert (len(extended), len(grids)) == (481, 12)
+    assert all(e.pl.seq is e.seq for e in entries)
+    assert (len(extended), len(grids)) == (481, 12)
 
 
 WALK_CACHES = {"four_cells": "_cells", "_side_maps": "_sides",
@@ -126,10 +136,10 @@ WALK_CACHES = {"four_cells": "_cells", "_side_maps": "_sides",
 
 def test_the_search_derives_each_walk_cache_once_and_releases_it(monkeypatch):
     """Building a child reads its parent's cells and side maps before the
-    DFS leaves the parent, so each of the 493 lattices that _enumerate(7)
-    builds (481 children, 12 grids) derives its cells, side maps, boundary
-    chains and neon tubes exactly once, and holds none of them, nor the
-    sweep's ends, when the search returns."""
+    replay leaves the parent, so each of the 493 lattices that the first
+    read of an _enumerate(7) entry builds (481 children, 12 grids) derives
+    its cells, side maps, boundary chains and neon tubes exactly once, and
+    holds none of them, nor the sweep's ends, when the replay returns."""
     derived = {}
     for name, cache in WALK_CACHES.items():
         calls, fn = derived.setdefault(name, []), getattr(PlanarDiagram, name)
@@ -140,7 +150,9 @@ def test_the_search_derives_each_walk_cache_once_and_releases_it(monkeypatch):
             return fn(d)
 
         monkeypatch.setattr(PlanarDiagram, name, counted)
-    diagrams = [e.pl.diagram for bucket in explore._enumerate(7).values() for e in bucket]
+    entries = [e for bucket in explore._enumerate(7).values() for e in bucket]
+    assert all(calls == [] for calls in derived.values())
+    diagrams = [e.pl.diagram for e in entries]
     assert len(diagrams) == 493
     for name, calls in derived.items():
         assert len(calls) == 493 and set(calls) == set(diagrams), name
@@ -157,7 +169,7 @@ def test_released_entries_derive_what_a_fresh_build_derives():
         d = e.pl.diagram
         assert [getattr(d, cache) for cache in WALK_CACHES.values()] == [None] * 4
         assert d._ends is None
-        assert d._jh_key == e.key
+        assert _jh_min(_jh_permutation(d)) == e.key
         fresh = build(e.seq).diagram
         for name in (*WALK_CACHES, "cells_by_bottom"):
             assert getattr(d, name)() == getattr(fresh, name)(), (name, e.seq)
@@ -166,18 +178,51 @@ def test_released_entries_derive_what_a_fresh_build_derives():
 
 def test_a_wrong_prediction_names_the_sequence(monkeypatch):
     """A rule that forgets to renumber the old right ends (sigma) predicts
-    the first child wrongly, and the DFS names it when it builds it.  A
-    wrong rule can also predict keys that are already recorded and skip
-    children unbuilt; test_keys_partition_as_codes checks the rule on
-    every child."""
+    the first child wrongly.  The search runs on it, and the replay that
+    the first read of a lattice starts names the child when it builds it.
+    A wrong rule can also predict keys that are already recorded and skip
+    children; test_keys_partition_as_codes checks the rule on every
+    child."""
     def unshifted(pi, address, k):
         a, b = address
         return (*pi[:a + 1], *range(b + 1 + k, b + 1, -1), *pi[a + 1:])
 
     monkeypatch.setattr(explore, "_forked_permutation", unshifted)
-    with pytest.raises(InternalInconsistencyError, match=re.escape(
-            "the 1-fold fork at (0, 0) built\ngrid 1 1\nfork 0 0 1\nwith permutation (")):
-        explore._enumerate(5)
+    entries = explore._enumerate(5)[2]
+    with pytest.raises(InternalInconsistencyError, match="^" + re.escape(
+            "the replay built\ngrid 1 1\nfork 0 0 1\n"
+            "with permutation (3, 2, 1), not the predicted (2, 2, 1)") + r"\Z"):
+        entries[0].pl
+
+
+def test_a_wrong_cell_rule_names_the_sequence(monkeypatch):
+    """A cell rule that lists every cell sends the replay to a cell that is
+    not distributive, and the replay names the sequence it cannot build."""
+    def every_cell(pi):
+        q = pi[0] - 1
+        return [(a, b) for a in range(pi.index(1)) for b in range(q)]
+
+    monkeypatch.setattr(explore, "_distributive_addresses", every_cell)
+    entries = explore._enumerate(5)[2]
+    with pytest.raises(InternalInconsistencyError, match="^" + re.escape(
+            "the replay cannot build\ngrid 1 1\nfork 0 0 1\nfork 0 0 1\nfork 0 1 1\n"
+            "cell at (0, 1) is not distributive") + r"\Z"):
+        entries[0].pl
+
+
+def _check_cell_rule(entries):
+    """The cells that the search reads off pi are the oracle's, on each
+    entry's lattice and on its mirror image, whose pi is pi^-1."""
+    for entry in entries:
+        d = entry.pl.diagram
+        for drawn in (d, d.mirror()):
+            got = explore._distributive_addresses(_jh_permutation(drawn))
+            assert got == distributive_cells(drawn), entry.seq
+
+
+def test_the_cell_rule_reads_the_distributive_cells_off_pi(index7):
+    assert len(index7.entries()) == 493
+    _check_cell_rule(index7.entries())
 
 
 def test_enumeration_computes_no_canonical_code(monkeypatch):
@@ -476,6 +521,18 @@ def test_dependencies_match_join_rows_at_length_eight(index8):
 @pytest.mark.slow
 def test_keys_partition_as_codes_at_length_eight(index8):
     assert _keys_and_codes(index8) == (3369, 2820)
+
+
+@pytest.mark.slow
+def test_the_cell_rule_reads_the_distributive_cells_off_pi_at_length_eight(index8):
+    assert len(index8.entries(8)) == 2327
+    _check_cell_rule(index8.entries(8))
+
+
+@pytest.mark.slow
+def test_counts_to_length_nine():
+    assert enumerate_index(9, allow_large=True).counts() == {
+        2: 1, 3: 2, 4: 6, 5: 19, 6: 78, 7: 387, 8: 2327, 9: 16384}
 
 
 @pytest.mark.slow

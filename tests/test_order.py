@@ -843,10 +843,10 @@ def test_certificate_rejects_coordinates_that_are_not_meet_closed():
 
 @pytest.mark.slow
 def test_certificate_matches_table_on_every_step_to_length_eight(monkeypatch):
-    """Every lattice that grid and multifork_extend certify while
-    enumerate_index(8) runs, and then every fork child of its entries,
-    duplicates included (every_child), against the meet table and
-    boundary_heights; and its built diagram against the embedding of the
+    """Every lattice that grid and multifork_extend certify while the first
+    read of an enumerate_index(8) lattice replays the search, and then
+    every fork child of its entries, duplicates included (every_child),
+    against the meet table and boundary_heights; and its built diagram against the embedding of the
     same covers read as foreign input, and its corners against those
     derived from its lists."""
     steps = []
@@ -865,7 +865,10 @@ def test_certificate_matches_table_on_every_step_to_length_eight(monkeypatch):
     monkeypatch.setattr(multifork, "_certified_diagram", checked)
     index8 = enumerate_index(8, allow_large=True)
     assert index8.counts() == {2: 1, 3: 2, 4: 6, 5: 19, 6: 78, 7: 387, 8: 2327}
-    # the enumeration builds each of its 2,820 lattices once
+    # the search certifies nothing; the replay builds each of its 2,820
+    # lattices once
+    assert steps == []
+    assert index8.entries()[0].pl.length() == 2
     assert len(steps) == sum(index8.counts().values()) == 2820
     assert sum(1 for _ in every_child(index8)) == 3353
     assert len(steps) == 2820 + 3353

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import DiagramError, PreconditionError
-from slimlat.explore import _distributive_cells
 from slimlat.lamps import lamp_poset, lamps_of_diagram
 from slimlat.multifork import ForkStep, MultiforkSequence, build, grid, multifork_extend
 from slimlat.order import (
@@ -20,6 +19,7 @@ from slimlat.order import (
 
 from oracles import (
     covers_via_nwl_nel,
+    distributive_cells,
     is_congruence,
     rho_foot,
     trajectories,
@@ -36,7 +36,7 @@ def sequences(draw):
     pl = grid(p, q)
     steps = []
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        cells = _distributive_cells(pl)
+        cells = distributive_cells(pl.diagram)
         if not cells:
             break
         addr = draw(st.sampled_from(cells))
