@@ -61,7 +61,7 @@ from .reduce import (
     check_bounds,
     length_bound,
 )
-from .doubling import RetargetRecord, locate_retarget, double
+from .doubling import double
 from .explore import (
     EnumerationIndex,
     RealizabilityAnswer,
@@ -85,7 +85,7 @@ __all__ = [
     "verify_lamp_con_iso", "is_used", "usage_stats", "lamp_report",
     "ReductionStep", "BoundReport", "remove_sandwiched", "remove_neighboring",
     "minimize", "check_bounds", "length_bound",
-    "RetargetRecord", "locate_retarget", "double",
+    "double",
     "EnumerationIndex", "RealizabilityAnswer", "enumerate_index", "realize",
     "sweep_bounds",
     "render", "validate_slopes",

@@ -452,6 +452,16 @@ def _forked_permutation(pi, address, k):
     return (*shifted[:a + 1], *range(b + 1 + k, b + 1, -1), *shifted[a + 1:])
 
 
+def _forked_labels(left, right, address, new):
+    """The trajectory labels of the fork at `address`, listed by left- and
+    by right-chain edge from the bottom, from the parent's two lists:
+    _forked_permutation's pairing, with the new trajectories' labels `new`
+    given in left-chain order.  Every old label keeps its place relative
+    to the others."""
+    a, b = address
+    return left[:a + 1] + new + left[a + 1:], right[:b + 1] + new[::-1] + right[b + 1:]
+
+
 # ---------------------------------------------------------------------------
 # Corner coordinates: the embedding and the certificate
 # ---------------------------------------------------------------------------

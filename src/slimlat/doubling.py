@@ -2,142 +2,103 @@
 
 Given a sequence and a step index t, produce a sequence whose lattice has
 the original lamp poset with step t's lamp doubled and exactly two extra
-neon tubes: replace step t by a 2-fold fork at the same cell followed by
-the original multiplicity at the cell under the new lamp's leftmost tube
-foot, then re-locate every later step by crossing the two trajectories
-that flanked its original cell.
+neon tubes: replace step t, a k-fold fork at (a, b), by a 2-fold fork at
+(a, b) followed by a k-fold fork at (a + 1, b), and move every later step
+to the cell where the two trajectories that crossed in its original cell
+cross.  The new sequence is read off the fork rule with no lattice walked.
+
+Label the trajectories of a lattice and list the labels twice: by the
+left-chain edge where each starts and by the right-chain edge where each
+ends, both from the bottom; the Jordan-Holder permutation pairs the two
+lists.  The cell whose bottom has address (a, b) is the crossing of left
+label a + 1 and right label b + 1: its lower left side descends to the
+left-chain edge a + 1 and its lower right side to the right-chain edge
+b + 1 (_forked_permutation), and a trajectory crosses a cell through
+opposite sides, so the trajectories of the two lower sides cross there.
+A cell is fixed by its bottom's address, so the two labels name it.  A
+fork keeps every old trajectory with its two ends, renumbered: it
+crosses each subdivided edge on its lowest piece and passes through the
+same neon tube, which no fork subdivides (a tube's foot has one upper
+cover).  So a fork inserts its k new labels into both lists and keeps
+the old ones in order (diagram._forked_labels), a label names one tube
+for good, and a later step's cell is named, in any sequence that makes
+the same trajectories, by its two labels.  The doubled sequence makes
+them all: its forks before t are the input's, and step t's k-fold fork
+takes step t's labels.  After the 2-fold fork at (a, b), the new lamp's
+left tube sits on a cell whose bottom is the lower of the two points
+that subdivide the forked cell's lower left side; the fork put that
+point on its left path one subdivision up from the cell's bottom, so at
+left height a + 1 and the bottom's right height b: the anchor is
+(a + 1, b), the crossing of the fork's first new label with right label
+b + 1.  The tests compare the result with the geometric relocation,
+trajectories walked and crossed on built stages, for every step of every
+lattice of length <= 8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .diagram import cell_address, resolve_address
+from .diagram import _forked_labels
+from .dsl import emit_dsl
 from .errors import InternalInconsistencyError, PreconditionError
-from .lamps import lamp_creation_step, lamp_poset, lamps_of_diagram, tube_lamp
-from .multifork import build, multifork_extend
+from .lamps import lamp_creation_step, lamp_poset
+from .multifork import ForkStep, MultiforkSequence, build
 from .order import poset_double, poset_iso
 
 
-@dataclass(frozen=True)
-class RetargetRecord:
-    """Which tube flanks a step's cell: the trajectory through the cell's
-    upper-left edge descends from tube alpha of lamp u; the one through the
-    upper-right edge ascends to tube beta of lamp v."""
-
-    u: tuple
-    alpha: int
-    v: tuple
-    beta: int
-
-
-def _lamp_id(pl, lamp):
-    """Build-independent lamp identity: ("s", creation step) for an internal
-    lamp, ("b", foot) for a boundary one.  A fork appends new ids and
-    subdivides only the edges on its two paths, which descend to the lower
-    boundary chains; the cell's bottom lies above neither corner, since
-    above a corner the cell's two sides would both lie on that corner's
-    upper chain and so be comparable.  `_swap` keeps every old element's
-    count of upper covers.  So the upper-boundary tubes are the grid's,
-    with the same ids, at every stage and in the lattice `double` rebuilds.
-    """
-    if lamp.kind == "internal":
-        return ("s", lamp_creation_step(pl, lamp))
-    return ("b", lamp.foot)
-
-
-def _lamps_by_id(pl):
-    return {_lamp_id(pl, l): l for l in lamps_of_diagram(pl.diagram)}
-
-
-def locate_retarget(stage_pl, address):
-    """Identify the flanking tubes of the cell at `address` in a stage
-    lattice, as (lamp id, tube index) pairs for the two upper edges."""
-    d = stage_pl.diagram
-    cell = resolve_address(d, address)
-    lamp_u, alpha = tube_lamp(d, d.trajectory_through((cell.left, cell.top)).tube)
-    lamp_v, beta = tube_lamp(d, d.trajectory_through((cell.right, cell.top)).tube)
-    return RetargetRecord(
-        _lamp_id(stage_pl, lamp_u), alpha, _lamp_id(stage_pl, lamp_v), beta
-    )
-
-
-def _crossing_cell(pl, rec, t):
-    """The unique 4-cell where the descending part of the trajectory through
-    tube alpha of lamp u crosses the ascending part through tube beta of v."""
-    d = pl.diagram
-    by_id = _lamps_by_id(pl)
-
-    def primed_id(lamp_id):
-        if lamp_id[0] == "s":
-            s = lamp_id[1]
-            return ("s", s + (s >= t))
-        return lamp_id
-
-    lamp_u = by_id[primed_id(rec.u)]
-    lamp_v = by_id[primed_id(rec.v)]
-    p_tube = lamp_u.tubes[rec.alpha]
-    q_tube = lamp_v.tubes[rec.beta]
-    traj_p = d.trajectory_through(p_tube)
-    traj_q = d.trajectory_through(q_tube)
-    desc = set(traj_p.cells[traj_p.top_index:])
-    asc = set(traj_q.cells[: traj_q.top_index])
-    common = desc & asc
-    if len(common) != 1:
-        raise InternalInconsistencyError(
-            f"trajectories cross in {len(common)} cells, expected exactly 1"
-        )
-    return common.pop()
+def _doubled_sequence(seq, t):
+    """The input's forks with step t doubled and every later step moved to
+    the crossing of its two labels (module docstring); `seq` must build.
+    The input's lists (`old`) and the new sequence's (`new`) share the
+    grid's labels, 0..n - 1 by left-chain edge, and each input step's; the
+    2-fold fork's two labels are -1 and -2."""
+    p, q = seq.grid_p, seq.grid_q
+    old = new = (list(range(p + q)), [*range(p, p + q), *range(p)])
+    fresh = p + q
+    steps = []
+    for s, st in enumerate(seq.steps, 1):
+        labels = list(range(fresh, fresh + st.k))
+        fresh += st.k
+        a, b = new[0].index(old[0][st.a]), new[1].index(old[1][st.b])
+        if s == t:
+            new = _forked_labels(*new, (a, b), [-1, -2])
+            steps.append(ForkStep(a, b, 2))
+            a += 1
+        new = _forked_labels(*new, (a, b), labels)
+        steps.append(ForkStep(a, b, st.k))
+        old = _forked_labels(*old, (st.a, st.b), labels)
+    return MultiforkSequence(p, q, tuple(steps))
 
 
 def double(seq, t):
     """Sequence realizing the lamp poset with step t's lamp doubled.
 
-    Returns (new sequence, its built lattice).  The stages of `seq` are
-    the `parent` chain of build(seq), which reuses the caller's lattice
-    while the caller holds it: the lattice after t - 1 steps is forked,
-    and the stage before each later step gives the flanking tubes of that
-    step's cell.  Verifies the guarantees: tube count and length grow by
-    exactly 2, and the new lamp poset is the doubling of the old one at
-    the position of step t's lamp in lamp_poset order.
+    Returns (new sequence, its built lattice), both through `build`: the
+    input's is a memo hit while the caller holds it, and the new one
+    extends the input's live stage t - 1, or a longer prefix they share.
+    Verifies the guarantees: the new sequence builds, tube count and
+    length grow by exactly 2, and the new lamp poset is the doubling of
+    the old one at the position of step t's lamp in lamp_poset order.  A
+    failed check is an InternalInconsistencyError that names the input
+    and t, which `slimlat double --step t` replays.
     """
     if not (1 <= t <= len(seq.steps)):
         raise PreconditionError(f"step {t} out of range 1..{len(seq.steps)}")
-    orig = stage = build(seq)
-    stages = []
-    while stage is not None:
-        stages.append(stage)
-        stage = stage.parent
-    stages.reverse()  # stages[s] is the lattice after s steps
-    prefix = stages[t - 1]
-    records = {s: locate_retarget(stages[s - 1], (st.a, st.b))
-               for s, st in enumerate(seq.steps[t:], start=t + 1)}
+    orig = build(seq)
+    replay = f"`slimlat double --step {t}` replays it on\n{emit_dsl(seq)}"
+    try:
+        pl = build(_doubled_sequence(seq, t))
+    except PreconditionError as e:
+        raise InternalInconsistencyError(f"the doubled sequence fails at {e}; {replay}") from e
 
-    step_t = seq.steps[t - 1]
-    pl = multifork_extend(prefix, (step_t.a, step_t.b), 2)
-
-    # the cell whose peak is the foot of the new lamp's leftmost tube
-    j_prime = next(
-        l for l in lamps_of_diagram(pl.diagram) if lamp_creation_step(pl, l) == t
-    )
-    anchor = j_prime.tubes[0].foot
-    cells = [c for c in pl.diagram.four_cells() if c.top == anchor]
-    if len(cells) != 1:
+    tubes, length = pl.antube() - orig.antube(), pl.length() - orig.length()
+    if (tubes, length) != (2, 2):
         raise InternalInconsistencyError(
-            f"{len(cells)} cells under the leftmost tube foot, expected 1"
+            f"doubling added {tubes} tubes and {length} to the length, not 2; {replay}"
         )
-    pl = multifork_extend(pl, cell_address(pl.diagram, cells[0]), step_t.k)
-
-    for s in range(t + 1, len(seq.steps) + 1):
-        cell = _crossing_cell(pl, records[s], t)
-        pl = multifork_extend(pl, cell_address(pl.diagram, cell), seq.steps[s - 1].k)
-
-    if pl.antube() != orig.antube() + 2 or pl.length() != orig.length() + 2:
-        raise InternalInconsistencyError("doubling did not add exactly 2 tubes")
     lamps_o, _, poset_o = lamp_poset(orig)
     target = next(i for i, l in enumerate(lamps_o) if lamp_creation_step(orig, l) == t)
     doubled = poset_double(poset_o, target)
     _, _, poset_n = lamp_poset(pl)
     if poset_iso(poset_n, doubled) is None:
-        raise InternalInconsistencyError("lamp poset is not the doubled poset")
+        raise InternalInconsistencyError(f"lamp poset is not the doubled poset; {replay}")
     return pl.seq, pl

@@ -73,7 +73,7 @@ class ProvenancedLattice:
     the built lattice of `seq` without its last step, so a lattice from
     `build` keeps every stage of its sequence.  Only `build` sets it: it is
     None for a grid and for the lattices that `multifork_extend` makes
-    elsewhere (the enumeration's, `double`'s output).
+    elsewhere (the enumeration's).
     """
 
     def __init__(self, diagram, seq, tube_records, recipes):
@@ -376,16 +376,13 @@ def decompose(diagram_or_pl):
     return reprovenance(diagram_or_pl).seq
 
 
-def _delete_forks(d, tubes):
-    """(sub-diagram, old id -> new id) left when the forks of the given
-    internal neon tubes are deleted from d: the order restricted to the
+def _delete_fork(d, tube):
+    """(sub-diagram, old id -> new id) left when the fork of the given
+    internal neon tube is deleted from d: the order restricted to the
     rest, certified at the same corners and validated.  Raises
     DiagramError or OrderError naming the failure."""
     lat = d.lattice
-    removed = set()
-    for tube in tubes:
-        removed |= fork_interval(d, tube.foot)
-    sub, old_ids = lat.poset.restrict(set(range(lat.n)) - removed)
+    sub, old_ids = lat.poset.restrict(set(range(lat.n)) - fork_interval(d, tube.foot))
     idx = {old: new for new, old in enumerate(old_ids)}
     # the fork lies below an internal foot, which lies above neither corner
     # (what does is on an upper boundary), so both corners are kept

@@ -29,7 +29,7 @@ from .lamps import (
     lamps_of_diagram,
     usage_stats,
 )
-from .multifork import _delete_forks, _rebuilt
+from .multifork import _delete_fork, _rebuilt
 from .order import FiniteLattice, congruence_lattice, poset_iso
 
 
@@ -75,7 +75,7 @@ def _remove_fork(pl, lamp, tube, rule):
     d = pl.diagram
     lat = d.lattice
     try:
-        subd, idx = _delete_forks(d, (tube,))
+        subd, idx = _delete_fork(d, tube)
     except (OrderError, DiagramError) as e:
         raise InternalInconsistencyError(f"removal produced an invalid lattice: {e}")
     sublat = subd.lattice

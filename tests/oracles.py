@@ -25,7 +25,7 @@ does not use.
   Production tests Birkhoff's covering condition and 2-colours the
   incomparability graph of J(L) (`slimlat.order.FiniteLattice`).
 - Induced sublattices, certified by the meet table as foreign input is.
-  Production deletes forks (`slimlat.multifork._delete_forks`) and
+  Production deletes a fork (`slimlat.multifork._delete_fork`) and
   certifies what is left by its corner coordinates.
 - Up- and down-sets as frozensets, by a search along the covers from each
   element.  Production ORs bitmasks along a topological order
@@ -51,6 +51,14 @@ does not use.
   each cell's top (`distributive_cells`).  Production reads them off the
   Jordan-Holder permutation with no lattice built
   (`slimlat.explore._distributive_addresses`).
+- The doubled sequence by geometry (`doubled_sequence_by_crossings`):
+  each later step's cell named by the tubes of the two trajectories
+  through its upper sides, at the stage before it (`locate_retarget`),
+  and found again in the doubled lattice as the cell where the descending
+  part of one crosses the ascending part of the other (`_crossing_cell`);
+  step t's multiplicity goes to the cell under the new lamp's leftmost
+  tube foot.  Production reads the sequence off the fork rule, on
+  trajectory labels (`slimlat.doubling._doubled_sequence`).
 - Drawing coordinates by the eager fold that computes them with each
   step, from the step's own trajectories.  Production records a recipe
   per new element and replays the recipes on first read
@@ -68,7 +76,14 @@ from itertools import combinations
 
 from slimlat.diagram import _cross, cell_address, resolve_address
 from slimlat.errors import DiagramError, InternalInconsistencyError
-from slimlat.lamps import lamp_poset, lamps_of_diagram, nwl_nel, usage_stats
+from slimlat.lamps import (
+    lamp_creation_step,
+    lamp_poset,
+    lamps_of_diagram,
+    nwl_nel,
+    tube_lamp,
+    usage_stats,
+)
 from slimlat.multifork import build, grid, multifork_extend
 from slimlat.order import Congruence, FiniteLattice, Poset, is_distributive_ideal_grid
 
@@ -121,6 +136,67 @@ def stages(pl):
     while out[-1].parent is not None:
         out.append(out[-1].parent)
     return out[::-1]
+
+
+def _lamp_id(pl, lamp):
+    """Build-independent lamp identity: ("s", creation step) for an internal
+    lamp, ("b", foot) for a boundary one.  A fork appends new ids and
+    subdivides only the edges on its two paths, which descend to the lower
+    boundary chains, so the upper-boundary tubes keep their ids at every
+    stage and in the doubled lattice."""
+    if lamp.kind == "internal":
+        return ("s", lamp_creation_step(pl, lamp))
+    return ("b", lamp.foot)
+
+
+def locate_retarget(stage_pl, address):
+    """(u, alpha, v, beta): the trajectory through the upper-left edge of the
+    cell at `address` descends from tube alpha of the lamp with id u, the
+    one through its upper-right edge ascends to tube beta of lamp v."""
+    d = stage_pl.diagram
+    cell = resolve_address(d, address)
+    lamp_u, alpha = tube_lamp(d, d.trajectory_through((cell.left, cell.top)).tube)
+    lamp_v, beta = tube_lamp(d, d.trajectory_through((cell.right, cell.top)).tube)
+    return _lamp_id(stage_pl, lamp_u), alpha, _lamp_id(stage_pl, lamp_v), beta
+
+
+def _crossing_cell(pl, record, t):
+    """The one cell where the descending part of the trajectory through
+    tube alpha of lamp u crosses the ascending part through tube beta of
+    v, in a lattice whose step t was doubled, which moves the steps from
+    t on one later."""
+    u, alpha, v, beta = record
+    by_id = {_lamp_id(pl, l): l for l in lamps_of_diagram(pl.diagram)}
+
+    def moved(lamp_id):
+        kind, key = lamp_id
+        return (kind, key + (key >= t)) if kind == "s" else lamp_id
+
+    traj_p = pl.diagram.trajectory_through(by_id[moved(u)].tubes[alpha])
+    traj_q = pl.diagram.trajectory_through(by_id[moved(v)].tubes[beta])
+    common = set(traj_p.cells[traj_p.top_index:]) & set(traj_q.cells[: traj_q.top_index])
+    assert len(common) == 1, common
+    return common.pop()
+
+
+def doubled_sequence_by_crossings(seq, t):
+    """The sequence that doubles step t's lamp, found on built lattices: a
+    2-fold fork at step t's cell, step t's multiplicity at the cell whose
+    top is the foot of the new lamp's leftmost tube, and each later step
+    at the crossing of the trajectories that flanked its cell at the stage
+    before it in build(seq)."""
+    chain = stages(build(seq))
+    records = {s: locate_retarget(chain[s - 1], (st.a, st.b))
+               for s, st in enumerate(seq.steps[t:], start=t + 1)}
+    step = seq.steps[t - 1]
+    pl = multifork_extend(chain[t - 1], (step.a, step.b), 2)
+    new_lamp = next(l for l in lamps_of_diagram(pl.diagram) if lamp_creation_step(pl, l) == t)
+    [anchor] = [c for c in pl.diagram.four_cells() if c.top == new_lamp.tubes[0].foot]
+    pl = multifork_extend(pl, cell_address(pl.diagram, anchor), step.k)
+    for s in range(t + 1, len(seq.steps) + 1):
+        cell = _crossing_cell(pl, records[s], t)
+        pl = multifork_extend(pl, cell_address(pl.diagram, cell), seq.steps[s - 1].k)
+    return pl.seq
 
 
 def _territories(chain, lamps):

@@ -3,19 +3,22 @@ import gc
 import pytest
 
 from slimlat import doubling, multifork
-from slimlat.diagram import _jh_min, _jh_permutation, resolve_address
-from slimlat.doubling import RetargetRecord, double, locate_retarget
+from slimlat.cli import main
+from slimlat.diagram import _forked_labels, _forked_permutation, _jh_min, _jh_permutation
+from slimlat.doubling import double
 from slimlat.dsl import emit_dsl, parse_dsl
-from slimlat.errors import PreconditionError, SlimlatError
+from slimlat.errors import InternalInconsistencyError, PreconditionError, SlimlatError
 from slimlat.explore import enumerate_index
 from slimlat.lamps import lamp_poset, lamps_of_diagram
-from slimlat.multifork import build, grid
+from slimlat.multifork import ForkStep, MultiforkSequence, build, grid
 from slimlat.order import (
     congruence_lattice,
     named_posets,
     poset_double,
     poset_iso,
 )
+
+from oracles import doubled_sequence_by_crossings, locate_retarget
 
 
 def _boundary_feet(pl):
@@ -27,7 +30,7 @@ def test_locate_retarget_on_grid_step():
     # a boundary lamp is named by its foot: 2 on the left upper chain, 1 on
     # the right one
     assert _boundary_feet(pl) == {("L", 2), ("R", 1)}
-    assert locate_retarget(pl, (0, 0)) == RetargetRecord(("b", 2), 0, ("b", 1), 0)
+    assert locate_retarget(pl, (0, 0)) == (("b", 2), 0, ("b", 1), 0)
     # the boundary feet are the grid's at every stage of every lattice of
     # length <= 6, and in the lattice that doubling its first step gives
     checked = 0
@@ -41,6 +44,44 @@ def test_locate_retarget_on_grid_step():
             stage = stage.parent
             checked += 1
     assert checked == 288
+
+
+def assert_double_matches_the_crossings(entries):
+    """double at every step of each entry's sequence gives the sequence
+    that the geometric relocation finds on built lattices."""
+    pairs = [(e.seq, t) for e in entries for t in range(1, len(e.seq.steps) + 1)]
+    for seq, t in pairs:
+        assert double(seq, t)[0] == doubled_sequence_by_crossings(seq, t), (emit_dsl(seq), t)
+    return len(pairs)
+
+
+def test_double_matches_the_crossings_to_length_six():
+    assert assert_double_matches_the_crossings(enumerate_index(6).entries()) == 182
+
+
+@pytest.mark.slow
+def test_double_matches_the_crossings_at_lengths_seven_and_eight():
+    index = enumerate_index(8, allow_large=True)
+    assert [assert_double_matches_the_crossings(index.entries(n)) for n in (7, 8)] == [985, 7438]
+
+
+def test_label_lists_read_pi_as_the_fork_rule():
+    """At every step of every sequence of length <= 7, the permutation read
+    off the two label lists, each left label's place in the right list, is
+    the chain of _forked_permutation from the grid's."""
+    entries = enumerate_index(7).entries()
+    for e in entries:
+        p, q = e.seq.grid_p, e.seq.grid_q
+        left, right = list(range(p + q)), [*range(p, p + q), *range(p)]
+        pi = (*range(q + 1, p + q + 1), *range(1, q + 1))
+        fresh = p + q
+        for st in e.seq.steps:
+            left, right = _forked_labels(left, right, (st.a, st.b), list(range(fresh, fresh + st.k)))
+            fresh += st.k
+            pi = _forked_permutation(pi, (st.a, st.b), st.k)
+            place = {label: j for j, label in enumerate(right, 1)}
+            assert tuple(place[label] for label in left) == pi, emit_dsl(e.seq)
+    assert len(entries) == 493
 
 
 def test_double_s7():
@@ -131,8 +172,10 @@ def test_doubling_a_held_lattice_matches_a_cold_call_at_length_seven():
 
 
 def test_double_replays_no_step_of_a_held_lattice(monkeypatch):
-    """double forks step t's cell twice, then each later step once; the
-    fold of its input costs one step per fork unless the caller holds it."""
+    """double builds its input, then the doubled sequence, which forks step
+    t's cell twice, then each later step once, from the input's stage
+    t - 1; the fold of its input costs one step per fork unless the caller
+    holds it."""
     steps = []
     extend = multifork.multifork_extend
 
@@ -140,14 +183,53 @@ def test_double_replays_no_step_of_a_held_lattice(monkeypatch):
         steps.append(address)
         return extend(pl, address, k)
 
-    for module in (multifork, doubling):
-        monkeypatch.setattr(module, "multifork_extend", counted)
+    monkeypatch.setattr(multifork, "multifork_extend", counted)
     seq = parse_dsl("grid 1 1\nfork 0 0 3\nfork 2 0 1")
     expected = "grid 1 1\nfork 0 0 2\nfork 1 0 3\nfork 3 0 1\n"
     gc.collect()
     assert emit_dsl(double(seq, 1)[0]) == expected
     cold = len(steps)
+    gc.collect()
     pl = build(seq)
     steps.clear()
     assert emit_dsl(double(pl.seq, 1)[0]) == expected
     assert (cold, len(steps)) == (5, 3)
+
+
+# Replaying a failed self-check -----------------------------------------------
+
+# doubling its first step moves its second: fork 0 0 2, fork 1 0 3, fork 3 0 1
+REPLAYED = "grid 1 1\nfork 0 0 3\nfork 2 0 1\n"
+
+
+def _moved_last_step(a=0, k=0):
+    """_doubled_sequence with its last step shifted by a and its k raised by k."""
+    computed = doubling._doubled_sequence
+
+    def planted(seq, t):
+        new = computed(seq, t)
+        *rest, last = new.steps
+        return MultiforkSequence(
+            new.grid_p, new.grid_q, (*rest, ForkStep(last.a + a, last.b, last.k + k)))
+
+    return "_doubled_sequence", planted
+
+
+@pytest.mark.parametrize("planted, check", [
+    (_moved_last_step(a=1),
+     "the doubled sequence fails at step 3: cell at (4, 0) is not distributive"),
+    (_moved_last_step(k=1), "doubling added 3 tubes and 3 to the length, not 2"),
+    (("poset_double", lambda p, j: p), "lamp poset is not the doubled poset"),
+], ids=["build", "tubes", "poset_double"])
+def test_a_failed_doubling_self_check_names_the_input_that_replays_it(
+        monkeypatch, tmp_path, capsys, planted, check):
+    monkeypatch.setattr(doubling, *planted)
+    message = f"{check}; `slimlat double --step 1` replays it on\n{REPLAYED}"
+    with pytest.raises(InternalInconsistencyError) as info:
+        double(parse_dsl(REPLAYED), 1)
+    assert str(info.value) == message
+    assert parse_dsl(str(info.value).split("replays it on\n")[1]) == parse_dsl(REPLAYED)
+    seq = tmp_path / "replayed.seq"
+    seq.write_text(REPLAYED)
+    assert main(["double", "--input", str(seq), "--step", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

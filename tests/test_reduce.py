@@ -178,14 +178,14 @@ def test_one_fork_deletion_per_removal_and_none_per_decomposition(monkeypatch):
     """A removal deletes one fork; recovering a sequence, for a removal's
     result or for a diagram, deletes none."""
     calls = []
-    delete = multifork_module._delete_forks
+    delete = multifork_module._delete_fork
 
     def counted(*args):
         calls.append(args)
         return delete(*args)
 
     for module in (multifork_module, reduce_module):
-        monkeypatch.setattr(module, "_delete_forks", counted)
+        monkeypatch.setattr(module, "_delete_fork", counted)
     entries = enumerate_index(6).entries()
     removals = 0
     for entry in entries:
