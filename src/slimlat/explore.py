@@ -11,9 +11,9 @@ from the grids, reads each lattice's distributive cells off its pi
 its key is seen: the key fixes the length, so the remaining budget, and
 the fork count, and isomorphic lattices extend to the same lattices.
 
-The first read of an entry's lattice (EnumEntry.pl, code, lamp_poset)
-replays the whole search tree (_replayed), one `grid` or one fork step
-of the parent's lattice per node, as when the search built them.  Each
+The first read of an entry's lattice (EnumEntry.pl or code) replays
+the whole search tree (_replayed), one `grid` or one fork step of the
+parent's lattice per node, as when the search built them.  Each
 replayed lattice is certified and validated, and its swept permutation
 must be the one the search derived, else InternalInconsistencyError
 names its sequence: the fork and cell rules are checked in the replay,
@@ -23,13 +23,19 @@ each lattice's walk caches (cells, side maps, boundary chains, neon
 tubes, the sweep's ends) when it leaves its subtree.
 
 Realizability rests on two lamp facts (Czedli, "Lamps in slim rectangular
-planar semimodular lattices", Acta Sci. Math. 2021): every multifork adds
-exactly one lamp, and every new lamp lies strictly below its Nwl and Nel
-lamps.  So a lattice built from `grid p q` with f forks has p + q + f
+planar semimodular lattices", Acta Sci. Math. 87, 2021): every multifork
+adds exactly one lamp, and every new lamp lies strictly below its Nwl and
+Nel lamps.  So a lattice built from `grid p q` with f forks has p + q + f
 lamps, and its maximal lamps are its p + q boundary lamps.  A poset P with
 n elements can only be the lamp poset of a descendant of a grid with
 p + q = #maximal(P) that uses at most n - p - q forks, and `realize`
-searches nothing else.
+searches nothing else.  It reads each candidate's lamp poset off its fork
+sequence by the second fact (_sequence_lamp_poset), builds no lattice
+and replays no tree; it builds only the witness it answers with, and
+checks there the key and the lamp poset that the pi rules gave.  A
+negative answer rests on the pi cell, fork and lamp rules, which the
+tests check against built lattices to length 7 (8 under `slow`), and,
+for `not_representable`, on the paper's length bound.
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from .diagram import _forked_permutation, _jh_min, _jh_permutation
 from .dsl import emit_dsl
 from .errors import BudgetError, DiagramError, InternalInconsistencyError, PreconditionError
 from .lamps import lamp_poset
-from .multifork import ForkStep, MultiforkSequence, grid, multifork_extend
-from .order import poset_iso
+from .multifork import ForkStep, MultiforkSequence, build, grid, multifork_extend
+from .order import Poset, poset_iso
 from .reduce import check_bounds, length_bound, minimize
 
 PRACTICAL_MAX_LEN = 7
@@ -65,10 +71,6 @@ class EnumEntry:
     def code(self):
         """The canonical code, derived on each read (canonical_code)."""
         return self.pl.canonical_code()
-
-    def lamp_poset(self):
-        _, _, poset = lamp_poset(self.pl)
-        return poset
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,43 @@ def _distributive_addresses(pi):
         rect &= col
         tops.append((rect + 1 & ~rect).bit_length() - 2)
     return [(a, b) for a in range(p) for b in range(q) if a < tops[b]]
+
+
+def _sequence_lamp_poset(seq):
+    """The lamp poset of seq's lattice, read off its forks with no lattice
+    built: lamp i is the i-th boundary lamp for i < p + q (by left-chain
+    position in the grid) and the lamp of fork i - p - q + 1 after.
+
+    Every trajectory passes through exactly one neon tube, and a fork
+    keeps it there with its two ends (doubling's module docstring), so
+    `owner`, the lamp of the tube on the trajectory that starts at each
+    left-chain position, only grows by insertion.  The grid's p + q
+    trajectories cross its p + q boundary tubes, one each.  A k-fold fork
+    at (a, b) splits the cell with bottom w, sides l and r and top t: its
+    k new trajectories cross the k new tubes below t, which make one new
+    lamp, and start at positions a + 2, ..., a + 1 + k
+    (_forked_permutation).  The cell is the new lamp's circumscribed
+    rectangle, and a trajectory crosses a cell through opposite sides:
+    the one through the upper right edge [r, t] crosses [w, l], which
+    descends to left-chain position a + 1, and the one through the upper
+    left edge [l, t] crosses [w, r], which descends to right-chain edge
+    b + 1, so starts at pi^-1(b + 1).  Their owners are the new lamp's
+    Nel and Nwl lamps (lamps.nwl_nel).  A fork adds its lamp below these
+    two and leaves the older lamps and their order as they were (Czedli,
+    Acta Sci. Math. 87, 2021), so the lamp order is the closure of the
+    pairs that the forks add, as lamp_poset's Nwl/Nel rule generates it.
+    The tests compare the two on every lattice of length <= 7, and of
+    length 8 under `slow`.
+    """
+    pi = _grid_permutation(seq.grid_p, seq.grid_q)
+    owner = list(range(seq.grid_p + seq.grid_q))
+    pairs = set()
+    for new, st in enumerate(seq.steps, len(owner)):
+        pairs.add((new, owner[st.a]))
+        pairs.add((new, owner[pi.index(st.b + 1)]))
+        pi = _forked_permutation(pi, (st.a, st.b), st.k)
+        owner[st.a + 1:st.a + 1] = [new] * st.k
+    return Poset.from_relation(seq.grid_p + seq.grid_q + len(seq.steps), pairs)
 
 
 def _enumerate(max_len, boundary=None, max_forks=None):
@@ -249,8 +288,11 @@ def realize(poset, max_len, allow_large=False):
     the number of maximal elements, with at most n - p - q forks, and
     compares lamp posets only on the lattices with exactly n lamps (see the
     module docstring).  A poset with one maximal element therefore finishes
-    at once.  The witness is the first match `enumerate_index(length)`
-    lists at that length.
+    at once.  Those lamp posets are read off the fork sequences, and only
+    the witness, the first match `enumerate_index(length)` lists at that
+    length, is built and checked (_check_witness).  A negative answer
+    rests on the pi rules beyond the lengths the tests check them at, 7 in
+    Tier-1 and 8 under `slow`, and "not_representable" on the bound too.
     """
     n = poset.n
     if n <= 1:
@@ -266,11 +308,33 @@ def realize(poset, max_len, allow_large=False):
     for length in range(max(2, n), cap + 1):
         for entry in _enumerate(length, boundary, n - boundary).get(length, ()):
             if (boundary + len(entry.seq.steps) == n
-                    and poset_iso(entry.lamp_poset(), poset) is not None):
+                    and poset_iso(_sequence_lamp_poset(entry.seq), poset) is not None):
+                _check_witness(entry, poset)
                 return RealizabilityAnswer(poset, "found", length, entry.seq, length)
     if cap >= bound:
         return RealizabilityAnswer(poset, "not_representable", -1, None, cap)
     return RealizabilityAnswer(poset, "unresolved", -1, None, cap)
+
+
+def _check_witness(entry, poset):
+    """Build the one lattice `realize` answers with and check what the
+    search read off pi: its swept permutation has the entry's key, and its
+    lamp poset (lamp_poset) is the query's.  A failure, or a build that
+    fails, is an InternalInconsistencyError that names the sequence."""
+    try:
+        pl = build(entry.seq)
+    except PreconditionError as e:
+        raise InternalInconsistencyError(
+            f"realize cannot build the witness\n{emit_dsl(entry.seq)}{e}") from e
+    key = _jh_min(_jh_permutation(pl.diagram))
+    if key != entry.key:
+        raise InternalInconsistencyError(
+            f"realize built the witness\n{emit_dsl(entry.seq)}with key {key},"
+            f" not the searched {entry.key}")
+    if poset_iso(lamp_poset(pl)[2], poset) is None:
+        raise InternalInconsistencyError(
+            f"realize built the witness\n{emit_dsl(entry.seq)}"
+            "with a lamp poset not isomorphic to the query")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from slimlat import explore
+from slimlat import explore, multifork
+from slimlat.cli import main
 from slimlat.diagram import (
     PlanarDiagram,
     _forked_permutation,
@@ -13,6 +14,7 @@ from slimlat.diagram import (
     _jh_permutation,
     is_slim_rectangular,
 )
+from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import BudgetError, InternalInconsistencyError
 from slimlat.explore import enumerate_index, realize, sweep_bounds
 from slimlat.lamps import lamp_poset
@@ -176,6 +178,18 @@ def test_released_entries_derive_what_a_fresh_build_derives():
         assert trajectories(d) == trajectories(fresh), e.seq
 
 
+def _every_cell(pi):
+    """A cell rule that lists every cell, distributive or not."""
+    q = pi[0] - 1
+    return [(a, b) for a in range(pi.index(1)) for b in range(q)]
+
+
+def _unshifted(pi, address, k):
+    """A fork rule that forgets to renumber the old right ends (sigma)."""
+    a, b = address
+    return (*pi[:a + 1], *range(b + 1 + k, b + 1, -1), *pi[a + 1:])
+
+
 def test_a_wrong_prediction_names_the_sequence(monkeypatch):
     """A rule that forgets to renumber the old right ends (sigma) predicts
     the first child wrongly.  The search runs on it, and the replay that
@@ -183,11 +197,7 @@ def test_a_wrong_prediction_names_the_sequence(monkeypatch):
     A wrong rule can also predict keys that are already recorded and skip
     children; test_keys_partition_as_codes checks the rule on every
     child."""
-    def unshifted(pi, address, k):
-        a, b = address
-        return (*pi[:a + 1], *range(b + 1 + k, b + 1, -1), *pi[a + 1:])
-
-    monkeypatch.setattr(explore, "_forked_permutation", unshifted)
+    monkeypatch.setattr(explore, "_forked_permutation", _unshifted)
     entries = explore._enumerate(5)[2]
     with pytest.raises(InternalInconsistencyError, match="^" + re.escape(
             "the replay built\ngrid 1 1\nfork 0 0 1\n"
@@ -198,11 +208,7 @@ def test_a_wrong_prediction_names_the_sequence(monkeypatch):
 def test_a_wrong_cell_rule_names_the_sequence(monkeypatch):
     """A cell rule that lists every cell sends the replay to a cell that is
     not distributive, and the replay names the sequence it cannot build."""
-    def every_cell(pi):
-        q = pi[0] - 1
-        return [(a, b) for a in range(pi.index(1)) for b in range(q)]
-
-    monkeypatch.setattr(explore, "_distributive_addresses", every_cell)
+    monkeypatch.setattr(explore, "_distributive_addresses", _every_cell)
     entries = explore._enumerate(5)[2]
     with pytest.raises(InternalInconsistencyError, match="^" + re.escape(
             "the replay cannot build\ngrid 1 1\nfork 0 0 1\nfork 0 0 1\nfork 0 1 1\n"
@@ -342,6 +348,84 @@ def test_realize_witness_has_matching_lamp_poset():
     assert poset_iso(poset, named_posets("Q", 4)) is not None
 
 
+# a 4-element poset with two maximal elements that no lattice has as its
+# lamp poset: the search runs over the whole window up to length_bound(4)
+CHAIN_AND_POINT = Poset.from_relation(4, {(0, 1), (1, 2)})
+
+
+@pytest.mark.parametrize("poset, max_len, answer", [
+    (named_posets("Y"), 7, ("found", 5, "grid 1 1\nfork 0 0 2\nfork 0 1 1\n")),
+    (Poset.from_relation(5, {(0, 1), (1, 2), (2, 3), (2, 4)}), 7,
+     ("found", 6, "grid 1 1\nfork 0 0 2\nfork 0 1 1\nfork 1 0 1\n")),
+    (CHAIN_AND_POINT, 7, ("not_representable", -1, None)),
+    (CHAIN_AND_POINT, 5, ("unresolved", -1, None)),
+], ids=["Y", "five_elements", "not_representable", "unresolved"])
+def test_realize_builds_only_its_witness(monkeypatch, poset, max_len, answer):
+    """realize reads every candidate's lamp poset off its fork sequence and
+    builds one lattice, the witness, with one grid and one fork step per
+    step; a negative answer builds nothing.  Both the explore bindings,
+    which the replay calls, and the multifork ones, which build calls,
+    are counted."""
+    calls = {"grid": [], "multifork_extend": []}
+    for module in (explore, multifork):
+        for name, made in calls.items():
+            def counted(*args, fn=getattr(module, name), made=made):
+                made.append(args)
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    gc.collect()
+    ans = realize(poset, max_len)
+    witness = emit_dsl(ans.witness_seq) if ans.witness_seq else None
+    assert (ans.status, ans.min_length, witness) == answer
+    steps = len(ans.witness_seq.steps) if ans.found else 0
+    assert (len(calls["grid"]), len(calls["multifork_extend"])) == (int(ans.found), steps)
+
+
+@pytest.mark.parametrize("planted, poset, max_len, message", [
+    (("_sequence_lamp_poset", lambda seq: named_posets("Y")), named_posets("Y"), 7,
+     "realize built the witness\ngrid 1 1\nfork 0 0 1\nfork 0 0 1\n"
+     "with a lamp poset not isomorphic to the query"),
+    (("_forked_permutation", _unshifted), named_posets("Q", 3), 6,
+     "realize built the witness\ngrid 1 1\nfork 0 0 1\n"
+     "with key (3, 2, 1), not the searched (2, 2, 1)"),
+    (("_distributive_addresses", _every_cell), named_posets("Y"), 7,
+     "realize cannot build the witness\ngrid 1 1\nfork 0 0 1\nfork 0 1 1\n"
+     "step 2: cell at (0, 1) is not distributive"),
+], ids=["lamp_rule", "key", "cell_rule"])
+def test_a_failed_witness_check_names_the_witness(
+        monkeypatch, tmp_path, capsys, planted, poset, max_len, message):
+    """A planted defect in one of the pi rules that realize searches on
+    makes it answer with a witness whose built lattice disagrees: a lamp
+    rule that matches every sequence, a fork rule that predicts a wrong
+    key, a cell rule that forks a cell that is not distributive.  The
+    error names the witness in DSL that parses back, and `slimlat realize`
+    exits 1 with the same text."""
+    monkeypatch.setattr(explore, *planted)
+    with pytest.raises(InternalInconsistencyError) as info:
+        realize(poset, max_len)
+    assert str(info.value) == message
+    dsl = "\n".join(message.splitlines()[1:-1]) + "\n"
+    assert emit_dsl(parse_dsl(dsl)) == dsl
+    query = tmp_path / "query.poset"
+    query.write_text(poset.to_json())
+    assert main(["realize", "--input", str(query), "--max-len", str(max_len)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _check_lamp_rule(entries):
+    """The lamp poset that realize reads off each sequence is the one that
+    lamp_poset derives on its built lattice, up to isomorphism."""
+    for entry in entries:
+        assert poset_iso(explore._sequence_lamp_poset(entry.seq),
+                         lamp_poset(entry.pl)[2]) is not None, entry.seq
+
+
+def test_the_lamp_rule_reads_the_lamp_poset_off_the_forks(index7):
+    assert len(index7.entries()) == 493
+    _check_lamp_rule(index7.entries())
+
+
 def test_sweep_bounds_small():
     report = sweep_bounds(4)
     assert report["counts"][4] == 6
@@ -383,7 +467,7 @@ def test_every_four_element_poset_classified_within_length_five(index7):
         found_at = None
         for length in range(4, 8):
             for entry in index7.entries(length):
-                if poset_iso(entry.lamp_poset(), p) is not None:
+                if poset_iso(lamp_poset(entry.pl)[2], p) is not None:
                     found_at = length
                     break
             if found_at is not None:
@@ -429,7 +513,7 @@ def test_grid_and_forks_count_the_lamps(index7):
     # boundary lamps, and each fork adds exactly one lamp
     assert len(index7.entries()) == 493
     for entry in index7.entries():
-        seq, poset = entry.seq, entry.lamp_poset()
+        seq, poset = entry.seq, lamp_poset(entry.pl)[2]
         assert len(poset.maximal_elements()) == seq.grid_p + seq.grid_q, seq
         assert poset.n == seq.grid_p + seq.grid_q + len(seq.steps), seq
 
@@ -450,7 +534,7 @@ def reference_realize(poset, levels, max_len, allow_large=False):
 
 def _check_realize_against_reference(index, allow_large=False):
     levels = {
-        length: [e.lamp_poset() for e in index.entries(length)]
+        length: [lamp_poset(e.pl)[2] for e in index.entries(length)]
         for length in range(2, index.max_len + 1)
     }
     posets = [p for n in range(2, 6) for p in _posets(n)]
@@ -504,6 +588,12 @@ def test_removals_rebuild_their_permutation_at_lengths_seven_and_eight(index8):
 @pytest.mark.slow
 def test_realize_matches_brute_force_at_length_eight(index8):
     _check_realize_against_reference(index8, allow_large=True)
+
+
+@pytest.mark.slow
+def test_the_lamp_rule_reads_the_lamp_poset_off_the_forks_at_length_eight(index8):
+    assert len(index8.entries()) == 2820
+    _check_lamp_rule(index8.entries())
 
 
 @pytest.mark.slow
