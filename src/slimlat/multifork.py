@@ -186,7 +186,9 @@ def multifork_extend(pl, address, k):
     boundary paths k-fold with cross covers per branch, and meshes the new
     legs inside the cell (legs of distinct branches cross in shared
     elements).  Self-verifying: the result must pass the full slim
-    rectangular validation and grow length and tube count by exactly k.
+    rectangular validation and grow length and tube count by exactly k; a
+    failed self-check is an InternalInconsistencyError that names the
+    extended sequence, which `slimlat build` replays.
     """
     if k < 1:
         raise PreconditionError("multiplicity must be >= 1")
@@ -208,7 +210,8 @@ def multifork_extend(pl, address, k):
     lset, rset = d._boundary_sets()
     if (any(len(d.upper[foot]) == 1 for foot, _ in left_edges + right_edges)
             or not lset.issuperset(left_edges[-1]) or not rset.issuperset(right_edges[-1])):
-        raise InternalInconsistencyError("the cell's lower edges do not descend to the boundaries")
+        raise _step_failure(pl, address, k,
+                            "the cell's lower edges do not descend to the boundaries")
     np_, nq = len(left_edges), len(right_edges)
     n0 = lat.n
     total = n0 + (np_ + nq) * k + k * (k - 1) // 2 + k
@@ -279,12 +282,12 @@ def multifork_extend(pl, address, k):
     try:
         d2 = _certified_diagram(Poset._from_rows(tuple(upper), tuple(lower)), *d.corners())
     except (OrderError, DiagramError) as e:
-        raise InternalInconsistencyError(f"extension produced an invalid lattice: {e}")
+        raise _step_failure(pl, address, k, f"extension produced an invalid lattice: {e}") from e
     report = is_slim_rectangular(d2)
     if not report.ok:
-        raise InternalInconsistencyError(f"extension validation failed: {report.failures}")
+        raise _step_failure(pl, address, k, f"extension validation failed: {report.failures}")
     if d2.lattice.length() != lat.length() + k or d2.antube() != d.antube() + k:
-        raise InternalInconsistencyError("extension did not add k to length and tube count")
+        raise _step_failure(pl, address, k, "extension did not add k to length and tube count")
 
     # drawing recipes, replayed by ProvenancedLattice.coords
     recipes = [(ids(j, s), foot, peak, s, k + 1)
@@ -302,7 +305,7 @@ def multifork_extend(pl, address, k):
         traj = d2.trajectory_through(tube)
         ti = traj.top_index
         if traj.edges[ti] != tube:
-            raise InternalInconsistencyError("new tube is not its trajectory's top edge")
+            raise _step_failure(pl, address, k, "new tube is not its trajectory's top edge")
         records[tube] = TubeRecord(step, _ends(traj.cells[: ti - 1] + traj.cells[ti + 1:]))
 
     return ProvenancedLattice(
@@ -311,6 +314,15 @@ def multifork_extend(pl, address, k):
         records,
         pl.recipes + tuple(recipes),
     )
+
+
+def _step_failure(pl, address, k, check):
+    """The InternalInconsistencyError of a failed self-check of the k-fold
+    fork of pl at address, naming the sequence that replays it."""
+    from .dsl import emit_dsl  # dsl imports this module
+
+    seq = pl.seq.extended(ForkStep(address[0], address[1], k))
+    return InternalInconsistencyError(f"{check}; `slimlat build` replays it on\n{emit_dsl(seq)}")
 
 
 def _swap(rows, u, old, new):

@@ -16,7 +16,12 @@ from slimlat.diagram import (
 from slimlat.doubling import double
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.cli import main
-from slimlat.errors import ParseError, PreconditionError, SlimlatError
+from slimlat.errors import (
+    InternalInconsistencyError,
+    ParseError,
+    PreconditionError,
+    SlimlatError,
+)
 from slimlat.explore import enumerate_index
 from slimlat.lamps import lamps_of_diagram, tube_lamp
 from slimlat.multifork import (
@@ -386,6 +391,82 @@ def test_extension_rejects_bad_cells():
     from slimlat.errors import DiagramError
     with pytest.raises(DiagramError):
         multifork_extend(pl, (5, 5), 1)
+
+
+# Replaying a failed fork self-check ----------------------------------------------
+
+# each defect is planted in the one fork step of this sequence
+REPLAYED = "grid 2 2\nfork 1 1 1\n"
+
+
+def _swapped_boundaries(real):
+    """The boundary sets, left and right swapped: no path ends on its own."""
+    return "_boundary_sets", lambda d: real(d)[::-1]
+
+
+def _certified_then(plant):
+    """_certified_diagram, with `plant` applied to the diagram it returns."""
+    real = multifork._certified_diagram
+
+    def planted(poset, lc, rc):
+        d = real(poset, lc, rc)
+        return plant(d) or d
+
+    return "_certified_diagram", planted
+
+
+def _unforked(d):
+    """The parent lattice, certified again: the fork added nothing."""
+    parent = build(parse_dsl("grid 2 2"))
+    return diagram._certified_diagram(parent.lattice.poset, *d.corners())
+
+
+def _reversed_peak_row(d):
+    """The new tube's peak lists its lower covers right to left."""
+    t = d.upper[d.n - 1][0]
+    lower = list(d.lower)
+    lower[t] = lower[t][::-1]
+    d.lower = tuple(lower)
+
+
+def _tube_moved_east(d):
+    """After validation, the new tube's foot gets a second upper cover and
+    the foot of the next edge east loses one: the trajectory's tube moves
+    one edge east."""
+    assert is_slim_rectangular(d).ok
+    m = d.n - 1
+    t = d.upper[m][0]
+    edges = d.trajectory_through((m, t)).edges
+    f = edges[edges.index((m, t)) + 1][0]
+    upper = list(d.upper)
+    upper[m], upper[f] = (t, t), upper[f][:1]
+    d.upper = tuple(upper)
+
+
+@pytest.mark.parametrize("planted, check", [
+    (_swapped_boundaries(PlanarDiagram._boundary_sets),
+     "the cell's lower edges do not descend to the boundaries"),
+    (("_swap", lambda rows, u, old, new: None),
+     "extension produced an invalid lattice: cover (9,7) is missing from the lower rows"),
+    (_certified_then(_reversed_peak_row),
+     "extension validation failed: ('lower covers 5,13 of 8 are not the left and right"
+     " sides of a cell', 'lower covers 13,7 of 8 are not the left and right sides of a cell')"),
+    (_certified_then(_unforked), "extension did not add k to length and tube count"),
+    (_certified_then(_tube_moved_east), "new tube is not its trajectory's top edge"),
+], ids=["paths", "rows", "validation", "growth", "tube"])
+def test_a_failed_fork_self_check_names_the_sequence_that_replays_it(
+        monkeypatch, planted, check):
+    """Each of the five self-checks of a fork step fires on a defect planted
+    in one helper, and names the extended sequence, which parses back."""
+    pl = build(parse_dsl(REPLAYED)).parent
+    name, helper = planted
+    owner = PlanarDiagram if name == "_boundary_sets" else multifork
+    monkeypatch.setattr(owner, name, helper)
+    with pytest.raises(InternalInconsistencyError) as info:
+        multifork_extend(pl, (1, 1), 1)
+    message = f"{check}; `slimlat build` replays it on\n{REPLAYED}"
+    assert str(info.value) == message
+    assert parse_dsl(str(info.value).split("replays it on\n")[1]) == parse_dsl(REPLAYED)
 
 
 def inside(lat, outer, cell):
