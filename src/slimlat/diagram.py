@@ -71,6 +71,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from bisect import bisect_right
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .errors import DiagramError
@@ -134,12 +136,12 @@ class PlanarDiagram:
         self._release()
 
     def _release(self):
-        """Drop the walk caches (cells, side maps, boundary chains, neon
+        """Drop the walk caches (the walk table, boundary chains, neon
         tubes, the sweep's ends); the next read derives each again.  Only
         an owner that no one else reads yet may call it, since a read that
         runs meanwhile can find None: the enumeration's replay does, and so
         does multifork.build on each stage it has just extended."""
-        self._cells = self._sides = self._chains = self._tubes = self._ends = None
+        self._table = self._chains = self._tubes = self._ends = None
 
     def _check_order_lists(self):
         n = self.lattice.n
@@ -209,61 +211,42 @@ class PlanarDiagram:
         _, hr, _, rchain = self.heights()
         return rchain[hr[x]]
 
-    # -- cells ------------------------------------------------------------
+    # -- cells and trajectories -------------------------------------------
+
+    def _walks(self):
+        """The walk table (_walk_table), derived on first use; raises if
+        some consecutive-cover pair is not a 4-cell."""
+        if self._table is None:
+            self._table = _walk_table(self.upper)
+        return self._table
+
+    def _steps(self):
+        """(west, east) of the walk table; DiagramError if an edge has two
+        cells on one side."""
+        table = self._walks()
+        if table.conflict is not None:
+            raise DiagramError(table.conflict)
+        return table.west, table.east
 
     def four_cells(self):
-        """All cells; raises if some consecutive-cover pair is not a 4-cell."""
-        if self._cells is None:
-            cells = []
-            lat = self.lattice
-            for u in range(self.n):
-                ups = self.upper[u]
-                for i in range(len(ups) - 1):
-                    v, w = ups[i], ups[i + 1]
-                    top = lat.cover_join(v, w)
-                    if top is None:
-                        raise DiagramError(
-                            f"region over {u} between covers {v},{w} is not a 4-cell"
-                        )
-                    cells.append(FourCell(u, v, w, top))
-            # one store, so that no read sees the cells without their map
-            self._cells = tuple(cells), {c.bottom: c for c in cells}
-        return self._cells[0]
+        """All cells, read off the walk table on each call; raises if some
+        consecutive-cover pair is not a 4-cell."""
+        table = self._walks()
+        return tuple(_cell(table, s) for s, t in enumerate(table.tops) if t >= 0)
 
     def cells_by_bottom(self):
-        """bottom -> cell, derived with the cells."""
-        self.four_cells()
-        return self._cells[1]
-
-    def _side_maps(self):
-        """(west, east): (foot, peak) -> the cell on that side of the edge."""
-        if self._sides is None:
-            west, east = {}, {}
-            for c in self.four_cells():
-                for side, e in (
-                    (east, (c.bottom, c.left)),
-                    (east, (c.left, c.top)),
-                    (west, (c.bottom, c.right)),
-                    (west, (c.right, c.top)),
-                ):
-                    if e in side:
-                        name = "west" if side is west else "east"
-                        raise DiagramError(f"edge {e} has two {name} cells")
-                    side[e] = c
-            self._sides = (west, east)
-        return self._sides
-
-    # -- trajectories and neon tubes ---------------------------------------
+        """bottom -> cell, read off the walk table on each call."""
+        return {c.bottom: c for c in self.four_cells()}
 
     def trajectory_through(self, edge):
         """The full trajectory containing `edge`, a (foot, peak) pair or an
         Edge, with its unique neon tube."""
-        seen = {edge}
-        west_map, east_map = self._side_maps()
-        west, west_cells = _half_walk(west_map, edge, False, seen)
-        east, east_cells = _half_walk(east_map, edge, True, seen)
-        west.reverse()
-        edges = west + [edge] + east
+        foot, peak = edge
+        if peak not in self.upper[foot]:
+            raise DiagramError(f"{(foot, peak)} is not a cover")
+        table = self._walks()
+        slots = _trajectory_slots(self, table.base[foot] + self.upper[foot].index(peak))
+        edges = tuple(table.edges(slots))
         # a tube's foot is meet-irreducible: it has one upper cover
         tubes = [i for i, (foot, _) in enumerate(edges) if len(self.upper[foot]) == 1]
         if len(tubes) != 1:
@@ -274,8 +257,8 @@ class PlanarDiagram:
             raise DiagramError("trajectory does not start on the left boundary")
         if not (f1 in rset and p1 in rset):
             raise DiagramError("trajectory does not end on the right boundary")
-        west_cells.reverse()
-        return Trajectory(tuple(edges), tubes[0], tuple(west_cells + east_cells))
+        cells = tuple(_cell(table, c) for c in _crossed(table, slots))
+        return Trajectory(edges, tubes[0], cells)
 
     def neon_tubes(self):
         """(boundary tubes, internal tubes): prime intervals with mir foot."""
@@ -292,8 +275,8 @@ class PlanarDiagram:
         return self._tubes
 
     def antube(self):
-        b, i = self.neon_tubes()
-        return len(b) + len(i)
+        """The number of neon tubes: one above each meet-irreducible element."""
+        return len(self.lattice.mir())
 
     # -- lamps, derived by the lamps module --------------------------------
 
@@ -348,33 +331,123 @@ class PlanarDiagram:
         )
 
 
-def _cross(side, edge, east):
-    """(next edge, shared cell) across the cell that the side map gives the
-    (foot, peak) pair, or (None, None) at the boundary: the pair of the
-    cell's opposite side at the same height.  Crossing a cell east, (b, l)
-    goes to (r, t) and (l, t) to (b, r); crossing it west inverts this."""
-    c = side.get(edge)
-    if c is None:
-        return None, None
-    far = c.right if east else c.left
-    return ((c.bottom, far) if edge[1] == c.top else (far, c.top)), c
+class _Walks(NamedTuple):
+    """A diagram's walk table (_walk_table), indexed by cover slot: the
+    slot of cover i in u's upper row is base[u] + i."""
+
+    base: list       # base[u]: the slot of u's first upper cover; base[n]: the cover count
+    peaks: tuple     # peaks[s]: the peak of slot s (the upper rows, flattened)
+    tops: list       # tops[s]: the top of the cell whose lower left side is slot s, else -1
+    east: list       # east[s]: the slot across the cell east of slot s, else -1
+    west: list       # west[s]: the slot across the cell west of it, else -1
+    conflict: str    # the first edge with two east or two west cells, named, else None
+
+    def edge(self, s):
+        """The (foot, peak) pair of slot s: its foot u has base[u] <= s < base[u + 1]."""
+        return bisect_right(self.base, s) - 1, self.peaks[s]
+
+    def edges(self, slots):
+        """The (foot, peak) pair of each slot."""
+        base, peaks = self.base, self.peaks
+        return [(bisect_right(base, s) - 1, peaks[s]) for s in slots]
 
 
-def _half_walk(side, edge, east, seen):
-    """(edges, cells) of the walk from edge across the cells of the side
-    map (_cross) to the boundary, in walking order, edge itself excluded:
-    half a trajectory.  `seen` holds the edges walked so far, and the walk
+def _walk_table(upper):
+    """The walk table of the ordered upper rows, in one pass over them.
+
+    Neighbouring covers l, r of u, slots s and s + 1, bound the cell whose
+    top t is their one common upper cover, and the cell is east of its
+    left sides, (u, l) and (l, t), and west of its right sides, (u, r) and
+    (r, t).  Crossing it east takes (u, l) to (r, t) and (l, t) to (u, r);
+    crossing it west inverts this.  DiagramError if l and r have no one
+    common cover (the region between them is not a 4-cell).  The first
+    edge given two east or two west cells, in cell order and then in the
+    order of the four sides above, is named in `conflict`, which every walk
+    raises (PlanarDiagram._steps) and the cell views ignore."""
+    base = list(accumulate(map(len, upper), initial=0))
+    peaks = tuple(chain.from_iterable(upper))
+    tops, east, west = [-1] * len(peaks), [-1] * len(peaks), [-1] * len(peaks)
+    table = _Walks(base, peaks, tops, east, west, None)
+    for u, row in enumerate(upper):
+        if len(row) < 2:
+            continue
+        s = base[u]
+        for l, r in (row,) if len(row) == 2 else zip(row, row[1:]):
+            ur = upper[r]
+            # two distinct elements of a lattice share at most one upper
+            # cover, so the first common one is t, the slot lt's peak
+            lt = base[l]
+            for t in upper[l]:
+                if t in ur:
+                    break
+                lt += 1
+            else:
+                raise DiagramError(f"region over {u} between covers {l},{r} is not a 4-cell")
+            rt = base[r] + ur.index(t)
+            # -1 & -1 is -1: some side already crossed if the & of the four is not
+            if east[s] & east[lt] & west[s + 1] & west[rt] != -1 and table.conflict is None:
+                table = table._replace(conflict=_conflict(table, (s, lt), (s + 1, rt)))
+            tops[s] = t
+            east[s], east[lt], west[s + 1], west[rt] = rt, s + 1, lt, s
+            s += 1
+    return table
+
+
+def _conflict(table, left, right):
+    """The message naming the first of a cell's left sides that already has
+    an east cell, or else of its right sides that already has a west one."""
+    name, x = next((name, x) for name, step, sides in (("east", table.east, left),
+                                                       ("west", table.west, right))
+                   for x in sides if step[x] >= 0)
+    return f"edge {table.edge(x)} has two {name} cells"
+
+
+def _cell(table, s):
+    """The cell whose lower left side is slot s."""
+    return FourCell(*table.edge(s), table.peaks[s + 1], table.tops[s])
+
+
+def _tube_slots(table, upper):
+    """The slots of the neon tubes of the upper rows: a tube's foot is
+    meet-irreducible, it has one upper cover."""
+    return {table.base[u] for u, row in enumerate(upper) if len(row) == 1}
+
+
+def _half_walk(step, s, seen):
+    """The slots of the walk from slot s along `step`, the west or the east
+    list of a walk table, to the boundary, in walking order, s excluded:
+    half a trajectory.  `seen` holds the slots walked so far, and the walk
     adds its own; DiagramError if it revisits one."""
-    edges, cells = [], []
-    cur, cell = _cross(side, edge, east)
-    while cur is not None:
-        if cur in seen:
+    out = []
+    s = step[s]
+    while s >= 0:
+        if s in seen:
             raise DiagramError("trajectory revisits an edge (diagram corruption)")
-        seen.add(cur)
-        edges.append(cur)
-        cells.append(cell)
-        cur, cell = _cross(side, cur, east)
-    return edges, cells
+        seen.add(s)
+        out.append(s)
+        s = step[s]
+    return out
+
+
+def _trajectory_slots(d, s):
+    """The slots of the trajectory through slot s, from the left boundary
+    to the right one: two half-walks."""
+    west, east = d._steps()
+    seen = {s}
+    slots = _half_walk(west, s, seen)
+    slots.reverse()
+    slots.append(s)
+    return slots + _half_walk(east, s, seen)
+
+
+def _crossed(table, slots):
+    """The lower left slots of the cells that a walk east along `slots`
+    crosses, one between each two.  Slot x is the lower left side of the
+    cell east of it if that cell has one there, else its upper left side,
+    and the walk goes on to the cell's lower right side, its lower left
+    slot + 1."""
+    tops, east = table.tops, table.east
+    return [x if tops[x] >= 0 else east[x] - 1 for x in slots[:-1]]
 
 
 def _bfs_code(bottom, upper):
@@ -473,16 +546,22 @@ def boundary_heights(lat, lcorner, rcorner):
     the join of lchain[hl(x)] and rchain[hr(x)], the up-set test.  A built
     diagram keeps what its certificate's one call returned; a foreign
     lattice and a mirror image call this on first read of heights()."""
-    down, up = lat.poset.down, lat.poset.up
+    down, up, lower = lat.poset.down, lat.poset.up, lat.poset._dncov
     chains = []
     for c in (lcorner, rcorner):
-        chain = tuple(sorted(lat.ideal(c), key=lambda u: down[u].bit_count()))
-        if any(not down[b] >> a & 1 for a, b in zip(chain, chain[1:])):
+        # the ideal of c is a chain iff the walk down c's lower covers meets
+        # one at each step until the bottom: then every x < c lies below
+        # c's one lower cover, and so on down, so the walk is the ideal
+        chain = [c]
+        while len(lower[chain[-1]]) == 1:
+            chain.append(lower[chain[-1]][0])
+        if lower[chain[-1]] or len(chain) != down[c].bit_count():
             raise DiagramError("corner ideal is not a chain")
-        chains.append(chain)
+        chains.append(tuple(reversed(chain)))
     lchain, rchain = chains
-    hl = tuple((m & down[lcorner]).bit_count() - 1 for m in down)
-    hr = tuple((m & down[rcorner]).bit_count() - 1 for m in down)
+    dl, dr = down[lcorner], down[rcorner]
+    hl = tuple([(m & dl).bit_count() - 1 for m in down])
+    hr = tuple([(m & dr).bit_count() - 1 for m in down])
     lup = [up[u] for u in lchain]
     rup = [up[u] for u in rchain]
     for x, (a, b, m) in enumerate(zip(hl, hr, up)):
@@ -631,18 +710,20 @@ def _validate(d):
     bottom, that each two neighbouring lower covers of an element are the
     left and right sides of a cell with that top, and trajectory sanity
     (one neon tube each, count = length) in one sweep, _trajectory_failure.
-    Each element's upper-cover join is computed once: when no element has
-    three upper covers, the cells decide semimodularity too.
+    Each element's upper-cover join is computed once, by the walk table:
+    when no element has three upper covers, the cells decide
+    semimodularity too.
     """
     failures = []
     lat = d.lattice
-    wide = next((u for u, row in enumerate(d.upper) if len(row) > 2), None)
+    wide = None if max(map(len, d.upper)) <= 2 else next(
+        u for u, row in enumerate(d.upper) if len(row) > 2)
     try:
-        d.four_cells()
+        table = d._walks()
         cell_failure = None
     except DiagramError as e:
         cell_failure = str(e)
-    # four_cells takes the join of each two neighbouring upper covers; when
+    # the table takes the join of each two neighbouring upper covers; when
     # no element has three, these are all the joins Birkhoff's condition needs
     if not (lat.is_semimodular() if wide is not None else cell_failure is None):
         failures.append("not semimodular")
@@ -660,10 +741,20 @@ def _validate(d):
     if lchain[-1] != lat.top or rchain[-1] != lat.top:
         failures.append("boundary chains do not reach the top")
     if not failures:
-        sides = {(c.left, c.right, c.top) for c in d.four_cells()}
-        failures += [f"lower covers {a},{b} of {t} are not the left and right sides of a cell"
-                     for t in range(lat.n) for a, b in zip(d.lower[t], d.lower[t][1:])
-                     if (a, b, t) not in sides]
+        # (a, t) is the upper left side of the cell with sides a, b and top
+        # t iff crossing it east leads to that cell's lower right side,
+        # which ends at b; the lower left side of a cell, the other way east
+        # across one, leads to an edge that ends above t
+        base, peaks, _, east, _, _ = table
+        upper = d.upper
+        for t, row in enumerate(d.lower):
+            if len(row) < 2:
+                continue
+            for a, b in (row,) if len(row) == 2 else zip(row, row[1:]):
+                s = east[base[a] + upper[a].index(t)]
+                if s < 0 or peaks[s] != b:
+                    failures.append(
+                        f"lower covers {a},{b} of {t} are not the left and right sides of a cell")
         failure = _trajectory_failure(d)
         if failure is not None:
             failures.append(failure)
@@ -675,19 +766,21 @@ def _trajectory_failure(d):
     the left boundary to the right boundary with exactly one neon tube, and
     their number and the number of neon tubes must be the length.
 
-    One sweep checks this: a walk east from each of the len(lchain) - 1
-    left-chain edges, across the cells of the east side map (_cross), with
-    one `seen` set for all walks.  It suffices because a cell's east step,
-    (b, l) -> (r, t) and (l, t) -> (b, r), and its west step are mutually
-    inverse partial maps, and _side_maps rejects an edge with two east or
-    two west cells; so the trajectories split the edges into paths and
-    cycles.  If no walk revisits an edge (a walk into a start, taken or
-    still to come, is a revisit), no left-chain edge has a west neighbour
-    and the walks are disjoint whole paths.  The walks visit covers only,
-    the sides of cells, so if they reach as many edges as there are covers
-    they reach every edge: no other path or cycle is left, every trajectory
-    starts on the left boundary (the left-chain edges are the edges with
-    both ends on it), and there are len(lchain) - 1 of them.
+    One sweep checks this: a walk east from the slot of each of the
+    len(lchain) - 1 left-chain edges, the first upper cover of each
+    element of the chain but the top, along the walk table's east list,
+    with one `seen` mark per slot for all walks.  It suffices because a
+    cell's east step, (b, l) -> (r, t) and (l, t) -> (b, r), and its west
+    step are mutually inverse partial maps on slots, and the table names
+    the first slot with two east or two west cells (_steps); so the
+    trajectories split the slots into paths and cycles.  If no walk
+    revisits a slot (a walk into a start, taken or still to come, is a
+    revisit), no left-chain edge has a west neighbour and the walks are
+    disjoint whole paths.  There is one slot per cover, so if the walks
+    reach as many slots as there are covers they reach every edge: no
+    other path or cycle is left, every trajectory starts on the left
+    boundary (the left-chain edges are the edges with both ends on it),
+    and there are len(lchain) - 1 of them.
 
     The sweep keeps, as d._ends, the peak of the edge each walk ends on, in
     left-chain order, stored once all walks are done: the Jordan-Holder
@@ -698,36 +791,37 @@ def _trajectory_failure(d):
     one edge above a meet-irreducible foot (neon_tubes), an element with
     one upper cover in the lattice, and so in d.upper, which lists the
     lattice's covers (the constructors check or share them).  The sweep
-    counts exactly these edges, and once no walk revisits an edge and the
-    walks reach every cover, it counts each of them once.  So the tube
+    counts exactly these slots, and once no walk revisits a slot and the
+    walks reach every slot, it counts each of them once.  So the tube
     count is the sum of the per-walk counts, each of which is 1: it is
     len(lchain) - 1, which the check before it compares with the length.
     """
     try:
-        east = d._side_maps()[1]
+        east = d._steps()[1]
     except DiagramError as e:
         return str(e)
-    upper = d.upper
+    table = d._table
+    base, peaks = table.base, table.peaks
+    tubes_at = _tube_slots(table, d.upper)
     lchain, _ = d.boundary_chains()
     rset = d._boundary_sets()[1]
-    seen = set()
+    seen = bytearray(len(peaks))
     ends = []
-    for e in zip(lchain, lchain[1:]):
-        tubes = 0
-        while e is not None:
-            if e in seen:
+    for x in lchain[:-1]:
+        s, tubes = base[x], 0
+        while s >= 0:
+            if seen[s]:
                 return "trajectory revisits an edge (diagram corruption)"
-            seen.add(e)
-            # a tube's foot is meet-irreducible: it has one upper cover
-            tubes += len(upper[e[0]]) == 1
-            last, (e, _) = e, _cross(east, e, True)
-        ends.append(last[1])
+            seen[s] = 1
+            tubes += s in tubes_at
+            last, s = s, east[s]
+        ends.append(peaks[last])
         if tubes != 1:
             return f"trajectory has {tubes} neon tubes, expected 1"
-        if not (last[0] in rset and last[1] in rset):
+        if not rset.issuperset(table.edge(last)):
             return "trajectory does not end on the right boundary"
     d._ends = ends  # one store, so that no read sees part of the list
-    if len(seen) != sum(map(len, upper)):
+    if seen.count(0):
         return "trajectory does not start on the left boundary"
     length = d.lattice.length()
     if len(lchain) - 1 != length:
@@ -749,6 +843,13 @@ def cell_address(diagram, cell):
 
 def resolve_address(diagram, address):
     """The cell whose bottom sits at the given boundary heights."""
+    return _cell(diagram._walks(), _address_slot(diagram, address))
+
+
+def _address_slot(diagram, address):
+    """The slot of the lower left side of the cell whose bottom sits at the
+    given boundary heights: of the last such cell, if the bottom has more
+    than two upper covers."""
     a, b = address
     hl, hr, lchain, rchain = diagram.heights()
     if not (0 <= a < len(lchain) and 0 <= b < len(rchain)):
@@ -756,7 +857,8 @@ def resolve_address(diagram, address):
     bottom = diagram.lattice.join_of((lchain[a], rchain[b]))
     if (hl[bottom], hr[bottom]) != (a, b):
         raise DiagramError(f"no element at address {address}")
-    cell = diagram.cells_by_bottom().get(bottom)
-    if cell is None:
+    base = diagram._walks().base
+    row = diagram.upper[bottom]
+    if len(row) < 2:
         raise DiagramError(f"no cell with bottom at address {address}")
-    return cell
+    return base[bottom] + len(row) - 2

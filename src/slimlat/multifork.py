@@ -20,16 +20,20 @@ sequence's built lattice has too.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .diagram import (
+    _address_slot,
     _certified_diagram,
+    _crossed,
     _half_walk,
     _jh_permutation,
+    _trajectory_slots,
+    _tube_slots,
     is_slim_rectangular,
-    resolve_address,
 )
 from .errors import (
     BudgetError,
@@ -165,13 +169,18 @@ def grid(p, q):
     # plain tuples: their repr is part of a built lattice's recorded output
     # (tests/golden.json)
     boundary, _ = d.neon_tubes()
-    records = {tuple(e): TubeRecord(0, _ends(d.trajectory_through(e).cells)) for e in boundary}
+    table = d._walks()
+    records = {}
+    for foot, peak in boundary:
+        slots = _trajectory_slots(d, table.base[foot])
+        records[foot, peak] = TubeRecord(0, _ends(table, _crossed(table, slots)))
     return ProvenancedLattice(d, MultiforkSequence(p, q, ()), records, ())
 
 
-def _ends(cells):
-    """The (bottom, top) pair of each cell."""
-    return tuple((c.bottom, c.top) for c in cells)
+def _ends(table, cells):
+    """The (bottom, top) pair of each cell, given by its lower left slot."""
+    base, tops = table.base, table.tops
+    return tuple([(bisect_right(base, c) - 1, tops[c]) for c in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +203,9 @@ def multifork_extend(pl, address, k):
         raise PreconditionError("multiplicity must be >= 1")
     d = pl.diagram
     lat = d.lattice
-    cell = resolve_address(d, address)
-    w, a, b, t = cell
+    c = _address_slot(d, address)  # the slot of [w, a], and c + 1 that of [w, b]
+    table = d._walks()
+    a, b, t = table.peaks[c], table.peaks[c + 1], table.tops[c]
     if not is_distributive_ideal_grid(lat, t):
         raise PreconditionError(f"cell at {address} is not distributive")
 
@@ -203,10 +213,10 @@ def multifork_extend(pl, address, k):
     # from [w, b] to the right one, each listed from its upper end: half of
     # the trajectory of each lower edge, which holds no neon tube (a tube's
     # foot has one upper cover) and ends on its boundary chain
-    west_map, east_map = d._side_maps()
-    seen = {(w, a), (w, b)}
-    left_edges = [(w, a)] + _half_walk(west_map, (w, a), False, seen)[0]
-    right_edges = [(w, b)] + _half_walk(east_map, (w, b), True, seen)[0]
+    west, east = d._steps()
+    seen = {c, c + 1}
+    left_edges = table.edges([c] + _half_walk(west, c, seen))
+    right_edges = table.edges([c + 1] + _half_walk(east, c + 1, seen))
     lset, rset = d._boundary_sets()
     if (any(len(d.upper[foot]) == 1 for foot, _ in left_edges + right_edges)
             or not lset.issuperset(left_edges[-1]) or not rset.issuperset(right_edges[-1])):
@@ -297,16 +307,20 @@ def multifork_extend(pl, address, k):
     recipes += [(cid[i, j], xid(0, j), yid(0, k + 1 - i)) for i, j in cpairs]
 
     # the k new tubes' records: every cell of a tube's trajectory but the
-    # two that flank the tube, both inside the forked cell
+    # two that flank the tube, both inside the forked cell, read off the
+    # walk table that validation derived
     records = dict(pl.tube_records)
     step = len(pl.seq.steps) + 1
+    table2 = d2._walks()
+    tubes_at = _tube_slots(table2, d2.upper)
     for i in range(1, k + 1):
-        tube = (mid(i), t)
-        traj = d2.trajectory_through(tube)
-        ti = traj.top_index
-        if traj.edges[ti] != tube:
+        x = table2.base[mid(i)]  # the slot of the tube [m_i, t], m_i's one upper cover
+        slots = _trajectory_slots(d2, x)
+        ti = slots.index(x)
+        if [j for j, y in enumerate(slots) if y in tubes_at] != [ti]:
             raise _step_failure(pl, address, k, "new tube is not its trajectory's top edge")
-        records[tube] = TubeRecord(step, _ends(traj.cells[: ti - 1] + traj.cells[ti + 1:]))
+        cells = _crossed(table2, slots)
+        records[mid(i), t] = TubeRecord(step, _ends(table2, cells[:ti - 1] + cells[ti + 1:]))
 
     return ProvenancedLattice(
         d2,
@@ -461,12 +475,15 @@ def _peeled(d):
     # a tube's trajectory starts on the left-chain edge below lchain[i],
     # position i, where its west half-walk ends
     position = {v: i for i, v in enumerate(d.boundary_chains()[0])}
-    west = d._side_maps()[0]
+    base, peaks = d._walks().base, d._walks().peaks
+    west = d._steps()[0]
+
+    def start(tube):
+        x = base[tube.foot]  # the tube's slot: its foot has one upper cover
+        return position[peaks[_half_walk(west, x, {x})[-1]]]
+
     lamps, lt, _ = lamp_poset(d)
-    runs = {
-        l.foot: sorted(position[_half_walk(west, t, False, {t})[0][-1][1]] for t in l.tubes)
-        for l in lamps if l.kind == "internal"
-    }
+    runs = {l.foot: sorted(map(start, l.tubes)) for l in lamps if l.kind == "internal"}
     steps = []
     while runs:
         for foot in sorted(runs):

@@ -166,11 +166,31 @@ class Poset:
                        tuple(tuple(sorted(c)) for c in dncov))
 
     def _set_rows(self, upper, lower):
-        """Store the rows and a topological order (`_order`, every element
-        after its lower covers)."""
-        self.n = len(upper)
+        """Store the rows, and derive from them in one pass a topological
+        order (`_order`, every element after its lower covers), the
+        down-set masks (one OR per cover) and each element's height: an
+        element's mask and height are final once it is ordered, when all
+        its lower covers are."""
+        n = self.n = len(upper)
         self._upcov, self._dncov = upper, lower
-        self._order = tuple(self._toposort())
+        indeg = list(map(len, lower))
+        order = [u for u, d in enumerate(indeg) if not d]
+        down, h = [0] * n, [0] * n
+        for u in order:  # the loop also visits what it appends
+            m = 1 << u
+            for v in lower[u]:
+                m |= down[v]
+            down[u] = m
+            above = h[u] + 1
+            for v in upper[u]:
+                if h[v] < above:
+                    h[v] = above
+                indeg[v] -= 1
+                if not indeg[v]:
+                    order.append(v)
+        if len(order) != n:
+            raise OrderError("cycle detected in cover relation")
+        self._order, self.down, self._h = tuple(order), tuple(down), tuple(h)
 
     @cached_property
     def covers(self):
@@ -178,17 +198,15 @@ class Poset:
         return frozenset((a, b) for a, row in enumerate(self._upcov) for b in row)
 
     def _close(self):
-        """The up- and down-set masks: one OR per cover."""
-        n = self.n
-        for name, covers, order in (("up", self._upcov, self._order[::-1]),
-                                    ("down", self._dncov, self._order)):
-            masks = [0] * n
-            for u in order:
-                m = 1 << u
-                for v in covers[u]:
-                    m |= masks[v]
-                masks[u] = m
-            setattr(self, name, tuple(masks))
+        """The up-set masks, one OR per cover, against the topological
+        order; _set_rows derived the down-set masks."""
+        up = [0] * self.n
+        for u in reversed(self._order):
+            m = 1 << u
+            for v in self._upcov[u]:
+                m |= up[v]
+            up[u] = m
+        self.up = tuple(up)
 
     def _check_reduced(self):
         """OrderError unless no upper row lists a cover twice or a cover b
@@ -213,18 +231,6 @@ class Poset:
                 w = min(set(_elements(up[a] & self.down[b])) - {a, b})
                 raise OrderError(f"cover ({a},{b}) is not reduced: {a}<{w}<{b}")
 
-    def _toposort(self):
-        indeg = [len(r) for r in self._dncov]
-        queue = [u for u, d in enumerate(indeg) if d == 0]
-        for u in queue:  # the loop also visits what it appends
-            for v in self._upcov[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-        if len(queue) != self.n:
-            raise OrderError("cycle detected in cover relation")
-        return queue
-
     # -- queries ------------------------------------------------------------
 
     def leq(self, a, b):
@@ -246,23 +252,12 @@ class Poset:
         return tuple(u for u in range(self.n) if not self._dncov[u])
 
     def _heights(self):
-        """Each element's height, and their maximum as `_height`, derived
-        once."""
-        try:
-            return self._h
-        except AttributeError:
-            h = [0] * self.n
-            for u in self._order:
-                for v in self._upcov[u]:
-                    h[v] = max(h[v], h[u] + 1)
-            self._height = max(h, default=0)
-            self._h = tuple(h)
-            return self._h
+        """Each element's height, derived with the topological order."""
+        return self._h
 
     def height(self):
         """Length (number of covers) of the longest chain of the poset."""
-        self._heights()
-        return self._height
+        return max(self._h, default=0)
 
     def restrict(self, keep):
         """Induced subposet on `keep`; returns (poset, old ids by new id).
@@ -372,19 +367,28 @@ class FiniteLattice:
 
     def __init__(self, poset):
         self.poset = poset
-        n = poset.n
-        if n == 0:
+        if poset.n == 0:
             raise OrderError("empty lattice")
-        bottoms = poset.minimal_elements()
-        tops = poset.maximal_elements()
+        # one scan of the rows: the minimal and maximal elements, and the
+        # join- and meet-irreducibles, those with one lower or upper cover
+        bottoms, tops, jir, mir = [], [], [], []
+        for u, (above, below) in enumerate(zip(poset._upcov, poset._dncov)):
+            if len(above) == 1:
+                mir.append(u)
+            elif not above:
+                tops.append(u)
+            if len(below) == 1:
+                jir.append(u)
+            elif not below:
+                bottoms.append(u)
+        bottoms, tops = tuple(bottoms), tuple(tops)
         if len(bottoms) != 1 or len(tops) != 1:
             raise OrderError(
                 f"no unique bottom/top: minimals {bottoms}, maximals {tops}"
             )
         self.bottom = bottoms[0]
         self.top = tops[0]
-        self._jir = tuple(u for u in range(n) if len(poset.lower_covers(u)) == 1)
-        self._mir = tuple(u for u in range(n) if len(poset.upper_covers(u)) == 1)
+        self._jir, self._mir = tuple(jir), tuple(mir)
         self._certify()
 
     def _certify(self):
@@ -583,7 +587,8 @@ def is_distributive_ideal_grid(lat, x):
     is needed: N5 has the join-irreducible chains {a < c} and {b}, but 5
     elements, not 6.
     """
-    sizes = _two_disjoint_chains(lat.poset, [u for u in lat.jir() if lat.leq(u, x)])
+    below = lat.poset.down[x]
+    sizes = _two_disjoint_chains(lat.poset, [u for u in lat.jir() if below >> u & 1])
     return sizes is not None and lat.ideal_size(x) == (sizes[0] + 1) * (sizes[1] + 1)
 
 

@@ -31,11 +31,14 @@ does not use.
   element.  Production ORs bitmasks along a topological order
   (`slimlat.order.Poset`).
 - The trajectory listing: every cover as an edge, every trajectory walked
-  with `trajectory_through`, and the east step of one edge.  Production
-  lists no trajectory; it walks one when asked.
+  with `trajectory_through`, and the east step of one edge across the
+  cell side maps, dicts from each (foot, peak) pair to the cell on each
+  side of it (`side_maps`, `cross`).  Production lists no trajectory; it
+  walks one when asked, on the int-indexed slots of its walk table
+  (`slimlat.diagram._walk_table`).
 - The trajectory check by whole trajectories: every trajectory listed,
   then one neon tube each, the two boundary ends and count = length.
-  Production checks them in one sweep across the east side map
+  Production checks them in one sweep along the walk table's east list
   (`slimlat.diagram._trajectory_failure`).
 - A slim rectangular lattice rebuilt from its Jordan-Holder permutation
   alone, as the point set S(pi) (`lattice_of_permutation`).  Production
@@ -74,7 +77,7 @@ does not use.
 from fractions import Fraction
 from itertools import combinations
 
-from slimlat.diagram import _cross, cell_address, resolve_address
+from slimlat.diagram import cell_address, resolve_address
 from slimlat.errors import DiagramError, InternalInconsistencyError
 from slimlat.lamps import (
     lamp_creation_step,
@@ -272,7 +275,7 @@ def _interior_vertices(d, coords, cells):
     leaves = [c for c in d.four_cells()
               if any(point_in_quad(q, centroid(coords, c)) for q in quads)]
     in_region = set(leaves)
-    west, east = d._side_maps()
+    west, east = side_maps(d)
     verts = set()
     boundary_pts = set()
     for c in leaves:
@@ -526,10 +529,40 @@ def all_edges(d):
     return tuple(sorted(d.lattice.poset.covers))
 
 
+def side_maps(d):
+    """(west, east): (foot, peak) -> the cell on that side of the edge;
+    DiagramError naming the first edge with two cells on one side."""
+    west, east = {}, {}
+    for c in d.four_cells():
+        for side, e in (
+            (east, (c.bottom, c.left)),
+            (east, (c.left, c.top)),
+            (west, (c.bottom, c.right)),
+            (west, (c.right, c.top)),
+        ):
+            if e in side:
+                name = "west" if side is west else "east"
+                raise DiagramError(f"edge {e} has two {name} cells")
+            side[e] = c
+    return west, east
+
+
+def cross(side, edge, east):
+    """(next edge, shared cell) across the cell that the side map gives the
+    (foot, peak) pair, or (None, None) at the boundary: the pair of the
+    cell's opposite side at the same height.  Crossing a cell east, (b, l)
+    goes to (r, t) and (l, t) to (b, r); crossing it west inverts this."""
+    c = side.get(edge)
+    if c is None:
+        return None, None
+    far = c.right if east else c.left
+    return ((c.bottom, far) if edge[1] == c.top else (far, c.top)), c
+
+
 def east_step(d, edge):
     """(next edge, shared cell) east of edge, or (None, None) at the right
     boundary."""
-    return _cross(d._side_maps()[1], edge, True)
+    return cross(side_maps(d)[1], edge, True)
 
 
 def trajectories(d):

@@ -92,9 +92,9 @@ def derived(d):
 
 
 def test_a_read_while_a_cache_is_stored_gets_both_values():
-    """The boundary chains are stored with their sets, the cells with the
-    map from each bottom, and the sweep's ends once all walks are done, as
-    one value each: a read that runs right after the store, as a concurrent
+    """The boundary chains are stored with their sets, the walk table with
+    all its lists, and the sweep's ends once all walks are done, as one
+    value each: a read that runs right after the store, as a concurrent
     one may, gets the whole value."""
     reads = {}
 
@@ -104,8 +104,8 @@ def test_a_read_while_a_cache_is_stored_gets_both_values():
             # the first store of each is read
             if name == "_chains" and value is not None and "chains" not in reads:
                 reads["chains"] = (self.boundary_chains(), self._boundary_sets())
-            if name == "_cells" and value is not None and "cells" not in reads:
-                reads["cells"] = (self.four_cells(), self.cells_by_bottom())
+            if name == "_table" and value is not None and "cells" not in reads:
+                reads["cells"] = (self.four_cells(), self.cells_by_bottom(), self._steps())
             if name == "_ends" and value is not None and "ends" not in reads:
                 reads["ends"] = tuple(self._ends)
 
@@ -113,7 +113,8 @@ def test_a_read_while_a_cache_is_stored_gets_both_values():
     d = Reading._sorted(g.lattice, g.upper, g.lower)
     chains, cells = d.boundary_chains(), d.four_cells()
     assert reads["chains"] == (chains, tuple(map(frozenset, chains)))
-    assert len(cells) == 4 and reads["cells"] == (cells, {c.bottom: c for c in cells})
+    assert len(cells) == 4
+    assert reads["cells"] == (cells, {c.bottom: c for c in cells}, d._steps())
     assert is_slim_rectangular(d).ok
     assert len(reads["ends"]) == 4 and reads["ends"] == tuple(d._ends)
 
@@ -219,13 +220,27 @@ def test_trajectory_sweep_agrees_with_the_walk_oracle():
         assert trajectory_failure_by_walks(d) is None
 
 
-def _patched(d, cells=None, **state):
-    """A copy of d with the given cell list, or other derived state, in
-    place of its own, and without the validation report d may keep."""
+def _patched(d, upper=None, steps=(), **state):
+    """A copy of d without the validation report d may keep, with other
+    upper rows, whose walk table it derives, or with east steps, (edge,
+    next edge or None) pairs, planted in a copy of d's walk table with
+    their west inverses, or with other derived state in place of its own."""
     p = copy.copy(d)
     vars(p).pop("_report", None)
-    if cells is not None:
-        p._cells, p._sides = (tuple(cells), {c.bottom: c for c in cells}), None
+    if upper is not None:
+        p.upper, p._table, p._chains = upper, None, None
+    if steps:
+        table = d._walks()
+        slot = {table.edge(s): s for s in range(len(table.peaks))}
+        east, west = list(table.east), list(table.west)
+        for edge, nxt in steps:
+            s = slot[edge]
+            if east[s] >= 0:
+                west[east[s]] = -1
+            east[s] = -1 if nxt is None else slot[nxt]
+            if nxt is not None:
+                west[slot[nxt]] = s
+        p._table = table._replace(east=east, west=west)
     for name, value in state.items():
         setattr(p, name, value)
     return p
@@ -234,42 +249,51 @@ def _patched(d, cells=None, **state):
 def _planted(kind, validated=False):
     """A built grid diagram with one planted trajectory defect, patched into
     a copy of the grid's diagram, which is validated first if `validated`.
-    Grid element (i, j) is i * (q + 1) + j; grid(2, 1) has the left chain
-    0, 2, 4, 5, the right chain 0, 1, 3, 5 and the cells (0, 2, 1, 3) and
-    (2, 4, 3, 5), given as (bottom, left, right, top)."""
+    Grid element (i, j) is i * (q + 1) + j; grid(2, 1) has the upper rows
+    (2, 1), (3,), (4, 3), (5,), (5,), (), the left chain 0, 2, 4, 5, the
+    right chain 0, 1, 3, 5 and the cells (0, 2, 1, 3) and (2, 4, 3, 5),
+    given as (bottom, left, right, top)."""
     g11, g21, g12 = (grid(p, q).diagram for p, q in ((1, 1), (2, 1), (1, 2)))
     if validated:
         assert all(is_slim_rectangular(g).ok for g in (g11, g21, g12))
-    if kind == "two east cells":
-        # (2, 3) is an upper left side of (0, 2, 1, 3), a lower left one of (2, 3, 4, 5)
-        return _patched(g21, g21.four_cells() + (FourCell(2, 3, 4, 5),))
+    if kind in ("two east cells", "two west cells"):
+        # one row reversed: with the rows of 2 reversed, (2, 3) is an upper
+        # left side of (0, 2, 1, 3) and a lower left one of (2, 3, 4, 5);
+        # with those of 0, an upper right side of (0, 1, 2, 3) and a lower
+        # right one of (2, 4, 3, 5)
+        u = 2 if kind == "two east cells" else 0
+        return _patched(g21, tuple(row[::-1] if v == u else row for v, row in enumerate(g21.upper)))
     if kind == "revisit":
-        # the walk from (4, 5) ends at (0, 1), which (0, 1, 2, 4) sends on
-        # into the left-chain edge (2, 4), where an earlier walk started
-        return _patched(g21, g21.four_cells() + (FourCell(0, 1, 2, 4),))
+        # the walk from (4, 5) ends at (0, 1), which is sent on into the
+        # left-chain edge (2, 4), where an earlier walk started
+        return _patched(g21, steps=[((0, 1), (2, 4))])
     if kind == "tubes":
-        # no cells: the edge (0, 2) is a trajectory of its own, with no tube
-        return _patched(g11, ())
+        # the edge (0, 2) is a trajectory of its own, with no tube
+        return _patched(g11, steps=[((0, 2), None)])
     if kind == "end":
-        # the first cell's top moved to 5: the walk from (4, 5) stops at (2, 3)
-        return _patched(g21, (FourCell(0, 2, 1, 5), g21.four_cells()[1]))
+        # the walk from (4, 5) stops at (2, 3)
+        return _patched(g21, steps=[((2, 3), None)])
     if kind == "unreached":
-        # grid(1, 2) has the left chain 0, 3, 4, 5 and the right chain 0, 1,
-        # 2, 5; the cells send each left-chain edge straight to a cover on
-        # the right chain, so the trajectory of (1, 4) starts off the boundary
-        return _patched(g12, (FourCell(0, 3, 2, 5), FourCell(1, 3, 2, 4), FourCell(0, 4, 1, 5)))
+        # grid(1, 2) has the left chain 0, 3, 4, 5, the right chain 0, 1, 2,
+        # 5 and the tube feet 2, 3, 4; each left-chain edge is sent straight
+        # to a right-chain edge, so the trajectory of (1, 4) starts off the
+        # boundary
+        return _patched(g12, steps=[((0, 3), (2, 5)), ((3, 4), (0, 1)), ((4, 5), (1, 2))])
     if kind == "count":
         lat = copy.copy(g21.lattice)
         lat.length = lambda: 4
         return _patched(g21, lattice=lat)
     if kind == "tube count":
-        boundary, internal = g21.neon_tubes()
-        return _patched(g21, _tubes=(boundary[1:], internal))
+        # the meet-irreducible element 3, no corner, dropped: one neon tube fewer
+        lat = copy.copy(g21.lattice)
+        lat._mir = tuple(u for u in lat._mir if u != 3)
+        return _patched(g21, lattice=lat)
     raise ValueError(kind)
 
 
 PLANTED = [
     ("two east cells", "edge (2, 3) has two east cells"),
+    ("two west cells", "edge (2, 3) has two west cells"),
     ("revisit", "trajectory revisits an edge (diagram corruption)"),
     ("tubes", "trajectory has 0 neon tubes, expected 1"),
     ("end", "trajectory does not end on the right boundary"),
@@ -282,7 +306,7 @@ PLANTED = [
 @pytest.mark.parametrize("kind, message", PLANTED)
 def test_trajectory_sweep_names_a_planted_defect(kind, message):
     """No lattice that passes the checks run before the sweep fails it, so
-    each defect is planted in a grid's cells, its length or its tubes.  The
+    each defect is planted in a grid's rows, walk table, length or tubes.  The
     walk oracle fails too, though it may meet another defect first."""
     d = _planted(kind)
     assert _trajectory_failure(d) == message

@@ -610,13 +610,13 @@ def test_build_extends_a_held_prefix_without_releasing_it():
     the walk caches its holder derived."""
     prefix = build(parse_dsl("grid 2 2\nfork 1 1 2"))
     d = prefix.diagram
-    cells, sides, chains = d.four_cells(), d._side_maps(), d.boundary_chains()
+    table, chains = d._walks(), d.boundary_chains()
     pl = build(prefix.seq.extended(ForkStep(0, 1, 1)).extended(ForkStep(2, 0, 1)))
     assert pl.parent.parent is prefix
     # the same objects: none was dropped and derived again
-    assert d.four_cells() is cells and d._side_maps() is sides and d.boundary_chains() is chains
+    assert d._walks() is table and d.boundary_chains() is chains
     fresh = pl.parent.diagram
-    assert fresh._cells is None and fresh._sides is None and fresh._chains is None
+    assert fresh._table is None and fresh._chains is None
 
 
 def test_a_bad_step_after_a_held_prefix_fails_as_in_a_cold_build():

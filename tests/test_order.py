@@ -625,7 +625,7 @@ def test_bounded_non_lattice_rejected(covers):
     lat = FiniteLattice.__new__(FiniteLattice)
     lat.poset = p
     with pytest.raises(OrderError, match="no lub for pair"):
-        lat._table(p.up, p.down, p.upper_covers, p._toposort()[::-1])
+        lat._table(p.up, p.down, p.upper_covers, p._order[::-1])
     # 1 and 2 share the upper covers 3 and 4, and neither is their join
     assert lat.cover_join(1, 2) is None
     # at 1 and 2 the corner ideals are chains and the coordinates are
