@@ -35,24 +35,34 @@ foreign lattice.  Both order the cover rows by falling left height
 (_falling_rows), keeping every row that already falls, the same tuple,
 so a grid or fork step, whose rows are spliced in order, sorts none.
 
-A diagram computes its cells (with the map from each bottom to its
-cell), boundary chains, corners, boundary heights and neon tubes once,
-on first use, and keeps the lamp data that the lamps module derives for
-it and its validation report (is_slim_rectangular), ok or not; a failure
-that a derivation raises is not cached and is raised again on the next
-call.  The cells, side maps, chains, tubes and the ends the sweep records
-are walk caches: PlanarDiagram._release drops them, as the enumeration's
-replay does on each lattice it leaves, and the next read derives them again.
-Nothing is cached per edge but the cell side maps, and every walk across
-cells steps through them (_cross): validation checks every
-trajectory in one sweep (_trajectory_failure), and trajectory_through
-walks the one trajectory it returns, with the cells it crosses, as two
-half-walks (_half_walk), which a fork step also takes, from its cell's
-lower sides.  The sweep records only the right-chain peak where each
-walk ends, one append per trajectory; from these a valid diagram derives
-its Jordan-Holder permutation pi, and pi the key min(pi, pi^-1)
-(_jh_min), on which the enumeration dedupes (Czedli and
-Schmidt, Algebra Universalis 66, 2011, and Acta Sci. Math. 79, 2013).
+A diagram computes its walk table, boundary chains, corners, boundary
+heights and neon tubes once, on first use, and keeps the lamp data that
+the lamps module derives for it and its validation report
+(is_slim_rectangular), ok or not; a failure that a derivation raises is
+not cached and is raised again on the next call.  The walk table,
+chains, tubes and the ends the sweep records are walk caches:
+PlanarDiagram._release drops them, as the enumeration's replay does on
+each lattice it leaves, and the next read derives them again.
+
+The walk table (_walk_table) indexes the covers by slot: the slot of
+cover i in u's upper row is base[u] + i.  One pass over the ordered
+upper rows fills it: each two neighbouring covers l, r of u, slots s and
+s + 1, bound the cell whose top t is their one common upper cover, and
+the table keeps t at s and the slot that crossing the cell east or west
+leads to from each of its four sides; the first edge given two east or
+two west cells is named, and every walk raises it.  Every walk across
+cells steps through these lists with int arithmetic: validation checks
+the lower rows against them and every trajectory in one sweep
+(_trajectory_failure), and trajectory_through walks the one trajectory
+it returns as two half-walks (_half_walk), which a fork step also takes,
+from its cell's lower sides and from each new tube.  four_cells,
+cells_by_bottom, Edge and Trajectory are views read off the table on
+each call, for the lamps, the tests and the renders.  The sweep records
+only the right-chain peak where each walk ends, one append per
+trajectory; from these a valid diagram derives its Jordan-Holder
+permutation pi, and pi the key min(pi, pi^-1) (_jh_min), on which the
+enumeration dedupes (Czedli and Schmidt, Algebra Universalis 66, 2011,
+and Acta Sci. Math. 79, 2013).
 A k-fold fork at the cell whose bottom has address (a, b) changes pi by
 a fixed rule (_forked_permutation): the left- and right-chain edges
 a + 1 and b + 1 split into k + 1 pieces each, every old trajectory keeps
@@ -62,16 +72,17 @@ lattice built, and multifork._peeled runs the rule backwards.  Canonical
 codes are computed only where something outputs them.  An Edge is a
 named (foot, peak) pair and a FourCell a named (bottom, left, right,
 top) quadruple, so each equals, hashes and looks up as its plain tuple;
-the side maps and the lamp and tube-record maps take either.  Listing
-every trajectory is left to the test oracles.
+the lamp and tube-record maps take either.  Listing every trajectory,
+and the cell side maps keyed by (foot, peak) pairs, are left to the test
+oracles.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from bisect import bisect_right
 from itertools import accumulate, chain
 from typing import NamedTuple
 
@@ -351,6 +362,11 @@ class _Walks(NamedTuple):
         base, peaks = self.base, self.peaks
         return [(bisect_right(base, s) - 1, peaks[s]) for s in slots]
 
+    def cell_ends(self, cells):
+        """The (bottom, top) pair of each cell, given by its lower left slot."""
+        base, tops = self.base, self.tops
+        return tuple([(bisect_right(base, c) - 1, tops[c]) for c in cells])
+
 
 def _walk_table(upper):
     """The walk table of the ordered upper rows, in one pass over them.
@@ -396,10 +412,10 @@ def _walk_table(upper):
 def _conflict(table, left, right):
     """The message naming the first of a cell's left sides that already has
     an east cell, or else of its right sides that already has a west one."""
-    name, x = next((name, x) for name, step, sides in (("east", table.east, left),
-                                                       ("west", table.west, right))
-                   for x in sides if step[x] >= 0)
-    return f"edge {table.edge(x)} has two {name} cells"
+    for name, step, sides in (("east", table.east, left), ("west", table.west, right)):
+        for x in sides:
+            if step[x] >= 0:
+                return f"edge {table.edge(x)} has two {name} cells"
 
 
 def _cell(table, s):
@@ -442,10 +458,10 @@ def _trajectory_slots(d, s):
 
 def _crossed(table, slots):
     """The lower left slots of the cells that a walk east along `slots`
-    crosses, one between each two.  Slot x is the lower left side of the
-    cell east of it if that cell has one there, else its upper left side,
-    and the walk goes on to the cell's lower right side, its lower left
-    slot + 1."""
+    crosses, one between each two.  The cell east of slot x has x as its
+    lower left side if tops[x] is set, else as its upper left side; then
+    the walk goes on to the cell's lower right side, whose slot is the
+    lower left one + 1."""
     tops, east = table.tops, table.east
     return [x if tops[x] >= 0 else east[x] - 1 for x in slots[:-1]]
 
@@ -716,8 +732,7 @@ def _validate(d):
     """
     failures = []
     lat = d.lattice
-    wide = None if max(map(len, d.upper)) <= 2 else next(
-        u for u, row in enumerate(d.upper) if len(row) > 2)
+    wide = next((u for u, row in enumerate(d.upper) if len(row) > 2), None)
     try:
         table = d._walks()
         cell_failure = None
@@ -788,10 +803,11 @@ def _trajectory_failure(d):
 
     The last check, neon tubes against the length, cannot fail once the
     others pass; it stays as a guard on this argument.  A neon tube is the
-    one edge above a meet-irreducible foot (neon_tubes), an element with
-    one upper cover in the lattice, and so in d.upper, which lists the
-    lattice's covers (the constructors check or share them).  The sweep
-    counts exactly these slots, and once no walk revisits a slot and the
+    one edge above a meet-irreducible foot (neon_tubes), and antube counts
+    these feet, the elements with one upper cover in the lattice, and so
+    in d.upper, which lists the lattice's covers (the constructors check
+    or share them).  The sweep counts the slots of these edges
+    (_tube_slots), and once no walk revisits a slot and the
     walks reach every slot, it counts each of them once.  So the tube
     count is the sum of the per-walk counts, each of which is 1: it is
     len(lchain) - 1, which the check before it compares with the length.
@@ -800,7 +816,7 @@ def _trajectory_failure(d):
         east = d._steps()[1]
     except DiagramError as e:
         return str(e)
-    table = d._table
+    table = d._walks()
     base, peaks = table.base, table.peaks
     tubes_at = _tube_slots(table, d.upper)
     lchain, _ = d.boundary_chains()

@@ -19,8 +19,8 @@ must be the one the search derived, else InternalInconsistencyError
 names its sequence: the fork and cell rules are checked in the replay,
 not the search, so an enumeration whose lattices no one reads (slimlat
 enumerate, counts) rests on the tests' cross-checks.  The replay drops
-each lattice's walk caches (cells, side maps, boundary chains, neon
-tubes, the sweep's ends) when it leaves its subtree.
+each lattice's walk caches (the walk table, boundary chains, neon tubes,
+the sweep's ends) when it leaves its subtree.
 
 Realizability rests on two lamp facts (Czedli, "Lamps in slim rectangular
 planar semimodular lattices", Acta Sci. Math. 87, 2021): every multifork
@@ -270,6 +270,9 @@ class RealizabilityAnswer:
     min_length: int        # meaningful when found/trivial
     witness_seq: object    # sequence when found
     searched_up_to: int
+    # the built lattice of witness_seq, which realize checked: held here, it
+    # is what build(witness_seq) returns, with nothing built again
+    witness: object = field(default=None, compare=False, repr=False)
 
     @property
     def found(self):
@@ -309,18 +312,18 @@ def realize(poset, max_len, allow_large=False):
         for entry in _enumerate(length, boundary, n - boundary).get(length, ()):
             if (boundary + len(entry.seq.steps) == n
                     and poset_iso(_sequence_lamp_poset(entry.seq), poset) is not None):
-                _check_witness(entry, poset)
-                return RealizabilityAnswer(poset, "found", length, entry.seq, length)
+                witness = _check_witness(entry, poset)
+                return RealizabilityAnswer(poset, "found", length, entry.seq, length, witness)
     if cap >= bound:
         return RealizabilityAnswer(poset, "not_representable", -1, None, cap)
     return RealizabilityAnswer(poset, "unresolved", -1, None, cap)
 
 
 def _check_witness(entry, poset):
-    """Build the one lattice `realize` answers with and check what the
-    search read off pi: its swept permutation has the entry's key, and its
-    lamp poset (lamp_poset) is the query's.  A failure, or a build that
-    fails, is an InternalInconsistencyError that names the sequence."""
+    """Build the one lattice `realize` answers with, check what the search
+    read off pi, and return it: its swept permutation has the entry's key,
+    and its lamp poset (lamp_poset) is the query's.  A failure, or a build
+    that fails, is an InternalInconsistencyError that names the sequence."""
     try:
         pl = build(entry.seq)
     except PreconditionError as e:
@@ -335,6 +338,7 @@ def _check_witness(entry, poset):
         raise InternalInconsistencyError(
             f"realize built the witness\n{emit_dsl(entry.seq)}"
             "with a lamp poset not isomorphic to the query")
+    return pl
 
 
 # ---------------------------------------------------------------------------

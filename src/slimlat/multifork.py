@@ -20,7 +20,6 @@ sequence's built lattice has too.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -173,14 +172,8 @@ def grid(p, q):
     records = {}
     for foot, peak in boundary:
         slots = _trajectory_slots(d, table.base[foot])
-        records[foot, peak] = TubeRecord(0, _ends(table, _crossed(table, slots)))
+        records[foot, peak] = TubeRecord(0, table.cell_ends(_crossed(table, slots)))
     return ProvenancedLattice(d, MultiforkSequence(p, q, ()), records, ())
-
-
-def _ends(table, cells):
-    """The (bottom, top) pair of each cell, given by its lower left slot."""
-    base, tops = table.base, table.tops
-    return tuple([(bisect_right(base, c) - 1, tops[c]) for c in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +313,7 @@ def multifork_extend(pl, address, k):
         if [j for j, y in enumerate(slots) if y in tubes_at] != [ti]:
             raise _step_failure(pl, address, k, "new tube is not its trajectory's top edge")
         cells = _crossed(table2, slots)
-        records[mid(i), t] = TubeRecord(step, _ends(table2, cells[:ti - 1] + cells[ti + 1:]))
+        records[mid(i), t] = TubeRecord(step, table2.cell_ends(cells[:ti - 1] + cells[ti + 1:]))
 
     return ProvenancedLattice(
         d2,
@@ -475,12 +468,11 @@ def _peeled(d):
     # a tube's trajectory starts on the left-chain edge below lchain[i],
     # position i, where its west half-walk ends
     position = {v: i for i, v in enumerate(d.boundary_chains()[0])}
-    base, peaks = d._walks().base, d._walks().peaks
-    west = d._steps()[0]
+    table, west = d._walks(), d._steps()[0]
 
     def start(tube):
-        x = base[tube.foot]  # the tube's slot: its foot has one upper cover
-        return position[peaks[_half_walk(west, x, {x})[-1]]]
+        x = table.base[tube.foot]  # the tube's slot: its foot has one upper cover
+        return position[table.peaks[_half_walk(west, x, {x})[-1]]]
 
     lamps, lt, _ = lamp_poset(d)
     runs = {l.foot: sorted(map(start, l.tubes)) for l in lamps if l.kind == "internal"}

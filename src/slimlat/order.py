@@ -65,8 +65,8 @@ from .errors import BudgetError, OrderError, ParseError
 # the transient n x n meet table that certifies a lattice read from JSON,
 # and is dropped once it is filled.  A built lattice is certified by its
 # corner coordinates and fills no table: `grid 43 44` (1,980 elements)
-# takes about 0.04 s to build, at a peak of 23 MB, and 0.1 s more to report
-# its lamps, at a peak of 27 MB (Python 3.11).
+# takes about 0.01 s to build, at a peak of 19 MB, and 0.06 s more to report
+# its lamps, at a peak of 25 MB (Python 3.11).
 MAX_ELEMENTS = 2000
 
 _BITS = bytes.maketrans(b"01", b"\0\1")

@@ -5,7 +5,6 @@ import pytest
 from slimlat import diagram, order
 from slimlat.diagram import (
     Edge,
-    FourCell,
     PlanarDiagram,
     _certified_diagram,
     _sorted_diagram,
@@ -262,7 +261,7 @@ def _planted(kind, validated=False):
         # with those of 0, an upper right side of (0, 1, 2, 3) and a lower
         # right one of (2, 4, 3, 5)
         u = 2 if kind == "two east cells" else 0
-        return _patched(g21, tuple(row[::-1] if v == u else row for v, row in enumerate(g21.upper)))
+        return _patched(g21, tuple(r[::-1] if v == u else r for v, r in enumerate(g21.upper)))
     if kind == "revisit":
         # the walk from (4, 5) ends at (0, 1), which is sent on into the
         # left-chain edge (2, 4), where an earlier walk started

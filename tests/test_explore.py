@@ -387,6 +387,22 @@ def test_realize_builds_only_its_witness(monkeypatch, poset, max_len, answer):
     assert (len(calls["grid"]), len(calls["multifork_extend"])) == (int(ans.found), steps)
 
 
+def test_the_answer_keeps_its_built_witness(monkeypatch):
+    """The answer holds the witness realize built and checked, so reading
+    it, or building its sequence, builds nothing again; the answer compares
+    and prints as its five fields."""
+    ans = realize(named_posets("Y"), 7)
+    grids = counted_calls(monkeypatch, multifork, "grid")
+    steps = counted_calls(monkeypatch, multifork, "multifork_extend")
+    assert ans.witness.seq == ans.witness_seq
+    assert build(ans.witness_seq) is ans.witness
+    assert poset_iso(lamp_poset(ans.witness)[2], named_posets("Y")) is not None
+    assert (len(grids), len(steps)) == (0, 0)
+    assert "witness=" not in repr(ans)
+    fields = (ans.poset, ans.status, ans.min_length, ans.witness_seq, ans.searched_up_to)
+    assert ans == explore.RealizabilityAnswer(*fields)
+
+
 @pytest.mark.parametrize("planted, poset, max_len, message", [
     (("_sequence_lamp_poset", lambda seq: named_posets("Y")), named_posets("Y"), 7,
      "realize built the witness\ngrid 1 1\nfork 0 0 1\nfork 0 0 1\n"

@@ -136,7 +136,7 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
     """Enumerating the lattices of length <= 6, then building, minimizing
     and doubling them, walks no single trajectory while validating and
     computes no drawing coordinates: the trajectory check sweeps them all
-    across the east side map, and a built lattice keeps only the recipes of
+    along the walk table's east list, and a built lattice keeps only the recipes of
     its coordinates.  One svg render computes them once, for its slope
     check and its drawing."""
     calls, sweeps = [], {"count": 0, "running": False}
