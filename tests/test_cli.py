@@ -112,6 +112,26 @@ def test_enumerate_cli_output_is_pinned(tmp_path):
         "7f422678d0b6fbf5d5e9479d38d541accfd3c74bf93e37ead7e277db00c77cc8")
 
 
+def _enumerate_sha256(tmp_path, max_len):
+    out = tmp_path / "enum.json"
+    assert main(["enumerate", "--max-len", str(max_len), "--allow-large",
+                 "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_enumerate_cli_output_is_pinned_at_length_eight(tmp_path):
+    """The witness sequences and their order past the practical budget:
+    2,327 lattices at length 8, which the search lists without building."""
+    assert _enumerate_sha256(tmp_path, 8) == (
+        "c6ca3ad9a5d0635fe3a6390635f5281e7434ae6b3e9bbfc07116bc24d2b8c7e8")
+
+
+@pytest.mark.slow
+def test_enumerate_cli_output_is_pinned_at_length_nine(tmp_path):
+    assert _enumerate_sha256(tmp_path, 9) == (
+        "6aff3f62e508bac032f005e1dcf8e17a66be427b4b3674a7cd3090394d309fec")
+
+
 def test_realize_cli(tmp_path):
     poset_file = tmp_path / "y.poset"
     poset_file.write_text(named_posets("Y").to_json())
