@@ -11,6 +11,15 @@ from the grids, reads each lattice's distributive cells off its pi
 its key is seen: the key fixes the length, so the remaining budget, and
 the fork count, and isomorphic lattices extend to the same lattices.
 
+The search keeps its tree in flat arrays (_SearchTree): node i, in
+search order, is the grid a[i] x b[i] when parent[i] = -1, or the
+k[i]-fold fork at (a[i], b[i]) of node parent[i].  The dedupe keeps only
+the keys, as bytes, for the search's duration, and `by_length` maps each
+length to its node ids.  Entries are made when read: an index makes a
+length's EnumEntry values, each with its sequence read off the parent
+links (_SearchTree.entry), on the first read of that length, and keeps
+them; an entry derives its key from its sequence on each read.
+
 The first read of an entry's lattice (EnumEntry.pl or code) replays
 the whole search tree (_replayed), one `grid` or one fork step of the
 parent's lattice per node, as when the search built them.  Each
@@ -40,6 +49,7 @@ for `not_representable`, on the paper's length bound.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from .diagram import _forked_permutation, _jh_min, _jh_permutation
@@ -55,13 +65,21 @@ PRACTICAL_MAX_LEN = 7
 
 @dataclass(frozen=True, slots=True)
 class EnumEntry:
-    """A lattice's key min(pi, pi^-1), witness sequence and search tree
-    node.  The search builds nothing; the first read of any entry's `pl`
+    """A lattice's witness sequence and search tree node, made when it is
+    read.  The search builds nothing; the first read of any entry's `pl`
     replays the tree, which builds and checks every lattice."""
-    key: tuple
     seq: object
     tree: object = field(repr=False, compare=False)
     node: int = field(repr=False, compare=False)
+
+    @property
+    def key(self):
+        """min(pi, pi^-1), pi the sequence's permutation under the fork
+        rule, as the search derived it; derived on each read."""
+        pi = _grid_permutation(self.seq.grid_p, self.seq.grid_q)
+        for st in self.seq.steps:
+            pi = _forked_permutation(pi, (st.a, st.b), st.k)
+        return _jh_min(pi)
 
     @property
     def pl(self):
@@ -75,29 +93,66 @@ class EnumEntry:
 
 @dataclass(frozen=True)
 class EnumerationIndex:
+    """The search's result: `by_length` maps each length to the node ids of
+    `tree` at that length, in search order.  A length's entries are made on
+    its first read and kept here, not in the tree, which the entries hold."""
     max_len: int
     by_length: dict
+    tree: object = field(repr=False, compare=False)
+    _made: dict = field(default_factory=dict, repr=False, compare=False)
 
     def counts(self):
-        return {length: len(entries) for length, entries in sorted(self.by_length.items())}
+        return {length: len(nodes) for length, nodes in sorted(self.by_length.items())}
 
     def entries(self, length=None):
-        if length is not None:
-            return self.by_length.get(length, ())
-        return tuple(e for _, es in sorted(self.by_length.items()) for e in es)
+        if length is None:
+            return tuple(e for length in sorted(self.by_length) for e in self.entries(length))
+        made = self._made.get(length)
+        if made is None:
+            nodes = self.by_length.get(length, ())
+            made = self._made[length] = tuple(map(self.tree.entry, nodes))
+        return made
 
 
 class _SearchTree:
-    """The sequences the search found, in search order, and their lattices
-    once one is read.  It holds no entry, so it makes no reference cycle."""
+    """The search tree in flat arrays, in search order: node i is the grid
+    a[i] x b[i] when parent[i] == -1, else the k[i]-fold fork at (a[i], b[i])
+    of node parent[i]: 7 bytes a node, and 4 more in by_length.  Lengths
+    stay below 256, as the search's bytes keys need too (_visit).  The lattices are built when
+    one is read.  It holds no entry, so it makes no reference cycle; it
+    keeps each sequence it hands out until the replay gives it to the
+    node's lattice, so that the two share it."""
 
     def __init__(self):
-        self.seqs = []
+        self.parent = array("i")
+        self.a, self.b, self.k = array("B"), array("B"), array("B")
+        self.by_length = {}
+        self._seqs = {}
         self._lattices = None
+
+    def forks(self, node):
+        """The number of fork steps from node's grid to node."""
+        count, parent = 0, self.parent
+        while parent[node] >= 0:
+            node, count = parent[node], count + 1
+        return count
+
+    def entry(self, node):
+        """node's entry, made now: its sequence read off the parent links,
+        from node up to its grid, or its lattice's once replayed."""
+        if self._lattices is not None:
+            return EnumEntry(self._lattices[node].seq, self, node)
+        steps, i, parent = [], node, self.parent
+        while parent[i] >= 0:
+            steps.append(ForkStep(self.a[i], self.b[i], self.k[i]))
+            i = parent[i]
+        seq = MultiforkSequence(self.a[i], self.b[i], tuple(reversed(steps)))
+        return EnumEntry(self._seqs.setdefault(node, seq), self, node)
 
     def lattice(self, node):
         if self._lattices is None:
-            self._lattices = _replayed(self.seqs)
+            self._lattices = _replayed(self)
+            self._seqs = None
         return self._lattices[node]
 
 
@@ -106,27 +161,37 @@ def _distributive_addresses(pi):
     Jordan-Holder permutation is pi, read off pi with no lattice built.
 
     The corners have heights p = pi^-1(1) - 1 and q = pi(1) - 1.  The
-    element at the point (x, y) of S(pi) lies above the s-th element c_s of
-    the left boundary chain iff s <= x, so its corner heights, the cell
-    addresses, are (min(x, p), min(y, q)), and it is c_hl v d_hr
-    (diagram.boundary_heights): these points H list every element once.
-    The join-irreducibles of a slim rectangular lattice lie on its two
-    boundary chains, so those below an element t at (a + 1, b + 1) are two
-    disjoint chains of sizes a + 1 and b + 1, and by Birkhoff's count
-    (order.is_distributive_ideal_grid) the ideal of t is a product of two
-    chains iff it has (a + 2)(b + 2) elements, iff H holds [0, a + 1] x
-    [0, b + 1].  Then t tops one cell, whose bottom is at (a, b).
+    element at the point (x, y) of S(pi), 0 <= x, y <= n, with x = n or
+    pi(x + 1) > y, and y = n or pi^-1(y + 1) > x, lies above the s-th
+    element c_s of the left boundary chain iff s <= x, so its corner
+    heights, the cell addresses, are (min(x, p), min(y, q)), and it is
+    c_hl v d_hr (diagram.boundary_heights): these points H list every
+    element once.  The join-irreducibles of a slim rectangular lattice lie
+    on its two boundary chains, so those below an element t at
+    (a + 1, b + 1) are two disjoint chains of sizes a + 1 and b + 1, and
+    by Birkhoff's count (order.is_distributive_ideal_grid) the ideal of t
+    is a product of two chains iff it has (a + 2)(b + 2) elements, iff H
+    holds [0, a + 1] x [0, b + 1].  Then t tops one cell, whose bottom is
+    at (a, b).
+
+    Row y of S(pi) is one bit mask over x: `live`, the x with x = n or
+    pi(x + 1) > y, loses the x with pi(x + 1) = y as y grows, and the
+    second condition keeps its bits below pi^-1(y + 1).  So H's columns
+    take O(n) mask steps; tests/oracles.py keeps the (n + 1)^2 point scan.
     """
     n = len(pi)
-    inv = [0] * n
-    for i, j in enumerate(pi, 1):
-        inv[j - 1] = i
+    inv, drop = [0] * n, [0] * (n + 1)  # drop[v]: the x with pi(x + 1) = v
+    for x, v in enumerate(pi):
+        inv[v - 1] = x + 1
+        drop[v] |= 1 << x
     p, q = inv[0] - 1, pi[0] - 1
+    low, corner = (1 << p) - 1, 1 << p
     cols = [0] * (q + 1)  # cols[j]: the mask of the i with (i, j) in H
-    for x in range(n + 1):
-        for y in range(n + 1):
-            if (x == n or pi[x] > y) and (y == n or inv[y] > x):
-                cols[min(y, q)] |= 1 << min(x, p)
+    live = (1 << n + 1) - 1
+    for y in range(n + 1):
+        live &= ~drop[y]
+        row = live & (1 << inv[y]) - 1 if y < n else live
+        cols[min(y, q)] |= row & low | (corner if row >> p else 0)
     tops, rect = [], cols[0]  # tops[b]: the largest i with [0, i] x [0, b + 1] in H
     for col in cols[1:]:
         rect &= col
@@ -172,7 +237,7 @@ def _sequence_lamp_poset(seq):
 
 
 def _enumerate(max_len, boundary=None, max_forks=None):
-    """length -> entries of length <= max_len, in first-visit order.
+    """The index of the lattices of length <= max_len, in first-visit order.
 
     With `boundary`, only grids with p + q == boundary are searched; with
     `max_forks`, no sequence grows past that many forks.  Both the
@@ -180,14 +245,14 @@ def _enumerate(max_len, boundary=None, max_forks=None):
     the dedupe never meets a state these cuts removed, and the entries that
     survive keep their witnesses and their order.
     """
-    found, tree = {}, _SearchTree()
+    tree, seen = _SearchTree(), set()
     for p in range(1, max_len):
         for q in range(1, p + 1):
             if p + q <= max_len and boundary in (None, p + q):
                 pi = _grid_permutation(p, q)
-                _visit(found, tree, _jh_min(pi), pi, MultiforkSequence(p, q, ()),
-                       max_len, max_forks)
-    return {length: tuple(bucket.values()) for length, bucket in found.items()}
+                seen.add(bytes(_jh_min(pi)))
+                _visit(tree, seen, -1, p, q, 0, pi, max_len, max_forks)
+    return EnumerationIndex(max_len, tree.by_length, tree)
 
 
 def _grid_permutation(p, q):
@@ -195,58 +260,68 @@ def _grid_permutation(p, q):
     return (*range(q + 1, q + p + 1), *range(1, q + 1))
 
 
-def _visit(found, tree, key, pi, seq, max_len, max_forks):
-    """Record pi's lattice, whose key is new (no two grids and no grid and
-    fork child are isomorphic), then visit its fork children with new keys
-    within the budget, depth first.  A module function: a nested one that
-    calls itself is a reference cycle through its closure."""
-    # the key has one entry per trajectory, so its length is the lattice's
-    found.setdefault(len(key), {})[key] = EnumEntry(key, seq, tree, len(tree.seqs))
-    tree.seqs.append(seq)
+def _visit(tree, seen, parent, a, b, k, pi, max_len, max_forks, forks=0):
+    """Record pi's lattice, node (parent, a, b, k) of the tree, whose key
+    is in `seen` now and was not before (no two grids and no grid and fork
+    child are isomorphic), then visit its fork children with new keys
+    within the budget, depth first.  A key's entries are at most its
+    length, so bytes hold it.  A module function: a nested one that calls
+    itself is a reference cycle through its closure."""
+    node = len(tree.parent)
+    tree.parent.append(parent)
+    tree.a.append(a)
+    tree.b.append(b)
+    tree.k.append(k)
+    tree.by_length.setdefault(len(pi), array("i")).append(node)
     remaining = max_len - len(pi)
-    if remaining >= 1 and len(seq.steps) != max_forks:
+    if remaining >= 1 and forks != max_forks:
         for a, b in _distributive_addresses(pi):
             for k in range(1, remaining + 1):
                 child = _forked_permutation(pi, (a, b), k)
-                key = _jh_min(child)
-                if key not in found.get(len(key), ()):
-                    _visit(found, tree, key, child, seq.extended(ForkStep(a, b, k)),
-                           max_len, max_forks)
+                key = bytes(_jh_min(child))
+                if key not in seen:
+                    seen.add(key)
+                    _visit(tree, seen, node, a, b, k, child, max_len, max_forks, forks + 1)
 
 
-def _replayed(seqs):
-    """The lattice of each sequence, built in search order, depth first: a
-    child's parent is the last lattice built with one step fewer.  Each
-    swept pi must be the one the search derived, the grid's or the parent's
-    swept pi under the fork rule.  Leaving a lattice's subtree, the replay
-    drops the walk caches (PlanarDiagram._release) its children's builds
-    read; no one else has read them yet."""
-    lattices, path = [], []  # path: (lattice, swept pi) from the grid down
-    for seq in seqs:
-        while len(path) > len(seq.steps):
-            path.pop()[0].diagram._release()
+def _replayed(tree):
+    """The lattice of each node, built in search order, depth first, from
+    the tree's arrays: a grid, or a fork step of its parent's lattice, which
+    the replay still holds.  Each swept pi must be the one the search
+    derived, the grid's or the parent's swept pi under the fork rule.
+    Leaving a lattice's subtree, the replay drops the walk caches
+    (PlanarDiagram._release) its children's builds read; no one else has
+    read them yet."""
+    lattices, path = [], []  # path: (node, lattice, swept pi) from the grid down
+    for node, up in enumerate(tree.parent):
+        while path and path[-1][0] != up:
+            path.pop()[1].diagram._release()
+        a, b, k = tree.a[node], tree.b[node], tree.k[node]
         try:
             if path:
-                st = seq.steps[-1]
-                pi = _forked_permutation(path[-1][1], (st.a, st.b), st.k)
-                pl = multifork_extend(path[-1][0], (st.a, st.b), st.k)
+                pi = _forked_permutation(path[-1][2], (a, b), k)
+                pl = multifork_extend(path[-1][1], (a, b), k)
             else:
-                pi = _grid_permutation(seq.grid_p, seq.grid_q)
-                pl = grid(seq.grid_p, seq.grid_q)
+                pi = _grid_permutation(a, b)
+                pl = grid(a, b)
         except (PreconditionError, DiagramError) as e:
+            seq = (path[-1][1].seq.extended(ForkStep(a, b, k)) if path
+                   else MultiforkSequence(a, b, ()))
             raise InternalInconsistencyError(
                 f"the replay cannot build\n{emit_dsl(seq)}{e}") from e
         swept = _jh_permutation(pl.diagram)
         if swept != pi:
             raise InternalInconsistencyError(
-                f"the replay built\n{emit_dsl(seq)}with permutation {swept},"
+                f"the replay built\n{emit_dsl(pl.seq)}with permutation {swept},"
                 f" not the predicted {pi}")
-        pl.seq = seq  # the equal sequence the entry holds, kept once
-        path.append((pl, swept))
+        pl.seq = tree._seqs.get(node, pl.seq)  # the entry's equal sequence, kept once
+        path.append((node, pl, swept))
         lattices.append(pl)
-    for pl, _ in path:
+    for _, pl, _ in path:
         pl.diagram._release()
     return lattices
+
+
 
 
 def enumerate_index(max_len, allow_large=False):
@@ -256,9 +331,10 @@ def enumerate_index(max_len, allow_large=False):
         raise BudgetError(
             f"max_len {max_len} exceeds the practical budget {PRACTICAL_MAX_LEN}"
         )
-    return EnumerationIndex(max_len, _enumerate(max_len))
+    return _enumerate(max_len)
 
 
+# ---------------------------------------------------------------------------
 # ---------------------------------------------------------------------------
 # Realizability
 # ---------------------------------------------------------------------------
@@ -290,8 +366,10 @@ def realize(poset, max_len, allow_large=False):
     Each length searches only the descendants of grids with p + q equal to
     the number of maximal elements, with at most n - p - q forks, and
     compares lamp posets only on the lattices with exactly n lamps (see the
-    module docstring).  A poset with one maximal element therefore finishes
-    at once.  Those lamp posets are read off the fork sequences, and only
+    module docstring): it reads each node's fork count off the search tree
+    and makes an entry only for those.  A poset with one maximal element
+    therefore finishes at once.  Those lamp posets are read off the fork
+    sequences, and only
     the witness, the first match `enumerate_index(length)` lists at that
     length, is built and checked (_check_witness).  A negative answer
     rests on the pi rules beyond the lengths the tests check them at, 7 in
@@ -309,9 +387,12 @@ def realize(poset, max_len, allow_large=False):
         )
     boundary = len(poset.maximal_elements())
     for length in range(max(2, n), cap + 1):
-        for entry in _enumerate(length, boundary, n - boundary).get(length, ()):
-            if (boundary + len(entry.seq.steps) == n
-                    and poset_iso(_sequence_lamp_poset(entry.seq), poset) is not None):
+        tree = _enumerate(length, boundary, n - boundary).tree
+        for node in tree.by_length.get(length, ()):
+            if boundary + tree.forks(node) != n:
+                continue
+            entry = tree.entry(node)
+            if poset_iso(_sequence_lamp_poset(entry.seq), poset) is not None:
                 witness = _check_witness(entry, poset)
                 return RealizabilityAnswer(poset, "found", length, entry.seq, length, witness)
     if cap >= bound:

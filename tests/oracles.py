@@ -750,3 +750,28 @@ def tikz_by_fractions(pl):
         out.append(f"  \\draw[{style}] (n{a}) -- (n{b});")
     out.append("\\end{tikzpicture}")
     return "\n".join(out) + "\n"
+
+
+def distributive_addresses_by_scan(pi):
+    """The sorted distributive cell addresses of S(pi) by a scan of all
+    (n + 1)^2 points: each point (x, y) with x = n or pi(x + 1) > y, and
+    y = n or pi^-1(y + 1) > x, goes to the cell column min(y, q) at row
+    min(x, p), and the cell at (a, b) is distributive iff these points hold
+    [0, a + 1] x [0, b + 1] (the argument in
+    `slimlat.explore._distributive_addresses`, which builds each row as
+    one bit mask instead)."""
+    n = len(pi)
+    inv = [0] * n
+    for i, j in enumerate(pi, 1):
+        inv[j - 1] = i
+    p, q = inv[0] - 1, pi[0] - 1
+    cols = [0] * (q + 1)  # cols[j]: the mask of the i with (i, j) in H
+    for x in range(n + 1):
+        for y in range(n + 1):
+            if (x == n or pi[x] > y) and (y == n or inv[y] > x):
+                cols[min(y, q)] |= 1 << min(x, p)
+    tops, rect = [], cols[0]  # tops[b]: the largest i with [0, i] x [0, b + 1] in H
+    for col in cols[1:]:
+        rect &= col
+        tops.append((rect + 1 & ~rect).bit_length() - 2)
+    return [(a, b) for a in range(p) for b in range(q) if a < tops[b]]

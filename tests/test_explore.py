@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import re
 import weakref
 from itertools import combinations, permutations
@@ -23,6 +24,7 @@ from slimlat.order import Poset, _dependencies, congruence_lattice, named_posets
 from slimlat.reduce import length_bound, minimize
 
 from oracles import (
+    distributive_addresses_by_scan,
     distributive_cells,
     every_child,
     join_row_dependencies,
@@ -123,7 +125,7 @@ def test_enumeration_builds_only_new_lattices(monkeypatch):
     nothing, and each lattice's sequence is its entry's."""
     extended = counted_calls(monkeypatch, explore, "multifork_extend")
     grids = counted_calls(monkeypatch, explore, "grid")
-    entries = [e for bucket in explore._enumerate(7).values() for e in bucket]
+    entries = explore._enumerate(7).entries()
     assert len(entries) == 493
     assert (len(extended), len(grids)) == (0, 0)
     assert entries[-1].pl.length() == 7
@@ -153,7 +155,7 @@ def test_the_search_derives_each_walk_cache_once_and_releases_it(monkeypatch):
             return fn(d)
 
         monkeypatch.setattr(PlanarDiagram, name, counted)
-    entries = [e for bucket in explore._enumerate(7).values() for e in bucket]
+    entries = explore._enumerate(7).entries()
     assert all(calls == [] for calls in derived.values())
     diagrams = [e.pl.diagram for e in entries]
     assert len(diagrams) == 493
@@ -203,7 +205,7 @@ def test_a_wrong_prediction_names_the_sequence(monkeypatch):
     children; test_keys_partition_as_codes checks the rule on every
     child."""
     monkeypatch.setattr(explore, "_forked_permutation", _unshifted)
-    entries = explore._enumerate(5)[2]
+    entries = explore._enumerate(5).entries(2)
     with pytest.raises(InternalInconsistencyError, match="^" + re.escape(
             "the replay built\ngrid 1 1\nfork 0 0 1\n"
             "with permutation (3, 2, 1), not the predicted (2, 2, 1)") + r"\Z"):
@@ -214,7 +216,7 @@ def test_a_wrong_cell_rule_names_the_sequence(monkeypatch):
     """A cell rule that lists every cell sends the replay to a cell that is
     not distributive, and the replay names the sequence it cannot build."""
     monkeypatch.setattr(explore, "_distributive_addresses", _every_cell)
-    entries = explore._enumerate(5)[2]
+    entries = explore._enumerate(5).entries(2)
     with pytest.raises(InternalInconsistencyError, match="^" + re.escape(
             "the replay cannot build\ngrid 1 1\nfork 0 0 1\nfork 0 0 1\nfork 0 1 1\n"
             "cell at (0, 1) is not distributive") + r"\Z"):
@@ -234,6 +236,70 @@ def _check_cell_rule(entries):
 def test_the_cell_rule_reads_the_distributive_cells_off_pi(index7):
     assert len(index7.entries()) == 493
     _check_cell_rule(index7.entries())
+
+
+def _derived_permutations(monkeypatch, max_len):
+    """Every pi that the search to max_len derives, its grids' and every
+    fork child's, duplicates included, in search order."""
+    derived = []
+    for name in ("_grid_permutation", "_forked_permutation"):
+        def recorded(*args, fn=getattr(explore, name)):
+            derived.append(fn(*args))
+            return derived[-1]
+
+        monkeypatch.setattr(explore, name, recorded)
+    explore._enumerate(max_len)
+    return derived
+
+
+def _check_cell_rule_against_the_scan(derived):
+    """The mask rule gives the cells of the (n + 1)^2 point scan on each pi
+    and on pi^-1, the mirror image's."""
+    for pi in derived:
+        inv = [0] * len(pi)
+        for i, j in enumerate(pi, 1):
+            inv[j - 1] = i
+        for drawn in (pi, tuple(inv)):
+            assert explore._distributive_addresses(drawn) == (
+                distributive_addresses_by_scan(drawn)), drawn
+
+
+def test_the_cell_rule_equals_the_point_scan(monkeypatch):
+    derived = _derived_permutations(monkeypatch, 7)
+    assert len(derived) == 566  # 12 grids and 554 children
+    _check_cell_rule_against_the_scan(derived)
+
+
+def test_the_cell_rule_reads_a_non_permutation():
+    """A wrong fork rule (_unshifted) feeds the search (2, 2, 1), which is
+    no permutation.  The cell rule raises nothing on it and lists what the
+    scan lists, so the replay, not the search, names the defect
+    (test_a_wrong_prediction_names_the_sequence)."""
+    assert explore._distributive_addresses((2, 2, 1)) == (
+        distributive_addresses_by_scan((2, 2, 1))) == [(0, 0), (1, 0)]
+
+
+def test_entries_are_made_on_read(monkeypatch):
+    """The search keeps one array slot per node and makes no entry; an
+    index makes a length's entries on its first read, one per node, and
+    keeps them.  Each entry's sequence is its lattice's once replayed."""
+    made = counted_calls(monkeypatch, explore._SearchTree, "entry")
+    index = explore._enumerate(7)
+    tree = index.tree
+    assert len(tree.parent) == len(tree.a) == len(tree.b) == len(tree.k) == 493
+    assert [len(tree.by_length[n]) for n in range(2, 8)] == [1, 2, 6, 19, 78, 387]
+    assert [i for i, up in enumerate(tree.parent) if up < 0] == [
+        i for i in range(493) if tree.k[i] == 0]
+    assert sum(1 for up in tree.parent if up < 0) == 12
+    assert made == []
+    sevens = index.entries(7)
+    assert len(made) == 387 and index.entries(7) is sevens and len(made) == 387
+    assert [e.node for e in sevens] == list(tree.by_length[7])
+    for e in sevens:
+        seq = e.seq
+        assert len(e.key) == seq.grid_p + seq.grid_q + sum(st.k for st in seq.steps) == 7
+        assert tree.forks(e.node) == len(seq.steps), seq
+    assert all(e.pl.seq is e.seq for e in sevens)
 
 
 def test_enumeration_computes_no_canonical_code(monkeypatch):
@@ -574,6 +640,36 @@ def test_realize_matches_brute_force_on_small_posets(index7):
     _check_realize_against_reference(index7)
 
 
+def _realize_digest(monkeypatch, cap, allow_large=False):
+    """sha256 of (status, min_length, witness DSL, searched_up_to) of
+    realize at cap on the 86 posets with 2-5 elements, one line each.
+    realize makes an entry only for a node with exactly n lamps."""
+    made = []
+
+    def entry(tree, node, fn=explore._SearchTree.entry):
+        made.append(fn(tree, node))
+        return made[-1]
+
+    monkeypatch.setattr(explore._SearchTree, "entry", entry)
+    lines = []
+    for p in (p for n in range(2, 6) for p in _posets(n)):
+        ans = realize(p, cap, allow_large=allow_large)
+        witness = emit_dsl(ans.witness_seq) if ans.witness_seq else None
+        lines.append(repr((ans.status, ans.min_length, witness, ans.searched_up_to)))
+        lamps = {e.seq.grid_p + e.seq.grid_q + len(e.seq.steps) for e in made}
+        assert lamps <= {p.n}, (p, lamps)
+        made.clear()
+    assert len(lines) == 86
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_realize_answers_are_pinned_on_small_posets(monkeypatch):
+    """The answers and witnesses of the search that made an entry for
+    every node it visited."""
+    assert _realize_digest(monkeypatch, 7) == (
+        "9e2e52dd8022bf11086ca7648dcaf6c50760e323669b8d6cd0d85ff6180b97c1")
+
+
 def _check_dependencies_against_join_rows(index):
     for entry in index.entries():
         lat = entry.pl.lattice
@@ -612,6 +708,12 @@ def test_realize_matches_brute_force_at_length_eight(index8):
 
 
 @pytest.mark.slow
+def test_realize_answers_are_pinned_on_small_posets_at_length_eight(monkeypatch):
+    assert _realize_digest(monkeypatch, 8, allow_large=True) == (
+        "34c5ffc7064d0a24ce4dbcc3332509cf46882c3e48471d02509aef06350510e4")
+
+
+@pytest.mark.slow
 def test_the_lamp_rule_reads_the_lamp_poset_off_the_forks_at_length_eight(index8):
     assert len(index8.entries()) == 2820
     _check_lamp_rule(index8.entries())
@@ -632,6 +734,13 @@ def test_dependencies_match_join_rows_at_length_eight(index8):
 @pytest.mark.slow
 def test_keys_partition_as_codes_at_length_eight(index8):
     assert _keys_and_codes(index8) == (3369, 2820)
+
+
+@pytest.mark.slow
+def test_the_cell_rule_equals_the_point_scan_at_length_eight(monkeypatch):
+    derived = _derived_permutations(monkeypatch, 8)
+    assert len(derived) == 3369  # 12 grids and 3,357 children
+    _check_cell_rule_against_the_scan(derived)
 
 
 @pytest.mark.slow
