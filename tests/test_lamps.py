@@ -7,7 +7,7 @@ from slimlat.cli import main
 from slimlat.doubling import double
 from slimlat.dsl import parse_dsl
 from slimlat.errors import InternalInconsistencyError, PreconditionError
-from slimlat.diagram import resolve_address
+from slimlat.diagram import PlanarDiagram, resolve_address
 from slimlat.lamps import (
     circ_r,
     fork_interval,
@@ -350,6 +350,30 @@ def test_a_using_lamp_outside_the_lamp_order_is_reported(monkeypatch, tmp_path, 
     message = "a using lamp is not below the owner in the lamp order"
     with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
         usage_stats(pl)
+    seq = tmp_path / "sandwiched.seq"
+    seq.write_text(text)
+    capsys.readouterr()
+    assert main(["lamps", "--input", str(seq)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_boundary_tube_off_both_upper_boundaries_is_reported(monkeypatch, tmp_path, capsys):
+    """With the first internal neon tube listed among the boundary tubes,
+    the lamp list's boundary-side check fires: an internal tube's foot lies
+    above neither corner.  `slimlat lamps` exits 1 with its message on the
+    sequence that replays it."""
+    neon_tubes = PlanarDiagram.neon_tubes
+
+    def one_internal_tube_on_the_boundary(d):
+        boundary, internal = neon_tubes(d)
+        return boundary + internal[:1], internal[1:]
+
+    monkeypatch.setattr(PlanarDiagram, "neon_tubes", one_internal_tube_on_the_boundary)
+    text = "grid 1 1\nfork 0 0 3\nfork 0 2 1\n"
+    message = "boundary tube Edge(foot=13, peak=3) on neither upper boundary"
+    with pytest.raises(InternalInconsistencyError) as info:
+        lamp_report(build(parse_dsl(text)))
+    assert str(info.value) == message
     seq = tmp_path / "sandwiched.seq"
     seq.write_text(text)
     capsys.readouterr()

@@ -278,26 +278,93 @@ def _orderless_on_bare_diagrams(obj):
     return (lamps, lt, poset) if hasattr(obj, "diagram") else (lamps, frozenset(), poset)
 
 
-@pytest.mark.parametrize("name, planted, check", [
-    ("_con_isomorphic", lambda a, b: False, "congruence lattice changed under the removal"),
-    ("lamp_poset", _orderless_on_bare_diagrams, "lamp poset changed under the removal"),
-], ids=["congruence", "lamp_poset"])
+# a neighboring removal leaves grid 2 2 / fork 1 1 1
+PEELED = "grid 2 2\nfork 1 1 2\n"
+# a neighboring removal whose lamp's peak is no other lamp's foot or peak
+UNSHARED = "grid 2 2\nfork 0 0 2\n"
+
+
+def _first_boundary_lamp(d):
+    return next(l for l in lamps_of_diagram(d) if l.kind == "boundary")
+
+
+def _id_map_planted(move):
+    """A fork deletion whose old -> new id map is then changed by
+    move(map, d, tube) in place."""
+    def planted(d, tube, delete=multifork_module._delete_fork):
+        subd, idx = delete(d, tube)
+        idx = dict(idx)
+        move(idx, d, tube)
+        return subd, idx
+
+    return planted
+
+
+def _deletes_nothing(d, tube):
+    """A fork deletion that returns the diagram it was given."""
+    return d, {i: i for i in range(d.lattice.n)}
+
+
+def _left_chain_only(d, foot):
+    """A fork interval without the right chain [r_proj(foot), foot]."""
+    return d.lattice.interval(d.l_proj(foot), foot)
+
+
+def _peak_unmapped(idx, d, tube):
+    idx[tube.peak] = -1
+
+
+def _foreign_foot_unmapped(idx, d, tube):
+    idx[_first_boundary_lamp(d).foot] = -1
+
+
+def _foreign_peak_on_its_foot(idx, d, tube):
+    lamp = _first_boundary_lamp(d)
+    idx[lamp.peak] = idx[lamp.foot]
+
+
+def _foreign_peak_deleted(idx, d, tube):
+    del idx[_first_boundary_lamp(d).peak]
+
+
+@pytest.mark.parametrize("module, name, planted, text, check", [
+    (reduce_module, "_con_isomorphic", lambda a, b: False, REPLAYED,
+     "congruence lattice changed under the removal"),
+    (reduce_module, "lamp_poset", _orderless_on_bare_diagrams, REPLAYED,
+     "lamp poset changed under the removal"),
+    (multifork_module, "fork_interval", _left_chain_only, REPLAYED,
+     "removal produced an invalid lattice: validation failed: ('not semimodular',"
+     " 'region over 9 between covers 11,10 is not a 4-cell')"),
+    (reduce_module, "_delete_fork", _deletes_nothing, REPLAYED,
+     "removal did not shrink size and tube count by 1"),
+    (reduce_module, "_delete_fork", _id_map_planted(_foreign_peak_deleted), PEELED,
+     "deleted peak is off both fork chains"),
+    (reduce_module, "_delete_fork", _id_map_planted(_peak_unmapped), UNSHARED,
+     "reduced lamp lost more than one tube"),
+    (reduce_module, "_delete_fork", _id_map_planted(_foreign_foot_unmapped), REPLAYED,
+     "lamp with foot 1 did not keep its foot and tube count"),
+    (reduce_module, "_delete_fork", _id_map_planted(_foreign_peak_deleted), REPLAYED,
+     "a foreign lamp peak was deleted outside the neighboring rule"),
+    (reduce_module, "_delete_fork", _id_map_planted(_foreign_peak_on_its_foot), REPLAYED,
+     "lamp with foot 1 was re-peaked against the join rule"),
+], ids=["congruence", "lamp_poset", "invalid", "no_shrink", "off_chains", "lost_tube",
+        "foot_kept", "foreign_peak", "repeaked"])
 def test_a_failed_removal_self_check_names_the_sequence_that_replays_it(
-        monkeypatch, tmp_path, capsys, name, planted, check):
-    monkeypatch.setattr(reduce_module, name, planted)
-    message = f"{check}; `slimlat reduce` replays it on\n{REPLAYED}"
+        monkeypatch, tmp_path, capsys, module, name, planted, text, check):
+    """Each of the nine removal self-checks fires on a defect planted in
+    one helper, and names the sequence that `slimlat reduce` replays it on:
+    a fork deletion that keeps half the fork or nothing, or whose id map
+    loses or moves one lamp's peak or foot."""
+    monkeypatch.setattr(module, name, planted)
+    message = f"{check}; `slimlat reduce` replays it on\n{text}"
     with pytest.raises(InternalInconsistencyError) as info:
-        minimize(build(parse_dsl(REPLAYED)))
+        minimize(build(parse_dsl(text)))
     assert str(info.value) == message
     assert str(info.value.__cause__) == check
     seq = tmp_path / "replayed.seq"
-    seq.write_text(REPLAYED)
+    seq.write_text(text)
     assert main(["reduce", "--input", str(seq)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-
-
-# a neighboring removal leaves grid 2 2 / fork 1 1 1
-PEELED = "grid 2 2\nfork 1 1 2\n"
 
 
 def test_a_failed_decomposition_names_the_sequence_that_replays_it(
