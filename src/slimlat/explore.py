@@ -118,10 +118,10 @@ class _SearchTree:
     """The search tree in flat arrays, in search order: node i is the grid
     a[i] x b[i] when parent[i] == -1, else the k[i]-fold fork at (a[i], b[i])
     of node parent[i]: 7 bytes a node, and 4 more in by_length.  Lengths
-    stay below 256, as the search's bytes keys need too (_visit).  The lattices are built when
-    one is read.  It holds no entry, so it makes no reference cycle; it
-    keeps each sequence it hands out until the replay gives it to the
-    node's lattice, so that the two share it."""
+    stay below 256, as the search's bytes keys need too (_visit).  The
+    lattices are built when one is read.  It holds no entry, so it makes no
+    reference cycle; it keeps each sequence it hands out until the replay
+    gives it to the node's lattice, so that the two share it."""
 
     def __init__(self):
         self.parent = array("i")
@@ -322,8 +322,6 @@ def _replayed(tree):
     return lattices
 
 
-
-
 def enumerate_index(max_len, allow_large=False):
     """All slim rectangular lattices of length <= max_len, up to isomorphism
     (including mirror images), each with a witness sequence."""
@@ -334,7 +332,6 @@ def enumerate_index(max_len, allow_large=False):
     return _enumerate(max_len)
 
 
-# ---------------------------------------------------------------------------
 # ---------------------------------------------------------------------------
 # Realizability
 # ---------------------------------------------------------------------------
@@ -369,9 +366,9 @@ def realize(poset, max_len, allow_large=False):
     module docstring): it reads each node's fork count off the search tree
     and makes an entry only for those.  A poset with one maximal element
     therefore finishes at once.  Those lamp posets are read off the fork
-    sequences, and only
-    the witness, the first match `enumerate_index(length)` lists at that
-    length, is built and checked (_check_witness).  A negative answer
+    sequences, and only the witness, the first match
+    `enumerate_index(length)` lists at that length, is built and checked
+    (_check_witness).  A negative answer
     rests on the pi rules beyond the lengths the tests check them at, 7 in
     Tier-1 and 8 under `slow`, and "not_representable" on the bound too.
     """

@@ -51,8 +51,10 @@ does not use.
   (`slimlat.diagram._forked_permutation`, `slimlat.explore._visit`); a
   read of an entry's lattice replays only the children whose key was new.
 - The distributive cells of a diagram by Birkhoff's count on the ideal of
-  each cell's top (`distributive_cells`).  Production reads them off the
-  Jordan-Holder permutation with no lattice built
+  each cell's top (`distributive_cells`), and off the Jordan-Holder
+  permutation by a scan of all (n + 1)^2 points of S(pi)
+  (`distributive_addresses_by_scan`).  Production reads them off pi with
+  no lattice built, one bit mask per row of S(pi)
   (`slimlat.explore._distributive_addresses`).
 - The doubled sequence by geometry (`doubled_sequence_by_crossings`):
   each later step's cell named by the tubes of the two trajectories

@@ -288,12 +288,12 @@ def test_entries_are_made_on_read(monkeypatch):
     tree = index.tree
     assert len(tree.parent) == len(tree.a) == len(tree.b) == len(tree.k) == 493
     assert [len(tree.by_length[n]) for n in range(2, 8)] == [1, 2, 6, 19, 78, 387]
-    assert [i for i, up in enumerate(tree.parent) if up < 0] == [
-        i for i in range(493) if tree.k[i] == 0]
-    assert sum(1 for up in tree.parent if up < 0) == 12
+    grids = [i for i, up in enumerate(tree.parent) if up < 0]
+    assert len(grids) == 12 and grids == [i for i in range(493) if tree.k[i] == 0]
     assert made == []
     sevens = index.entries(7)
-    assert len(made) == 387 and index.entries(7) is sevens and len(made) == 387
+    assert len(made) == 387
+    assert index.entries(7) is sevens and len(made) == 387
     assert [e.node for e in sevens] == list(tree.by_length[7])
     for e in sevens:
         seq = e.seq
