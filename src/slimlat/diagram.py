@@ -28,12 +28,13 @@ whenever the up-set test does; a slim rectangular lattice passes both at
 its corners.  boundary_heights computes the points and runs the up-set
 test: on a built lattice as the certificate's first half, on a foreign
 one, which its meet table certified, as the embedding.
-_certified_diagram, the one constructor of grids, forks and fork
-deletions, is the certificate; its diagram keeps the points as heights()
-and the corners as corners(), which embed_rectangular derives for a
-foreign lattice.  Both order the cover rows by falling left height
-(_falling_rows), keeping every row that already falls, the same tuple,
-so a grid or fork step, whose rows are spliced in order, sorts none.
+_certified_diagram, the one constructor of grids and forks (and of the
+tests' fork deletions), is the certificate; its diagram keeps the points
+as heights() and the corners as corners(), which embed_rectangular
+derives for a foreign lattice.  Both order the cover rows by falling
+left height (_falling_rows), keeping every row that already falls, the
+same tuple, so a grid or fork step, whose rows are spliced in order,
+sorts none.
 
 A diagram computes its walk table, boundary chains, corners, boundary
 heights and neon tubes once, on first use, and keeps the lamp data that

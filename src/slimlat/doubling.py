@@ -33,6 +33,9 @@ left height a + 1 and the bottom's right height b: the anchor is
 b + 1.  The tests compare the result with the geometric relocation,
 trajectories walked and crossed on built stages, for every step of every
 lattice of length <= 8.
+
+The same loop (_relabelled) serves the removals, which drop one label
+of a fork instead (reduce._removed_sequence).
 """
 
 from __future__ import annotations
@@ -45,12 +48,14 @@ from .multifork import ForkStep, MultiforkSequence, build
 from .order import poset_double, poset_iso
 
 
-def _doubled_sequence(seq, t):
-    """The input's forks with step t doubled and every later step moved to
-    the crossing of its two labels (module docstring); `seq` must build.
-    The input's lists (`old`) and the new sequence's (`new`) share the
-    grid's labels, 0..n - 1 by left-chain edge, and each input step's; the
-    2-fold fork's two labels are -1 and -2."""
+def _relabelled(seq, t, edit):
+    """seq with step t replaced by the forks, ((a, b), labels) pairs, that
+    edit(a, b, step t's labels) lists, and every other step moved to the
+    crossing of its two labels (module docstring); `seq` must build.  The
+    input's lists (`old`) and the new sequence's (`new`) share the grid's
+    labels, 0..n - 1 by left-chain edge, and each step's that the edit
+    keeps.  A label missing from `new` stands for the nearest kept one
+    below it, so each step forks after the same kept labels in both."""
     p, q = seq.grid_p, seq.grid_q
     old = new = (list(range(p + q)), [*range(p, p + q), *range(p)])
     fresh = p + q
@@ -58,15 +63,26 @@ def _doubled_sequence(seq, t):
     for s, st in enumerate(seq.steps, 1):
         labels = list(range(fresh, fresh + st.k))
         fresh += st.k
-        a, b = new[0].index(old[0][st.a]), new[1].index(old[1][st.b])
-        if s == t:
-            new = _forked_labels(*new, (a, b), [-1, -2])
-            steps.append(ForkStep(a, b, 2))
-            a += 1
-        new = _forked_labels(*new, (a, b), labels)
-        steps.append(ForkStep(a, b, st.k))
+        a, b = _kept_place(old[0], new[0], st.a), _kept_place(old[1], new[1], st.b)
+        for address, kept in edit(a, b, labels) if s == t else [((a, b), labels)]:
+            new = _forked_labels(*new, address, kept)
+            steps.append(ForkStep(*address, len(kept)))
         old = _forked_labels(*old, (st.a, st.b), labels)
     return MultiforkSequence(p, q, tuple(steps))
+
+
+def _kept_place(old, new, i):
+    """The place in `new` of old[i], or of the nearest label below it that
+    `new` kept; a fork puts its labels above place 0, so one is kept."""
+    while old[i] not in new:
+        i -= 1
+    return new.index(old[i])
+
+
+def _doubled_sequence(seq, t):
+    """The input's forks with step t doubled (module docstring): a 2-fold
+    fork, labels -1 and -2, and step t's own fork above it."""
+    return _relabelled(seq, t, lambda a, b, labels: [((a, b), [-1, -2]), ((a + 1, b), labels)])
 
 
 def double(seq, t):

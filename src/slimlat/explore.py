@@ -52,7 +52,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
-from .diagram import _forked_permutation, _jh_min, _jh_permutation
+from .diagram import _forked_labels, _forked_permutation, _jh_min, _jh_permutation
 from .dsl import emit_dsl
 from .errors import BudgetError, DiagramError, InternalInconsistencyError, PreconditionError
 from .lamps import lamp_poset
@@ -206,34 +206,33 @@ def _sequence_lamp_poset(seq):
 
     Every trajectory passes through exactly one neon tube, and a fork
     keeps it there with its two ends (doubling's module docstring), so
-    `owner`, the lamp of the tube on the trajectory that starts at each
-    left-chain position, only grows by insertion.  The grid's p + q
+    the lamp of the tube on each trajectory, listed by left-chain edge
+    and by right-chain edge, from the bottom, only grows by insertion, as
+    the trajectory labels do (diagram._forked_labels).  The grid's p + q
     trajectories cross its p + q boundary tubes, one each.  A k-fold fork
     at (a, b) splits the cell with bottom w, sides l and r and top t: its
     k new trajectories cross the k new tubes below t, which make one new
-    lamp, and start at positions a + 2, ..., a + 1 + k
-    (_forked_permutation).  The cell is the new lamp's circumscribed
-    rectangle, and a trajectory crosses a cell through opposite sides:
-    the one through the upper right edge [r, t] crosses [w, l], which
-    descends to left-chain position a + 1, and the one through the upper
-    left edge [l, t] crosses [w, r], which descends to right-chain edge
-    b + 1, so starts at pi^-1(b + 1).  Their owners are the new lamp's
-    Nel and Nwl lamps (lamps.nwl_nel).  A fork adds its lamp below these
-    two and leaves the older lamps and their order as they were (Czedli,
-    Acta Sci. Math. 87, 2021), so the lamp order is the closure of the
-    pairs that the forks add, as lamp_poset's Nwl/Nel rule generates it.
-    The tests compare the two on every lattice of length <= 7, and of
-    length 8 under `slow`.
+    lamp.  The cell is the new lamp's circumscribed rectangle, and a
+    trajectory crosses a cell through opposite sides: the one through the
+    upper right edge [r, t] crosses [w, l], which descends to left-chain
+    edge a + 1, and the one through the upper left edge [l, t] crosses
+    [w, r], which descends to right-chain edge b + 1
+    (diagram._forked_permutation).  Their lamps, left[a] and right[b],
+    are the new lamp's Nel and Nwl lamps (lamps.nwl_nel).  A fork adds its
+    lamp below these two and leaves the older lamps and their order as
+    they were (Czedli, Acta Sci. Math. 87, 2021), so the lamp order is the
+    closure of the pairs that the forks add, as lamp_poset's Nwl/Nel rule
+    generates it.  The tests compare the two on every lattice of length
+    <= 7, and of length 8 under `slow`.
     """
-    pi = _grid_permutation(seq.grid_p, seq.grid_q)
-    owner = list(range(seq.grid_p + seq.grid_q))
+    p, q = seq.grid_p, seq.grid_q
+    left, right = list(range(p + q)), [*range(p, p + q), *range(p)]
     pairs = set()
-    for new, st in enumerate(seq.steps, len(owner)):
-        pairs.add((new, owner[st.a]))
-        pairs.add((new, owner[pi.index(st.b + 1)]))
-        pi = _forked_permutation(pi, (st.a, st.b), st.k)
-        owner[st.a + 1:st.a + 1] = [new] * st.k
-    return Poset.from_relation(seq.grid_p + seq.grid_q + len(seq.steps), pairs)
+    for new, st in enumerate(seq.steps, p + q):
+        pairs.add((new, left[st.a]))
+        pairs.add((new, right[st.b]))
+        left, right = _forked_labels(left, right, (st.a, st.b), [new] * st.k)
+    return Poset.from_relation(p + q + len(seq.steps), pairs)
 
 
 def _enumerate(max_len, boundary=None, max_forks=None):

@@ -41,7 +41,7 @@ from .errors import (
     OrderError,
     PreconditionError,
 )
-from .lamps import _diagram_of, fork_interval, lamp_poset
+from .lamps import _diagram_of, lamp_poset
 from .order import MAX_ELEMENTS, Poset, is_distributive_ideal_grid
 
 
@@ -391,26 +391,9 @@ def decompose(diagram_or_pl):
     """Recover a multifork sequence: build(decompose(L)) has L's own
     Jordan-Holder permutation, so it is L, drawn the same way.  The
     sequence is read off that permutation (_peeled) and checked by one
-    build (_rebuilt)."""
+    build (_rebuilt).  Only a bare diagram, such as lattice JSON, needs
+    this: a removal edits its input's sequence (reduce._removed_sequence)."""
     return reprovenance(diagram_or_pl).seq
-
-
-def _delete_fork(d, tube):
-    """(sub-diagram, old id -> new id) left when the fork of the given
-    internal neon tube is deleted from d: the order restricted to the
-    rest, certified at the same corners and validated.  Raises
-    DiagramError or OrderError naming the failure."""
-    lat = d.lattice
-    sub, old_ids = lat.poset.restrict(set(range(lat.n)) - fork_interval(d, tube.foot))
-    idx = {old: new for new, old in enumerate(old_ids)}
-    # the fork lies below an internal foot, which lies above neither corner
-    # (what does is on an upper boundary), so both corners are kept
-    lc, rc = (idx[c] for c in d.corners())
-    subd = _certified_diagram(sub, lc, rc)
-    report = is_slim_rectangular(subd)
-    if not report.ok:
-        raise DiagramError(f"validation failed: {report.failures}")
-    return subd, idx
 
 
 def reprovenance(diagram):
@@ -462,8 +445,8 @@ def _peeled(d):
     lamps.  But the peel undoes the candidate with the least foot, and
     that a candidate exists at every stage, with d's lamp order standing
     for the residue's, rests only on the exhaustive checks in the tests:
-    every lattice of length <= 8, its mirror image and every removal of
-    minimize on them rebuild their own pi."""
+    every lattice of length <= 8 and its mirror image rebuild their own
+    pi."""
     pi = list(_jh_permutation(d))
     # a tube's trajectory starts on the left-chain edge below lchain[i],
     # position i, where its west half-walk ends

@@ -2,9 +2,12 @@
 
 Two removal rules on an internal lamp's neon tubes: a used tube whose two
 neighbors are unused (the sandwiched rule), and two adjacent unused tubes
-(the neighboring rule).  Each removal deletes the fork of one tube,
-restricts the order, validates the result once, and rebuilds it from the
-sequence read off its Jordan-Holder permutation (multifork._rebuilt).
+(the neighboring rule).  Each removal edits the fork sequence
+(_removed_sequence) and builds only the edited sequence, from the
+input's stage before the edited fork when the input holds its stages.
+It checks what a removal keeps: one tube less, from that lamp alone, the
+labelled lamp order and Con L.  The geometric fork deletion is the test
+oracle (tests/oracles.py).
 `minimize` drives the rules to a fixpoint; `check_bounds` evaluates the
 length and size bounds.
 """
@@ -14,13 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import embed_rectangular, is_slim_rectangular
+from .doubling import _relabelled
 from .dsl import emit_dsl
-from .errors import (
-    DiagramError,
-    InternalInconsistencyError,
-    OrderError,
-    PreconditionError,
-)
+from .errors import DiagramError, InternalInconsistencyError, PreconditionError
 from .lamps import (
     _diagram_of,
     is_used,
@@ -29,7 +28,7 @@ from .lamps import (
     lamps_of_diagram,
     usage_stats,
 )
-from .multifork import _delete_fork, _rebuilt
+from .multifork import build
 from .order import FiniteLattice, congruence_lattice, poset_iso
 
 
@@ -70,85 +69,71 @@ def _con_isomorphic(lat_a, lat_b):
     return poset_iso(ca.jir_poset, cb.jir_poset) is not None
 
 
+def _removed_sequence(seq, s, i):
+    """seq with tube i, counted left to right, of step s's lamp removed:
+    step s loses the tube's trajectory label, and every later step forks
+    after the same kept labels (doubling._relabelled).
+
+    A k-fold fork's tubes, left to right, lie on its labels in falling
+    left-chain order (diagram._forked_permutation), so tube i has label
+    x = k - 1 - i.  Deleting its fork deletes the feet of x's edges
+    (lamps.fork_interval: they share the foot's left height west of the
+    tube and its right height east of it).  So x goes, each boundary edge
+    it starts or ends on merges with the one below, and every other
+    trajectory keeps its ends: the result's Jordan-Holder permutation is
+    the input's with x's pair deleted.  The edited sequence keeps every
+    other label in its place relative to the rest in both lists, so it
+    has that permutation too, which fixes the lattice and its drawing
+    (Czedli and Schmidt, Algebra Universalis 66, 2011).  That it builds,
+    each moved cell distributive, rests on `build`, which checks it, and
+    on the tests: on every applicable removal of every lattice of length
+    <= 8 the result has the fork deletion's permutation, labelled lamp
+    order and tube counts.  Only sandwiched removals meet a later step
+    labelled x there.
+    """
+    return _relabelled(seq, s, lambda a, b, labels: [
+        ((a, b), labels[:-1 - i] + labels[len(labels) - i:])])
+
+
+def _labelled_lamps(pl):
+    """(tube count, strict order pairs) of pl's lamps, each named as a
+    removal keeps it: an internal lamp by its creation step, a boundary
+    lamp by its side and its rank from the bottom of that side."""
+    lamps, lt, _ = lamp_poset(pl)
+    down = pl.lattice.poset.down
+    name = {l.foot: lamp_creation_step(pl, l) for l in lamps if l.kind == "internal"}
+    for side in "LR":
+        feet = sorted((l.foot for l in lamps if l.side == side), key=lambda f: down[f].bit_count())
+        name.update((foot, (side, rank)) for rank, foot in enumerate(feet))
+    return ({name[l.foot]: len(l.tubes) for l in lamps},
+            {(name[a], name[b]) for a, b in lt})
+
+
 def _remove_fork(pl, lamp, tube, rule):
-    """Core removal: delete F(tube), restrict, validate, check guarantees."""
-    d = pl.diagram
-    lat = d.lattice
+    """Core removal: build the edited sequence (_removed_sequence), from
+    pl's stage before the lamp's fork when pl holds its stages, and check
+    what a removal keeps: a smaller lattice, one tube less, taken from
+    that lamp alone, the labelled lamp order (_labelled_lamps) and Con L."""
+    s = lamp_creation_step(pl, lamp)
     try:
-        subd, idx = _delete_fork(d, tube)
-    except (OrderError, DiagramError) as e:
-        raise InternalInconsistencyError(f"removal produced an invalid lattice: {e}")
-    sublat = subd.lattice
-    if not (sublat.n < lat.n and subd.antube() == d.antube() - 1):
-        raise InternalInconsistencyError("removal did not shrink size and tube count by 1")
-
-    # re-peaking rule for lamps whose peak sat on a deleted fork chain:
-    # join with the projection of the flanking lower cover of the owner's
-    # peak (only the neighboring rule can hit this; the sandwiched
-    # preconditions keep all foreign peaks off the fork)
-    lowers = d.lower[lamp.peak]
-    pos = lowers.index(tube.foot)
-    left_chain = lat.interval(d.l_proj(tube.foot), tube.foot)
-    right_chain = lat.interval(d.r_proj(tube.foot), tube.foot)
-
-    def repeaked(old_peak):
-        if old_peak in left_chain:
-            supp = d.l_proj(lowers[pos - 1])
-        elif old_peak in right_chain:
-            supp = d.r_proj(lowers[pos + 1])
-        else:
-            raise InternalInconsistencyError("deleted peak is off both fork chains")
-        return lat.join_of((old_peak, supp))
-
-    # per-lamp bookkeeping through the id map
-    old_lamps = {l.foot: l for l in lamps_of_diagram(d)}
-    new_lamps = {l.foot: l for l in lamps_of_diagram(subd)}
-    new_by_peak = {l.peak: l for l in new_lamps.values()}
-    phi = {}
-    for foot, l in old_lamps.items():
-        if foot == lamp.foot:
-            img = new_by_peak.get(idx[l.peak])
-            if img is None or len(img.tubes) != len(l.tubes) - 1:
-                raise InternalInconsistencyError("reduced lamp lost more than one tube")
-        else:
-            img = new_lamps.get(idx.get(foot))
-            if img is None or len(img.tubes) != len(l.tubes):
-                raise InternalInconsistencyError(
-                    f"lamp with foot {foot} did not keep its foot and tube count"
-                )
-            if l.peak in idx:
-                expected_peak = idx[l.peak]
-            else:
-                if rule != "neighboring":
-                    raise InternalInconsistencyError(
-                        "a foreign lamp peak was deleted outside the neighboring rule"
-                    )
-                expected_peak = idx[repeaked(l.peak)]
-            if img.peak != expected_peak:
-                raise InternalInconsistencyError(
-                    f"lamp with foot {foot} was re-peaked against the join rule"
-                )
-        phi[foot] = img.foot
-    _, lt, _ = lamp_poset(pl)
-    _, new_lt, _ = lamp_poset(subd)
-    if {(phi[a], phi[b]) for a, b in lt} != new_lt:
+        new_pl = build(_removed_sequence(pl.seq, s, lamp.tubes.index(tube)))
+    except PreconditionError as e:
+        raise InternalInconsistencyError(f"the reduced sequence fails at {e}") from e
+    if not new_pl.n < pl.n:
+        raise InternalInconsistencyError("removal did not shrink the lattice")
+    tubes, order = _labelled_lamps(pl)
+    new_tubes, new_order = _labelled_lamps(new_pl)
+    if new_tubes.get(s) != tubes[s] - 1:
+        raise InternalInconsistencyError(f"the lamp of step {s} did not lose exactly one tube")
+    tubes[s] -= 1
+    if new_tubes != tubes:
+        raise InternalInconsistencyError(f"a lamp other than step {s}'s lost or gained a tube")
+    if new_order != order:
         raise InternalInconsistencyError("lamp poset changed under the removal")
-
-    con_ok = _con_isomorphic(lat, sublat)
-    if not con_ok:
+    if not _con_isomorphic(pl.lattice, new_pl.lattice):
         raise InternalInconsistencyError("congruence lattice changed under the removal")
-
-    new_pl = _rebuilt(subd)
     step = ReductionStep(
-        rule,
-        lamp.foot,
-        tube,
-        lat.n,
-        sublat.n,
-        d.antube(),
-        subd.antube(),
-        con_ok,
-    )
+        rule, lamp.foot, tube, pl.n, new_pl.n, pl.antube(), new_pl.antube(), True)
     return new_pl, step
 
 
@@ -176,9 +161,8 @@ def remove_sandwiched(pl, lamp_foot, tube):
 def remove_neighboring(pl, lamp_foot, n1, n2):
     """Remove one of two adjacent unused tubes of an internal lamp.
 
-    The fork of `n2` is deleted.  When n2 lies to the left of n1 this is
-    the mirrored application; the deleted element set is mirror-invariant,
-    so a single code path serves both orientations.
+    `n2` is removed.  When n2 lies to the left of n1 this is the mirrored
+    application; the same sequence edit serves both orientations.
     """
     lamp = _lamp_with_foot(lamps_of_diagram(pl.diagram), lamp_foot)
     if lamp.kind != "internal":
@@ -221,7 +205,7 @@ def find_removable(pl):
 
 def _reduce_once(pl):
     """(lattice, ReductionStep) of the removal that find_removable picks, or
-    None: a '00' deletes the fork of its second tube, a '0u0' its middle's.
+    None: a '00' removes its second tube, a '0u0' its middle one.
     A failed self-check names the sequence that replays it."""
     target = find_removable(pl)
     if target is None:

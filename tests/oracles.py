@@ -25,8 +25,15 @@ does not use.
   Production tests Birkhoff's covering condition and 2-colours the
   incomparability graph of J(L) (`slimlat.order.FiniteLattice`).
 - Induced sublattices, certified by the meet table as foreign input is.
-  Production deletes a fork (`slimlat.multifork._delete_fork`) and
-  certifies what is left by its corner coordinates.
+- The removal by geometry (`removal_by_deletion`): the tube's fork
+  deleted, the order restricted to the rest and certified by its corner
+  coordinates (`delete_fork`), and every lamp followed through the old ->
+  new id map, with its assertions (the reduced lamp keeps its peak and
+  loses one tube, every other lamp keeps its foot and tube count, and a
+  peak that the fork deleted, which only the neighboring rule allows, is
+  re-peaked at a join).  Production edits the fork sequence, dropping
+  the tube's trajectory label, and builds only the edited sequence
+  (`slimlat.reduce._removed_sequence`).
 - Up- and down-sets as frozensets, by a search along the covers from each
   element.  Production ORs bitmasks along a topological order
   (`slimlat.order.Poset`).
@@ -79,9 +86,15 @@ does not use.
 from fractions import Fraction
 from itertools import combinations
 
-from slimlat.diagram import cell_address, resolve_address
+from slimlat.diagram import (
+    _certified_diagram,
+    cell_address,
+    is_slim_rectangular,
+    resolve_address,
+)
 from slimlat.errors import DiagramError, InternalInconsistencyError
 from slimlat.lamps import (
+    fork_interval,
     lamp_creation_step,
     lamp_poset,
     lamps_of_diagram,
@@ -412,6 +425,68 @@ def sublattice(lat, elems):
     meet table, as foreign input is; OrderError if it is no lattice."""
     sub, old_ids = lat.poset.restrict(elems)
     return FiniteLattice(sub), old_ids
+
+
+def delete_fork(d, tube):
+    """(sub-diagram, old id -> new id) left when the fork of the given
+    internal neon tube is deleted from d: the order restricted to the
+    rest (`lamps.fork_interval`), certified at the same corners and
+    validated.  Raises DiagramError or OrderError naming the failure."""
+    lat = d.lattice
+    sub, old_ids = lat.poset.restrict(set(range(lat.n)) - fork_interval(d, tube.foot))
+    idx = {old: new for new, old in enumerate(old_ids)}
+    # the fork lies below an internal foot, which lies above neither corner
+    # (what does is on an upper boundary), so both corners are kept
+    lc, rc = (idx[c] for c in d.corners())
+    subd = _certified_diagram(sub, lc, rc)
+    report = is_slim_rectangular(subd)
+    if not report.ok:
+        raise DiagramError(f"validation failed: {report.failures}")
+    return subd, idx
+
+
+def removal_by_deletion(pl, lamp, tube, rule):
+    """The reference removal of `tube` from the internal `lamp` of a built
+    lattice by the named rule: (the diagram that delete_fork leaves, old
+    lamp foot -> new lamp foot).  Each lamp is followed through the id
+    map, and the map is asserted: the reduced lamp keeps its peak and
+    loses one tube, every other lamp keeps its foot and tube count, and a
+    lamp whose peak the fork deleted, which only the neighboring rule
+    allows, is re-peaked at the join of its old peak with the projection
+    of the flanking lower cover of the reduced lamp's peak."""
+    d = pl.diagram
+    lat = d.lattice
+    subd, idx = delete_fork(d, tube)
+    lowers = d.lower[lamp.peak]
+    pos = lowers.index(tube.foot)
+    left_chain = lat.interval(d.l_proj(tube.foot), tube.foot)
+    right_chain = lat.interval(d.r_proj(tube.foot), tube.foot)
+
+    def repeaked(old_peak):
+        if old_peak in left_chain:
+            return lat.join_of((old_peak, d.l_proj(lowers[pos - 1])))
+        assert old_peak in right_chain, "deleted peak is off both fork chains"
+        return lat.join_of((old_peak, d.r_proj(lowers[pos + 1])))
+
+    new_lamps = {l.foot: l for l in lamps_of_diagram(subd)}
+    new_by_peak = {l.peak: l for l in new_lamps.values()}
+    followed = {}
+    for l in lamps_of_diagram(d):
+        if l.foot == lamp.foot:
+            img = new_by_peak.get(idx[l.peak])
+            assert img is not None and len(img.tubes) == len(l.tubes) - 1, (
+                "reduced lamp lost more than one tube")
+        else:
+            img = new_lamps.get(idx.get(l.foot))
+            assert img is not None and len(img.tubes) == len(l.tubes), (
+                f"lamp with foot {l.foot} did not keep its foot and tube count")
+            if l.peak not in idx:
+                assert rule == "neighboring", (
+                    "a foreign lamp peak was deleted outside the neighboring rule")
+            peak = idx[l.peak] if l.peak in idx else idx[repeaked(l.peak)]
+            assert img.peak == peak, f"lamp with foot {l.foot} was re-peaked against the join rule"
+        followed[l.foot] = img.foot
+    return subd, followed
 
 
 def is_congruence(lat, cong):

@@ -21,7 +21,7 @@ from slimlat.explore import enumerate_index, realize, sweep_bounds
 from slimlat.lamps import lamp_poset
 from slimlat.multifork import build, decompose
 from slimlat.order import Poset, _dependencies, congruence_lattice, named_posets, poset_iso
-from slimlat.reduce import length_bound, minimize
+from slimlat.reduce import length_bound
 
 from oracles import (
     distributive_addresses_by_scan,
@@ -692,14 +692,6 @@ def index8():
 @pytest.mark.slow
 def test_roundtrip_rebuilds_the_permutation_at_lengths_seven_and_eight(index8):
     _check_roundtrip(index8.entries(7) + index8.entries(8))
-
-
-@pytest.mark.slow
-def test_removals_rebuild_their_permutation_at_lengths_seven_and_eight(index8):
-    """Each removal's result is rebuilt through multifork._rebuilt, which
-    raises unless the rebuilt lattice has that result's permutation."""
-    for entry in index8.entries(7) + index8.entries(8):
-        minimize(build(entry.seq))
 
 
 @pytest.mark.slow

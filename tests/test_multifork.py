@@ -4,7 +4,7 @@ from functools import cached_property
 
 import pytest
 
-from slimlat import diagram, multifork, reduce
+from slimlat import diagram, multifork
 from slimlat.diagram import (
     Edge,
     FourCell,
@@ -38,7 +38,7 @@ from slimlat.reduce import minimize
 from slimlat.render import render
 
 import oracles
-from oracles import eager_coords, every_child
+from oracles import delete_fork, eager_coords, every_child
 from test_order import S7_COVERS
 
 
@@ -182,34 +182,26 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
 
 def test_steps_sort_no_row_and_derive_no_cover_set(monkeypatch):
     """Enumerating the lattices of length <= 6, then building, minimizing
-    and doubling them, sorts no row of a grid or fork step, whose rows are
-    spliced in order from the parent's; only fork deletions, whose rows come
-    ascending from Poset.restrict, are sorted.  No built lattice derives its
-    cover set: one JSON write derives it once."""
-    events, deleting = [], []
-    falling, covers, delete = diagram._falling, Poset.covers.func, multifork._delete_fork
+    and doubling them, sorts no row: a grid or fork step splices its rows
+    in order from the parent's, and a removal builds a sequence.  Only a
+    fork deletion, the test oracle whose rows come ascending from
+    Poset.restrict, sorts.  No built lattice derives its cover set: one
+    JSON write derives it once."""
+    events = []
+    falling, covers = diagram._falling, Poset.covers.func
 
     def counted_falling(u, row, hl):
-        events.append("deletion sort" if deleting else "step sort")
+        events.append("sort")
         return falling(u, row, hl)
 
     def counted_covers(poset):
         events.append("covers")
         return covers(poset)
 
-    def counted_delete(*args):
-        deleting.append(True)
-        try:
-            return delete(*args)
-        finally:
-            deleting.pop()
-
     counted = cached_property(counted_covers)
     counted.__set_name__(Poset, "covers")
     monkeypatch.setattr(diagram, "_falling", counted_falling)
     monkeypatch.setattr(Poset, "covers", counted)
-    monkeypatch.setattr(multifork, "_delete_fork", counted_delete)
-    monkeypatch.setattr(reduce, "_delete_fork", counted_delete)
     seqs = [e.pl.seq for e in enumerate_index(6).entries()]
     for seq in seqs:
         minimize(build(seq))
@@ -218,13 +210,16 @@ def test_steps_sort_no_row_and_derive_no_cover_set(monkeypatch):
                 double(seq, t)
             except SlimlatError:
                 pass
-    assert "step sort" not in events and "covers" not in events
-    assert "deletion sort" in events    # the counter sees the sorts that happen
+    assert events == []
+    pl = build(parse_dsl("grid 2 2\nfork 1 1 2"))
+    delete_fork(pl.diagram, pl.diagram.neon_tubes()[1][0])
+    assert "sort" in events    # the counter sees the sorts that happen
 
+    events.clear()
     d = build(seqs[-1]).diagram
     d.to_json()
     d.to_json()
-    assert events.count("covers") == 1
+    assert events == ["covers"]
 
 
 def assert_rows_spliced(parent, child):

@@ -1,13 +1,21 @@
 import pytest
 
+import oracles
+import slimlat.doubling as doubling_module
 import slimlat.multifork as multifork_module
 import slimlat.reduce as reduce_module
 from slimlat.cli import main
-from slimlat.diagram import is_slim_rectangular
-from slimlat.dsl import parse_dsl
+from slimlat.diagram import _jh_permutation, is_slim_rectangular
+from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import InternalInconsistencyError, PreconditionError
 from slimlat.explore import enumerate_index
-from slimlat.lamps import fork_interval, lamp_poset, lamps_of_diagram, usage_stats
+from slimlat.lamps import (
+    fork_interval,
+    lamp_creation_step,
+    lamp_poset,
+    lamps_of_diagram,
+    usage_stats,
+)
 from slimlat.multifork import (
     ForkStep,
     MultiforkSequence,
@@ -16,9 +24,10 @@ from slimlat.multifork import (
     multifork_extend,
     reprovenance,
 )
-from slimlat.order import congruence_lattice, poset_iso
+from slimlat.order import Poset, congruence_lattice, poset_iso
 from slimlat.reduce import (
     check_bounds,
+    find_removable,
     length_bound,
     minimize,
     remove_neighboring,
@@ -174,30 +183,138 @@ def test_minimize_validates_each_diagram_once(monkeypatch):
     assert len({id(d) for d in validated}) == len(validated)
 
 
-def test_one_fork_deletion_per_removal_and_none_per_decomposition(monkeypatch):
-    """A removal deletes one fork; recovering a sequence, for a removal's
-    result or for a diagram, deletes none."""
-    calls = []
-    delete = multifork_module._delete_fork
+def removals_extend_only_their_steps(monkeypatch, seqs):
+    """Minimize each sequence's built lattice, which holds its stages, and
+    check that each removal restricts no order and peels nothing, and that
+    a removal from the lamp of step s of an m-step sequence extends only
+    steps from s on, each once and up to m: the edited sequence shares the
+    input's steps before s (reduce._removed_sequence), and `build` may find
+    a longer prefix alive.  Returns the numbers of removals and of steps
+    extended."""
+    events = []
+    restrict, peeled = Poset.restrict, multifork_module._peeled
+    extend, removed = multifork_module.multifork_extend, reduce_module._removed_sequence
 
-    def counted(*args):
-        calls.append(args)
-        return delete(*args)
+    def counted_extend(pl, address, k):
+        events.append(len(pl.seq.steps) + 1)
+        return extend(pl, address, k)
 
-    for module in (multifork_module, reduce_module):
-        monkeypatch.setattr(module, "_delete_fork", counted)
-    entries = enumerate_index(6).entries()
-    removals = 0
-    for entry in entries:
-        before = len(calls)
-        _, trace = minimize(build(entry.seq))
-        assert len(calls) - before == len(trace), entry.seq
+    def counted_removal(seq, s, i):
+        events.append(("removal", s, len(seq.steps)))
+        return removed(seq, s, i)
+
+    monkeypatch.setattr(Poset, "restrict", lambda *args: events.append("restrict") or restrict(*args))
+    monkeypatch.setattr(multifork_module, "_peeled", lambda d: events.append("peel") or peeled(d))
+    monkeypatch.setattr(multifork_module, "multifork_extend", counted_extend)
+    monkeypatch.setattr(reduce_module, "_removed_sequence", counted_removal)
+    removals = extended_steps = 0
+    for seq in seqs:
+        pl = build(seq)
+        events.clear()
+        _, trace = minimize(pl)
+        marks = [i for i, e in enumerate(events) if isinstance(e, tuple)]
+        assert len(marks) == len(trace), seq
+        for i, j in zip(marks, marks[1:] + [len(events)]):
+            _, s, m = events[i]
+            extended = events[i + 1:j]
+            assert extended == list(range(m + 1 - len(extended), m + 1)), (seq, events)
+            assert len(extended) <= m + 1 - s, (seq, events)
+            extended_steps += len(extended)
         removals += len(trace)
-    assert removals > 0
-    calls.clear()
+    return removals, extended_steps
+
+
+def test_a_removal_deletes_no_fork_and_peels_nothing(monkeypatch):
+    """A removal builds only its edited sequence, from the input's stage
+    before the lamp's fork; recovering a sequence for a diagram restricts
+    no order either."""
+    entries = enumerate_index(6).entries()
+    removals, extended = removals_extend_only_their_steps(monkeypatch, [e.seq for e in entries])
+    assert removals == 39 and extended > 0
+    calls = []
+    monkeypatch.setattr(Poset, "restrict", lambda *args: calls.append(args))
     for entry in entries:
         reprovenance(entry.pl.diagram)
     assert calls == []
+
+
+@pytest.mark.slow
+def test_removals_extend_only_their_steps_at_lengths_seven_and_eight(monkeypatch, index8):
+    seqs = [e.seq for e in index8.entries(7) + index8.entries(8)]
+    removals, extended = removals_extend_only_their_steps(monkeypatch, seqs)
+    assert removals == 1322 and extended > 0
+
+
+def applicable_removals(pl):
+    """(rule, lamp, tube removed, the call's tube arguments) of every
+    removal that applies to pl: each '00' pair in both orientations and
+    each '0u0'."""
+    patterns = usage_stats(pl).patterns
+    for lamp in lamps_of_diagram(pl.diagram):
+        if lamp.kind != "internal":
+            continue
+        pattern, tubes = patterns[lamp.foot], lamp.tubes
+        for i in range(len(tubes) - 1):
+            if pattern[i:i + 2] == "00":
+                yield "neighboring", lamp, tubes[i + 1], (tubes[i], tubes[i + 1])
+                yield "neighboring", lamp, tubes[i], (tubes[i + 1], tubes[i])
+            if pattern[i:i + 3] == "0u0":
+                yield "sandwiched", lamp, tubes[i + 1], (tubes[i + 1],)
+
+
+def lamp_names(pl):
+    """Lamp foot -> name: an internal lamp's creation step, a boundary
+    lamp's side and its rank among that side's feet by height."""
+    lamps = lamps_of_diagram(pl.diagram)
+    names = {l.foot: lamp_creation_step(pl, l) for l in lamps if l.kind == "internal"}
+    down = pl.lattice.poset.down
+    for side in "LR":
+        feet = sorted((l.foot for l in lamps if l.side == side), key=lambda f: down[f].bit_count())
+        names.update((foot, (side, rank)) for rank, foot in enumerate(feet))
+    return names
+
+
+def labelled_lamps(d, names):
+    """(tube count by name, strict order pairs of names) of d's lamps."""
+    lamps, lt, _ = lamp_poset(d)
+    return {names[l.foot]: len(l.tubes) for l in lamps}, {(names[a], names[b]) for a, b in lt}
+
+
+def assert_removals_equal_the_fork_deletion(entries):
+    """Every applicable removal of each entry's built lattice has the
+    Jordan-Holder permutation, the labelled lamp order and the tube counts
+    of the fork deletion (oracles.removal_by_deletion), whose lamps are
+    named through its id map.  Returns the number of removals."""
+    removals = 0
+    for entry in entries:
+        pl = build(entry.seq)
+        names = lamp_names(pl)
+        for rule, lamp, tube, args in list(applicable_removals(pl)):
+            if rule == "neighboring":
+                got, _ = remove_neighboring(pl, lamp.foot, *args)
+            else:
+                got, _ = remove_sandwiched(pl, lamp.foot, *args)
+            subd, followed = oracles.removal_by_deletion(pl, lamp, tube, rule)
+            context = (emit_dsl(entry.seq), rule, tube)
+            assert _jh_permutation(got.diagram) == _jh_permutation(subd), context
+            sub_names = {followed[foot]: name for foot, name in names.items()}
+            assert labelled_lamps(got, lamp_names(got)) == labelled_lamps(subd, sub_names), context
+            removals += 1
+    return removals
+
+
+def test_removals_equal_the_fork_deletion_to_length_seven():
+    assert assert_removals_equal_the_fork_deletion(enumerate_index(7).entries()) == 423
+
+
+@pytest.fixture(scope="module")
+def index8():
+    return enumerate_index(8, allow_large=True)
+
+
+@pytest.mark.slow
+def test_removals_equal_the_fork_deletion_at_length_eight(index8):
+    assert assert_removals_equal_the_fork_deletion(index8.entries(8)) == 2155
 
 
 def test_fixpoint_minimal_lamps_have_one_tube():
@@ -267,15 +384,72 @@ def test_check_bounds_fixpoint_flag():
 
 # Replaying a failed removal ----------------------------------------------------
 
-# its first removal is a sandwiched one
+# its first removal is a sandwiched one, whose later step names the tube
 REPLAYED = "grid 1 1\nfork 0 0 3\nfork 0 2 1\n"
+# its first removal is a neighboring one at step 1, and step 2 is 2-fold
+TWO = "grid 1 1\nfork 0 0 2\nfork 0 0 2\n"
+# its first removal's lamp has a 3-tube neighbour to keep, not the tube's
+NEIGHBOUR = "grid 1 1\nfork 0 0 3\nfork 0 1 1\n"
 
 
-def _orderless_on_bare_diagrams(obj):
-    """lamp_poset, with no order pairs for a bare diagram: _remove_fork
-    reads the removal's result as one."""
-    lamps, lt, poset = lamp_poset(obj)
-    return (lamps, lt, poset) if hasattr(obj, "diagram") else (lamps, frozenset(), poset)
+def _returns_its_input(seq, s, i):
+    """A removal rule that edits nothing."""
+    return seq
+
+
+def _upper_neighbour(old, new, i):
+    """A label in place of a dropped one: the nearest kept label above it,
+    not below."""
+    while old[i] not in new:
+        i += 1
+    return new.index(old[i])
+
+
+def _the_next_forks_tube(seq, s, i, removed=reduce_module._removed_sequence):
+    """A removal rule that takes its tube from the next fork."""
+    return removed(seq, s + 1, i)
+
+
+def _also_the_next_forks_tube(seq, s, i, removed=reduce_module._removed_sequence):
+    """A removal rule that takes one tube more, from the next fork."""
+    return removed(removed(seq, s, i), s + 1, 0)
+
+
+def _the_neighbour_tube(seq, s, i, removed=reduce_module._removed_sequence):
+    """A removal rule that takes the tube's right neighbour instead."""
+    return removed(seq, s, (i + 1) % seq.steps[s - 1].k)
+
+
+@pytest.mark.parametrize("module, name, planted, text, check", [
+    (reduce_module, "_con_isomorphic", lambda a, b: False, REPLAYED,
+     "congruence lattice changed under the removal"),
+    (reduce_module, "_removed_sequence", _the_neighbour_tube, NEIGHBOUR,
+     "lamp poset changed under the removal"),
+    (doubling_module, "_kept_place", _upper_neighbour, REPLAYED,
+     "the reduced sequence fails at step 2: cell at (0, 2) is not distributive"),
+    (reduce_module, "_removed_sequence", _returns_its_input, REPLAYED,
+     "removal did not shrink the lattice"),
+    (reduce_module, "_removed_sequence", _the_next_forks_tube, TWO,
+     "the lamp of step 1 did not lose exactly one tube"),
+    (reduce_module, "_removed_sequence", _also_the_next_forks_tube, TWO,
+     "a lamp other than step 1's lost or gained a tube"),
+], ids=["congruence", "lamp_poset", "invalid", "no_shrink", "lost_tube", "foot_kept"])
+def test_a_failed_removal_self_check_names_the_sequence_that_replays_it(
+        monkeypatch, tmp_path, capsys, module, name, planted, text, check):
+    """Each of the six removal self-checks fires on a defect planted in
+    one helper, and names the sequence that `slimlat reduce` replays it on:
+    a removal rule that edits nothing, takes the wrong tube or one more, or
+    puts a later step by the wrong neighbour of the dropped label."""
+    monkeypatch.setattr(module, name, planted)
+    message = f"{check}; `slimlat reduce` replays it on\n{text}"
+    with pytest.raises(InternalInconsistencyError) as info:
+        minimize(build(parse_dsl(text)))
+    assert str(info.value) == message
+    assert str(info.value.__cause__) == check
+    seq = tmp_path / "replayed.seq"
+    seq.write_text(text)
+    assert main(["reduce", "--input", str(seq)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # a neighboring removal leaves grid 2 2 / fork 1 1 1
@@ -291,23 +465,13 @@ def _first_boundary_lamp(d):
 def _id_map_planted(move):
     """A fork deletion whose old -> new id map is then changed by
     move(map, d, tube) in place."""
-    def planted(d, tube, delete=multifork_module._delete_fork):
+    def planted(d, tube, delete=oracles.delete_fork):
         subd, idx = delete(d, tube)
         idx = dict(idx)
         move(idx, d, tube)
         return subd, idx
 
     return planted
-
-
-def _deletes_nothing(d, tube):
-    """A fork deletion that returns the diagram it was given."""
-    return d, {i: i for i in range(d.lattice.n)}
-
-
-def _left_chain_only(d, foot):
-    """A fork interval without the right chain [r_proj(foot), foot]."""
-    return d.lattice.interval(d.l_proj(foot), foot)
 
 
 def _peak_unmapped(idx, d, tube):
@@ -327,48 +491,39 @@ def _foreign_peak_deleted(idx, d, tube):
     del idx[_first_boundary_lamp(d).peak]
 
 
-@pytest.mark.parametrize("module, name, planted, text, check", [
-    (reduce_module, "_con_isomorphic", lambda a, b: False, REPLAYED,
-     "congruence lattice changed under the removal"),
-    (reduce_module, "lamp_poset", _orderless_on_bare_diagrams, REPLAYED,
-     "lamp poset changed under the removal"),
-    (multifork_module, "fork_interval", _left_chain_only, REPLAYED,
-     "removal produced an invalid lattice: validation failed: ('not semimodular',"
-     " 'region over 9 between covers 11,10 is not a 4-cell')"),
-    (reduce_module, "_delete_fork", _deletes_nothing, REPLAYED,
-     "removal did not shrink size and tube count by 1"),
-    (reduce_module, "_delete_fork", _id_map_planted(_foreign_peak_deleted), PEELED,
-     "deleted peak is off both fork chains"),
-    (reduce_module, "_delete_fork", _id_map_planted(_peak_unmapped), UNSHARED,
-     "reduced lamp lost more than one tube"),
-    (reduce_module, "_delete_fork", _id_map_planted(_foreign_foot_unmapped), REPLAYED,
-     "lamp with foot 1 did not keep its foot and tube count"),
-    (reduce_module, "_delete_fork", _id_map_planted(_foreign_peak_deleted), REPLAYED,
+def _first_removal(pl):
+    """(lamp, tube, rule) of the removal that minimize applies first: a
+    '00' or a '0u0' takes the tube after its first."""
+    lamp, kind, pos = find_removable(pl)
+    return lamp, lamp.tubes[pos + 1], "neighboring" if kind == "00" else "sandwiched"
+
+
+@pytest.mark.parametrize("move, text, check", [
+    (_foreign_peak_deleted, PEELED, "deleted peak is off both fork chains"),
+    (_peak_unmapped, UNSHARED, "reduced lamp lost more than one tube"),
+    (_foreign_foot_unmapped, REPLAYED, "lamp with foot 1 did not keep its foot and tube count"),
+    (_foreign_peak_deleted, REPLAYED,
      "a foreign lamp peak was deleted outside the neighboring rule"),
-    (reduce_module, "_delete_fork", _id_map_planted(_foreign_peak_on_its_foot), REPLAYED,
-     "lamp with foot 1 was re-peaked against the join rule"),
-], ids=["congruence", "lamp_poset", "invalid", "no_shrink", "off_chains", "lost_tube",
-        "foot_kept", "foreign_peak", "repeaked"])
-def test_a_failed_removal_self_check_names_the_sequence_that_replays_it(
-        monkeypatch, tmp_path, capsys, module, name, planted, text, check):
-    """Each of the nine removal self-checks fires on a defect planted in
-    one helper, and names the sequence that `slimlat reduce` replays it on:
-    a fork deletion that keeps half the fork or nothing, or whose id map
-    loses or moves one lamp's peak or foot."""
-    monkeypatch.setattr(module, name, planted)
-    message = f"{check}; `slimlat reduce` replays it on\n{text}"
-    with pytest.raises(InternalInconsistencyError) as info:
-        minimize(build(parse_dsl(text)))
-    assert str(info.value) == message
-    assert str(info.value.__cause__) == check
-    seq = tmp_path / "replayed.seq"
-    seq.write_text(text)
-    assert main(["reduce", "--input", str(seq)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    (_foreign_peak_on_its_foot, REPLAYED, "lamp with foot 1 was re-peaked against the join rule"),
+], ids=["off_chains", "lost_tube", "foot_kept", "foreign_peak", "repeaked"])
+def test_the_reference_removal_asserts_its_id_map(monkeypatch, move, text, check):
+    """The fork deletion follows each lamp through its old -> new id map
+    (oracles.removal_by_deletion); each assertion on that map fires when
+    the map loses or moves one lamp's peak or foot."""
+    pl = build(parse_dsl(text))
+    removal = _first_removal(pl)
+    oracles.removal_by_deletion(pl, *removal)
+    monkeypatch.setattr(oracles, "delete_fork", _id_map_planted(move))
+    with pytest.raises(AssertionError) as info:
+        oracles.removal_by_deletion(pl, *removal)
+    assert str(info.value) == check
 
 
-def test_a_failed_decomposition_names_the_sequence_that_replays_it(
-        monkeypatch, tmp_path, capsys):
+def test_a_failed_decomposition_exits_one_on_lattice_json(monkeypatch, tmp_path, capsys):
+    """A peel that gives a sequence with the wrong permutation fails the
+    decomposition's check, which lattice JSON input reaches in `slimlat
+    reduce` and `slimlat decompose`; a removal of a built lattice peels
+    nothing, so it still succeeds."""
     peeled = multifork_module._peeled
 
     def one_tube_too_many(d):
@@ -379,16 +534,10 @@ def test_a_failed_decomposition_names_the_sequence_that_replays_it(
 
     monkeypatch.setattr(multifork_module, "_peeled", one_tube_too_many)
     check = "no multifork decomposition found"
-    message = f"{check}; `slimlat reduce` replays it on\n{PEELED}"
     pl = build(parse_dsl(PEELED))
-    with pytest.raises(InternalInconsistencyError) as info:
-        reduce_module._reduce_once(pl)
-    assert str(info.value) == message
-    seq = tmp_path / "peeled.seq"
-    seq.write_text(PEELED)
-    assert main(["reduce", "--input", str(seq)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert reduce_module._reduce_once(pl)[1].rule == "neighboring"
     lattice = tmp_path / "peeled.json"
     lattice.write_text(pl.diagram.to_json())
-    assert main(["decompose", "--input", str(lattice), "--format", "json"]) == 1
-    assert capsys.readouterr().err == f"error: {check}\n"
+    for command in ("reduce", "decompose"):
+        assert main([command, "--input", str(lattice), "--format", "json"]) == 1
+        assert capsys.readouterr().err == f"error: {check}\n"
