@@ -68,9 +68,10 @@ A k-fold fork at the cell whose bottom has address (a, b) changes pi by
 a fixed rule (_forked_permutation): the left- and right-chain edges
 a + 1 and b + 1 split into k + 1 pieces each, every old trajectory keeps
 the lowest piece, and the k new trajectories pair the new pieces in
-reverse order; so the enumeration searches permutations with no
-lattice built, and multifork._peeled runs the rule backwards.  Canonical
-codes are computed only where something outputs them.  An Edge is a
+reverse order, and the cell rule (_distributive_addresses) reads the
+distributive cells off pi; so the enumeration searches permutations with
+no lattice built, and multifork._peeled runs the rule backwards.
+Canonical codes are computed only where something outputs them.  An Edge is a
 named (foot, peak) pair and a FourCell a named (bottom, left, right,
 top) quadruple, so each equals, hashes and looks up as its plain tuple;
 the lamp and tube-record maps take either.  Listing every trajectory,
@@ -550,6 +551,54 @@ def _forked_labels(left, right, address, new):
     to the others."""
     a, b = address
     return left[:a + 1] + new + left[a + 1:], right[:b + 1] + new[::-1] + right[b + 1:]
+
+
+def _grid_permutation(p, q):
+    """pi of the grid p x q: left edge i ends on right edge q + i, p + j on j."""
+    return (*range(q + 1, q + p + 1), *range(1, q + 1))
+
+
+def _distributive_addresses(pi):
+    """The sorted addresses of the distributive cells of the lattice whose
+    Jordan-Holder permutation is pi, read off pi with no lattice built.
+
+    The corners have heights p = pi^-1(1) - 1 and q = pi(1) - 1.  The
+    element at the point (x, y) of S(pi), 0 <= x, y <= n, with x = n or
+    pi(x + 1) > y, and y = n or pi^-1(y + 1) > x, lies above the s-th
+    element c_s of the left boundary chain iff s <= x, so its corner
+    heights, the cell addresses, are (min(x, p), min(y, q)), and it is
+    c_hl v d_hr (boundary_heights): these points H list every
+    element once.  The join-irreducibles of a slim rectangular lattice lie
+    on its two boundary chains, so those below an element t at
+    (a + 1, b + 1) are two disjoint chains of sizes a + 1 and b + 1, and
+    by Birkhoff's count (order.is_distributive_ideal_grid) the ideal of t
+    is a product of two chains iff it has (a + 2)(b + 2) elements, iff H
+    holds [0, a + 1] x [0, b + 1].  Then t tops one cell, whose bottom is
+    at (a, b).
+
+    Row y of S(pi) is one bit mask over x: `live`, the x with x = n or
+    pi(x + 1) > y, loses the x with pi(x + 1) = y as y grows, and the
+    second condition keeps its bits below pi^-1(y + 1).  So H's columns
+    take O(n) mask steps; tests/oracles.py keeps the (n + 1)^2 point scan.
+    """
+    n = len(pi)
+    inv, drop = [0] * n, [0] * (n + 1)  # drop[v]: the x with pi(x + 1) = v
+    for x, v in enumerate(pi):
+        inv[v - 1] = x + 1
+        drop[v] |= 1 << x
+    p, q = inv[0] - 1, pi[0] - 1
+    low, corner = (1 << p) - 1, 1 << p
+    cols = [0] * (q + 1)  # cols[j]: the mask of the i with (i, j) in H
+    live = (1 << n + 1) - 1
+    for y in range(n + 1):
+        live &= ~drop[y]
+        row = live & (1 << inv[y]) - 1 if y < n else live
+        cols[min(y, q)] |= row & low | (corner if row >> p else 0)
+    tops, rect = [], cols[0]  # tops[b]: the largest i with [0, i] x [0, b + 1] in H
+    for col in cols[1:]:
+        rect &= col
+        tops.append((rect + 1 & ~rect).bit_length() - 2)
+    return [(a, b) for a in range(p) for b in range(q) if a < tops[b]]
 
 
 # ---------------------------------------------------------------------------

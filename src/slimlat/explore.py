@@ -6,10 +6,11 @@ permutation pi (Czedli and Schmidt, Algebra Universalis 66, 2011, and
 Acta Sci. Math. 79, 2013), and min(pi, pi^-1) (diagram._jh_min) keys it
 up to isomorphism, mirror image included.  The depth-first search starts
 from the grids, reads each lattice's distributive cells off its pi
-(_distributive_addresses) and each fork child's pi off its parent's
-(diagram._forked_permutation), and expands a state only the first time
-its key is seen: the key fixes the length, so the remaining budget, and
-the fork count, and isomorphic lattices extend to the same lattices.
+(diagram._distributive_addresses) and each fork child's pi off its
+parent's (diagram._forked_permutation), and expands a state only the
+first time its key is seen: the key fixes the length, so the remaining
+budget, and the fork count, and isomorphic lattices extend to the same
+lattices.
 
 The search keeps its tree in flat arrays (_SearchTree): node i, in
 search order, is the grid a[i] x b[i] when parent[i] = -1, or the
@@ -39,12 +40,14 @@ lamps, and its maximal lamps are its p + q boundary lamps.  A poset P with
 n elements can only be the lamp poset of a descendant of a grid with
 p + q = #maximal(P) that uses at most n - p - q forks, and `realize`
 searches nothing else.  It reads each candidate's lamp poset off its fork
-sequence by the second fact (_sequence_lamp_poset), builds no lattice
-and replays no tree; it builds only the witness it answers with, and
-checks there the key and the lamp poset that the pi rules gave.  A
-negative answer rests on the pi cell, fork and lamp rules, which the
-tests check against built lattices to length 7 (8 under `slow`), and,
-for `not_representable`, on the paper's length bound.
+sequence by the second fact (multifork._sequence_lamp_poset, which
+lamp_poset runs over a diagram's peel), builds no lattice and replays no
+tree; it builds only the witness it answers with, and checks there the
+key that the pi rules gave and the query against J(Con L), which reads
+no lamp rule.  A negative answer rests on the pi cell, fork and lamp
+rules, which the tests check against built lattices to length 7 (8
+under `slow`), and, for `not_representable`, on the paper's length
+bound.
 """
 
 from __future__ import annotations
@@ -52,12 +55,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
-from .diagram import _forked_labels, _forked_permutation, _jh_min, _jh_permutation
+from .diagram import (
+    _distributive_addresses, _forked_permutation, _grid_permutation, _jh_min, _jh_permutation)
 from .dsl import emit_dsl
 from .errors import BudgetError, DiagramError, InternalInconsistencyError, PreconditionError
-from .lamps import lamp_poset
-from .multifork import ForkStep, MultiforkSequence, build, grid, multifork_extend
-from .order import Poset, poset_iso
+from .multifork import (
+    ForkStep, MultiforkSequence, _sequence_lamp_poset, build, grid, multifork_extend)
+from .order import congruence_lattice, poset_iso
 from .reduce import check_bounds, length_bound, minimize
 
 PRACTICAL_MAX_LEN = 7
@@ -156,85 +160,6 @@ class _SearchTree:
         return self._lattices[node]
 
 
-def _distributive_addresses(pi):
-    """The sorted addresses of the distributive cells of the lattice whose
-    Jordan-Holder permutation is pi, read off pi with no lattice built.
-
-    The corners have heights p = pi^-1(1) - 1 and q = pi(1) - 1.  The
-    element at the point (x, y) of S(pi), 0 <= x, y <= n, with x = n or
-    pi(x + 1) > y, and y = n or pi^-1(y + 1) > x, lies above the s-th
-    element c_s of the left boundary chain iff s <= x, so its corner
-    heights, the cell addresses, are (min(x, p), min(y, q)), and it is
-    c_hl v d_hr (diagram.boundary_heights): these points H list every
-    element once.  The join-irreducibles of a slim rectangular lattice lie
-    on its two boundary chains, so those below an element t at
-    (a + 1, b + 1) are two disjoint chains of sizes a + 1 and b + 1, and
-    by Birkhoff's count (order.is_distributive_ideal_grid) the ideal of t
-    is a product of two chains iff it has (a + 2)(b + 2) elements, iff H
-    holds [0, a + 1] x [0, b + 1].  Then t tops one cell, whose bottom is
-    at (a, b).
-
-    Row y of S(pi) is one bit mask over x: `live`, the x with x = n or
-    pi(x + 1) > y, loses the x with pi(x + 1) = y as y grows, and the
-    second condition keeps its bits below pi^-1(y + 1).  So H's columns
-    take O(n) mask steps; tests/oracles.py keeps the (n + 1)^2 point scan.
-    """
-    n = len(pi)
-    inv, drop = [0] * n, [0] * (n + 1)  # drop[v]: the x with pi(x + 1) = v
-    for x, v in enumerate(pi):
-        inv[v - 1] = x + 1
-        drop[v] |= 1 << x
-    p, q = inv[0] - 1, pi[0] - 1
-    low, corner = (1 << p) - 1, 1 << p
-    cols = [0] * (q + 1)  # cols[j]: the mask of the i with (i, j) in H
-    live = (1 << n + 1) - 1
-    for y in range(n + 1):
-        live &= ~drop[y]
-        row = live & (1 << inv[y]) - 1 if y < n else live
-        cols[min(y, q)] |= row & low | (corner if row >> p else 0)
-    tops, rect = [], cols[0]  # tops[b]: the largest i with [0, i] x [0, b + 1] in H
-    for col in cols[1:]:
-        rect &= col
-        tops.append((rect + 1 & ~rect).bit_length() - 2)
-    return [(a, b) for a in range(p) for b in range(q) if a < tops[b]]
-
-
-def _sequence_lamp_poset(seq):
-    """The lamp poset of seq's lattice, read off its forks with no lattice
-    built: lamp i is the i-th boundary lamp for i < p + q (by left-chain
-    position in the grid) and the lamp of fork i - p - q + 1 after.
-
-    Every trajectory passes through exactly one neon tube, and a fork
-    keeps it there with its two ends (doubling's module docstring), so
-    the lamp of the tube on each trajectory, listed by left-chain edge
-    and by right-chain edge, from the bottom, only grows by insertion, as
-    the trajectory labels do (diagram._forked_labels).  The grid's p + q
-    trajectories cross its p + q boundary tubes, one each.  A k-fold fork
-    at (a, b) splits the cell with bottom w, sides l and r and top t: its
-    k new trajectories cross the k new tubes below t, which make one new
-    lamp.  The cell is the new lamp's circumscribed rectangle, and a
-    trajectory crosses a cell through opposite sides: the one through the
-    upper right edge [r, t] crosses [w, l], which descends to left-chain
-    edge a + 1, and the one through the upper left edge [l, t] crosses
-    [w, r], which descends to right-chain edge b + 1
-    (diagram._forked_permutation).  Their lamps, left[a] and right[b],
-    are the new lamp's Nel and Nwl lamps (lamps.nwl_nel).  A fork adds its
-    lamp below these two and leaves the older lamps and their order as
-    they were (Czedli, Acta Sci. Math. 87, 2021), so the lamp order is the
-    closure of the pairs that the forks add, as lamp_poset's Nwl/Nel rule
-    generates it.  The tests compare the two on every lattice of length
-    <= 7, and of length 8 under `slow`.
-    """
-    p, q = seq.grid_p, seq.grid_q
-    left, right = list(range(p + q)), [*range(p, p + q), *range(p)]
-    pairs = set()
-    for new, st in enumerate(seq.steps, p + q):
-        pairs.add((new, left[st.a]))
-        pairs.add((new, right[st.b]))
-        left, right = _forked_labels(left, right, (st.a, st.b), [new] * st.k)
-    return Poset.from_relation(p + q + len(seq.steps), pairs)
-
-
 def _enumerate(max_len, boundary=None, max_forks=None):
     """The index of the lattices of length <= max_len, in first-visit order.
 
@@ -252,11 +177,6 @@ def _enumerate(max_len, boundary=None, max_forks=None):
                 seen.add(bytes(_jh_min(pi)))
                 _visit(tree, seen, -1, p, q, 0, pi, max_len, max_forks)
     return EnumerationIndex(max_len, tree.by_length, tree)
-
-
-def _grid_permutation(p, q):
-    """pi of the grid p x q: left edge i ends on right edge q + i, p + j on j."""
-    return (*range(q + 1, q + p + 1), *range(1, q + 1))
 
 
 def _visit(tree, seen, parent, a, b, k, pi, max_len, max_forks, forks=0):
@@ -367,9 +287,9 @@ def realize(poset, max_len, allow_large=False):
     therefore finishes at once.  Those lamp posets are read off the fork
     sequences, and only the witness, the first match
     `enumerate_index(length)` lists at that length, is built and checked
-    (_check_witness).  A negative answer
-    rests on the pi rules beyond the lengths the tests check them at, 7 in
-    Tier-1 and 8 under `slow`, and "not_representable" on the bound too.
+    against J(Con L) (_check_witness).  A negative answer rests on the pi
+    rules beyond the lengths the tests check them at, 7 in Tier-1 and 8
+    under `slow`, and "not_representable" on the bound too.
     """
     n = poset.n
     if n <= 1:
@@ -388,7 +308,7 @@ def realize(poset, max_len, allow_large=False):
             if boundary + tree.forks(node) != n:
                 continue
             entry = tree.entry(node)
-            if poset_iso(_sequence_lamp_poset(entry.seq), poset) is not None:
+            if poset_iso(_sequence_lamp_poset(entry.seq, range(n)), poset) is not None:
                 witness = _check_witness(entry, poset)
                 return RealizabilityAnswer(poset, "found", length, entry.seq, length, witness)
     if cap >= bound:
@@ -399,8 +319,8 @@ def realize(poset, max_len, allow_large=False):
 def _check_witness(entry, poset):
     """Build the one lattice `realize` answers with, check what the search
     read off pi, and return it: its swept permutation has the entry's key,
-    and its lamp poset (lamp_poset) is the query's.  A failure, or a build
-    that fails, is an InternalInconsistencyError that names the sequence."""
+    and J(Con L), which reads no lamp rule, is the query.  A failure, or a
+    build that fails, is an InternalInconsistencyError naming the sequence."""
     try:
         pl = build(entry.seq)
     except PreconditionError as e:
@@ -411,10 +331,10 @@ def _check_witness(entry, poset):
         raise InternalInconsistencyError(
             f"realize built the witness\n{emit_dsl(entry.seq)}with key {key},"
             f" not the searched {entry.key}")
-    if poset_iso(lamp_poset(pl)[2], poset) is None:
+    if poset_iso(congruence_lattice(pl.lattice).jir_poset, poset) is None:
         raise InternalInconsistencyError(
             f"realize built the witness\n{emit_dsl(entry.seq)}"
-            "with a lamp poset not isomorphic to the query")
+            "with J(Con L) not isomorphic to the query")
     return pl
 
 

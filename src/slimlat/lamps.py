@@ -9,6 +9,8 @@ the lattice's own order.  A lamp's creation step is its tube records'
 step.  Each diagram keeps its lamp list, with the map from each neon
 tube to its (lamp, index), and its lamp order (lamps, lt, poset), in
 cached properties that call this module's derivations once, on first use.
+The lamp order, of a built lattice or a bare diagram, is the fork rule
+that `realize` reads, run over the diagram's own peel (lamp_poset).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .order import Poset, _elements, congruence_lattice
+from .order import _elements, congruence_lattice
 
 
 @dataclass(frozen=True)
@@ -76,41 +78,33 @@ def circ_r(obj, lamp):
     return lat.interval(lat.meet_of(lat.lower_covers(lamp.peak)), lamp.peak)
 
 
-def nwl_nel(d, lamp):
-    """Lamps owning the trajectories through the upper-left and upper-right
-    edges of the circumscribed rectangle of an internal lamp."""
-    if lamp.kind != "internal":
-        raise PreconditionError("nwl/nel are defined for internal lamps")
-    lowers = d.lower[lamp.peak]
-    return tuple(tube_lamp(d, d.trajectory_through((x, lamp.peak)).tube)[0]
-                 for x in (lowers[0], lowers[-1]))
-
-
 def lamp_poset(obj):
     """(lamps, strict order pairs on lamp feet, Poset) of a built lattice or
     a bare diagram.
 
     Element i of the Poset is lamps[i], in lamps_of_diagram order: boundary
-    lamps first, then internal lamps by peak.  The order is generated by
-    U < Nwl U and U < Nel U over internal lamps U, which needs no
-    provenance; boundary lamps are maximal.  The closures of the territory
-    relations rho_foot and rho_circr give the same order; they are kept in
-    tests/oracles.py.  Each diagram derives it once (_derive_lamp_order)
-    and keeps it.
+    lamps first, then internal lamps by peak.  The order is the fork rule
+    (multifork._sequence_lamp_poset: a fork adds its lamp below its Nwl
+    and Nel lamps) run over the diagram's own peel (multifork._peeled),
+    which reads its Jordan-Holder permutation and tubes, no provenance.
+    The Nwl/Nel order of trajectory walks and the closures of rho_foot and
+    rho_circr give the same order (tests/oracles.py).  Each diagram
+    derives it once (_derive_lamp_order) and keeps it; a stuck peel is an
+    InternalInconsistencyError.
     """
     return _diagram_of(obj)._lamp_order
 
 
 def _derive_lamp_order(d):
+    from .multifork import _peeled, _sequence_lamp_poset  # multifork imports this module
+
+    peel = _peeled(d)
+    if peel is None:
+        raise InternalInconsistencyError("the lamp order found no multifork decomposition")
+    seq, feet = peel
     lamps = lamps_of_diagram(d)
     idx = {l.foot: i for i, l in enumerate(lamps)}
-    poset = Poset.from_relation(len(lamps), {
-        (idx[u.foot], idx[v.foot])
-        for u in lamps
-        if u.kind == "internal"
-        for v in nwl_nel(d, u)
-        if v.foot != u.foot
-    })
+    poset = _sequence_lamp_poset(seq, [idx[f] for f in feet])
     lt = frozenset((lamps[i].foot, lamps[j].foot)
                    for i in range(poset.n) for j in _elements(poset.up[i] ^ (1 << i)))
     return lamps, lt, poset

@@ -25,15 +25,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .diagram import (
-    _address_slot,
-    _certified_diagram,
-    _crossed,
-    _half_walk,
-    _jh_permutation,
-    _trajectory_slots,
-    _tube_slots,
-    is_slim_rectangular,
-)
+    _address_slot, _certified_diagram, _crossed, _distributive_addresses, _forked_labels,
+    _grid_permutation, _half_walk, _jh_permutation, _trajectory_slots, _tube_slots,
+    is_slim_rectangular)
 from .errors import (
     BudgetError,
     DiagramError,
@@ -41,7 +35,7 @@ from .errors import (
     OrderError,
     PreconditionError,
 )
-from .lamps import _diagram_of, lamp_poset
+from .lamps import _diagram_of, lamps_of_diagram
 from .order import MAX_ELEMENTS, Poset, is_distributive_ideal_grid
 
 
@@ -409,9 +403,9 @@ def _rebuilt(d):
     """build(_peeled(d)) for a valid diagram d, which must have d's own
     Jordan-Holder permutation; a peel that gets stuck or a step that build
     rejects fails that check too."""
-    seq = _peeled(d)
+    peel = _peeled(d)
     try:
-        pl = None if seq is None else build(seq)
+        pl = None if peel is None else build(peel[0])
     except PreconditionError:
         pl = None
     if pl is None or _jh_permutation(pl.diagram) != _jh_permutation(d):
@@ -420,9 +414,10 @@ def _rebuilt(d):
 
 
 def _peeled(d):
-    """The sequence whose forks rebuild the Jordan-Holder permutation pi
-    of a valid diagram d (_jh_permutation), read off pi newest fork first;
-    None if the peel is stuck before a grid is left.
+    """(seq, feet) for a valid diagram d, or None if the peel is stuck
+    before a grid is left: seq's forks rebuild d's Jordan-Holder
+    permutation pi (_jh_permutation), read off pi newest fork first, and
+    feet names d's lamps in seq's lamp order (_sequence_lamp_poset).
 
     Positions count left-chain edges and values right-chain edges from 1.
     A k-fold fork at (a, b) (_forked_permutation) puts its lamp's k
@@ -431,52 +426,95 @@ def _peeled(d):
     of them and the old values above b + 1 up by k.  Its cell is
     distributive: the ideal of its top is a grid, crossed eastwards by the
     trajectories of left-chain edges 1..a + 1, so they end above b + 1,
-    and above hi after the fork.  A candidate is an internal lamp, minimal
-    among those left in d's lamp order, that sits like that.  Deleting its
-    run and lowering by k the values above hi and the positions right of
-    the run leaves a pi0 whose k-fold fork at (s - 2, hi - k - 1) is pi
-    entry for entry, so each step inverts _forked_permutation, whichever
-    candidate it undoes.  If the peel ends at the grid's
-    (q + 1, ..., q + p, 1, ..., q), the recorded forks rebuild pi wherever
-    build accepts their cells, and pi fixes the lattice and its drawing
-    (Czedli and Schmidt, Algebra Universalis 66, 2011); _rebuilt checks
-    both.  In a built lattice the newest fork's lamp is a candidate,
-    minimal because a fork adds its lamp below its older Nwl and Nel
-    lamps.  But the peel undoes the candidate with the least foot, and
-    that a candidate exists at every stage, with d's lamp order standing
-    for the residue's, rests only on the exhaustive checks in the tests:
-    every lattice of length <= 8 and its mirror image rebuild their own
-    pi."""
+    and above hi after the fork.  A candidate is an internal lamp whose
+    trajectories sit like that and whose cell (s - 2, hi - k - 1) is
+    distributive (_distributive_addresses) in the residue pi0, pi with the
+    run deleted and the values above hi and the positions right of it
+    lowered by k: a test that reads nothing but pi.  The k-fold fork of
+    pi0 there is pi entry for entry, so each step inverts a valid fork.
+    If the peel ends at a grid's permutation, the forks rebuild pi, which
+    fixes the lattice and its drawing (Czedli and Schmidt, Algebra
+    Universalis 66, 2011); _rebuilt checks this by one build.  A step's
+    lamp is its run's, and the grid keeps the boundary lamps'
+    trajectories in their order.  In a built lattice the newest fork's
+    lamp is a candidate, but that the peel, which undoes the candidate
+    with the least foot, finds one at every stage rests only on the
+    exhaustive tests: every lattice of length <= 8 and its mirror image
+    peel to their own pi.
+    """
     pi = list(_jh_permutation(d))
     # a tube's trajectory starts on the left-chain edge below lchain[i],
-    # position i, where its west half-walk ends
+    # position i, where its west half-walk ends (at the tube, if on it)
     position = {v: i for i, v in enumerate(d.boundary_chains()[0])}
     table, west = d._walks(), d._steps()[0]
 
     def start(tube):
         x = table.base[tube.foot]  # the tube's slot: its foot has one upper cover
-        return position[table.peaks[_half_walk(west, x, {x})[-1]]]
+        return position[table.peaks[([x] + _half_walk(west, x, {x}))[-1]]]
 
-    lamps, lt, _ = lamp_poset(d)
-    runs = {l.foot: sorted(map(start, l.tubes)) for l in lamps if l.kind == "internal"}
-    steps = []
+    lamps = lamps_of_diagram(d)
+    runs = {l.foot: sorted(map(start, l.tubes)) for l in lamps}
+    # the boundary lamps leave `runs`, sorted by their one position
+    grid_feet = sorted((l.foot for l in lamps if l.kind == "boundary"), key=runs.pop)
+    steps, feet = [], []
     while runs:
         for foot in sorted(runs):
             pos = runs[foot]
             s, k = pos[0], len(pos)
             hi = pi[s - 1]
-            if (all((u, foot) not in lt for u in runs)
-                    and pos == list(range(s, s + k))
+            if (pos == list(range(s, s + k))
                     and pi[s - 1:s - 1 + k] == list(range(hi, hi - k, -1))
                     and all(v > hi for v in pi[:s - 1])):
-                break
+                residue = [v - k if v > hi else v for v in pi[:s - 1] + pi[s - 1 + k:]]
+                if (s - 2, hi - k - 1) in _distributive_addresses(residue):
+                    break
         else:
             return None
         steps.append(ForkStep(s - 2, hi - k - 1, k))
+        feet.append(foot)
         del runs[foot]
-        pi = [v - k if v > hi else v for v in pi[:s - 1] + pi[s - 1 + k:]]
+        pi = residue
         runs = {f: [x - k if x > s else x for x in p] for f, p in runs.items()}
     q = pi[0] - 1
-    if pi != [*range(q + 1, len(pi) + 1), *range(1, q + 1)]:
+    if tuple(pi) != _grid_permutation(len(pi) - q, q):
         return None
-    return MultiforkSequence(len(pi) - q, q, tuple(reversed(steps)))
+    return MultiforkSequence(len(pi) - q, q, tuple(reversed(steps))), grid_feet + feet[::-1]
+
+
+def _sequence_lamp_poset(seq, names):
+    """The lamp poset of seq's lattice, read off its forks with no lattice
+    built, its lamps named by `names`, distinct ints below their count:
+    names[i] for the grid's i-th boundary lamp in left-chain order,
+    i < p + q, then names[p + q + t - 1] for step t's.  `realize` reads
+    each candidate with it, and lamps.lamp_poset each diagram's peel.
+
+    Every trajectory passes through exactly one neon tube, and a fork
+    keeps it there with its two ends (doubling's module docstring), so
+    the lamp of the tube on each trajectory, listed by left-chain edge
+    and by right-chain edge, from the bottom, only grows by insertion, as
+    the trajectory labels do (diagram._forked_labels).  The grid's p + q
+    trajectories cross its p + q boundary tubes, one each.  A k-fold fork
+    at (a, b) splits the cell with bottom w, sides l and r and top t: its
+    k new trajectories cross the k new tubes below t, which make one new
+    lamp.  The cell is the new lamp's circumscribed rectangle, and a
+    trajectory crosses a cell through opposite sides: the one through the
+    upper right edge [r, t] crosses [w, l], which descends to left-chain
+    edge a + 1, and the one through the upper left edge [l, t] crosses
+    [w, r], which descends to right-chain edge b + 1
+    (diagram._forked_permutation).  Their lamps, left[a] and right[b],
+    are the new lamp's Nel and Nwl lamps.  A fork adds its lamp below
+    these two and leaves the older lamps and their order as they were
+    (Czedli, Acta Sci. Math. 87, 2021), so the lamp order is the closure
+    of the pairs that the forks add.  The tests compare it with the
+    Nwl/Nel order of trajectory walks (tests/oracles.py) on every lattice
+    of length <= 7 and its mirror image, and <= 8 under `slow`.
+    """
+    p, q = seq.grid_p, seq.grid_q
+    left = list(names[:p + q])
+    right = left[p:] + left[:p]
+    pairs = set()
+    for new, st in zip(names[p + q:], seq.steps):
+        pairs.add((new, left[st.a]))
+        pairs.add((new, right[st.b]))
+        left, right = _forked_labels(left, right, (st.a, st.b), [new] * st.k)
+    return Poset.from_relation(len(names), pairs)

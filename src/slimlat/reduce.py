@@ -41,7 +41,6 @@ class ReductionStep:
     size_after: int
     antube_before: int
     antube_after: int
-    con_preserved: bool
 
     def to_dict(self):
         return {
@@ -52,7 +51,6 @@ class ReductionStep:
             "size_after": self.size_after,
             "antube_before": self.antube_before,
             "antube_after": self.antube_after,
-            "con_preserved": self.con_preserved,
         }
 
 
@@ -132,8 +130,7 @@ def _remove_fork(pl, lamp, tube, rule):
         raise InternalInconsistencyError("lamp poset changed under the removal")
     if not _con_isomorphic(pl.lattice, new_pl.lattice):
         raise InternalInconsistencyError("congruence lattice changed under the removal")
-    step = ReductionStep(
-        rule, lamp.foot, tube, pl.n, new_pl.n, pl.antube(), new_pl.antube(), True)
+    step = ReductionStep(rule, lamp.foot, tube, pl.n, new_pl.n, pl.antube(), new_pl.antube())
     return new_pl, step
 
 

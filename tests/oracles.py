@@ -9,8 +9,14 @@ does not use.
   rho_foot (vertex membership) and rho_circr (cell descent), and the
   lamp covers read off the Nwl/Nel rule directly.  Production records
   each tube's essential cells as (bottom, top) pairs and tests interval
-  containment on the final lattice's order (`slimlat.lamps.is_used`), and
-  derives the order from Nwl/Nel alone (`slimlat.lamps.lamp_poset`).
+  containment on the final lattice's order (`slimlat.lamps.is_used`).
+- The lamp order by Nwl/Nel (`nwl_nel_lamp_order`): each internal lamp
+  below the lamps of the two trajectories through the upper edges of its
+  circumscribed rectangle, each trajectory walked whole, and the peel
+  that chose a lamp minimal in that order (`peeled_by_lamp_order`).
+  Production peels on a test that reads nothing but the Jordan-Holder
+  permutation (`slimlat.multifork._peeled`) and runs the fork-sequence
+  rule over the peel (`slimlat.lamps.lamp_poset`).
 - Congruences by closure: the meet and join tables (`tables`), the
   union-find closure of seed pairs over them (`_closure`), joins of
   congruences, the compatibility laws and the join-irreducibility of listed
@@ -62,7 +68,7 @@ does not use.
   permutation by a scan of all (n + 1)^2 points of S(pi)
   (`distributive_addresses_by_scan`).  Production reads them off pi with
   no lattice built, one bit mask per row of S(pi)
-  (`slimlat.explore._distributive_addresses`).
+  (`slimlat.diagram._distributive_addresses`).
 - The doubled sequence by geometry (`doubled_sequence_by_crossings`):
   each later step's cell named by the tubes of the two trajectories
   through its upper sides, at the stage before it (`locate_retarget`),
@@ -88,6 +94,8 @@ from itertools import combinations
 
 from slimlat.diagram import (
     _certified_diagram,
+    _half_walk,
+    _jh_permutation,
     cell_address,
     is_slim_rectangular,
     resolve_address,
@@ -98,12 +106,76 @@ from slimlat.lamps import (
     lamp_creation_step,
     lamp_poset,
     lamps_of_diagram,
-    nwl_nel,
     tube_lamp,
     usage_stats,
 )
-from slimlat.multifork import build, grid, multifork_extend
-from slimlat.order import Congruence, FiniteLattice, Poset, is_distributive_ideal_grid
+from slimlat.multifork import ForkStep, MultiforkSequence, build, grid, multifork_extend
+from slimlat.order import Congruence, FiniteLattice, Poset, _elements, is_distributive_ideal_grid
+
+
+def nwl_nel(d, lamp):
+    """Lamps owning the trajectories through the upper-left and upper-right
+    edges of the circumscribed rectangle of an internal lamp, each walked
+    whole."""
+    lowers = d.lower[lamp.peak]
+    return tuple(tube_lamp(d, d.trajectory_through((x, lamp.peak)).tube)[0]
+                 for x in (lowers[0], lowers[-1]))
+
+
+def nwl_nel_lamp_order(d):
+    """The strict order pairs on lamp feet generated by U < Nwl U and
+    U < Nel U over internal lamps U, closed (the order that lamp_poset
+    derived before it read the fork rule off the peel)."""
+    lamps = lamps_of_diagram(d)
+    idx = {l.foot: i for i, l in enumerate(lamps)}
+    poset = Poset.from_relation(len(lamps), {
+        (idx[u.foot], idx[v.foot])
+        for u in lamps
+        if u.kind == "internal"
+        for v in nwl_nel(d, u)
+        if v.foot != u.foot
+    })
+    return frozenset((lamps[i].foot, lamps[j].foot)
+                     for i in range(poset.n) for j in _elements(poset.up[i] ^ (1 << i)))
+
+
+def peeled_by_lamp_order(d):
+    """The peel as it chose its candidates before it read nothing but pi:
+    an internal lamp minimal among those left in d's Nwl/Nel order
+    (nwl_nel_lamp_order) whose run sits as a fork's does, the least foot
+    first; the sequence, or None if stuck."""
+    pi = list(_jh_permutation(d))
+    position = {v: i for i, v in enumerate(d.boundary_chains()[0])}
+    table, west = d._walks(), d._steps()[0]
+
+    def start(tube):
+        x = table.base[tube.foot]
+        return position[table.peaks[_half_walk(west, x, {x})[-1]]]
+
+    lt = nwl_nel_lamp_order(d)
+    runs = {l.foot: sorted(map(start, l.tubes))
+            for l in lamps_of_diagram(d) if l.kind == "internal"}
+    steps = []
+    while runs:
+        for foot in sorted(runs):
+            pos = runs[foot]
+            s, k = pos[0], len(pos)
+            hi = pi[s - 1]
+            if (all((u, foot) not in lt for u in runs)
+                    and pos == list(range(s, s + k))
+                    and pi[s - 1:s - 1 + k] == list(range(hi, hi - k, -1))
+                    and all(v > hi for v in pi[:s - 1])):
+                break
+        else:
+            return None
+        steps.append(ForkStep(s - 2, hi - k - 1, k))
+        del runs[foot]
+        pi = [v - k if v > hi else v for v in pi[:s - 1] + pi[s - 1 + k:]]
+        runs = {f: [x - k if x > s else x for x in p] for f, p in runs.items()}
+    q = pi[0] - 1
+    if pi != [*range(q + 1, len(pi) + 1), *range(1, q + 1)]:
+        return None
+    return MultiforkSequence(len(pi) - q, q, tuple(reversed(steps)))
 
 
 def covers_via_nwl_nel(d):
@@ -835,7 +907,7 @@ def distributive_addresses_by_scan(pi):
     y = n or pi^-1(y + 1) > x, goes to the cell column min(y, q) at row
     min(x, p), and the cell at (a, b) is distributive iff these points hold
     [0, a + 1] x [0, b + 1] (the argument in
-    `slimlat.explore._distributive_addresses`, which builds each row as
+    `slimlat.diagram._distributive_addresses`, which builds each row as
     one bit mask instead)."""
     n = len(pi)
     inv = [0] * n

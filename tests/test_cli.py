@@ -70,7 +70,7 @@ def test_reduce_cli_prints_the_first_minimize_step(tmp_path, s7_seq, capsys):
         "applied": {
             "rule": "neighboring", "lamp_foot": 17, "removed_tube": [19, 8],
             "size_before": 20, "size_after": 14, "antube_before": 6,
-            "antube_after": 5, "con_preserved": True,
+            "antube_after": 5,
         },
         "sequence": "grid 2 2\nfork 1 1 1\n",
     }

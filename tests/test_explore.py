@@ -470,9 +470,9 @@ def test_the_answer_keeps_its_built_witness(monkeypatch):
 
 
 @pytest.mark.parametrize("planted, poset, max_len, message", [
-    (("_sequence_lamp_poset", lambda seq: named_posets("Y")), named_posets("Y"), 7,
+    (("_sequence_lamp_poset", lambda seq, names: named_posets("Y")), named_posets("Y"), 7,
      "realize built the witness\ngrid 1 1\nfork 0 0 1\nfork 0 0 1\n"
-     "with a lamp poset not isomorphic to the query"),
+     "with J(Con L) not isomorphic to the query"),
     (("_forked_permutation", _unshifted), named_posets("Q", 3), 6,
      "realize built the witness\ngrid 1 1\nfork 0 0 1\n"
      "with key (3, 2, 1), not the searched (2, 2, 1)"),
@@ -484,8 +484,9 @@ def test_a_failed_witness_check_names_the_witness(
         monkeypatch, tmp_path, capsys, planted, poset, max_len, message):
     """A planted defect in one of the pi rules that realize searches on
     makes it answer with a witness whose built lattice disagrees: a lamp
-    rule that matches every sequence, a fork rule that predicts a wrong
-    key, a cell rule that forks a cell that is not distributive.  The
+    rule that matches every sequence (J(Con L), which reads no pi rule, is
+    not the query), a fork rule that predicts a wrong key, a cell rule
+    that forks a cell that is not distributive.  The
     error names the witness in DSL that parses back, and `slimlat realize`
     exits 1 with the same text."""
     monkeypatch.setattr(explore, *planted)
@@ -501,10 +502,12 @@ def test_a_failed_witness_check_names_the_witness(
 
 
 def _check_lamp_rule(entries):
-    """The lamp poset that realize reads off each sequence is the one that
-    lamp_poset derives on its built lattice, up to isomorphism."""
+    """The lamp poset that realize reads off each witness sequence is the
+    one that lamp_poset derives on its built lattice, over the lattice's
+    own peel, up to isomorphism."""
     for entry in entries:
-        assert poset_iso(explore._sequence_lamp_poset(entry.seq),
+        n = len(lamp_poset(entry.pl)[0])
+        assert poset_iso(explore._sequence_lamp_poset(entry.seq, range(n)),
                          lamp_poset(entry.pl)[2]) is not None, entry.seq
 
 

@@ -67,8 +67,11 @@ def _fingerprint(pl):
     d = pl.diagram
 
     def minimized():
+        # the hashes were recorded when each step's dict ended with
+        # "con_preserved", always True; the key left the output, and is
+        # put back here so that the recorded hashes still pin the rest
         fixed, trace = minimize(pl)
-        return emit_dsl(fixed.seq), [s.to_dict() for s in trace]
+        return emit_dsl(fixed.seq), [{**s.to_dict(), "con_preserved": True} for s in trace]
 
     return {
         "build": _h((emit_dsl(seq), sorted(pl.tube_records.items()), sorted(pl.coords.items()))),

@@ -3,6 +3,7 @@ import types
 import pytest
 
 import slimlat.lamps as lamps_module
+from slimlat import multifork
 from slimlat.cli import main
 from slimlat.doubling import double
 from slimlat.dsl import parse_dsl
@@ -15,7 +16,6 @@ from slimlat.lamps import (
     lamp_poset,
     lamp_report,
     lamps_of_diagram,
-    nwl_nel,
     tube_lamp,
     usage_stats,
     verify_lamp_con_iso,
@@ -24,7 +24,16 @@ from slimlat.explore import enumerate_index
 from slimlat.multifork import build, grid, multifork_extend
 from slimlat.order import Poset, named_posets, poset_iso
 
-from oracles import covers_via_nwl_nel, rho_circr, rho_foot, stages, usage_patterns
+from oracles import (
+    covers_via_nwl_nel,
+    nwl_nel,
+    nwl_nel_lamp_order,
+    peeled_by_lamp_order,
+    rho_circr,
+    rho_foot,
+    stages,
+    usage_patterns,
+)
 
 
 def s7():
@@ -215,6 +224,50 @@ def test_diagram_lamp_order_matches_rho_order():
     assert len(entries) == 106
     for entry in entries:
         assert lamp_poset(entry.pl)[1] == rho_order(entry.pl)[0], entry.seq
+
+
+def _check_the_lamp_order_against_nwl_nel(entries):
+    """On each lattice and its mirror image, neither of which the lamp
+    order reads provenance from: lamp_poset, the fork rule run over the
+    peel, equals the Nwl/Nel order read off trajectory walks as strict
+    pairs on lamp feet, and the peel, whose test reads nothing but pi,
+    gives the sequence that the peel on the Nwl/Nel order gives.  Returns
+    the number of diagrams checked."""
+    checked = 0
+    for entry in entries:
+        d = entry.pl.diagram
+        for drawn in (d, d.mirror()):
+            assert lamp_poset(drawn)[1] == nwl_nel_lamp_order(drawn), (entry.seq, drawn is d)
+            assert multifork._peeled(drawn)[0] == peeled_by_lamp_order(drawn), (
+                entry.seq, drawn is d)
+            checked += 1
+    return checked
+
+
+def test_the_lamp_order_equals_nwl_nel_to_length_seven():
+    assert _check_the_lamp_order_against_nwl_nel(enumerate_index(7).entries()) == 986
+
+
+@pytest.mark.slow
+def test_the_lamp_order_equals_nwl_nel_to_length_eight():
+    entries = enumerate_index(8, allow_large=True).entries()
+    assert _check_the_lamp_order_against_nwl_nel(entries) == 5640
+
+
+def test_a_stuck_peel_in_a_lamp_order_is_reported(monkeypatch, tmp_path, capsys):
+    """A peel that gets stuck leaves the lamp order underived: lamp_poset
+    raises, and `slimlat lamps` exits 1 with the message."""
+    monkeypatch.setattr(multifork, "_peeled", lambda d: None)
+    message = "the lamp order found no multifork decomposition"
+    text = "grid 1 1\nfork 0 0 3\nfork 0 2 1\n"
+    with pytest.raises(InternalInconsistencyError) as info:
+        lamp_poset(build(parse_dsl(text)).diagram.mirror())
+    assert str(info.value) == message
+    seq = tmp_path / "sandwiched.seq"
+    seq.write_text(text)
+    capsys.readouterr()
+    assert main(["lamps", "--input", str(seq)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_lamp_data_is_derived_once_per_diagram():

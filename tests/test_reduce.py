@@ -77,7 +77,6 @@ def test_remove_sandwiched():
     assert step.rule == "sandwiched"
     assert step.size_after < step.size_before
     assert step.antube_after == step.antube_before - 1
-    assert step.con_preserved
     after_cl = congruence_lattice(pl2.lattice)
     assert poset_iso(before_cl.jir_poset, after_cl.jir_poset) is not None
     assert is_slim_rectangular(pl2.diagram).ok
@@ -159,7 +158,6 @@ def test_minimize_terminates_and_preserves_con():
         before = congruence_lattice(pl.lattice)
         fixed, trace = minimize(pl)
         assert len(trace) <= pl.antube()
-        assert all(s.con_preserved for s in trace)
         after = congruence_lattice(fixed.lattice)
         assert poset_iso(before.jir_poset, after.jir_poset) is not None
         assert before.con_size == after.con_size
@@ -185,14 +183,15 @@ def test_minimize_validates_each_diagram_once(monkeypatch):
 
 def removals_extend_only_their_steps(monkeypatch, seqs):
     """Minimize each sequence's built lattice, which holds its stages, and
-    check that each removal restricts no order and peels nothing, and that
-    a removal from the lamp of step s of an m-step sequence extends only
+    check that each removal restricts no order and decomposes nothing (the
+    peel runs only inside a lamp order, never `_rebuilt`), and that a
+    removal from the lamp of step s of an m-step sequence extends only
     steps from s on, each once and up to m: the edited sequence shares the
     input's steps before s (reduce._removed_sequence), and `build` may find
     a longer prefix alive.  Returns the numbers of removals and of steps
     extended."""
     events = []
-    restrict, peeled = Poset.restrict, multifork_module._peeled
+    restrict, rebuilt = Poset.restrict, multifork_module._rebuilt
     extend, removed = multifork_module.multifork_extend, reduce_module._removed_sequence
 
     def counted_extend(pl, address, k):
@@ -204,7 +203,7 @@ def removals_extend_only_their_steps(monkeypatch, seqs):
         return removed(seq, s, i)
 
     monkeypatch.setattr(Poset, "restrict", lambda *args: events.append("restrict") or restrict(*args))
-    monkeypatch.setattr(multifork_module, "_peeled", lambda d: events.append("peel") or peeled(d))
+    monkeypatch.setattr(multifork_module, "_rebuilt", lambda d: events.append("rebuild") or rebuilt(d))
     monkeypatch.setattr(multifork_module, "multifork_extend", counted_extend)
     monkeypatch.setattr(reduce_module, "_removed_sequence", counted_removal)
     removals = extended_steps = 0
@@ -224,7 +223,7 @@ def removals_extend_only_their_steps(monkeypatch, seqs):
     return removals, extended_steps
 
 
-def test_a_removal_deletes_no_fork_and_peels_nothing(monkeypatch):
+def test_a_removal_deletes_no_fork_and_decomposes_nothing(monkeypatch):
     """A removal builds only its edited sequence, from the input's stage
     before the lamp's fork; recovering a sequence for a diagram restricts
     no order either."""
@@ -522,15 +521,16 @@ def test_the_reference_removal_asserts_its_id_map(monkeypatch, move, text, check
 def test_a_failed_decomposition_exits_one_on_lattice_json(monkeypatch, tmp_path, capsys):
     """A peel that gives a sequence with the wrong permutation fails the
     decomposition's check, which lattice JSON input reaches in `slimlat
-    reduce` and `slimlat decompose`; a removal of a built lattice peels
-    nothing, so it still succeeds."""
+    reduce` and `slimlat decompose`.  A removal of a built lattice
+    decomposes nothing, and the lamp rule that its lamp orders run over
+    the peel reads no last step's multiplicity, so it still succeeds."""
     peeled = multifork_module._peeled
 
     def one_tube_too_many(d):
-        seq = peeled(d)
+        seq, feet = peeled(d)
         *rest, last = seq.steps
         return MultiforkSequence(
-            seq.grid_p, seq.grid_q, (*rest, ForkStep(last.a, last.b, last.k + 1)))
+            seq.grid_p, seq.grid_q, (*rest, ForkStep(last.a, last.b, last.k + 1))), feet
 
     monkeypatch.setattr(multifork_module, "_peeled", one_tube_too_many)
     check = "no multifork decomposition found"
