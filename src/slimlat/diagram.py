@@ -85,7 +85,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 from typing import NamedTuple
 
 from .errors import DiagramError
@@ -230,7 +230,7 @@ class PlanarDiagram:
         """The walk table (_walk_table), derived on first use; raises if
         some consecutive-cover pair is not a 4-cell."""
         if self._table is None:
-            self._table = _walk_table(self.upper)
+            self._table = _walk_table(self.upper, self.lower, self.lattice.mir())
         return self._table
 
     def _steps(self):
@@ -353,7 +353,9 @@ class _Walks(NamedTuple):
     tops: list       # tops[s]: the top of the cell whose lower left side is slot s, else -1
     east: list       # east[s]: the slot across the cell east of slot s, else -1
     west: list       # west[s]: the slot across the cell west of it, else -1
+    tubes: set       # the slots of the neon tubes, one above each meet-irreducible
     conflict: str    # the first edge with two east or two west cells, named, else None
+    paired: bool     # each cell's sides neighbour in its top's lower row, one cell a pair
 
     def edge(self, s):
         """The (foot, peak) pair of slot s: its foot u has base[u] <= s < base[u + 1]."""
@@ -370,22 +372,31 @@ class _Walks(NamedTuple):
         return tuple([(bisect_right(base, c) - 1, tops[c]) for c in cells])
 
 
-def _walk_table(upper):
-    """The walk table of the ordered upper rows, in one pass over them.
+def _walk_table(upper, lower, mir):
+    """The walk table of the ordered rows, in one pass over the upper ones,
+    and the slots of the neon tubes above the meet-irreducible feet in mir.
 
     Neighbouring covers l, r of u, slots s and s + 1, bound the cell whose
     top t is their one common upper cover, and the cell is east of its
     left sides, (u, l) and (l, t), and west of its right sides, (u, r) and
     (r, t).  Crossing it east takes (u, l) to (r, t) and (l, t) to (u, r);
     crossing it west inverts this.  DiagramError if l and r have no one
-    common cover (the region between them is not a 4-cell).  The first
-    edge given two east or two west cells, in cell order and then in the
-    order of the four sides above, is named in `conflict`, which every walk
-    raises (PlanarDiagram._steps) and the cell views ignore."""
+    common cover (the region between them is not a 4-cell).  Each cell
+    sets two east and two west entries, so some edge has two east or two
+    west cells iff fewer than twice as many entries of a list are set as
+    there are cells; then the first such edge (_first_conflict) is named in
+    `conflict`, which every walk raises (PlanarDiagram._steps) and the
+    cell views ignore.
+
+    `paired` holds if the sides l, r of each cell are neighbours, l first,
+    in the lower row of its top, and the cells are as many as the pairs of
+    neighbours in the lower rows: then each such pair is one cell's, which
+    is what validation checks of the lower rows (_validate).  Mostly the
+    lower row of t is the pair (l, r) itself, the same tuple as u's row."""
     base = list(accumulate(map(len, upper), initial=0))
     peaks = tuple(chain.from_iterable(upper))
     tops, east, west = [-1] * len(peaks), [-1] * len(peaks), [-1] * len(peaks)
-    table = _Walks(base, peaks, tops, east, west, None)
+    paired = True
     for u, row in enumerate(upper):
         if len(row) < 2:
             continue
@@ -402,33 +413,45 @@ def _walk_table(upper):
             else:
                 raise DiagramError(f"region over {u} between covers {l},{r} is not a 4-cell")
             rt = base[r] + ur.index(t)
-            # -1 & -1 is -1: some side already crossed if the & of the four is not
-            if east[s] & east[lt] & west[s + 1] & west[rt] != -1 and table.conflict is None:
-                table = table._replace(conflict=_conflict(table, (s, lt), (s + 1, rt)))
             tops[s] = t
             east[s], east[lt], west[s + 1], west[rt] = rt, s + 1, lt, s
             s += 1
+            below = lower[t]
+            if below != row and paired:
+                i = below.index(l) if l in below else -2
+                paired = below[i + 1:i + 2] == (r,)
+    cells = len(tops) - tops.count(-1)
+    # the lower rows list as many covers as the upper ones (the constructors
+    # check or share them), so they hold that many less one per nonempty row
+    paired = paired and cells == len(peaks) - len(lower) + lower.count(())
+    table = _Walks(base, peaks, tops, east, west, {base[u] for u in mir}, None, paired)
+    unset = len(tops) - 2 * cells  # the entries each list has unset if no edge has two
+    if east.count(-1) != unset or west.count(-1) != unset:
+        table = table._replace(conflict=_first_conflict(table, upper))
     return table
 
 
-def _conflict(table, left, right):
-    """The message naming the first of a cell's left sides that already has
-    an east cell, or else of its right sides that already has a west one."""
-    for name, step, sides in (("east", table.east, left), ("west", table.west, right)):
-        for x in sides:
-            if step[x] >= 0:
-                return f"edge {table.edge(x)} has two {name} cells"
+def _first_conflict(table, upper):
+    """The message naming the first edge given two east or two west cells:
+    the cells made again in slot order, each with its left sides checked
+    for an east cell already, then its right sides for a west one."""
+    base, peaks = table.base, table.peaks
+    east, west = [-1] * len(peaks), [-1] * len(peaks)
+    for s, t in enumerate(table.tops):
+        if t < 0:
+            continue
+        l, r = peaks[s], peaks[s + 1]
+        lt, rt = base[l] + upper[l].index(t), base[r] + upper[r].index(t)
+        for name, step, sides in (("east", east, (s, lt)), ("west", west, (s + 1, rt))):
+            for x in sides:
+                if step[x] >= 0:
+                    return f"edge {table.edge(x)} has two {name} cells"
+        east[s], east[lt], west[s + 1], west[rt] = rt, s + 1, lt, s
 
 
 def _cell(table, s):
     """The cell whose lower left side is slot s."""
     return FourCell(*table.edge(s), table.peaks[s + 1], table.tops[s])
-
-
-def _tube_slots(table, upper):
-    """The slots of the neon tubes of the upper rows: a tube's foot is
-    meet-irreducible, it has one upper cover."""
-    return {table.base[u] for u, row in enumerate(upper) if len(row) == 1}
 
 
 def _half_walk(step, s, seen):
@@ -490,14 +513,16 @@ def _jh_permutation(d):
     on the j-th edge of the right one.  Read off the peaks that the
     validation sweep recorded (_trajectory_failure), swept again, with
     the kept report untouched, if d released them; DiagramError unless d's
-    report is ok."""
+    report is ok.  A valid diagram's lattice is semimodular, so graded: the
+    right boundary chain is a maximal chain, and its j-th element, the
+    peak of its j-th edge, has height j."""
     report = d._report
     if not report.ok:
         raise DiagramError(f"no Jordan-Holder permutation: {report.failures}")
     if d._ends is None:  # released (PlanarDiagram._release): sweep again
         _trajectory_failure(d)
-    pos = {v: j for j, v in enumerate(d.boundary_chains()[1])}
-    return tuple([pos[v] for v in d._ends])
+    h = d.lattice.poset._heights()
+    return tuple([h[v] for v in d._ends])
 
 
 def _jh_min(pi):
@@ -609,7 +634,8 @@ def boundary_heights(lat, lcorner, rcorner):
     """(hl, hr, lchain, rchain): the corner ideals listed upwards, and each
     element's point hl(x) = |ideal(x) & ideal(lcorner)| - 1, hr(x) (module
     docstring).  DiagramError unless both ideals are chains and each x is
-    the join of lchain[hl(x)] and rchain[hr(x)], the up-set test.  A built
+    the join of lchain[hl(x)] and rchain[hr(x)], the up-set test, which one
+    loop over the elements runs as it computes the points.  A built
     diagram keeps what its certificate's one call returned; a foreign
     lattice and a mirror image call this on first read of heights()."""
     down, up, lower = lat.poset.down, lat.poset.up, lat.poset._dncov
@@ -626,14 +652,16 @@ def boundary_heights(lat, lcorner, rcorner):
         chains.append(tuple(reversed(chain)))
     lchain, rchain = chains
     dl, dr = down[lcorner], down[rcorner]
-    hl = tuple([(m & dl).bit_count() - 1 for m in down])
-    hr = tuple([(m & dr).bit_count() - 1 for m in down])
     lup = [up[u] for u in lchain]
     rup = [up[u] for u in rchain]
-    for x, (a, b, m) in enumerate(zip(hl, hr, up)):
-        if lup[a] & rup[b] != m:
+    hl, hr = [], []
+    for x, m, u in zip(count(), down, up):
+        a, b = (m & dl).bit_count() - 1, (m & dr).bit_count() - 1
+        if lup[a] & rup[b] != u:
             raise DiagramError(f"element {x} is not the join of its two projections")
-    return hl, hr, lchain, rchain
+        hl.append(a)
+        hr.append(b)
+    return tuple(hl), tuple(hr), lchain, rchain
 
 
 def _two_corners(lat):
@@ -680,13 +708,27 @@ def _certified_diagram(poset, lcorner, rcorner):
     the certificate of that lattice (module docstring): boundary_heights,
     the coordinatewise-minimum sweep and the complement check on a lattice
     that fills no table, then the rows sorted by the certified left
-    heights.  OrderError unless the poset is bounded, else DiagramError
-    naming the failure."""
+    heights.  One loop over the elements fills the columns of the sweep
+    and finds the rows that do not fall yet.  OrderError unless the poset
+    is bounded, else DiagramError naming the failure."""
     lat = _CornerLattice(poset)
     heights = hl, hr, lchain, _ = boundary_heights(lat, lcorner, rcorner)
+    rows = [poset._upcov, poset._dncov]
     columns = [0] * len(lchain)  # column a: the right heights at left height a
-    for a, b in zip(hl, hr):
+    rises = []  # (side, element) of each row that does not fall, side 0 upper
+    for u, a, b, above, below in zip(count(), hl, hr, *rows):
         columns[a] |= 1 << b
+        # most rows hold one or two covers
+        if len(above) == 2:
+            if hl[above[0]] <= hl[above[1]]:
+                rises.append((0, u))
+        elif len(above) > 2 and _rises(above, hl):
+            rises.append((0, u))
+        if len(below) == 2:
+            if hl[below[0]] <= hl[below[1]]:
+                rises.append((1, u))
+        elif len(below) > 2 and _rises(below, hl):
+            rises.append((1, u))
     right = 0  # the right heights of the columns right of a
     for a in range(len(columns) - 1, -1, -1):
         top = columns[a].bit_length() - 1
@@ -699,7 +741,12 @@ def _certified_diagram(poset, lcorner, rcorner):
                                f" element at their coordinatewise minimum ({a},{b})")
         right |= columns[a]
     _check_complements(lat, lcorner, rcorner)
-    return _sorted_diagram(lat, lcorner, rcorner, heights)
+    if rises:
+        rows = list(map(list, rows))
+        for side, u in rises:
+            rows[side][u] = _falling(u, rows[side][u], hl)
+        rows = list(map(tuple, rows))
+    return PlanarDiagram._sorted(lat, *rows, (lcorner, rcorner), heights)
 
 
 def _sorted_diagram(lat, lcorner, rcorner, heights):
@@ -720,14 +767,21 @@ def _falling_rows(rows, hl):
     others are sorted (_falling)."""
     out = None
     for u, row in enumerate(rows):
-        # most rows hold one or two covers
-        if len(row) < 2 or len(row) == 2 and hl[row[0]] > hl[row[1]]:
-            continue
-        if any(hl[a] <= hl[b] for a, b in zip(row, row[1:])):
+        if len(row) > 1 and _rises(row, hl):
             if out is None:
                 out = list(rows)
             out[u] = _falling(u, row, hl)
     return rows if out is None else tuple(out)
+
+
+def _rises(row, hl):
+    """Whether some cover in row is not left of the next, by falling left height."""
+    prev = hl[row[0]]
+    for v in row[1:]:
+        if hl[v] >= prev:
+            return True
+        prev = hl[v]
+    return False
 
 
 def _falling(u, row, hl):
@@ -782,7 +836,9 @@ def _validate(d):
     """
     failures = []
     lat = d.lattice
-    wide = next((u for u, row in enumerate(d.upper) if len(row) > 2), None)
+    wide = None
+    if max(map(len, d.upper), default=0) > 2:
+        wide = next(u for u, row in enumerate(d.upper) if len(row) > 2)
     try:
         table = d._walks()
         cell_failure = None
@@ -795,7 +851,11 @@ def _validate(d):
     if not lat.is_slim():
         failures.append("not slim: 3-element antichain in join-irreducibles")
     try:
-        _check_complements(lat, *_two_corners(lat))
+        di = _two_corners(lat)
+        # a diagram keeps only corners that passed the complement check
+        # (corners(), embed_rectangular, the certificate)
+        if d._corners not in (di, di[::-1]):
+            _check_complements(lat, *di)
     except DiagramError as e:
         failures.append(str(e))
     if wide is not None:
@@ -806,20 +866,23 @@ def _validate(d):
     if lchain[-1] != lat.top or rchain[-1] != lat.top:
         failures.append("boundary chains do not reach the top")
     if not failures:
-        # (a, t) is the upper left side of the cell with sides a, b and top
-        # t iff crossing it east leads to that cell's lower right side,
-        # which ends at b; the lower left side of a cell, the other way east
-        # across one, leads to an edge that ends above t
-        base, peaks, _, east, _, _ = table
-        upper = d.upper
-        for t, row in enumerate(d.lower):
-            if len(row) < 2:
-                continue
-            for a, b in (row,) if len(row) == 2 else zip(row, row[1:]):
-                s = east[base[a] + upper[a].index(t)]
-                if s < 0 or peaks[s] != b:
-                    failures.append(
-                        f"lower covers {a},{b} of {t} are not the left and right sides of a cell")
+        # each two neighbouring lower covers a, b of t are a cell's sides if
+        # the table paired them all (_walk_table) and no edge has two cells
+        if table.conflict is not None or not table.paired:
+            # (a, t) is the upper left side of the cell with sides a, b and
+            # top t iff crossing it east leads to that cell's lower right
+            # side, which ends at b; the lower left side of a cell, the other
+            # way east across one, leads to an edge that ends above t
+            base, peaks, east, upper = table.base, table.peaks, table.east, d.upper
+            for t, row in enumerate(d.lower):
+                if len(row) < 2:
+                    continue
+                for a, b in (row,) if len(row) == 2 else zip(row, row[1:]):
+                    # a has at most two upper covers, one of them t
+                    s = east[base[a] + (upper[a][0] != t)]
+                    if s < 0 or peaks[s] != b:
+                        failures.append(f"lower covers {a},{b} of {t} are not"
+                                        " the left and right sides of a cell")
         failure = _trajectory_failure(d)
         if failure is not None:
             failures.append(failure)
@@ -857,7 +920,7 @@ def _trajectory_failure(d):
     these feet, the elements with one upper cover in the lattice, and so
     in d.upper, which lists the lattice's covers (the constructors check
     or share them).  The sweep counts the slots of these edges
-    (_tube_slots), and once no walk revisits a slot and the
+    (the walk table's `tubes`), and once no walk revisits a slot and the
     walks reach every slot, it counts each of them once.  So the tube
     count is the sum of the per-walk counts, each of which is 1: it is
     len(lchain) - 1, which the check before it compares with the length.
@@ -867,8 +930,7 @@ def _trajectory_failure(d):
     except DiagramError as e:
         return str(e)
     table = d._walks()
-    base, peaks = table.base, table.peaks
-    tubes_at = _tube_slots(table, d.upper)
+    base, peaks, tubes_at = table.base, table.peaks, table.tubes
     lchain, _ = d.boundary_chains()
     rset = d._boundary_sets()[1]
     seen = bytearray(len(peaks))

@@ -26,8 +26,7 @@ from functools import cached_property
 
 from .diagram import (
     _address_slot, _certified_diagram, _crossed, _distributive_addresses, _forked_labels,
-    _grid_permutation, _half_walk, _jh_permutation, _trajectory_slots, _tube_slots,
-    is_slim_rectangular)
+    _grid_permutation, _half_walk, _jh_permutation, _trajectory_slots, is_slim_rectangular)
 from .errors import (
     BudgetError,
     DiagramError,
@@ -77,36 +76,43 @@ class ProvenancedLattice:
         self.diagram = diagram
         self.seq = seq
         self.tube_records = tube_records
-        # per fork element, in order of creation: (id, foot, peak, s, k + 1)
-        # for a subdivision point, (id, left anchor, right anchor) for a leg crossing
+        # per fork step: (n0, k, np, edges), n0 its first new id and edges
+        # its np left path edges, then its right ones (multifork_extend)
         self.recipes = recipes
         self.parent = None
 
     @cached_property
     def coords(self):
         """Exact drawing coordinates, element -> (x, y): grid element (i, j)
-        at (j - i, i + j), then the recipes replayed in order.  A subdivision
-        point lies s / (k + 1) of the way down from its edge's peak to its
-        foot; a leg crossing meets the down-right line through its left
-        anchor and the down-left line through its right anchor.  Computed
-        on first read, since only drawing needs it."""
+        at (j - i, i + j), then the steps replayed in order.  Subdivision
+        point s of a path edge lies s / (k + 1) of the way down from the
+        edge's peak to its foot; a leg crossing meets the down-right line
+        through the left leg's end point and the down-left line through the
+        right leg's.  Computed on first read, since only drawing needs it."""
         width = self.seq.grid_q + 1
         coords = {
             i * width + j: (Fraction(j - i), Fraction(i + j))
             for i in range(self.seq.grid_p + 1)
             for j in range(width)
         }
-        for r in self.recipes:
-            if len(r) == 5:
-                new, foot, peak, s, parts = r
+        for n0, k, np_, edges in self.recipes:
+            new = n0
+            for foot, peak in edges:
                 (fx, fy), (px, py) = coords[foot], coords[peak]
-                f = Fraction(s, parts)
-                coords[new] = (px + f * (fx - px), py + f * (fy - py))
-            else:
-                new, left, right = r
-                (ax, ay), (bx, by) = coords[left], coords[right]
+                for s in range(1, k + 1):
+                    f = Fraction(s, k + 1)
+                    coords[new] = (px + f * (fx - px), py + f * (fy - py))
+                    new += 1
+            # the crossings of the left leg of m_j and the right leg of m_i,
+            # i < j, then m_i itself, in multifork_extend's id order: the
+            # legs end at point j of the first left edge and at point
+            # k + 1 - i of the first right one
+            y0 = n0 + np_ * k
+            for i, j in [*_crossings(k), *((i, i) for i in range(1, k + 1))]:
+                (ax, ay), (bx, by) = coords[n0 + j - 1], coords[y0 + k - i]
                 x = (ax - ay + bx + by) / 2
                 coords[new] = (x, x - ax + ay)
+                new += 1
         return coords
 
     @property
@@ -202,10 +208,11 @@ def multifork_extend(pl, address, k):
     # foot has one upper cover) and ends on its boundary chain
     west, east = d._steps()
     seen = {c, c + 1}
-    left_edges = table.edges([c] + _half_walk(west, c, seen))
-    right_edges = table.edges([c + 1] + _half_walk(east, c + 1, seen))
+    left = [c] + _half_walk(west, c, seen)
+    right = [c + 1] + _half_walk(east, c + 1, seen)
+    left_edges, right_edges = table.edges(left), table.edges(right)
     lset, rset = d._boundary_sets()
-    if (any(len(d.upper[foot]) == 1 for foot, _ in left_edges + right_edges)
+    if (not table.tubes.isdisjoint(left + right)
             or not lset.issuperset(left_edges[-1]) or not rset.issuperset(right_edges[-1])):
         raise _step_failure(pl, address, k,
                             "the cell's lower edges do not descend to the boundaries")
@@ -218,19 +225,15 @@ def multifork_extend(pl, address, k):
             f" above the limit of {MAX_ELEMENTS}"
         )
 
-    def xid(j, s):
-        return n0 + j * k + (s - 1)
-
-    def yid(j, s):
-        return n0 + np_ * k + j * k + (s - 1)
-
-    cpairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    # New ids, in order: point s of path edge e (the left edges, then the
+    # right ones, each listed from its upper end) is n0 + e * k + s - 1,
+    # then the crossings cid[i, j] of the left leg of m_j and the right leg
+    # of m_i, then m_i = mbase + i - 1.
+    cpairs = _crossings(k)
     cbase = n0 + (np_ + nq) * k
     cid = {pair: cbase + i for i, pair in enumerate(cpairs)}
     mbase = cbase + len(cpairs)
-
-    def mid(i):
-        return mbase + (i - 1)
+    y0 = n0 + np_ * k
 
     # The child's rows, spliced from the parent's, which run left to right:
     # a path edge (f, p) is the first upper cover of f and the last lower
@@ -238,13 +241,11 @@ def multifork_extend(pl, address, k):
     # and its subdivision points take its place in both rows; the k new
     # lower covers of t go between a and b.  Every other old row is kept.
     upper, lower = list(d.upper), list(d.lower)
-    for edges, ids in ((left_edges, xid), (right_edges, yid)):
-        for j, (foot, peak) in enumerate(edges):
-            _swap(upper, foot, peak, ids(j, k))
-            _swap(lower, peak, foot, ids(j, 1))
+    _splice(upper, lower, left_edges, n0, k, True)
+    _splice(upper, lower, right_edges, y0, k, False)
     row = lower[t]
     at = row.index(a) + 1
-    lower[t] = row[:at] + tuple(mid(s) for s in range(1, k + 1)) + row[at:]
+    lower[t] = row[:at] + tuple(range(mbase, mbase + k)) + row[at:]
     # The new rows, left to right: north-west before north-east above an
     # element, south-west before south-east below it.  Subdivision point s
     # of left edge j has its edge's upper part north-west and lower part
@@ -253,28 +254,31 @@ def multifork_extend(pl, address, k):
     # south-west; right edges mirror this.  The left leg of m_j runs
     # south-west, the right leg of m_i south-east, and cid[i, j] is where
     # they cross.
+    x = n0  # the id of the point that the next two rows belong to
     for j, (foot, peak) in enumerate(left_edges):
         for s in range(1, k + 1):
-            north_east = xid(j - 1, s) if j else cid[1, s] if s > 1 else mid(1)
-            south_west = (xid(j + 1, s),) if j + 1 < np_ else ()
-            upper.append((xid(j, s - 1) if s > 1 else peak, north_east))
-            lower.append(south_west + (xid(j, s + 1) if s < k else foot,))
+            north_east = x - k if j else cid[1, s] if s > 1 else mbase
+            south_east = x + 1 if s < k else foot
+            upper.append((x - 1 if s > 1 else peak, north_east))
+            lower.append((x + k, south_east) if j + 1 < np_ else (south_east,))
+            x += 1
     for j, (foot, peak) in enumerate(right_edges):
         for s in range(1, k + 1):
             i = k + 1 - s       # y(0, s) ends the right leg of m_i
-            north_west = yid(j - 1, s) if j else cid[i, k] if i < k else mid(k)
-            south_east = (yid(j + 1, s),) if j + 1 < nq else ()
-            upper.append((north_west, yid(j, s - 1) if s > 1 else peak))
-            lower.append((yid(j, s + 1) if s < k else foot,) + south_east)
+            north_west = x - k if j else cid[i, k] if i < k else mbase + k - 1
+            south_west = x + 1 if s < k else foot
+            upper.append((north_west, x - 1 if s > 1 else peak))
+            lower.append((south_west, x + k) if j + 1 < nq else (south_west,))
+            x += 1
     for i, j in cpairs:
-        upper.append((cid[i, j - 1] if j - 1 > i else mid(i),
-                      cid[i + 1, j] if i + 1 < j else mid(j)))
-        lower.append((cid[i - 1, j] if i > 1 else xid(0, j),
-                      cid[i, j + 1] if j < k else yid(0, k + 1 - i)))
+        upper.append((cid[i, j - 1] if j - 1 > i else mbase + i - 1,
+                      cid[i + 1, j] if i + 1 < j else mbase + j - 1))
+        lower.append((cid[i - 1, j] if i > 1 else n0 + j - 1,
+                      cid[i, j + 1] if j < k else y0 + k - i))
     for i in range(1, k + 1):
         upper.append((t,))
-        lower.append((cid[i - 1, i] if i > 1 else xid(0, i),
-                      cid[i, i + 1] if i < k else yid(0, 1)))
+        lower.append((cid[i - 1, i] if i > 1 else n0 + i - 1,
+                      cid[i, i + 1] if i < k else y0))
 
     try:
         d2 = _certified_diagram(Poset._from_rows(tuple(upper), tuple(lower)), *d.corners())
@@ -286,35 +290,51 @@ def multifork_extend(pl, address, k):
     if d2.lattice.length() != lat.length() + k or d2.antube() != d.antube() + k:
         raise _step_failure(pl, address, k, "extension did not add k to length and tube count")
 
-    # drawing recipes, replayed by ProvenancedLattice.coords
-    recipes = [(ids(j, s), foot, peak, s, k + 1)
-               for edges, ids in ((left_edges, xid), (right_edges, yid))
-               for j, (foot, peak) in enumerate(edges) for s in range(1, k + 1)]
-    recipes += [(mid(i), xid(0, i), yid(0, k + 1 - i)) for i in range(1, k + 1)]
-    recipes += [(cid[i, j], xid(0, j), yid(0, k + 1 - i)) for i, j in cpairs]
-
     # the k new tubes' records: every cell of a tube's trajectory but the
     # two that flank the tube, both inside the forked cell, read off the
-    # walk table that validation derived
+    # walk table and its tube slots, which validation derived
     records = dict(pl.tube_records)
     step = len(pl.seq.steps) + 1
     table2 = d2._walks()
-    tubes_at = _tube_slots(table2, d2.upper)
-    for i in range(1, k + 1):
-        x = table2.base[mid(i)]  # the slot of the tube [m_i, t], m_i's one upper cover
+    for m in range(mbase, mbase + k):
+        x = table2.base[m]  # the slot of the tube [m, t], m's one upper cover
         slots = _trajectory_slots(d2, x)
-        ti = slots.index(x)
-        if [j for j, y in enumerate(slots) if y in tubes_at] != [ti]:
+        if table2.tubes.intersection(slots) != {x}:
             raise _step_failure(pl, address, k, "new tube is not its trajectory's top edge")
+        ti = slots.index(x)
         cells = _crossed(table2, slots)
-        records[mid(i), t] = TubeRecord(step, table2.cell_ends(cells[:ti - 1] + cells[ti + 1:]))
+        records[m, t] = TubeRecord(step, table2.cell_ends(cells[:ti - 1] + cells[ti + 1:]))
 
     return ProvenancedLattice(
         d2,
         pl.seq.extended(ForkStep(address[0], address[1], k)),
         records,
-        pl.recipes + tuple(recipes),
+        # the step's drawing recipe, replayed by ProvenancedLattice.coords
+        pl.recipes + ((n0, k, np_, tuple(left_edges + right_edges)),),
     )
+
+
+def _splice(upper, lower, edges, new, k, left):
+    """Put the subdivision points of each path edge (foot, peak), ids new,
+    new + 1, ... for the first edge and k more for each next one, in the
+    edge's place: its lowest point in foot's upper row, its highest in
+    peak's lower row.  On the left path the edge is foot's first upper
+    cover and peak's last lower cover, on the right path the other way
+    round (multifork_extend)."""
+    for foot, peak in edges:
+        if left:
+            upper[foot] = (new + k - 1,) + upper[foot][1:]
+            lower[peak] = lower[peak][:-1] + (new,)
+        else:
+            upper[foot] = upper[foot][:-1] + (new + k - 1,)
+            lower[peak] = (new,) + lower[peak][1:]
+        new += k
+
+
+def _crossings(k):
+    """The pairs (i, j), 1 <= i < j <= k, in id order: a k-fold fork's leg
+    crossings, the left leg of m_j with the right leg of m_i."""
+    return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
 
 
 def _step_failure(pl, address, k, check):
@@ -324,13 +344,6 @@ def _step_failure(pl, address, k, check):
 
     seq = pl.seq.extended(ForkStep(address[0], address[1], k))
     return InternalInconsistencyError(f"{check}; `slimlat build` replays it on\n{emit_dsl(seq)}")
-
-
-def _swap(rows, u, old, new):
-    """Put new in old's place in row u."""
-    row = rows[u]
-    i = row.index(old)
-    rows[u] = row[:i] + (new,) + row[i + 1:]
 
 
 # sequence -> its built lattice, kept while someone holds that lattice or a

@@ -55,7 +55,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, count
+from itertools import chain, combinations, compress, count
 
 from .errors import BudgetError, OrderError, ParseError
 
@@ -102,9 +102,9 @@ class Poset:
     """
 
     def __init__(self, n, covers):
-        self._set_covers(n, covers)
-        self._close()
-        self._check_reduced()
+        bad = self._set_covers(n, covers)
+        if bad:
+            self._unreduced(min(bad))
 
     @classmethod
     def _from_rows(cls, upper, lower):
@@ -115,18 +115,10 @@ class Poset:
         n = len(upper)
         if len(lower) != n:
             raise OrderError(f"{n} upper rows but {len(lower)} lower rows")
-        count = 0
-        for a, row in enumerate(upper):
-            for b in row:
-                if not 0 <= b < n or a not in lower[b]:
-                    raise OrderError(f"cover ({a},{b}) is missing from the lower rows")
-            count += len(row)
-        if count != sum(map(len, lower)):
-            raise OrderError("the lower rows list covers that the upper rows do not")
         poset = cls.__new__(cls)
-        poset._set_rows(upper, lower)
-        poset._close()
-        poset._check_reduced()
+        bad = poset._derive(upper, lower)
+        if bad:
+            poset._unreduced(min(bad))
         return poset
 
     @classmethod
@@ -135,22 +127,30 @@ class Poset:
 
         The pairs are closed transitively and reduced to covers: b covers a
         iff a < b is generating and b lies above no other generating
-        successor of a.  A cycle raises OrderError.  The poset keeps the
-        up- and down-sets of the pairs, which are its own.
+        successor of a.  A cycle raises OrderError.  The derivation on the
+        pairs names the rows that are not reduced (_derive), and only those
+        lose pairs; the order, masks and heights of the pairs are the
+        poset's own, since every cover is a generating pair and every
+        generating pair a chain of covers.
         """
         poset = cls.__new__(cls)
-        poset._set_covers(n, pairs)
-        poset._close()
-        covers = set()
-        for a, succ in enumerate(poset._upcov):
-            above = _above(poset.up, succ)
-            covers.update((a, b) for b in succ if not above >> b & 1)
-        poset._set_covers(n, covers)
-        poset._check_reduced()
+        bad = poset._set_covers(n, pairs)
+        if bad:
+            up, upper, lower = poset.up, list(poset._upcov), list(poset._dncov)
+            dropped = set()
+            for a in bad:
+                above = _above(up, upper[a])
+                dropped.update((a, b) for b in upper[a] if above >> b & 1)
+                upper[a] = tuple(b for b in upper[a] if not above >> b & 1)
+            for b in {b for _, b in dropped}:
+                lower[b] = tuple(a for a in lower[b] if (a, b) not in dropped)
+            poset._upcov, poset._dncov = tuple(upper), tuple(lower)
+            poset.covers = poset.covers - dropped
         return poset
 
     def _set_covers(self, n, pairs):
-        """Store the pairs as covers, and as rows listed ascending."""
+        """Store the pairs as covers, and as rows listed ascending; derive
+        the order from them (_derive)."""
         covers = frozenset((int(a), int(b)) for a, b in pairs)
         upcov = [[] for _ in range(n)]
         dncov = [[] for _ in range(n)]
@@ -162,74 +162,102 @@ class Poset:
             upcov[a].append(b)
             dncov[b].append(a)
         self.covers = covers
-        self._set_rows(tuple(tuple(sorted(c)) for c in upcov),
-                       tuple(tuple(sorted(c)) for c in dncov))
+        return self._derive(tuple(tuple(sorted(c)) for c in upcov),
+                            tuple(tuple(sorted(c)) for c in dncov))
 
-    def _set_rows(self, upper, lower):
-        """Store the rows, and derive from them in one pass a topological
-        order (`_order`, every element after its lower covers), the
-        down-set masks (one OR per cover) and each element's height: an
-        element's mask and height are final once it is ordered, when all
-        its lower covers are."""
+    def _derive(self, upper, lower):
+        """Store the rows and derive the order from them in two passes;
+        return the elements whose upper row is not reduced.
+
+        A cover out of range 0..n-1 raises OrderError first.  The forward
+        pass runs over a topological order (`_order`, every element after
+        its lower covers) as it grows: an element joins it when its last
+        lower cover has passed.  Each cover (u, v) it meets, u in that
+        order, is checked against the lower rows and ORs u's down-set mask
+        into v's, which is final once v joins the order.  The order is
+        first in, first out, so it lists the elements by rising height
+        (the length of the longest chain down from them): by induction, an
+        element of height k joins while its last lower cover, of height
+        k - 1, passes, after every element of height k - 1 has joined and
+        before any of height k + 1.  So v's height is one more than the
+        height of the lower cover that lets it join.  A cover missing from the lower rows,
+        one row count against the other, and an order that misses an
+        element (a cycle) raise OrderError, in that order of precedence.
+        The backward pass, along the order reversed, ORs each element's
+        up-set mask from its upper covers' and tests the row: a row of two
+        is reduced iff neither cover lies above the other, a longer one iff
+        it misses its own _above mask and lists no cover twice.
+        """
         n = self.n = len(upper)
         self._upcov, self._dncov = upper, lower
+        listed = [*chain.from_iterable(upper)]
+        if listed and not (0 <= min(listed) and max(listed) < n):
+            u, v = next((u, v) for u, row in enumerate(upper) for v in row if not 0 <= v < n)
+            raise OrderError(f"cover ({u},{v}) is missing from the lower rows")
         indeg = list(map(len, lower))
         order = [u for u, d in enumerate(indeg) if not d]
-        down, h = [0] * n, [0] * n
+        down, h = [1 << u for u in range(n)], [0] * n
         for u in order:  # the loop also visits what it appends
-            m = 1 << u
-            for v in lower[u]:
-                m |= down[v]
-            down[u] = m
-            above = h[u] + 1
+            m = down[u]
             for v in upper[u]:
-                if h[v] < above:
-                    h[v] = above
+                if u not in lower[v]:
+                    raise OrderError(f"cover ({u},{v}) is missing from the lower rows")
+                down[v] |= m
                 indeg[v] -= 1
                 if not indeg[v]:
+                    h[v] = h[u] + 1
                     order.append(v)
         if len(order) != n:
+            # the rows of the elements the order never reached
+            reached = set(order)
+            for u in range(n):
+                for v in () if u in reached else upper[u]:
+                    if u not in lower[v]:
+                        raise OrderError(f"cover ({u},{v}) is missing from the lower rows")
+        if len(listed) != sum(map(len, lower)):
+            raise OrderError("the lower rows list covers that the upper rows do not")
+        if len(order) != n:
             raise OrderError("cycle detected in cover relation")
-        self._order, self.down, self._h = tuple(order), tuple(down), tuple(h)
+        up, bad = [0] * n, []
+        for u in reversed(order):
+            row = upper[u]
+            if len(row) == 2:
+                b, c = row
+                ub, uc = up[b], up[c]
+                up[u] = ub | uc | 1 << u
+                # two distinct incomparable covers; b == c fails the test too
+                if (ub >> c | uc >> b) & 1:
+                    bad.append(u)
+            elif len(row) == 1:
+                up[u] = up[row[0]] | 1 << u
+            else:
+                m = 1 << u
+                for v in row:
+                    m |= up[v]
+                up[u] = m
+                # a repeated power of two carries, so the sum has fewer bits
+                listed = sum(map((1).__lshift__, row))
+                if row and (listed.bit_count() != len(row) or listed & _above(up, row)):
+                    bad.append(u)
+        self._order, self.down, self.up, self._h = order, tuple(down), tuple(up), tuple(h)
+        return bad
 
     @cached_property
     def covers(self):
         """The cover pairs (a, b), b an upper cover of a, as a frozenset."""
         return frozenset((a, b) for a, row in enumerate(self._upcov) for b in row)
 
-    def _close(self):
-        """The up-set masks, one OR per cover, against the topological
-        order; _set_rows derived the down-set masks."""
-        up = [0] * self.n
-        for u in reversed(self._order):
-            m = 1 << u
-            for v in self._upcov[u]:
-                m |= up[v]
-            up[u] = m
-        self.up = tuple(up)
-
-    def _check_reduced(self):
-        """OrderError unless no upper row lists a cover twice or a cover b
-        above another one of its covers: one _above mask per row of two or
-        more."""
-        up = self.up
-        for a, row in enumerate(self._upcov):
-            if len(row) < 2:
-                continue
-            if len(row) == 2:
-                # two distinct incomparable covers; b == c fails the test too
-                b, c = row
-                if not (up[b] >> c & 1 or up[c] >> b & 1):
-                    continue
-            # a repeated power of two carries, so the sum has fewer bits
-            listed, above = sum(map((1).__lshift__, row)), _above(up, row)
-            if listed.bit_count() != len(row):
-                b = next(b for i, b in enumerate(row) if b in row[:i])
-                raise OrderError(f"cover ({a},{b}) is listed twice")
-            if listed & above:
-                b = next(b for b in row if above >> b & 1)
-                w = min(set(_elements(up[a] & self.down[b])) - {a, b})
-                raise OrderError(f"cover ({a},{b}) is not reduced: {a}<{w}<{b}")
+    def _unreduced(self, a):
+        """Raise the OrderError of a's upper row, which lists a cover twice
+        or a cover above another one."""
+        row, up = self._upcov[a], self.up
+        if len(set(row)) != len(row):
+            b = next(b for i, b in enumerate(row) if b in row[:i])
+            raise OrderError(f"cover ({a},{b}) is listed twice")
+        above = _above(up, row)
+        b = next(b for b in row if above >> b & 1)
+        w = min(set(_elements(up[a] & self.down[b])) - {a, b})
+        raise OrderError(f"cover ({a},{b}) is not reduced: {a}<{w}<{b}")
 
     # -- queries ------------------------------------------------------------
 
@@ -369,12 +397,15 @@ class FiniteLattice:
         self.poset = poset
         if poset.n == 0:
             raise OrderError("empty lattice")
-        # one scan of the rows: the minimal and maximal elements, and the
-        # join- and meet-irreducibles, those with one lower or upper cover
-        bottoms, tops, jir, mir = [], [], [], []
+        # one scan of the rows: the minimal and maximal elements, the join-
+        # and meet-irreducibles, those with one lower or upper cover, and
+        # the doubly irreducible ones, with one of each
+        bottoms, tops, jir, mir, di = [], [], [], [], []
         for u, (above, below) in enumerate(zip(poset._upcov, poset._dncov)):
             if len(above) == 1:
                 mir.append(u)
+                if len(below) == 1:
+                    di.append(u)
             elif not above:
                 tops.append(u)
             if len(below) == 1:
@@ -388,7 +419,7 @@ class FiniteLattice:
             )
         self.bottom = bottoms[0]
         self.top = tops[0]
-        self._jir, self._mir = tuple(jir), tuple(mir)
+        self._jir, self._mir, self._di = tuple(jir), tuple(mir), tuple(di)
         self._certify()
 
     def _certify(self):
@@ -508,7 +539,8 @@ class FiniteLattice:
         return self._mir
 
     def doubly_irreducible(self):
-        return tuple(u for u in self.mir() if len(self.lower_covers(u)) == 1)
+        """Doubly irreducible elements: one lower and one upper cover."""
+        return self._di
 
     def is_semimodular(self):
         """Birkhoff's covering condition: two upper covers a, b of any
@@ -529,15 +561,20 @@ class FiniteLattice:
         next, so the graph is bipartite iff no layer of colour c has a
         neighbour in side[c]."""
         up, down = self.poset.up, self.poset.down
-        left = sum(1 << u for u in self.jir())  # not yet coloured
+        left = sum(map((1).__lshift__, self._jir))  # not yet coloured
         while left:
             layer = left & -left
             left ^= layer
             side, c = [layer, 0], 0
             while layer:
-                both = -1  # the elements comparable to every vertex of the layer
-                for u in _elements(layer):
+                # both: the elements comparable to every vertex of the layer,
+                # taken one lowest bit at a time
+                both, rest = -1, layer
+                while rest:
+                    low = rest & -rest
+                    u = low.bit_length() - 1
                     both &= up[u] | down[u]
+                    rest ^= low
                 if side[c] & ~both:
                     return False
                 layer = left & ~both
@@ -570,7 +607,7 @@ def _two_disjoint_chains(poset, elems):
     """Sizes (a, b) of the components when the induced order on elems is a
     disjoint union of at most two chains (b = 0 for one chain), else None:
     then each element is comparable to exactly its own component."""
-    e = sum(1 << u for u in elems)
+    e = sum(map((1).__lshift__, elems))
     a = (poset.up[elems[0]] | poset.down[elems[0]]) & e if elems else 0
     for u in elems:
         if (poset.up[u] | poset.down[u]) & e != (a if a >> u & 1 else e & ~a):
