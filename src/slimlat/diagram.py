@@ -26,8 +26,9 @@ occurs in the column.  Both tests take O(n) mask operations.  In a
 lattice ideal(x ^ y) = ideal(x) & ideal(y), so the minimum test holds
 whenever the up-set test does; a slim rectangular lattice passes both at
 its corners.  boundary_heights computes the points and runs the up-set
-test: on a built lattice as the certificate's first half, on a foreign
-one, which its meet table certified, as the embedding.
+test in one loop over the elements: on a built lattice as the
+certificate's first half, on a foreign one, which its meet table
+certified, as the embedding.
 _certified_diagram, the one constructor of grids and forks (and of the
 tests' fork deletions), is the certificate; its diagram keeps the points
 as heights() and the corners as corners(), which embed_rectangular
@@ -51,7 +52,9 @@ upper rows fills it: each two neighbouring covers l, r of u, slots s and
 s + 1, bound the cell whose top t is their one common upper cover, and
 the table keeps t at s and the slot that crossing the cell east or west
 leads to from each of its four sides; the first edge given two east or
-two west cells is named, and every walk raises it.  Every walk across
+two west cells is named, and every walk raises it.  The table also keeps
+the neon tubes' slots, and notes whether each cell's sides neighbour in
+its top's lower row, which spares validation its lower-row scan.  Every walk across
 cells steps through these lists with int arithmetic: validation checks
 the lower rows against them and every trajectory in one sweep
 (_trajectory_failure), and trajectory_through walks the one trajectory
@@ -381,22 +384,18 @@ def _walk_table(upper, lower, mir):
     left sides, (u, l) and (l, t), and west of its right sides, (u, r) and
     (r, t).  Crossing it east takes (u, l) to (r, t) and (l, t) to (u, r);
     crossing it west inverts this.  DiagramError if l and r have no one
-    common cover (the region between them is not a 4-cell).  Each cell
-    sets two east and two west entries, so some edge has two east or two
-    west cells iff fewer than twice as many entries of a list are set as
-    there are cells; then the first such edge (_first_conflict) is named in
-    `conflict`, which every walk raises (PlanarDiagram._steps) and the
-    cell views ignore.
-
-    `paired` holds if the sides l, r of each cell are neighbours, l first,
-    in the lower row of its top, and the cells are as many as the pairs of
-    neighbours in the lower rows: then each such pair is one cell's, which
-    is what validation checks of the lower rows (_validate).  Mostly the
-    lower row of t is the pair (l, r) itself, the same tuple as u's row."""
+    common cover (the region between them is not a 4-cell).  The first
+    edge given two east or two west cells, in cell order and then in the
+    order of the four sides above, is named in `conflict`, which every walk
+    raises (PlanarDiagram._steps) and the cell views ignore.  `paired`
+    holds if each cell's sides l, r are neighbours, l first, in its top's
+    lower row, and the cells are as many as such neighbour pairs: then
+    each pair is one cell's, as validation checks (_validate)."""
     base = list(accumulate(map(len, upper), initial=0))
     peaks = tuple(chain.from_iterable(upper))
     tops, east, west = [-1] * len(peaks), [-1] * len(peaks), [-1] * len(peaks)
     paired = True
+    table = _Walks(base, peaks, tops, east, west, {base[u] for u in mir}, None, paired)
     for u, row in enumerate(upper):
         if len(row) < 2:
             continue
@@ -413,6 +412,9 @@ def _walk_table(upper, lower, mir):
             else:
                 raise DiagramError(f"region over {u} between covers {l},{r} is not a 4-cell")
             rt = base[r] + ur.index(t)
+            # -1 & -1 is -1: some side already crossed if the & of the four is not
+            if east[s] & east[lt] & west[s + 1] & west[rt] != -1 and table.conflict is None:
+                table = table._replace(conflict=_conflict(table, (s, lt), (s + 1, rt)))
             tops[s] = t
             east[s], east[lt], west[s + 1], west[rt] = rt, s + 1, lt, s
             s += 1
@@ -420,33 +422,19 @@ def _walk_table(upper, lower, mir):
             if below != row and paired:
                 i = below.index(l) if l in below else -2
                 paired = below[i + 1:i + 2] == (r,)
+    # the lower rows list the upper rows' covers (the constructors check or
+    # share them): as many pairs as covers, less one per nonempty row
     cells = len(tops) - tops.count(-1)
-    # the lower rows list as many covers as the upper ones (the constructors
-    # check or share them), so they hold that many less one per nonempty row
-    paired = paired and cells == len(peaks) - len(lower) + lower.count(())
-    table = _Walks(base, peaks, tops, east, west, {base[u] for u in mir}, None, paired)
-    unset = len(tops) - 2 * cells  # the entries each list has unset if no edge has two
-    if east.count(-1) != unset or west.count(-1) != unset:
-        table = table._replace(conflict=_first_conflict(table, upper))
-    return table
+    return table._replace(paired=paired and cells == len(peaks) - len(lower) + lower.count(()))
 
 
-def _first_conflict(table, upper):
-    """The message naming the first edge given two east or two west cells:
-    the cells made again in slot order, each with its left sides checked
-    for an east cell already, then its right sides for a west one."""
-    base, peaks = table.base, table.peaks
-    east, west = [-1] * len(peaks), [-1] * len(peaks)
-    for s, t in enumerate(table.tops):
-        if t < 0:
-            continue
-        l, r = peaks[s], peaks[s + 1]
-        lt, rt = base[l] + upper[l].index(t), base[r] + upper[r].index(t)
-        for name, step, sides in (("east", east, (s, lt)), ("west", west, (s + 1, rt))):
-            for x in sides:
-                if step[x] >= 0:
-                    return f"edge {table.edge(x)} has two {name} cells"
-        east[s], east[lt], west[s + 1], west[rt] = rt, s + 1, lt, s
+def _conflict(table, left, right):
+    """The message naming the first of a cell's left sides that already has
+    an east cell, or else of its right sides that already has a west one."""
+    for name, step, sides in (("east", table.east, left), ("west", table.west, right)):
+        for x in sides:
+            if step[x] >= 0:
+                return f"edge {table.edge(x)} has two {name} cells"
 
 
 def _cell(table, s):
@@ -513,9 +501,7 @@ def _jh_permutation(d):
     on the j-th edge of the right one.  Read off the peaks that the
     validation sweep recorded (_trajectory_failure), swept again, with
     the kept report untouched, if d released them; DiagramError unless d's
-    report is ok.  A valid diagram's lattice is semimodular, so graded: the
-    right boundary chain is a maximal chain, and its j-th element, the
-    peak of its j-th edge, has height j."""
+    report is ok.  A valid lattice is graded: rchain[j] has height j."""
     report = d._report
     if not report.ok:
         raise DiagramError(f"no Jordan-Holder permutation: {report.failures}")
@@ -708,27 +694,13 @@ def _certified_diagram(poset, lcorner, rcorner):
     the certificate of that lattice (module docstring): boundary_heights,
     the coordinatewise-minimum sweep and the complement check on a lattice
     that fills no table, then the rows sorted by the certified left
-    heights.  One loop over the elements fills the columns of the sweep
-    and finds the rows that do not fall yet.  OrderError unless the poset
-    is bounded, else DiagramError naming the failure."""
+    heights.  OrderError unless the poset is bounded, else DiagramError
+    naming the failure."""
     lat = _CornerLattice(poset)
     heights = hl, hr, lchain, _ = boundary_heights(lat, lcorner, rcorner)
-    rows = [poset._upcov, poset._dncov]
     columns = [0] * len(lchain)  # column a: the right heights at left height a
-    rises = []  # (side, element) of each row that does not fall, side 0 upper
-    for u, a, b, above, below in zip(count(), hl, hr, *rows):
+    for a, b in zip(hl, hr):
         columns[a] |= 1 << b
-        # most rows hold one or two covers
-        if len(above) == 2:
-            if hl[above[0]] <= hl[above[1]]:
-                rises.append((0, u))
-        elif len(above) > 2 and _rises(above, hl):
-            rises.append((0, u))
-        if len(below) == 2:
-            if hl[below[0]] <= hl[below[1]]:
-                rises.append((1, u))
-        elif len(below) > 2 and _rises(below, hl):
-            rises.append((1, u))
     right = 0  # the right heights of the columns right of a
     for a in range(len(columns) - 1, -1, -1):
         top = columns[a].bit_length() - 1
@@ -741,12 +713,7 @@ def _certified_diagram(poset, lcorner, rcorner):
                                f" element at their coordinatewise minimum ({a},{b})")
         right |= columns[a]
     _check_complements(lat, lcorner, rcorner)
-    if rises:
-        rows = list(map(list, rows))
-        for side, u in rises:
-            rows[side][u] = _falling(u, rows[side][u], hl)
-        rows = list(map(tuple, rows))
-    return PlanarDiagram._sorted(lat, *rows, (lcorner, rcorner), heights)
+    return _sorted_diagram(lat, lcorner, rcorner, heights)
 
 
 def _sorted_diagram(lat, lcorner, rcorner, heights):
@@ -767,21 +734,16 @@ def _falling_rows(rows, hl):
     others are sorted (_falling)."""
     out = None
     for u, row in enumerate(rows):
-        if len(row) > 1 and _rises(row, hl):
-            if out is None:
-                out = list(rows)
-            out[u] = _falling(u, row, hl)
+        # most rows hold one or two covers
+        if len(row) < 2 or len(row) == 2 and hl[row[0]] > hl[row[1]]:
+            continue
+        for a, b in zip(row, row[1:]):
+            if hl[a] <= hl[b]:
+                if out is None:
+                    out = list(rows)
+                out[u] = _falling(u, row, hl)
+                break
     return rows if out is None else tuple(out)
-
-
-def _rises(row, hl):
-    """Whether some cover in row is not left of the next, by falling left height."""
-    prev = hl[row[0]]
-    for v in row[1:]:
-        if hl[v] >= prev:
-            return True
-        prev = hl[v]
-    return False
 
 
 def _falling(u, row, hl):
@@ -836,9 +798,7 @@ def _validate(d):
     """
     failures = []
     lat = d.lattice
-    wide = None
-    if max(map(len, d.upper), default=0) > 2:
-        wide = next(u for u, row in enumerate(d.upper) if len(row) > 2)
+    wide = next((u for u, row in enumerate(d.upper) if len(row) > 2), None)
     try:
         table = d._walks()
         cell_failure = None
@@ -853,7 +813,6 @@ def _validate(d):
     try:
         di = _two_corners(lat)
         # a diagram keeps only corners that passed the complement check
-        # (corners(), embed_rectangular, the certificate)
         if d._corners not in (di, di[::-1]):
             _check_complements(lat, *di)
     except DiagramError as e:
@@ -866,13 +825,11 @@ def _validate(d):
     if lchain[-1] != lat.top or rchain[-1] != lat.top:
         failures.append("boundary chains do not reach the top")
     if not failures:
-        # each two neighbouring lower covers a, b of t are a cell's sides if
-        # the table paired them all (_walk_table) and no edge has two cells
+        # unless the table paired each neighbouring lower covers a, b of t
+        # with a cell: (a, t) is the upper left side of the cell with sides
+        # a, b and top t iff crossing it east leads to its lower right side,
+        # which ends at b (from a lower left side, the step leads above t)
         if table.conflict is not None or not table.paired:
-            # (a, t) is the upper left side of the cell with sides a, b and
-            # top t iff crossing it east leads to that cell's lower right
-            # side, which ends at b; the lower left side of a cell, the other
-            # way east across one, leads to an edge that ends above t
             base, peaks, east, upper = table.base, table.peaks, table.east, d.upper
             for t, row in enumerate(d.lower):
                 if len(row) < 2:

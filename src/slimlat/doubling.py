@@ -95,8 +95,13 @@ def double(seq, t):
     length grow by exactly 2, and the new lamp poset is the doubling of
     the old one at the position of step t's lamp in lamp_poset order.  A
     failed check is an InternalInconsistencyError that names the input
-    and t, which `slimlat double --step t` replays.
+    and t, which `slimlat double --step t` replays.  Both lamp orders run
+    the same fork rule over each diagram's own peel (lamps.lamp_poset), so
+    this check compares two runs of one rule; J(Con L) is the independent
+    check (lamps.verify_lamp_con_iso).
     """
+    if not seq.steps:
+        raise PreconditionError("the sequence has no fork step to double")
     if not (1 <= t <= len(seq.steps)):
         raise PreconditionError(f"step {t} out of range 1..{len(seq.steps)}")
     orig = build(seq)

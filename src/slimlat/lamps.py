@@ -42,8 +42,8 @@ def tube_lamp(d, tube):
 
 
 def _derive_lamp_list(d):
-    """(lamps, tube map) of d, which keeps them as its _lamp_list: the map
-    sends each neon tube to its (lamp, index)."""
+    """(lamps, tube map) of d, kept as its _lamp_list: the map sends each
+    neon tube to its (lamp, index).  The check sees a bare diagram: no sequence."""
     boundary, internal = d.neon_tubes()
     lat = d.lattice
     lc, rc = d.corners()
@@ -96,6 +96,7 @@ def lamp_poset(obj):
 
 
 def _derive_lamp_order(d):
+    """lamp_poset's order of d; a stuck peel sees a bare diagram: no sequence."""
     from .multifork import _peeled, _sequence_lamp_poset  # multifork imports this module
 
     peel = _peeled(d)
@@ -195,7 +196,8 @@ def is_used(pl, tube):
     with one mask test.
 
     Self-check: every such lamp lies below the tube's lamp in the lamp
-    order, else InternalInconsistencyError.
+    order, else InternalInconsistencyError naming pl's sequence, which
+    `slimlat lamps` replays.
     """
     cells = pl.tube_records[tube].cells
     if not cells:
@@ -215,9 +217,10 @@ def is_used(pl, tube):
         first, last = lowers[0], lowers[-1]
         if any(above >> t & 1 and up[b] >> first & 1 and up[b] >> last & 1 for b, t in cells):
             if (i_lamp.foot, owner.foot) not in lt:
+                from .dsl import emit_dsl  # dsl imports multifork, which imports this module
                 raise InternalInconsistencyError(
-                    "a using lamp is not below the owner in the lamp order"
-                )
+                    "a using lamp is not below the owner in the lamp order;"
+                    f" `slimlat lamps` replays it on\n{emit_dsl(pl.seq)}")
             return True
     return False
 

@@ -84,11 +84,11 @@ class ProvenancedLattice:
     @cached_property
     def coords(self):
         """Exact drawing coordinates, element -> (x, y): grid element (i, j)
-        at (j - i, i + j), then the steps replayed in order.  Subdivision
-        point s of a path edge lies s / (k + 1) of the way down from the
-        edge's peak to its foot; a leg crossing meets the down-right line
-        through the left leg's end point and the down-left line through the
-        right leg's.  Computed on first read, since only drawing needs it."""
+        at (j - i, i + j), then the steps replayed in order.  Point s of a
+        path edge lies s / (k + 1) of the way down from its peak to its
+        foot; a leg crossing meets the down-right line through the left
+        leg's end and the down-left line through the right leg's.  Computed
+        on first read, since only drawing needs it."""
         width = self.seq.grid_q + 1
         coords = {
             i * width + j: (Fraction(j - i), Fraction(i + j))
@@ -103,10 +103,9 @@ class ProvenancedLattice:
                     f = Fraction(s, k + 1)
                     coords[new] = (px + f * (fx - px), py + f * (fy - py))
                     new += 1
-            # the crossings of the left leg of m_j and the right leg of m_i,
-            # i < j, then m_i itself, in multifork_extend's id order: the
-            # legs end at point j of the first left edge and at point
-            # k + 1 - i of the first right one
+            # the left leg of m_j crossing the right leg of m_i, i < j, then
+            # m_i itself: the legs end at point j of the first left edge and
+            # point k + 1 - i of the first right one
             y0 = n0 + np_ * k
             for i, j in [*_crossings(k), *((i, i) for i in range(1, k + 1))]:
                 (ax, ay), (bx, by) = coords[n0 + j - 1], coords[y0 + k - i]
@@ -225,10 +224,8 @@ def multifork_extend(pl, address, k):
             f" above the limit of {MAX_ELEMENTS}"
         )
 
-    # New ids, in order: point s of path edge e (the left edges, then the
-    # right ones, each listed from its upper end) is n0 + e * k + s - 1,
-    # then the crossings cid[i, j] of the left leg of m_j and the right leg
-    # of m_i, then m_i = mbase + i - 1.
+    # new ids: point s of path edge e (the left edges, then the right ones)
+    # is n0 + e * k + s - 1, then come the leg crossings cid, then m_i
     cpairs = _crossings(k)
     cbase = n0 + (np_ + nq) * k
     cid = {pair: cbase + i for i, pair in enumerate(cpairs)}
@@ -241,8 +238,12 @@ def multifork_extend(pl, address, k):
     # and its subdivision points take its place in both rows; the k new
     # lower covers of t go between a and b.  Every other old row is kept.
     upper, lower = list(d.upper), list(d.lower)
-    _splice(upper, lower, left_edges, n0, k, True)
-    _splice(upper, lower, right_edges, y0, k, False)
+    for new, (foot, peak) in zip(range(n0, y0, k), left_edges):
+        upper[foot] = (new + k - 1, *upper[foot][1:])
+        lower[peak] = (*lower[peak][:-1], new)
+    for new, (foot, peak) in zip(range(y0, cbase, k), right_edges):
+        upper[foot] = (*upper[foot][:-1], new + k - 1)
+        lower[peak] = (new, *lower[peak][1:])
     row = lower[t]
     at = row.index(a) + 1
     lower[t] = row[:at] + tuple(range(mbase, mbase + k)) + row[at:]
@@ -314,26 +315,8 @@ def multifork_extend(pl, address, k):
     )
 
 
-def _splice(upper, lower, edges, new, k, left):
-    """Put the subdivision points of each path edge (foot, peak), ids new,
-    new + 1, ... for the first edge and k more for each next one, in the
-    edge's place: its lowest point in foot's upper row, its highest in
-    peak's lower row.  On the left path the edge is foot's first upper
-    cover and peak's last lower cover, on the right path the other way
-    round (multifork_extend)."""
-    for foot, peak in edges:
-        if left:
-            upper[foot] = (new + k - 1,) + upper[foot][1:]
-            lower[peak] = lower[peak][:-1] + (new,)
-        else:
-            upper[foot] = upper[foot][:-1] + (new + k - 1,)
-            lower[peak] = (new,) + lower[peak][1:]
-        new += k
-
-
 def _crossings(k):
-    """The pairs (i, j), 1 <= i < j <= k, in id order: a k-fold fork's leg
-    crossings, the left leg of m_j with the right leg of m_i."""
+    """(i, j), 1 <= i < j <= k, in id order: the left leg of m_j crosses m_i's right one."""
     return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
 
 

@@ -7,7 +7,10 @@ the object, so a lattice derives D and Con L once however often it is
 asked, and Con L holds no reference back to its lattice.  A poset keeps
 its covers as rows, upper_covers(u) and lower_covers(u): a poset from
 pairs lists them ascending, a built one (Poset._from_rows) left to right,
-as its diagram does.  Sets of elements are int bitmasks, bit y
+as its diagram does.  Every constructor derives the order in two passes
+(Poset._derive): one forward over a topological order checks the rows
+against each other and ORs the down-sets, one backward the up-sets and
+tests that each row is reduced.  Sets of elements are int bitmasks, bit y
 for y: `Poset.up[x]` holds the y >= x, `Poset.down[x]` the y <= x.  One
 helper reduces to covers (_above, the mask of the elements strictly above
 a set): Poset.from_relation, Poset.restrict and the check that a cover
@@ -65,7 +68,7 @@ from .errors import BudgetError, OrderError, ParseError
 # the transient n x n meet table that certifies a lattice read from JSON,
 # and is dropped once it is filled.  A built lattice is certified by its
 # corner coordinates and fills no table: `grid 43 44` (1,980 elements)
-# takes about 0.01 s to build, at a peak of 19 MB, and 0.06 s more to report
+# takes about 0.02 s to build, at a peak of 19 MB, and 0.10 s more to report
 # its lamps, at a peak of 25 MB (Python 3.11).
 MAX_ELEMENTS = 2000
 
@@ -102,9 +105,7 @@ class Poset:
     """
 
     def __init__(self, n, covers):
-        bad = self._set_covers(n, covers)
-        if bad:
-            self._unreduced(min(bad))
+        self._unreduced(self._set_covers(n, covers))
 
     @classmethod
     def _from_rows(cls, upper, lower):
@@ -116,9 +117,7 @@ class Poset:
         if len(lower) != n:
             raise OrderError(f"{n} upper rows but {len(lower)} lower rows")
         poset = cls.__new__(cls)
-        bad = poset._derive(upper, lower)
-        if bad:
-            poset._unreduced(min(bad))
+        poset._unreduced(poset._derive(upper, lower))
         return poset
 
     @classmethod
@@ -127,30 +126,21 @@ class Poset:
 
         The pairs are closed transitively and reduced to covers: b covers a
         iff a < b is generating and b lies above no other generating
-        successor of a.  A cycle raises OrderError.  The derivation on the
-        pairs names the rows that are not reduced (_derive), and only those
-        lose pairs; the order, masks and heights of the pairs are the
-        poset's own, since every cover is a generating pair and every
-        generating pair a chain of covers.
-        """
+        successor of a.  A cycle raises OrderError.  Only rows that the
+        derivation on the pairs finds not reduced (_derive) lose pairs, and
+        then the poset is derived again from its covers."""
         poset = cls.__new__(cls)
         bad = poset._set_covers(n, pairs)
         if bad:
-            up, upper, lower = poset.up, list(poset._upcov), list(poset._dncov)
-            dropped = set()
+            covers, up = set(poset.covers), poset.up
             for a in bad:
-                above = _above(up, upper[a])
-                dropped.update((a, b) for b in upper[a] if above >> b & 1)
-                upper[a] = tuple(b for b in upper[a] if not above >> b & 1)
-            for b in {b for _, b in dropped}:
-                lower[b] = tuple(a for a in lower[b] if (a, b) not in dropped)
-            poset._upcov, poset._dncov = tuple(upper), tuple(lower)
-            poset.covers = poset.covers - dropped
+                above = _above(up, poset._upcov[a])
+                covers.difference_update((a, b) for b in poset._upcov[a] if above >> b & 1)
+            poset._set_covers(n, covers)
         return poset
 
     def _set_covers(self, n, pairs):
-        """Store the pairs as covers, and as rows listed ascending; derive
-        the order from them (_derive)."""
+        """Store the pairs as covers, and as rows listed ascending (_derive)."""
         covers = frozenset((int(a), int(b)) for a, b in pairs)
         upcov = [[] for _ in range(n)]
         dncov = [[] for _ in range(n)]
@@ -166,28 +156,15 @@ class Poset:
                             tuple(tuple(sorted(c)) for c in dncov))
 
     def _derive(self, upper, lower):
-        """Store the rows and derive the order from them in two passes;
-        return the elements whose upper row is not reduced.
-
-        A cover out of range 0..n-1 raises OrderError first.  The forward
-        pass runs over a topological order (`_order`, every element after
-        its lower covers) as it grows: an element joins it when its last
-        lower cover has passed.  Each cover (u, v) it meets, u in that
-        order, is checked against the lower rows and ORs u's down-set mask
-        into v's, which is final once v joins the order.  The order is
-        first in, first out, so it lists the elements by rising height
-        (the length of the longest chain down from them): by induction, an
-        element of height k joins while its last lower cover, of height
-        k - 1, passes, after every element of height k - 1 has joined and
-        before any of height k + 1.  So v's height is one more than the
-        height of the lower cover that lets it join.  A cover missing from the lower rows,
-        one row count against the other, and an order that misses an
-        element (a cycle) raise OrderError, in that order of precedence.
-        The backward pass, along the order reversed, ORs each element's
-        up-set mask from its upper covers' and tests the row: a row of two
-        is reduced iff neither cover lies above the other, a longer one iff
-        it misses its own _above mask and lists no cover twice.
-        """
+        """Store the rows and derive the order in two passes; return the
+        elements whose upper row is not reduced.  The forward pass runs
+        over a first-in first-out topological order (`_order`) as it grows:
+        it checks each cover (u, v) against the lower rows and ORs u's
+        down-set into v's, and v joins once its last lower cover has passed,
+        whose height, the order listing the elements by rising height, is
+        one less than v's.  A cover out of range or missing from the lower
+        rows, unequal row counts and a cycle raise OrderError, in that
+        order.  The backward pass ORs the up-sets and tests each row."""
         n = self.n = len(upper)
         self._upcov, self._dncov = upper, lower
         listed = [*chain.from_iterable(upper)]
@@ -207,13 +184,10 @@ class Poset:
                 if not indeg[v]:
                     h[v] = h[u] + 1
                     order.append(v)
-        if len(order) != n:
-            # the rows of the elements the order never reached
-            reached = set(order)
-            for u in range(n):
-                for v in () if u in reached else upper[u]:
-                    if u not in lower[v]:
-                        raise OrderError(f"cover ({u},{v}) is missing from the lower rows")
+        for u, row in enumerate(upper if len(order) != n else ()):  # rows not reached
+            for v in row:
+                if u not in lower[v]:
+                    raise OrderError(f"cover ({u},{v}) is missing from the lower rows")
         if len(listed) != sum(map(len, lower)):
             raise OrderError("the lower rows list covers that the upper rows do not")
         if len(order) != n:
@@ -247,9 +221,11 @@ class Poset:
         """The cover pairs (a, b), b an upper cover of a, as a frozenset."""
         return frozenset((a, b) for a, row in enumerate(self._upcov) for b in row)
 
-    def _unreduced(self, a):
-        """Raise the OrderError of a's upper row, which lists a cover twice
-        or a cover above another one."""
+    def _unreduced(self, bad):
+        """OrderError for the first of the rows in bad, which are not reduced."""
+        if not bad:
+            return
+        a = min(bad)
         row, up = self._upcov[a], self.up
         if len(set(row)) != len(row):
             b = next(b for i, b in enumerate(row) if b in row[:i])

@@ -111,7 +111,9 @@ def _remove_fork(pl, lamp, tube, rule):
     """Core removal: build the edited sequence (_removed_sequence), from
     pl's stage before the lamp's fork when pl holds its stages, and check
     what a removal keeps: a smaller lattice, one tube less, taken from
-    that lamp alone, the labelled lamp order (_labelled_lamps) and Con L."""
+    that lamp alone, the labelled lamp order (_labelled_lamps) and Con L.
+    Both lamp orders run one fork rule over each diagram's own peel
+    (lamps.lamp_poset); Con L is the independent check."""
     s = lamp_creation_step(pl, lamp)
     try:
         new_pl = build(_removed_sequence(pl.seq, s, lamp.tubes.index(tube)))

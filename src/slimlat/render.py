@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from math import lcm
 
+from .dsl import emit_dsl
 from .errors import InternalInconsistencyError, ParseError
 from .order import Poset
 
@@ -39,7 +40,7 @@ def _checked_points(pl):
     normal iff min(du, dv) = 0 and steep iff min(du, dv) > 0.  So a
     sound edge is decided by comparisons alone, and these run on the
     scaled coordinates: exact ints, in the same order as the rationals,
-    so no rounding can hide a fault.
+    so no rounding can hide a fault, which names pl's sequence.
     """
     internal_mir = {e.foot for e in pl.diagram.neon_tubes()[1]}
     coords = pl.coords
@@ -53,11 +54,13 @@ def _checked_points(pl):
         uf, vf, up, vp = us[foot], vs[foot], us[peak], vs[peak]
         if up < uf or vp < vf or (up == uf and vp == vf):
             fault = "does not ascend" if up + vp <= uf + vf else "has a slight slope"
-            raise InternalInconsistencyError(f"edge ({foot},{peak}) {fault}")
-        if (up > uf and vp > vf) != (foot in internal_mir):
-            raise InternalInconsistencyError(
-                f"edge ({foot},{peak}) breaks the precipitous-foot rule"
-            )
+        elif (up > uf and vp > vf) != (foot in internal_mir):
+            fault = "breaks the precipitous-foot rule"
+        else:
+            continue
+        raise InternalInconsistencyError(
+            f"edge ({foot},{peak}) {fault}; `slimlat render --render-format svg`"
+            f" replays it on\n{emit_dsl(pl.seq)}")
     return den, xs, ys, internal_mir
 
 

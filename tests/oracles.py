@@ -43,6 +43,12 @@ does not use.
 - Up- and down-sets as frozensets, by a search along the covers from each
   element.  Production ORs bitmasks along a topological order
   (`slimlat.order.Poset`).
+- A poset's order and a built lattice's certificate by one pass per
+  derivation and check (`order_by_passes`, `certified_by_passes`), as they
+  were before production fused them into a forward and a backward pass
+  over the order (`slimlat.order.Poset._derive`) and two loops over the
+  elements (`slimlat.diagram.boundary_heights`,
+  `slimlat.diagram._certified_diagram`).
 - The trajectory listing: every cover as an edge, every trajectory walked
   with `trajectory_through`, and the east step of one edge across the
   cell side maps, dicts from each (foot, peak) pair to the cell on each
@@ -100,7 +106,7 @@ from slimlat.diagram import (
     is_slim_rectangular,
     resolve_address,
 )
-from slimlat.errors import DiagramError, InternalInconsistencyError
+from slimlat.errors import DiagramError, InternalInconsistencyError, OrderError
 from slimlat.lamps import (
     fork_interval,
     lamp_creation_step,
@@ -924,3 +930,111 @@ def distributive_addresses_by_scan(pi):
         rect &= col
         tops.append((rect + 1 & ~rect).bit_length() - 2)
     return [(a, b) for a in range(p) for b in range(q) if a < tops[b]]
+
+
+def order_by_passes(upper, lower):
+    """(down, up, heights) of a poset's rows by one pass per derivation, as
+    a poset from rows made them before its passes were fused: the transpose
+    check, a topological order with the down-sets and each height raised
+    over every lower cover, the up-sets against the order reversed, then
+    the check that each upper row is reduced.  OrderError as they raised
+    it.  Production derives all of these in a forward and a backward pass
+    (`slimlat.order.Poset._derive`)."""
+    n = len(upper)
+    if len(lower) != n:
+        raise OrderError(f"{n} upper rows but {len(lower)} lower rows")
+    for a, row in enumerate(upper):
+        for b in row:
+            if not 0 <= b < n or a not in lower[b]:
+                raise OrderError(f"cover ({a},{b}) is missing from the lower rows")
+    if sum(map(len, upper)) != sum(map(len, lower)):
+        raise OrderError("the lower rows list covers that the upper rows do not")
+    indeg = list(map(len, lower))
+    order = [u for u, d in enumerate(indeg) if not d]
+    down, h = [0] * n, [0] * n
+    for u in order:
+        down[u] = 1 << u
+        for v in lower[u]:
+            down[u] |= down[v]
+        for v in upper[u]:
+            h[v] = max(h[v], h[u] + 1)
+            indeg[v] -= 1
+            if not indeg[v]:
+                order.append(v)
+    if len(order) != n:
+        raise OrderError("cycle detected in cover relation")
+    up = [0] * n
+    for u in reversed(order):
+        up[u] = 1 << u
+        for v in upper[u]:
+            up[u] |= up[v]
+    for a, row in enumerate(upper):
+        if len(set(row)) != len(row):
+            raise OrderError(f"cover ({a},{next(b for i, b in enumerate(row) if b in row[:i])})"
+                             " is listed twice")
+        for b in row:
+            between = [w for w in range(n) if w not in (a, b)
+                       and up[a] >> w & 1 and down[b] >> w & 1]
+            if between:
+                raise OrderError(f"cover ({a},{b}) is not reduced: {a}<{min(between)}<{b}")
+    return tuple(down), tuple(up), tuple(h)
+
+
+def certified_by_passes(poset, lcorner, rcorner):
+    """(upper, lower, heights) of the diagram that certifies a built lattice
+    at the given corners, by one pass per check, as the certificate made
+    them before its passes were fused: the lattice's bottom and top, the
+    corner chains, both lists of heights, then the up-set test, the
+    columns and their sweep for the coordinatewise minimum, the complement
+    check, and each side's rows sorted by falling left height.  OrderError
+    or DiagramError as they raised it.  Production computes the heights
+    and the up-set test in one loop (`slimlat.diagram.boundary_heights`)
+    and the columns and the falling rows in another
+    (`slimlat.diagram._certified_diagram`)."""
+    lat = FiniteLattice.__new__(FiniteLattice)
+    lat.poset = poset
+    ends = [tuple(u for u in range(poset.n) if not rows[u])
+            for rows in (poset._dncov, poset._upcov)]
+    if len(ends[0]) != 1 or len(ends[1]) != 1:
+        raise OrderError(f"no unique bottom/top: minimals {ends[0]}, maximals {ends[1]}")
+    down, up, lower = poset.down, poset.up, poset._dncov
+    chains = []
+    for c in (lcorner, rcorner):
+        chain = [c]
+        while len(lower[chain[-1]]) == 1:
+            chain.append(lower[chain[-1]][0])
+        if lower[chain[-1]] or len(chain) != down[c].bit_count():
+            raise DiagramError("corner ideal is not a chain")
+        chains.append(tuple(reversed(chain)))
+    lchain, rchain = chains
+    hl = tuple((m & down[lcorner]).bit_count() - 1 for m in down)
+    hr = tuple((m & down[rcorner]).bit_count() - 1 for m in down)
+    for x in range(poset.n):
+        if up[lchain[hl[x]]] & up[rchain[hr[x]]] != up[x]:
+            raise DiagramError(f"element {x} is not the join of its two projections")
+    points = list(zip(hl, hr))
+    for a in range(len(lchain) - 1, -1, -1):
+        top = max(j for i, j in points if i == a)
+        for b in range(top - 1, -1, -1):
+            if (a, b) not in points and any(i > a and j == b for i, j in points):
+                y = next(u for u, (i, j) in enumerate(points) if i > a and j == b)
+                raise DiagramError(f"elements {points.index((a, top))} and {y} have no"
+                                   f" element at their coordinatewise minimum ({a},{b})")
+    (bottom,), (top,) = ends
+    if down[lcorner] & down[rcorner] != down[bottom] or up[lcorner] & up[rcorner] != up[top]:
+        raise DiagramError("corners are not complements")
+    rows = []
+    for side in (poset._upcov, poset._dncov):
+        rows.append(tuple(row if all(hl[a] > hl[b] for a, b in zip(row, row[1:]))
+                          else _falling_by_sort(u, row, hl) for u, row in enumerate(side)))
+    return rows[0], rows[1], (hl, hr, lchain, rchain)
+
+
+def _falling_by_sort(u, row, hl):
+    """The covers of u in row by falling left height; DiagramError if two
+    share one."""
+    row = tuple(sorted(row, key=hl.__getitem__, reverse=True))
+    for a, b in zip(row, row[1:]):
+        if hl[a] == hl[b]:
+            raise DiagramError(f"covers {a},{b} of {u} collide in the embedding")
+    return row

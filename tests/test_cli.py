@@ -95,6 +95,18 @@ def test_double_cli(tmp_path, s7_seq):
     assert text.startswith("grid 1 1\n") and text.count("fork") == 2
 
 
+def test_double_cli_on_a_grid_names_the_missing_fork(tmp_path, capsys):
+    """A bare grid has no fork step to double: exit 1 with one line that
+    says so, not a step range of 1..0."""
+    seq = tmp_path / "grid.seq"
+    seq.write_text("grid 2 1\n")
+    capsys.readouterr()
+    assert main(["double", "--input", str(seq), "--step", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the sequence has no fork step to double\n"
+    assert captured.out == ""
+
+
 def test_enumerate_cli(tmp_path):
     out = tmp_path / "enum.json"
     assert main(["enumerate", "--max-len", "4", "--out", str(out)]) == 0

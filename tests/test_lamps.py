@@ -1,3 +1,4 @@
+import re
 import types
 
 import pytest
@@ -393,15 +394,16 @@ def test_usage_matches_the_geometric_oracle_at_lengths_seven_and_eight():
 
 def test_a_using_lamp_outside_the_lamp_order_is_reported(monkeypatch, tmp_path, capsys):
     """With the lamp order planted empty, the used middle tube of the
-    sandwiched fixture fails is_used's self-check, and slimlat lamps exits 1
-    with its message."""
+    sandwiched fixture fails is_used's self-check, which names the sequence
+    that replays it, and slimlat lamps exits 1 with its message."""
     text = "grid 1 1\nfork 0 0 3\nfork 0 2 1\n"
     pl = build(parse_dsl(text))
     lamps, _, poset = lamp_poset(pl)
     monkeypatch.setattr(lamps_module, "lamp_poset",
                         lambda obj: (lamps, frozenset(), Poset.from_relation(poset.n, ())))
-    message = "a using lamp is not below the owner in the lamp order"
-    with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
+    message = ("a using lamp is not below the owner in the lamp order;"
+               f" `slimlat lamps` replays it on\n{text}")
+    with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
         usage_stats(pl)
     seq = tmp_path / "sandwiched.seq"
     seq.write_text(text)
@@ -424,9 +426,8 @@ def test_a_boundary_tube_off_both_upper_boundaries_is_reported(monkeypatch, tmp_
     monkeypatch.setattr(PlanarDiagram, "neon_tubes", one_internal_tube_on_the_boundary)
     text = "grid 1 1\nfork 0 0 3\nfork 0 2 1\n"
     message = "boundary tube Edge(foot=13, peak=3) on neither upper boundary"
-    with pytest.raises(InternalInconsistencyError) as info:
+    with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
         lamp_report(build(parse_dsl(text)))
-    assert str(info.value) == message
     seq = tmp_path / "sandwiched.seq"
     seq.write_text(text)
     capsys.readouterr()

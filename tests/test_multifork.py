@@ -1,4 +1,5 @@
 import gc
+import types
 from fractions import Fraction
 from functools import cached_property
 
@@ -9,6 +10,7 @@ from slimlat.diagram import (
     Edge,
     FourCell,
     PlanarDiagram,
+    boundary_heights,
     cell_address,
     is_slim_rectangular,
     resolve_address,
@@ -260,6 +262,10 @@ def test_fork_steps_splice_their_rows_from_the_parent(monkeypatch):
         steps.append(assert_rows_spliced(pl, child))
         return child
 
+    # the counts below assume that no stage from an earlier test is alive in
+    # build's memo, kept by garbage such as a caught exception's frames
+    gc.collect()
+
     index = enumerate_index(6)
     for module in (oracles, multifork):
         monkeypatch.setattr(module, "multifork_extend", checked)
@@ -399,6 +405,17 @@ def _swapped_boundaries(real):
     return "_boundary_sets", lambda d: real(d)[::-1]
 
 
+def _rows_edited(edit):
+    """A stand-in for Poset whose _from_rows applies edit to the lists of
+    the rows that a fork step hands it."""
+    def from_rows(upper, lower):
+        upper, lower = list(upper), list(lower)
+        edit(upper, lower)
+        return Poset._from_rows(tuple(upper), tuple(lower))
+
+    return "Poset", types.SimpleNamespace(_from_rows=from_rows)
+
+
 def _certified_then(plant):
     """_certified_diagram, with `plant` applied to the diagram it returns."""
     real = multifork._certified_diagram
@@ -436,7 +453,7 @@ def _second_tube_east(d):
 @pytest.mark.parametrize("planted, check", [
     (_swapped_boundaries(PlanarDiagram._boundary_sets),
      "the cell's lower edges do not descend to the boundaries"),
-    (("_splice", lambda upper, lower, edges, new, k, left: None),
+    (_rows_edited(lambda upper, lower: lower.__setitem__(7, (6,))),
      "extension produced an invalid lattice: cover (9,7) is missing from the lower rows"),
     (_certified_then(_reversed_peak_row),
      "extension validation failed: ('lower covers 5,13 of 8 are not the left and right"
@@ -457,6 +474,63 @@ def test_a_failed_fork_self_check_names_the_sequence_that_replays_it(
     message = f"{check}; `slimlat build` replays it on\n{REPLAYED}"
     assert str(info.value) == message
     assert parse_dsl(str(info.value).split("replays it on\n")[1]) == parse_dsl(REPLAYED)
+
+
+def _moved_onto_an_edge(upper, lower):
+    """Element 4, at (1, 1), moved onto the edge from 0 to 3: 9 now covers 1
+    and 11 covers 3, so (2, 1), below both, is left empty."""
+    upper[0], upper[4], upper[3], upper[1] = (4, 1), (3,), (10, 11), (9, 12)
+    lower[4], lower[3], lower[9], lower[11] = (0,), (4,), (10, 1), (3, 12)
+
+
+def _raised_left_height(lat, lc, rc):
+    """The points, with element 13 moved one left height up, from (2, 2) to
+    (3, 2), beside 7 at (3, 1) among the upper covers of 9: no rows that
+    pass the up-set test put two covers of one element at one left height."""
+    hl, hr, lchain, rchain = boundary_heights(lat, lc, rc)
+    return hl[:13] + (hl[13] + 1,) + hl[14:], hr, lchain, rchain
+
+
+# The child of REPLAYED's fork has 14 elements: the grid's 0..8 at their
+# points, bottom 0, top 8, corners 6 and 2, and the fork's 9..13
+@pytest.mark.parametrize("planted, check", [
+    (_rows_edited(lambda u, l: l.pop()), "14 upper rows but 13 lower rows"),
+    (_rows_edited(lambda u, l: u.__setitem__(13, (14,))),
+     "cover (13,14) is missing from the lower rows"),
+    (_rows_edited(lambda u, l: l.__setitem__(8, l[8] + (0,))),
+     "the lower rows list covers that the upper rows do not"),
+    (_rows_edited(lambda u, l: (u.__setitem__(8, (0,)), l.__setitem__(0, (8,)))),
+     "cycle detected in cover relation"),
+    (_rows_edited(lambda u, l: (u.__setitem__(13, (8, 8)), l.__setitem__(8, (7, 13, 13, 5)))),
+     "cover (13,8) is listed twice"),
+    (_rows_edited(lambda u, l: (u.__setitem__(0, u[0] + (4,)), l.__setitem__(4, l[4] + (0,)))),
+     "cover (0,4) is not reduced: 0<1<4"),
+    (_rows_edited(lambda u, l: (u.append(()), l.append(()))),
+     "no unique bottom/top: minimals (0, 14), maximals (8, 14)"),
+    (_rows_edited(lambda u, l: (u.__setitem__(12, u[12] + (6,)), l.__setitem__(6, l[6] + (12,)))),
+     "corner ideal is not a chain"),
+    (_rows_edited(lambda u, l: (u.__setitem__(2, u[2] + (7,)), l.__setitem__(7, l[7] + (2,)))),
+     "element 5 is not the join of its two projections"),
+    (_rows_edited(_moved_onto_an_edge),
+     "elements 5 and 7 have no element at their coordinatewise minimum (2,1)"),
+    (_rows_edited(lambda u, l: (u.append((0,)), l.append(()), l.__setitem__(0, (14,)))),
+     "corners are not complements"),
+    (("boundary_heights", _raised_left_height), "covers 7,13 of 9 collide in the embedding"),
+], ids=["row count", "range", "lower count", "cycle", "twice", "reduced",
+        "bounds", "corner chain", "up-set", "minimum", "complements", "collide"])
+def test_each_check_of_the_fused_passes_names_the_sequence_that_replays_it(
+        monkeypatch, planted, check):
+    """Each OrderError and DiagramError of a fork step's poset and
+    certificate fires on a defect planted in the rows that the step hands
+    them, or, for the collision, in the points, and the step names the
+    extended sequence, which `slimlat build` replays."""
+    pl = build(parse_dsl(REPLAYED)).parent
+    name, helper = planted
+    monkeypatch.setattr(diagram if name == "boundary_heights" else multifork, name, helper)
+    with pytest.raises(InternalInconsistencyError) as info:
+        multifork_extend(pl, (1, 1), 1)
+    assert str(info.value) == (f"extension produced an invalid lattice: {check};"
+                               f" `slimlat build` replays it on\n{REPLAYED}")
 
 
 def inside(lat, outer, cell):

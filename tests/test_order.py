@@ -37,6 +37,7 @@ from slimlat.order import (
 
 from oracles import (
     _closure,
+    certified_by_passes,
     congruence_join,
     every_child,
     is_congruence,
@@ -46,6 +47,7 @@ from oracles import (
     is_slim_by_triples,
     join_row_dependencies,
     mask_sets,
+    order_by_passes,
     reachability,
     refines,
     tables,
@@ -809,13 +811,86 @@ def test_certificate_accepts_every_built_and_deleted_fork_lattice(diagrams6):
     assert deletions == 420
 
 
+def _outcome(derive, *args):
+    """derive(*args), or the type of the OrderError or DiagramError it raised."""
+    try:
+        return derive(*args)
+    except (OrderError, DiagramError) as e:
+        return type(e)
+
+
+def assert_fused_passes_match(upper, lower, corner_pairs):
+    """The fused passes (Poset._from_rows, _certified_diagram) against one
+    pass per derivation (tests/oracles.py) on the given rows and at each
+    corner pair: the same down- and up-sets and heights, the same points
+    (hl, hr) and corner chains and the same sorted rows, or an error of the
+    same type.  Returns the certificate's outcomes."""
+    want = _outcome(order_by_passes, upper, lower)
+    got = _outcome(Poset._from_rows, upper, lower)
+    if isinstance(want, type):
+        assert got is want, (upper, lower)
+        return []
+    assert (got.down, got.up, got._heights()) == want, (upper, lower)
+    outcomes = []
+    for lc, rc in corner_pairs:
+        want = _outcome(certified_by_passes, got, lc, rc)
+        d = _outcome(_certified_diagram, got, lc, rc)
+        if isinstance(want, type):
+            assert d is want, (upper, lower, lc, rc)
+        else:
+            assert (d.upper, d.lower, d.heights()) == want, (upper, lower, lc, rc)
+        outcomes.append(want)
+    return outcomes
+
+
+def assert_fused_passes_match_on_every_diagram(max_len):
+    """Each built lattice of length <= max_len at its corners, and its mirror
+    image, the rows reversed, at the corners swapped."""
+    checked = 0
+    for entry in enumerate_index(max_len, allow_large=True).entries():
+        d = entry.pl.diagram
+        lc, rc = d.corners()
+        for upper, lower, corners in ((d.upper, d.lower, (lc, rc)),
+                                      (tuple(r[::-1] for r in d.upper),
+                                       tuple(r[::-1] for r in d.lower), (rc, lc))):
+            assert assert_fused_passes_match(upper, lower, [corners]) == [
+                (upper, lower, _certified_diagram(d.lattice.poset, *corners).heights())]
+            checked += 1
+    return checked
+
+
+def test_fused_passes_match_one_pass_each_to_length_seven():
+    assert assert_fused_passes_match_on_every_diagram(7) == 2 * 493
+
+
+@pytest.mark.slow
+def test_fused_passes_match_one_pass_each_at_length_eight():
+    assert assert_fused_passes_match_on_every_diagram(8) == 2 * 2820
+
+
 def test_certificate_is_sound_on_random_posets():
     """At every ordered pair of doubly irreducible elements of 2,000 seeded
-    random posets, lattices or not."""
+    random posets, lattices or not.  On each poset's rows, and on those rows
+    with one cover dropped from the lower rows or one pair above a cover
+    added, the fused passes agree with one pass per derivation."""
     rng = random.Random(2024)
     outcomes = {"accepted": 0, "lattice rejected": 0, "non-lattice rejected": 0}
+    refused = set()
     for _ in range(2000):
         p = random_poset(rng)
+        assert_fused_passes_match(p._upcov, p._dncov, corner_pairs(p))
+        if p.covers:
+            a, b = rng.choice(sorted(p.covers))
+            lower = list(p._dncov)
+            lower[b] = tuple(x for x in lower[b] if x != a)
+            assert_fused_passes_match(p._upcov, tuple(lower), [])
+            above = p.upper_covers(b)
+            if above:
+                upper, lower = list(p._upcov), list(p._dncov)
+                upper[a] += (above[0],)
+                lower[above[0]] += (a,)
+                refused.add(_outcome(Poset._from_rows, tuple(upper), tuple(lower)))
+                assert_fused_passes_match(tuple(upper), tuple(lower), [])
         for lc, rc in corner_pairs(p):
             if assert_certificate_sound(p, lc, rc):
                 outcomes["accepted"] += 1
@@ -827,6 +902,7 @@ def test_certificate_is_sound_on_random_posets():
                     outcomes["non-lattice rejected"] += 1
     # every outcome is exercised many times
     assert min(outcomes.values()) > 100, outcomes
+    assert refused == {OrderError}
 
 
 def test_certificate_rejects_coordinates_that_are_not_meet_closed():

@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 
 from slimlat.doubling import double
-from slimlat.dsl import parse_dsl
+from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import InternalInconsistencyError
 from slimlat.explore import enumerate_index
 from slimlat.multifork import build, grid, multifork_extend
@@ -64,20 +64,30 @@ def test_slope_validator_passes_on_fixtures():
     ((0, 2 - EPS), "has a slight slope"),
 ])
 def test_slope_validator_names_a_planted_fault(top, fault):
-    """grid(1, 1) has bottom (0, 0), corners (-1, 1) and (1, 1) and top
-    (0, 2); moving the top breaks the edges into it."""
+    """grid(1, 1) has bottom 0 at (0, 0), corners 2 at (-1, 1) and 1 at
+    (1, 1) and top 3 at (0, 2); moving the top breaks the edge (1, 3), the
+    first edge into it.  The fault names the sequence that replays it."""
     pl = copy.copy(grid(1, 1))
     pl.coords = dict(pl.coords)
     pl.coords[pl.lattice.top] = top
-    with pytest.raises(InternalInconsistencyError, match=f"^edge \\(\\d+,{pl.lattice.top}\\) {fault}$"):
+    with pytest.raises(InternalInconsistencyError) as info:
         validate_slopes(pl)
+    assert str(info.value) == (f"edge (1,3) {fault}; `slimlat render --render-format svg`"
+                               " replays it on\ngrid 1 1\n")
+
+
+REPLAYS = "; `slimlat render --render-format svg` replays it on\n"
 
 
 def _verdict(check, pl):
+    """True, or the fault text: a production fault without the sequence
+    that replays it, which it names last."""
     try:
         return check(pl)
     except InternalInconsistencyError as e:
-        return str(e)
+        text, replays, seq = str(e).partition(REPLAYS)
+        assert not replays or seq == emit_dsl(pl.seq)
+        return text
 
 
 def test_integer_kernel_matches_the_fraction_reference():
