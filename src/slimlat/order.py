@@ -173,7 +173,7 @@ class Poset:
             raise OrderError(f"cover ({u},{v}) is missing from the lower rows")
         indeg = list(map(len, lower))
         order = [u for u, d in enumerate(indeg) if not d]
-        down, h = [1 << u for u in range(n)], [0] * n
+        down, h = list(map((1).__lshift__, range(n))), [0] * n
         for u in order:  # the loop also visits what it appends
             m = down[u]
             for v in upper[u]:
@@ -377,7 +377,7 @@ class FiniteLattice:
         # and meet-irreducibles, those with one lower or upper cover, and
         # the doubly irreducible ones, with one of each
         bottoms, tops, jir, mir, di = [], [], [], [], []
-        for u, (above, below) in enumerate(zip(poset._upcov, poset._dncov)):
+        for u, above, below in zip(count(), poset._upcov, poset._dncov):
             if len(above) == 1:
                 mir.append(u)
                 if len(below) == 1:
@@ -487,7 +487,7 @@ class FiniteLattice:
         common = (1 << len(cones)) - 1  # no elems: the top or the bottom
         for x in elems:
             common &= cones[x]
-        return next(g for g in _elements(common) if cones[g] == common)
+        return cones.index(common)  # cones are distinct
 
     def is_meet(self, a, b, x):
         """x == a ^ b: x has the lower bounds of a and b."""
