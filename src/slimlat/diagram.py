@@ -52,11 +52,11 @@ upper rows fills it: each two neighbouring covers l, r of u, slots s and
 s + 1, bound the cell whose top t is their one common upper cover, and
 the table keeps t at s and the slot that crossing the cell east or west
 leads to from each of its four sides; the first edge given two east or
-two west cells is named, and every walk raises it.  The table also keeps
-the neon tubes' slots, and notes whether each cell's sides neighbour in
-its top's lower row, which spares validation its lower-row scan.  Every walk across
-cells steps through these lists with int arithmetic: validation checks
-the lower rows against them and every trajectory in one sweep
+two west cells is named, and every walk raises it.  It keeps the neon
+tubes' slots too, and notes whether each cell's sides neighbour in its
+top's lower row, which spares validation its lower-row scan.  Every
+walk across cells steps through these lists with int arithmetic:
+validation checks every trajectory in one sweep
 (_trajectory_failure), and trajectory_through walks the one trajectory
 it returns as two half-walks (_half_walk), which a fork step also takes,
 from its cell's lower sides and from each new tube.  four_cells,
@@ -501,7 +501,7 @@ def _jh_permutation(d):
     on the j-th edge of the right one.  Read off the peaks that the
     validation sweep recorded (_trajectory_failure), swept again, with
     the kept report untouched, if d released them; DiagramError unless d's
-    report is ok.  A valid lattice is graded: rchain[j] has height j."""
+    report is ok.  Valid, it is graded: right-chain element j has height j."""
     report = d._report
     if not report.ok:
         raise DiagramError(f"no Jordan-Holder permutation: {report.failures}")
