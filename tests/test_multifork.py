@@ -405,13 +405,20 @@ def _swapped_boundaries(real):
     return "_boundary_sets", lambda d: real(d)[::-1]
 
 
-def _rows_edited(edit):
-    """A stand-in for Poset whose _from_rows applies edit to the lists of
-    the rows that a fork step hands it."""
-    def from_rows(upper, lower):
-        upper, lower = list(upper), list(lower)
-        edit(upper, lower)
-        return Poset._from_rows(tuple(upper), tuple(lower))
+def _rows_edited(upper=(), lower=(), added=(), cut=0):
+    """A stand-in for Poset whose _from_rows takes the rows that a fork step
+    hands it with the given rows, {element: row}, in place, one (upper,
+    lower) pair of rows appended per added element, and the last `cut`
+    lower rows dropped."""
+    def from_rows(up, low):
+        up, low = list(up), list(low[:len(low) - cut])
+        for rows, edits in ((up, upper), (low, lower)):
+            for u, row in dict(edits).items():
+                rows[u] = row
+        for a, b in added:
+            up.append(a)
+            low.append(b)
+        return Poset._from_rows(tuple(up), tuple(low))
 
     return "Poset", types.SimpleNamespace(_from_rows=from_rows)
 
@@ -453,7 +460,7 @@ def _second_tube_east(d):
 @pytest.mark.parametrize("planted, check", [
     (_swapped_boundaries(PlanarDiagram._boundary_sets),
      "the cell's lower edges do not descend to the boundaries"),
-    (_rows_edited(lambda upper, lower: lower.__setitem__(7, (6,))),
+    (_rows_edited(lower={7: (6,)}),
      "extension produced an invalid lattice: cover (9,7) is missing from the lower rows"),
     (_certified_then(_reversed_peak_row),
      "extension validation failed: ('lower covers 5,13 of 8 are not the left and right"
@@ -476,13 +483,6 @@ def test_a_failed_fork_self_check_names_the_sequence_that_replays_it(
     assert parse_dsl(str(info.value).split("replays it on\n")[1]) == parse_dsl(REPLAYED)
 
 
-def _moved_onto_an_edge(upper, lower):
-    """Element 4, at (1, 1), moved onto the edge from 0 to 3: 9 now covers 1
-    and 11 covers 3, so (2, 1), below both, is left empty."""
-    upper[0], upper[4], upper[3], upper[1] = (4, 1), (3,), (10, 11), (9, 12)
-    lower[4], lower[3], lower[9], lower[11] = (0,), (4,), (10, 1), (3, 12)
-
-
 def _raised_left_height(lat, lc, rc):
     """The points, with element 13 moved one left height up, from (2, 2) to
     (3, 2), beside 7 at (3, 1) among the upper covers of 9: no rows that
@@ -494,27 +494,25 @@ def _raised_left_height(lat, lc, rc):
 # The child of REPLAYED's fork has 14 elements: the grid's 0..8 at their
 # points, bottom 0, top 8, corners 6 and 2, and the fork's 9..13
 @pytest.mark.parametrize("planted, check", [
-    (_rows_edited(lambda u, l: l.pop()), "14 upper rows but 13 lower rows"),
-    (_rows_edited(lambda u, l: u.__setitem__(13, (14,))),
-     "cover (13,14) is missing from the lower rows"),
-    (_rows_edited(lambda u, l: l.__setitem__(8, l[8] + (0,))),
+    (_rows_edited(cut=1), "14 upper rows but 13 lower rows"),
+    (_rows_edited(upper={13: (14,)}), "cover (13,14) is missing from the lower rows"),
+    (_rows_edited(lower={8: (7, 13, 5, 0)}),
      "the lower rows list covers that the upper rows do not"),
-    (_rows_edited(lambda u, l: (u.__setitem__(8, (0,)), l.__setitem__(0, (8,)))),
-     "cycle detected in cover relation"),
-    (_rows_edited(lambda u, l: (u.__setitem__(13, (8, 8)), l.__setitem__(8, (7, 13, 13, 5)))),
-     "cover (13,8) is listed twice"),
-    (_rows_edited(lambda u, l: (u.__setitem__(0, u[0] + (4,)), l.__setitem__(4, l[4] + (0,)))),
+    (_rows_edited(upper={8: (0,)}, lower={0: (8,)}), "cycle detected in cover relation"),
+    (_rows_edited(upper={13: (8, 8)}, lower={8: (7, 13, 13, 5)}), "cover (13,8) is listed twice"),
+    (_rows_edited(upper={0: (3, 1, 4)}, lower={4: (3, 1, 0)}),
      "cover (0,4) is not reduced: 0<1<4"),
-    (_rows_edited(lambda u, l: (u.append(()), l.append(()))),
-     "no unique bottom/top: minimals (0, 14), maximals (8, 14)"),
-    (_rows_edited(lambda u, l: (u.__setitem__(12, u[12] + (6,)), l.__setitem__(6, l[6] + (12,)))),
-     "corner ideal is not a chain"),
-    (_rows_edited(lambda u, l: (u.__setitem__(2, u[2] + (7,)), l.__setitem__(7, l[7] + (2,)))),
+    (_rows_edited(added=[((), ())]), "no unique bottom/top: minimals (0, 14), maximals (8, 14)"),
+    (_rows_edited(upper={12: (11, 2, 6)}, lower={6: (10, 12)}), "corner ideal is not a chain"),
+    (_rows_edited(upper={2: (5, 7)}, lower={7: (6, 9, 2)}),
      "element 5 is not the join of its two projections"),
-    (_rows_edited(_moved_onto_an_edge),
+    # element 4, at (1, 1), moved onto the edge from 0 to 3: 9 now covers 1
+    # and 11 covers 3, so (2, 1), below both, is left empty
+    (_rows_edited(upper={0: (4, 1), 4: (3,), 3: (10, 11), 1: (9, 12)},
+                  lower={4: (0,), 3: (4,), 9: (10, 1), 11: (3, 12)}),
      "elements 5 and 7 have no element at their coordinatewise minimum (2,1)"),
-    (_rows_edited(lambda u, l: (u.append((0,)), l.append(()), l.__setitem__(0, (14,)))),
-     "corners are not complements"),
+    # a new bottom 14 below 0: both corner ideals hold 0 and 14
+    (_rows_edited(added=[((0,), ())], lower={0: (14,)}), "corners are not complements"),
     (("boundary_heights", _raised_left_height), "covers 7,13 of 9 collide in the embedding"),
 ], ids=["row count", "range", "lower count", "cycle", "twice", "reduced",
         "bounds", "corner chain", "up-set", "minimum", "complements", "collide"])
