@@ -53,11 +53,10 @@ s + 1, bound the cell whose top t is their one common upper cover, and
 the table keeps t at s and the slot that crossing the cell east or west
 leads to from each of its four sides; the first edge given two east or
 two west cells is named, and every walk raises it.  It keeps the neon
-tubes' slots too, and notes whether each cell's sides neighbour in its
-top's lower row, which spares validation its lower-row scan.  Every
-walk across cells steps through these lists with int arithmetic:
-validation checks every trajectory in one sweep
-(_trajectory_failure), and trajectory_through walks the one trajectory
+tubes' slots too, which the sweep and a fork step's path check read.
+Every walk across cells steps through these lists with int arithmetic:
+validation checks the lower rows against them and every trajectory in
+one sweep (_trajectory_failure), and trajectory_through walks the one trajectory
 it returns as two half-walks (_half_walk), which a fork step also takes,
 from its cell's lower sides and from each new tube.  four_cells,
 cells_by_bottom, Edge and Trajectory are views read off the table on
@@ -233,7 +232,7 @@ class PlanarDiagram:
         """The walk table (_walk_table), derived on first use; raises if
         some consecutive-cover pair is not a 4-cell."""
         if self._table is None:
-            self._table = _walk_table(self.upper, self.lower, self.lattice.mir())
+            self._table = _walk_table(self.upper)
         return self._table
 
     def _steps(self):
@@ -356,9 +355,8 @@ class _Walks(NamedTuple):
     tops: list       # tops[s]: the top of the cell whose lower left side is slot s, else -1
     east: list       # east[s]: the slot across the cell east of slot s, else -1
     west: list       # west[s]: the slot across the cell west of it, else -1
-    tubes: set       # the slots of the neon tubes, one above each meet-irreducible
+    tubes: set       # the slots of the neon tubes: a tube's foot has one upper cover
     conflict: str    # the first edge with two east or two west cells, named, else None
-    paired: bool     # each cell's sides neighbour in its top's lower row, one cell a pair
 
     def edge(self, s):
         """The (foot, peak) pair of slot s: its foot u has base[u] <= s < base[u + 1]."""
@@ -375,9 +373,8 @@ class _Walks(NamedTuple):
         return tuple([(bisect_right(base, c) - 1, tops[c]) for c in cells])
 
 
-def _walk_table(upper, lower, mir):
-    """The walk table of the ordered rows, in one pass over the upper ones,
-    and the slots of the neon tubes above the meet-irreducible feet in mir.
+def _walk_table(upper):
+    """The walk table of the ordered upper rows, in one pass over them.
 
     Neighbouring covers l, r of u, slots s and s + 1, bound the cell whose
     top t is their one common upper cover, and the cell is east of its
@@ -387,17 +384,17 @@ def _walk_table(upper, lower, mir):
     common cover (the region between them is not a 4-cell).  The first
     edge given two east or two west cells, in cell order and then in the
     order of the four sides above, is named in `conflict`, which every walk
-    raises (PlanarDiagram._steps) and the cell views ignore.  `paired`
-    holds if each cell's sides l, r are neighbours, l first, in its top's
-    lower row, and the cells are as many as such neighbour pairs: then
-    each pair is one cell's, as validation checks (_validate)."""
+    raises (PlanarDiagram._steps) and the cell views ignore.  A row of one
+    cover is a neon tube's, and its slot goes to `tubes`."""
     base = list(accumulate(map(len, upper), initial=0))
     peaks = tuple(chain.from_iterable(upper))
     tops, east, west = [-1] * len(peaks), [-1] * len(peaks), [-1] * len(peaks)
-    paired = True
-    table = _Walks(base, peaks, tops, east, west, {base[u] for u in mir}, None, paired)
+    tubes = set()
+    table = _Walks(base, peaks, tops, east, west, tubes, None)
     for u, row in enumerate(upper):
         if len(row) < 2:
+            if row:
+                tubes.add(base[u])
             continue
         s = base[u]
         for l, r in (row,) if len(row) == 2 else zip(row, row[1:]):
@@ -418,14 +415,7 @@ def _walk_table(upper, lower, mir):
             tops[s] = t
             east[s], east[lt], west[s + 1], west[rt] = rt, s + 1, lt, s
             s += 1
-            below = lower[t]
-            if below != row and paired:
-                i = below.index(l) if l in below else -2
-                paired = below[i + 1:i + 2] == (r,)
-    # the lower rows list the upper rows' covers (the constructors check or
-    # share them): as many pairs as covers, less one per nonempty row
-    cells = len(tops) - tops.count(-1)
-    return table._replace(paired=paired and cells == len(peaks) - len(lower) + lower.count(()))
+    return table
 
 
 def _conflict(table, left, right):
@@ -825,21 +815,20 @@ def _validate(d):
     if lchain[-1] != lat.top or rchain[-1] != lat.top:
         failures.append("boundary chains do not reach the top")
     if not failures:
-        # unless the table paired each neighbouring lower covers a, b of t
-        # with a cell: (a, t) is the upper left side of the cell with sides
-        # a, b and top t iff crossing it east leads to its lower right side,
-        # which ends at b (from a lower left side, the step leads above t)
-        if table.conflict is not None or not table.paired:
-            base, peaks, east, upper = table.base, table.peaks, table.east, d.upper
-            for t, row in enumerate(d.lower):
-                if len(row) < 2:
-                    continue
-                for a, b in (row,) if len(row) == 2 else zip(row, row[1:]):
-                    # a has at most two upper covers, one of them t
-                    s = east[base[a] + (upper[a][0] != t)]
-                    if s < 0 or peaks[s] != b:
-                        failures.append(f"lower covers {a},{b} of {t} are not"
-                                        " the left and right sides of a cell")
+        # (a, t) is the upper left side of the cell with sides a, b and top
+        # t iff crossing it east leads to that cell's lower right side,
+        # which ends at b; the lower left side of a cell, the other way east
+        # across one, leads to an edge that ends above t
+        base, peaks, east, upper = table.base, table.peaks, table.east, d.upper
+        for t, row in enumerate(d.lower):
+            if len(row) < 2:
+                continue
+            for a, b in (row,) if len(row) == 2 else zip(row, row[1:]):
+                # a has at most two upper covers, one of them t
+                s = east[base[a] + (upper[a][0] != t)]
+                if s < 0 or peaks[s] != b:
+                    failures.append(
+                        f"lower covers {a},{b} of {t} are not the left and right sides of a cell")
         failure = _trajectory_failure(d)
         if failure is not None:
             failures.append(failure)

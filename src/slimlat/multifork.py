@@ -293,14 +293,15 @@ def multifork_extend(pl, address, k):
 
     # the k new tubes' records: every cell of a tube's trajectory but the
     # two that flank the tube, both inside the forked cell, read off the
-    # walk table and its tube slots, which validation derived
+    # walk table that validation derived; the tubes are checked on the
+    # rows, a tube's foot having one upper cover
     records = dict(pl.tube_records)
     step = len(pl.seq.steps) + 1
     table2 = d2._walks()
     for m in range(mbase, mbase + k):
         x = table2.base[m]  # the slot of the tube [m, t], m's one upper cover
         slots = _trajectory_slots(d2, x)
-        if table2.tubes.intersection(slots) != {x}:
+        if [y for y, (f, _) in zip(slots, table2.edges(slots)) if len(d2.upper[f]) == 1] != [x]:
             raise _step_failure(pl, address, k, "new tube is not its trajectory's top edge")
         ti = slots.index(x)
         cells = _crossed(table2, slots)

@@ -90,6 +90,16 @@ def _above(up, elems):
     return mask
 
 
+def _check_listed(upper, lower):
+    """OrderError naming the first cover (a, b), in row order, that is out
+    of range or missing from b's lower row."""
+    n = len(upper)
+    for a, row in enumerate(upper):
+        for b in row:
+            if not 0 <= b < n or a not in lower[b]:
+                raise OrderError(f"cover ({a},{b}) is missing from the lower rows")
+
+
 # ---------------------------------------------------------------------------
 # Posets
 # ---------------------------------------------------------------------------
@@ -163,14 +173,14 @@ class Poset:
         down-set into v's, and v joins once its last lower cover has passed,
         whose height, the order listing the elements by rising height, is
         one less than v's.  A cover out of range or missing from the lower
-        rows, unequal row counts and a cycle raise OrderError, in that
-        order.  The backward pass ORs the up-sets and tests each row."""
+        rows (the first in row order, _check_listed), unequal row counts
+        and a cycle raise OrderError, in that order.  The backward pass ORs
+        the up-sets and tests each row."""
         n = self.n = len(upper)
         self._upcov, self._dncov = upper, lower
         listed = [*chain.from_iterable(upper)]
         if listed and not (0 <= min(listed) and max(listed) < n):
-            u, v = next((u, v) for u, row in enumerate(upper) for v in row if not 0 <= v < n)
-            raise OrderError(f"cover ({u},{v}) is missing from the lower rows")
+            _check_listed(upper, lower)
         indeg = list(map(len, lower))
         order = [u for u, d in enumerate(indeg) if not d]
         down, h = list(map((1).__lshift__, range(n))), [0] * n
@@ -178,16 +188,14 @@ class Poset:
             m = down[u]
             for v in upper[u]:
                 if u not in lower[v]:
-                    raise OrderError(f"cover ({u},{v}) is missing from the lower rows")
+                    _check_listed(upper, lower)
                 down[v] |= m
                 indeg[v] -= 1
                 if not indeg[v]:
                     h[v] = h[u] + 1
                     order.append(v)
-        for u, row in enumerate(upper if len(order) != n else ()):  # rows not reached
-            for v in row:
-                if u not in lower[v]:
-                    raise OrderError(f"cover ({u},{v}) is missing from the lower rows")
+        if len(order) != n:  # some rows were not reached
+            _check_listed(upper, lower)
         if len(listed) != sum(map(len, lower)):
             raise OrderError("the lower rows list covers that the upper rows do not")
         if len(order) != n:

@@ -448,13 +448,18 @@ def _reversed_peak_row(d):
     d.lower = tuple(lower)
 
 
-def _second_tube_east(d):
-    """After validation, the walk table's tube slots, which the sweep read
-    and the step's records read again, gain the edge east of the new tube:
-    the new tube's trajectory holds two."""
+def _tube_moved_east(d):
+    """After validation, the new tube's foot gets a second upper cover and
+    the foot of the next edge east loses one: the trajectory's tube moves
+    one edge east."""
     assert is_slim_rectangular(d).ok
-    table = d._walks()
-    table.tubes.add(table.east[table.base[d.n - 1]])
+    m = d.n - 1
+    t = d.upper[m][0]
+    edges = d.trajectory_through((m, t)).edges
+    f = edges[edges.index((m, t)) + 1][0]
+    upper = list(d.upper)
+    upper[m], upper[f] = (t, t), upper[f][:1]
+    d.upper = tuple(upper)
 
 
 @pytest.mark.parametrize("planted, check", [
@@ -466,7 +471,7 @@ def _second_tube_east(d):
      "extension validation failed: ('lower covers 5,13 of 8 are not the left and right"
      " sides of a cell', 'lower covers 13,7 of 8 are not the left and right sides of a cell')"),
     (_certified_then(_unforked), "extension did not add k to length and tube count"),
-    (_certified_then(_second_tube_east), "new tube is not its trajectory's top edge"),
+    (_certified_then(_tube_moved_east), "new tube is not its trajectory's top edge"),
 ], ids=["paths", "rows", "validation", "growth", "tube"])
 def test_a_failed_fork_self_check_names_the_sequence_that_replays_it(
         monkeypatch, planted, check):
