@@ -70,18 +70,19 @@ def cmd_lamps(args):
 
 
 def cmd_con(args):
-    d = _load_diagram(args)
-    cl = congruence_lattice(d.lattice)
+    lat = _load_diagram(args).lattice
+    cl = congruence_lattice(lat)
+    # theta is fixed by the j in J(L) with j_ theta j (principal_congruence)
+    lower = {j: lat.lower_covers(j)[0] for j in lat.jir()}
     out = {
         "jir_count": cl.jir_count(),
         "con_size": cl.con_size,
         "jir_poset": json.loads(cl.jir_poset.to_json()),
-        "jir_congruence_blocks": [
-            sorted(sorted(b) for b in c.blocks()) for c in cl.jir_congs
+        "jir_congruence_collapsed": [
+            sorted(j for j, j_ in lower.items() if c.same(j_, j)) for c in cl.jir_congs
         ],
     }
-    # compact: the blocks are O(|J| * n) numbers, and indent=2 would force
-    # the pure-Python encoder
+    # compact: up to |J|^2 numbers, which indent=2 would encode in pure Python
     _write(args, json.dumps(out, separators=(",", ":"), sort_keys=True) + "\n")
     return 0
 

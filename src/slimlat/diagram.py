@@ -72,7 +72,8 @@ a + 1 and b + 1 split into k + 1 pieces each, every old trajectory keeps
 the lowest piece, and the k new trajectories pair the new pieces in
 reverse order, and the cell rule (_distributive_addresses) reads the
 distributive cells off pi; so the enumeration searches permutations with
-no lattice built, and multifork._peeled runs the rule backwards.
+no lattice built, and multifork._peeled runs the rule backwards to
+decompose a diagram that holds no sequence.
 Canonical codes are computed only where something outputs them.  An Edge is a
 named (foot, peak) pair and a FourCell a named (bottom, left, right,
 top) quadruple, so each equals, hashes and looks up as its plain tuple;

@@ -43,9 +43,9 @@ from __future__ import annotations
 from .diagram import _forked_labels
 from .dsl import emit_dsl
 from .errors import InternalInconsistencyError, PreconditionError
-from .lamps import lamp_creation_step, lamp_poset
+from .lamps import _lamp_places, lamp_poset
 from .multifork import ForkStep, MultiforkSequence, build
-from .order import poset_double, poset_iso
+from .order import congruence_lattice, poset_double, poset_iso
 
 
 def _relabelled(seq, t, edit):
@@ -92,13 +92,13 @@ def double(seq, t):
     input's is a memo hit while the caller holds it, and the new one
     extends the input's live stage t - 1, or a longer prefix they share.
     Verifies the guarantees: the new sequence builds, tube count and
-    length grow by exactly 2, and the new lamp poset is the doubling of
-    the old one at the position of step t's lamp in lamp_poset order.  A
-    failed check is an InternalInconsistencyError that names the input
-    and t, which `slimlat double --step t` replays.  Both lamp orders run
-    the same fork rule over each diagram's own peel (lamps.lamp_poset), so
-    this check compares two runs of one rule; J(Con L) is the independent
-    check (lamps.verify_lamp_con_iso).
+    length grow by exactly 2, and J(Con L) of the new lattice is the
+    doubling of the input's lamp poset at step t's lamp, place p + q + t - 1
+    of the sequence (lamps._lamp_places).  J(Con L) reads no lamp rule, so
+    the check is independent of the fork rule that both sequences' lamp
+    orders would run (lamps.lamp_poset).  A failed check is an
+    InternalInconsistencyError that names the input and t, which
+    `slimlat double --step t` replays.
     """
     if not seq.steps:
         raise PreconditionError("the sequence has no fork step to double")
@@ -116,10 +116,8 @@ def double(seq, t):
         raise InternalInconsistencyError(
             f"doubling added {tubes} tubes and {length} to the length, not 2; {replay}"
         )
-    lamps_o, _, poset_o = lamp_poset(orig)
-    target = next(i for i, l in enumerate(lamps_o) if lamp_creation_step(orig, l) == t)
-    doubled = poset_double(poset_o, target)
-    _, _, poset_n = lamp_poset(pl)
-    if poset_iso(poset_n, doubled) is None:
-        raise InternalInconsistencyError(f"lamp poset is not the doubled poset; {replay}")
+    target = _lamp_places(orig)[seq.grid_p + seq.grid_q + t - 1]
+    doubled = poset_double(lamp_poset(orig)[2], target)
+    if poset_iso(congruence_lattice(pl.lattice).jir_poset, doubled) is None:
+        raise InternalInconsistencyError(f"J(Con L) is not the doubled lamp poset; {replay}")
     return pl.seq, pl

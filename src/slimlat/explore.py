@@ -41,13 +41,13 @@ n elements can only be the lamp poset of a descendant of a grid with
 p + q = #maximal(P) that uses at most n - p - q forks, and `realize`
 searches nothing else.  It reads each candidate's lamp poset off its fork
 sequence by the second fact (multifork._sequence_lamp_poset, which
-lamp_poset runs over a diagram's peel), builds no lattice and replays no
-tree; it builds only the witness it answers with, and checks there the
-key that the pi rules gave and the query against J(Con L), which reads
-no lamp rule.  A negative answer rests on the pi cell, fork and lamp
-rules, which the tests check against built lattices to length 7 (8
-under `slow`), and, for `not_representable`, on the paper's length
-bound.
+lamp_poset runs over a built lattice's own sequence), builds no lattice
+and replays no tree; it builds only the witness it answers with, and
+checks there the key that the pi rules gave and the query against
+J(Con L), which reads no lamp rule.  A negative answer rests on the pi
+cell, fork and lamp rules, which the tests check against built lattices
+to length 7 (8 under `slow`), and, for `not_representable`, on the
+paper's length bound.
 """
 
 from __future__ import annotations

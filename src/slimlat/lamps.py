@@ -7,10 +7,10 @@ per-tube territory records of a built lattice, the (bottom, top) ids of
 each tube's essential cells, which it tests for interval containment in
 the lattice's own order.  A lamp's creation step is its tube records'
 step.  Each diagram keeps its lamp list, with the map from each neon
-tube to its (lamp, index), and its lamp order (lamps, lt, poset), in
-cached properties that call this module's derivations once, on first use.
-The lamp order, of a built lattice or a bare diagram, is the fork rule
-that `realize` reads, run over the diagram's own peel (lamp_poset).
+tube to its (lamp, index), in a cached property; the lamp order
+(lamps, lt, poset) is the fork rule that `realize` reads, run over a
+built lattice's own sequence, and a bare diagram takes a door to it
+(lamp_poset).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .order import _elements, congruence_lattice
+from .order import Poset, congruence_lattice
 
 
 @dataclass(frozen=True)
@@ -80,35 +80,53 @@ def circ_r(obj, lamp):
 
 def lamp_poset(obj):
     """(lamps, strict order pairs on lamp feet, Poset) of a built lattice or
-    a bare diagram.
+    a bare diagram, derived once and kept.
 
     Element i of the Poset is lamps[i], in lamps_of_diagram order: boundary
     lamps first, then internal lamps by peak.  The order is the fork rule
     (multifork._sequence_lamp_poset: a fork adds its lamp below its Nwl
-    and Nel lamps) run over the diagram's own peel (multifork._peeled),
-    which reads its Jordan-Holder permutation and tubes, no provenance.
-    The Nwl/Nel order of trajectory walks and the closures of rho_foot and
-    rho_circr give the same order (tests/oracles.py).  Each diagram
-    derives it once (_derive_lamp_order) and keeps it; a stuck peel is an
-    InternalInconsistencyError.
+    and Nel lamps) run over a built lattice's own sequence (_lamp_places);
+    a bare diagram (lattice JSON, a mirror image, `embed_rectangular`
+    output) takes the door (_derive_lamp_order).  The Nwl/Nel order of
+    trajectory walks and the closures of rho_foot and rho_circr give the
+    same order (tests/oracles.py).
     """
-    return _diagram_of(obj)._lamp_order
+    return obj._lamp_order
+
+
+def _lamp_places(pl):
+    """Each lamp's index in lamps_of_diagram order, listed by its place in
+    pl.seq as _sequence_lamp_poset names them: the grid's p + q boundary
+    lamps in left-chain order, then step t's lamp, read off its tube
+    records, at place p + q + t - 1.  Grid element (i, j) is i(q + 1) + j
+    (multifork.grid): left-chain edge i <= p crosses the upper right
+    side's i-th tube, foot (i - 1)(q + 1) + q, and edge p + j is the upper
+    left side's j-th tube, foot p(q + 1) + j - 1.  No fork splits a tube
+    (its foot has one upper cover) and new ids are appended, so the
+    boundary lamps keep their grid ids and order, and lamps_of_diagram
+    lists them by foot, in that order."""
+    p, q = pl.seq.grid_p, pl.seq.grid_q
+    places = [*range(p + q), *[None] * len(pl.seq.steps)]
+    for i, l in enumerate(lamps_of_diagram(pl.diagram)[p + q:], p + q):
+        places[p + q - 1 + lamp_creation_step(pl, l)] = i
+    return places
 
 
 def _derive_lamp_order(d):
-    """lamp_poset's order of d; a stuck peel sees a bare diagram: no sequence."""
-    from .multifork import _peeled, _sequence_lamp_poset  # multifork imports this module
+    """lamp_poset's order of a bare diagram d, through the door
+    (multifork.reprovenance): its built lattice has d's permutation, so the
+    points (hl, hr) that both share (diagram.boundary_heights) carry that
+    lattice's order over to d's lamps."""
+    from .multifork import reprovenance  # multifork imports this module
 
-    peel = _peeled(d)
-    if peel is None:
-        raise InternalInconsistencyError("the lamp order found no multifork decomposition")
-    seq, feet = peel
+    pl = reprovenance(d)
+    hl, hr, _, _ = d.heights()
+    at = {point: x for x, point in enumerate(zip(hl, hr))}
+    phl, phr, _, _ = pl.diagram.heights()
+    lt = frozenset((at[phl[a], phr[a]], at[phl[b], phr[b]]) for a, b in lamp_poset(pl)[1])
     lamps = lamps_of_diagram(d)
     idx = {l.foot: i for i, l in enumerate(lamps)}
-    poset = _sequence_lamp_poset(seq, [idx[f] for f in feet])
-    lt = frozenset((lamps[i].foot, lamps[j].foot)
-                   for i in range(poset.n) for j in _elements(poset.up[i] ^ (1 << i)))
-    return lamps, lt, poset
+    return lamps, lt, Poset.from_relation(len(lamps), [(idx[a], idx[b]) for a, b in lt])
 
 
 # ---------------------------------------------------------------------------

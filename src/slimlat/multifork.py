@@ -34,8 +34,8 @@ from .errors import (
     OrderError,
     PreconditionError,
 )
-from .lamps import _diagram_of, lamps_of_diagram
-from .order import MAX_ELEMENTS, Poset, is_distributive_ideal_grid
+from .lamps import _diagram_of, _lamp_places, lamps_of_diagram
+from .order import MAX_ELEMENTS, Poset, _elements, is_distributive_ideal_grid
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,6 +113,16 @@ class ProvenancedLattice:
                 coords[new] = (x, x - ax + ay)
                 new += 1
         return coords
+
+    @cached_property
+    def _lamp_order(self):
+        """(lamps, strict order pairs on lamp feet, Poset): lamps.lamp_poset,
+        read off the lattice's own sequence."""
+        lamps = lamps_of_diagram(self.diagram)
+        poset = _sequence_lamp_poset(self.seq, _lamp_places(self))
+        lt = frozenset((lamps[i].foot, lamps[j].foot)
+                       for i in range(poset.n) for j in _elements(poset.up[i] ^ (1 << i)))
+        return lamps, lt, poset
 
     @property
     def lattice(self):
@@ -388,7 +398,9 @@ def decompose(diagram_or_pl):
 
 
 def reprovenance(diagram):
-    """The built lattice of the given diagram's decomposition (_rebuilt)."""
+    """The built lattice of the given diagram's decomposition (_rebuilt):
+    the door by which a bare diagram reaches what reads a sequence, such
+    as its lamp order (lamps.lamp_poset)."""
     d = _diagram_of(diagram)
     report = is_slim_rectangular(d)
     if not report.ok:
@@ -400,9 +412,9 @@ def _rebuilt(d):
     """build(_peeled(d)) for a valid diagram d, which must have d's own
     Jordan-Holder permutation; a peel that gets stuck or a step that build
     rejects fails that check too."""
-    peel = _peeled(d)
+    seq = _peeled(d)
     try:
-        pl = None if peel is None else build(peel[0])
+        pl = None if seq is None else build(seq)
     except PreconditionError:
         pl = None
     if pl is None or _jh_permutation(pl.diagram) != _jh_permutation(d):
@@ -411,10 +423,10 @@ def _rebuilt(d):
 
 
 def _peeled(d):
-    """(seq, feet) for a valid diagram d, or None if the peel is stuck
-    before a grid is left: seq's forks rebuild d's Jordan-Holder
-    permutation pi (_jh_permutation), read off pi newest fork first, and
-    feet names d's lamps in seq's lamp order (_sequence_lamp_poset).
+    """A sequence for a valid diagram d, or None if the peel is stuck
+    before a grid is left: its forks rebuild d's Jordan-Holder permutation
+    pi (_jh_permutation), read off pi newest fork first.  Only the door,
+    _rebuilt, runs it: a built lattice holds its own sequence.
 
     Positions count left-chain edges and values right-chain edges from 1.
     A k-fold fork at (a, b) (_forked_permutation) puts its lamp's k
@@ -431,13 +443,11 @@ def _peeled(d):
     pi0 there is pi entry for entry, so each step inverts a valid fork.
     If the peel ends at a grid's permutation, the forks rebuild pi, which
     fixes the lattice and its drawing (Czedli and Schmidt, Algebra
-    Universalis 66, 2011); _rebuilt checks this by one build.  A step's
-    lamp is its run's, and the grid keeps the boundary lamps'
-    trajectories in their order.  In a built lattice the newest fork's
-    lamp is a candidate, but that the peel, which undoes the candidate
-    with the least foot, finds one at every stage rests only on the
-    exhaustive tests: every lattice of length <= 8 and its mirror image
-    peel to their own pi.
+    Universalis 66, 2011); _rebuilt checks this by one build.  In a built
+    lattice the newest fork's lamp is a candidate, but that the peel,
+    which undoes the candidate with the least foot, finds one at every
+    stage rests only on the exhaustive tests: every lattice of length
+    <= 8 and its mirror image peel to their own pi.
     """
     pi = list(_jh_permutation(d))
     # a tube's trajectory starts on the left-chain edge below lchain[i],
@@ -449,11 +459,9 @@ def _peeled(d):
         x = table.base[tube.foot]  # the tube's slot: its foot has one upper cover
         return position[table.peaks[([x] + _half_walk(west, x, {x}))[-1]]]
 
-    lamps = lamps_of_diagram(d)
-    runs = {l.foot: sorted(map(start, l.tubes)) for l in lamps}
-    # the boundary lamps leave `runs`, sorted by their one position
-    grid_feet = sorted((l.foot for l in lamps if l.kind == "boundary"), key=runs.pop)
-    steps, feet = [], []
+    runs = {l.foot: sorted(map(start, l.tubes))
+            for l in lamps_of_diagram(d) if l.kind == "internal"}
+    steps = []
     while runs:
         for foot in sorted(runs):
             pos = runs[foot]
@@ -468,14 +476,13 @@ def _peeled(d):
         else:
             return None
         steps.append(ForkStep(s - 2, hi - k - 1, k))
-        feet.append(foot)
         del runs[foot]
         pi = residue
         runs = {f: [x - k if x > s else x for x in p] for f, p in runs.items()}
     q = pi[0] - 1
     if tuple(pi) != _grid_permutation(len(pi) - q, q):
         return None
-    return MultiforkSequence(len(pi) - q, q, tuple(reversed(steps))), grid_feet + feet[::-1]
+    return MultiforkSequence(len(pi) - q, q, tuple(reversed(steps)))
 
 
 def _sequence_lamp_poset(seq, names):
@@ -483,7 +490,8 @@ def _sequence_lamp_poset(seq, names):
     built, its lamps named by `names`, distinct ints below their count:
     names[i] for the grid's i-th boundary lamp in left-chain order,
     i < p + q, then names[p + q + t - 1] for step t's.  `realize` reads
-    each candidate with it, and lamps.lamp_poset each diagram's peel.
+    each candidate with it, and lamps.lamp_poset a built lattice's own
+    sequence (lamps._lamp_places names its lamps).
 
     Every trajectory passes through exactly one neon tube, and a fork
     keeps it there with its two ends (doubling's module docstring), so

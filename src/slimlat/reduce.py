@@ -22,6 +22,7 @@ from .dsl import emit_dsl
 from .errors import DiagramError, InternalInconsistencyError, PreconditionError
 from .lamps import (
     _diagram_of,
+    _lamp_places,
     is_used,
     lamp_creation_step,
     lamp_poset,
@@ -94,15 +95,11 @@ def _removed_sequence(seq, s, i):
 
 
 def _labelled_lamps(pl):
-    """(tube count, strict order pairs) of pl's lamps, each named as a
-    removal keeps it: an internal lamp by its creation step, a boundary
-    lamp by its side and its rank from the bottom of that side."""
+    """(tube count, strict order pairs) of pl's lamps, each named by its
+    place in pl.seq (lamps._lamp_places), which a removal keeps: it keeps
+    the grid and every fork."""
     lamps, lt, _ = lamp_poset(pl)
-    down = pl.lattice.poset.down
-    name = {l.foot: lamp_creation_step(pl, l) for l in lamps if l.kind == "internal"}
-    for side in "LR":
-        feet = sorted((l.foot for l in lamps if l.side == side), key=lambda f: down[f].bit_count())
-        name.update((foot, (side, rank)) for rank, foot in enumerate(feet))
+    name = {lamps[i].foot: at for at, i in enumerate(_lamp_places(pl))}
     return ({name[l.foot]: len(l.tubes) for l in lamps},
             {(name[a], name[b]) for a, b in lt})
 
@@ -112,9 +109,11 @@ def _remove_fork(pl, lamp, tube, rule):
     pl's stage before the lamp's fork when pl holds its stages, and check
     what a removal keeps: a smaller lattice, one tube less, taken from
     that lamp alone, the labelled lamp order (_labelled_lamps) and Con L.
-    Both lamp orders run one fork rule over each diagram's own peel
-    (lamps.lamp_poset); Con L is the independent check."""
+    Both lamp orders run one fork rule over a sequence (lamps.lamp_poset),
+    so comparing them checks the edit against that rule; Con L, read off
+    the built lattice with no lamp rule, is the independent check."""
     s = lamp_creation_step(pl, lamp)
+    at = pl.seq.grid_p + pl.seq.grid_q + s - 1
     try:
         new_pl = build(_removed_sequence(pl.seq, s, lamp.tubes.index(tube)))
     except PreconditionError as e:
@@ -123,9 +122,9 @@ def _remove_fork(pl, lamp, tube, rule):
         raise InternalInconsistencyError("removal did not shrink the lattice")
     tubes, order = _labelled_lamps(pl)
     new_tubes, new_order = _labelled_lamps(new_pl)
-    if new_tubes.get(s) != tubes[s] - 1:
+    if new_tubes.get(at) != tubes[at] - 1:
         raise InternalInconsistencyError(f"the lamp of step {s} did not lose exactly one tube")
-    tubes[s] -= 1
+    tubes[at] -= 1
     if new_tubes != tubes:
         raise InternalInconsistencyError(f"a lamp other than step {s}'s lost or gained a tube")
     if new_order != order:
@@ -183,11 +182,9 @@ def remove_neighboring(pl, lamp_foot, n1, n2):
 def find_removable(pl):
     """(lamp, kind, position) for the first removable pattern, scanning
     internal lamps by creation step and patterns left to right."""
-    d = pl.diagram
     stats = usage_stats(pl)
-    lamps = [l for l in lamps_of_diagram(d) if l.kind == "internal"]
-    lamps.sort(key=lambda l: (lamp_creation_step(pl, l), l.foot))
-    for lamp in lamps:
+    lamps = lamps_of_diagram(pl.diagram)
+    for lamp in (lamps[i] for i in _lamp_places(pl)[pl.seq.grid_p + pl.seq.grid_q:]):
         pattern = stats.patterns[lamp.foot]
         hits = []
         i = pattern.find("00")
@@ -288,7 +285,7 @@ def check_bounds(obj, at_fixpoint=False):
     if isinstance(obj, FiniteLattice):
         lat = obj
         try:
-            d = embed_rectangular(lat)
+            obj = d = embed_rectangular(lat)
         except DiagramError:
             d = None
     else:
@@ -307,7 +304,7 @@ def check_bounds(obj, at_fixpoint=False):
     rectangular = d is not None and is_slim_rectangular(d).ok
     if rectangular:
         antube = d.antube()
-        lamps, _, poset = lamp_poset(d)
+        lamps, _, poset = lamp_poset(obj)
         m = sum(1 for l in lamps if l.kind == "boundary")
         k = len(lamps) - m
         # boundary lamps are maximal: minimal internal = minimal and internal

@@ -14,9 +14,10 @@ does not use.
   below the lamps of the two trajectories through the upper edges of its
   circumscribed rectangle, each trajectory walked whole, and the peel
   that chose a lamp minimal in that order (`peeled_by_lamp_order`).
-  Production peels on a test that reads nothing but the Jordan-Holder
-  permutation (`slimlat.multifork._peeled`) and runs the fork-sequence
-  rule over the peel (`slimlat.lamps.lamp_poset`).
+  Production runs the fork-sequence rule over a built lattice's own
+  sequence (`slimlat.lamps.lamp_poset`), and over the peel of a bare
+  diagram, on a test that reads nothing but the Jordan-Holder
+  permutation (`slimlat.multifork._peeled`).
 - Congruences by closure: the meet and join tables (`tables`), the
   union-find closure of seed pairs over them (`_closure`), joins of
   congruences, the compatibility laws and the join-irreducibility of listed
@@ -131,7 +132,7 @@ def nwl_nel(d, lamp):
 def nwl_nel_lamp_order(d):
     """The strict order pairs on lamp feet generated by U < Nwl U and
     U < Nel U over internal lamps U, closed (the order that lamp_poset
-    derived before it read the fork rule off the peel)."""
+    derived before it read the fork rule off a sequence)."""
     lamps = lamps_of_diagram(d)
     idx = {l.foot: i for i, l in enumerate(lamps)}
     poset = Poset.from_relation(len(lamps), {

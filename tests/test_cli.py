@@ -9,7 +9,9 @@ import pytest
 
 import slimlat
 from slimlat.cli import main
-from slimlat.order import named_posets
+from slimlat.dsl import parse_dsl
+from slimlat.multifork import build
+from slimlat.order import congruence_lattice, named_posets
 
 
 @pytest.fixture
@@ -46,6 +48,27 @@ def test_lamps_and_con(tmp_path, s7_seq):
     assert main(["con", "--input", str(s7_seq), "--out", str(out2)]) == 0
     con = json.loads(out2.read_text())
     assert con["jir_count"] == 3 and con["con_size"] == 5
+    assert con["jir_congruence_collapsed"] == [[1, 2], [1, 2, 4], [1, 2, 5]]
+
+
+def test_con_lists_each_congruence_by_what_it_fixes(tmp_path):
+    """`slimlat con` lists each join-irreducible congruence theta by
+    C = {j in J(L) : j_ theta j}, which fixes it: x theta y iff the
+    join-irreducibles below x and below y outside C agree."""
+    text = "grid 2 2\nfork 1 1 2\nfork 0 0 1\n"
+    seq = tmp_path / "l.seq"
+    seq.write_text(text)
+    out = tmp_path / "con.json"
+    assert main(["con", "--input", str(seq), "--out", str(out)]) == 0
+    collapsed = json.loads(out.read_text())["jir_congruence_collapsed"]
+    lat = build(parse_dsl(text)).lattice
+    below = [{j for j in lat.jir() if lat.leq(j, x)} for x in range(lat.n)]
+    congs = congruence_lattice(lat).jir_congs
+    assert len(collapsed) == len(congs) == 6
+    for c, kept in zip(congs, collapsed):
+        for x in range(lat.n):
+            for y in range(lat.n):
+                assert c.same(x, y) == (below[x] - set(kept) == below[y] - set(kept))
 
 
 def test_minimize_cli(tmp_path):

@@ -1,5 +1,3 @@
-import gc
-
 import pytest
 
 from slimlat import doubling, multifork
@@ -139,9 +137,9 @@ def test_double_bad_step_index():
 
 
 def assert_doubling_a_held_lattice_matches_a_cold_call(entries):
-    """double on each entry's seq, at every step, with nothing of it built,
-    and again with the caller's build of it held: the same DSL and
-    Jordan-Holder key, or the same error."""
+    """double on each entry's seq, at every step, with nothing of it built
+    (the caller's memo starts empty), and again with the caller's build of
+    it held: the same DSL and Jordan-Holder key, or the same error."""
     pairs = [(e.seq, t) for e in entries for t in range(1, len(e.seq.steps) + 1)]
 
     def outcome(seq, t):
@@ -151,7 +149,6 @@ def assert_doubling_a_held_lattice_matches_a_cold_call(entries):
             return type(e), str(e)
         return emit_dsl(new_seq), _jh_min(_jh_permutation(pl.diagram))
 
-    gc.collect()
     cold = [outcome(seq, t) for seq, t in pairs]
     held = []
     for seq, t in pairs:
@@ -162,16 +159,16 @@ def assert_doubling_a_held_lattice_matches_a_cold_call(entries):
     return len(pairs)
 
 
-def test_doubling_a_held_lattice_matches_a_cold_call():
+def test_doubling_a_held_lattice_matches_a_cold_call(empty_memo):
     assert assert_doubling_a_held_lattice_matches_a_cold_call(enumerate_index(6).entries()) == 182
 
 
 @pytest.mark.slow
-def test_doubling_a_held_lattice_matches_a_cold_call_at_length_seven():
+def test_doubling_a_held_lattice_matches_a_cold_call_at_length_seven(empty_memo):
     assert assert_doubling_a_held_lattice_matches_a_cold_call(enumerate_index(7).entries(7)) == 985
 
 
-def test_double_replays_no_step_of_a_held_lattice(monkeypatch):
+def test_double_replays_no_step_of_a_held_lattice(monkeypatch, empty_memo):
     """double builds its input, then the doubled sequence, which forks step
     t's cell twice, then each later step once, from the input's stage
     t - 1; the fold of its input costs one step per fork unless the caller
@@ -186,10 +183,8 @@ def test_double_replays_no_step_of_a_held_lattice(monkeypatch):
     monkeypatch.setattr(multifork, "multifork_extend", counted)
     seq = parse_dsl("grid 1 1\nfork 0 0 3\nfork 2 0 1")
     expected = "grid 1 1\nfork 0 0 2\nfork 1 0 3\nfork 3 0 1\n"
-    gc.collect()
     assert emit_dsl(double(seq, 1)[0]) == expected
     cold = len(steps)
-    gc.collect()
     pl = build(seq)
     steps.clear()
     assert emit_dsl(double(pl.seq, 1)[0]) == expected
@@ -219,7 +214,7 @@ def _moved_last_step(a=0, k=0):
     (_moved_last_step(a=1),
      "the doubled sequence fails at step 3: cell at (4, 0) is not distributive"),
     (_moved_last_step(k=1), "doubling added 3 tubes and 3 to the length, not 2"),
-    (("poset_double", lambda p, j: p), "lamp poset is not the doubled poset"),
+    (("poset_double", lambda p, j: p), "J(Con L) is not the doubled lamp poset"),
 ], ids=["build", "tubes", "poset_double"])
 def test_a_failed_doubling_self_check_names_the_input_that_replays_it(
         monkeypatch, tmp_path, capsys, planted, check):

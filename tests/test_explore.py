@@ -431,7 +431,7 @@ CHAIN_AND_POINT = Poset.from_relation(4, {(0, 1), (1, 2)})
     (CHAIN_AND_POINT, 7, ("not_representable", -1, None)),
     (CHAIN_AND_POINT, 5, ("unresolved", -1, None)),
 ], ids=["Y", "five_elements", "not_representable", "unresolved"])
-def test_realize_builds_only_its_witness(monkeypatch, poset, max_len, answer):
+def test_realize_builds_only_its_witness(monkeypatch, empty_memo, poset, max_len, answer):
     """realize reads every candidate's lamp poset off its fork sequence and
     builds one lattice, the witness, with one grid and one fork step per
     step; a negative answer builds nothing.  Both the explore bindings,
@@ -445,7 +445,6 @@ def test_realize_builds_only_its_witness(monkeypatch, poset, max_len, answer):
                 return fn(*args)
 
             monkeypatch.setattr(module, name, counted)
-    gc.collect()
     ans = realize(poset, max_len)
     witness = emit_dsl(ans.witness_seq) if ans.witness_seq else None
     assert (ans.status, ans.min_length, witness) == answer
@@ -503,12 +502,12 @@ def test_a_failed_witness_check_names_the_witness(
 
 def _check_lamp_rule(entries):
     """The lamp poset that realize reads off each witness sequence is the
-    one that lamp_poset derives on its built lattice, over the lattice's
-    own peel, up to isomorphism."""
+    one that lamp_poset derives on its built diagram through the door,
+    over the diagram's own peel, up to isomorphism."""
     for entry in entries:
-        n = len(lamp_poset(entry.pl)[0])
-        assert poset_iso(explore._sequence_lamp_poset(entry.seq, range(n)),
-                         lamp_poset(entry.pl)[2]) is not None, entry.seq
+        lamps, _, poset = lamp_poset(entry.pl.diagram)
+        assert poset_iso(explore._sequence_lamp_poset(entry.seq, range(len(lamps))),
+                         poset) is not None, entry.seq
 
 
 def test_the_lamp_rule_reads_the_lamp_poset_off_the_forks(index7):

@@ -1,3 +1,4 @@
+import json
 import re
 import types
 
@@ -22,6 +23,7 @@ from slimlat.lamps import (
     verify_lamp_con_iso,
 )
 from slimlat.explore import enumerate_index
+from slimlat.reduce import check_bounds, minimize
 from slimlat.multifork import build, grid, multifork_extend
 from slimlat.order import Poset, named_posets, poset_iso
 
@@ -228,47 +230,84 @@ def test_diagram_lamp_order_matches_rho_order():
 
 
 def _check_the_lamp_order_against_nwl_nel(entries):
-    """On each lattice and its mirror image, neither of which the lamp
-    order reads provenance from: lamp_poset, the fork rule run over the
-    peel, equals the Nwl/Nel order read off trajectory walks as strict
-    pairs on lamp feet, and the peel, whose test reads nothing but pi,
-    gives the sequence that the peel on the Nwl/Nel order gives.  Returns
-    the number of diagrams checked."""
+    """lamp_poset, the fork rule, equals the Nwl/Nel order read off
+    trajectory walks, as strict pairs on lamp feet, by both routes: on each
+    built lattice, which reads its own sequence, and through the door on
+    its diagram, the mirror image and the diagram read back from lattice
+    JSON, none of which holds a sequence.  On the built diagram the door
+    gives the same Poset, element i being lamp i, and on it and its mirror
+    image the peel, whose test reads nothing but pi, gives the sequence
+    that the peel on the Nwl/Nel order gives.  Returns the number of
+    lamp orders checked."""
     checked = 0
     for entry in entries:
-        d = entry.pl.diagram
+        pl = entry.pl
+        d = pl.diagram
+        assert lamp_poset(pl)[1] == nwl_nel_lamp_order(d), entry.seq
+        assert lamp_poset(d)[2] == lamp_poset(pl)[2], entry.seq
+        for drawn in (d, d.mirror(), PlanarDiagram.from_json(d.to_json())):
+            assert lamp_poset(drawn)[1] == nwl_nel_lamp_order(drawn), (entry.seq, drawn)
         for drawn in (d, d.mirror()):
-            assert lamp_poset(drawn)[1] == nwl_nel_lamp_order(drawn), (entry.seq, drawn is d)
-            assert multifork._peeled(drawn)[0] == peeled_by_lamp_order(drawn), (
-                entry.seq, drawn is d)
-            checked += 1
+            assert multifork._peeled(drawn) == peeled_by_lamp_order(drawn), (entry.seq, drawn)
+        checked += 4
     return checked
 
 
 def test_the_lamp_order_equals_nwl_nel_to_length_seven():
-    assert _check_the_lamp_order_against_nwl_nel(enumerate_index(7).entries()) == 986
+    assert _check_the_lamp_order_against_nwl_nel(enumerate_index(7).entries()) == 1972
 
 
 @pytest.mark.slow
 def test_the_lamp_order_equals_nwl_nel_to_length_eight():
     entries = enumerate_index(8, allow_large=True).entries()
-    assert _check_the_lamp_order_against_nwl_nel(entries) == 5640
+    assert _check_the_lamp_order_against_nwl_nel(entries) == 11280
 
 
 def test_a_stuck_peel_in_a_lamp_order_is_reported(monkeypatch, tmp_path, capsys):
-    """A peel that gets stuck leaves the lamp order underived: lamp_poset
-    raises, and `slimlat lamps` exits 1 with the message."""
+    """A peel that gets stuck leaves a bare diagram's lamp order underived:
+    lamp_poset raises the door's message (multifork.reprovenance).  A built
+    lattice reads its own sequence, so `slimlat lamps` on a sequence file
+    peels nothing and succeeds."""
     monkeypatch.setattr(multifork, "_peeled", lambda d: None)
-    message = "the lamp order found no multifork decomposition"
     text = "grid 1 1\nfork 0 0 3\nfork 0 2 1\n"
     with pytest.raises(InternalInconsistencyError) as info:
         lamp_poset(build(parse_dsl(text)).diagram.mirror())
-    assert str(info.value) == message
+    assert str(info.value) == "no multifork decomposition found"
     seq = tmp_path / "sandwiched.seq"
     seq.write_text(text)
-    capsys.readouterr()
-    assert main(["lamps", "--input", str(seq)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["lamps", "--input", str(seq)]) == 0
+    assert '"pattern": "0u0"' in capsys.readouterr().out
+
+
+def test_an_invalid_bare_diagram_has_no_lamp_order():
+    """The door validates a bare diagram before it peels: with one lower
+    order row reversed, the top's two lower covers bound no cell."""
+    data = json.loads(build(parse_dsl("grid 1 1\nfork 0 0 1")).diagram.to_json())
+    data["lower_order"][6].reverse()
+    d = PlanarDiagram.from_json(json.dumps(data))
+    with pytest.raises(PreconditionError) as info:
+        lamp_poset(d)
+    assert str(info.value) == (
+        "not slim rectangular: ('lower covers 5,4 of 6 are not the left and right"
+        " sides of a cell',)")
+
+
+def test_no_lamp_order_of_a_built_lattice_peels(monkeypatch, empty_memo):
+    """lamp_report, minimize, double and check_bounds read each built
+    lattice's lamp order off its own sequence: over the lattices of length
+    <= 6, every doubling and every fixpoint, the peel never runs."""
+    peels = []
+    peeled = multifork._peeled
+    monkeypatch.setattr(multifork, "_peeled", lambda d: peels.append(d) or peeled(d))
+    entries = enumerate_index(6).entries()
+    for entry in entries:
+        pl = entry.pl
+        assert lamp_report(pl)["congruence_iso_ok"]
+        fixed, _ = minimize(pl)
+        assert check_bounds(pl).ok and check_bounds(fixed, at_fixpoint=True).ok
+        for t in range(1, len(pl.seq.steps) + 1):
+            double(pl.seq, t)
+    assert len(entries) == 106 and peels == []
 
 
 def test_lamp_data_is_derived_once_per_diagram():

@@ -250,7 +250,7 @@ def assert_rows_spliced(parent, child):
     return kept
 
 
-def test_fork_steps_splice_their_rows_from_the_parent(monkeypatch):
+def test_fork_steps_splice_their_rows_from_the_parent(monkeypatch, empty_memo):
     """Every fork child of enumerate_index(6), duplicates included
     (every_child), every fork step of the 182 doublings of its lattices and
     of one lattice of the benchmark's large size."""
@@ -261,10 +261,6 @@ def test_fork_steps_splice_their_rows_from_the_parent(monkeypatch):
         child = extend(pl, address, k)
         steps.append(assert_rows_spliced(pl, child))
         return child
-
-    # the counts below assume that no stage from an earlier test is alive in
-    # build's memo, kept by garbage such as a caught exception's frames
-    gc.collect()
 
     index = enumerate_index(6)
     for module in (oracles, multifork):

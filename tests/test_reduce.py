@@ -183,8 +183,8 @@ def test_minimize_validates_each_diagram_once(monkeypatch):
 
 def removals_extend_only_their_steps(monkeypatch, seqs):
     """Minimize each sequence's built lattice, which holds its stages, and
-    check that each removal restricts no order and decomposes nothing (the
-    peel runs only inside a lamp order, never `_rebuilt`), and that a
+    check that each removal restricts no order and decomposes nothing
+    (never `_rebuilt`), and that a
     removal from the lamp of step s of an m-step sequence extends only
     steps from s on, each once and up to m: the edited sequence shares the
     input's steps before s (reduce._removed_sequence), and `build` may find
@@ -223,7 +223,7 @@ def removals_extend_only_their_steps(monkeypatch, seqs):
     return removals, extended_steps
 
 
-def test_a_removal_deletes_no_fork_and_decomposes_nothing(monkeypatch):
+def test_a_removal_deletes_no_fork_and_decomposes_nothing(monkeypatch, empty_memo):
     """A removal builds only its edited sequence, from the input's stage
     before the lamp's fork; recovering a sequence for a diagram restricts
     no order either."""
@@ -238,7 +238,7 @@ def test_a_removal_deletes_no_fork_and_decomposes_nothing(monkeypatch):
 
 
 @pytest.mark.slow
-def test_removals_extend_only_their_steps_at_lengths_seven_and_eight(monkeypatch, index8):
+def test_removals_extend_only_their_steps_at_lengths_seven_and_eight(monkeypatch, empty_memo, index8):
     seqs = [e.seq for e in index8.entries(7) + index8.entries(8)]
     removals, extended = removals_extend_only_their_steps(monkeypatch, seqs)
     assert removals == 1322 and extended > 0
@@ -521,16 +521,16 @@ def test_the_reference_removal_asserts_its_id_map(monkeypatch, move, text, check
 def test_a_failed_decomposition_exits_one_on_lattice_json(monkeypatch, tmp_path, capsys):
     """A peel that gives a sequence with the wrong permutation fails the
     decomposition's check, which lattice JSON input reaches in `slimlat
-    reduce` and `slimlat decompose`.  A removal of a built lattice
-    decomposes nothing, and the lamp rule that its lamp orders run over
-    the peel reads no last step's multiplicity, so it still succeeds."""
+    reduce` and `slimlat decompose`.  A removal of a built lattice, whose
+    lamp orders read its own sequence and the edited one, peels nothing,
+    so it still succeeds."""
     peeled = multifork_module._peeled
 
     def one_tube_too_many(d):
-        seq, feet = peeled(d)
+        seq = peeled(d)
         *rest, last = seq.steps
         return MultiforkSequence(
-            seq.grid_p, seq.grid_q, (*rest, ForkStep(last.a, last.b, last.k + 1))), feet
+            seq.grid_p, seq.grid_q, (*rest, ForkStep(last.a, last.b, last.k + 1)))
 
     monkeypatch.setattr(multifork_module, "_peeled", one_tube_too_many)
     check = "no multifork decomposition found"
