@@ -161,8 +161,11 @@ def cmd_realize(args):
 
 
 def cmd_render(args):
-    pl = _load_built(args)
-    _write(args, render(pl, args.render_format))
+    # lattice JSON keeps its ids; svg and tikz validate it at its door, dot here
+    obj = _load_built(args) if args.format == "dsl" else _load_diagram(args)
+    if args.format == "json" and args.render_format == "dot":
+        reprovenance(obj)
+    _write(args, render(obj, args.render_format))
     return 0
 
 

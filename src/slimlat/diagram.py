@@ -307,6 +307,12 @@ class PlanarDiagram:
         return _derive_lamp_order(self)
 
     @cached_property
+    def _drawing(self):
+        """render's checked drawing, through the door (render._door_drawing)."""
+        from .render import _door_drawing  # render imports multifork, which imports this module
+        return _door_drawing(self)
+
+    @cached_property
     def _report(self):
         """The validation report (is_slim_rectangular), derived on first use."""
         return _validate(self)

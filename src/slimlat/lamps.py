@@ -113,20 +113,17 @@ def _lamp_places(pl):
 
 
 def _derive_lamp_order(d):
-    """lamp_poset's order of a bare diagram d, through the door
-    (multifork.reprovenance): its built lattice has d's permutation, so the
-    points (hl, hr) that both share (diagram.boundary_heights) carry that
-    lattice's order over to d's lamps."""
-    from .multifork import reprovenance  # multifork imports this module
-
-    pl = reprovenance(d)
-    hl, hr, _, _ = d.heights()
-    at = {point: x for x, point in enumerate(zip(hl, hr))}
-    phl, phr, _, _ = pl.diagram.heights()
-    lt = frozenset((at[phl[a], phr[a]], at[phl[b], phr[b]]) for a, b in lamp_poset(pl)[1])
+    """lamp_poset's order of a bare diagram d, carried over from its door
+    lattice's (multifork._door) as closed up-sets."""
+    from .multifork import _door  # multifork imports this module
+    pl, ids = _door(d)
+    lt = frozenset((ids[a], ids[b]) for a, b in lamp_poset(pl)[1])
     lamps = lamps_of_diagram(d)
     idx = {l.foot: i for i, l in enumerate(lamps)}
-    return lamps, lt, Poset.from_relation(len(lamps), [(idx[a], idx[b]) for a, b in lt])
+    up = [1 << i for i in range(len(lamps))]
+    for a, b in lt:
+        up[idx[a]] |= 1 << idx[b]
+    return lamps, lt, Poset._from_up(up)
 
 
 # ---------------------------------------------------------------------------

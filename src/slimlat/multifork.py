@@ -11,8 +11,8 @@ not sorted.  Each extension records its new neon tubes' territories, as
 the (bottom, top) ids of the cells their trajectories cross (ids keep
 their meaning, because new elements are appended).  It also records, in
 a few integers per new element, how to place that element in the
-drawing; the exact rational coordinates that rendering reads are
-replayed from these recipes on first use.  A valid diagram is decomposed
+drawing; the exact coordinates that rendering reads are replayed from
+these recipes in ints on first use.  A valid diagram is decomposed
 back into a sequence read off its Jordan-Holder permutation, which that
 sequence's built lattice has too.
 """
@@ -23,6 +23,8 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from math import gcd, prod
 
 from .diagram import (
     _address_slot, _certified_diagram, _crossed, _distributive_addresses, _forked_labels,
@@ -82,37 +84,48 @@ class ProvenancedLattice:
         self.parent = None
 
     @cached_property
-    def coords(self):
-        """Exact drawing coordinates, element -> (x, y): grid element (i, j)
-        at (j - i, i + j), then the steps replayed in order.  Point s of a
-        path edge lies s / (k + 1) of the way down from its peak to its
-        foot; a leg crossing meets the down-right line through the left
-        leg's end and the down-left line through the right leg's.  Computed
-        on first read, since only drawing needs it."""
-        width = self.seq.grid_q + 1
-        coords = {
-            i * width + j: (Fraction(j - i), Fraction(i + j))
-            for i in range(self.seq.grid_p + 1)
-            for j in range(width)
-        }
+    def points(self):
+        """(den, xs, ys): element u is drawn at (xs[u] / den, ys[u] / den),
+        den the lcm of the reduced denominators: grid element (i, j) at
+        (j - i, i + j), then each step's points, s / (k + 1) of the way down
+        a path edge from its peak, and its leg crossings, where the
+        down-right line through the left leg's end meets the down-left line
+        through the right leg's.  Replayed on first read in ints over D, the
+        product of 2(k + 1) over the steps, each division exact: if before a
+        step the points are multiples of D / D', D' the product over the
+        earlier steps, foot - peak is divisible by k + 1, a subdivision point
+        is a multiple of 2 D / D'' (D'' = 2(k + 1) D'), a crossing's numerator
+        is even, and all are multiples of D / D''.  den = D / gcd(D, all)."""
+        scale = prod(2 * (k + 1) for _, k, _, _ in self.recipes)
+        pts = [((j - i) * scale, (i + j) * scale)
+               for i in range(self.seq.grid_p + 1) for j in range(self.seq.grid_q + 1)]
         for n0, k, np_, edges in self.recipes:
-            new = n0
             for foot, peak in edges:
-                (fx, fy), (px, py) = coords[foot], coords[peak]
-                for s in range(1, k + 1):
-                    f = Fraction(s, k + 1)
-                    coords[new] = (px + f * (fx - px), py + f * (fy - py))
-                    new += 1
+                (fx, fy), (px, py) = pts[foot], pts[peak]
+                pts += [(px + s * (fx - px) // (k + 1), py + s * (fy - py) // (k + 1))
+                        for s in range(1, k + 1)]
             # the left leg of m_j crossing the right leg of m_i, i < j, then
             # m_i itself: the legs end at point j of the first left edge and
             # point k + 1 - i of the first right one
             y0 = n0 + np_ * k
             for i, j in [*_crossings(k), *((i, i) for i in range(1, k + 1))]:
-                (ax, ay), (bx, by) = coords[n0 + j - 1], coords[y0 + k - i]
-                x = (ax - ay + bx + by) / 2
-                coords[new] = (x, x - ax + ay)
-                new += 1
-        return coords
+                (ax, ay), (bx, by) = pts[n0 + j - 1], pts[y0 + k - i]
+                x = (ax - ay + bx + by) // 2
+                pts.append((x, x - ax + ay))
+        g = gcd(scale, *chain.from_iterable(pts))
+        return scale // g, [x // g for x, _ in pts], [y // g for _, y in pts]
+
+    @property
+    def coords(self):
+        """element -> (x, y), the points as Fractions: a view no drawing reads."""
+        den, xs, ys = self.points
+        return {u: (Fraction(x, den), Fraction(y, den)) for u, (x, y) in enumerate(zip(xs, ys))}
+
+    @cached_property
+    def _drawing(self):
+        """render's checked drawing, kept once its slope check passes."""
+        from .render import _checked_drawing  # render imports dsl, which imports this module
+        return _checked_drawing(self.diagram, *self.points, self.seq)
 
     @cached_property
     def _lamp_order(self):
@@ -321,7 +334,7 @@ def multifork_extend(pl, address, k):
         d2,
         pl.seq.extended(ForkStep(address[0], address[1], k)),
         records,
-        # the step's drawing recipe, replayed by ProvenancedLattice.coords
+        # the step's drawing recipe, replayed by ProvenancedLattice.points
         pl.recipes + ((n0, k, np_, tuple(left_edges + right_edges)),),
     )
 
@@ -400,12 +413,22 @@ def decompose(diagram_or_pl):
 def reprovenance(diagram):
     """The built lattice of the given diagram's decomposition (_rebuilt):
     the door by which a bare diagram reaches what reads a sequence, such
-    as its lamp order (lamps.lamp_poset)."""
+    as its lamp order and its drawing, in its own ids (_door)."""
     d = _diagram_of(diagram)
     report = is_slim_rectangular(d)
     if not report.ok:
         raise PreconditionError(f"not slim rectangular: {report.failures}")
     return _rebuilt(d)
+
+
+def _door(d):
+    """(reprovenance(d), ids), ids[u] the element of d at the point (hl, hr)
+    of the door lattice's u: both have d's permutation, so ids is an isomorphism."""
+    pl = reprovenance(d)
+    hl, hr, _, _ = d.heights()
+    at = {point: x for x, point in enumerate(zip(hl, hr))}
+    phl, phr, _, _ = pl.diagram.heights()
+    return pl, [at[point] for point in zip(phl, phr)]
 
 
 def _rebuilt(d):
@@ -509,17 +532,16 @@ def _sequence_lamp_poset(seq, names):
     (diagram._forked_permutation).  Their lamps, left[a] and right[b],
     are the new lamp's Nel and Nwl lamps.  A fork adds its lamp below
     these two and leaves the older lamps and their order as they were
-    (Czedli, Acta Sci. Math. 87, 2021), so the lamp order is the closure
-    of the pairs that the forks add.  The tests compare it with the
+    (Czedli, Acta Sci. Math. 87, 2021), so its up-set is itself and
+    theirs, which no later fork changes.  The tests compare it with the
     Nwl/Nel order of trajectory walks (tests/oracles.py) on every lattice
     of length <= 7 and its mirror image, and <= 8 under `slow`.
     """
     p, q = seq.grid_p, seq.grid_q
     left = list(names[:p + q])
     right = left[p:] + left[:p]
-    pairs = set()
+    up = [1 << x for x in range(len(names))]
     for new, st in zip(names[p + q:], seq.steps):
-        pairs.add((new, left[st.a]))
-        pairs.add((new, right[st.b]))
+        up[new] = 1 << new | up[left[st.a]] | up[right[st.b]]
         left, right = _forked_labels(left, right, (st.a, st.b), [new] * st.k)
-    return Poset.from_relation(len(names), pairs)
+    return Poset._from_up(up)

@@ -13,8 +13,8 @@ against each other and ORs the down-sets, one backward the up-sets and
 tests that each row is reduced.  Sets of elements are int bitmasks, bit y
 for y: `Poset.up[x]` holds the y >= x, `Poset.down[x]` the y <= x.  One
 helper reduces to covers (_above, the mask of the elements strictly above
-a set): Poset.from_relation, Poset.restrict and the check that a cover
-row is reduced each keep the elements that miss it.  A
+a set): Poset._from_up (closed up-set masks), Poset.restrict and the
+check that a cover row is reduced each keep the elements that miss it.  A
 FiniteLattice keeps no table; other modules get elements, not masks, from
 its point queries.  Six textbook facts keep the kernels below cubic cost:
 
@@ -132,22 +132,25 @@ class Poset:
 
     @classmethod
     def from_relation(cls, n, pairs):
-        """The poset on 0..n-1 generated by strict pairs a < b.
-
-        The pairs are closed transitively and reduced to covers: b covers a
-        iff a < b is generating and b lies above no other generating
-        successor of a.  A cycle raises OrderError.  Only rows that the
-        derivation on the pairs finds not reduced (_derive) lose pairs, and
-        then the poset is derived again from its covers."""
+        """The poset on 0..n-1 generated by strict pairs a < b: the up-sets
+        of the pairs taken as covers (_derive; a cycle raises OrderError)
+        are the transitive closure, which _from_up reduces to covers."""
         poset = cls.__new__(cls)
-        bad = poset._set_covers(n, pairs)
-        if bad:
-            covers, up = set(poset.covers), poset.up
-            for a in bad:
-                above = _above(up, poset._upcov[a])
-                covers.difference_update((a, b) for b in poset._upcov[a] if above >> b & 1)
-            poset._set_covers(n, covers)
-        return poset
+        poset._set_covers(n, pairs)
+        return cls._from_up(poset.up)
+
+    @classmethod
+    def _from_up(cls, up):
+        """The poset whose up-sets are the closed masks up, its cover rows
+        ascending: the elements of a's strict up-set above no other (_above)."""
+        upper, lower = [], [[] for _ in up]
+        for a, m in enumerate(up):
+            above = m ^ (1 << a)
+            row = tuple(_elements(above & ~_above(up, _elements(above))))
+            upper.append(row)
+            for b in row:
+                lower[b].append(a)
+        return cls._from_rows(tuple(upper), tuple(map(tuple, lower)))
 
     def _set_covers(self, n, pairs):
         """Store the pairs as covers, and as rows listed ascending (_derive)."""
@@ -749,10 +752,7 @@ def _congruence_lattice(lat):
             congs[collapsed] = Congruence.from_parent([b & ~collapsed for b in below])
     masks = sorted(congs, key=lambda c: (congs[c].block_count(), congs[c].block_index),
                    reverse=True)
-    m = len(masks)
-    poset = Poset.from_relation(m, [
-        (i, j) for i in range(m) for j in range(m) if i != j and masks[i] & ~masks[j] == 0
-    ])
+    poset = Poset._from_up([sum(1 << j for j, e in enumerate(masks) if not c & ~e) for c in masks])
     return CongruenceLattice(tuple(congs[c] for c in masks), poset, poset.count_downsets())
 
 
@@ -768,7 +768,7 @@ def poset_iso(p, q):
     colours mean equal invariants; refinement stops at the first round that
     splits no class.
     """
-    if p.n != q.n or len(p.covers) != len(q.covers):
+    if p.n != q.n or sum(map(len, p._upcov)) != sum(map(len, q._upcov)):
         return None
 
     def relabel(p_sigs, q_sigs):
@@ -837,12 +837,7 @@ def poset_double(p, j):
     lower covers.  All other comparabilities are unchanged.
     """
     n = p.n
-    covers = set()
-    for a, b in p.covers:
-        if b == j:
-            covers.add((a, n))
-        else:
-            covers.add((a, b))
+    covers = {(a, n if b == j else b) for a in range(n) for b in p.upper_covers(a)}
     covers.add((n, j))
     return Poset(n + 1, covers)
 

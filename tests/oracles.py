@@ -84,13 +84,17 @@ does not use.
   step t's multiplicity goes to the cell under the new lamp's leftmost
   tube foot.  Production reads the sequence off the fork rule, on
   trajectory labels (`slimlat.doubling._doubled_sequence`).
-- Drawing coordinates by the eager fold that computes them with each
-  step, from the step's own trajectories.  Production records a recipe
-  per new element and replays the recipes on first read
-  (`slimlat.multifork.ProvenancedLattice.coords`).
-- The slope check and the SVG and TikZ renders in `Fraction` arithmetic,
-  as they were before production scaled the coordinates to ints over one
-  common denominator (`slimlat.render._checked_points`).
+- Drawing coordinates by the eager `Fraction` fold that computes them
+  with each step, from the step's own trajectories (`eager_coords`).
+  Production records a recipe per new element and replays the recipes
+  in ints over one common denominator on first read
+  (`slimlat.multifork.ProvenancedLattice.points`).
+- The slope check and the SVG and TikZ renders in `Fraction` arithmetic
+  on `coords`, as they were before production drew the integer points
+  and kept its checked drawing (`slimlat.render._checked_drawing`).
+- The lamp rule's order by closing the pairs that each fork adds
+  (`sequence_lamp_poset_by_closure`).  Production carries each lamp's
+  up-set mask along the forks (`slimlat.multifork._sequence_lamp_poset`).
 - Predicates that only tests ask: refinement, identity and fullness of a
   congruence, and whether a built lattice is a fixpoint of the reduction
   rules (`slimlat.reduce.minimize` runs the rules themselves).
@@ -101,6 +105,7 @@ from itertools import combinations
 
 from slimlat.diagram import (
     _certified_diagram,
+    _forked_labels,
     _half_walk,
     _jh_permutation,
     cell_address,
@@ -831,6 +836,27 @@ def eager_coords(seq):
     return coords
 
 
+def sequence_lamp_poset_by_closure(seq, names):
+    """`slimlat.multifork._sequence_lamp_poset` as it was before it
+    carried up-set masks: the pairs that each fork adds, its lamp below
+    its Nel and Nwl lamps, closed and reduced by `Poset.from_relation`."""
+    p, q = seq.grid_p, seq.grid_q
+    left = list(names[:p + q])
+    right = left[p:] + left[:p]
+    pairs = set()
+    for new, st in zip(names[p + q:], seq.steps):
+        pairs.add((new, left[st.a]))
+        pairs.add((new, right[st.b]))
+        left, right = _forked_labels(left, right, (st.a, st.b), [new] * st.k)
+    return Poset.from_relation(len(names), pairs)
+
+
+def same_poset(p, q):
+    """Whether two posets are equal with the same cover rows, in order."""
+    return (p == q and all(p.upper_covers(u) == q.upper_covers(u)
+                           and p.lower_covers(u) == q.lower_covers(u) for u in range(p.n)))
+
+
 def _internal_mir(pl):
     return {e.foot for e in pl.diagram.neon_tubes()[1]}
 
@@ -859,12 +885,13 @@ def _decimal(x, places=6):
 def svg_by_fractions(pl, scale=40, margin=30):
     """`slimlat.render.render_svg`, each number folded as a `Fraction`."""
     validate_slopes_by_fractions(pl)
-    xs = [c[0] for c in pl.coords.values()]
-    ys = [c[1] for c in pl.coords.values()]
+    coords = pl.coords
+    xs = [c[0] for c in coords.values()]
+    ys = [c[1] for c in coords.values()]
     minx, maxy = min(xs), max(ys)
     pts = []
     for u in range(pl.n):
-        x, y = pl.coords[u]
+        x, y = coords[u]
         pts.append((float((x - minx) * scale) + margin, float((maxy - y) * scale) + margin))
     width = float((max(xs) - minx) * scale) + 2 * margin
     height = float((maxy - min(ys)) * scale) + 2 * margin
@@ -893,9 +920,10 @@ def svg_by_fractions(pl, scale=40, margin=30):
 def tikz_by_fractions(pl):
     """`slimlat.render.render_tikz`, each coordinate a `Fraction` to float."""
     validate_slopes_by_fractions(pl)
+    coords = pl.coords
     out = ["\\begin{tikzpicture}[scale=0.8]"]
     for u in range(pl.n):
-        x, y = pl.coords[u]
+        x, y = coords[u]
         out.append(
             f"  \\node[circle,fill,inner sep=1.2pt,label=above right:{{\\tiny {u}}}] "
             f"(n{u}) at ({_decimal(x)},{_decimal(y)}) {{}};"

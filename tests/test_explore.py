@@ -18,7 +18,7 @@ from slimlat.diagram import (
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import BudgetError, InternalInconsistencyError
 from slimlat.explore import enumerate_index, realize, sweep_bounds
-from slimlat.lamps import lamp_poset
+from slimlat.lamps import _lamp_places, lamp_poset
 from slimlat.multifork import build, decompose
 from slimlat.order import Poset, _dependencies, congruence_lattice, named_posets, poset_iso
 from slimlat.reduce import length_bound
@@ -31,6 +31,8 @@ from oracles import (
     lattice_of_permutation,
     mask_sets,
     reachability,
+    same_poset,
+    sequence_lamp_poset_by_closure,
     trajectories,
 )
 from test_order import counted_calls
@@ -515,6 +517,23 @@ def test_the_lamp_rule_reads_the_lamp_poset_off_the_forks(index7):
     _check_lamp_rule(index7.entries())
 
 
+def _check_lamp_masks(entries, names_of):
+    """The lamp rule's up-set masks give the Poset, cover rows included,
+    that closing the pairs each fork adds gives."""
+    for entry in entries:
+        names = names_of(entry)
+        assert same_poset(explore._sequence_lamp_poset(entry.seq, names),
+                          sequence_lamp_poset_by_closure(entry.seq, names)), entry.seq
+
+
+def test_the_lamp_rule_masks_match_the_closure(index7):
+    """Under each built lattice's own lamp names (lamps._lamp_places), as
+    lamp_poset reads it, and under the names 0..n - 1, as realize does."""
+    entries = index7.entries()
+    _check_lamp_masks(entries, _lamp_places_of)
+    _check_lamp_masks(entries, _count)
+
+
 def test_sweep_bounds_small():
     report = sweep_bounds(4)
     assert report["counts"][4] == 6
@@ -705,6 +724,19 @@ def test_realize_matches_brute_force_at_length_eight(index8):
 def test_realize_answers_are_pinned_on_small_posets_at_length_eight(monkeypatch):
     assert _realize_digest(monkeypatch, 8, allow_large=True) == (
         "34c5ffc7064d0a24ce4dbcc3332509cf46882c3e48471d02509aef06350510e4")
+
+
+def _lamp_places_of(entry):
+    return _lamp_places(entry.pl)
+
+
+def _count(entry):
+    return range(entry.seq.grid_p + entry.seq.grid_q + len(entry.seq.steps))
+
+
+@pytest.mark.slow
+def test_the_lamp_rule_masks_match_the_closure_at_length_eight(index8):
+    _check_lamp_masks(index8.entries(8), _count)
 
 
 @pytest.mark.slow

@@ -2,6 +2,7 @@ import gc
 import types
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import pytest
 
@@ -139,11 +140,11 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
     and doubling them, walks no single trajectory while validating and
     computes no drawing coordinates: the trajectory check sweeps them all
     along the walk table's east list, and a built lattice keeps only the recipes of
-    its coordinates.  One svg render computes them once, for its slope
-    check and its drawing."""
+    its points.  One svg render replays them once, for its slope check
+    and its drawing."""
     calls, sweeps = [], {"count": 0, "running": False}
     sweep, through = diagram._trajectory_failure, PlanarDiagram.trajectory_through
-    coords = ProvenancedLattice.coords.func
+    points = ProvenancedLattice.points.func
 
     def counted_sweep(d):
         sweeps["count"] += 1
@@ -158,15 +159,15 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
             calls.append("trajectory_through")
         return through(d, edge)
 
-    def counted_coords(pl):
-        calls.append("coords")
-        return coords(pl)
+    def counted_points(pl):
+        calls.append("points")
+        return points(pl)
 
-    counted = cached_property(counted_coords)
-    counted.__set_name__(ProvenancedLattice, "coords")
+    counted = cached_property(counted_points)
+    counted.__set_name__(ProvenancedLattice, "points")
     monkeypatch.setattr(diagram, "_trajectory_failure", counted_sweep)
     monkeypatch.setattr(PlanarDiagram, "trajectory_through", counted_through)
-    monkeypatch.setattr(ProvenancedLattice, "coords", counted)
+    monkeypatch.setattr(ProvenancedLattice, "points", counted)
     seqs = [e.pl.seq for e in enumerate_index(6).entries()]
     for seq in seqs:
         minimize(build(seq))
@@ -179,7 +180,7 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
 
     pl = build(seqs[-1])
     render(pl, "svg")
-    assert calls == ["coords"]
+    assert calls == ["points"]
 
 
 def test_steps_sort_no_row_and_derive_no_cover_set(monkeypatch):
@@ -572,12 +573,17 @@ def assert_cells_nest(pl):
                     o for o in old if oracles.point_in_quad(oracles.quad(coords, o), centroid)]
 
 
-def assert_coords_match_the_eager_fold(pl):
-    """The coordinates replayed from the recipes are those that the step
-    by step fold gives, each a Fraction."""
+def assert_points_match_the_eager_fold(pl):
+    """The integer points replayed from the recipes are the coordinates
+    that the step by step fold gives, as ints over the lcm of their
+    reduced denominators, and `coords` reads them as Fractions."""
+    eager = eager_coords(pl.seq)
+    assert sorted(eager) == list(range(pl.n))
+    den = lcm(*(c.denominator for xy in eager.values() for c in xy))
+    assert pl.points == (den, [int(eager[u][0] * den) for u in range(pl.n)],
+                         [int(eager[u][1] * den) for u in range(pl.n)]), emit_dsl(pl.seq)
     coords = pl.coords
-    assert coords == eager_coords(pl.seq), emit_dsl(pl.seq)
-    assert sorted(coords) == list(range(pl.n))
+    assert coords == eager
     assert all(type(v) is Fraction for xy in coords.values() for v in xy)
 
 
@@ -595,10 +601,38 @@ def test_forest_parents_match_geometry_up_to_length_six():
     assert len(entries) == 106 and len(doubles) == 182
     for pl in [e.pl for e in entries] + doubles:
         assert_cells_nest(pl)
-        assert_coords_match_the_eager_fold(pl)
+        assert_points_match_the_eager_fold(pl)
     large = build(parse_dsl("grid 7 6\nfork 5 0 2\nfork 3 4 1\nfork 1 7 2\n"))
     assert large.n == 106
-    assert_coords_match_the_eager_fold(large)
+    assert_points_match_the_eager_fold(large)
+
+
+# n = 162, common denominator 3^2 * 5^2 * 7^2 = 11025
+FINE = "grid 2 1\nfork 1 0 2\nfork 2 0 4\nfork 0 0 6\nfork 4 0 4\nfork 0 1 6\nfork 3 1 2\n"
+# 30 one-fold forks, each at the bottom cell: D = 2^30 before the gcd
+CHAIN = "grid 1 1\n" + "fork 0 0 1\n" * 30
+
+
+def test_integer_points_match_the_eager_fold_up_to_length_seven():
+    """On the 493 lattices of length <= 7, the lattice with denominator
+    11025 and a chain of 30 forks."""
+    entries = enumerate_index(7).entries()
+    assert len(entries) == 493
+    for entry in entries:
+        assert_points_match_the_eager_fold(entry.pl)
+    fine, chain = build(parse_dsl(FINE)), build(parse_dsl(CHAIN))
+    assert (fine.n, fine.points[0]) == (162, 11025)
+    assert len(chain.seq.steps) == 30
+    for pl in (fine, chain):
+        assert_points_match_the_eager_fold(pl)
+
+
+@pytest.mark.slow
+def test_integer_points_match_the_eager_fold_at_length_eight():
+    entries = enumerate_index(8, allow_large=True).entries(8)
+    assert len(entries) == 2327
+    for entry in entries:
+        assert_points_match_the_eager_fold(entry.pl)
 
 
 def test_lower_covers_of_peak_stable_across_stages():

@@ -1,16 +1,18 @@
 import copy
 import sys
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import pytest
 
+from slimlat.diagram import PlanarDiagram
 from slimlat.doubling import double
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import InternalInconsistencyError
 from slimlat.explore import enumerate_index
-from slimlat.multifork import build, grid, multifork_extend
-from slimlat.render import _checked_points, parse_dot, render, render_dot, validate_slopes
+from slimlat.multifork import ProvenancedLattice, build, grid, multifork_extend
+from slimlat.render import parse_dot, render, render_dot, validate_slopes
 
 from oracles import svg_by_fractions, tikz_by_fractions, validate_slopes_by_fractions
 
@@ -67,13 +69,30 @@ def test_slope_validator_names_a_planted_fault(top, fault):
     """grid(1, 1) has bottom 0 at (0, 0), corners 2 at (-1, 1) and 1 at
     (1, 1) and top 3 at (0, 2); moving the top breaks the edge (1, 3), the
     first edge into it.  The fault names the sequence that replays it."""
-    pl = copy.copy(grid(1, 1))
-    pl.coords = dict(pl.coords)
-    pl.coords[pl.lattice.top] = top
-    with pytest.raises(InternalInconsistencyError) as info:
-        validate_slopes(pl)
-    assert str(info.value) == (f"edge (1,3) {fault}; `slimlat render --render-format svg`"
-                               " replays it on\ngrid 1 1\n")
+    pl = grid(1, 1)
+    pl = _planted(pl, {**pl.coords, pl.lattice.top: top})
+    text = (f"edge (1,3) {fault}; `slimlat render --render-format svg`"
+            " replays it on\ngrid 1 1\n")
+    # a failed check keeps nothing, so it raises on every call
+    for check in (validate_slopes, validate_slopes, lambda pl: render(pl, "svg")):
+        with pytest.raises(InternalInconsistencyError) as info:
+            check(pl)
+        assert str(info.value) == text
+    assert "_drawing" not in vars(pl)
+    # the Fraction reference reads the same plant off the points
+    assert _verdict(validate_slopes_by_fractions, pl) == f"edge (1,3) {fault}"
+
+
+def _planted(pl, coords):
+    """A copy of pl that keeps no checked drawing, drawn at coords, an
+    element -> (x, y) map of rationals: its points are ints over their
+    common denominator."""
+    den = lcm(*(Fraction(c).denominator for xy in coords.values() for c in xy))
+    pl = copy.copy(pl)
+    vars(pl).pop("_drawing", None)
+    pl.points = (den, [int(coords[u][0] * den) for u in range(pl.n)],
+                 [int(coords[u][1] * den) for u in range(pl.n)])
+    return pl
 
 
 REPLAYS = "; `slimlat render --render-format svg` replays it on\n"
@@ -101,17 +120,16 @@ def test_integer_kernel_matches_the_fraction_reference():
                for e in entries for step in range(1, len(e.seq.steps) + 1)]
     assert len(doubles) == 182
     fine = build(parse_dsl(FINE))
-    assert (fine.n, _checked_points(fine)[0]) == (162, 11025)
+    assert (fine.n, fine.points[0]) == (162, 11025)
     for pl in doubles + [build(parse_dsl(LARGE)), fine]:
         assert validate_slopes(pl) and validate_slopes_by_fractions(pl)
         assert render(pl, "svg") == svg_by_fractions(pl)
         assert render(pl, "tikz") == tikz_by_fractions(pl)
-    faults = set()
+    faults, coords = set(), fine.coords
     for u in range(fine.n):
         for dx, dy in [(Fraction(1, 3), 0), (0, Fraction(-1, 7))]:
-            pl = copy.copy(fine)
-            x, y = fine.coords[u]
-            pl.coords = {**fine.coords, u: (x + dx, y + dy)}
+            x, y = coords[u]
+            pl = _planted(fine, {**coords, u: (x + dx, y + dy)})
             verdict = _verdict(validate_slopes, pl)
             assert verdict == _verdict(validate_slopes_by_fractions, pl)
             faults.add(verdict if verdict is True else verdict.split(") ")[1])
@@ -119,24 +137,64 @@ def test_integer_kernel_matches_the_fraction_reference():
                       "breaks the precipitous-foot rule"}
 
 
-def test_each_render_scales_the_points_once(monkeypatch):
-    """A render draws the points that its slope check scaled: one lcm of
-    the denominators per call, on the lattice with denominator 11025."""
+def test_a_lattice_replays_and_checks_its_drawing_once(monkeypatch):
+    """svg, tikz and validate_slopes on one lattice, the one with
+    denominator 11025, replay its recipes once and check its slopes once:
+    the lattice keeps the checked drawing that the first call derived."""
     pl = build(parse_dsl(FINE))
     calls = []
-
-    def counting_lcm(*args):
-        calls.append(len(args))
-        return lcm(*args)
-
+    points = ProvenancedLattice.points.func
     # the package binds the name `render` to the function, so the module is
     # taken from sys.modules
-    monkeypatch.setattr(sys.modules["slimlat.render"], "lcm", counting_lcm)
-    for fmt in ("svg", "tikz"):
-        calls.clear()
-        render(pl, fmt)
-        assert len(calls) == 1, fmt
+    module = sys.modules["slimlat.render"]
+    checked = module._checked_drawing
+
+    def counted_points(pl):
+        calls.append("points")
+        return points(pl)
+
+    def counted_check(*args):
+        calls.append("check")
+        return checked(*args)
+
+    counted = cached_property(counted_points)
+    counted.__set_name__(ProvenancedLattice, "points")
+    monkeypatch.setattr(ProvenancedLattice, "points", counted)
+    monkeypatch.setattr(module, "_checked_drawing", counted_check)
+    svg, tikz = render(pl, "svg"), render(pl, "tikz")
     assert validate_slopes(pl) is True
+    assert calls == ["points", "check"]
+    assert (svg, tikz) == (svg_by_fractions(pl), tikz_by_fractions(pl))
+
+
+def test_a_bare_diagram_draws_its_own_covers(tmp_path):
+    """A bare diagram, here the mirror image of each lattice of length
+    <= 6, is drawn in its own ids: the DOT of `slimlat render` on its
+    lattice JSON lists exactly its covers, and its svg and tikz draw its
+    covers at the points of the door's lattice, relabelled through the
+    points (hl, hr) that both share, after the slope check on its own
+    covers."""
+    from slimlat.cli import main
+    from slimlat.multifork import _door
+
+    for entry in enumerate_index(6).entries():
+        d = entry.pl.diagram.mirror()
+        path, out = tmp_path / "m.json", tmp_path / "m.dot"
+        path.write_text(d.to_json())
+        assert main(["render", "--input", str(path), "--format", "json",
+                     "--render-format", "dot", "--out", str(out)]) == 0
+        assert parse_dot(out.read_text()) == d.lattice.poset
+        assert validate_slopes(d) is True
+        pl, ids = _door(d)
+        svg = render(d, "svg")
+        assert svg.count("<line") == len(d.lattice.poset.covers)
+        den, xs, ys, _ = d._drawing
+        assert den == pl.points[0]
+        assert [(xs[ids[u]], ys[ids[u]]) for u in range(pl.n)] == list(zip(*pl.points[1:]))
+        assert render(d, "tikz").count("\\draw") == len(d.lattice.poset.covers)
+        # lattice JSON read back keeps the built lattice's ids and drawing
+        same = PlanarDiagram.from_json(entry.pl.diagram.to_json())
+        assert render(same, "svg") == render(entry.pl, "svg")
 
 
 def test_dot_roundtrip():
