@@ -17,7 +17,7 @@ from .explore import enumerate_index, realize, sweep_bounds
 from .doubling import double
 from .lamps import lamp_report
 from .multifork import build, decompose, reprovenance
-from .order import Poset, congruence_lattice
+from .order import Poset, _elements, congruence_lattice
 from .reduce import _reduce_once, check_bounds, minimize
 from .render import render
 
@@ -72,15 +72,12 @@ def cmd_lamps(args):
 def cmd_con(args):
     lat = _load_diagram(args).lattice
     cl = congruence_lattice(lat)
-    # theta is fixed by the j in J(L) with j_ theta j (principal_congruence)
-    lower = {j: lat.lower_covers(j)[0] for j in lat.jir()}
+    # theta is fixed by the j in J(L) with j_ theta j, its collapsed mask
     out = {
         "jir_count": cl.jir_count(),
         "con_size": cl.con_size,
         "jir_poset": json.loads(cl.jir_poset.to_json()),
-        "jir_congruence_collapsed": [
-            sorted(j for j, j_ in lower.items() if c.same(j_, j)) for c in cl.jir_congs
-        ],
+        "jir_congruence_collapsed": [list(_elements(c)) for c in cl.collapsed],
     }
     # compact: up to |J|^2 numbers, which indent=2 would encode in pure Python
     _write(args, json.dumps(out, separators=(",", ":"), sort_keys=True) + "\n")

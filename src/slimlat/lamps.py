@@ -150,15 +150,17 @@ def verify_lamp_con_iso(pl):
     """
     lamps, lt, _ = lamp_poset(pl)
     cl = congruence_lattice(pl.lattice)
-    if len(lamps) != len(cl.jir_congs):
+    if len(lamps) != cl.jir_count():
         return False, None
-    witness = {}
+    below, witness = cl.below, {}
     for l in lamps:
         # a tube is a prime interval, so its congruence is join-irreducible
         # and listed; listed coarser congruences have fewer blocks, so it is
-        # the first listed one that collapses the tube
+        # the first listed one that collapses the tube, whose mask holds
+        # the join-irreducibles below the peak and not below the foot
         found = {
-            next((i for i, c in enumerate(cl.jir_congs) if c.same(e.foot, e.peak)), None)
+            next((i for i, c in enumerate(cl.collapsed)
+                  if not below[e.peak] & ~below[e.foot] & ~c), None)
             for e in l.tubes
         }
         if len(found) != 1 or None in found:
@@ -166,15 +168,12 @@ def verify_lamp_con_iso(pl):
         witness[l.foot] = found.pop()
     if len(set(witness.values())) != len(lamps):
         return False, None
-    # order preservation both ways
-    for a in lamps:
-        for b in lamps:
-            if a.foot == b.foot:
-                continue
-            lamp_le = (a.foot, b.foot) in lt
-            if lamp_le != cl.jir_poset.leq(witness[a.foot], witness[b.foot]):
-                return False, None
-    return True, witness
+    # order preservation both ways: the witness is a bijection, so the
+    # lamps above each lamp map onto its congruence's up-set
+    up = [1 << i for i in range(len(lamps))]
+    for a, b in lt:
+        up[witness[a]] |= 1 << witness[b]
+    return (True, witness) if tuple(up) == cl.jir_poset.up else (False, None)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ does not use.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from typing import NamedTuple
 
 from slimlat.diagram import (
     _certified_diagram,
@@ -122,7 +123,14 @@ from slimlat.lamps import (
     usage_stats,
 )
 from slimlat.multifork import ForkStep, MultiforkSequence, build, grid, multifork_extend
-from slimlat.order import Congruence, FiniteLattice, Poset, _elements, is_distributive_ideal_grid
+from slimlat.order import (
+    Congruence,
+    FiniteLattice,
+    Poset,
+    _collapsed,
+    _elements,
+    is_distributive_ideal_grid,
+)
 
 
 def nwl_nel(d, lamp):
@@ -597,6 +605,81 @@ def verify_jir_congruences(lat, cl):
         if congruence_join(lat, below).block_index == c.block_index:
             return False
     return True
+
+
+class ConListing(NamedTuple):
+    """Con L as the oracles list it: each join-irreducible congruence's
+    collapsed mask and partition, the refinement order on them and |Con L|."""
+    collapsed: tuple
+    jir_congs: tuple
+    jir_poset: Poset
+    con_size: int
+
+
+def con_listing(congs, lower):
+    """The ConListing of the distinct partitions congs: sorted by (block
+    count, block_index) descending, each with the mask of the j with
+    j_ theta j (lower maps j to j_), ordered by refinement."""
+    congs = sorted(set(congs), key=lambda c: (c.block_count(), c.block_index), reverse=True)
+    m = len(congs)
+    poset = Poset.from_relation(m, [
+        (i, j) for i in range(m) for j in range(m) if i != j and refines(congs[i], congs[j])
+    ])
+    collapsed = tuple(sum(1 << j for j, j_ in lower.items() if c.same(j_, j)) for c in congs)
+    return ConListing(collapsed, tuple(congs), poset, poset.count_downsets())
+
+
+def congruence_lattice_by_partitions(lat):
+    """Con L by the eager partition sort: D's collapsed masks (as
+    production reads them), each turned into its partition, which the
+    sort and the refinement order compare, as production did before it
+    compared masks and derived the partitions on first read."""
+    jmask = sum(1 << j for j in lat.jir())
+    below = [m & jmask for m in lat.poset.down]
+    congs = [Congruence.from_parent([b & ~_collapsed(lat._dep, 1 << k) for b in below])
+             for k in lat.jir()]
+    return con_listing(congs, {j: lat.lower_covers(j)[0] for j in lat.jir()})
+
+
+def verify_lamp_con_iso_by_partitions(pl):
+    """verify_lamp_con_iso's (ok, witness) from the eager partitions: each
+    tube's first listed congruence that puts its foot and peak in one
+    block, and the order compared one lamp pair at a time."""
+    lamps, lt, _ = lamp_poset(pl)
+    cl = congruence_lattice_by_partitions(pl.lattice)
+    if len(lamps) != len(cl.jir_congs):
+        return False, None
+    witness = {}
+    for l in lamps:
+        found = {next((i for i, c in enumerate(cl.jir_congs) if c.same(e.foot, e.peak)), None)
+                 for e in l.tubes}
+        if len(found) != 1 or None in found:
+            return False, None
+        witness[l.foot] = found.pop()
+    if len(set(witness.values())) != len(lamps):
+        return False, None
+    for a in lamps:
+        for b in lamps:
+            if a.foot != b.foot and ((a.foot, b.foot) in lt) != cl.jir_poset.leq(
+                    witness[a.foot], witness[b.foot]):
+                return False, None
+    return True, witness
+
+
+def poset_iso_by_permutations(p, q):
+    """An order isomorphism p -> q as a dict, or None, by trying all n!
+    maps: an injective map that sends each strict pair of p to one of q,
+    which has as many, is an isomorphism."""
+    if p.n != q.n:
+        return None
+    mine = [(a, b) for a in range(p.n) for b in _elements(p.up[a]) if a != b]
+    theirs = {(a, b) for a in range(q.n) for b in _elements(q.up[a]) if a != b}
+    if len(mine) != len(theirs):
+        return None
+    for image in permutations(range(q.n)):
+        if all((image[a], image[b]) in theirs for a, b in mine):
+            return dict(enumerate(image))
+    return None
 
 
 def is_semimodular_by_pairs(lat):

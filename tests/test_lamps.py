@@ -5,7 +5,7 @@ import types
 import pytest
 
 import slimlat.lamps as lamps_module
-from slimlat import multifork
+from slimlat import multifork, order
 from slimlat.cli import main
 from slimlat.doubling import double
 from slimlat.dsl import parse_dsl
@@ -24,18 +24,21 @@ from slimlat.lamps import (
 )
 from slimlat.explore import enumerate_index
 from slimlat.reduce import check_bounds, minimize
-from slimlat.multifork import build, grid, multifork_extend
-from slimlat.order import Poset, named_posets, poset_iso
+from slimlat.multifork import build, grid, multifork_extend, reprovenance
+from slimlat.order import Congruence, Poset, congruence_lattice, named_posets, poset_iso
 
 from oracles import (
+    congruence_lattice_by_partitions,
     covers_via_nwl_nel,
     nwl_nel,
     nwl_nel_lamp_order,
     peeled_by_lamp_order,
     rho_circr,
     rho_foot,
+    same_poset,
     stages,
     usage_patterns,
+    verify_lamp_con_iso_by_partitions,
 )
 
 
@@ -308,6 +311,62 @@ def test_no_lamp_order_of_a_built_lattice_peels(monkeypatch, empty_memo):
         for t in range(1, len(pl.seq.steps) + 1):
             double(pl.seq, t)
     assert len(entries) == 106 and peels == []
+
+
+def _check_con_against_the_partitions(entries):
+    """Con L on collapsed masks, read lazily, and the lamp-Con check against
+    the eager partition sort, on each entry's built lattice, its mirror
+    image as a bare diagram (same lattice, the door's lamp order) and the
+    mirror image rebuilt through the door (other ids); returns the number
+    of checks."""
+    checked = 0
+    for entry in entries:
+        mirror = entry.pl.diagram.mirror()
+        for pl in (entry.pl, mirror, reprovenance(mirror)):
+            got = congruence_lattice(pl.lattice)
+            want = congruence_lattice_by_partitions(pl.lattice)
+            assert got.collapsed == want.collapsed, entry.seq
+            assert got.jir_congs == want.jir_congs, entry.seq
+            assert same_poset(got.jir_poset, want.jir_poset), entry.seq
+            assert got.con_size == want.con_size, entry.seq
+            assert verify_lamp_con_iso(pl) == verify_lamp_con_iso_by_partitions(pl), entry.seq
+            checked += 1
+    return checked
+
+
+def test_con_on_masks_matches_the_partitions_to_length_seven():
+    assert _check_con_against_the_partitions(enumerate_index(7).entries()) == 3 * 493
+
+
+@pytest.mark.slow
+def test_con_on_masks_matches_the_partitions_at_length_eight():
+    entries = enumerate_index(8, allow_large=True).entries(8)
+    assert _check_con_against_the_partitions(entries) == 3 * 2327
+
+
+def test_no_con_check_builds_a_partition(monkeypatch, empty_memo):
+    """lamp_report, minimize, double and check_bounds check Con L on
+    collapsed masks: over the lattices of length <= 6, every doubling and
+    every fixpoint, Con L is derived for each, and no partition is built
+    and no down-set counted."""
+    calls = []
+    from_parent, count_downsets, derive = (
+        Congruence.from_parent, Poset.count_downsets, order._congruence_lattice)
+    monkeypatch.setattr(Congruence, "from_parent", staticmethod(
+        lambda parent: calls.append("partition") or from_parent(parent)))
+    monkeypatch.setattr(Poset, "count_downsets",
+                        lambda self: calls.append("count") or count_downsets(self))
+    monkeypatch.setattr(order, "_congruence_lattice",
+                        lambda lat: calls.append("Con") or derive(lat))
+    entries = enumerate_index(6).entries()
+    for entry in entries:
+        pl = entry.pl
+        assert lamp_report(pl)["congruence_iso_ok"]
+        fixed, _ = minimize(pl)
+        assert check_bounds(pl).ok and check_bounds(fixed, at_fixpoint=True).ok
+        for t in range(1, len(pl.seq.steps) + 1):
+            double(pl.seq, t)
+    assert len(entries) == 106 and set(calls) == {"Con"} and len(calls) > 106
 
 
 def test_lamp_data_is_derived_once_per_diagram():

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 import pytest
@@ -21,7 +22,6 @@ from slimlat.explore import enumerate_index
 from slimlat.lamps import fork_interval, lamps_of_diagram
 from slimlat.order import (
     Congruence,
-    CongruenceLattice,
     FiniteLattice,
     Poset,
     congruence_lattice,
@@ -39,6 +39,7 @@ from slimlat.order import (
 from oracles import (
     _closure,
     certified_by_passes,
+    con_listing,
     congruence_join,
     every_child,
     is_congruence,
@@ -49,8 +50,8 @@ from oracles import (
     join_row_dependencies,
     mask_sets,
     order_by_passes,
+    poset_iso_by_permutations,
     reachability,
-    refines,
     same_poset,
     tables,
     verify_jir_congruences,
@@ -343,6 +344,100 @@ def test_poset_iso_v_cases():
     assert m is not None and m[0] == 2
 
 
+def poset_classes(n):
+    """One poset per isomorphism class on n elements.  Every poset has a
+    natural labelling (i below j only if i < j), so the transitive
+    relations on the pairs i < j give each class at least once; the least
+    relabelled pair list of each, over all n! relabellings, drops the
+    repeats."""
+    pairs = list(combinations(range(n), 2))
+    found = {}
+    for mask in range(1 << len(pairs)):
+        rel = {pair for i, pair in enumerate(pairs) if mask >> i & 1}
+        if any((a, d) not in rel for a, b in rel for c, d in rel if b == c):
+            continue
+        key = min(tuple(sorted((perm[a], perm[b]) for a, b in rel))
+                  for perm in permutations(range(n)))
+        found.setdefault(key, rel)
+    return [Poset.from_relation(n, rel) for rel in found.values()]
+
+
+def relabelled(p, rng):
+    """p with its elements renamed by a random permutation."""
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    return Poset(p.n, [(perm[a], perm[b]) for a, b in p.covers])
+
+
+def assert_iso_matches_the_permutations(p, q):
+    """poset_iso(p, q) is None exactly when no relabelling maps p onto q,
+    and otherwise an isomorphism; returns whether it found one."""
+    got = poset_iso(p, q)
+    assert (got is None) == (poset_iso_by_permutations(p, q) is None), (p, q)
+    if got is not None:
+        assert sorted(got) == sorted(got.values()) == list(range(p.n))
+        assert all(p.leq(a, b) == q.leq(got[a], got[b]) for a in range(p.n) for b in range(p.n))
+    return got is not None
+
+
+# Pairs of cover lists with equal (up-size, down-size, upper cover count,
+# lower cover count) multisets whose posets are not isomorphic: a V beside
+# a Lambda against a zigzag of four beside a 2-chain (no such pair has five
+# elements or fewer); a zigzag of six against a 2 + 2 crown beside a
+# 2-chain; and the crown on 4 + 4 elements against two crowns on 2 + 2
+EQUAL_DEGREES = [
+    ([(0, 4), (0, 5), (1, 3), (2, 3)], [(0, 3), (0, 5), (1, 4), (2, 3)]),
+    ([(0, 4), (0, 5), (1, 3), (1, 4), (2, 3)], [(0, 4), (0, 5), (1, 4), (1, 5), (2, 3)]),
+    ([(i, 4 + i) for i in range(4)] + [(i, 4 + (i + 1) % 4) for i in range(4)],
+     [(0, 4), (0, 5), (1, 4), (1, 5), (2, 6), (2, 7), (3, 6), (3, 7)]),
+]
+
+
+def test_poset_iso_matches_the_permutations_on_small_classes():
+    """All 16 four-element classes, each against a random relabelling of
+    every class; the 63 five-element classes, each against a relabelling
+    of each other; and hand-made pairs with equal degree multisets."""
+    rng = random.Random(43)
+    fours, fives = poset_classes(4), poset_classes(5)
+    assert (len(fours), len(fives)) == (16, 63)
+    for classes in (fours, fives):
+        found = 0
+        for p in classes:
+            for q in classes:
+                found += assert_iso_matches_the_permutations(p, relabelled(q, rng))
+        assert found == len(classes)
+    for upper, lower in EQUAL_DEGREES:
+        n = 1 + max(max(c) for c in upper + lower)
+        p, q = Poset(n, upper), Poset(n, lower)
+        degrees = [sorted(zip(map(int.bit_count, r.up), map(int.bit_count, r.down),
+                              map(len, r._upcov), map(len, r._dncov))) for r in (p, q)]
+        assert degrees[0] == degrees[1]
+        assert not assert_iso_matches_the_permutations(p, q)
+        assert assert_iso_matches_the_permutations(p, relabelled(p, rng))
+
+
+def test_poset_iso_maps_1500_element_chains_and_antichains():
+    """The backtracking keeps a stack, not the call stack: at 1,500
+    elements, past the recursion limit, chains, antichains and a crown on
+    750 + 750 elements map onto their relabellings.  The search follows
+    the covers, so the crown maps in one walk around it, and a crown on
+    40 + 40 elements is told from two on 20 + 20 at once, though all have
+    the same degrees."""
+    rng = random.Random(1500)
+
+    def crown(size, count=1):
+        half = size * count
+        return Poset(2 * half, [(c * size + i, half + c * size + (i + d) % size)
+                                for c in range(count) for i in range(size) for d in (0, 1)])
+
+    for p in (named_posets("chain", 1500), named_posets("antichain", 1500), crown(750)):
+        q = relabelled(p, rng)
+        got = poset_iso(p, q)
+        assert got is not None and sorted(got.values()) == list(range(1500))
+        assert all(q.leq(got[a], got[b]) for a, b in p.covers)
+    assert poset_iso(crown(40), crown(20, 2)) is None
+
+
 def test_poset_iso_frees_its_posets_with_their_last_reference():
     """The backtracking holds neither poset in a reference cycle, so
     dropping both frees them without the cyclic collector."""
@@ -421,19 +516,8 @@ def reference_congruence_lattice(lat):
     """Con L from one principal congruence per cover, all closed over one
     pair of tables."""
     meet, join = tables(lat)
-    congs = []
-    seen = set()
-    for a, b in sorted(lat.poset.covers):
-        c = _closure(meet, join, [(a, b)])
-        if c.block_index not in seen:
-            seen.add(c.block_index)
-            congs.append(c)
-    congs.sort(key=lambda c: (c.block_count(), c.block_index), reverse=True)
-    m = len(congs)
-    poset = Poset.from_relation(m, [
-        (i, j) for i in range(m) for j in range(m) if i != j and refines(congs[i], congs[j])
-    ])
-    return CongruenceLattice(tuple(congs), poset, poset.count_downsets())
+    return con_listing([_closure(meet, join, [cover]) for cover in lat.poset.covers],
+                       {j: lat.lower_covers(j)[0] for j in lat.jir()})
 
 
 def assert_kernels_match_references(lat):
@@ -452,6 +536,7 @@ def assert_con_matches_reference(lat):
     got, want = congruence_lattice(lat), reference_congruence_lattice(lat)
     # a second read returns the Con L the lattice kept, checked here
     assert congruence_lattice(lat) is got
+    assert got.collapsed == want.collapsed
     assert got.jir_congs == want.jir_congs
     assert same_poset(got.jir_poset, want.jir_poset)
     assert got.con_size == want.con_size
