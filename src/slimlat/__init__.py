@@ -22,14 +22,10 @@ from .order import (
 )
 from .diagram import (
     Edge,
-    FourCell,
-    Trajectory,
     PlanarDiagram,
     embed_rectangular,
     is_slim_rectangular,
     canonical_code,
-    cell_address,
-    resolve_address,
 )
 from .multifork import (
     ForkStep,
@@ -45,7 +41,6 @@ from .dsl import parse_dsl, emit_dsl
 from .lamps import (
     Lamp,
     UsageStats,
-    circ_r,
     lamp_poset,
     verify_lamp_con_iso,
     is_used,
@@ -76,12 +71,12 @@ __all__ = [
     "order_from_covers", "lattice_from_poset", "is_distributive_ideal_grid",
     "principal_congruence", "congruence_lattice", "poset_iso", "poset_double",
     "named_posets",
-    "Edge", "FourCell", "Trajectory", "PlanarDiagram", "embed_rectangular",
-    "is_slim_rectangular", "canonical_code", "cell_address", "resolve_address",
+    "Edge", "PlanarDiagram", "embed_rectangular", "is_slim_rectangular",
+    "canonical_code",
     "ForkStep", "MultiforkSequence", "ProvenancedLattice", "grid",
     "multifork_extend", "build", "decompose", "reprovenance",
     "parse_dsl", "emit_dsl",
-    "Lamp", "UsageStats", "circ_r", "lamp_poset",
+    "Lamp", "UsageStats", "lamp_poset",
     "verify_lamp_con_iso", "is_used", "usage_stats", "lamp_report",
     "ReductionStep", "BoundReport", "remove_sandwiched", "remove_neighboring",
     "minimize", "check_bounds", "length_bound",

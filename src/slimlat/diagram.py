@@ -3,9 +3,9 @@
 A diagram is the lattice plus, for every element, its upper and lower
 covers listed left to right.  Planarity is purely combinatorial: the
 ordered lists are derived from boundary-height coordinates (meet with the
-two corners), never from drawn positions.  Cells, boundary chains,
-trajectories, neon tubes, mirroring and canonical codes all live here,
-and so does the certificate of a built lattice.
+two corners), never from drawn positions.  The walk table of cells and
+trajectories, boundary chains, neon tubes, mirroring and canonical codes
+all live here, and so does the certificate of a built lattice.
 
 The certificate of a built lattice fills no table: Graetzer and Knapp
 (Acta Sci. Math. 75, 2009) place a slim rectangular lattice in the grid
@@ -56,16 +56,14 @@ two west cells is named, and every walk raises it.  It keeps the neon
 tubes' slots too, which the sweep and a fork step's path check read.
 Every walk across cells steps through these lists with int arithmetic:
 validation checks the lower rows against them and every trajectory in
-one sweep (_trajectory_failure), and trajectory_through walks the one trajectory
-it returns as two half-walks (_half_walk), which a fork step also takes,
-from its cell's lower sides and from each new tube.  four_cells,
-cells_by_bottom, Edge and Trajectory are views read off the table on
-each call, for the lamps, the tests and the renders.  The sweep records
-only the right-chain peak where each walk ends, one append per
-trajectory; from these a valid diagram derives its Jordan-Holder
-permutation pi, and pi the key min(pi, pi^-1) (_jh_min), on which the
-enumeration dedupes (Czedli and Schmidt, Algebra Universalis 66, 2011,
-and Acta Sci. Math. 79, 2013).
+one sweep (_trajectory_failure), and a fork step walks the trajectories
+it needs as two half-walks (_half_walk, _trajectory_slots), from its
+cell's lower sides and from each new tube.  The sweep records only the
+right-chain peak where each walk ends, one append per trajectory; from
+these a valid diagram derives its Jordan-Holder permutation pi, and pi
+the key min(pi, pi^-1) (_jh_min), on which the enumeration dedupes
+(Czedli and Schmidt, Algebra Universalis 66, 2011, and Acta Sci. Math.
+79, 2013).
 A k-fold fork at the cell whose bottom has address (a, b) changes pi by
 a fixed rule (_forked_permutation): the left- and right-chain edges
 a + 1 and b + 1 split into k + 1 pieces each, every old trajectory keeps
@@ -75,11 +73,10 @@ distributive cells off pi; so the enumeration searches permutations with
 no lattice built, and multifork._peeled runs the rule backwards to
 decompose a diagram that holds no sequence.
 Canonical codes are computed only where something outputs them.  An Edge is a
-named (foot, peak) pair and a FourCell a named (bottom, left, right,
-top) quadruple, so each equals, hashes and looks up as its plain tuple;
-the lamp and tube-record maps take either.  Listing every trajectory,
-and the cell side maps keyed by (foot, peak) pairs, are left to the test
-oracles.
+named (foot, peak) pair, so it equals, hashes and looks up as its plain
+tuple; the lamp and tube-record maps take either.  Cells, projections,
+trajectories as objects and cell addresses read back into cells are left
+to the test oracles, which list them off the rows and the walk table.
 """
 
 from __future__ import annotations
@@ -105,27 +102,6 @@ from .order import (
 class Edge(NamedTuple):
     foot: int
     peak: int
-
-
-class FourCell(NamedTuple):
-    bottom: int
-    left: int
-    right: int
-    top: int
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Edges (pairs) ordered from the left boundary to the right boundary,
-    and the cells they cross: cells[i] lies between edges[i] and edges[i + 1]."""
-
-    edges: tuple
-    top_index: int
-    cells: tuple
-
-    @property
-    def tube(self):
-        return self.edges[self.top_index]
 
 
 class PlanarDiagram:
@@ -219,15 +195,7 @@ class PlanarDiagram:
             self._heights = boundary_heights(self.lattice, *self.corners())
         return self._heights
 
-    def l_proj(self, x):
-        hl, _, lchain, _ = self.heights()
-        return lchain[hl[x]]
-
-    def r_proj(self, x):
-        _, hr, _, rchain = self.heights()
-        return rchain[hr[x]]
-
-    # -- cells and trajectories -------------------------------------------
+    # -- the walk table ---------------------------------------------------
 
     def _walks(self):
         """The walk table (_walk_table), derived on first use; raises if
@@ -243,38 +211,6 @@ class PlanarDiagram:
         if table.conflict is not None:
             raise DiagramError(table.conflict)
         return table.west, table.east
-
-    def four_cells(self):
-        """All cells, read off the walk table on each call; raises if some
-        consecutive-cover pair is not a 4-cell."""
-        table = self._walks()
-        return tuple(_cell(table, s) for s, t in enumerate(table.tops) if t >= 0)
-
-    def cells_by_bottom(self):
-        """bottom -> cell, read off the walk table on each call."""
-        return {c.bottom: c for c in self.four_cells()}
-
-    def trajectory_through(self, edge):
-        """The full trajectory containing `edge`, a (foot, peak) pair or an
-        Edge, with its unique neon tube."""
-        foot, peak = edge
-        if peak not in self.upper[foot]:
-            raise DiagramError(f"{(foot, peak)} is not a cover")
-        table = self._walks()
-        slots = _trajectory_slots(self, table.base[foot] + self.upper[foot].index(peak))
-        edges = tuple(table.edges(slots))
-        # a tube's foot is meet-irreducible: it has one upper cover
-        tubes = [i for i, (foot, _) in enumerate(edges) if len(self.upper[foot]) == 1]
-        if len(tubes) != 1:
-            raise DiagramError(f"trajectory has {len(tubes)} neon tubes, expected 1")
-        lset, rset = self._boundary_sets()
-        (f0, p0), (f1, p1) = edges[0], edges[-1]
-        if not (f0 in lset and p0 in lset):
-            raise DiagramError("trajectory does not start on the left boundary")
-        if not (f1 in rset and p1 in rset):
-            raise DiagramError("trajectory does not end on the right boundary")
-        cells = tuple(_cell(table, c) for c in _crossed(table, slots))
-        return Trajectory(edges, tubes[0], cells)
 
     def neon_tubes(self):
         """(boundary tubes, internal tubes): prime intervals with mir foot."""
@@ -391,8 +327,8 @@ def _walk_table(upper):
     common cover (the region between them is not a 4-cell).  The first
     edge given two east or two west cells, in cell order and then in the
     order of the four sides above, is named in `conflict`, which every walk
-    raises (PlanarDiagram._steps) and the cell views ignore.  A row of one
-    cover is a neon tube's, and its slot goes to `tubes`."""
+    raises (PlanarDiagram._steps).  A row of one cover is a neon tube's,
+    and its slot goes to `tubes`."""
     base = list(accumulate(map(len, upper), initial=0))
     peaks = tuple(chain.from_iterable(upper))
     tops, east, west = [-1] * len(peaks), [-1] * len(peaks), [-1] * len(peaks)
@@ -432,11 +368,6 @@ def _conflict(table, left, right):
         for x in sides:
             if step[x] >= 0:
                 return f"edge {table.edge(x)} has two {name} cells"
-
-
-def _cell(table, s):
-    """The cell whose lower left side is slot s."""
-    return FourCell(*table.edge(s), table.peaks[s + 1], table.tops[s])
 
 
 def _half_walk(step, s, seen):
@@ -915,17 +846,6 @@ def _trajectory_failure(d):
 # ---------------------------------------------------------------------------
 # Cell addressing
 # ---------------------------------------------------------------------------
-
-def cell_address(diagram, cell):
-    """(left height, right height) of the cell's bottom: a stable address."""
-    hl, hr, _, _ = diagram.heights()
-    return hl[cell.bottom], hr[cell.bottom]
-
-
-def resolve_address(diagram, address):
-    """The cell whose bottom sits at the given boundary heights."""
-    return _cell(diagram._walks(), _address_slot(diagram, address))
-
 
 def _address_slot(diagram, address):
     """The slot of the lower left side of the cell whose bottom sits at the

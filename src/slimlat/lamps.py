@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistencyError, PreconditionError
+from .errors import InternalInconsistencyError
 from .order import Poset, congruence_lattice
 
 
@@ -69,15 +69,6 @@ def _diagram_of(obj):
     return obj.diagram if hasattr(obj, "diagram") else obj
 
 
-def circ_r(obj, lamp):
-    """The circumscribed interval [meet of lower covers of peak, peak]: in
-    a built lattice, the cell that the lamp's fork split."""
-    if lamp.kind != "internal":
-        raise PreconditionError("boundary lamps have no circumscribed rectangle")
-    lat = _diagram_of(obj).lattice
-    return lat.interval(lat.meet_of(lat.lower_covers(lamp.peak)), lamp.peak)
-
-
 def lamp_poset(obj):
     """(lamps, strict order pairs on lamp feet, Poset) of a built lattice or
     a bare diagram, derived once and kept.
@@ -127,15 +118,8 @@ def _derive_lamp_order(d):
 
 
 # ---------------------------------------------------------------------------
-# Territory-based relations (need provenance)
+# Creation steps and the lamp-Con check
 # ---------------------------------------------------------------------------
-
-def fork_interval(d, foot):
-    """Elements of [l_proj(foot), foot] union [r_proj(foot), foot]."""
-    lat = d.lattice
-    lp, rp = d.l_proj(foot), d.r_proj(foot)
-    return lat.interval(lp, foot) | lat.interval(rp, foot)
-
 
 def lamp_creation_step(pl, lamp):
     """The step that made the lamp, as its first tube record holds it."""
@@ -186,12 +170,6 @@ class UsageStats:
 
     patterns: dict     # lamp foot -> str over {"u", "0"}
 
-    def t_plus(self, foot):
-        return self.patterns[foot].count("u")
-
-    def t_minus(self, foot):
-        return self.patterns[foot].count("0")
-
 
 def is_used(pl, tube):
     """A tube's territory is used when another internal lamp's fork split
@@ -202,12 +180,12 @@ def is_used(pl, tube):
     record's (bottom, top) pairs).  Forks append their ids and keep the old
     comparabilities, so a cell keeps its ids, and a later cell lies inside
     it exactly when the later cell's interval lies in [bottom, top] in the
-    final lattice.  The cell that a lamp's fork split is [meet of the
-    peak's lower covers, peak] (circ_r), and that meet is the meet of the
-    first and last lower covers, so each (lamp, cell) takes three bit tests
-    on the up-sets: the cell's top is above the peak and its bottom below
-    both covers.  A lamp whose peak is below no cell's top is passed over
-    with one mask test.
+    final lattice.  The cell that a lamp's fork split is its circumscribed
+    rectangle [meet of the peak's lower covers, peak], and that meet is the
+    meet of the first and last lower covers, so each (lamp, cell) takes
+    three bit tests on the up-sets: the cell's top is above the peak and
+    its bottom below both covers.  A lamp whose peak is below no cell's
+    top is passed over with one mask test.
 
     Self-check: every such lamp lies below the tube's lamp in the lamp
     order, else InternalInconsistencyError naming pl's sequence, which

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, prod
@@ -114,12 +113,6 @@ class ProvenancedLattice:
                 pts.append((x, x - ax + ay))
         g = gcd(scale, *chain.from_iterable(pts))
         return scale // g, [x // g for x, _ in pts], [y // g for _, y in pts]
-
-    @property
-    def coords(self):
-        """element -> (x, y), the points as Fractions: a view no drawing reads."""
-        den, xs, ys = self.points
-        return {u: (Fraction(x, den), Fraction(y, den)) for u, (x, y) in enumerate(zip(xs, ys))}
 
     @cached_property
     def _drawing(self):
@@ -417,7 +410,7 @@ def reprovenance(diagram):
     d = _diagram_of(diagram)
     report = is_slim_rectangular(d)
     if not report.ok:
-        raise PreconditionError(f"not slim rectangular: {report.failures}")
+        raise PreconditionError("not slim rectangular: " + "; ".join(report.failures))
     return _rebuilt(d)
 
 

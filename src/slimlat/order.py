@@ -13,10 +13,10 @@ against each other and ORs the down-sets, one backward the up-sets and
 tests that each row is reduced.  Sets of elements are int bitmasks, bit y
 for y: `Poset.up[x]` holds the y >= x, `Poset.down[x]` the y <= x.  One
 helper reduces to covers (_above, the mask of the elements strictly above
-a set): Poset._from_up (closed up-set masks), Poset.restrict and the
-check that a cover row is reduced each keep the elements that miss it.  A
-FiniteLattice keeps no table; other modules get elements, not masks, from
-its point queries.  Six textbook facts keep the kernels below cubic cost:
+a set): Poset._from_up (closed up-set masks) and the check that a cover
+row is reduced each keep the elements that miss it.  A FiniteLattice
+keeps no table; other modules get elements, not masks, from its point
+queries.  Six textbook facts keep the kernels below cubic cost:
 
 - Meet tables are filled from the bottom up.  If y is not above x, every
   lower bound of x and y lies below some lower cover c of x, so x ^ y is
@@ -276,17 +276,6 @@ class Poset:
     def height(self):
         """Length (number of covers) of the longest chain of the poset."""
         return max(self._h, default=0)
-
-    def restrict(self, keep):
-        """Induced subposet on `keep`; returns (poset, old ids by new id).
-        A kept a is covered by the minimal kept elements strictly above it."""
-        keep = sorted(set(keep))
-        idx = {old: new for new, old in enumerate(keep)}
-        kept, up, covers = sum(1 << u for u in keep), self.up, []
-        for a in keep:
-            above = up[a] & kept & ~(1 << a)
-            covers += [(idx[a], idx[b]) for b in _elements(above & ~_above(up, _elements(above)))]
-        return Poset(len(keep), covers), keep
 
     def count_downsets(self):
         """Number of down-sets, by divide and conquer on a maximal element."""
@@ -659,21 +648,16 @@ class CongruenceLattice:
     join-irreducibles j with j_ theta j: x theta y iff below[x] and below[y],
     the masks of the join-irreducibles below x and y, agree outside it.
     jir_poset orders them by refinement, which is inclusion of the masks.
-    The partitions (jir_congs) and |Con L| (con_size) are derived on first
-    read; no check reads them.  It holds no reference to its lattice, which
-    keeps it (FiniteLattice._con), so a lattice is freed with its last
-    reference, not by the cyclic collector."""
+    |Con L| (con_size) is derived on first read; no check reads it, and no
+    partition is built.  It holds no reference to its lattice, which keeps
+    it (FiniteLattice._con), so a lattice is freed with its last reference,
+    not by the cyclic collector."""
 
     def __init__(self, collapsed, jir_poset, below):
         self.collapsed, self.jir_poset, self.below = collapsed, jir_poset, below
 
     def jir_count(self):
         return len(self.collapsed)
-
-    @cached_property
-    def jir_congs(self):
-        """Each congruence as the partition of its lattice (Congruence)."""
-        return tuple(Congruence.from_parent([m & ~c for m in self.below]) for c in self.collapsed)
 
     @cached_property
     def con_size(self):
@@ -802,9 +786,10 @@ def _block_order(below, keep_a, keep_b):
 def poset_iso(p, q):
     """An order isomorphism p -> q as a dict, or None, by backtracking on
     a stack (no recursion limit).  An element of p maps into its degree
-    class in q (up- and down-set sizes, cover counts).  p is mapped along
-    its covers, breadth first from the smallest class of each component,
-    so each element but the first of a component has a mapped neighbour.
+    class in q (up- and down-set sizes, cover counts), and the two must
+    have the same component sizes.  p is mapped along its covers, breadth
+    first from the smallest class of each component (_components), so
+    each element but the first of a component has a mapped neighbour.
     The mapped elements above and below u give two masks of images: v is
     a candidate if it lies below the first and above the second, and fits
     iff its up- and down-set meet the images so far in exactly those.
@@ -824,17 +809,9 @@ def poset_iso(p, q):
     if any(m.bit_count() != pclass.count(m) for m in set(pclass)):
         return None
     size = [m.bit_count() for m in pclass]
-    order, seen, i = [], bytearray(n), 0
-    for s in sorted(range(n), key=size.__getitem__):
-        if not seen[s]:
-            seen[s] = 1
-            order.append(s)
-        while i < len(order):  # breadth first over the component of s
-            for w in chain(p._upcov[order[i]], p._dncov[order[i]]):
-                if not seen[w]:
-                    seen[w] = 1
-                    order.append(w)
-            i += 1
+    order, sizes = _components(p, sorted(range(n), key=size.__getitem__))
+    if sorted(sizes) != sorted(_components(q, range(n))[1]):
+        return None
     image, stack, mapped, used, qup, qdown = [0] * n, [], 0, 0, q.up, q.down
     while len(stack) < n:
         u = order[len(stack)]
@@ -860,6 +837,23 @@ def poset_iso(p, q):
         image[u] = v
         mapped, used = mapped | 1 << u, used | 1 << v
     return dict(enumerate(image))
+
+
+def _components(poset, starts):
+    """(order, sizes): the elements breadth first along the covers, each
+    component from the first of `starts` in it, and the component sizes."""
+    order, sizes, seen = [], [], bytearray(poset.n)
+    for s in starts:
+        if not seen[s]:
+            seen[s], comp = 1, [s]
+            for u in comp:  # the loop also visits what it appends
+                for w in chain(poset._upcov[u], poset._dncov[u]):
+                    if not seen[w]:
+                        seen[w] = 1
+                        comp.append(w)
+            order += comp
+            sizes.append(len(comp))
+    return order, sizes
 
 
 def poset_double(p, j):

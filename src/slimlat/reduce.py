@@ -75,9 +75,9 @@ def _removed_sequence(seq, s, i):
 
     A k-fold fork's tubes, left to right, lie on its labels in falling
     left-chain order (diagram._forked_permutation), so tube i has label
-    x = k - 1 - i.  Deleting its fork deletes the feet of x's edges
-    (lamps.fork_interval: they share the foot's left height west of the
-    tube and its right height east of it).  So x goes, each boundary edge
+    x = k - 1 - i.  Deleting its fork deletes the feet of x's edges (the
+    fork interval of the tests' oracles: they share the foot's left height
+    west of the tube and its right height east of it).  So x goes, each boundary edge
     it starts or ends on merges with the one below, and every other
     trajectory keeps its ends: the result's Jordan-Holder permutation is
     the input's with x's pair deleted.  The edited sequence keeps every

@@ -53,9 +53,9 @@ does not use.
 - The trajectory listing: every cover as an edge, every trajectory walked
   with `trajectory_through`, and the east step of one edge across the
   cell side maps, dicts from each (foot, peak) pair to the cell on each
-  side of it (`side_maps`, `cross`).  Production lists no trajectory; it
-  walks one when asked, on the int-indexed slots of its walk table
-  (`slimlat.diagram._walk_table`).
+  side of it (`side_maps`, `cross`).  Production lists no trajectory; a
+  fork step walks the ones it needs on the int-indexed slots of its walk
+  table (`slimlat.diagram._walk_table`).
 - The trajectory check by whole trajectories: every trajectory listed,
   then one neon tube each, the two boundary ends and count = length.
   Production checks them in one sweep along the walk table's east list
@@ -90,8 +90,14 @@ does not use.
   in ints over one common denominator on first read
   (`slimlat.multifork.ProvenancedLattice.points`).
 - The slope check and the SVG and TikZ renders in `Fraction` arithmetic
-  on `coords`, as they were before production drew the integer points
+  on `coords_of`, as they were before production drew the integer points
   and kept its checked drawing (`slimlat.render._checked_drawing`).
+- Views that no production path reads: the cells off the rows
+  (`four_cells`; production keeps each top in its walk table), cell
+  addresses (`cell_address`, `resolve_address`), trajectories walked on
+  the walk table (`trajectory_through`), `projections`, `fork_interval`,
+  induced subposets (`restrict`), the partitions of Con L (`jir_congs`)
+  and the points as `Fraction`s (`coords_of`).
 - The lamp rule's order by closing the pairs that each fork adds
   (`sequence_lamp_poset_by_closure`).  Production carries each lamp's
   up-set mask along the forks (`slimlat.multifork._sequence_lamp_poset`).
@@ -106,16 +112,15 @@ from typing import NamedTuple
 
 from slimlat.diagram import (
     _certified_diagram,
+    _crossed,
     _forked_labels,
     _half_walk,
     _jh_permutation,
-    cell_address,
+    _trajectory_slots,
     is_slim_rectangular,
-    resolve_address,
 )
 from slimlat.errors import DiagramError, InternalInconsistencyError, OrderError
 from slimlat.lamps import (
-    fork_interval,
     lamp_creation_step,
     lamp_poset,
     lamps_of_diagram,
@@ -127,10 +132,111 @@ from slimlat.order import (
     Congruence,
     FiniteLattice,
     Poset,
+    _above,
     _collapsed,
     _elements,
     is_distributive_ideal_grid,
 )
+
+
+class FourCell(NamedTuple):
+    """A cell as its (bottom, left, right, top) quadruple."""
+    bottom: int
+    left: int
+    right: int
+    top: int
+
+
+class Trajectory(NamedTuple):
+    """Edges, (foot, peak) pairs, from the left boundary to the right one,
+    the index of its neon tube, and the cells it crosses: cells[i] lies
+    between edges[i] and edges[i + 1]."""
+    edges: tuple
+    top_index: int
+    cells: tuple
+
+    @property
+    def tube(self):
+        return self.edges[self.top_index]
+
+
+def four_cells(d):
+    """The cells of d read off its rows, in row order: each two
+    neighbouring upper covers l, r of an element, with their one common
+    upper cover as the top.  DiagramError if they have none."""
+    out = []
+    for u, row in enumerate(d.upper):
+        for l, r in zip(row, row[1:]):
+            tops = set(d.upper[l]) & set(d.upper[r])
+            if len(tops) != 1:
+                raise DiagramError(f"region over {u} between covers {l},{r} is not a 4-cell")
+            out.append(FourCell(u, l, r, *tops))
+    return tuple(out)
+
+
+def cell_address(d, cell):
+    """(left height, right height) of the cell's bottom."""
+    hl, hr, _, _ = d.heights()
+    return hl[cell.bottom], hr[cell.bottom]
+
+
+def resolve_address(d, address):
+    """The one cell whose bottom sits at the given boundary heights."""
+    [cell] = [c for c in four_cells(d) if cell_address(d, c) == tuple(address)]
+    return cell
+
+
+def trajectory_through(d, edge):
+    """The trajectory through `edge`, a (foot, peak) pair, walked on d's
+    walk table as a fork step walks it; its tube is the first edge whose
+    foot has one upper cover (trajectory_failure_by_walks counts them)."""
+    foot, peak = edge
+    table = d._walks()
+    slots = _trajectory_slots(d, table.base[foot] + d.upper[foot].index(peak))
+    edges = tuple(table.edges(slots))
+    cells = tuple(FourCell(*table.edge(c), table.peaks[c + 1], table.tops[c])
+                  for c in _crossed(table, slots))
+    return Trajectory(edges, next((i for i, (f, _) in enumerate(edges)
+                                   if len(d.upper[f]) == 1), None), cells)
+
+
+def projections(d, x):
+    """(the meet of x with the left corner, with the right one), read off
+    the boundary heights."""
+    hl, hr, lchain, rchain = d.heights()
+    return lchain[hl[x]], rchain[hr[x]]
+
+
+def fork_interval(d, foot):
+    """[l_proj(foot), foot] union [r_proj(foot), foot]: the elements that
+    deleting the fork of a tube with this foot deletes."""
+    lat = d.lattice
+    lp, rp = projections(d, foot)
+    return lat.interval(lp, foot) | lat.interval(rp, foot)
+
+
+def restrict(poset, keep):
+    """(the subposet induced on `keep`, old ids by new id): a kept a is
+    covered by the minimal kept elements strictly above it."""
+    keep = sorted(set(keep))
+    idx = {old: new for new, old in enumerate(keep)}
+    kept, up, covers = sum(1 << u for u in keep), poset.up, []
+    for a in keep:
+        above = up[a] & kept & ~(1 << a)
+        covers += [(idx[a], idx[b]) for b in _elements(above & ~_above(up, _elements(above)))]
+    return Poset(len(keep), covers), keep
+
+
+def jir_congs(cl):
+    """Each join-irreducible congruence of the CongruenceLattice cl, in its
+    order, as the partition of its lattice."""
+    return tuple(Congruence.from_parent([m & ~c for m in cl.below]) for c in cl.collapsed)
+
+
+def coords_of(pl):
+    """element -> (x, y): the integer points of a built lattice as Fractions."""
+    den, xs, ys = pl.points
+    return {u: (Fraction(x, den), Fraction(y, den)) for u, (x, y) in enumerate(zip(xs, ys))}
 
 
 def nwl_nel(d, lamp):
@@ -138,7 +244,7 @@ def nwl_nel(d, lamp):
     edges of the circumscribed rectangle of an internal lamp, each walked
     whole."""
     lowers = d.lower[lamp.peak]
-    return tuple(tube_lamp(d, d.trajectory_through((x, lamp.peak)).tube)[0]
+    return tuple(tube_lamp(d, trajectory_through(d, (x, lamp.peak)).tube)[0]
                  for x in (lowers[0], lowers[-1]))
 
 
@@ -265,8 +371,8 @@ def locate_retarget(stage_pl, address):
     one through its upper-right edge ascends to tube beta of lamp v."""
     d = stage_pl.diagram
     cell = resolve_address(d, address)
-    lamp_u, alpha = tube_lamp(d, d.trajectory_through((cell.left, cell.top)).tube)
-    lamp_v, beta = tube_lamp(d, d.trajectory_through((cell.right, cell.top)).tube)
+    lamp_u, alpha = tube_lamp(d, trajectory_through(d, (cell.left, cell.top)).tube)
+    lamp_v, beta = tube_lamp(d, trajectory_through(d, (cell.right, cell.top)).tube)
     return _lamp_id(stage_pl, lamp_u), alpha, _lamp_id(stage_pl, lamp_v), beta
 
 
@@ -282,8 +388,8 @@ def _crossing_cell(pl, record, t):
         kind, key = lamp_id
         return (kind, key + (key >= t)) if kind == "s" else lamp_id
 
-    traj_p = pl.diagram.trajectory_through(by_id[moved(u)].tubes[alpha])
-    traj_q = pl.diagram.trajectory_through(by_id[moved(v)].tubes[beta])
+    traj_p = trajectory_through(pl.diagram, by_id[moved(u)].tubes[alpha])
+    traj_q = trajectory_through(pl.diagram, by_id[moved(v)].tubes[beta])
     common = set(traj_p.cells[traj_p.top_index:]) & set(traj_q.cells[: traj_q.top_index])
     assert len(common) == 1, common
     return common.pop()
@@ -301,7 +407,7 @@ def doubled_sequence_by_crossings(seq, t):
     step = seq.steps[t - 1]
     pl = multifork_extend(chain[t - 1], (step.a, step.b), 2)
     new_lamp = next(l for l in lamps_of_diagram(pl.diagram) if lamp_creation_step(pl, l) == t)
-    [anchor] = [c for c in pl.diagram.four_cells() if c.top == new_lamp.tubes[0].foot]
+    [anchor] = [c for c in four_cells(pl.diagram) if c.top == new_lamp.tubes[0].foot]
     pl = multifork_extend(pl, cell_address(pl.diagram, anchor), step.k)
     for s in range(t + 1, len(seq.steps) + 1):
         cell = _crossing_cell(pl, records[s], t)
@@ -318,7 +424,7 @@ def _territories(chain, lamps):
     for lamp in lamps:
         for tube in lamp.tubes:
             s = next(s for s, st in enumerate(chain) if max(tube) < st.n)
-            traj = chain[s].diagram.trajectory_through(tube)
+            traj = trajectory_through(chain[s].diagram, tube)
             ti = traj.top_index
             out[tube] = (s, (traj.cells,) if lamp.kind == "boundary"
                          else (traj.cells[:ti - 1], traj.cells[ti + 1:]))
@@ -343,7 +449,7 @@ def _geometry(pl):
     """(lamps, final coordinates, territories, origins) of a built lattice."""
     chain = stages(pl)
     lamps = lamps_of_diagram(pl.diagram)
-    return lamps, chain[-1].coords, _territories(chain, lamps), _origins(chain, lamps)
+    return lamps, coords_of(chain[-1]), _territories(chain, lamps), _origins(chain, lamps)
 
 
 def _uses(coords, origin, territory):
@@ -379,7 +485,7 @@ def _interior_vertices(d, coords, cells):
     sides whose across-the-edge neighbor cell lies outside the region.
     """
     quads = [quad(coords, c) for c in cells]
-    leaves = [c for c in d.four_cells()
+    leaves = [c for c in four_cells(d)
               if any(point_in_quad(q, centroid(coords, c)) for q in quads)]
     in_region = set(leaves)
     west, east = side_maps(d)
@@ -515,7 +621,7 @@ def congruence_join(lat, congs):
 def sublattice(lat, elems):
     """(the lattice induced on elems, old ids by new id), certified by its
     meet table, as foreign input is; OrderError if it is no lattice."""
-    sub, old_ids = lat.poset.restrict(elems)
+    sub, old_ids = restrict(lat.poset, elems)
     return FiniteLattice(sub), old_ids
 
 
@@ -525,7 +631,7 @@ def delete_fork(d, tube):
     rest (`lamps.fork_interval`), certified at the same corners and
     validated.  Raises DiagramError or OrderError naming the failure."""
     lat = d.lattice
-    sub, old_ids = lat.poset.restrict(set(range(lat.n)) - fork_interval(d, tube.foot))
+    sub, old_ids = restrict(lat.poset, set(range(lat.n)) - fork_interval(d, tube.foot))
     idx = {old: new for new, old in enumerate(old_ids)}
     # the fork lies below an internal foot, which lies above neither corner
     # (what does is on an upper boundary), so both corners are kept
@@ -551,14 +657,14 @@ def removal_by_deletion(pl, lamp, tube, rule):
     subd, idx = delete_fork(d, tube)
     lowers = d.lower[lamp.peak]
     pos = lowers.index(tube.foot)
-    left_chain = lat.interval(d.l_proj(tube.foot), tube.foot)
-    right_chain = lat.interval(d.r_proj(tube.foot), tube.foot)
+    lp, rp = projections(d, tube.foot)
+    left_chain, right_chain = lat.interval(lp, tube.foot), lat.interval(rp, tube.foot)
 
     def repeaked(old_peak):
         if old_peak in left_chain:
-            return lat.join_of((old_peak, d.l_proj(lowers[pos - 1])))
+            return lat.join_of((old_peak, projections(d, lowers[pos - 1])[0]))
         assert old_peak in right_chain, "deleted peak is off both fork chains"
-        return lat.join_of((old_peak, d.r_proj(lowers[pos + 1])))
+        return lat.join_of((old_peak, projections(d, lowers[pos + 1])[1]))
 
     new_lamps = {l.foot: l for l in lamps_of_diagram(subd)}
     new_by_peak = {l.peak: l for l in new_lamps.values()}
@@ -600,8 +706,9 @@ def is_congruence(lat, cong):
 def verify_jir_congruences(lat, cl):
     """Each congruence that cl, Con of lat, lists must not be the join of
     strictly smaller ones."""
-    for c in cl.jir_congs:
-        below = [d for d in cl.jir_congs if d != c and refines(d, c)]
+    congs = jir_congs(cl)
+    for c in congs:
+        below = [d for d in congs if d != c and refines(d, c)]
         if congruence_join(lat, below).block_index == c.block_index:
             return False
     return True
@@ -777,7 +884,7 @@ def side_maps(d):
     """(west, east): (foot, peak) -> the cell on that side of the edge;
     DiagramError naming the first edge with two cells on one side."""
     west, east = {}, {}
-    for c in d.four_cells():
+    for c in four_cells(d):
         for side, e in (
             (east, (c.bottom, c.left)),
             (east, (c.left, c.top)),
@@ -814,7 +921,7 @@ def trajectories(d):
     out, done = [], set()
     for e in all_edges(d):
         if e not in done:
-            t = d.trajectory_through(e)
+            t = trajectory_through(d, e)
             out.append(t)
             done.update(t.edges)
     return tuple(out)
@@ -850,7 +957,7 @@ def trajectory_failure_by_walks(d):
 def distributive_cells(d):
     """The sorted addresses of the diagram's cells whose top has an ideal
     that is a product of two chains."""
-    return sorted(cell_address(d, c) for c in d.four_cells()
+    return sorted(cell_address(d, c) for c in four_cells(d)
                   if is_distributive_ideal_grid(d.lattice, c.top))
 
 
@@ -890,8 +997,8 @@ def eager_coords(seq):
         d, k, n0 = pl.diagram, st.k, pl.n
         cell = resolve_address(d, (st.a, st.b))
         lower_left, lower_right = (cell.bottom, cell.left), (cell.bottom, cell.right)
-        left = d.trajectory_through(lower_left).edges
-        right = d.trajectory_through(lower_right).edges
+        left = trajectory_through(d, lower_left).edges
+        right = trajectory_through(d, lower_right).edges
         paths = (left[left.index(lower_left)::-1], right[right.index(lower_right):])
         new = n0
         points = []                 # per path, per edge: its k points from the peak down
@@ -948,7 +1055,7 @@ def validate_slopes_by_fractions(pl):
     """The slope discipline on the exact `Fraction` coordinates, with the
     fault texts and order of `slimlat.render.validate_slopes`."""
     internal_mir = _internal_mir(pl)
-    uv = {u: (y + x, y - x) for u, (x, y) in pl.coords.items()}
+    uv = {u: (y + x, y - x) for u, (x, y) in coords_of(pl).items()}
     for foot, peak in sorted(pl.lattice.poset.covers):
         (uf, vf), (up, vp) = uv[foot], uv[peak]
         if up < uf or vp < vf or (up == uf and vp == vf):
@@ -968,7 +1075,7 @@ def _decimal(x, places=6):
 def svg_by_fractions(pl, scale=40, margin=30):
     """`slimlat.render.render_svg`, each number folded as a `Fraction`."""
     validate_slopes_by_fractions(pl)
-    coords = pl.coords
+    coords = coords_of(pl)
     xs = [c[0] for c in coords.values()]
     ys = [c[1] for c in coords.values()]
     minx, maxy = min(xs), max(ys)
@@ -1003,7 +1110,7 @@ def svg_by_fractions(pl, scale=40, margin=30):
 def tikz_by_fractions(pl):
     """`slimlat.render.render_tikz`, each coordinate a `Fraction` to float."""
     validate_slopes_by_fractions(pl)
-    coords = pl.coords
+    coords = coords_of(pl)
     out = ["\\begin{tikzpicture}[scale=0.8]"]
     for u in range(pl.n):
         x, y = coords[u]

@@ -9,7 +9,6 @@ from slimlat.diagram import is_slim_rectangular
 from slimlat.doubling import double
 from slimlat.explore import enumerate_index, realize
 from slimlat.lamps import (
-    fork_interval,
     lamp_creation_step,
     lamp_poset,
     lamps_of_diagram,
@@ -32,7 +31,7 @@ from slimlat.reduce import (
     remove_sandwiched,
 )
 
-from oracles import rho_circr, rho_foot
+from oracles import fork_interval, rho_circr, rho_foot
 
 
 @pytest.fixture(scope="module")

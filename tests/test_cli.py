@@ -13,6 +13,8 @@ from slimlat.dsl import parse_dsl
 from slimlat.multifork import build
 from slimlat.order import congruence_lattice, named_posets
 
+from oracles import _closure, tables
+
 
 @pytest.fixture
 def s7_seq(tmp_path):
@@ -53,8 +55,9 @@ def test_lamps_and_con(tmp_path, s7_seq):
 
 def test_con_lists_each_congruence_by_what_it_fixes(tmp_path):
     """`slimlat con` lists each join-irreducible congruence theta by
-    C = {j in J(L) : j_ theta j}, which fixes it: x theta y iff the
-    join-irreducibles below x and below y outside C agree."""
+    C = {j in J(L) : j_ theta j}, which fixes it: theta is the closure of
+    the pairs (j_, j), j in C, and x theta y iff the join-irreducibles
+    below x and below y outside C agree."""
     text = "grid 2 2\nfork 1 1 2\nfork 0 0 1\n"
     seq = tmp_path / "l.seq"
     seq.write_text(text)
@@ -63,9 +66,10 @@ def test_con_lists_each_congruence_by_what_it_fixes(tmp_path):
     collapsed = json.loads(out.read_text())["jir_congruence_collapsed"]
     lat = build(parse_dsl(text)).lattice
     below = [{j for j in lat.jir() if lat.leq(j, x)} for x in range(lat.n)]
-    congs = congruence_lattice(lat).jir_congs
-    assert len(collapsed) == len(congs) == 6
-    for c, kept in zip(congs, collapsed):
+    assert len(collapsed) == congruence_lattice(lat).jir_count() == 6
+    meet, join = tables(lat)
+    for kept in collapsed:
+        c = _closure(meet, join, [(lat.lower_covers(j)[0], j) for j in kept])
         for x in range(lat.n):
             for y in range(lat.n):
                 assert c.same(x, y) == (below[x] - set(kept) == below[y] - set(kept))

@@ -6,15 +6,14 @@ from slimlat import diagram, order
 from slimlat.diagram import (
     Edge,
     PlanarDiagram,
+    _address_slot,
     _certified_diagram,
     _sorted_diagram,
     _trajectory_failure,
     boundary_heights,
     canonical_code,
-    cell_address,
     embed_rectangular,
     is_slim_rectangular,
-    resolve_address,
 )
 from slimlat.dsl import parse_dsl
 from slimlat.errors import DiagramError
@@ -24,7 +23,15 @@ from slimlat.multifork import build, grid
 from slimlat.order import FiniteLattice, Poset, lattice_from_poset, named_posets, order_from_covers
 from slimlat.reduce import check_bounds
 
-from oracles import east_step, trajectories, trajectory_failure_by_walks
+from oracles import (
+    cell_address,
+    east_step,
+    four_cells,
+    projections,
+    trajectories,
+    trajectory_failure_by_walks,
+    trajectory_through,
+)
 from test_order import B2_COVERS, S7_COVERS, counted_calls, grid_poset
 
 
@@ -103,17 +110,17 @@ def test_a_read_while_a_cache_is_stored_gets_both_values():
             # the first store of each is read
             if name == "_chains" and value is not None and "chains" not in reads:
                 reads["chains"] = (self.boundary_chains(), self._boundary_sets())
-            if name == "_table" and value is not None and "cells" not in reads:
-                reads["cells"] = (self.four_cells(), self.cells_by_bottom(), self._steps())
+            if name == "_table" and value is not None and "table" not in reads:
+                reads["table"] = (self._walks(), self._steps())
             if name == "_ends" and value is not None and "ends" not in reads:
                 reads["ends"] = tuple(self._ends)
 
     g = grid(2, 2).diagram
     d = Reading._sorted(g.lattice, g.upper, g.lower)
-    chains, cells = d.boundary_chains(), d.four_cells()
+    chains, table = d.boundary_chains(), d._walks()
     assert reads["chains"] == (chains, tuple(map(frozenset, chains)))
-    assert len(cells) == 4
-    assert reads["cells"] == (cells, {c.bottom: c for c in cells}, d._steps())
+    assert sum(t >= 0 for t in table.tops) == 4
+    assert reads["table"] == (table, d._steps())
     assert is_slim_rectangular(d).ok
     assert len(reads["ends"]) == 4 and reads["ends"] == tuple(d._ends)
 
@@ -142,42 +149,57 @@ def test_cached_structure_matches_a_fresh_embedding():
 # Projections -----------------------------------------------------------------
 
 def test_projections():
+    """The boundary heights place each element's meets with the two
+    corners on the boundary chains, and the element is their join."""
     d = grid_diagram(2, 2)
     lat = d.lattice
     lc, rc = d.corners()
-    assert d.l_proj(lat.top) == lc and d.r_proj(lat.top) == rc
+    assert projections(d, lat.top) == (lc, rc)
     for x in range(lat.n):
-        assert d.l_proj(x) == lat.meet_of((x, lc)) and d.r_proj(x) == lat.meet_of((x, rc))
-        assert lat.join_of((d.l_proj(x), d.r_proj(x))) == x
+        lp, rp = projections(d, x)
+        assert lp == lat.meet_of((x, lc)) and rp == lat.meet_of((x, rc))
+        assert lat.join_of((lp, rp)) == x
 
 
 def test_s7_projection_of_internal_foot():
     d = embed(S7_COVERS)
-    # foot of the internal tube is m=3; its left projection is z_l=1
-    assert d.l_proj(3) == 1
-    assert d.r_proj(3) == 2
+    # foot of the internal tube is m=3; its projections are z_l=1 and z_r=2
+    assert projections(d, 3) == (1, 2)
 
 
 # Cells -----------------------------------------------------------------------
 
 def test_cell_counts():
-    assert len(embed(B2_COVERS).four_cells()) == 1
-    assert len(grid_diagram(2, 3).four_cells()) == 6
-    assert len(embed(S7_COVERS).four_cells()) == 3
+    assert len(four_cells(embed(B2_COVERS))) == 1
+    assert len(four_cells(grid_diagram(2, 3))) == 6
+    assert len(four_cells(embed(S7_COVERS))) == 3
 
 
 def test_cell_addresses_s7():
     d = embed(S7_COVERS)
-    addrs = sorted(cell_address(d, c) for c in d.four_cells())
-    assert addrs == [(0, 0), (0, 1), (1, 0)]
-    for c in d.four_cells():
-        assert resolve_address(d, cell_address(d, c)) == c
+    assert sorted(cell_address(d, c) for c in four_cells(d)) == [(0, 0), (0, 1), (1, 0)]
 
 
 def test_resolve_address_error():
     d = embed(B2_COVERS)
-    with pytest.raises(DiagramError):
-        resolve_address(d, (5, 5))
+    with pytest.raises(DiagramError, match="outside the boundary chains"):
+        _address_slot(d, (5, 5))
+
+
+def test_the_walk_table_holds_the_cells_of_the_rows():
+    """On every lattice of length <= 6 and its mirror image, the cells
+    that the walk table keeps, each top at its lower left slot, and the
+    slot that each cell's address names are those read off the rows: each
+    two neighbouring upper covers of an element, with their one common
+    upper cover as the top."""
+    diagrams = [e.pl.diagram for e in enumerate_index(6).entries()]
+    for d in diagrams + [d.mirror() for d in diagrams]:
+        table, cells = d._walks(), four_cells(d)
+        assert [(*table.edge(s), table.peaks[s + 1], t)
+                for s, t in enumerate(table.tops) if t >= 0] == list(cells)
+        for c in cells:
+            s = _address_slot(d, cell_address(d, c))
+            assert (*table.edge(s), table.peaks[s + 1], table.tops[s]) == c
 
 
 # Trajectories and tubes --------------------------------------------------------
@@ -206,7 +228,7 @@ def test_trajectory_cells_match_an_east_walk():
             walk = [east_step(d, e) for e in t.edges]
             assert [nxt for nxt, _ in walk] == [*t.edges[1:], None]
             assert tuple(cell for _, cell in walk[:-1]) == t.cells
-            assert all(d.trajectory_through(e) == t for e in t.edges)
+            assert all(trajectory_through(d, e) == t for e in t.edges)
 
 
 def test_trajectory_sweep_agrees_with_the_walk_oracle():

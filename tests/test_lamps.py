@@ -10,10 +10,8 @@ from slimlat.cli import main
 from slimlat.doubling import double
 from slimlat.dsl import parse_dsl
 from slimlat.errors import InternalInconsistencyError, PreconditionError
-from slimlat.diagram import PlanarDiagram, resolve_address
+from slimlat.diagram import PlanarDiagram
 from slimlat.lamps import (
-    circ_r,
-    fork_interval,
     lamp_creation_step,
     lamp_poset,
     lamp_report,
@@ -30,9 +28,11 @@ from slimlat.order import Congruence, Poset, congruence_lattice, named_posets, p
 from oracles import (
     congruence_lattice_by_partitions,
     covers_via_nwl_nel,
+    fork_interval,
     nwl_nel,
     nwl_nel_lamp_order,
     peeled_by_lamp_order,
+    resolve_address,
     rho_circr,
     rho_foot,
     same_poset,
@@ -109,23 +109,25 @@ def test_lamp_feet_distinct():
 
 # CircR -------------------------------------------------------------------------
 
+def circumscribed(pl, lamp):
+    """[meet of the peak's first and last lower covers, peak], as is_used reads it."""
+    lowers = pl.diagram.lower[lamp.peak]
+    return pl.lattice.interval(pl.lattice.meet_of((lowers[0], lowers[-1])), lamp.peak)
+
+
 def test_circ_r_s7():
     pl = s7()
     internal = next(l for l in lamps_of_diagram(pl.diagram) if l.kind == "internal")
     square = resolve_address(grid(1, 1).diagram, (0, 0))
-    assert circ_r(pl, internal) == frozenset(range(7))  # the whole lattice
-    assert circ_r(pl, internal) == pl.lattice.interval(square.bottom, square.top)
+    assert circumscribed(pl, internal) == frozenset(range(7))  # the whole lattice
+    assert circumscribed(pl, internal) == pl.lattice.interval(square.bottom, square.top)
 
 
 def test_circ_r_g22():
     pl = g22_fork2()
     internal = next(l for l in lamps_of_diagram(pl.diagram) if l.kind == "internal")
     cell = resolve_address(grid(2, 2).diagram, (1, 1))
-    assert circ_r(pl, internal) == pl.lattice.interval(cell.bottom, cell.top)
-    assert circ_r(pl.diagram, internal) == circ_r(pl, internal)
-    boundary = next(l for l in lamps_of_diagram(pl.diagram) if l.kind == "boundary")
-    with pytest.raises(PreconditionError):
-        circ_r(pl, boundary)
+    assert circumscribed(pl, internal) == pl.lattice.interval(cell.bottom, cell.top)
 
 
 # rho relations --------------------------------------------------------------------
@@ -282,17 +284,29 @@ def test_a_stuck_peel_in_a_lamp_order_is_reported(monkeypatch, tmp_path, capsys)
     assert '"pattern": "0u0"' in capsys.readouterr().out
 
 
-def test_an_invalid_bare_diagram_has_no_lamp_order():
+def test_an_invalid_bare_diagram_has_no_lamp_order(tmp_path, capsys):
     """The door validates a bare diagram before it peels: with one lower
-    order row reversed, the top's two lower covers bound no cell."""
+    order row reversed, the top's two lower covers bound no cell.  Each
+    command that reads lattice JSON through the door prints its failures
+    joined by semicolons."""
     data = json.loads(build(parse_dsl("grid 1 1\nfork 0 0 1")).diagram.to_json())
     data["lower_order"][6].reverse()
     d = PlanarDiagram.from_json(json.dumps(data))
     with pytest.raises(PreconditionError) as info:
         lamp_poset(d)
     assert str(info.value) == (
-        "not slim rectangular: ('lower covers 5,4 of 6 are not the left and right"
-        " sides of a cell',)")
+        "not slim rectangular: lower covers 5,4 of 6 are not the left and right"
+        " sides of a cell")
+    # the four lower covers of element 3 of `fork 0 0 2`, reversed
+    data = json.loads(build(parse_dsl("grid 1 1\nfork 0 0 2")).diagram.to_json())
+    data["lower_order"][3].reverse()
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(data))
+    failures = [f"lower covers {a},{b} of 3 are not the left and right sides of a cell"
+                for a, b in ((1, 10), (10, 9), (9, 2))]
+    for command in ("lamps", "bounds", "render", "decompose", "minimize", "reduce"):
+        assert main([command, "--input", str(path), "--format", "json"]) == 1
+        assert capsys.readouterr().err == f"error: not slim rectangular: {'; '.join(failures)}\n"
 
 
 def test_no_lamp_order_of_a_built_lattice_peels(monkeypatch, empty_memo):
@@ -326,7 +340,6 @@ def _check_con_against_the_partitions(entries):
             got = congruence_lattice(pl.lattice)
             want = congruence_lattice_by_partitions(pl.lattice)
             assert got.collapsed == want.collapsed, entry.seq
-            assert got.jir_congs == want.jir_congs, entry.seq
             assert same_poset(got.jir_poset, want.jir_poset), entry.seq
             assert got.con_size == want.con_size, entry.seq
             assert verify_lamp_con_iso(pl) == verify_lamp_con_iso_by_partitions(pl), entry.seq
@@ -461,7 +474,6 @@ def test_usage_sandwich_fixture():
     lamps = lamps_of_diagram(pl.diagram)
     three = next(l for l in lamps if l.kind == "internal" and len(l.tubes) == 3)
     assert stats.patterns[three.foot] == "0u0"
-    assert stats.t_plus(three.foot) == 1 and stats.t_minus(three.foot) == 2
 
 
 def test_usage_matches_the_geometric_oracle_up_to_length_six():
@@ -561,7 +573,7 @@ def test_lamp_report_at_the_element_budget():
 def test_lamp_creation_step_names_the_step_that_forked_the_lamps_peak():
     # oracle: step s forks the cell (a, b) of stage s - 1, whose top is the
     # peak of step s's lamp from then on, and whose interval is the lamp's
-    # circumscribed one (circ_r); a boundary lamp's step is 0
+    # circumscribed one, as is_used reads it; a boundary lamp's step is 0
     checked = 0
     for entry in enumerate_index(6).entries():
         chain = stages(entry.pl)
@@ -579,7 +591,7 @@ def test_lamp_creation_step_names_the_step_that_forked_the_lamps_peak():
                 if l.kind == "internal":
                     s, cell = cells[l.peak]
                     assert lamp_creation_step(pl, l) == s
-                    assert circ_r(pl, l) == pl.lattice.interval(cell.bottom, cell.top)
+                    assert circumscribed(pl, l) == pl.lattice.interval(cell.bottom, cell.top)
                 else:
                     assert lamp_creation_step(pl, l) == 0
                 checked += 1

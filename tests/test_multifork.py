@@ -1,6 +1,5 @@
 import gc
 import types
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
@@ -9,12 +8,9 @@ import pytest
 from slimlat import diagram, multifork
 from slimlat.diagram import (
     Edge,
-    FourCell,
     PlanarDiagram,
     boundary_heights,
-    cell_address,
     is_slim_rectangular,
-    resolve_address,
 )
 from slimlat.doubling import double
 from slimlat.dsl import emit_dsl, parse_dsl
@@ -143,7 +139,7 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
     its points.  One svg render replays them once, for its slope check
     and its drawing."""
     calls, sweeps = [], {"count": 0, "running": False}
-    sweep, through = diagram._trajectory_failure, PlanarDiagram.trajectory_through
+    sweep, walk = diagram._trajectory_failure, diagram._trajectory_slots
     points = ProvenancedLattice.points.func
 
     def counted_sweep(d):
@@ -154,10 +150,10 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
         finally:
             sweeps["running"] = False
 
-    def counted_through(d, edge):
+    def counted_walk(d, s):
         if sweeps["running"]:
-            calls.append("trajectory_through")
-        return through(d, edge)
+            calls.append("_trajectory_slots")
+        return walk(d, s)
 
     def counted_points(pl):
         calls.append("points")
@@ -166,7 +162,7 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
     counted = cached_property(counted_points)
     counted.__set_name__(ProvenancedLattice, "points")
     monkeypatch.setattr(diagram, "_trajectory_failure", counted_sweep)
-    monkeypatch.setattr(PlanarDiagram, "trajectory_through", counted_through)
+    monkeypatch.setattr(diagram, "_trajectory_slots", counted_walk)
     monkeypatch.setattr(ProvenancedLattice, "points", counted)
     seqs = [e.pl.seq for e in enumerate_index(6).entries()]
     for seq in seqs:
@@ -188,7 +184,7 @@ def test_steps_sort_no_row_and_derive_no_cover_set(monkeypatch):
     and doubling them, sorts no row: a grid or fork step splices its rows
     in order from the parent's, and a removal builds a sequence.  Only a
     fork deletion, the test oracle whose rows come ascending from
-    Poset.restrict, sorts.  No built lattice derives its cover set: one
+    the oracles' restrict, sorts.  No built lattice derives its cover set: one
     JSON write derives it once."""
     events = []
     falling, covers = diagram._falling, Poset.covers.func
@@ -284,7 +280,7 @@ def test_grid_basics():
     assert g.n == 4 and g.length() == 2
     g22 = grid(2, 2)
     assert g22.n == 9
-    assert len(g22.diagram.four_cells()) == 4
+    assert len(oracles.four_cells(g22.diagram)) == 4
     boundary, internal = g22.diagram.neon_tubes()
     assert len(boundary) == 4 and len(internal) == 0
 
@@ -309,16 +305,14 @@ def test_grid_tube_records():
     assert len(g.tube_records) == 5
     for tube, rec in g.tube_records.items():
         assert rec.step == 0
-        cells = g.diagram.trajectory_through(tube).cells
+        cells = oracles.trajectory_through(g.diagram, tube).cells
         assert rec.cells == tuple((c.bottom, c.top) for c in cells) and rec.cells
 
 
 def test_edges_and_cells_are_their_tuples():
-    """An Edge is its (foot, peak) pair and a FourCell its (bottom, left,
-    right, top) quadruple, so maps keyed by either answer the other; the
-    tube records' keys and cells are stored as plain tuples."""
+    """An Edge is its (foot, peak) pair, so maps keyed by either answer the
+    other; the tube records' keys and cells are stored as plain tuples."""
     assert Edge(3, 6) == (3, 6) and hash(Edge(3, 6)) == hash((3, 6))
-    assert FourCell(0, 1, 2, 3) == (0, 1, 2, 3)
     pl = build(parse_dsl("grid 2 2\nfork 1 1 2\nfork 0 0 1\n"))
     d = pl.diagram
     tubes = [(l, i, e) for l in lamps_of_diagram(d) for i, e in enumerate(l.tubes)]
@@ -326,8 +320,6 @@ def test_edges_and_cells_are_their_tuples():
     for lamp, i, (f, p) in tubes:
         assert tube_lamp(d, (f, p)) == (lamp, i)
         assert pl.tube_records[f, p] is pl.tube_records[Edge(f, p)]
-    for c in d.four_cells():
-        assert d.cells_by_bottom()[c.bottom] == tuple(c)
     assert {type(key) for key in pl.tube_records} == {tuple}
     assert {type(c) for rec in pl.tube_records.values() for c in rec.cells} == {tuple}
     assert len(pl.tube_records) == 7
@@ -452,7 +444,7 @@ def _tube_moved_east(d):
     assert is_slim_rectangular(d).ok
     m = d.n - 1
     t = d.upper[m][0]
-    edges = d.trajectory_through((m, t)).edges
+    edges = oracles.trajectory_through(d, (m, t)).edges
     f = edges[edges.index((m, t)) + 1][0]
     upper = list(d.upper)
     upper[m], upper[f] = (t, t), upper[f][:1]
@@ -543,12 +535,12 @@ def test_forest_children_counts():
     the forked cell holds 2k + 1 + k(k - 1) / 2 of them, each of the two
     cells its paths cross k + 1, and every other grid cell only itself."""
     base = grid(2, 2)
-    origin = resolve_address(base.diagram, (1, 1))
+    origin = oracles.resolve_address(base.diagram, (1, 1))
     for k in (1, 2, 3):
         pl = multifork_extend(base, (1, 1), k)
-        lat, cells = pl.lattice, pl.diagram.four_cells()
+        lat, cells = pl.lattice, oracles.four_cells(pl.diagram)
         counts = sorted(sum(inside(lat, c, c2) for c2 in cells)
-                        for c in base.diagram.four_cells() if c != origin)
+                        for c in oracles.four_cells(base.diagram) if c != origin)
         assert sum(inside(lat, origin, c2) for c2 in cells) == 2 * k + 1 + k * (k - 1) // 2
         assert counts == [1, k + 1, k + 1]
 
@@ -559,10 +551,10 @@ def assert_cells_nest(pl):
     the fork left it alone, else the one whose quadrilateral holds its
     centroid on the final drawing."""
     stages = oracles.stages(pl)
-    lat, coords = pl.lattice, stages[-1].coords
+    lat, coords = pl.lattice, oracles.coords_of(stages[-1])
     for before, after in zip(stages, stages[1:]):
-        old = before.diagram.four_cells()
-        for c in after.diagram.four_cells():
+        old = oracles.four_cells(before.diagram)
+        for c in oracles.four_cells(after.diagram):
             holders = [o for o in old if inside(lat, o, c)]
             if c in old:
                 assert holders == [c], (emit_dsl(pl.seq), c)
@@ -576,15 +568,12 @@ def assert_cells_nest(pl):
 def assert_points_match_the_eager_fold(pl):
     """The integer points replayed from the recipes are the coordinates
     that the step by step fold gives, as ints over the lcm of their
-    reduced denominators, and `coords` reads them as Fractions."""
+    reduced denominators."""
     eager = eager_coords(pl.seq)
     assert sorted(eager) == list(range(pl.n))
     den = lcm(*(c.denominator for xy in eager.values() for c in xy))
     assert pl.points == (den, [int(eager[u][0] * den) for u in range(pl.n)],
                          [int(eager[u][1] * den) for u in range(pl.n)]), emit_dsl(pl.seq)
-    coords = pl.coords
-    assert coords == eager
-    assert all(type(v) is Fraction for xy in coords.values() for v in xy)
 
 
 def test_forest_parents_match_geometry_up_to_length_six():
@@ -644,16 +633,9 @@ def test_lower_covers_of_peak_stable_across_stages():
 
 # Addresses --------------------------------------------------------------------
 
-def test_grid_cell_addresses_are_coordinates():
-    g = grid(3, 2)
-    for c in g.diagram.four_cells():
-        addr = cell_address(g.diagram, c)
-        assert resolve_address(g.diagram, addr) == c
-
-
 def test_s7_cell_addresses():
     pl = multifork_extend(grid(1, 1), (0, 0), 1)
-    addrs = sorted(cell_address(pl.diagram, c) for c in pl.diagram.four_cells())
+    addrs = sorted(oracles.cell_address(pl.diagram, c) for c in oracles.four_cells(pl.diagram))
     assert addrs == [(0, 0), (0, 1), (1, 0)]
 
 

@@ -20,7 +20,9 @@ from slimlat.order import (
 from oracles import (
     covers_via_nwl_nel,
     distributive_cells,
+    four_cells,
     is_congruence,
+    projections,
     rho_foot,
     trajectories,
     verify_jir_congruences,
@@ -54,7 +56,7 @@ def test_built_lattices_satisfy_core_invariants(seq):
     lat = pl.lattice
     assert pl.length() == pl.antube() == len(trajectories(d))
     for x in range(lat.n):
-        assert lat.join_of((d.l_proj(x), d.r_proj(x))) == x
+        assert lat.join_of(projections(d, x)) == x
     for u in range(lat.n):
         assert len(lat.upper_covers(u)) <= 2
 
@@ -113,8 +115,8 @@ def test_forest_leaves_root_at_stage_zero():
     """Every final cell lies in exactly one grid cell's interval."""
     pl = build(parse_dsl("grid 2 2\nfork 1 1 2\nfork 0 0 1"))
     lat = pl.lattice
-    roots = grid(2, 2).diagram.four_cells()
-    for c in pl.diagram.four_cells():
+    roots = four_cells(grid(2, 2).diagram)
+    for c in four_cells(pl.diagram):
         holders = [r for r in roots if lat.leq(r.bottom, c.bottom) and lat.leq(c.top, r.top)]
         assert len(holders) == 1, c
 
@@ -124,9 +126,9 @@ def test_cells_and_trajectories_mirror_to_reversal():
     d = pl.diagram
     m = d.mirror()
     mirrored_cells = {
-        (c.bottom, c.right, c.left, c.top) for c in d.four_cells()
+        (c.bottom, c.right, c.left, c.top) for c in four_cells(d)
     }
-    assert {(c.bottom, c.left, c.right, c.top) for c in m.four_cells()} == mirrored_cells
+    assert {(c.bottom, c.left, c.right, c.top) for c in four_cells(m)} == mirrored_cells
     trajs = {tuple(sorted(t.edges)) for t in trajectories(d)}
     trajs_m = {tuple(sorted(t.edges)) for t in trajectories(m)}
     assert trajs == trajs_m

@@ -10,7 +10,6 @@ from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import InternalInconsistencyError, PreconditionError
 from slimlat.explore import enumerate_index
 from slimlat.lamps import (
-    fork_interval,
     lamp_creation_step,
     lamp_poset,
     lamps_of_diagram,
@@ -22,9 +21,8 @@ from slimlat.multifork import (
     build,
     grid,
     multifork_extend,
-    reprovenance,
 )
-from slimlat.order import Poset, congruence_lattice, poset_iso
+from slimlat.order import congruence_lattice, poset_iso
 from slimlat.reduce import (
     check_bounds,
     find_removable,
@@ -54,7 +52,7 @@ def test_meet_closure_of_fork_removal():
         lat = pl.lattice
         boundary, internal = pl.diagram.neon_tubes()
         for tube in boundary + internal:
-            removed = fork_interval(pl.diagram, tube.foot)
+            removed = oracles.fork_interval(pl.diagram, tube.foot)
             keep = set(range(lat.n)) - removed
             for x in keep:
                 for y in keep:
@@ -183,15 +181,14 @@ def test_minimize_validates_each_diagram_once(monkeypatch):
 
 def removals_extend_only_their_steps(monkeypatch, seqs):
     """Minimize each sequence's built lattice, which holds its stages, and
-    check that each removal restricts no order and decomposes nothing
-    (never `_rebuilt`), and that a
-    removal from the lamp of step s of an m-step sequence extends only
+    check that each removal decomposes nothing (never `_rebuilt`), and
+    that a removal from the lamp of step s of an m-step sequence extends only
     steps from s on, each once and up to m: the edited sequence shares the
     input's steps before s (reduce._removed_sequence), and `build` may find
     a longer prefix alive.  Returns the numbers of removals and of steps
     extended."""
     events = []
-    restrict, rebuilt = Poset.restrict, multifork_module._rebuilt
+    rebuilt = multifork_module._rebuilt
     extend, removed = multifork_module.multifork_extend, reduce_module._removed_sequence
 
     def counted_extend(pl, address, k):
@@ -202,7 +199,6 @@ def removals_extend_only_their_steps(monkeypatch, seqs):
         events.append(("removal", s, len(seq.steps)))
         return removed(seq, s, i)
 
-    monkeypatch.setattr(Poset, "restrict", lambda *args: events.append("restrict") or restrict(*args))
     monkeypatch.setattr(multifork_module, "_rebuilt", lambda d: events.append("rebuild") or rebuilt(d))
     monkeypatch.setattr(multifork_module, "multifork_extend", counted_extend)
     monkeypatch.setattr(reduce_module, "_removed_sequence", counted_removal)
@@ -225,16 +221,10 @@ def removals_extend_only_their_steps(monkeypatch, seqs):
 
 def test_a_removal_deletes_no_fork_and_decomposes_nothing(monkeypatch, empty_memo):
     """A removal builds only its edited sequence, from the input's stage
-    before the lamp's fork; recovering a sequence for a diagram restricts
-    no order either."""
+    before the lamp's fork."""
     entries = enumerate_index(6).entries()
     removals, extended = removals_extend_only_their_steps(monkeypatch, [e.seq for e in entries])
     assert removals == 39 and extended > 0
-    calls = []
-    monkeypatch.setattr(Poset, "restrict", lambda *args: calls.append(args))
-    for entry in entries:
-        reprovenance(entry.pl.diagram)
-    assert calls == []
 
 
 @pytest.mark.slow
@@ -328,7 +318,7 @@ def test_fixpoint_minimal_lamps_have_one_tube():
             minimal = not any(f != l.foot and (f, l.foot) in lt for f in internal_feet)
             if minimal:
                 assert len(l.tubes) == 1
-            tp = stats.t_plus(l.foot)
+            tp = stats.patterns[l.foot].count("u")
             if tp > 0:
                 assert len(l.tubes) <= 2 * tp
 

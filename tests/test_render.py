@@ -14,7 +14,7 @@ from slimlat.explore import enumerate_index
 from slimlat.multifork import ProvenancedLattice, build, grid, multifork_extend
 from slimlat.render import parse_dot, render, render_dot, validate_slopes
 
-from oracles import svg_by_fractions, tikz_by_fractions, validate_slopes_by_fractions
+from oracles import coords_of, svg_by_fractions, tikz_by_fractions, validate_slopes_by_fractions
 
 # a shift below float resolution: a check that rounds to floats misses it
 EPS = Fraction(1, 10**30)
@@ -29,17 +29,19 @@ def test_grid_slopes_all_normal():
     pl = grid(3, 2)
     assert validate_slopes(pl)
     # no internal meet-irreducibles, so every edge is normal
+    coords = coords_of(pl)
     for a, b in pl.lattice.poset.covers:
-        (fx, fy), (px, py) = pl.coords[a], pl.coords[b]
+        (fx, fy), (px, py) = coords[a], coords[b]
         assert abs(px - fx) == py - fy
 
 
 def test_s7_has_exactly_one_precipitous_edge():
     pl = multifork_extend(grid(1, 1), (0, 0), 1)
+    coords = coords_of(pl)
     steep = [
         (a, b)
         for a, b in pl.lattice.poset.covers
-        if abs(pl.coords[b][0] - pl.coords[a][0]) < pl.coords[b][1] - pl.coords[a][1]
+        if abs(coords[b][0] - coords[a][0]) < coords[b][1] - coords[a][1]
     ]
     assert len(steep) == 1
     assert validate_slopes(pl)
@@ -70,7 +72,7 @@ def test_slope_validator_names_a_planted_fault(top, fault):
     (1, 1) and top 3 at (0, 2); moving the top breaks the edge (1, 3), the
     first edge into it.  The fault names the sequence that replays it."""
     pl = grid(1, 1)
-    pl = _planted(pl, {**pl.coords, pl.lattice.top: top})
+    pl = _planted(pl, {**coords_of(pl), pl.lattice.top: top})
     text = (f"edge (1,3) {fault}; `slimlat render --render-format svg`"
             " replays it on\ngrid 1 1\n")
     # a failed check keeps nothing, so it raises on every call
@@ -125,7 +127,7 @@ def test_integer_kernel_matches_the_fraction_reference():
         assert validate_slopes(pl) and validate_slopes_by_fractions(pl)
         assert render(pl, "svg") == svg_by_fractions(pl)
         assert render(pl, "tikz") == tikz_by_fractions(pl)
-    faults, coords = set(), fine.coords
+    faults, coords = set(), coords_of(fine)
     for u in range(fine.n):
         for dx, dy in [(Fraction(1, 3), 0), (0, Fraction(-1, 7))]:
             x, y = coords[u]
