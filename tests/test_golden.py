@@ -21,7 +21,6 @@ An intended change of output regenerates the file:
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from slimlat.diagram import is_slim_rectangular
@@ -34,7 +33,7 @@ from slimlat.multifork import decompose
 from slimlat.reduce import minimize
 from slimlat.render import render
 
-from oracles import sublattice
+from oracles import coords_of, sublattice
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -67,8 +66,7 @@ def _fingerprint(pl):
     seq = pl.seq
     d = pl.diagram
     # the points as the Fraction pairs, by element, that the hashes were recorded on
-    den, xs, ys = pl.points
-    points = [(u, (Fraction(x, den), Fraction(y, den))) for u, (x, y) in enumerate(zip(xs, ys))]
+    points = sorted(coords_of(pl).items())
 
     def minimized():
         # the hashes were recorded when each step's dict ended with

@@ -32,7 +32,7 @@ from slimlat.multifork import (
     grid,
     multifork_extend,
 )
-from slimlat.order import FiniteLattice, Poset, lattice_from_poset, order_from_covers, poset_iso
+from slimlat.order import FiniteLattice, Poset, lattice_from_poset, order_from_covers
 from slimlat.reduce import minimize
 from slimlat.render import render
 

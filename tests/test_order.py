@@ -22,7 +22,6 @@ from slimlat.errors import DiagramError, OrderError
 from slimlat.explore import enumerate_index
 from slimlat.lamps import lamps_of_diagram
 from slimlat.order import (
-    Congruence,
     FiniteLattice,
     Poset,
     congruence_lattice,

@@ -1,17 +1,14 @@
 """Property-based and cross-cutting invariant tests."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slimlat.dsl import emit_dsl, parse_dsl
-from slimlat.errors import DiagramError, PreconditionError
 from slimlat.lamps import lamp_poset, lamps_of_diagram
 from slimlat.multifork import ForkStep, MultiforkSequence, build, grid, multifork_extend
 from slimlat.order import (
     Poset,
     congruence_lattice,
-    lattice_from_poset,
     poset_double,
     poset_iso,
     principal_congruence,
