@@ -432,7 +432,7 @@ def _jh_permutation(d):
     report is ok.  Valid, it is graded: right-chain element j has height j."""
     report = d._report
     if not report.ok:
-        raise DiagramError(f"no Jordan-Holder permutation: {report.failures}")
+        raise DiagramError("no Jordan-Holder permutation: " + "; ".join(report.failures))
     if d._ends is None:  # released (PlanarDiagram._release): sweep again
         _trajectory_failure(d)
     h = d.lattice.poset._heights()

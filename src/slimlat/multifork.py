@@ -36,7 +36,7 @@ from .errors import (
     PreconditionError,
 )
 from .lamps import _diagram_of, _lamp_places, lamps_of_diagram
-from .order import MAX_ELEMENTS, Poset, _elements, is_distributive_ideal_grid
+from .order import MAX_ELEMENTS, Poset, is_distributive_ideal_grid
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,9 +126,14 @@ class ProvenancedLattice:
         read off the lattice's own sequence."""
         lamps = lamps_of_diagram(self.diagram)
         poset = _sequence_lamp_poset(self.seq, _lamp_places(self))
-        lt = frozenset((lamps[i].foot, lamps[j].foot)
-                       for i in range(poset.n) for j in _elements(poset.up[i] ^ (1 << i)))
-        return lamps, lt, poset
+        feet, lt = [l.foot for l in lamps], []
+        for i, m in enumerate(poset.up):
+            rest, foot = m ^ 1 << i, feet[i]
+            while rest:  # a few bits: lowest first
+                low = rest & -rest
+                lt.append((foot, feet[low.bit_length() - 1]))
+                rest ^= low
+        return lamps, frozenset(lt), poset
 
     @property
     def lattice(self):
@@ -303,7 +308,8 @@ def multifork_extend(pl, address, k):
         raise _step_failure(pl, address, k, f"extension produced an invalid lattice: {e}") from e
     report = is_slim_rectangular(d2)
     if not report.ok:
-        raise _step_failure(pl, address, k, f"extension validation failed: {report.failures}")
+        raise _step_failure(pl, address, k,
+                            "extension validation failed: " + "; ".join(report.failures))
     if d2.lattice.length() != lat.length() + k or d2.antube() != d.antube() + k:
         raise _step_failure(pl, address, k, "extension did not add k to length and tube count")
 

@@ -100,14 +100,27 @@ def _decimal(x):
     return f"{x:.{_PLACES}f}".rstrip("0").rstrip(".") or "0"
 
 
+def _decimals(values, place):
+    """The texts _decimal(place(v)) of the ints values, each distinct value
+    placed and formatted once: a drawing repeats its few coordinates."""
+    text = {v: _decimal(place(v)) for v in set(values)}
+    return [text[v] for v in values]
+
+
 def render_svg(obj):
-    """SVG with y pointing down.  Each point is formatted once, and its
-    lines reuse the text."""
+    """SVG with y pointing down.  Each distinct coordinate and label offset
+    is formatted once, and the lines reuse the point's text."""
     den, xs, ys, internal_mir = obj._drawing
     minx, maxy = min(xs), max(ys)
-    fx = [(x - minx) * _SCALE / den + _MARGIN for x in xs]
-    fy = [(maxy - y) * _SCALE / den + _MARGIN for y in ys]
-    sx, sy = [_decimal(x) for x in fx], [_decimal(y) for y in fy]
+
+    def fx(x):
+        return (x - minx) * _SCALE / den + _MARGIN
+
+    def fy(y):
+        return (maxy - y) * _SCALE / den + _MARGIN
+
+    sx, sy = _decimals(xs, fx), _decimals(ys, fy)
+    tx, ty = _decimals(xs, lambda x: fx(x) + 6), _decimals(ys, lambda y: fy(y) - 6)
     width = _decimal((max(xs) - minx) * _SCALE / den + 2 * _MARGIN)
     height = _decimal((maxy - min(ys)) * _SCALE / den + 2 * _MARGIN)
     out = [
@@ -122,9 +135,7 @@ def render_svg(obj):
         )
     for u in range(obj.n):
         out.append(f'<circle cx="{sx[u]}" cy="{sy[u]}" r="4" fill="black"/>')
-        out.append(
-            f'<text x="{_decimal(fx[u] + 6)}" y="{_decimal(fy[u] - 6)}" font-size="10">{u}</text>'
-        )
+        out.append(f'<text x="{tx[u]}" y="{ty[u]}" font-size="10">{u}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
@@ -132,10 +143,11 @@ def render_svg(obj):
 def render_tikz(obj):
     den, xs, ys, internal_mir = obj._drawing
     out = ["\\begin{tikzpicture}[scale=0.8]"]
-    for u, (x, y) in enumerate(zip(xs, ys)):
+    at = zip(_decimals(xs, lambda x: x / den), _decimals(ys, lambda y: y / den))
+    for u, (x, y) in enumerate(at):
         out.append(
             f"  \\node[circle,fill,inner sep=1.2pt,label=above right:{{\\tiny {u}}}] "
-            f"(n{u}) at ({_decimal(x / den)},{_decimal(y / den)}) {{}};"
+            f"(n{u}) at ({x},{y}) {{}};"
         )
     for a, b in sorted(obj.lattice.poset.covers):
         style = "very thick" if a in internal_mir else "thin"

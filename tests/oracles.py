@@ -44,6 +44,10 @@ does not use.
 - Up- and down-sets as frozensets, by a search along the covers from each
   element.  Production ORs bitmasks along a topological order
   (`slimlat.order.Poset`).
+- A poset from closed up-set masks by its cover rows, the order derived
+  again from them (`poset_from_up_by_rows`).  Production keeps the masks
+  and reads the rows, down-sets and heights off them
+  (`slimlat.order.Poset._from_up`).
 - A poset's order and a built lattice's certificate by one pass per
   derivation and check (`order_by_passes`, `certified_by_passes`), as they
   were before production fused them into a forward and a backward pass
@@ -1149,6 +1153,24 @@ def distributive_addresses_by_scan(pi):
         rect &= col
         tops.append((rect + 1 & ~rect).bit_length() - 2)
     return [(a, b) for a in range(p) for b in range(q) if a < tops[b]]
+
+
+def poset_from_up_by_rows(up):
+    """The poset whose up-sets are the closed masks up, its cover rows
+    ascending, as Poset._from_up built it before it kept the masks: each
+    row the elements of a's strict up-set above no other of them
+    (_above), and the order derived again from the rows (Poset._from_rows),
+    which closes masks that are not closed.  Production keeps the masks,
+    transposes them and reads each row off one sweep
+    (`slimlat.order.Poset._from_up`)."""
+    upper, lower = [], [[] for _ in up]
+    for a, m in enumerate(up):
+        above = m ^ (1 << a)
+        row = tuple(_elements(above & ~_above(up, _elements(above))))
+        upper.append(row)
+        for b in row:
+            lower[b].append(a)
+    return Poset._from_rows(tuple(upper), tuple(map(tuple, lower)))
 
 
 def order_by_passes(upper, lower):

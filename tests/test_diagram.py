@@ -8,6 +8,7 @@ from slimlat.diagram import (
     PlanarDiagram,
     _address_slot,
     _certified_diagram,
+    _jh_permutation,
     _sorted_diagram,
     _trajectory_failure,
     boundary_heights,
@@ -455,6 +456,20 @@ def test_reversed_lower_cover_order_rejected():
                        for f in rep.failures)
             mutants += 1
     assert mutants == 746
+
+
+def test_no_jordan_holder_permutation_lists_the_failures():
+    """An invalid diagram has no Jordan-Holder permutation, and the error
+    lists the report's failures joined by "; ": here the four lower covers
+    of element 3 of `fork 0 0 2`, reversed."""
+    d = build(parse_dsl("grid 1 1\nfork 0 0 2")).diagram
+    lower = list(d.lower)
+    lower[3] = lower[3][::-1]
+    failures = [f"lower covers {a},{b} of 3 are not the left and right sides of a cell"
+                for a, b in ((1, 10), (10, 9), (9, 2))]
+    with pytest.raises(DiagramError) as raised:
+        _jh_permutation(PlanarDiagram(d.lattice, d.upper, lower))
+    assert str(raised.value) == "no Jordan-Holder permutation: " + "; ".join(failures)
 
 
 def test_repeated_cover_in_order_list_rejected():

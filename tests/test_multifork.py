@@ -457,8 +457,8 @@ def _tube_moved_east(d):
     (_rows_edited(lower={7: (6,)}),
      "extension produced an invalid lattice: cover (9,7) is missing from the lower rows"),
     (_certified_then(_reversed_peak_row),
-     "extension validation failed: ('lower covers 5,13 of 8 are not the left and right"
-     " sides of a cell', 'lower covers 13,7 of 8 are not the left and right sides of a cell')"),
+     "extension validation failed: lower covers 5,13 of 8 are not the left and right"
+     " sides of a cell; lower covers 13,7 of 8 are not the left and right sides of a cell"),
     (_certified_then(_unforked), "extension did not add k to length and tube count"),
     (_certified_then(_tube_moved_east), "new tube is not its trajectory's top edge"),
 ], ids=["paths", "rows", "validation", "growth", "tube"])

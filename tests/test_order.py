@@ -1,11 +1,14 @@
 import gc
 import random
+import re
 import time
 import weakref
 from itertools import combinations, permutations
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slimlat import multifork, order
 from slimlat.diagram import (
@@ -20,7 +23,7 @@ from slimlat.diagram import (
 from slimlat.dsl import parse_dsl
 from slimlat.errors import DiagramError, OrderError
 from slimlat.explore import enumerate_index
-from slimlat.lamps import lamps_of_diagram
+from slimlat.lamps import lamp_poset, lamps_of_diagram
 from slimlat.order import (
     FiniteLattice,
     Poset,
@@ -32,6 +35,8 @@ from slimlat.order import (
     poset_double,
     poset_iso,
     principal_congruence,
+    _closures,
+    _collapsed,
     _dependencies,
     _elements,
 )
@@ -52,6 +57,7 @@ from oracles import (
     join_row_dependencies,
     mask_sets,
     order_by_passes,
+    poset_from_up_by_rows,
     poset_iso_by_permutations,
     reachability,
     restrict,
@@ -671,6 +677,107 @@ def test_cover_reduction_matches_its_definition_on_random_posets():
             Poset._from_rows(tuple(upper), tuple(lower))
         refused += 1
     assert refused > 300
+
+
+# Posets from up-set masks -------------------------------------------------
+
+def assert_from_up_matches_the_rows(p):
+    """p, built by Poset._from_up, against the poset that derives its order
+    again from the cover rows (oracles.poset_from_up_by_rows): the same
+    rows, up- and down-sets, heights and covers, and `_order` lists every
+    element once, each after its lower covers."""
+    want = poset_from_up_by_rows(p.up)
+    assert (p._upcov, p._dncov, p.up, p.down, p._heights(), p.covers) == (
+        want._upcov, want._dncov, want.up, want.down, want._heights(), want.covers)
+    place = {u: i for i, u in enumerate(p._order)}
+    assert len(p._order) == p.n and sorted(place) == list(range(p.n))
+    assert all(place[a] < place[b] for a, b in p.covers)
+
+
+def assert_small_posets_match_on_every_lattice(max_len):
+    """On every lattice of length <= max_len: J(Con L), the lamp poset and
+    the lamp poset with each element doubled (poset_double) against the
+    rows, and the memoized closures of D against one closure each; returns
+    the number of posets checked."""
+    checked = 0
+    for entry in enumerate_index(max_len, allow_large=True).entries():
+        lat, lamps = entry.pl.lattice, lamp_poset(entry.pl)[2]
+        for p in (congruence_lattice(lat).jir_poset, lamps,
+                  *(poset_double(lamps, j) for j in range(lamps.n))):
+            assert_from_up_matches_the_rows(p)
+            checked += 1
+        dep = lat._dep
+        assert _closures(dep, lat.jir()) == [_collapsed(dep, 1 << k) for k in lat.jir()]
+    return checked
+
+
+def test_small_posets_from_up_sets_match_the_rows_to_length_seven():
+    assert assert_small_posets_match_on_every_lattice(7) == 3895
+
+
+@pytest.mark.slow
+def test_small_posets_from_up_sets_match_the_rows_at_length_eight():
+    assert assert_small_posets_match_on_every_lattice(8) == 24503
+
+
+@st.composite
+def closed_up_sets(draw, chain=0):
+    """The up-set masks of a random order on 0..n-1 that holds a chain of
+    `chain` elements: pairs a < b of a random linear extension, the first
+    `chain` elements of the extension among them, closed transitively."""
+    n = draw(st.integers(min_value=chain, max_value=9))
+    rank = draw(st.permutations(range(n)))
+    pairs = draw(st.sets(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0))), max_size=3 * n))
+    first = sorted(range(n), key=rank.__getitem__)[:chain]
+    pairs |= set(zip(first, first[1:]))
+    up = [1 << x for x in range(n)]
+    for x in sorted(range(n), key=rank.__getitem__, reverse=True):
+        for a, b in pairs:
+            if a == x and rank[a] < rank[b]:
+                up[x] |= up[b]
+    return up
+
+
+@given(closed_up_sets())
+@settings(max_examples=300, deadline=None)
+def test_poset_from_up_sets_matches_the_rows_on_random_orders(up):
+    p = Poset._from_up(up)
+    assert p.up == tuple(up)
+    assert_from_up_matches_the_rows(p)
+
+
+@given(closed_up_sets(chain=3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_poset_from_up_sets_refuses_masks_that_are_no_order(up, data):
+    """Masks that are not antisymmetric or not closed raise a named
+    OrderError.  For a cover a < b, each element below b also gets the
+    up-set of a: the masks stay closed, and a and b hold each other.  An
+    element c above some b above a leaves up[a]: the poset from rows
+    closes that again, silently, and _from_up names a and an element b'
+    in its up-set whose up-set holds some c' that up[a] misses."""
+    covers = sorted(poset_from_up_by_rows(up).covers)
+    a, b = data.draw(st.sampled_from(covers))
+    cyclic = [m | up[a] if m >> b & 1 else m for m in up]
+    with pytest.raises(OrderError, match=rf"^up-sets of {min(a, b)} and {max(a, b)} hold each other$"):
+        Poset._from_up(cyclic)
+    chains = [(a, c) for a, b in covers for c in _elements(up[b] ^ (1 << b))]
+    a, c = data.draw(st.sampled_from(chains))
+    unclosed = list(up)
+    unclosed[a] ^= 1 << c
+    assert poset_from_up_by_rows(unclosed).up == tuple(up)
+    with pytest.raises(OrderError, match=rf"^up-set of {a} is not closed: it holds ") as raised:
+        Poset._from_up(unclosed)
+    held, missed = map(int, re.findall(r"\d+", str(raised.value))[1:])
+    assert unclosed[a] >> held & 1 and unclosed[held] >> missed & 1
+    assert not unclosed[a] >> missed & 1
+
+
+def test_poset_from_up_sets_refuses_masks_out_of_range_or_not_reflexive():
+    with pytest.raises(OrderError, match=r"^up-set of 1 holds elements out of range 0\.\.1$"):
+        Poset._from_up([0b11, 0b110])
+    with pytest.raises(OrderError, match=r"^up-set of 0 does not hold 0$"):
+        Poset._from_up([0b10, 0b10])
 
 
 def test_semimodular_and_slim_match_definitions(lattices6):
