@@ -70,8 +70,8 @@ a + 1 and b + 1 split into k + 1 pieces each, every old trajectory keeps
 the lowest piece, and the k new trajectories pair the new pieces in
 reverse order, and the cell rule (_distributive_addresses) reads the
 distributive cells off pi; so the enumeration searches permutations with
-no lattice built, and multifork._peeled runs the rule backwards to
-decompose a diagram that holds no sequence.
+no lattice built, and _unforked runs it backwards, which multifork._peeled
+iterates to decompose a diagram that holds no sequence.
 Canonical codes are computed only where something outputs them.  An Edge is a
 named (foot, peak) pair, so it equals, hashes and looks up as its plain
 tuple; the lamp and tube-record maps take either.  Cells, projections,
@@ -480,6 +480,51 @@ def _forked_permutation(pi, address, k):
     a, b = address
     shifted = [j if j <= b + 1 else j + k for j in pi]
     return (*shifted[:a + 1], *range(b + 1 + k, b + 1, -1), *shifted[a + 1:])
+
+
+def _unforked(pi):
+    """The fork rule run backwards on pi alone: (pi0, (a, b, k)) with (a, b)
+    a distributive cell of pi0 and _forked_permutation(pi0, (a, b), k) ==
+    pi, or None.  multifork._peeled iterates it down to a grid.
+
+    Positions count left-chain edges and values right-chain edges from 1.
+    A k-fold fork at (a, b) puts its k new trajectories at positions
+    s = a + 2, ..., s + k - 1 with values hi = b + 1 + k, hi - 1, ...,
+    b + 2, and moves the old positions right of them and the old values
+    above b + 1 up by k.  Its cell is distributive: the ideal of its top
+    is a grid, crossed eastwards by the trajectories of left-chain edges
+    1..a + 1, so they end above b + 1, and above hi after the fork.  So
+    the rule scans s = 2..n from the left for a value hi = pi(s) below
+    every value left of it, takes the longest run hi, hi - 1, ... from s,
+    of length kmax, and tries k = kmax down to 1 with b = hi - k - 1 >= 0.
+    The residue pi0 is pi with the run's first k entries deleted and the
+    values above hi lowered by k, and the first (s, k) whose cell
+    (s - 2, b) is distributive in pi0 (_distributive_addresses) is undone.
+    The k-fold fork of pi0 there is pi entry for entry, so each undo
+    inverts a fork at a distributive cell.  If the undos end at a grid's
+    permutation, the forks, each at a distributive cell of a valid
+    lattice, rebuild pi, which fixes the lattice and its drawing (Czedli
+    and Schmidt, Algebra Universalis 66, 2011); multifork._rebuilt checks
+    this by one build.  In a built lattice the newest fork's run is a
+    candidate, but that the rule, which undoes the leftmost candidate at
+    its longest run first, finds one at every stage rests only on the
+    exhaustive tests: every key of length <= 9 and its inverse reach a
+    grid, and every lattice of length <= 8 and its mirror image peel to
+    their own pi.
+    """
+    low = pi[0]
+    for s in range(2, len(pi) + 1):
+        hi = pi[s - 1]
+        if hi > low:
+            continue
+        low, kmax = hi, 1
+        while s + kmax <= len(pi) and pi[s - 1 + kmax] == hi - kmax:
+            kmax += 1
+        for k in range(min(kmax, hi - 1), 0, -1):
+            residue = tuple(v - k if v > hi else v for v in pi[:s - 1] + pi[s - 1 + k:])
+            if (s - 2, hi - k - 1) in _distributive_addresses(residue):
+                return residue, (s - 2, hi - k - 1, k)
+    return None
 
 
 def _forked_labels(left, right, address, new):

@@ -26,8 +26,8 @@ from itertools import chain
 from math import gcd, prod
 
 from .diagram import (
-    _address_slot, _certified_diagram, _crossed, _distributive_addresses, _forked_labels,
-    _grid_permutation, _half_walk, _jh_permutation, _trajectory_slots, is_slim_rectangular)
+    _address_slot, _certified_diagram, _crossed, _forked_labels, _grid_permutation,
+    _half_walk, _jh_permutation, _trajectory_slots, _unforked, is_slim_rectangular)
 from .errors import (
     BudgetError,
     DiagramError,
@@ -431,80 +431,30 @@ def _door(d):
 
 
 def _rebuilt(d):
-    """build(_peeled(d)) for a valid diagram d, which must have d's own
-    Jordan-Holder permutation; a peel that gets stuck or a step that build
-    rejects fails that check too."""
-    seq = _peeled(d)
+    """build(_peeled(pi)), pi the valid diagram d's Jordan-Holder permutation,
+    which the build must have: a stuck peel or a rejected step fails too."""
+    pi = _jh_permutation(d)
+    seq = _peeled(pi)
     try:
         pl = None if seq is None else build(seq)
     except PreconditionError:
         pl = None
-    if pl is None or _jh_permutation(pl.diagram) != _jh_permutation(d):
+    if pl is None or _jh_permutation(pl.diagram) != pi:
         raise InternalInconsistencyError("no multifork decomposition found")
     return pl
 
 
-def _peeled(d):
-    """A sequence for a valid diagram d, or None if the peel is stuck
-    before a grid is left: its forks rebuild d's Jordan-Holder permutation
-    pi (_jh_permutation), read off pi newest fork first.  Only the door,
-    _rebuilt, runs it: a built lattice holds its own sequence.
-
-    Positions count left-chain edges and values right-chain edges from 1.
-    A k-fold fork at (a, b) (_forked_permutation) puts its lamp's k
-    trajectories at positions s = a + 2, ..., s + k - 1 with values
-    hi = b + 1 + k, hi - 1, ..., b + 2, and moves the old positions right
-    of them and the old values above b + 1 up by k.  Its cell is
-    distributive: the ideal of its top is a grid, crossed eastwards by the
-    trajectories of left-chain edges 1..a + 1, so they end above b + 1,
-    and above hi after the fork.  A candidate is an internal lamp whose
-    trajectories sit like that and whose cell (s - 2, hi - k - 1) is
-    distributive (_distributive_addresses) in the residue pi0, pi with the
-    run deleted and the values above hi and the positions right of it
-    lowered by k: a test that reads nothing but pi.  The k-fold fork of
-    pi0 there is pi entry for entry, so each step inverts a valid fork.
-    If the peel ends at a grid's permutation, the forks rebuild pi, which
-    fixes the lattice and its drawing (Czedli and Schmidt, Algebra
-    Universalis 66, 2011); _rebuilt checks this by one build.  In a built
-    lattice the newest fork's lamp is a candidate, but that the peel,
-    which undoes the candidate with the least foot, finds one at every
-    stage rests only on the exhaustive tests: every lattice of length
-    <= 8 and its mirror image peel to their own pi.
-    """
-    pi = list(_jh_permutation(d))
-    # a tube's trajectory starts on the left-chain edge below lchain[i],
-    # position i, where its west half-walk ends (at the tube, if on it)
-    position = {v: i for i, v in enumerate(d.boundary_chains()[0])}
-    table, west = d._walks(), d._steps()[0]
-
-    def start(tube):
-        x = table.base[tube.foot]  # the tube's slot: its foot has one upper cover
-        return position[table.peaks[([x] + _half_walk(west, x, {x}))[-1]]]
-
-    runs = {l.foot: sorted(map(start, l.tubes))
-            for l in lamps_of_diagram(d) if l.kind == "internal"}
+def _peeled(pi):
+    """The sequence that diagram._unforked reads off the Jordan-Holder
+    permutation pi, newest fork first, or None if it gets stuck before a
+    grid's pi is left.  Only the door, _rebuilt, runs it."""
     steps = []
-    while runs:
-        for foot in sorted(runs):
-            pos = runs[foot]
-            s, k = pos[0], len(pos)
-            hi = pi[s - 1]
-            if (pos == list(range(s, s + k))
-                    and pi[s - 1:s - 1 + k] == list(range(hi, hi - k, -1))
-                    and all(v > hi for v in pi[:s - 1])):
-                residue = [v - k if v > hi else v for v in pi[:s - 1] + pi[s - 1 + k:]]
-                if (s - 2, hi - k - 1) in _distributive_addresses(residue):
-                    break
-        else:
+    while pi != _grid_permutation(len(pi) - pi[0] + 1, pi[0] - 1):
+        if (undone := _unforked(pi)) is None:
             return None
-        steps.append(ForkStep(s - 2, hi - k - 1, k))
-        del runs[foot]
-        pi = residue
-        runs = {f: [x - k if x > s else x for x in p] for f, p in runs.items()}
-    q = pi[0] - 1
-    if tuple(pi) != _grid_permutation(len(pi) - q, q):
-        return None
-    return MultiforkSequence(len(pi) - q, q, tuple(reversed(steps)))
+        pi, (a, b, k) = undone
+        steps.append(ForkStep(a, b, k))
+    return MultiforkSequence(len(pi) - pi[0] + 1, pi[0] - 1, tuple(reversed(steps)))
 
 
 def _sequence_lamp_poset(seq, names):

@@ -13,11 +13,15 @@ does not use.
 - The lamp order by Nwl/Nel (`nwl_nel_lamp_order`): each internal lamp
   below the lamps of the two trajectories through the upper edges of its
   circumscribed rectangle, each trajectory walked whole, and the peel
-  that chose a lamp minimal in that order (`peeled_by_lamp_order`).
+  that chose a lamp minimal in that order, each lamp's tube run found by
+  walking its tubes west to the left chain (`peeled_by_lamp_order`).
   Production runs the fork-sequence rule over a built lattice's own
   sequence (`slimlat.lamps.lamp_poset`), and over the peel of a bare
-  diagram, on a test that reads nothing but the Jordan-Holder
-  permutation (`slimlat.multifork._peeled`).
+  diagram, which undoes forks on the Jordan-Holder permutation alone,
+  leftmost run first, and reads no lamp, walk or element id
+  (`slimlat.diagram._unforked`, iterated by `slimlat.multifork._peeled`).
+  The two peels give the same sequence on every built lattice of length
+  <= 8; on a mirror image they may give two sequences with its pi.
 - Congruences by closure: the meet and join tables (`tables`), the
   union-find closure of seed pairs over them (`_closure`), joins of
   congruences, the compatibility laws and the join-irreducibility of listed
@@ -270,8 +274,8 @@ def nwl_nel_lamp_order(d):
 
 
 def peeled_by_lamp_order(d):
-    """The peel as it chose its candidates before it read nothing but pi:
-    an internal lamp minimal among those left in d's Nwl/Nel order
+    """The peel on lamps, as it chose its candidates before it read nothing
+    but pi: an internal lamp minimal among those left in d's Nwl/Nel order
     (nwl_nel_lamp_order) whose run sits as a fork's does, the least foot
     first; the sequence, or None if stuck."""
     pi = list(_jh_permutation(d))

@@ -10,7 +10,7 @@ from slimlat.cli import main
 from slimlat.doubling import double
 from slimlat.dsl import parse_dsl
 from slimlat.errors import InternalInconsistencyError, PreconditionError
-from slimlat.diagram import PlanarDiagram
+from slimlat.diagram import PlanarDiagram, _jh_permutation
 from slimlat.lamps import (
     lamp_creation_step,
     lamp_poset,
@@ -22,7 +22,7 @@ from slimlat.lamps import (
 )
 from slimlat.explore import enumerate_index
 from slimlat.reduce import check_bounds, minimize
-from slimlat.multifork import build, grid, multifork_extend, reprovenance
+from slimlat.multifork import build, decompose, grid, multifork_extend, reprovenance
 from slimlat.order import Congruence, Poset, congruence_lattice, named_posets, poset_iso
 
 from oracles import (
@@ -234,26 +234,46 @@ def test_diagram_lamp_order_matches_rho_order():
         assert lamp_poset(entry.pl)[1] == rho_order(entry.pl)[0], entry.seq
 
 
+def _ids_reversed(text):
+    """Lattice JSON with every id x renumbered n - 1 - x: the same drawing."""
+    data = json.loads(text)
+    n = data["n"]
+    return json.dumps({
+        "n": n,
+        "covers": [[n - 1 - a, n - 1 - b] for a, b in data["covers"]],
+        **{key: [[n - 1 - v for v in row] for row in data[key][::-1]]
+           for key in ("upper_order", "lower_order")},
+    })
+
+
 def _check_the_lamp_order_against_nwl_nel(entries):
     """lamp_poset, the fork rule, equals the Nwl/Nel order read off
     trajectory walks, as strict pairs on lamp feet, by both routes: on each
     built lattice, which reads its own sequence, and through the door on
     its diagram, the mirror image and the diagram read back from lattice
     JSON, none of which holds a sequence.  On the built diagram the door
-    gives the same Poset, element i being lamp i, and on it and its mirror
-    image the peel, whose test reads nothing but pi, gives the sequence
-    that the peel on the Nwl/Nel order gives.  Returns the number of
-    lamp orders checked."""
+    gives the same Poset, element i being lamp i, and the peel, which
+    reads nothing but pi, gives the sequence that the peel on the Nwl/Nel
+    order gives; on the mirror image both peels' sequences build to its
+    own pi.  The built diagram and its mirror image decompose as they do
+    read back from lattice JSON with their ids reversed: the peel ignores
+    element ids.  Returns the number of lamp orders checked."""
     checked = 0
     for entry in entries:
         pl = entry.pl
         d = pl.diagram
+        mirror = d.mirror()
         assert lamp_poset(pl)[1] == nwl_nel_lamp_order(d), entry.seq
         assert lamp_poset(d)[2] == lamp_poset(pl)[2], entry.seq
-        for drawn in (d, d.mirror(), PlanarDiagram.from_json(d.to_json())):
+        for drawn in (d, mirror, PlanarDiagram.from_json(d.to_json())):
             assert lamp_poset(drawn)[1] == nwl_nel_lamp_order(drawn), (entry.seq, drawn)
-        for drawn in (d, d.mirror()):
-            assert multifork._peeled(drawn) == peeled_by_lamp_order(drawn), (entry.seq, drawn)
+        assert multifork._peeled(_jh_permutation(d)) == peeled_by_lamp_order(d), entry.seq
+        pi = _jh_permutation(mirror)
+        for seq in (multifork._peeled(pi), peeled_by_lamp_order(mirror)):
+            assert _jh_permutation(build(seq).diagram) == pi, (entry.seq, seq)
+        for drawn in (d, mirror):
+            relabelled = PlanarDiagram.from_json(_ids_reversed(drawn.to_json()))
+            assert decompose(relabelled) == decompose(drawn), (entry.seq, drawn)
         checked += 4
     return checked
 

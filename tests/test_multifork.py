@@ -746,20 +746,44 @@ def test_decompose_with_nested_forks():
     assert build(seq).canonical_code() == pl.canonical_code()
 
 
+@pytest.mark.slow
+def test_the_undo_rule_reaches_a_grid_from_every_key_to_length_nine():
+    """The fork rule run backwards (diagram._unforked), iterated on pi
+    alone, never gets stuck: from every key of length <= 9 and its
+    inverse, 38,408 permutations, it reaches a grid, and its forks,
+    applied to that grid's pi by the fork rule, give back the key."""
+    entries = enumerate_index(9, allow_large=True).entries()
+    assert len(entries) == 19204
+    for entry in entries:
+        key = entry.key
+        inverse = [0] * len(key)
+        for i, j in enumerate(key, 1):
+            inverse[j - 1] = i
+        for pi in (key, tuple(inverse)):
+            seq = multifork._peeled(pi)
+            assert seq is not None, pi
+            got = diagram._grid_permutation(seq.grid_p, seq.grid_q)
+            for st in seq.steps:
+                got = diagram._forked_permutation(got, (st.a, st.b), st.k)
+            assert got == pi, (pi, seq)
+
+
 def test_a_peel_without_its_cell_test_fails_the_decomposition(monkeypatch, tmp_path, capsys):
     """The peel undoes a run only where its fork's cell is a distributive
-    cell of the residue.  With a cell rule that lists every cell, the
-    lattice of `grid 2 1 / fork 1 0 1 / fork 0 1 1` (pi = (4, 3, 5, 2, 1))
-    peels to `grid 2 1 / fork 0 0 1 / fork 2 0 1`, whose second cell is
-    not distributive, and `slimlat decompose` exits 1 on its lattice JSON;
-    without the cell test, 252 of the 986 diagrams to length 7 peel
-    wrongly."""
+    cell of the residue (diagram._unforked).  With a cell rule that lists
+    every cell, the lattice of `grid 1 1 / fork 0 0 3 / fork 1 1 1`
+    (pi = (6, 5, 3, 4, 2, 1)) peels to `grid 1 1 / fork 0 0 2 /
+    fork 0 1 1 / fork 0 3 1`, whose third cell is not distributive, and
+    `slimlat decompose` exits 1 on its lattice JSON; without the cell
+    test, 323 of the 986 diagrams to length 7, each lattice and its
+    mirror image, peel wrongly."""
+    text = "grid 1 1\nfork 0 0 3\nfork 1 1 1\n"
     lattice = tmp_path / "lattice.json"
-    lattice.write_text(build(parse_dsl("grid 2 1\nfork 1 0 1\nfork 0 1 1\n")).diagram.to_json())
+    lattice.write_text(build(parse_dsl(text)).diagram.to_json())
     command = ["decompose", "--input", str(lattice), "--format", "json"]
     assert main(command) == 0
-    assert capsys.readouterr().out == "grid 2 1\nfork 1 0 1\nfork 0 1 1\n"
-    monkeypatch.setattr(multifork, "_distributive_addresses", lambda pi: [
+    assert capsys.readouterr().out == text
+    monkeypatch.setattr(diagram, "_distributive_addresses", lambda pi: [
         (a, b) for a in range(list(pi).index(1)) for b in range(pi[0] - 1)])
     assert main(command) == 1
     assert capsys.readouterr().err == "error: no multifork decomposition found\n"
