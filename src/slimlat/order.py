@@ -45,7 +45,12 @@ facts keep the kernels below cubic cost:
   D order on J(L), with no table and no closure.  A congruence theta is
   its collapsed mask C, the j with j_ theta j: x theta y iff the masks of
   the join-irreducibles below x and y agree outside C, so the Con checks
-  compare masks and build no partition (CongruenceLattice).
+  compare masks and build no partition (CongruenceLattice).  The
+  congruence of a prime interval y < x is join-irreducible in Con L
+  (Graetzer, The Congruences of a Finite Lattice, 2nd ed., 2016), so it
+  is one con(j_, j), and labelling each cover by its j lets one pass over
+  the covers count the blocks of every theta: a block is an interval,
+  and its least element is its only one with no lower cover in it.
 - Sending u to the join-irreducibles below it embeds a finite lattice M
   into the down-sets of its poset J(M) of join-irreducibles, so M is
   distributive iff it has as many elements as J(M) has down-sets
@@ -64,7 +69,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, reduce
 from itertools import chain, combinations, compress, count
 
 from .errors import BudgetError, OrderError, ParseError
@@ -75,8 +80,9 @@ from .errors import BudgetError, OrderError, ParseError
 # the transient n x n meet table that certifies a lattice read from JSON,
 # and is dropped once it is filled.  A built lattice is certified by its
 # corner coordinates and fills no table: `grid 43 44` (1,980 elements)
-# takes about 0.02 s to build, at a peak of 19 MB, and 0.10 s more to report
-# its lamps, at a peak of 25 MB (Python 3.11).
+# takes about 0.02 s to build, at a peak RSS of 17 MB, and 0.04 s more to
+# report its lamps, at 19 MB; `slimlat build`, which also writes its 100 KB
+# of JSON, takes 0.04 s at 20 MB (Python 3.11, 2-vCPU VM).
 MAX_ELEMENTS = 2000
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -859,8 +865,24 @@ def _congruence_lattice(lat):
     bitmasks, and no partition is built.
 
     The congruences are listed by (block count, block_index) descending,
-    the order of their Congruence partitions.  A block count is the number
-    of distinct masks below[x] & ~C, one C-level pass.  Ties are common
+    the order of their Congruence partitions.  The block counts are read
+    off one pass over the lower cover rows, which labels each cover y < x
+    by one join-irreducible j*.  Let D = below[x] & ~below[y].  con(y, x)
+    is the join of the con(j_, j), j in D (principal_congruence), and the
+    congruence of a prime interval is join-irreducible in Con L (Graetzer,
+    The Congruences of a Finite Lattice, 2nd ed., 2016), so it is one of
+    those terms, con(j*_, j*), whose closure (the join-irreducibles that
+    reach j*) holds all of D.  Any j in D whose closure holds D will do,
+    and all such j share that closure, so the label is the first one
+    found, lowest bit first, and theta collapses y < x iff j* is in its
+    mask C.  A join-irreducible x labels its one lower cover x itself,
+    with no search.  heads[j] is the mask of the x that have a lower
+    cover labelled j.  A block is an interval, so its least element is
+    the only one of its elements with no lower cover in the block: below
+    any other x of the block, a maximal chain from the least element ends
+    in a lower cover of x inside the block.  So C has n - popcount(OR of
+    heads[j], j in C) blocks, |C| ORs per distinct mask in place of a
+    pass over the n elements.  Ties are common
     (121 of the 159 congruences of the benchmark's `large` lattices at
     seed 1 sit in tied runs), so tied congruences compare block_index,
     lazily (_block_order): the ids of 0..x depend only on the partition
@@ -869,12 +891,27 @@ def _congruence_lattice(lat):
     which decides the tuple comparison.  Distinct masks fix distinct
     partitions, so the order is total, as it was on the partitions.
     """
-    jir = lat.jir()
+    n, jir = lat.n, lat.jir()
     below = tuple(map(sum(map((1).__lshift__, jir)).__and__, lat.poset.down))
+    closures = _closures(lat._dep, jir)
+    closure, heads = [0] * n, [0] * n
+    for j, c in zip(jir, closures):
+        closure[j], heads[j] = c, 1 << j
+    for x, row in enumerate(lat.poset._dncov):
+        if len(row) > 1:
+            bx, bit = below[x], 1 << x
+            for y in row:
+                d = rest = bx & ~below[y]
+                j = (rest & -rest).bit_length() - 1
+                while d & ~closure[j]:  # a few bits: lowest first
+                    rest &= rest - 1
+                    j = (rest & -rest).bit_length() - 1
+                heads[j] |= bit
     count = {}
-    for c in _closures(lat._dep, jir):
-        if c not in count:
-            count[c] = len(set(map((~c).__and__, below)))
+    for c in closures:
+        if c not in count:  # the heads of the j in C, picked by C's digits
+            picked = compress(heads, bin(c)[:1:-1].encode().translate(_BITS))
+            count[c] = n - reduce(int.__or__, picked).bit_count()
     masks = sorted(count, key=cmp_to_key(
         lambda a, b: count[a] - count[b] or _block_order(below, ~a, ~b)), reverse=True)
     poset = Poset._from_up([sum(1 << j for j, e in enumerate(masks) if not c & ~e) for c in masks])

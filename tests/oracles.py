@@ -111,7 +111,9 @@ does not use.
   up-set mask along the forks (`slimlat.multifork._sequence_lamp_poset`).
 - Predicates that only tests ask: refinement, identity and fullness of a
   congruence, and whether a built lattice is a fixpoint of the reduction
-  rules (`slimlat.reduce.minimize` runs the rules themselves).
+  rules (`slimlat.reduce.minimize` runs the rules themselves), and the
+  count of covers whose label Con L's block counts search for
+  (`wide_covers`).
 """
 
 from fractions import Fraction
@@ -754,6 +756,15 @@ def congruence_lattice_by_partitions(lat):
     congs = [Congruence.from_parent([b & ~_collapsed(lat._dep, 1 << k) for b in below])
              for k in lat.jir()]
     return con_listing(congs, {j: lat.lower_covers(j)[0] for j in lat.jir()})
+
+
+def wide_covers(lat):
+    """The number of covers y < x whose D = below[x] & ~below[y], the
+    join-irreducibles below x and not below y, has several elements: the
+    covers that Con L's block counts label by a search."""
+    jmask = sum(1 << j for j in lat.jir())
+    below = [m & jmask for m in lat.poset.down]
+    return sum((below[x] & ~below[y]).bit_count() > 1 for y, x in lat.poset.covers)
 
 
 def verify_lamp_con_iso_by_partitions(pl):

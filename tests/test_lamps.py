@@ -39,6 +39,7 @@ from oracles import (
     stages,
     usage_patterns,
     verify_lamp_con_iso_by_partitions,
+    wide_covers,
 )
 
 
@@ -347,34 +348,56 @@ def test_no_lamp_order_of_a_built_lattice_peels(monkeypatch, empty_memo):
     assert len(entries) == 106 and peels == []
 
 
-def _check_con_against_the_partitions(entries):
+def _check_con_against_the_partitions(built):
     """Con L on collapsed masks, read lazily, and the lamp-Con check against
-    the eager partition sort, on each entry's built lattice, its mirror
-    image as a bare diagram (same lattice, the door's lamp order) and the
-    mirror image rebuilt through the door (other ids); returns the number
-    of checks."""
+    the eager partition sort, on each built lattice, its mirror image as a
+    bare diagram (same lattice, the door's lamp order) and the mirror image
+    rebuilt through the door (other ids); returns the number of checks."""
     checked = 0
-    for entry in entries:
-        mirror = entry.pl.diagram.mirror()
-        for pl in (entry.pl, mirror, reprovenance(mirror)):
+    for start in built:
+        mirror = start.diagram.mirror()
+        for pl in (start, mirror, reprovenance(mirror)):
             got = congruence_lattice(pl.lattice)
             want = congruence_lattice_by_partitions(pl.lattice)
-            assert got.collapsed == want.collapsed, entry.seq
-            assert same_poset(got.jir_poset, want.jir_poset), entry.seq
-            assert got.con_size == want.con_size, entry.seq
-            assert verify_lamp_con_iso(pl) == verify_lamp_con_iso_by_partitions(pl), entry.seq
+            assert got.collapsed == want.collapsed, start.seq
+            assert same_poset(got.jir_poset, want.jir_poset), start.seq
+            assert got.con_size == want.con_size, start.seq
+            assert verify_lamp_con_iso(pl) == verify_lamp_con_iso_by_partitions(pl), start.seq
             checked += 1
     return checked
 
 
 def test_con_on_masks_matches_the_partitions_to_length_seven():
-    assert _check_con_against_the_partitions(enumerate_index(7).entries()) == 3 * 493
+    entries = enumerate_index(7).entries()
+    assert _check_con_against_the_partitions(e.pl for e in entries) == 3 * 493
 
 
 @pytest.mark.slow
 def test_con_on_masks_matches_the_partitions_at_length_eight():
     entries = enumerate_index(8, allow_large=True).entries(8)
-    assert _check_con_against_the_partitions(entries) == 3 * 2327
+    assert _check_con_against_the_partitions(e.pl for e in entries) == 3 * 2327
+
+
+def test_con_on_masks_matches_the_partitions_at_benchmark_scale():
+    """The same checks on lattices of 110 to 244 elements, the scale of the
+    benchmark's `large` workload (n up to 171).  Between them they hold
+    congruences with tied block counts, which the lazy tie-break orders
+    (every count of `grid 9 10` ties within its side), and covers y < x
+    whose D = below[x] & ~below[y] holds several join-irreducibles, which
+    the cover labels of the block counts pick among."""
+    built = [build(parse_dsl(text)) for text in (
+        "grid 2 1\nfork 1 0 2\nfork 2 0 4\nfork 0 0 6\nfork 4 0 4\nfork 0 1 6\nfork 3 1 2",
+        "grid 12 9\nfork 10 2 2\nfork 6 4 1\nfork 3 6 2\nfork 1 10 3",
+        "grid 9 10")]
+    assert [pl.n for pl in built] == [162, 244, 110]
+    assert _check_con_against_the_partitions(built) == 3 * 3
+    tied = wide = 0
+    for pl in built:
+        lat = pl.lattice
+        counts = [c.block_count() for c in congruence_lattice_by_partitions(lat).jir_congs]
+        tied += len(counts) - len(set(counts))
+        wide += wide_covers(lat)
+    assert tied and wide
 
 
 def test_no_con_check_builds_a_partition(monkeypatch, empty_memo):

@@ -64,6 +64,7 @@ from oracles import (
     same_poset,
     tables,
     verify_jir_congruences,
+    wide_covers,
 )
 
 # Fixture cover sets ---------------------------------------------------------
@@ -625,6 +626,37 @@ def test_kernels_match_references_on_random_posets():
         outcomes["lattice"] += 1
     # both branches are exercised many times
     assert min(outcomes.values()) > 300
+
+
+def moore_family_lattice(rng):
+    """The lattice of a random Moore family on a set of at most 6 elements:
+    a few random subsets closed under intersection, with the full set, as
+    masks ordered by inclusion, under shuffled ids.  Such a lattice need
+    not be slim or semimodular."""
+    full = (1 << rng.randint(3, 6)) - 1
+    family = {full}
+    for _ in range(rng.randint(2, 6)):
+        s = rng.randint(0, full)
+        family |= {s & t for t in family}
+    sets = list(family)
+    rng.shuffle(sets)
+    pairs = [(a, b) for a, s in enumerate(sets) for b, t in enumerate(sets)
+             if s != t and s & t == s]
+    return FiniteLattice(Poset.from_relation(len(sets), pairs))
+
+
+def test_con_matches_the_reference_on_moore_family_lattices():
+    """Con L of generic lattices, where more covers y < x have a D =
+    below[x] & ~below[y] of several join-irreducibles, among which the
+    block counts' cover labels pick."""
+    rng = random.Random(47)
+    covers = wide = 0
+    for _ in range(300):
+        lat = moore_family_lattice(rng)
+        assert_con_matches_reference(lat)
+        covers += len(lat.poset.covers)
+        wide += wide_covers(lat)
+    assert covers > 2000 and wide > 300
 
 
 def strict_order(n, pairs):
