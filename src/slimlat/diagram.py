@@ -259,13 +259,12 @@ class PlanarDiagram:
         return PlanarDiagram._sorted(self.lattice, tuple(r[::-1] for r in self.upper),
                                      tuple(r[::-1] for r in self.lower))
 
-    def bfs_code(self):
-        """Breadth-first encoding from the bottom following cover order."""
-        return _bfs_code(self.lattice.bottom, self.upper)
-
     def canonical_code(self):
-        # the mirror image's upper cover lists are the reversed ones
-        return min(self.bfs_code(), _bfs_code(self.lattice.bottom, [r[::-1] for r in self.upper]))
+        """The lesser breadth-first encoding from the bottom, following cover
+        order, of the diagram and its mirror image, whose upper cover lists
+        are the reversed ones."""
+        bottom = self.lattice.bottom
+        return min(_bfs_code(bottom, self.upper), _bfs_code(bottom, [r[::-1] for r in self.upper]))
 
     # -- serialization --------------------------------------------------------
 

@@ -5,7 +5,8 @@ the original lamp poset with step t's lamp doubled and exactly two extra
 neon tubes: replace step t, a k-fold fork at (a, b), by a 2-fold fork at
 (a, b) followed by a k-fold fork at (a + 1, b), and move every later step
 to the cell where the two trajectories that crossed in its original cell
-cross.  The new sequence is read off the fork rule with no lattice walked.
+cross.  The new sequence is read off the fork rule with no lattice walked,
+and its J(Con L) is compared by lamp place, with no isomorphism search.
 
 Label the trajectories of a lattice and list the labels twice: by the
 left-chain edge where each starts and by the right-chain edge where each
@@ -43,9 +44,9 @@ from __future__ import annotations
 from .diagram import _forked_labels
 from .dsl import emit_dsl
 from .errors import InternalInconsistencyError, PreconditionError
-from .lamps import _lamp_places, lamp_poset
-from .multifork import ForkStep, MultiforkSequence, build
-from .order import congruence_lattice, poset_double, poset_iso
+from .lamps import _con_by_place
+from .multifork import ForkStep, MultiforkSequence, _sequence_lamp_poset, build
+from .order import poset_double
 
 
 def _relabelled(seq, t, edit):
@@ -92,11 +93,14 @@ def double(seq, t):
     input's is a memo hit while the caller holds it, and the new one
     extends the input's live stage t - 1, or a longer prefix they share.
     Verifies the guarantees: the new sequence builds, tube count and
-    length grow by exactly 2, and J(Con L) of the new lattice is the
-    doubling of the input's lamp poset at step t's lamp, place p + q + t - 1
-    of the sequence (lamps._lamp_places).  J(Con L) reads no lamp rule, so
-    the check is independent of the fork rule that both sequences' lamp
-    orders would run (lamps.lamp_poset).  A failed check is an
+    length grow by exactly 2, and J(Con L) of the new lattice, each
+    congruence named by its lamp's place (lamps._con_by_place), is the
+    input's lamp poset by place doubled at step t's lamp, place at =
+    p + q + t - 1: the 2-fold fork's lamp keeps place at and plays j',
+    which keeps its id in poset_double, j'' (the new id n) is step t + 1's
+    lamp, and later places move up by one.  The map is fixed, so no
+    isomorphism search runs.  J(Con L) reads no lamp rule, so the check is
+    independent of the doubled sequence's lamp order.  A failed check is an
     InternalInconsistencyError that names the input and t, which
     `slimlat double --step t` replays.
     """
@@ -116,8 +120,8 @@ def double(seq, t):
         raise InternalInconsistencyError(
             f"doubling added {tubes} tubes and {length} to the length, not 2; {replay}"
         )
-    target = _lamp_places(orig)[seq.grid_p + seq.grid_q + t - 1]
-    doubled = poset_double(lamp_poset(orig)[2], target)
-    if poset_iso(congruence_lattice(pl.lattice).jir_poset, doubled) is None:
+    at, n = seq.grid_p + seq.grid_q + t - 1, seq.grid_p + seq.grid_q + len(seq.steps)
+    doubled = poset_double(_sequence_lamp_poset(seq, range(n)), at)
+    if _con_by_place(pl, [*range(at + 1), n, *range(at + 1, n)]) != doubled.up:
         raise InternalInconsistencyError(f"J(Con L) is not the doubled lamp poset; {replay}")
     return pl.seq, pl

@@ -126,27 +126,60 @@ def lamp_creation_step(pl, lamp):
     return pl.tube_records[lamp.tubes[0]].step
 
 
+def _tube_con(cl, tube):
+    """The index in the CongruenceLattice cl of the congruence that
+    collapses a neon tube, a (foot, peak) pair, or None.  A tube is a
+    prime interval, so its congruence is join-irreducible and listed;
+    listed coarser congruences have fewer blocks, so it is the first
+    listed one that collapses the tube, whose mask holds the
+    join-irreducibles below the peak and not below the foot."""
+    foot, peak = tube
+    d = cl.below[peak] & ~cl.below[foot]
+    return next((i for i, c in enumerate(cl.collapsed) if not d & ~c), None)
+
+
+def _con_by_place(pl, names):
+    """J(Con L)'s up-set masks, each congruence renamed names[x], x the place
+    in pl.seq of the lamp whose tubes it collapses (_tube_con), or None
+    unless lamps and congruences correspond one to one.  Lamp L = J(Con L)
+    by that map (Czedli, Acta Sci. Math. 87, 2021), so lattices whose lamps
+    correspond by place compare their Con L with no isomorphism search.
+    Each tube's place is read off its record: step t's tubes sit at place
+    p + q + t - 1, and the boundary tubes (step 0) take places 0..p + q - 1
+    in the order of their feet (_lamp_places)."""
+    cl = congruence_lattice(pl.lattice)
+    pq = pl.seq.grid_p + pl.seq.grid_q
+    m = pq + len(pl.seq.steps)
+    boundary = sorted(e for e, r in pl.tube_records.items() if not r.step)
+    place = {}
+    for e, r in pl.tube_records.items():
+        x = r.step + pq - 1 if r.step else boundary.index(e)
+        i = _tube_con(cl, e)
+        if i is None or place.setdefault(i, x) != x:
+            return None
+    # the places lie below m, so m distinct ones are all of them
+    if not len(place) == cl.jir_count() == m == len(set(place.values())):
+        return None
+    bits = [1 << names[place[i]] for i in range(m)]
+    up = [0] * m
+    for i, mask in enumerate(cl.jir_poset.up):
+        up[names[place[i]]] = sum(b for j, b in enumerate(bits) if mask >> j & 1)
+    return tuple(up)
+
+
 def verify_lamp_con_iso(pl):
     """Check Lamp L = Jir(Con L) via the congruences of the neon tubes.
 
     Returns (ok, witness) where witness maps lamp foot -> index of its
-    congruence in the independently computed list.
+    congruence in the independently computed list (_tube_con).
     """
     lamps, lt, _ = lamp_poset(pl)
     cl = congruence_lattice(pl.lattice)
     if len(lamps) != cl.jir_count():
         return False, None
-    below, witness = cl.below, {}
+    witness = {}
     for l in lamps:
-        # a tube is a prime interval, so its congruence is join-irreducible
-        # and listed; listed coarser congruences have fewer blocks, so it is
-        # the first listed one that collapses the tube, whose mask holds
-        # the join-irreducibles below the peak and not below the foot
-        found = {
-            next((i for i, c in enumerate(cl.collapsed)
-                  if not below[e.peak] & ~below[e.foot] & ~c), None)
-            for e in l.tubes
-        }
+        found = {_tube_con(cl, e) for e in l.tubes}
         if len(found) != 1 or None in found:
             return False, None
         witness[l.foot] = found.pop()

@@ -165,15 +165,6 @@ class Poset:
         return poset
 
     @classmethod
-    def from_relation(cls, n, pairs):
-        """The poset on 0..n-1 generated by strict pairs a < b: the up-sets
-        of the pairs taken as covers (_derive; a cycle raises OrderError)
-        are the transitive closure, which _from_up reduces to covers."""
-        poset = cls.__new__(cls)
-        poset._set_covers(n, pairs)
-        return cls._from_up(poset.up)
-
-    @classmethod
     def _from_up(cls, up):
         """The poset whose up-sets are the masks up, kept as given, its cover
         rows ascending.  One sweep over a's strict up-set, lowest bit first,
@@ -297,33 +288,6 @@ class Poset:
                     bad.append(u)
         self._order, self.down, self.up, self._h = order, tuple(down), tuple(up), tuple(h)
         return bad
-
-    @cached_property
-    def _iso_census(self):
-        """What poset_iso compares first, derived once: (keys, classes,
-        census).  keys[u] is u's degree key (down- and up-set sizes, lower
-        and upper cover counts), classes maps each key to the mask of its
-        elements, and census lists the keys sorted.  The components are
-        derived apart: over `realize` at cap 8 on the 86 posets with 2-5
-        elements, the cover counts and the census reject 5,366 of the
-        5,400 calls."""
-        keys = [*zip(map(int.bit_count, self.down), map(int.bit_count, self.up),
-                     map(len, self._dncov), map(len, self._upcov))]
-        classes = {}
-        for u, key in enumerate(keys):
-            classes[key] = classes.get(key, 0) | 1 << u
-        return keys, classes, sorted(keys)
-
-    @cached_property
-    def _iso_components(self):
-        """What poset_iso compares next, derived once: (order, sizes), the
-        elements breadth first along the covers from the smallest degree
-        class of each component (_components), and the component sizes,
-        sorted."""
-        keys, classes, _ = self._iso_census
-        size = [classes[key].bit_count() for key in keys]
-        order, sizes = _components(self, sorted(range(self.n), key=size.__getitem__))
-        return order, sorted(sizes)
 
     @cached_property
     def covers(self):
@@ -732,9 +696,6 @@ class Congruence:
     def same(self, a, b):
         return self.block_index[a] == self.block_index[b]
 
-    def block_count(self):
-        return len(set(self.block_index))
-
 
 class CongruenceLattice:
     """Join-irreducible congruences of a finite lattice, ordered by refinement.
@@ -936,35 +897,36 @@ def _block_order(below, keep_a, keep_b):
 
 def poset_iso(p, q):
     """An order isomorphism p -> q as a dict, or None, by backtracking on
-    a stack (no recursion limit).  Posets with the same up-sets get the
-    identity, and posets with other sizes or cover counts get None.
-    Otherwise each poset's invariants are derived once and kept: the two
-    must have the same degree classes (up- and down-set sizes, cover
-    counts) of the same sizes (Poset._iso_census), and then the same
-    component sizes (Poset._iso_components).  An element of p maps into
-    its degree class in q.  p is mapped along its covers, breadth first
-    from the smallest class of each component (_components), so each
-    element but the first of a component has a mapped neighbour.  The
-    mapped elements above and below u give two masks of images: v is a
-    candidate if it lies below the first and above the second, and fits
-    iff its up- and down-set meet the images so far in exactly those.
-    Nothing prunes symmetry: on non-isomorphic connected posets with these
-    invariants and large regular degree classes (3-regular bipartite ones
-    of a few hundred elements) it tries every image of the first element.
-    In production one side is J(Con L) or a lamp poset, doubled or not.
+    a stack (no recursion limit).  Posets with other sizes or cover counts
+    get None.  Otherwise the two must have the same degree classes (up-
+    and down-set sizes, cover counts) of the same sizes, and then the same
+    component sizes; these invariants are derived per call and not kept.
+    An element of p maps into its degree class in q.  p is mapped along
+    its covers, breadth first from the smallest class of each component
+    (_components), so each element but the first of a component has a
+    mapped neighbour.  The mapped elements above and below u give two
+    masks of images: v is a candidate if it lies below the first and above
+    the second, and fits iff its up- and down-set meet the images so far
+    in exactly those.  Nothing prunes symmetry: on non-isomorphic
+    connected posets with these invariants and large regular degree
+    classes (3-regular bipartite ones of a few hundred elements) it tries
+    every image of the first element.  Its one production caller is
+    `realize` (explore.py), whose query poset carries no labels; `double`
+    and the removals compare J(Con L) by lamp place (lamps._con_by_place).
     """
-    if p.up == q.up:
-        return dict(zip(range(p.n), range(p.n)))
     if p.n != q.n or sum(map(len, p._upcov)) != sum(map(len, q._upcov)):
         return None
-    pkeys, _, census = p._iso_census
-    _, classes, qcensus = q._iso_census
-    if census != qcensus:
+    pkeys, qkeys = ([*zip(map(int.bit_count, r.down), map(int.bit_count, r.up),
+                          map(len, r._dncov), map(len, r._upcov))] for r in (p, q))
+    if sorted(pkeys) != sorted(qkeys):
         return None
-    order, sizes = p._iso_components
-    if sizes != q._iso_components[1]:
+    n, classes = p.n, {}
+    for v, key in enumerate(qkeys):
+        classes[key] = classes.get(key, 0) | 1 << v
+    pclass = [classes[key] for key in pkeys]
+    order, sizes = _components(p, sorted(range(n), key=lambda u: pclass[u].bit_count()))
+    if sorted(sizes) != sorted(_components(q, range(n))[1]):
         return None
-    n, pclass = p.n, [classes[key] for key in pkeys]
     image, stack, mapped, used, qup, qdown = [0] * n, [], 0, 0, q.up, q.down
     while len(stack) < n:
         u = order[len(stack)]

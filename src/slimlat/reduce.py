@@ -6,8 +6,8 @@ neighbors are unused (the sandwiched rule), and two adjacent unused tubes
 (_removed_sequence) and builds only the edited sequence, from the
 input's stage before the edited fork when the input holds its stages.
 It checks what a removal keeps: one tube less, from that lamp alone, the
-labelled lamp order and Con L.  The geometric fork deletion is the test
-oracle (tests/oracles.py).
+lamp order and J(Con L), both labelled by lamp place.  The geometric fork
+deletion is the test oracle (tests/oracles.py).
 `minimize` drives the rules to a fixpoint; `check_bounds` evaluates the
 length and size bounds.
 """
@@ -21,6 +21,7 @@ from .doubling import _relabelled
 from .dsl import emit_dsl
 from .errors import DiagramError, InternalInconsistencyError, PreconditionError
 from .lamps import (
+    _con_by_place,
     _diagram_of,
     _lamp_places,
     is_used,
@@ -30,7 +31,7 @@ from .lamps import (
     usage_stats,
 )
 from .multifork import build
-from .order import FiniteLattice, congruence_lattice, poset_iso
+from .order import FiniteLattice, congruence_lattice
 
 
 @dataclass(frozen=True)
@@ -60,12 +61,6 @@ def _lamp_with_foot(lamps, foot):
         if l.foot == foot:
             return l
     raise PreconditionError(f"no lamp with foot {foot}")
-
-
-def _con_isomorphic(lat_a, lat_b):
-    """Con L is distributive, so J(Con L) determines it up to isomorphism."""
-    ca, cb = congruence_lattice(lat_a), congruence_lattice(lat_b)
-    return poset_iso(ca.jir_poset, cb.jir_poset) is not None
 
 
 def _removed_sequence(seq, s, i):
@@ -111,7 +106,10 @@ def _remove_fork(pl, lamp, tube, rule):
     that lamp alone, the labelled lamp order (_labelled_lamps) and Con L.
     Both lamp orders run one fork rule over a sequence (lamps.lamp_poset),
     so comparing them checks the edit against that rule; Con L, read off
-    the built lattice with no lamp rule, is the independent check."""
+    the built lattice with no lamp rule, is the independent check.  Con L
+    is distributive, so J(Con L) fixes it, and a removal keeps every
+    place, so the two J(Con L), each congruence named by its lamp's place
+    (lamps._con_by_place), must be equal, not just isomorphic."""
     s = lamp_creation_step(pl, lamp)
     at = pl.seq.grid_p + pl.seq.grid_q + s - 1
     try:
@@ -129,7 +127,8 @@ def _remove_fork(pl, lamp, tube, rule):
         raise InternalInconsistencyError(f"a lamp other than step {s}'s lost or gained a tube")
     if new_order != order:
         raise InternalInconsistencyError("lamp poset changed under the removal")
-    if not _con_isomorphic(pl.lattice, new_pl.lattice):
+    con = _con_by_place(pl, range(len(tubes)))
+    if con is None or _con_by_place(new_pl, range(len(tubes))) != con:
         raise InternalInconsistencyError("congruence lattice changed under the removal")
     step = ReductionStep(rule, lamp.foot, tube, pl.n, new_pl.n, pl.antube(), new_pl.antube())
     return new_pl, step

@@ -109,11 +109,13 @@ does not use.
 - The lamp rule's order by closing the pairs that each fork adds
   (`sequence_lamp_poset_by_closure`).  Production carries each lamp's
   up-set mask along the forks (`slimlat.multifork._sequence_lamp_poset`).
-- Predicates that only tests ask: refinement, identity and fullness of a
-  congruence, and whether a built lattice is a fixpoint of the reduction
-  rules (`slimlat.reduce.minimize` runs the rules themselves), and the
-  count of covers whose label Con L's block counts search for
-  (`wide_covers`).
+- The poset that strict pairs generate (`from_relation`), which the
+  tests use to write posets down.
+- Predicates that only tests ask: the block count, refinement, identity
+  and fullness of a congruence, and whether a built lattice is a fixpoint
+  of the reduction rules (`slimlat.reduce.minimize` runs the rules
+  themselves), and the count of covers whose label Con L's block counts
+  search for (`wide_covers`).
 """
 
 from fractions import Fraction
@@ -264,7 +266,7 @@ def nwl_nel_lamp_order(d):
     derived before it read the fork rule off a sequence)."""
     lamps = lamps_of_diagram(d)
     idx = {l.foot: i for i, l in enumerate(lamps)}
-    poset = Poset.from_relation(len(lamps), {
+    poset = from_relation(len(lamps), {
         (idx[u.foot], idx[v.foot])
         for u in lamps
         if u.kind == "internal"
@@ -561,12 +563,25 @@ def refines(c, other):
     return True
 
 
+def from_relation(n, pairs):
+    """The poset on 0..n-1 generated by strict pairs a < b: the up-sets of
+    the pairs taken as covers (Poset._derive; a cycle raises OrderError)
+    are the transitive closure, which Poset._from_up reduces to covers."""
+    poset = Poset.__new__(Poset)
+    poset._set_covers(n, pairs)
+    return Poset._from_up(poset.up)
+
+
+def block_count(c):
+    return len(set(c.block_index))
+
+
 def is_identity(c):
-    return c.block_count() == c.n
+    return block_count(c) == c.n
 
 
 def is_full(c):
-    return c.block_count() == 1
+    return block_count(c) == 1
 
 
 def is_reduction_fixpoint(pl):
@@ -737,9 +752,9 @@ def con_listing(congs, lower):
     """The ConListing of the distinct partitions congs: sorted by (block
     count, block_index) descending, each with the mask of the j with
     j_ theta j (lower maps j to j_), ordered by refinement."""
-    congs = sorted(set(congs), key=lambda c: (c.block_count(), c.block_index), reverse=True)
+    congs = sorted(set(congs), key=lambda c: (block_count(c), c.block_index), reverse=True)
     m = len(congs)
-    poset = Poset.from_relation(m, [
+    poset = from_relation(m, [
         (i, j) for i in range(m) for j in range(m) if i != j and refines(congs[i], congs[j])
     ])
     collapsed = tuple(sum(1 << j for j, j_ in lower.items() if c.same(j_, j)) for c in congs)
@@ -856,7 +871,7 @@ def lattice_of_permutation(pi):
                    if (i == n or pi[i] > j) and (j == n or inv[j] > i))
     pairs = [(a, b) for a, p in enumerate(points) for b, q in enumerate(points)
              if a != b and p[0] <= q[0] and p[1] <= q[1]]
-    return points, FiniteLattice(Poset.from_relation(len(points), pairs))
+    return points, FiniteLattice(from_relation(len(points), pairs))
 
 
 def is_slim_by_triples(lat):
@@ -1048,7 +1063,7 @@ def eager_coords(seq):
 def sequence_lamp_poset_by_closure(seq, names):
     """`slimlat.multifork._sequence_lamp_poset` as it was before it
     carried up-set masks: the pairs that each fork adds, its lamp below
-    its Nel and Nwl lamps, closed and reduced by `Poset.from_relation`."""
+    its Nel and Nwl lamps, closed and reduced by `from_relation`."""
     p, q = seq.grid_p, seq.grid_q
     left = list(names[:p + q])
     right = left[p:] + left[:p]
@@ -1057,7 +1072,7 @@ def sequence_lamp_poset_by_closure(seq, names):
         pairs.add((new, left[st.a]))
         pairs.add((new, right[st.b]))
         left, right = _forked_labels(left, right, (st.a, st.b), [new] * st.k)
-    return Poset.from_relation(len(names), pairs)
+    return from_relation(len(names), pairs)
 
 
 def same_poset(p, q):

@@ -451,7 +451,7 @@ def test_reversed_lower_cover_order_rejected():
             a, b = lower[t][:2]
             assert rep.failures[0] == (
                 f"lower covers {a},{b} of {t} are not the left and right sides of a cell"
-            ), (d.bfs_code(), t)
+            ), (d.canonical_code(), t)
             assert all(f.startswith("lower covers ") and f" of {t} are" in f
                        for f in rep.failures)
             mutants += 1

@@ -7,8 +7,8 @@ from slimlat.doubling import double
 from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.errors import InternalInconsistencyError, PreconditionError, SlimlatError
 from slimlat.explore import enumerate_index
-from slimlat.lamps import lamp_poset, lamps_of_diagram
-from slimlat.multifork import ForkStep, MultiforkSequence, build, grid
+from slimlat.lamps import _con_by_place, lamp_poset, lamps_of_diagram
+from slimlat.multifork import ForkStep, MultiforkSequence, _sequence_lamp_poset, build, grid
 from slimlat.order import (
     congruence_lattice,
     named_posets,
@@ -61,6 +61,28 @@ def test_double_matches_the_crossings_to_length_six():
 def test_double_matches_the_crossings_at_lengths_seven_and_eight():
     index = enumerate_index(8, allow_large=True)
     assert [assert_double_matches_the_crossings(index.entries(n)) for n in (7, 8)] == [985, 7438]
+
+
+def test_j_con_l_is_the_doubled_lamp_poset_under_the_lamp_places():
+    """On every (sequence, step) pair of length <= 7, J(Con L) of the
+    doubled lattice, each congruence named by its lamp's place
+    (lamps._con_by_place), is the input's lamp poset named by place and
+    doubled at step t's lamp: j' keeps place at = p + q + t - 1, and j'',
+    the new element n, is step t + 1's lamp.  With j' and j'' swapped the
+    map fails on every pair, so the check fixes more than the isomorphism
+    type."""
+    pairs = 0
+    for e in enumerate_index(7).entries():
+        seq = e.seq
+        n = seq.grid_p + seq.grid_q + len(seq.steps)
+        for t in range(1, len(seq.steps) + 1):
+            at = n - len(seq.steps) + t - 1
+            doubled = poset_double(_sequence_lamp_poset(seq, range(n)), at).up
+            pl = double(seq, t)[1]
+            assert _con_by_place(pl, [*range(at + 1), n, *range(at + 1, n)]) == doubled
+            assert _con_by_place(pl, [*range(at), n, at, *range(at + 1, n)]) != doubled
+            pairs += 1
+    assert pairs == 1167
 
 
 def test_label_lists_read_pi_as_the_fork_rule():

@@ -20,13 +20,14 @@ from slimlat.errors import BudgetError, InternalInconsistencyError
 from slimlat.explore import enumerate_index, realize, sweep_bounds
 from slimlat.lamps import _lamp_places, lamp_poset
 from slimlat.multifork import build, decompose
-from slimlat.order import Poset, _dependencies, congruence_lattice, named_posets, poset_iso
+from slimlat.order import _dependencies, congruence_lattice, named_posets, poset_iso
 from slimlat.reduce import length_bound
 
 from oracles import (
     distributive_addresses_by_scan,
     distributive_cells,
     every_child,
+    from_relation,
     join_row_dependencies,
     lattice_of_permutation,
     mask_sets,
@@ -422,12 +423,12 @@ def test_realize_witness_has_matching_lamp_poset():
 
 # a 4-element poset with two maximal elements that no lattice has as its
 # lamp poset: the search runs over the whole window up to length_bound(4)
-CHAIN_AND_POINT = Poset.from_relation(4, {(0, 1), (1, 2)})
+CHAIN_AND_POINT = from_relation(4, {(0, 1), (1, 2)})
 
 
 @pytest.mark.parametrize("poset, max_len, answer", [
     (named_posets("Y"), 7, ("found", 5, "grid 1 1\nfork 0 0 2\nfork 0 1 1\n")),
-    (Poset.from_relation(5, {(0, 1), (1, 2), (2, 3), (2, 4)}), 7,
+    (from_relation(5, {(0, 1), (1, 2), (2, 3), (2, 4)}), 7,
      ("found", 6, "grid 1 1\nfork 0 0 2\nfork 0 1 1\nfork 1 0 1\n")),
     (CHAIN_AND_POINT, 7, ("not_representable", -1, None)),
     (CHAIN_AND_POINT, 5, ("unresolved", -1, None)),
@@ -552,7 +553,7 @@ def _posets(n):
         rel = {pair for i, pair in enumerate(pairs) if mask >> i & 1}
         if any((a, d) not in rel for a, b in rel for c, d in rel if b == c):
             continue
-        p = Poset.from_relation(n, rel)
+        p = from_relation(n, rel)
         if not any(poset_iso(p, q) is not None for q in seen):
             seen.append(p)
     return seen

@@ -26,9 +26,11 @@ from slimlat.multifork import build, decompose, grid, multifork_extend, reproven
 from slimlat.order import Congruence, Poset, congruence_lattice, named_posets, poset_iso
 
 from oracles import (
+    block_count,
     congruence_lattice_by_partitions,
     covers_via_nwl_nel,
     fork_interval,
+    from_relation,
     nwl_nel,
     nwl_nel_lamp_order,
     peeled_by_lamp_order,
@@ -60,10 +62,10 @@ def g22_fork2():
 
 def rho_order(pl):
     """(strict order pairs, cover pairs) on lamp feet from the
-    Poset.from_relation closure of rho_foot."""
+    from_relation closure of rho_foot."""
     lamps = lamps_of_diagram(pl.diagram)
     idx = {l.foot: i for i, l in enumerate(lamps)}
-    poset = Poset.from_relation(len(lamps), {(idx[a], idx[b]) for a, b in rho_foot(pl)})
+    poset = from_relation(len(lamps), {(idx[a], idx[b]) for a, b in rho_foot(pl)})
     lt = {(lamps[i].foot, lamps[j].foot)
           for i in range(poset.n) for j in range(poset.n) if poset.lt(i, j)}
     covers = {(lamps[a].foot, lamps[b].foot) for a, b in poset.covers}
@@ -394,7 +396,7 @@ def test_con_on_masks_matches_the_partitions_at_benchmark_scale():
     tied = wide = 0
     for pl in built:
         lat = pl.lattice
-        counts = [c.block_count() for c in congruence_lattice_by_partitions(lat).jir_congs]
+        counts = [block_count(c) for c in congruence_lattice_by_partitions(lat).jir_congs]
         tied += len(counts) - len(set(counts))
         wide += wide_covers(lat)
     assert tied and wide
@@ -553,7 +555,7 @@ def test_a_using_lamp_outside_the_lamp_order_is_reported(monkeypatch, tmp_path, 
     pl = build(parse_dsl(text))
     lamps, _, poset = lamp_poset(pl)
     monkeypatch.setattr(lamps_module, "lamp_poset",
-                        lambda obj: (lamps, frozenset(), Poset.from_relation(poset.n, ())))
+                        lambda obj: (lamps, frozenset(), from_relation(poset.n, ())))
     message = ("a using lamp is not below the owner in the lamp order;"
                f" `slimlat lamps` replays it on\n{text}")
     with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):

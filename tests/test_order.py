@@ -42,12 +42,13 @@ from slimlat.order import (
 )
 
 from oracles import (
-    _closure,
     certified_by_passes,
+    _closure,
     con_listing,
     congruence_join,
     every_child,
     fork_interval,
+    from_relation,
     is_congruence,
     is_full,
     is_identity,
@@ -361,7 +362,7 @@ def poset_classes(n):
         key = min(tuple(sorted((perm[a], perm[b]) for a, b in rel))
                   for perm in permutations(range(n)))
         found.setdefault(key, rel)
-    return [Poset.from_relation(n, rel) for rel in found.values()]
+    return [from_relation(n, rel) for rel in found.values()]
 
 
 def relabelled(p, rng):
@@ -606,7 +607,7 @@ def random_relation(rng):
 
 def random_poset(rng):
     """The poset that a random relation generates."""
-    return Poset.from_relation(*random_relation(rng))
+    return from_relation(*random_relation(rng))
 
 
 def test_kernels_match_references_on_random_posets():
@@ -642,7 +643,7 @@ def moore_family_lattice(rng):
     rng.shuffle(sets)
     pairs = [(a, b) for a, s in enumerate(sets) for b, t in enumerate(sets)
              if s != t and s & t == s]
-    return FiniteLattice(Poset.from_relation(len(sets), pairs))
+    return FiniteLattice(from_relation(len(sets), pairs))
 
 
 def test_con_matches_the_reference_on_moore_family_lattices():
@@ -682,7 +683,7 @@ def covers_by_definition(lt, elems):
 
 
 def test_cover_reduction_matches_its_definition_on_random_posets():
-    """Poset.from_relation on random generating pairs (its reduction is
+    """from_relation on random generating pairs (its reduction is
     Poset._from_up's, which the lamp rule and Con L read their orders
     through) and the reduced-row check agree with a brute-force
     reduction.  A pair that is no cover and a row that lists a cover twice
@@ -692,7 +693,7 @@ def test_cover_reduction_matches_its_definition_on_random_posets():
     for _ in range(1000):
         n, pairs = random_relation(rng)
         lt = strict_order(n, pairs)
-        p = Poset.from_relation(n, pairs)
+        p = from_relation(n, pairs)
         assert p.covers == covers_by_definition(lt, range(n))
         assert Poset(n, p.covers) == p
         if lt == p.covers:

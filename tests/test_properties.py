@@ -7,7 +7,6 @@ from slimlat.dsl import emit_dsl, parse_dsl
 from slimlat.lamps import lamp_poset, lamps_of_diagram
 from slimlat.multifork import ForkStep, MultiforkSequence, build, grid, multifork_extend
 from slimlat.order import (
-    Poset,
     congruence_lattice,
     poset_double,
     poset_iso,
@@ -18,6 +17,7 @@ from oracles import (
     covers_via_nwl_nel,
     distributive_cells,
     four_cells,
+    from_relation,
     is_congruence,
     projections,
     rho_foot,
@@ -171,6 +171,6 @@ def test_nwl_nel_covers_match_on_deeper_fixture():
     # covers of the rho_foot closure, an order that needs provenance
     lamps = lamps_of_diagram(pl.diagram)
     idx = {l.foot: i for i, l in enumerate(lamps)}
-    rho = Poset.from_relation(len(lamps), {(idx[a], idx[b]) for a, b in rho_foot(pl)})
+    rho = from_relation(len(lamps), {(idx[a], idx[b]) for a, b in rho_foot(pl)})
     closure_covers = {(lamps[a].foot, lamps[b].foot) for a, b in rho.covers}
     assert covers_via_nwl_nel(pl.diagram) == frozenset(closure_covers)

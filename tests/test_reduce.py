@@ -410,7 +410,7 @@ def _the_neighbour_tube(seq, s, i, removed=reduce_module._removed_sequence):
 
 
 @pytest.mark.parametrize("module, name, planted, text, check", [
-    (reduce_module, "_con_isomorphic", lambda a, b: False, REPLAYED,
+    (reduce_module, "_con_by_place", lambda pl, names: pl.n, REPLAYED,
      "congruence lattice changed under the removal"),
     (reduce_module, "_removed_sequence", _the_neighbour_tube, NEIGHBOUR,
      "lamp poset changed under the removal"),
@@ -428,7 +428,9 @@ def test_a_failed_removal_self_check_names_the_sequence_that_replays_it(
     """Each of the six removal self-checks fires on a defect planted in
     one helper, and names the sequence that `slimlat reduce` replays it on:
     a removal rule that edits nothing, takes the wrong tube or one more, or
-    puts a later step by the wrong neighbour of the dropped label."""
+    puts a later step by the wrong neighbour of the dropped label, and a
+    labelled J(Con L) that reads the lattice's size, which every removal
+    changes."""
     monkeypatch.setattr(module, name, planted)
     message = f"{check}; `slimlat reduce` replays it on\n{text}"
     with pytest.raises(InternalInconsistencyError) as info:
