@@ -11,7 +11,6 @@ from .order import (
     FiniteLattice,
     Congruence,
     CongruenceLattice,
-    order_from_covers,
     lattice_from_poset,
     is_distributive_ideal_grid,
     principal_congruence,
@@ -68,7 +67,7 @@ from .render import render, validate_slopes
 
 __all__ = [
     "Poset", "FiniteLattice", "Congruence", "CongruenceLattice",
-    "order_from_covers", "lattice_from_poset", "is_distributive_ideal_grid",
+    "lattice_from_poset", "is_distributive_ideal_grid",
     "principal_congruence", "congruence_lattice", "poset_iso", "poset_double",
     "named_posets",
     "Edge", "PlanarDiagram", "embed_rectangular", "is_slim_rectangular",

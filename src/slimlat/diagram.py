@@ -7,7 +7,7 @@ two corners), never from drawn positions.  The walk table of cells and
 trajectories, boundary chains, neon tubes, mirroring and canonical codes
 all live here, and so does the certificate of a built lattice.
 
-The certificate of a built lattice fills no table: Graetzer and Knapp
+The certificate of a built lattice tests no pairs: Graetzer and Knapp
 (Acta Sci. Math. 75, 2009) place a slim rectangular lattice in the grid
 of its boundary heights.  Let the ideals of lc and rc be chains lchain
 and rchain, and let x sit at the point (hl(x), hr(x)) = (|ideal(x) &
@@ -27,7 +27,7 @@ lattice ideal(x ^ y) = ideal(x) & ideal(y), so the minimum test holds
 whenever the up-set test does; a slim rectangular lattice passes both at
 its corners.  boundary_heights computes the points and runs the up-set
 test in one loop over the elements: on a built lattice as the
-certificate's first half, on a foreign one, which its meet table
+certificate's first half, on a foreign one, which its down-set masks
 certified, as the embedding.
 _certified_diagram, the one constructor of grids and forks (and of the
 tests' fork deletions), is the certificate; its diagram keeps the points
@@ -655,7 +655,7 @@ def embed_rectangular(lat, lcorner=None):
 
 class _CornerLattice(FiniteLattice):
     """A built lattice: _certified_diagram certifies it by the coordinates
-    of its two corners, in place of the meet table."""
+    of its two corners, in place of the down-set mask certificate."""
 
     def _certify(self):
         pass

@@ -19,16 +19,14 @@ misses, and the mask checks that the masks are antisymmetric and closed.
 Sets of elements are int bitmasks, bit y for y: `Poset.up[x]` holds the
 y >= x, `Poset.down[x]` the y <= x; a loop over a mask of a few bits
 takes them lowest bit first.  A FiniteLattice keeps no table; other
-modules get elements, not masks, from its point queries.  Six textbook
+modules get elements, not masks, from its point queries.  Five textbook
 facts keep the kernels below cubic cost:
 
-- Meet tables are filled from the bottom up.  If y is not above x, every
-  lower bound of x and y lies below some lower cover c of x, so x ^ y is
-  the greatest of the c ^ y, and it exists iff one of them lies above all
-  the others.  Join tables are the dual.
 - A finite poset with a top in which every pair has a meet is a lattice
-  (Graetzer, Lattice Theory: Foundation, 2011, ch. I), so filling the meet
-  table certifies foreign input; the table is then dropped.
+  (Graetzer, Lattice Theory: Foundation, 2011, ch. I), and x ^ y exists
+  iff the common down-set down[x] & down[y] is some element's down-set.
+  So one set lookup per incomparable pair certifies foreign input
+  (FiniteLattice._certify), and no table is filled.
 - A lattice of finite length is (upper) semimodular iff it satisfies
   Birkhoff's covering condition: any two upper covers a, b of an element
   are both covered by a v b (Graetzer, Lattice Theory: Foundation, 2011,
@@ -77,20 +75,27 @@ from .errors import BudgetError, OrderError, ParseError
 # Largest element count accepted from any input, a JSON file or a DSL
 # construction: more than ten times the largest lattice the tests and the
 # benchmark build (n <= 171).  --allow-large does not lift it: the limit is
-# the transient n x n meet table that certifies a lattice read from JSON,
-# and is dropped once it is filled.  A built lattice is certified by its
-# corner coordinates and fills no table: `grid 43 44` (1,980 elements)
-# takes about 0.02 s to build, at a peak RSS of 17 MB, and 0.04 s more to
-# report its lamps, at 19 MB; `slimlat build`, which also writes its 100 KB
-# of JSON, takes 0.04 s at 20 MB (Python 3.11, 2-vCPU VM).
+# the certificate of a lattice read from JSON, up to n^2 / 2 ANDs of n-bit
+# down-set masks, a cost cubic in n: 0.19 s on `grid 43 44` (1,980
+# elements) and 0.22 s on M_1998 (2,000), and `slimlat validate` of `grid
+# 43 44` as lattice JSON takes 0.24 s at a peak RSS of 20 MB.  A built
+# lattice is certified by its corner coordinates and tests no pairs: the
+# grid takes about 0.02 s to build, at a peak RSS of 17 MB, and 0.04 s
+# more to report its lamps, at 19 MB; `slimlat build`, which also writes
+# its 100 KB of JSON, takes 0.04 s at 20 MB (Python 3.11, 2-vCPU VM).
 MAX_ELEMENTS = 2000
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
+def _picked(items, mask):
+    """The items at the bits of mask, in one C-level pass over its digits."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BITS))
+
+
 def _elements(mask):
-    """The elements of a mask, ascending, in one C-level pass over its digits."""
-    return compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))
+    """The elements of a mask, ascending."""
+    return _picked(count(), mask)
 
 
 def _above(up, elems):
@@ -411,25 +416,14 @@ def json_poset(data):
     return Poset(n, [tuple(c) for c in json_int_lists(data, "covers", 2)])
 
 
-def order_from_covers(covers, n=None):
-    """Build a validated poset from cover pairs.
-
-    Elements are 0..n-1; when n is omitted it is inferred from the pairs.
-    """
-    covers = list(covers)
-    if n is None:
-        n = 1 + max((max(a, b) for a, b in covers), default=-1)
-    return Poset(n, covers)
-
-
 # ---------------------------------------------------------------------------
 # Lattices
 # ---------------------------------------------------------------------------
 
 class FiniteLattice:
-    """A finite lattice: a bounded poset whose meet table fills (a built lattice
-    is certified by its corner coordinates instead); it keeps its masks, and
-    its D relation and Con L once derived, but no table."""
+    """A finite lattice: a bounded poset in which every pair has a meet (a
+    built lattice is certified by its corner coordinates instead); it keeps
+    its masks, and its D relation and Con L once derived, but no table."""
 
     def __init__(self, poset):
         self.poset = poset
@@ -461,49 +455,17 @@ class FiniteLattice:
         self._certify()
 
     def _certify(self):
-        """The certificate of foreign input: OrderError unless every pair has a meet."""
-        p = self.poset
-        self._table(p.down, p.up, p.lower_covers, p._order)
-
-    def _table(self, cones, opposite, covers, order):
-        """Meet table (cones = down-sets) or join table (cones = up-sets).
-
-        Rows are filled in `order`, where each of x's covers in `cones[x]`
-        comes before x.  Entry y of row x is x for y in x's opposite cone,
-        else the candidate c * y (c one of those covers) whose cone holds
-        all the candidates, as b in cone a iff table[a][b] == b; with none,
-        the pair has no bound, and OrderError.  O(n * covers) lookups.
-        """
-        n = self.poset.n
-        table = [None] * n
-        size = [m.bit_count() for m in cones]
-
-        def least(cands):
-            g = max(cands, key=size.__getitem__)
-            return g if all(table[g][c] == c for c in cands) else None
-
-        for x in order:
-            rows = [table[c] for c in covers(x)]
-            if len(rows) == 1:
-                row = list(rows[0])
-            elif len(rows) == 2:
-                # slim lattices have at most two upper covers per element,
-                # but a k-fold fork's peak has k + 2 lower covers; this
-                # case spares the others a least() call per entry
-                row = [a if table[a][b] == b else b if table[b][a] == a else None
-                       for a, b in zip(*rows)]
-            elif rows:
-                row = [least(cands) for cands in zip(*rows)]
-            else:
-                row = [None] * n
-            row[x] = x
-            for y in _elements(opposite[x] ^ (1 << x)):
-                row[y] = x
-            if None in row:
-                kind = "glb" if cones is self.poset.down else "lub"
-                raise OrderError(f"no {kind} for pair ({x},{row.index(None)})")
-            table[x] = tuple(row)
-        return tuple(table)
+        """The certificate of foreign input: OrderError unless every pair
+        has a meet, that is, unless each down[x] & down[y] is some element's
+        down-set.  Comparable pairs pass and the test is symmetric, so each
+        x checks, in one C-level pass, the later y incomparable to it."""
+        down, up, n = self.poset.down, self.poset.up, self.poset.n
+        downs = set(down)
+        for x, m in enumerate(down):
+            later = ~((m | up[x]) >> x + 1) & ((1 << n - x - 1) - 1)  # bit i: y = x + 1 + i
+            if later and not downs.issuperset(map(m.__and__, _picked(down[x + 1:], later))):
+                y = next(y for y in _elements(later) if m & down[x + 1 + y] not in downs)
+                raise OrderError(f"no glb for pair ({x},{x + 1 + y})")
 
     # -- basic queries -------------------------------------------------------
 
@@ -871,8 +833,7 @@ def _congruence_lattice(lat):
     count = {}
     for c in closures:
         if c not in count:  # the heads of the j in C, picked by C's digits
-            picked = compress(heads, bin(c)[:1:-1].encode().translate(_BITS))
-            count[c] = n - reduce(int.__or__, picked).bit_count()
+            count[c] = n - reduce(int.__or__, _picked(heads, c)).bit_count()
     masks = sorted(count, key=cmp_to_key(
         lambda a, b: count[a] - count[b] or _block_order(below, ~a, ~b)), reverse=True)
     poset = Poset._from_up([sum(1 << j for j, e in enumerate(masks) if not c & ~e) for c in masks])

@@ -22,11 +22,20 @@ does not use.
   (`slimlat.diagram._unforked`, iterated by `slimlat.multifork._peeled`).
   The two peels give the same sequence on every built lattice of length
   <= 8; on a mirror image they may give two sequences with its pi.
-- Congruences by closure: the meet and join tables (`tables`), the
-  union-find closure of seed pairs over them (`_closure`), joins of
-  congruences, the compatibility laws and the join-irreducibility of listed
-  congruences.  Production closes no pairs over tables: it reads Con L and
-  each principal congruence off the join-dependency order on J(L)
+- Meet tables filled from the bottom up, and join tables from the top
+  down (`bound_table`, `tables`).  If y is not above x, every lower bound
+  of x and y lies below some lower cover c of x, so x ^ y is the greatest
+  of the c ^ y, and it exists iff one of them lies above all the others;
+  join tables are the dual.  A pair with no bound raises OrderError.
+  Production fills no table: a foreign lattice is certified by its
+  down-set masks, one set lookup per incomparable pair
+  (`slimlat.order.FiniteLattice._certify`), and its point queries read
+  the masks.
+- Congruences by closure: the union-find closure of seed pairs over the
+  meet and join tables (`_closure`), joins of congruences, the
+  compatibility laws and the join-irreducibility of listed congruences.
+  Production closes no pairs over tables: it reads Con L and each
+  principal congruence off the join-dependency order on J(L)
   (`slimlat.order.congruence_lattice`, `slimlat.order.principal_congruence`).
 - The join-dependency relation D from whole rows of the join table.
   Production reads D off the arrow relations
@@ -35,7 +44,8 @@ does not use.
   covering law and of all triples of join-irreducibles for an antichain.
   Production tests Birkhoff's covering condition and 2-colours the
   incomparability graph of J(L) (`slimlat.order.FiniteLattice`).
-- Induced sublattices, certified by the meet table as foreign input is.
+- Induced sublattices, certified by their down-set masks as foreign input
+  is.
 - The removal by geometry (`removal_by_deletion`): the tube's fork
   deleted, the order restricted to the rest and certified by its corner
   coordinates (`delete_fork`), and every lamp followed through the old ->
@@ -109,8 +119,9 @@ does not use.
 - The lamp rule's order by closing the pairs that each fork adds
   (`sequence_lamp_poset_by_closure`).  Production carries each lamp's
   up-set mask along the forks (`slimlat.multifork._sequence_lamp_poset`).
-- The poset that strict pairs generate (`from_relation`), which the
-  tests use to write posets down.
+- The posets that the tests write down: the one that strict pairs
+  generate (`from_relation`), and the one on cover pairs, its size read
+  off them if not given (`order_from_covers`).
 - Predicates that only tests ask: the block count, refinement, identity
   and fullness of a congruence, and whether a built lattice is a fixpoint
   of the reduction rules (`slimlat.reduce.minimize` runs the rules
@@ -592,12 +603,62 @@ def is_reduction_fixpoint(pl):
     )
 
 
+def order_from_covers(covers, n=None):
+    """The poset on 0..n-1 with the given cover pairs; n defaults to one
+    more than the largest element named."""
+    covers = list(covers)
+    if n is None:
+        n = 1 + max((max(a, b) for a, b in covers), default=-1)
+    return Poset(n, covers)
+
+
+def bound_table(poset, cones, opposite, covers, order):
+    """Meet table (cones = down-sets) or join table (cones = up-sets).
+
+    Rows are filled in `order`, where each of x's covers in `cones[x]`
+    comes before x.  Entry y of row x is x for y in x's opposite cone,
+    else the candidate c * y (c one of those covers) whose cone holds
+    all the candidates, as b in cone a iff table[a][b] == b; with none,
+    the pair has no bound, and OrderError.  O(n * covers) lookups.
+    """
+    n = poset.n
+    table = [None] * n
+    size = [m.bit_count() for m in cones]
+
+    def least(cands):
+        g = max(cands, key=size.__getitem__)
+        return g if all(table[g][c] == c for c in cands) else None
+
+    for x in order:
+        rows = [table[c] for c in covers(x)]
+        if len(rows) == 1:
+            row = list(rows[0])
+        elif len(rows) == 2:
+            # slim lattices have at most two upper covers per element,
+            # but a k-fold fork's peak has k + 2 lower covers; this
+            # case spares the others a least() call per entry
+            row = [a if table[a][b] == b else b if table[b][a] == a else None
+                   for a, b in zip(*rows)]
+        elif rows:
+            row = [least(cands) for cands in zip(*rows)]
+        else:
+            row = [None] * n
+        row[x] = x
+        for y in _elements(opposite[x] ^ (1 << x)):
+            row[y] = x
+        if None in row:
+            kind = "glb" if cones is poset.down else "lub"
+            raise OrderError(f"no {kind} for pair ({x},{row.index(None)})")
+        table[x] = tuple(row)
+    return tuple(table)
+
+
 def tables(lat):
-    """(meet, join) tables, filled by the recurrence that certifies foreign
-    input, which the tests check against the cubic reference tables."""
+    """(meet, join) tables by the recurrence (bound_table), which the tests
+    check against the cubic reference tables."""
     p = lat.poset
-    return (lat._table(p.down, p.up, p.lower_covers, p._order),
-            lat._table(p.up, p.down, p.upper_covers, p._order[::-1]))
+    return (bound_table(p, p.down, p.up, p.lower_covers, p._order),
+            bound_table(p, p.up, p.down, p.upper_covers, p._order[::-1]))
 
 
 def _closure(meet, join, seed_pairs):
@@ -645,7 +706,7 @@ def congruence_join(lat, congs):
 
 def sublattice(lat, elems):
     """(the lattice induced on elems, old ids by new id), certified by its
-    meet table, as foreign input is; OrderError if it is no lattice."""
+    down-set masks, as foreign input is; OrderError if it is no lattice."""
     sub, old_ids = restrict(lat.poset, elems)
     return FiniteLattice(sub), old_ids
 
@@ -861,8 +922,8 @@ def lattice_of_permutation(pi):
     Schmidt, "The Jordan-Holder theorem with uniqueness for groups and
     semimodular lattices", Algebra Universalis 66 (2011), and "Composition
     series in groups and the structure of slim semimodular lattices", Acta
-    Sci. Math. (Szeged) 79 (2013)).  The meet table certifies S(pi) as a
-    lattice, as it does foreign input."""
+    Sci. Math. (Szeged) 79 (2013)).  Its down-set masks certify S(pi) as
+    a lattice, as they do foreign input."""
     n = len(pi)
     inv = [0] * n
     for i, j in enumerate(pi, 1):

@@ -21,13 +21,14 @@ from slimlat.errors import DiagramError
 from slimlat.explore import enumerate_index
 from slimlat.lamps import lamp_report
 from slimlat.multifork import build, grid
-from slimlat.order import FiniteLattice, Poset, lattice_from_poset, named_posets, order_from_covers
+from slimlat.order import FiniteLattice, Poset, lattice_from_poset, named_posets
 from slimlat.reduce import check_bounds
 
 from oracles import (
     cell_address,
     east_step,
     four_cells,
+    order_from_covers,
     projections,
     trajectories,
     trajectory_failure_by_walks,

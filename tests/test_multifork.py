@@ -32,12 +32,12 @@ from slimlat.multifork import (
     grid,
     multifork_extend,
 )
-from slimlat.order import FiniteLattice, Poset, lattice_from_poset, order_from_covers
+from slimlat.order import FiniteLattice, Poset, lattice_from_poset
 from slimlat.reduce import minimize
 from slimlat.render import render
 
 import oracles
-from oracles import delete_fork, eager_coords, every_child
+from oracles import delete_fork, eager_coords, every_child, order_from_covers
 from test_order import S7_COVERS
 
 
@@ -48,20 +48,20 @@ def s7_diagram():
 
 # Certificates ----------------------------------------------------------------
 
-def test_only_foreign_input_fills_a_meet_table(monkeypatch, tmp_path, capsys):
-    """Building, minimizing and doubling the lattices of length <= 6 fill no
-    meet table: each step is certified by its corner coordinates.  A lattice
-    read from JSON is still certified by its table, and a non-lattice exits
-    1 with the table's one-line message."""
+def test_only_foreign_input_runs_the_mask_certificate(monkeypatch, tmp_path, capsys):
+    """Building, minimizing and doubling the lattices of length <= 6 run no
+    mask certificate: each step is certified by its corner coordinates.  A
+    lattice read from JSON is still certified by its down-set masks, and a
+    non-lattice exits 1 with the certificate's one-line message."""
     seqs = [e.pl.seq for e in enumerate_index(6).entries()]
     filled = []
-    table = FiniteLattice._table
+    certify = FiniteLattice._certify
 
-    def counted(lat, *args):
+    def counted(lat):
         filled.append(lat.n)
-        return table(lat, *args)
+        return certify(lat)
 
-    monkeypatch.setattr(FiniteLattice, "_table", counted)
+    monkeypatch.setattr(FiniteLattice, "_certify", counted)
     for seq in seqs:
         minimize(build(seq))
         for t in range(1, len(seq.steps) + 1):

@@ -31,7 +31,6 @@ from slimlat.order import (
     is_distributive_ideal_grid,
     lattice_from_poset,
     named_posets,
-    order_from_covers,
     poset_double,
     poset_iso,
     principal_congruence,
@@ -42,6 +41,7 @@ from slimlat.order import (
 )
 
 from oracles import (
+    bound_table,
     certified_by_passes,
     _closure,
     con_listing,
@@ -58,6 +58,7 @@ from oracles import (
     join_row_dependencies,
     mask_sets,
     order_by_passes,
+    order_from_covers,
     poset_from_up_by_rows,
     poset_iso_by_permutations,
     reachability,
@@ -851,11 +852,11 @@ def test_bounded_non_lattice_rejected(covers):
         FiniteLattice(p)
     with pytest.raises(OrderError):
         reference_tables(p)
+    with pytest.raises(OrderError, match="no lub for pair"):
+        bound_table(p, p.up, p.down, p.upper_covers, p._order[::-1])
+    # 1 and 2 share the upper covers 3 and 4, and neither is their join
     lat = FiniteLattice.__new__(FiniteLattice)
     lat.poset = p
-    with pytest.raises(OrderError, match="no lub for pair"):
-        lat._table(p.up, p.down, p.upper_covers, p._order[::-1])
-    # 1 and 2 share the upper covers 3 and 4, and neither is their join
     assert lat.cover_join(1, 2) is None
     # at 1 and 2 the corner ideals are chains and the coordinates are
     # meet-closed; only the up-set test rejects the poset there
@@ -864,6 +865,31 @@ def test_bounded_non_lattice_rejected(covers):
             if lc != rc:
                 with pytest.raises(DiagramError):
                     _certified_diagram(p, lc, rc)
+
+
+def test_mask_certificate_at_scale():
+    """Three posets of about 2,000 elements, far past the random posets'
+    n <= 9.  `grid 43 44`'s covers, read from pairs under shuffled ids,
+    certify.  The same poset with two elements u, v put between the
+    coatoms a, b and their meet c does not: a and b, at the two highest
+    ids, have the two maximal common lower bounds u and v, and theirs is
+    the only pair with no meet.  A chain, with no incomparable pair,
+    certifies."""
+    lat = multifork.grid(43, 44).lattice
+    n = lat.n
+    a, b = lat.lower_covers(lat.top)
+    c = lat.meet_of((a, b))
+    rest = [x for x in range(n) if x not in (a, b)]
+    random.Random(4344).shuffle(rest)
+    new = {x: i for i, x in enumerate(rest + [a, b])}
+    covers = [(new[x], new[y]) for x, y in lat.poset.covers]
+    assert FiniteLattice(Poset(n, covers)).n == n
+    a, b, c, u, v = new[a], new[b], new[c], n, n + 1
+    added = [(c, u), (c, v), (u, a), (u, b), (v, a), (v, b)]
+    p = Poset(n + 2, [cv for cv in covers if cv not in {(c, a), (c, b)}] + added)
+    with pytest.raises(OrderError, match=rf"^no glb for pair \({n - 2},{n - 1}\)$"):
+        FiniteLattice(p)
+    assert FiniteLattice(named_posets("chain", 2000)).n == 2000
 
 
 @pytest.mark.parametrize("covers, jir_count, con_size, jir_covers", [
