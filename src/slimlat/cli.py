@@ -36,11 +36,11 @@ def _write(args, text):
 
 
 def _load_built(args):
-    """A built lattice from either a DSL sequence or a lattice JSON file."""
+    """The built lattice of a DSL sequence, or the door lattice of a lattice
+    JSON file, which reprovenance validates and which keeps the file's ids."""
     text = _read(args.input)
     if args.format == "dsl":
         return build(parse_dsl(text))
-    # reprovenance validates the diagram, and raises PreconditionError
     return reprovenance(PlanarDiagram.from_json(text))
 
 
@@ -158,11 +158,7 @@ def cmd_realize(args):
 
 
 def cmd_render(args):
-    # lattice JSON keeps its ids; svg and tikz validate it at its door, dot here
-    obj = _load_built(args) if args.format == "dsl" else _load_diagram(args)
-    if args.format == "json" and args.render_format == "dot":
-        reprovenance(obj)
-    _write(args, render(obj, args.render_format))
+    _write(args, render(_load_built(args), args.render_format))
     return 0
 
 

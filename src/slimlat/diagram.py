@@ -89,7 +89,7 @@ from itertools import accumulate, chain, count
 from typing import NamedTuple
 
 from .errors import DiagramError
-from .lamps import _derive_lamp_list, _derive_lamp_order
+from .lamps import _derive_lamp_list
 from .order import (
     FiniteLattice,
     json_int_lists,
@@ -239,14 +239,18 @@ class PlanarDiagram:
 
     @cached_property
     def _lamp_order(self):
-        """(lamps, strict order pairs on lamp feet, Poset): lamps.lamp_poset."""
-        return _derive_lamp_order(self)
+        """lamps.lamp_poset, the door lattice's (_door_lattice)."""
+        return self._door_lattice()._lamp_order
 
     @cached_property
     def _drawing(self):
-        """render's checked drawing, through the door (render._door_drawing)."""
-        from .render import _door_drawing  # render imports multifork, which imports this module
-        return _door_drawing(self)
+        """render's checked drawing, the door lattice's (_door_lattice)."""
+        return self._door_lattice()._drawing
+
+    def _door_lattice(self):
+        """multifork.reprovenance(self), not kept: its diagram is self."""
+        from .multifork import reprovenance  # multifork imports this module
+        return reprovenance(self)
 
     @cached_property
     def _report(self):

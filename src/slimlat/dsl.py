@@ -6,6 +6,7 @@ any whitespace):
     file     := gridLine forkLine*
     gridLine := "grid" INT INT
     forkLine := "fork" INT INT INT        # a b k
+    INT      := "-"? [0-9]+               # ASCII digits only
 
 Canonical emission uses single spaces and '\n' line ends.
 """
@@ -25,11 +26,13 @@ def _tokenize(line):
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
 
 
+_INT = re.compile(r"-?[0-9]+")  # int() would also take '+1', '1_0' and non-ASCII digits
+
+
 def _int_token(tok, col, lineno, minimum):
-    try:
-        value = int(tok)
-    except ValueError:
+    if not _INT.fullmatch(tok):
         raise ParseError(f"expected an integer, got {tok!r}", lineno, col)
+    value = int(tok)
     if value < minimum:
         raise ParseError(f"integer {value} below minimum {minimum}", lineno, col)
     return value

@@ -9,8 +9,8 @@ the lattice's own order.  A lamp's creation step is its tube records'
 step.  Each diagram keeps its lamp list, with the map from each neon
 tube to its (lamp, index), in a cached property; the lamp order
 (lamps, lt, poset) is the fork rule that `realize` reads, run over a
-built lattice's own sequence, and a bare diagram takes a door to it
-(lamp_poset).
+built lattice's own sequence, read in any ids (_boundary_tubes); a bare
+diagram crosses one door into its own ids (multifork.reprovenance).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError
-from .order import Poset, congruence_lattice
+from .order import _picked, congruence_lattice
 
 
 @dataclass(frozen=True)
@@ -78,43 +78,36 @@ def lamp_poset(obj):
     (multifork._sequence_lamp_poset: a fork adds its lamp below its Nwl
     and Nel lamps) run over a built lattice's own sequence (_lamp_places);
     a bare diagram (lattice JSON, a mirror image, `embed_rectangular`
-    output) takes the door (_derive_lamp_order).  The Nwl/Nel order of
-    trajectory walks and the closures of rho_foot and rho_circr give the
-    same order (tests/oracles.py).
+    output) keeps its door lattice's (PlanarDiagram._door_lattice).  The
+    Nwl/Nel order of trajectory walks and the closures of rho_foot and
+    rho_circr give the same order (tests/oracles.py).
     """
     return obj._lamp_order
+
+
+def _boundary_tubes(d):
+    """d's boundary tubes in left-chain order: the grid's left-chain edge
+    i <= p crosses the i-th tube of the upper right side, counted upward,
+    and edge p + j the j-th tube of the upper left side.  Forks subdivide
+    only the paths down to the corner ideals, so the upper sides keep
+    their tubes in order: no fork splits a tube (its foot has one upper
+    cover), and none adds one there.  Along the upper right side hr is
+    the top's and hl climbs; along the upper left side hl is the top's
+    and hr climbs.  So the feet sorted by (hl, hr) list the right side
+    upward, then the left side, in any ids."""
+    hl, hr, _, _ = d.heights()
+    return sorted(d.neon_tubes()[0], key=lambda e: (hl[e.foot], hr[e.foot]))
 
 
 def _lamp_places(pl):
     """Each lamp's index in lamps_of_diagram order, listed by its place in
     pl.seq as _sequence_lamp_poset names them: the grid's p + q boundary
-    lamps in left-chain order, then step t's lamp, read off its tube
-    records, at place p + q + t - 1.  Grid element (i, j) is i(q + 1) + j
-    (multifork.grid): left-chain edge i <= p crosses the upper right
-    side's i-th tube, foot (i - 1)(q + 1) + q, and edge p + j is the upper
-    left side's j-th tube, foot p(q + 1) + j - 1.  No fork splits a tube
-    (its foot has one upper cover) and new ids are appended, so the
-    boundary lamps keep their grid ids and order, and lamps_of_diagram
-    lists them by foot, in that order."""
-    p, q = pl.seq.grid_p, pl.seq.grid_q
-    places = [*range(p + q), *[None] * len(pl.seq.steps)]
-    for i, l in enumerate(lamps_of_diagram(pl.diagram)[p + q:], p + q):
-        places[p + q - 1 + lamp_creation_step(pl, l)] = i
-    return places
-
-
-def _derive_lamp_order(d):
-    """lamp_poset's order of a bare diagram d, carried over from its door
-    lattice's (multifork._door) as closed up-sets."""
-    from .multifork import _door  # multifork imports this module
-    pl, ids = _door(d)
-    lt = frozenset((ids[a], ids[b]) for a, b in lamp_poset(pl)[1])
-    lamps = lamps_of_diagram(d)
-    idx = {l.foot: i for i, l in enumerate(lamps)}
-    up = [1 << i for i in range(len(lamps))]
-    for a, b in lt:
-        up[idx[a]] |= 1 << idx[b]
-    return lamps, lt, Poset._from_up(up)
+    lamps in left-chain order (_boundary_tubes), then step t's lamp, read
+    off its tube records, at place p + q + t - 1."""
+    lamps, boundary = lamps_of_diagram(pl.diagram), _boundary_tubes(pl.diagram)
+    index = {l.foot: i for i, l in enumerate(lamps)}
+    return [index[e.foot] for e in boundary] + sorted(
+        range(len(boundary), len(lamps)), key=lambda i: lamp_creation_step(pl, lamps[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -139,32 +132,41 @@ def _tube_con(cl, tube):
 
 
 def _con_by_place(pl, names):
-    """J(Con L)'s up-set masks, each congruence renamed names[x], x the place
-    in pl.seq of the lamp whose tubes it collapses (_tube_con), or None
-    unless lamps and congruences correspond one to one.  Lamp L = J(Con L)
-    by that map (Czedli, Acta Sci. Math. 87, 2021), so lattices whose lamps
-    correspond by place compare their Con L with no isomorphism search.
-    Each tube's place is read off its record: step t's tubes sit at place
-    p + q + t - 1, and the boundary tubes (step 0) take places 0..p + q - 1
-    in the order of their feet (_lamp_places)."""
+    """J(Con L)'s up-set masks, each congruence renamed names[x], x its
+    place (_congruence_places, kept as pl._con_places), or None.  Lamp L =
+    J(Con L) by place (Czedli, Acta Sci. Math. 87, 2021), so lattices whose
+    lamps correspond by place compare Con L with no isomorphism search."""
+    place = pl._con_places
+    if place is None:
+        return None
+    bits = [1 << names[x] for x in place]
+    up = [0] * len(place)
+    for x, mask in zip(place, congruence_lattice(pl.lattice).jir_poset.up):
+        up[names[x]] = sum(_picked(bits, mask))
+    return tuple(up)
+
+
+def _congruence_places(pl):
+    """For each congruence of J(Con L), the place x in pl.seq of the lamp
+    whose tubes it collapses (_tube_con), or None unless lamps and
+    congruences correspond one to one.  Each tube's place is read off its
+    record: step t's tubes sit at place p + q + t - 1, and the boundary
+    tubes (step 0) take places 0..p + q - 1 in left-chain order
+    (_boundary_tubes)."""
     cl = congruence_lattice(pl.lattice)
     pq = pl.seq.grid_p + pl.seq.grid_q
     m = pq + len(pl.seq.steps)
-    boundary = sorted(e for e, r in pl.tube_records.items() if not r.step)
+    boundary = {e: x for x, e in enumerate(_boundary_tubes(pl.diagram))}
     place = {}
     for e, r in pl.tube_records.items():
-        x = r.step + pq - 1 if r.step else boundary.index(e)
+        x = r.step + pq - 1 if r.step else boundary[e]
         i = _tube_con(cl, e)
         if i is None or place.setdefault(i, x) != x:
             return None
     # the places lie below m, so m distinct ones are all of them
     if not len(place) == cl.jir_count() == m == len(set(place.values())):
         return None
-    bits = [1 << names[place[i]] for i in range(m)]
-    up = [0] * m
-    for i, mask in enumerate(cl.jir_poset.up):
-        up[names[place[i]]] = sum(b for j, b in enumerate(bits) if mask >> j & 1)
-    return tuple(up)
+    return tuple(place[i] for i in range(m))
 
 
 def verify_lamp_con_iso(pl):

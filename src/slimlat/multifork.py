@@ -35,7 +35,7 @@ from .errors import (
     OrderError,
     PreconditionError,
 )
-from .lamps import _diagram_of, _lamp_places, lamps_of_diagram
+from .lamps import _congruence_places, _diagram_of, _lamp_places, lamps_of_diagram
 from .order import MAX_ELEMENTS, Poset, is_distributive_ideal_grid
 
 
@@ -69,8 +69,8 @@ class ProvenancedLattice:
     records are kept as given, so callers hand over fresh ones.  `parent` is
     the built lattice of `seq` without its last step, so a lattice from
     `build` keeps every stage of its sequence.  Only `build` sets it: it is
-    None for a grid and for the lattices that `multifork_extend` makes
-    elsewhere (the enumeration's).
+    None for a grid, for the lattices that `multifork_extend` makes
+    elsewhere (the enumeration's) and for reprovenance's.
     """
 
     def __init__(self, diagram, seq, tube_records, recipes):
@@ -134,6 +134,11 @@ class ProvenancedLattice:
                 lt.append((foot, feet[low.bit_length() - 1]))
                 rest ^= low
         return lamps, frozenset(lt), poset
+
+    @cached_property
+    def _con_places(self):
+        """Each congruence's lamp place (lamps._congruence_places), kept for _con_by_place."""
+        return _congruence_places(self)
 
     @property
     def lattice(self):
@@ -406,33 +411,38 @@ def decompose(diagram_or_pl):
     sequence is read off that permutation (_peeled) and checked by one
     build (_rebuilt).  Only a bare diagram, such as lattice JSON, needs
     this: a removal edits its input's sequence (reduce._removed_sequence)."""
-    return reprovenance(diagram_or_pl).seq
+    return _rebuilt(_diagram_of(diagram_or_pl)).seq
 
 
 def reprovenance(diagram):
-    """The built lattice of the given diagram's decomposition (_rebuilt):
-    the door by which a bare diagram reaches what reads a sequence, such
-    as its lamp order and its drawing, in its own ids (_door)."""
+    """The built lattice of the given diagram's decomposition, on that
+    diagram itself: the door by which a bare diagram reaches what reads a
+    sequence, such as its lamp order, its removals and its drawing, in its
+    own ids.  The build (_rebuilt) has the diagram's Jordan-Holder
+    permutation, so it places its elements at the diagram's points
+    (hl, hr) (Czedli and Schmidt, Algebra Universalis 66, 2011), and its
+    tube records and drawing points are carried through them.  Its recipes
+    stay in the build's ids, where its points were replayed.  `parent`
+    stays None: only build sets it."""
     d = _diagram_of(diagram)
-    report = is_slim_rectangular(d)
-    if not report.ok:
-        raise PreconditionError("not slim rectangular: " + "; ".join(report.failures))
-    return _rebuilt(d)
-
-
-def _door(d):
-    """(reprovenance(d), ids), ids[u] the element of d at the point (hl, hr)
-    of the door lattice's u: both have d's permutation, so ids is an isomorphism."""
-    pl = reprovenance(d)
-    hl, hr, _, _ = d.heights()
-    at = {point: x for x, point in enumerate(zip(hl, hr))}
-    phl, phr, _, _ = pl.diagram.heights()
-    return pl, [at[point] for point in zip(phl, phr)]
+    pl = _rebuilt(d)
+    at = {point: x for x, point in enumerate(zip(*d.heights()[:2]))}
+    ids = [at[point] for point in zip(*pl.diagram.heights()[:2])]  # the build's u is d's ids[u]
+    records = {(ids[f], ids[p]): TubeRecord(r.step, tuple((ids[b], ids[t]) for b, t in r.cells))
+               for (f, p), r in pl.tube_records.items()}
+    door = ProvenancedLattice(d, pl.seq, records, pl.recipes)
+    den, xs, ys = pl.points
+    back = sorted(range(d.n), key=ids.__getitem__)  # the build's element at x's point
+    door.points = den, [xs[u] for u in back], [ys[u] for u in back]
+    return door
 
 
 def _rebuilt(d):
-    """build(_peeled(pi)), pi the valid diagram d's Jordan-Holder permutation,
-    which the build must have: a stuck peel or a rejected step fails too."""
+    """build(_peeled(pi)), pi the Jordan-Holder permutation of d, validated
+    first, which the build must have: a stuck peel or a rejected step fails too."""
+    report = is_slim_rectangular(d)
+    if not report.ok:
+        raise PreconditionError("not slim rectangular: " + "; ".join(report.failures))
     pi = _jh_permutation(d)
     seq = _peeled(pi)
     try:

@@ -722,27 +722,6 @@ def _collapsed(dep, todo):
     return collapsed
 
 
-def _closures(dep, jir):
-    """_collapsed(dep, 1 << k) for each k of jir, in order, each D-step walk
-    stopping at the join-irreducibles already closed: a j reached whose
-    mask is known adds all of it, and its D steps are not walked again."""
-    closed, out = {}, []
-    for k in jir:
-        c, todo = 0, 1 << k
-        while todo:
-            low = todo & -todo
-            known = closed.get(low)
-            if known is None:
-                c |= low
-                todo |= dep[low.bit_length() - 1]
-            else:
-                c |= known
-            todo &= ~c
-        closed[1 << k] = c
-        out.append(c)
-    return out
-
-
 def principal_congruence(lat, a, b):
     """con(a, b), read off the D order as congruence_lattice reads each
     con(k_, k).  Let u = a ^ b, v = a v b and S = {j in J(L) : j <= v, j
@@ -783,9 +762,8 @@ def _congruence_lattice(lat):
     join-irreducibles C that reach k (_collapsed), and x, y share a block
     iff the join-irreducibles below them outside C agree
     (principal_congruence).  The masks repeat: two join-irreducibles share
-    one exactly when D steps lead from each to the other, so _closures
-    reuses every mask already closed.  Sets of join-irreducibles are int
-    bitmasks, and no partition is built.
+    one exactly when D steps lead from each to the other.  Sets of
+    join-irreducibles are int bitmasks, and no partition is built.
 
     The congruences are listed by (block count, block_index) descending,
     the order of their Congruence partitions.  The block counts are read
@@ -816,10 +794,9 @@ def _congruence_lattice(lat):
     """
     n, jir = lat.n, lat.jir()
     below = tuple(map(sum(map((1).__lshift__, jir)).__and__, lat.poset.down))
-    closures = _closures(lat._dep, jir)
     closure, heads = [0] * n, [0] * n
-    for j, c in zip(jir, closures):
-        closure[j], heads[j] = c, 1 << j
+    for j in jir:
+        closure[j], heads[j] = _collapsed(lat._dep, 1 << j), 1 << j
     for x, row in enumerate(lat.poset._dncov):
         if len(row) > 1:
             bx, bit = below[x], 1 << x
@@ -830,10 +807,9 @@ def _congruence_lattice(lat):
                     rest &= rest - 1
                     j = (rest & -rest).bit_length() - 1
                 heads[j] |= bit
-    count = {}
-    for c in closures:
-        if c not in count:  # the heads of the j in C, picked by C's digits
-            count[c] = n - reduce(int.__or__, _picked(heads, c)).bit_count()
+    # each distinct mask C once, in jir order, where the sort below finds long runs
+    count = {c: n - reduce(int.__or__, _picked(heads, c)).bit_count()  # C's heads, by its digits
+             for c in dict.fromkeys(map(closure.__getitem__, jir))}
     masks = sorted(count, key=cmp_to_key(
         lambda a, b: count[a] - count[b] or _block_order(below, ~a, ~b)), reverse=True)
     poset = Poset._from_up([sum(1 << j for j, e in enumerate(masks) if not c & ~e) for c in masks])

@@ -8,8 +8,8 @@ internal meet-irreducible element, which are strictly steeper.  It
 compares ints once per lattice: the lattice keeps the checked drawing,
 as a diagram keeps its validation report, and SVG, TikZ and
 validate_slopes read it; a failed check keeps nothing.  A bare diagram
-draws its own covers at its door lattice's points (_door_drawing).  A
-drawn number is `int / den`, which Python rounds correctly, as it does
+keeps its door lattice's drawing, in its own ids (multifork.reprovenance).
+A drawn number is `int / den`, which Python rounds correctly, as it does
 `float(Fraction)`.  No predicate consumes coordinates.
 """
 
@@ -19,7 +19,6 @@ import re
 
 from .dsl import emit_dsl
 from .errors import InternalInconsistencyError, ParseError
-from .multifork import _door
 from .order import Poset
 
 
@@ -44,15 +43,6 @@ def _checked_drawing(d, den, xs, ys, seq):
             f"edge ({foot},{peak}) {fault}; `slimlat render --render-format svg`"
             f" replays it on\n{emit_dsl(seq)}")
     return den, xs, ys, internal_mir
-
-
-def _door_drawing(d):
-    """The checked drawing of a bare diagram d: its own covers at the
-    points of its door lattice's elements (multifork._door)."""
-    pl, ids = _door(d)
-    den, xs, ys = pl.points
-    at = sorted(range(d.n), key=ids.__getitem__)  # the door's element at x's point
-    return _checked_drawing(d, den, [xs[u] for u in at], [ys[u] for u in at], pl.seq)
 
 
 def validate_slopes(obj):

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import types
 
@@ -237,16 +238,15 @@ def test_diagram_lamp_order_matches_rho_order():
         assert lamp_poset(entry.pl)[1] == rho_order(entry.pl)[0], entry.seq
 
 
-def _ids_reversed(text):
-    """Lattice JSON with every id x renumbered n - 1 - x: the same drawing."""
+def _renumbered(text, perm):
+    """Lattice JSON with every id x renumbered perm[x]: the same drawing."""
     data = json.loads(text)
-    n = data["n"]
-    return json.dumps({
-        "n": n,
-        "covers": [[n - 1 - a, n - 1 - b] for a, b in data["covers"]],
-        **{key: [[n - 1 - v for v in row] for row in data[key][::-1]]
-           for key in ("upper_order", "lower_order")},
-    })
+    rows = {key: [None] * data["n"] for key in ("upper_order", "lower_order")}
+    for key, out in rows.items():
+        for x, row in enumerate(data[key]):
+            out[perm[x]] = [perm[v] for v in row]
+    return json.dumps({"n": data["n"], "covers": [[perm[a], perm[b]] for a, b in data["covers"]],
+                       **rows})
 
 
 def _check_the_lamp_order_against_nwl_nel(entries):
@@ -275,7 +275,8 @@ def _check_the_lamp_order_against_nwl_nel(entries):
         for seq in (multifork._peeled(pi), peeled_by_lamp_order(mirror)):
             assert _jh_permutation(build(seq).diagram) == pi, (entry.seq, seq)
         for drawn in (d, mirror):
-            relabelled = PlanarDiagram.from_json(_ids_reversed(drawn.to_json()))
+            reversed_ids = range(drawn.n - 1, -1, -1)
+            relabelled = PlanarDiagram.from_json(_renumbered(drawn.to_json(), reversed_ids))
             assert decompose(relabelled) == decompose(drawn), (entry.seq, drawn)
         checked += 4
     return checked
@@ -289,6 +290,45 @@ def test_the_lamp_order_equals_nwl_nel_to_length_seven():
 def test_the_lamp_order_equals_nwl_nel_to_length_eight():
     entries = enumerate_index(8, allow_large=True).entries()
     assert _check_the_lamp_order_against_nwl_nel(entries) == 11280
+
+
+def test_lattice_json_reads_its_lamps_and_removals_in_its_own_ids():
+    """The door (multifork.reprovenance) puts the built lattice of a bare
+    diagram's decomposition on the diagram itself.  On each lattice of
+    length <= 6, read back from lattice JSON renumbered by a seeded
+    permutation and from its mirror image's, the lamp report checks
+    Lamp L = J(Con L) and names the bare diagram's lamps and lamp order
+    (lamp_poset).  On the renumbered copy the lamps, their tubes, their
+    usage patterns and the lamp order are the built lattice's, carried
+    through the permutation, and so are the lamp and the tube that
+    minimize removes first."""
+    rng = random.Random(50)
+    entries = enumerate_index(6).entries()
+    for entry in entries:
+        pl = entry.pl
+        perm = list(range(pl.n))
+        rng.shuffle(perm)
+        renumbered = PlanarDiagram.from_json(_renumbered(pl.diagram.to_json(), perm))
+        mirror = PlanarDiagram.from_json(pl.diagram.mirror().to_json())
+        for d in (renumbered, mirror):
+            door = reprovenance(d)
+            report = lamp_report(door)
+            lamps, lt, _ = lamp_poset(d)
+            assert door.diagram is d and report["congruence_iso_ok"], entry.seq
+            assert [(l["foot"], l["peak"]) for l in report["lamps"]] == [
+                (l.foot, l.peak) for l in lamps], entry.seq
+            assert lamp_poset(door)[1] == lt, entry.seq
+        door = reprovenance(renumbered)
+        carried = sorted((perm[l["foot"]], perm[l["peak"]],
+                          [[perm[a], perm[b]] for a, b in l["tubes"]], l["pattern"])
+                         for l in lamp_report(pl)["lamps"])
+        assert carried == sorted((l["foot"], l["peak"], l["tubes"], l["pattern"])
+                                 for l in lamp_report(door)["lamps"]), entry.seq
+        assert {(perm[a], perm[b]) for a, b in lamp_poset(pl)[1]} == lamp_poset(door)[1]
+        want, got = minimize(pl)[1][:1], minimize(door)[1][:1]
+        assert [(perm[s.lamp_foot], tuple(perm[x] for x in s.removed_tube)) for s in want] == [
+            (s.lamp_foot, s.removed_tube) for s in got], entry.seq
+    assert len(entries) == 106
 
 
 def test_a_stuck_peel_in_a_lamp_order_is_reported(monkeypatch, tmp_path, capsys):
@@ -353,8 +393,8 @@ def test_no_lamp_order_of_a_built_lattice_peels(monkeypatch, empty_memo):
 def _check_con_against_the_partitions(built):
     """Con L on collapsed masks, read lazily, and the lamp-Con check against
     the eager partition sort, on each built lattice, its mirror image as a
-    bare diagram (same lattice, the door's lamp order) and the mirror image
-    rebuilt through the door (other ids); returns the number of checks."""
+    bare diagram and the door lattice on the mirror image, which reads its
+    tube records in the mirror image's ids; returns the number of checks."""
     checked = 0
     for start in built:
         mirror = start.diagram.mirror()

@@ -809,6 +809,13 @@ def test_parse_dsl_errors():
         parse_dsl("grid 1 x\n")
     with pytest.raises(ParseError, match="below minimum"):
         parse_dsl("grid 0 1\n")
+    with pytest.raises(ParseError, match="integer -1 below minimum 0"):
+        parse_dsl("grid 1 1\nfork -1 0 1\n")
+    # int() takes these; the grammar's INT is ASCII digits, with a minus sign
+    for text in ("grid +1 1", "grid 1_0 1", "grid \u0661 1", "grid 1 1\nfork 0 0 \uff12",
+                 "grid 1 -", "grid 1 1.0"):
+        with pytest.raises(ParseError, match="expected an integer"):
+            parse_dsl(text)
     try:
         parse_dsl("grid 1 1\nfork 0 0 zero\n")
     except ParseError as e:

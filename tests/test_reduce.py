@@ -227,6 +227,22 @@ def test_a_removal_deletes_no_fork_and_decomposes_nothing(monkeypatch, empty_mem
     assert removals == 39 and extended > 0
 
 
+def test_minimize_names_j_con_l_by_place_once_per_lattice(monkeypatch, empty_memo):
+    """Each removal compares J(Con L) by lamp place before and after
+    (lamps._con_by_place); each lattice derives it once and keeps it, so
+    the 14 removals of minimize on the 162-element lattice derive it for
+    the input and each result, 15 times, not twice per removal."""
+    derived = []
+    place_con = multifork_module._congruence_places
+    monkeypatch.setattr(multifork_module, "_congruence_places",
+                        lambda pl: derived.append(pl.seq) or place_con(pl))
+    pl = build(parse_dsl(
+        "grid 2 1\nfork 1 0 2\nfork 2 0 4\nfork 0 0 6\nfork 4 0 4\nfork 0 1 6\nfork 3 1 2"))
+    fixed, trace = minimize(pl)
+    assert len(trace) == 14 and len(derived) == 15 == len(set(derived))
+    assert derived[0] == pl.seq and derived[-1] == fixed.seq
+
+
 @pytest.mark.slow
 def test_removals_extend_only_their_steps_at_lengths_seven_and_eight(monkeypatch, empty_memo, index8):
     seqs = [e.seq for e in index8.entries(7) + index8.entries(8)]

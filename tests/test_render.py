@@ -177,7 +177,7 @@ def test_a_bare_diagram_draws_its_own_covers(tmp_path):
     points (hl, hr) that both share, after the slope check on its own
     covers."""
     from slimlat.cli import main
-    from slimlat.multifork import _door
+    from slimlat.multifork import decompose
 
     for entry in enumerate_index(6).entries():
         d = entry.pl.diagram.mirror()
@@ -187,7 +187,10 @@ def test_a_bare_diagram_draws_its_own_covers(tmp_path):
                      "--render-format", "dot", "--out", str(out)]) == 0
         assert parse_dot(out.read_text()) == d.lattice.poset
         assert validate_slopes(d) is True
-        pl, ids = _door(d)
+        # ids[u]: the element of d at the point (hl, hr) of the door build's u
+        pl = build(decompose(d))
+        at = {point: x for x, point in enumerate(zip(*d.heights()[:2]))}
+        ids = [at[point] for point in zip(*pl.diagram.heights()[:2])]
         svg = render(d, "svg")
         assert svg.count("<line") == len(d.lattice.poset.covers)
         den, xs, ys, _ = d._drawing
