@@ -123,9 +123,10 @@ def _tube_con(cl, tube):
     """The index in the CongruenceLattice cl of the congruence that
     collapses a neon tube, a (foot, peak) pair, or None.  A tube is a
     prime interval, so its congruence is join-irreducible and listed;
-    listed coarser congruences have fewer blocks, so it is the first
-    listed one that collapses the tube, whose mask holds the
-    join-irreducibles below the peak and not below the foot."""
+    Con L lists a congruence before every coarser one (its mask is
+    smaller), so it is the first listed one that collapses the tube,
+    whose mask holds the join-irreducibles below the peak and not below
+    the foot."""
     foot, peak = tube
     d = cl.below[peak] & ~cl.below[foot]
     return next((i for i, c in enumerate(cl.collapsed) if not d & ~c), None)

@@ -125,7 +125,7 @@ class ProvenancedLattice:
         """(lamps, strict order pairs on lamp feet, Poset): lamps.lamp_poset,
         read off the lattice's own sequence."""
         lamps = lamps_of_diagram(self.diagram)
-        poset = _sequence_lamp_poset(self.seq, _lamp_places(self))
+        poset = _sequence_lamp_poset(self.seq, self._lamp_places)
         feet, lt = [l.foot for l in lamps], []
         for i, m in enumerate(poset.up):
             rest, foot = m ^ 1 << i, feet[i]
@@ -134,6 +134,12 @@ class ProvenancedLattice:
                 lt.append((foot, feet[low.bit_length() - 1]))
                 rest ^= low
         return lamps, frozenset(lt), poset
+
+    @cached_property
+    def _lamp_places(self):
+        """Each lamp's place in the sequence (lamps._lamp_places), kept for
+        the lamp order and the removals."""
+        return _lamp_places(self)
 
     @cached_property
     def _con_places(self):
@@ -320,15 +326,15 @@ def multifork_extend(pl, address, k):
 
     # the k new tubes' records: every cell of a tube's trajectory but the
     # two that flank the tube, both inside the forked cell, read off the
-    # walk table that validation derived; the tubes are checked on the
-    # rows, a tube's foot having one upper cover
+    # walk table that validation derived; the tubes are the table's tube
+    # slots, a tube's foot having one upper cover
     records = dict(pl.tube_records)
     step = len(pl.seq.steps) + 1
     table2 = d2._walks()
     for m in range(mbase, mbase + k):
         x = table2.base[m]  # the slot of the tube [m, t], m's one upper cover
         slots = _trajectory_slots(d2, x)
-        if [y for y, (f, _) in zip(slots, table2.edges(slots)) if len(d2.upper[f]) == 1] != [x]:
+        if [y for y in slots if y in table2.tubes] != [x]:
             raise _step_failure(pl, address, k, "new tube is not its trajectory's top edge")
         ti = slots.index(x)
         cells = _crossed(table2, slots)

@@ -46,9 +46,9 @@ facts keep the kernels below cubic cost:
   compare masks and build no partition (CongruenceLattice).  The
   congruence of a prime interval y < x is join-irreducible in Con L
   (Graetzer, The Congruences of a Finite Lattice, 2nd ed., 2016), so it
-  is one con(j_, j), and labelling each cover by its j lets one pass over
-  the covers count the blocks of every theta: a block is an interval,
-  and its least element is its only one with no lower cover in it.
+  is one con(j_, j).  A coarser congruence has a larger mask, so listing
+  the masks by size extends refinement, and the first listed theta that
+  collapses a cover is its congruence.
 - Sending u to the join-irreducibles below it embeds a finite lattice M
   into the down-sets of its poset J(M) of join-irreducibles, so M is
   distributive iff it has as many elements as J(M) has down-sets
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key, reduce
+from functools import cached_property
 from itertools import chain, combinations, compress, count
 
 from .errors import BudgetError, OrderError, ParseError
@@ -665,11 +665,13 @@ class CongruenceLattice:
     Congruence i, theta, is fixed by its collapsed mask collapsed[i], the
     join-irreducibles j with j_ theta j: x theta y iff below[x] and below[y],
     the masks of the join-irreducibles below x and y, agree outside it.
-    jir_poset orders them by refinement, which is inclusion of the masks.
-    |Con L| (con_size) is derived on first read; no check reads it, and no
-    partition is built.  It holds no reference to its lattice, which keeps
-    it (FiniteLattice._con), so a lattice is freed with its last reference,
-    not by the cyclic collector."""
+    jir_poset orders them by refinement, which is inclusion of the masks;
+    they are listed by mask size, so a congruence comes before every
+    coarser one (_congruence_lattice).  |Con L| (con_size) is derived on
+    first read; no check reads it, and no partition is built.  It holds
+    no reference to its lattice, which keeps it (FiniteLattice._con), so
+    a lattice is freed with its last reference, not by the cyclic
+    collector."""
 
     def __init__(self, collapsed, jir_poset, below):
         self.collapsed, self.jir_poset, self.below = collapsed, jir_poset, below
@@ -765,67 +767,21 @@ def _congruence_lattice(lat):
     one exactly when D steps lead from each to the other.  Sets of
     join-irreducibles are int bitmasks, and no partition is built.
 
-    The congruences are listed by (block count, block_index) descending,
-    the order of their Congruence partitions.  The block counts are read
-    off one pass over the lower cover rows, which labels each cover y < x
-    by one join-irreducible j*.  Let D = below[x] & ~below[y].  con(y, x)
-    is the join of the con(j_, j), j in D (principal_congruence), and the
-    congruence of a prime interval is join-irreducible in Con L (Graetzer,
-    The Congruences of a Finite Lattice, 2nd ed., 2016), so it is one of
-    those terms, con(j*_, j*), whose closure (the join-irreducibles that
-    reach j*) holds all of D.  Any j in D whose closure holds D will do,
-    and all such j share that closure, so the label is the first one
-    found, lowest bit first, and theta collapses y < x iff j* is in its
-    mask C.  A join-irreducible x labels its one lower cover x itself,
-    with no search.  heads[j] is the mask of the x that have a lower
-    cover labelled j.  A block is an interval, so its least element is
-    the only one of its elements with no lower cover in the block: below
-    any other x of the block, a maximal chain from the least element ends
-    in a lower cover of x inside the block.  So C has n - popcount(OR of
-    heads[j], j in C) blocks, |C| ORs per distinct mask in place of a
-    pass over the n elements.  Ties are common
-    (121 of the 159 congruences of the benchmark's `large` lattices at
-    seed 1 sit in tied runs), so tied congruences compare block_index,
-    lazily (_block_order): the ids of 0..x depend only on the partition
-    of 0..x, so two partitions give the same ids up to the first element
-    x where their partitions of 0..x part, and their ids differ there,
-    which decides the tuple comparison.  Distinct masks fix distinct
-    partitions, so the order is total, as it was on the partitions.
+    The distinct masks are listed by size, ties in the join-irreducibles'
+    order.  A coarser congruence collapses a superset, and a strictly
+    coarser one a strictly larger mask, so the listing extends refinement:
+    every congruence above theta in jir_poset comes after it, and two
+    distinct masks of one size are incomparable, so theta's up-set is
+    read off the masks from its own onward.  The first listed congruence
+    that collapses a cover y < x is then the least one, con(y, x)
+    (lamps._tube_con).
     """
-    n, jir = lat.n, lat.jir()
-    below = tuple(map(sum(map((1).__lshift__, jir)).__and__, lat.poset.down))
-    closure, heads = [0] * n, [0] * n
-    for j in jir:
-        closure[j], heads[j] = _collapsed(lat._dep, 1 << j), 1 << j
-    for x, row in enumerate(lat.poset._dncov):
-        if len(row) > 1:
-            bx, bit = below[x], 1 << x
-            for y in row:
-                d = rest = bx & ~below[y]
-                j = (rest & -rest).bit_length() - 1
-                while d & ~closure[j]:  # a few bits: lowest first
-                    rest &= rest - 1
-                    j = (rest & -rest).bit_length() - 1
-                heads[j] |= bit
-    # each distinct mask C once, in jir order, where the sort below finds long runs
-    count = {c: n - reduce(int.__or__, _picked(heads, c)).bit_count()  # C's heads, by its digits
-             for c in dict.fromkeys(map(closure.__getitem__, jir))}
-    masks = sorted(count, key=cmp_to_key(
-        lambda a, b: count[a] - count[b] or _block_order(below, ~a, ~b)), reverse=True)
-    poset = Poset._from_up([sum(1 << j for j, e in enumerate(masks) if not c & ~e) for c in masks])
+    below = tuple(map(sum(map((1).__lshift__, lat.jir())).__and__, lat.poset.down))
+    masks = sorted(dict.fromkeys([_collapsed(lat._dep, 1 << j) for j in lat.jir()]),
+                   key=int.bit_count)
+    poset = Poset._from_up([sum(1 << k for k, e in enumerate(masks[i:], i) if not c & ~e)
+                            for i, c in enumerate(masks)])
     return CongruenceLattice(tuple(masks), poset, below)
-
-
-def _block_order(below, keep_a, keep_b):
-    """The sign of block_index a - block_index b, compared as tuples, for
-    the partitions by below[x] & keep: the difference of their ids at the
-    first element where those differ, or 0."""
-    ids_a, ids_b = {}, {}
-    for m in below:
-        d = ids_a.setdefault(m & keep_a, len(ids_a)) - ids_b.setdefault(m & keep_b, len(ids_b))
-        if d:
-            return d
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .errors import DiagramError, InternalInconsistencyError, PreconditionError
 from .lamps import (
     _con_by_place,
     _diagram_of,
-    _lamp_places,
     is_used,
     lamp_creation_step,
     lamp_poset,
@@ -94,7 +93,7 @@ def _labelled_lamps(pl):
     place in pl.seq (lamps._lamp_places), which a removal keeps: it keeps
     the grid and every fork."""
     lamps, lt, _ = lamp_poset(pl)
-    name = {lamps[i].foot: at for at, i in enumerate(_lamp_places(pl))}
+    name = {lamps[i].foot: at for at, i in enumerate(pl._lamp_places)}
     return ({name[l.foot]: len(l.tubes) for l in lamps},
             {(name[a], name[b]) for a, b in lt})
 
@@ -183,7 +182,7 @@ def find_removable(pl):
     internal lamps by creation step and patterns left to right."""
     stats = usage_stats(pl)
     lamps = lamps_of_diagram(pl.diagram)
-    for lamp in (lamps[i] for i in _lamp_places(pl)[pl.seq.grid_p + pl.seq.grid_q:]):
+    for lamp in (lamps[i] for i in pl._lamp_places[pl.seq.grid_p + pl.seq.grid_q:]):
         pattern = stats.patterns[lamp.foot]
         hits = []
         i = pattern.find("00")

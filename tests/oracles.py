@@ -125,8 +125,7 @@ does not use.
 - Predicates that only tests ask: the block count, refinement, identity
   and fullness of a congruence, and whether a built lattice is a fixpoint
   of the reduction rules (`slimlat.reduce.minimize` runs the rules
-  themselves), and the count of covers whose label Con L's block counts
-  search for (`wide_covers`).
+  themselves).
 """
 
 from fractions import Fraction
@@ -810,14 +809,24 @@ class ConListing(NamedTuple):
 
 
 def con_listing(congs, lower):
-    """The ConListing of the distinct partitions congs: sorted by (block
-    count, block_index) descending, each with the mask of the j with
-    j_ theta j (lower maps j to j_), ordered by refinement."""
-    congs = sorted(set(congs), key=lambda c: (block_count(c), c.block_index), reverse=True)
+    """The ConListing of the distinct join-irreducible partitions congs
+    (lower maps j to j_, in jir order): each with the mask of the j with
+    j_ theta j, ordered by refinement and sorted by the number of those j,
+    ties by the first j whose own congruence con(j_, j), the least one
+    that collapses j_ < j, is theta."""
+    congs = list(dict.fromkeys(congs))
     m = len(congs)
-    poset = from_relation(m, [
-        (i, j) for i in range(m) for j in range(m) if i != j and refines(congs[i], congs[j])
-    ])
+    finer = {(i, k) for i in range(m) for k in range(m) if i != k and refines(congs[i], congs[k])}
+    holding = {j: [i for i, c in enumerate(congs) if c.same(j_, j)] for j, j_ in lower.items()}
+    own = {j: next(i for i in held if all(i == k or (i, k) in finer for k in held))
+           for j, held in holding.items()}
+    first = {}
+    for x, i in enumerate(own.values()):
+        first.setdefault(i, x)
+    order = sorted(range(m), key=lambda i: (sum(i in held for held in holding.values()), first[i]))
+    congs = [congs[i] for i in order]
+    poset = from_relation(m, [(a, b) for a in range(m) for b in range(m)
+                              if (order[a], order[b]) in finer])
     collapsed = tuple(sum(1 << j for j, j_ in lower.items() if c.same(j_, j)) for c in congs)
     return ConListing(collapsed, tuple(congs), poset, poset.count_downsets())
 
@@ -832,15 +841,6 @@ def congruence_lattice_by_partitions(lat):
     congs = [Congruence.from_parent([b & ~_collapsed(lat._dep, 1 << k) for b in below])
              for k in lat.jir()]
     return con_listing(congs, {j: lat.lower_covers(j)[0] for j in lat.jir()})
-
-
-def wide_covers(lat):
-    """The number of covers y < x whose D = below[x] & ~below[y], the
-    join-irreducibles below x and not below y, has several elements: the
-    covers that Con L's block counts label by a search."""
-    jmask = sum(1 << j for j in lat.jir())
-    below = [m & jmask for m in lat.poset.down]
-    return sum((below[x] & ~below[y]).bit_count() > 1 for y, x in lat.poset.covers)
 
 
 def verify_lamp_con_iso_by_partitions(pl):

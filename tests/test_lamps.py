@@ -27,7 +27,6 @@ from slimlat.multifork import build, decompose, grid, multifork_extend, reproven
 from slimlat.order import Congruence, Poset, congruence_lattice, named_posets, poset_iso
 
 from oracles import (
-    block_count,
     congruence_lattice_by_partitions,
     covers_via_nwl_nel,
     fork_interval,
@@ -42,7 +41,6 @@ from oracles import (
     stages,
     usage_patterns,
     verify_lamp_con_iso_by_partitions,
-    wide_covers,
 )
 
 
@@ -423,23 +421,19 @@ def test_con_on_masks_matches_the_partitions_at_length_eight():
 def test_con_on_masks_matches_the_partitions_at_benchmark_scale():
     """The same checks on lattices of 110 to 244 elements, the scale of the
     benchmark's `large` workload (n up to 171).  Between them they hold
-    congruences with tied block counts, which the lazy tie-break orders
-    (every count of `grid 9 10` ties within its side), and covers y < x
-    whose D = below[x] & ~below[y] holds several join-irreducibles, which
-    the cover labels of the block counts pick among."""
+    congruences whose masks have one size, which the join-irreducibles'
+    order puts in order (every mask of `grid 9 10` has one element)."""
     built = [build(parse_dsl(text)) for text in (
         "grid 2 1\nfork 1 0 2\nfork 2 0 4\nfork 0 0 6\nfork 4 0 4\nfork 0 1 6\nfork 3 1 2",
         "grid 12 9\nfork 10 2 2\nfork 6 4 1\nfork 3 6 2\nfork 1 10 3",
         "grid 9 10")]
     assert [pl.n for pl in built] == [162, 244, 110]
     assert _check_con_against_the_partitions(built) == 3 * 3
-    tied = wide = 0
+    tied = []
     for pl in built:
-        lat = pl.lattice
-        counts = [block_count(c) for c in congruence_lattice_by_partitions(lat).jir_congs]
-        tied += len(counts) - len(set(counts))
-        wide += wide_covers(lat)
-    assert tied and wide
+        sizes = [c.bit_count() for c in congruence_lattice_by_partitions(pl.lattice).collapsed]
+        tied.append(len(sizes) - len(set(sizes)))
+    assert tied == [0, 18, 18]
 
 
 def test_no_con_check_builds_a_partition(monkeypatch, empty_memo):

@@ -438,17 +438,17 @@ def _reversed_peak_row(d):
 
 
 def _tube_moved_east(d):
-    """After validation, the new tube's foot gets a second upper cover and
-    the foot of the next edge east loses one: the trajectory's tube moves
-    one edge east."""
+    """After validation, the walk table's tube slots move the new tube one
+    edge east along its trajectory: the next edge east counts as a tube,
+    and the new tube, whose slot the records are read from, does not."""
     assert is_slim_rectangular(d).ok
     m = d.n - 1
     t = d.upper[m][0]
     edges = oracles.trajectory_through(d, (m, t)).edges
-    f = edges[edges.index((m, t)) + 1][0]
-    upper = list(d.upper)
-    upper[m], upper[f] = (t, t), upper[f][:1]
-    d.upper = tuple(upper)
+    f, p = edges[edges.index((m, t)) + 1]
+    table = d._walks()
+    table.tubes.remove(table.base[m])
+    table.tubes.add(table.base[f] + d.upper[f].index(p))
 
 
 @pytest.mark.parametrize("planted, check", [

@@ -23,7 +23,7 @@ from slimlat.diagram import (
 from slimlat.dsl import parse_dsl
 from slimlat.errors import DiagramError, OrderError
 from slimlat.explore import enumerate_index
-from slimlat.lamps import lamp_poset, lamps_of_diagram
+from slimlat.lamps import _tube_con, lamp_poset, lamps_of_diagram
 from slimlat.order import (
     FiniteLattice,
     Poset,
@@ -64,7 +64,6 @@ from oracles import (
     same_poset,
     tables,
     verify_jir_congruences,
-    wide_covers,
 )
 
 # Fixture cover sets ---------------------------------------------------------
@@ -646,17 +645,49 @@ def moore_family_lattice(rng):
 
 
 def test_con_matches_the_reference_on_moore_family_lattices():
-    """Con L of generic lattices, where more covers y < x have a D =
-    below[x] & ~below[y] of several join-irreducibles, among which the
-    block counts' cover labels pick."""
+    """Con L of generic lattices, which need not be slim or semimodular;
+    many list two congruences whose masks have one size, which the
+    join-irreducibles' order puts in order."""
     rng = random.Random(47)
-    covers = wide = 0
+    covers = tied = 0
     for _ in range(300):
         lat = moore_family_lattice(rng)
         assert_con_matches_reference(lat)
         covers += len(lat.poset.covers)
-        wide += wide_covers(lat)
-    assert covers > 2000 and wide > 300
+        sizes = [c.bit_count() for c in congruence_lattice(lat).collapsed]
+        tied += len(sizes) > len(set(sizes))
+    assert covers > 2000 and tied > 200
+
+
+def assert_con_listing_extends_refinement(lat):
+    """No congruence of Con L lies above a later one, and the congruence
+    that _tube_con names for each cover, a neon tube's among them, is its
+    least one, closed over the tables."""
+    cl = congruence_lattice(lat)
+    assert not any(m & (1 << i) - 1 for i, m in enumerate(cl.jir_poset.up))
+    meet, join = tables(lat)
+    listed = jir_congs(cl)
+    for cover in lat.poset.covers:
+        assert listed[_tube_con(cl, cover)] == _closure(meet, join, [cover]), cover
+
+
+def test_con_lists_each_congruence_before_every_coarser_one():
+    """The listing by mask size extends refinement on the lattices of
+    length <= 7, the lattices among the random posets and the Moore-family
+    lattices, so the first listed congruence that collapses a cover is its
+    congruence."""
+    lattices = [e.pl.lattice for e in enumerate_index(7).entries()]
+    rng = random.Random(2024)
+    for _ in range(2000):
+        try:
+            lattices.append(FiniteLattice(random_poset(rng)))
+        except OrderError:
+            pass
+    rng = random.Random(47)
+    lattices += [moore_family_lattice(rng) for _ in range(300)]
+    for lat in lattices:
+        assert_con_listing_extends_refinement(lat)
+    assert len(lattices) == 493 + 1438 + 300
 
 
 def strict_order(n, pairs):

@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 import slimlat.doubling as doubling_module
+import slimlat.lamps as lamps_module
 import slimlat.multifork as multifork_module
 import slimlat.reduce as reduce_module
 from slimlat.cli import main
@@ -236,6 +237,26 @@ def test_minimize_names_j_con_l_by_place_once_per_lattice(monkeypatch, empty_mem
     place_con = multifork_module._congruence_places
     monkeypatch.setattr(multifork_module, "_congruence_places",
                         lambda pl: derived.append(pl.seq) or place_con(pl))
+    pl = build(parse_dsl(
+        "grid 2 1\nfork 1 0 2\nfork 2 0 4\nfork 0 0 6\nfork 4 0 4\nfork 0 1 6\nfork 3 1 2"))
+    fixed, trace = minimize(pl)
+    assert len(trace) == 14 and len(derived) == 15 == len(set(derived))
+    assert derived[0] == pl.seq and derived[-1] == fixed.seq
+
+
+def test_minimize_places_the_lamps_once_per_lattice(monkeypatch, empty_memo):
+    """find_removable, the labelled lamp order of each removal and the
+    lamp order of its result read each lattice's lamp places
+    (lamps._lamp_places); each lattice derives them once and keeps them,
+    so minimize on the 162-element lattice derives them 15 times, once
+    for the input and once for each of the 14 results."""
+    derived = []
+    lamp_places = lamps_module._lamp_places
+    # every module that holds the derivation under its name counts it
+    for module in (lamps_module, multifork_module, reduce_module):
+        if hasattr(module, "_lamp_places"):
+            monkeypatch.setattr(module, "_lamp_places",
+                                lambda pl: derived.append(pl.seq) or lamp_places(pl))
     pl = build(parse_dsl(
         "grid 2 1\nfork 1 0 2\nfork 2 0 4\nfork 0 0 6\nfork 4 0 4\nfork 0 1 6\nfork 3 1 2"))
     fixed, trace = minimize(pl)
