@@ -32,10 +32,13 @@ certified, as the embedding.
 _certified_diagram, the one constructor of grids and forks (and of the
 tests' fork deletions), is the certificate; its diagram keeps the points
 as heights() and the corners as corners(), which embed_rectangular
-derives for a foreign lattice.  Both order the cover rows by falling
-left height (_falling_rows), keeping every row that already falls, the
-same tuple, so a grid or fork step, whose rows are spliced in order,
-sorts none.
+derives for a foreign lattice.  Both order a grid's, a deletion's and a
+foreign lattice's cover rows by falling left height (_falling_rows),
+keeping every row that already falls, the same tuple, so a grid, whose
+rows are written in order, sorts none.  A fork step's rows are checked
+only where it spliced them (_check_spliced): every other row must be the
+parent's own tuple, which still falls, and each rebuilt or new row must
+fall, or the step fails.
 
 A diagram computes its walk table, boundary chains, corners, boundary
 heights and neon tubes once, on first use, and keeps the lamp data that
@@ -56,9 +59,10 @@ two west cells is named, and every walk raises it.  It keeps the neon
 tubes' slots too, which the sweep and a fork step's path check read.
 Every walk across cells steps through these lists with int arithmetic:
 validation checks the lower rows against them and every trajectory in
-one sweep (_trajectory_failure), and a fork step walks the trajectories
-it needs as two half-walks (_half_walk, _trajectory_slots), from its
-cell's lower sides and from each new tube.  The sweep records only the
+one sweep (_trajectory_failure), and a fork step walks only the two
+paths that descend from its cell's lower sides (_half_walk); the tube
+records are read off the grid's coordinates and each step's splice
+(multifork).  The sweep records only the
 right-chain peak where each walk ends, one append per trajectory; from
 these a valid diagram derives its Jordan-Holder permutation pi, and pi
 the key min(pi, pi^-1) (_jh_min), on which the enumeration dedupes
@@ -313,11 +317,6 @@ class _Walks(NamedTuple):
         base, peaks = self.base, self.peaks
         return [(bisect_right(base, s) - 1, peaks[s]) for s in slots]
 
-    def cell_ends(self, cells):
-        """The (bottom, top) pair of each cell, given by its lower left slot."""
-        base, tops = self.base, self.tops
-        return tuple([(bisect_right(base, c) - 1, tops[c]) for c in cells])
-
 
 def _walk_table(upper):
     """The walk table of the ordered upper rows, in one pass over them.
@@ -387,27 +386,6 @@ def _half_walk(step, s, seen):
         out.append(s)
         s = step[s]
     return out
-
-
-def _trajectory_slots(d, s):
-    """The slots of the trajectory through slot s, from the left boundary
-    to the right one: two half-walks."""
-    west, east = d._steps()
-    seen = {s}
-    slots = _half_walk(west, s, seen)
-    slots.reverse()
-    slots.append(s)
-    return slots + _half_walk(east, s, seen)
-
-
-def _crossed(table, slots):
-    """The lower left slots of the cells that a walk east along `slots`
-    crosses, one between each two.  The cell east of slot x has x as its
-    lower left side if tops[x] is set, else as its upper left side; then
-    the walk goes on to the cell's lower right side, whose slot is the
-    lower left one + 1."""
-    tops, east = table.tops, table.east
-    return [x if tops[x] >= 0 else east[x] - 1 for x in slots[:-1]]
 
 
 def _bfs_code(bottom, upper):
@@ -665,13 +643,14 @@ class _CornerLattice(FiniteLattice):
         pass
 
 
-def _certified_diagram(poset, lcorner, rcorner):
+def _certified_diagram(poset, lcorner, rcorner, spliced=None):
     """The diagram of a built lattice on poset with the given corners, and
     the certificate of that lattice (module docstring): boundary_heights,
     the coordinatewise-minimum sweep and the complement check on a lattice
     that fills no table, then the rows sorted by the certified left
-    heights.  OrderError unless the poset is bounded, else DiagramError
-    naming the failure."""
+    heights, or, for a fork step, which hands over `spliced`, its rows
+    checked where it spliced them (_check_spliced).  OrderError unless the
+    poset is bounded, else DiagramError naming the failure."""
     lat = _CornerLattice(poset)
     heights = hl, hr, lchain, _ = boundary_heights(lat, lcorner, rcorner)
     columns = [0] * len(lchain)  # column a: the right heights at left height a
@@ -689,7 +668,47 @@ def _certified_diagram(poset, lcorner, rcorner):
                                f" element at their coordinatewise minimum ({a},{b})")
         right |= columns[a]
     _check_complements(lat, lcorner, rcorner)
-    return _sorted_diagram(lat, lcorner, rcorner, heights)
+    if spliced is None:
+        return _sorted_diagram(lat, lcorner, rcorner, heights)
+    old_upper, old_lower, feet, peaks = spliced
+    _check_spliced("upper", poset._upcov, old_upper, feet, hl)
+    _check_spliced("lower", poset._dncov, old_lower, peaks, hl)
+    return PlanarDiagram._sorted(lat, poset._upcov, poset._dncov, (lcorner, rcorner), heights)
+
+
+def _check_spliced(side, rows, old, rebuilt, hl):
+    """DiagramError unless a fork step's rows on one side, spliced from
+    its parent's rows `old`, keep every old row but those of the elements
+    in `rebuilt` as the parent's, and unless every rebuilt row and every
+    new element's row, in that order, falls strictly in left height.  A
+    kept row is the parent's own tuple, which the comparison meets first;
+    a row with other covers or another order fails it.
+
+    A kept row falls too.  The fork at the cell whose bottom has address
+    (a, b) splits left-chain edge a + 1 into k + 1 pieces.  The k new
+    points on it lie above lchain[a], and their upper covers lead, through
+    new elements only, to the left path's peaks and to the cell's top, all
+    at left height a + 1; so an old element is above them iff it is above
+    lchain[a + 1], and its left height grows by k if it is a + 1 or more
+    and stays otherwise.  This shift is strictly monotone.  A kept row
+    lists the same old covers as in the parent, where it fell strictly, so
+    it still does.  The tests check the shift on every fork child of the
+    lattices of length <= 6."""
+    kept = list(old)
+    for u in rebuilt:
+        kept[u] = rows[u]
+    if rows[:len(old)] != tuple(kept):
+        u = next(u for u, row in enumerate(kept) if rows[u] != row)
+        raise DiagramError(f"the {side} row of {u} is not the parent's, which the fork keeps")
+    for u in chain(rebuilt, range(len(old), len(rows))):
+        row = rows[u]
+        # most rows hold one or two covers
+        if len(row) < 2 or len(row) == 2 and hl[row[0]] > hl[row[1]]:
+            continue
+        for a, b in zip(row, row[1:]):
+            if hl[a] <= hl[b]:
+                _falling(u, row, hl)  # DiagramError if two covers collide
+                raise DiagramError(f"covers {a},{b} of {u} do not fall in left height")
 
 
 def _sorted_diagram(lat, lcorner, rcorner, heights):

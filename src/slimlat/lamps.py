@@ -200,7 +200,7 @@ def verify_lamp_con_iso(pl):
 # Territory usage
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UsageStats:
     """Per internal lamp: left-to-right used/unused pattern over its tubes."""
 
@@ -254,6 +254,14 @@ def is_used(pl, tube):
 
 
 def usage_stats(pl):
+    """Per internal lamp, its tubes' territories left to right, "u" if
+    used (is_used), else "0"; a built lattice keeps it
+    (ProvenancedLattice._usage), derived on the first call."""
+    return pl._usage
+
+
+def _derive_usage(pl):
+    """usage_stats of pl, derived."""
     patterns = {}
     for l in lamps_of_diagram(pl.diagram):
         if l.kind != "internal":

@@ -1,20 +1,23 @@
 """Multifork construction of slim rectangular lattices.
 
 A lattice is built from a grid by a sequence of k-fold multifork
-extensions at distributive 4-cells.  A grid lists its cover rows left to
-right, and an extension splices its child's rows from its parent's: each
-path edge gives way to its subdivision chain, the cell's peak gains its
-new lower covers between its two old ones, and every other old row is
-kept, the same tuple.  The child's poset and diagram share these rows
-(order.Poset._from_rows, diagram._certified_diagram), which are checked,
-not sorted.  Each extension records its new neon tubes' territories, as
-the (bottom, top) ids of the cells their trajectories cross (ids keep
-their meaning, because new elements are appended).  It also records, in
-a few integers per new element, how to place that element in the
-drawing; the exact coordinates that rendering reads are replayed from
-these recipes in ints on first use.  A valid diagram is decomposed
-back into a sequence read off its Jordan-Holder permutation, which that
-sequence's built lattice has too.
+extensions at distributive 4-cells.  A grid writes its cover rows left
+to right, as tuples, and an extension splices its child's rows from its
+parent's: each path edge gives way to its subdivision chain, the cell's
+peak gains its new lower covers between its two old ones, and every
+other old row is kept, the same tuple.  The child's poset and diagram
+share these rows (order.Poset._from_rows, diagram._certified_diagram),
+which are checked where the step spliced them, not sorted.  Each
+extension records its new neon tubes' territories, as the (bottom, top)
+ids of the cells their trajectories cross (ids keep their meaning,
+because new elements are appended), and walks no trajectory for them: a
+grid writes its boundary tubes' off its coordinates (_grid_records), a
+step its new tubes' off the ids its splice gave the cells it made
+(_new_tube_cells).  It also records, in a few integers per new element,
+how to place that element in the drawing; the exact coordinates that
+rendering reads are replayed from these recipes in ints on first use.
+A valid diagram is decomposed back into a sequence read off its
+Jordan-Holder permutation, which that sequence's built lattice has too.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from itertools import chain
 from math import gcd, prod
 
 from .diagram import (
-    _address_slot, _certified_diagram, _crossed, _forked_labels, _grid_permutation,
-    _half_walk, _jh_permutation, _trajectory_slots, _unforked, is_slim_rectangular)
+    _address_slot, _certified_diagram, _forked_labels, _grid_permutation, _half_walk,
+    _jh_permutation, _unforked, is_slim_rectangular)
 from .errors import (
     BudgetError,
     DiagramError,
@@ -35,7 +38,8 @@ from .errors import (
     OrderError,
     PreconditionError,
 )
-from .lamps import _congruence_places, _diagram_of, _lamp_places, lamps_of_diagram
+from .lamps import (
+    _congruence_places, _derive_usage, _diagram_of, _lamp_places, lamps_of_diagram)
 from .order import MAX_ELEMENTS, Poset, is_distributive_ideal_grid
 
 
@@ -142,6 +146,12 @@ class ProvenancedLattice:
         return _lamp_places(self)
 
     @cached_property
+    def _usage(self):
+        """The usage patterns (lamps.usage_stats), kept for the lamp report
+        and the removals."""
+        return _derive_usage(self)
+
+    @cached_property
     def _con_places(self):
         """Each congruence's lamp place (lamps._congruence_places), kept for _con_by_place."""
         return _congruence_places(self)
@@ -180,31 +190,35 @@ def grid(p, q):
             f"grid {p} {q} has {(p + 1) * (q + 1)} elements,"
             f" above the limit of {MAX_ELEMENTS}"
         )
-    width = q + 1
+    # (i, j) has id i * w + j and left height i, and falling left height puts
+    # (i + 1, j) before (i, j + 1) above it, (i, j - 1) before (i - 1, j) below
+    w = q + 1
+    top = p * w
+    upper, lower = [], [(u - 1,) if u else () for u in range(w)]
+    for r in range(0, top, w):
+        upper += [(u + w, u + 1) for u in range(r, r + q)]
+        upper.append((r + q + w,))
+        lower.append((r,))
+        lower += [(u - 1, u - w) for u in range(r + w + 1, r + 2 * w)]
+    upper += [(u + 1,) for u in range(top, top + q)]
+    upper.append(())
+    d = _certified_diagram(Poset._from_rows(tuple(upper), tuple(lower)), top, q)
+    return ProvenancedLattice(d, MultiforkSequence(p, q, ()), _grid_records(p, q), ())
 
-    def eid(i, j):
-        return i * width + j
 
-    # rows left to right: (i, j) has left height i, and falling left height
-    # puts (i + 1, j) before (i, j + 1) above it, (i, j - 1) before (i - 1, j) below
-    upper, lower = [], []
-    for i in range(p + 1):
-        for j in range(width):
-            u = eid(i, j)
-            upper.append(tuple(v for v, ok in ((u + width, i < p), (u + 1, j < q)) if ok))
-            lower.append(tuple(v for v, ok in ((u - 1, j > 0), (u - width, i > 0)) if ok))
-    lc = eid(p, 0)
-    d = _certified_diagram(Poset._from_rows(tuple(upper), tuple(lower)), lc, eid(0, q))
-    # a boundary tube's whole trajectory is essential; the record keys stay
-    # plain tuples: their repr is part of a built lattice's recorded output
-    # (tests/golden.json)
-    boundary, _ = d.neon_tubes()
-    table = d._walks()
+def _grid_records(p, q):
+    """The records of the boundary tubes of grid(p, q), in id order, read
+    off its coordinates: (i, q) to (i + 1, q), whose trajectory crosses
+    row i of cells eastwards, then (p, j) to (p, j + 1), whose trajectory
+    crosses column j from the top.  A boundary tube's whole trajectory is
+    essential."""
+    w, top = q + 1, p * (q + 1)
     records = {}
-    for foot, peak in boundary:
-        slots = _trajectory_slots(d, table.base[foot])
-        records[foot, peak] = TubeRecord(0, table.cell_ends(_crossed(table, slots)))
-    return ProvenancedLattice(d, MultiforkSequence(p, q, ()), records, ())
+    for r in range(0, top, w):
+        records[r + q, r + q + w] = TubeRecord(0, tuple([(u, u + w + 1) for u in range(r, r + q)]))
+    for u in range(top, top + q):
+        records[u, u + 1] = TubeRecord(0, tuple([(v, v + w + 1) for v in range(u - w, -1, -w)]))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +327,12 @@ def multifork_extend(pl, address, k):
         lower.append((cid[i - 1, i] if i > 1 else n0 + i - 1,
                       cid[i, i + 1] if i < k else y0))
 
+    # the old rows the splice rebuilt (diagram._check_spliced): the path
+    # feet's upper rows, w's once, and the path peaks' and t's lower rows
+    edges = tuple(left_edges + right_edges)
+    spliced = d.upper, d.lower, [f for f, _ in edges[1:]], [p for _, p in edges] + [t]
     try:
-        d2 = _certified_diagram(Poset._from_rows(tuple(upper), tuple(lower)), *d.corners())
+        d2 = _certified_diagram(Poset._from_rows(tuple(upper), tuple(lower)), *d.corners(), spliced)
     except (OrderError, DiagramError) as e:
         raise _step_failure(pl, address, k, f"extension produced an invalid lattice: {e}") from e
     report = is_slim_rectangular(d2)
@@ -324,29 +342,85 @@ def multifork_extend(pl, address, k):
     if d2.lattice.length() != lat.length() + k or d2.antube() != d.antube() + k:
         raise _step_failure(pl, address, k, "extension did not add k to length and tube count")
 
-    # the k new tubes' records: every cell of a tube's trajectory but the
-    # two that flank the tube, both inside the forked cell, read off the
-    # walk table that validation derived; the tubes are the table's tube
-    # slots, a tube's foot having one upper cover
+    # each new tube [m, t] is the top edge of its trajectory: in the walk
+    # table that validation derived, crossing it west and east leads to the
+    # lower left side of the cell on m's lower left cover and to the lower
+    # right side of the cell on its lower right one, both of top t.  Its
+    # record holds every cell of the trajectory but these two, read off the
+    # ids that the splice gave the cells it made (_new_tube_cells)
+    table2 = d2._walks()
+    base, tops = table2.base, table2.tops
+    for m in range(mbase, mbase + k):
+        x, sw, se = base[m], base[d2.lower[m][0]], base[d2.lower[m][-1]]
+        if table2.west[x] != sw or table2.east[x] != se + 1 or not tops[sw] == tops[se] == t:
+            raise _step_failure(pl, address, k, "new tube is not its trajectory's top edge")
     records = dict(pl.tube_records)
     step = len(pl.seq.steps) + 1
-    table2 = d2._walks()
-    for m in range(mbase, mbase + k):
-        x = table2.base[m]  # the slot of the tube [m, t], m's one upper cover
-        slots = _trajectory_slots(d2, x)
-        if [y for y in slots if y in table2.tubes] != [x]:
-            raise _step_failure(pl, address, k, "new tube is not its trajectory's top edge")
-        ti = slots.index(x)
-        cells = _crossed(table2, slots)
-        records[m, t] = TubeRecord(step, table2.cell_ends(cells[:ti - 1] + cells[ti + 1:]))
+    for tube, cells in _new_tube_cells(n0, k, np_, edges, t):
+        records[tube] = TubeRecord(step, cells)
 
     return ProvenancedLattice(
         d2,
         pl.seq.extended(ForkStep(address[0], address[1], k)),
         records,
         # the step's drawing recipe, replayed by ProvenancedLattice.points
-        pl.recipes + ((n0, k, np_, tuple(left_edges + right_edges)),),
+        pl.recipes + ((n0, k, np_, edges),),
     )
+
+
+def _new_tube_cells(n0, k, np_, edges, t):
+    """The k new tubes [m_i, t], i = 1..k, of a step with the recipe
+    (n0, k, np, edges) at the cell of top t (multifork_extend), each with
+    the (bottom, top) of the cells that its trajectory crosses, west to
+    east, but the two that flank the tube.  They are cells that the splice
+    made, named by the ids it gave them, so no trajectory is walked.
+
+    Write L(j, s) for point s of left path edge j, s counted from its peak,
+    and L(j, 0) for that peak; R(j, s) likewise on the right.  Between left
+    path edges j - 1 and j, the rungs from L(j, s) up to L(j - 1, s) cut
+    the parent's cell into k + 1 cells, s from the top, of bottom
+    L(j, s + 1) and top L(j - 1, s) (the feet close the lowest).  m_i's
+    left leg runs down m_i, cid[i - 1, i], ..., cid[1, i] to L(0, i), its
+    right leg m_i, cid[i, i + 1], ..., cid[i, k] to R(0, k + 1 - i).  So
+    m_i's trajectory, west of the tube, crosses the cells whose bottoms lie
+    on m_i's left leg and whose tops lie on m_(i-1)'s (the last, which
+    flanks the tube: t), then, across piece (L(0, i), L(0, i - 1)), the
+    cell of bottom L(j, i) and top L(j - 1, i - 1) between left edges
+    j - 1 and j for each j >= 1; east of it the mirror image, on m_i's and
+    m_(i+1)'s right legs and then the cells of bottom R(j, k + 1 - i) and
+    top R(j - 1, k - i).  The tests compare these records with walks of
+    the trajectories on every lattice of length <= 7
+    (tests/oracles.py trajectory_through)."""
+    nq = len(edges) - np_
+    y0 = n0 + np_ * k
+    mbase = y0 + nq * k + k * (k - 1) // 2
+    peaks = [p for _, p in edges]
+    lpeaks, rpeaks = peaks[:np_ - 1][::-1], peaks[np_:-1]
+    if k > 1:
+        # g[r][j], r <= j: the points on the legs, m_j at g[j][j] and
+        # cid[r, j] above it; m_j's left leg ends at g[0][j], m_i's right
+        # one at g[i][k + 1].  With k = 1 the mesh beside the tube is empty
+        g = [[0] * (k + 2) for _ in range(k + 2)]
+        for x, (r, j) in enumerate(_crossings(k), y0 + nq * k):
+            g[r][j] = x
+        for j in range(1, k + 1):
+            g[0][j], g[j][j], g[j][k + 1] = n0 + j - 1, mbase + j - 1, y0 + k - j
+    out = []
+    for i in range(1, k + 1):
+        s = k + 1 - i
+        # L(j, i) for j = np - 1 down to 1, and L(j - 1, i - 1); the mesh
+        # but the two cells beside the tube; R(j, s) for j = 1 up to
+        # nq - 1, and R(j - 1, s - 1)
+        west = zip(range(n0 + (np_ - 1) * k + i - 1, n0 + i - 1, -k),
+                   range(n0 + (np_ - 2) * k + i - 2, n0 - 1, -k) if i > 1 else lpeaks)
+        east = zip(range(y0 + k + s - 1, y0 + nq * k, k),
+                   range(y0 + s - 2, y0 + nq * k, k) if s > 1 else rpeaks)
+        mesh = ()
+        if k > 1:
+            mesh = [(g[r][i], g[r + 1][i - 1]) for r in range(i - 1)]
+            mesh += [(g[i][r], g[i + 1][r - 1]) for r in range(i + 2, k + 2)]
+        out.append(((mbase + i - 1, t), (*west, *mesh, *east)))
+    return out
 
 
 def _crossings(k):

@@ -216,7 +216,7 @@ class Poset:
                 if not indeg[v]:
                     h[v] = h[u] + 1
                     order.append(v)
-        poset._order, poset._h = order, tuple(h)
+        poset._order, poset._h, poset._height = order, tuple(h), h[order[-1]] if order else 0
         return poset
 
     def _set_covers(self, n, pairs):
@@ -292,6 +292,7 @@ class Poset:
                 if row and (listed.bit_count() != len(row) or listed & _above(up, row)):
                     bad.append(u)
         self._order, self.down, self.up, self._h = order, tuple(down), tuple(up), tuple(h)
+        self._height = h[order[-1]] if order else 0  # `order` lists by rising height
         return bad
 
     @cached_property
@@ -338,8 +339,9 @@ class Poset:
         return self._h
 
     def height(self):
-        """Length (number of covers) of the longest chain of the poset."""
-        return max(self._h, default=0)
+        """Length (number of covers) of the longest chain of the poset: the
+        height of the last element of the topological order, kept."""
+        return self._height
 
     def count_downsets(self):
         """Number of down-sets, by divide and conquer on a maximal element."""

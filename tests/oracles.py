@@ -71,9 +71,12 @@ does not use.
 - The trajectory listing: every cover as an edge, every trajectory walked
   with `trajectory_through`, and the east step of one edge across the
   cell side maps, dicts from each (foot, peak) pair to the cell on each
-  side of it (`side_maps`, `cross`).  Production lists no trajectory; a
-  fork step walks the ones it needs on the int-indexed slots of its walk
-  table (`slimlat.diagram._walk_table`).
+  side of it (`side_maps`, `cross`).  Production lists and walks no
+  whole trajectory: a fork step walks only the two paths below its cell
+  on the int-indexed slots of its walk table
+  (`slimlat.diagram._walk_table`), and the territory records are read
+  off a grid's coordinates and a fork step's splice
+  (`slimlat.multifork._new_tube_cells`).
 - The trajectory check by whole trajectories: every trajectory listed,
   then one neon tube each, the two boundary ends and count = length.
   Production checks them in one sweep along the walk table's east list
@@ -134,11 +137,9 @@ from typing import NamedTuple
 
 from slimlat.diagram import (
     _certified_diagram,
-    _crossed,
     _forked_labels,
     _half_walk,
     _jh_permutation,
-    _trajectory_slots,
     is_slim_rectangular,
 )
 from slimlat.errors import DiagramError, InternalInconsistencyError, OrderError
@@ -208,10 +209,31 @@ def resolve_address(d, address):
     return cell
 
 
+def _trajectory_slots(d, s):
+    """The slots of the trajectory through slot s, from the left boundary
+    to the right one: two half-walks."""
+    west, east = d._steps()
+    seen = {s}
+    slots = _half_walk(west, s, seen)
+    slots.reverse()
+    slots.append(s)
+    return slots + _half_walk(east, s, seen)
+
+
+def _crossed(table, slots):
+    """The lower left slots of the cells that a walk east along `slots`
+    crosses, one between each two.  The cell east of slot x has x as its
+    lower left side if tops[x] is set, else as its upper left side; then
+    the walk goes on to the cell's lower right side, whose slot is the
+    lower left one + 1."""
+    tops, east = table.tops, table.east
+    return [x if tops[x] >= 0 else east[x] - 1 for x in slots[:-1]]
+
+
 def trajectory_through(d, edge):
     """The trajectory through `edge`, a (foot, peak) pair, walked on d's
-    walk table as a fork step walks it; its tube is the first edge whose
-    foot has one upper cover (trajectory_failure_by_walks counts them)."""
+    walk table as two half-walks; its tube is the first edge whose foot
+    has one upper cover (trajectory_failure_by_walks counts them)."""
     foot, peak = edge
     table = d._walks()
     slots = _trajectory_slots(d, table.base[foot] + d.upper[foot].index(peak))

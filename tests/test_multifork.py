@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from slimlat import diagram, multifork
+from slimlat import diagram, explore, multifork
 from slimlat.diagram import (
     Edge,
     PlanarDiagram,
@@ -37,7 +37,8 @@ from slimlat.reduce import minimize
 from slimlat.render import render
 
 import oracles
-from oracles import delete_fork, eager_coords, every_child, order_from_covers
+from oracles import (
+    delete_fork, distributive_cells, eager_coords, every_child, order_from_covers)
 from test_order import S7_COVERS
 
 
@@ -102,9 +103,9 @@ def test_built_lattices_run_boundary_heights_once_as_their_certificate(monkeypat
         calls.append("order lists")
         return compare(d)
 
-    def counted_certify(poset, lc, rc):
+    def counted_certify(poset, lc, rc, *spliced):
         before = len(calls)
-        d = certify(poset, lc, rc)
+        d = certify(poset, lc, rc, *spliced)
         assert calls[before:] == [("heights", d.lattice)]
         certified.append(d.lattice)
         return d
@@ -133,27 +134,38 @@ def test_built_lattices_run_boundary_heights_once_as_their_certificate(monkeypat
 
 def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
     """Enumerating the lattices of length <= 6, then building, minimizing
-    and doubling them, walks no single trajectory while validating and
-    computes no drawing coordinates: the trajectory check sweeps them all
-    along the walk table's east list, and a built lattice keeps only the recipes of
-    its points.  One svg render replays them once, for its slope check
-    and its drawing."""
-    calls, sweeps = [], {"count": 0, "running": False}
-    sweep, walk = diagram._trajectory_failure, diagram._trajectory_slots
+    and doubling them, walks no trajectory in a grid or a fork step but a
+    step's two path descents, and computes no drawing coordinates: the
+    trajectory check sweeps them all along the walk table's east list,
+    the tube records are read off a grid's coordinates and a step's
+    splice, and a built lattice keeps only the recipes of its points.
+    One svg render replays them once, for its slope check and its
+    drawing."""
+    calls, walks, steps, grids = [], [], [], []
+    sweeps = {"count": 0}
+    sweep, half_walk = diagram._trajectory_failure, diagram._half_walk
+    extend, make_grid = multifork.multifork_extend, multifork.grid
     points = ProvenancedLattice.points.func
 
     def counted_sweep(d):
         sweeps["count"] += 1
-        sweeps["running"] = True
-        try:
-            return sweep(d)
-        finally:
-            sweeps["running"] = False
+        return sweep(d)
 
-    def counted_walk(d, s):
-        if sweeps["running"]:
-            calls.append("_trajectory_slots")
-        return walk(d, s)
+    def counted_walk(step, s, seen):
+        walks.append(s)
+        return half_walk(step, s, seen)
+
+    def counted_extend(pl, address, k):
+        before = len(walks)
+        child = extend(pl, address, k)
+        steps.append(len(walks) - before)
+        return child
+
+    def counted_grid(p, q):
+        before = len(walks)
+        g = make_grid(p, q)
+        grids.append(len(walks) - before)
+        return g
 
     def counted_points(pl):
         calls.append("points")
@@ -162,7 +174,11 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
     counted = cached_property(counted_points)
     counted.__set_name__(ProvenancedLattice, "points")
     monkeypatch.setattr(diagram, "_trajectory_failure", counted_sweep)
-    monkeypatch.setattr(diagram, "_trajectory_slots", counted_walk)
+    for module in (multifork, diagram):
+        monkeypatch.setattr(module, "_half_walk", counted_walk)
+    for module in (multifork, explore):
+        monkeypatch.setattr(module, "multifork_extend", counted_extend)
+        monkeypatch.setattr(module, "grid", counted_grid)
     monkeypatch.setattr(ProvenancedLattice, "points", counted)
     seqs = [e.pl.seq for e in enumerate_index(6).entries()]
     for seq in seqs:
@@ -172,6 +188,10 @@ def test_steps_list_no_trajectories_and_draw_nothing(monkeypatch):
                 double(seq, t)
             except SlimlatError:
                 pass
+    # every half-walk is one of a step's two path descents: no grid or step
+    # walks a trajectory for its records
+    assert set(steps) == {2} and set(grids) == {0}
+    assert len(walks) - 2 * len(steps) == 0 and len(steps) > len(seqs)
     assert calls == [] and sweeps["count"] > len(seqs)
 
     pl = build(seqs[-1])
@@ -247,6 +267,23 @@ def assert_rows_spliced(parent, child):
     return kept
 
 
+def test_a_fork_shifts_the_old_left_heights_monotonically():
+    """The argument that a fork step's kept rows still fall
+    (diagram._check_spliced): the k-fold fork at (a, b) adds k to each old
+    left height above a and keeps the others, on all 15,234 old elements
+    of the 894 forks, k = 1 and 2, at the distributive cells of the
+    lattices of length <= 6."""
+    old = forks = 0
+    for entry in enumerate_index(6).entries():
+        hl = entry.pl.diagram.heights()[0]
+        for a, b in distributive_cells(entry.pl.diagram):
+            for k in (1, 2):
+                child = multifork_extend(entry.pl, (a, b), k).diagram.heights()[0]
+                assert child[:len(hl)] == tuple(h + k if h > a else h for h in hl)
+                old, forks = old + len(hl), forks + 1
+    assert (old, forks) == (15234, 894)
+
+
 def test_fork_steps_splice_their_rows_from_the_parent(monkeypatch, empty_memo):
     """Every fork child of enumerate_index(6), duplicates included
     (every_child), every fork step of the 182 doublings of its lattices and
@@ -307,6 +344,64 @@ def test_grid_tube_records():
         assert rec.step == 0
         cells = oracles.trajectory_through(g.diagram, tube).cells
         assert rec.cells == tuple((c.bottom, c.top) for c in cells) and rec.cells
+
+
+# the benchmark's ten `large` lattices at seed 1 (perfbench/workloads.py)
+LARGE_SEED_1 = (
+    "grid 4 4\nfork 2 0 1\nfork 1 2 1\nfork 0 4 1\n",
+    "grid 5 4\nfork 2 0 1\nfork 1 2 1\nfork 0 4 1\n",
+    "grid 4 6\nfork 2 0 1\nfork 1 3 1\nfork 0 5 1\n",
+    "grid 5 6\nfork 4 0 1\nfork 1 3 1\nfork 0 6 1\n",
+    "grid 7 5\nfork 2 0 2\nfork 1 4 1\nfork 0 6 1\n",
+    "grid 6 7\nfork 3 0 1\nfork 2 3 1\nfork 1 5 2\n",
+    "grid 7 7\nfork 5 0 1\nfork 4 4 2\nfork 1 7 1\n",
+    "grid 8 8\nfork 4 0 2\nfork 3 8 1\nfork 0 10 1\n",
+    "grid 10 7\nfork 6 0 2\nfork 4 5 2\nfork 3 8 1\n",
+    "grid 10 9\nfork 9 1 1\nfork 2 5 2\nfork 1 8 2\n",
+)
+
+
+def assert_new_records_walked(pl):
+    """The records that pl's last step made (a grid's: all of them) are
+    the cells that each new tube's trajectory crosses, walked on pl's own
+    walk table (oracles.trajectory_through), less the two that flank an
+    internal tube; the older records are its parent's."""
+    step, seq = len(pl.seq.steps), pl.seq
+    new = {tube: r.cells for tube, r in pl.tube_records.items() if r.step == step}
+    assert len(new) == (seq.steps[-1].k if step else seq.grid_p + seq.grid_q)
+    for tube, cells in new.items():
+        walk = oracles.trajectory_through(pl.diagram, tube)
+        assert walk.edges[walk.top_index] == tube
+        walked = tuple((c.bottom, c.top) for c in walk.cells)
+        if step:
+            walked = walked[:walk.top_index - 1] + walked[walk.top_index + 1:]
+        assert cells == walked, (emit_dsl(seq), tube)
+    if pl.parent is not None:
+        assert {t: r for t, r in pl.tube_records.items() if r.step < step} == pl.parent.tube_records
+
+
+def test_records_are_the_walked_trajectories_to_length_seven():
+    """Each of the 493 lattices of length <= 7 (each a grid or one step
+    from another), and each stage of the benchmark's ten `large` lattices
+    at seed 1."""
+    entries = enumerate_index(7).entries()
+    for entry in entries:
+        assert_new_records_walked(entry.pl)
+    stages = 0
+    for text in LARGE_SEED_1:
+        pl = build(parse_dsl(text))
+        while pl is not None:
+            assert_new_records_walked(pl)
+            pl, stages = pl.parent, stages + 1
+    assert len(entries) == 493 and stages == 40
+
+
+@pytest.mark.slow
+def test_records_are_the_walked_trajectories_at_length_eight():
+    entries = enumerate_index(8, allow_large=True).entries(8)
+    for entry in entries:
+        assert_new_records_walked(entry.pl)
+    assert len(entries) == 2327
 
 
 def test_edges_and_cells_are_their_tuples():
@@ -416,8 +511,8 @@ def _certified_then(plant):
     """_certified_diagram, with `plant` applied to the diagram it returns."""
     real = multifork._certified_diagram
 
-    def planted(poset, lc, rc):
-        d = real(poset, lc, rc)
+    def planted(poset, lc, rc, *spliced):
+        d = real(poset, lc, rc, *spliced)
         return plant(d) or d
 
     return "_certified_diagram", planted
@@ -438,17 +533,14 @@ def _reversed_peak_row(d):
 
 
 def _tube_moved_east(d):
-    """After validation, the walk table's tube slots move the new tube one
-    edge east along its trajectory: the next edge east counts as a tube,
-    and the new tube, whose slot the records are read from, does not."""
+    """After validation, the walk table moves the new tube one edge east
+    along its trajectory: crossing the tube west or east leads where
+    crossing the next edge east does."""
     assert is_slim_rectangular(d).ok
-    m = d.n - 1
-    t = d.upper[m][0]
-    edges = oracles.trajectory_through(d, (m, t)).edges
-    f, p = edges[edges.index((m, t)) + 1]
     table = d._walks()
-    table.tubes.remove(table.base[m])
-    table.tubes.add(table.base[f] + d.upper[f].index(p))
+    x = table.base[d.n - 1]
+    y = table.east[x]
+    table.west[x], table.east[x] = table.west[y], table.east[y]
 
 
 @pytest.mark.parametrize("planted, check", [
@@ -461,11 +553,19 @@ def _tube_moved_east(d):
      " sides of a cell; lower covers 13,7 of 8 are not the left and right sides of a cell"),
     (_certified_then(_unforked), "extension did not add k to length and tube count"),
     (_certified_then(_tube_moved_east), "new tube is not its trajectory's top edge"),
-], ids=["paths", "rows", "validation", "growth", "tube"])
+    (_rows_edited(upper={0: (1, 3)}),
+     "extension produced an invalid lattice: the upper row of 0 is not the parent's,"
+     " which the fork keeps"),
+    (_rows_edited(lower={8: (5, 13, 7)}),
+     "extension produced an invalid lattice: covers 5,13 of 8 do not fall in left height"),
+], ids=["paths", "rows", "validation", "growth", "tube", "kept row", "rebuilt row"])
 def test_a_failed_fork_self_check_names_the_sequence_that_replays_it(
         monkeypatch, planted, check):
-    """Each of the five self-checks of a fork step fires on a defect planted
-    in one helper, and names the extended sequence, which parses back."""
+    """Each self-check of a fork step fires on a defect planted in one
+    helper, and names the extended sequence, which parses back.  The kept
+    row is element 0's upper row, reversed, and the rebuilt row the cell
+    top's lower row, reversed: a sort would put either back in order, and
+    the child would pass every other check."""
     pl = build(parse_dsl(REPLAYED)).parent
     name, helper = planted
     owner = PlanarDiagram if name == "_boundary_sets" else multifork

@@ -742,6 +742,23 @@ def test_cover_reduction_matches_its_definition_on_random_posets():
     assert refused > 300
 
 
+def test_a_poset_keeps_the_length_of_its_longest_chain():
+    """height(), kept where the heights are derived (_derive, _from_up),
+    is the longest chain of the order that random pairs generate, found
+    by relaxing its strict pairs; the empty poset has height 0."""
+    rng = random.Random(2026)
+    for _ in range(1000):
+        n, pairs = random_relation(rng)
+        lt = strict_order(n, pairs)
+        longest = [0] * n
+        for _ in range(n):
+            for a, b in lt:
+                longest[b] = max(longest[b], longest[a] + 1)
+        p = from_relation(n, pairs)
+        assert p.height() == Poset(n, p.covers).height() == max(longest)
+    assert Poset(0, []).height() == Poset._from_up(()).height() == 0
+
+
 # Posets from up-set masks -------------------------------------------------
 
 def assert_from_up_matches_the_rows(p):
@@ -1214,9 +1231,9 @@ def test_certificate_matches_table_on_every_step_to_length_eight(monkeypatch):
     steps = []
     certified = multifork._certified_diagram
 
-    def checked(poset, lc, rc):
+    def checked(poset, lc, rc, *spliced):
         assert assert_certificate_sound(poset, lc, rc)
-        d = certified(poset, lc, rc)
+        d = certified(poset, lc, rc, *spliced)
         fresh = embed_rectangular(FiniteLattice(Poset(poset.n, poset.covers)), lcorner=lc)
         assert (d.upper, d.lower, d.corners(), d.heights()) == (
             fresh.upper, fresh.lower, fresh.corners(), fresh.heights())

@@ -13,6 +13,7 @@ from slimlat.explore import enumerate_index
 from slimlat.lamps import (
     lamp_creation_step,
     lamp_poset,
+    lamp_report,
     lamps_of_diagram,
     usage_stats,
 )
@@ -262,6 +263,26 @@ def test_minimize_places_the_lamps_once_per_lattice(monkeypatch, empty_memo):
     fixed, trace = minimize(pl)
     assert len(trace) == 14 and len(derived) == 15 == len(set(derived))
     assert derived[0] == pl.seq and derived[-1] == fixed.seq
+
+
+def test_lamp_report_and_minimize_derive_the_usage_once_per_lattice(monkeypatch, empty_memo):
+    """lamp_report and find_removable read a lattice's usage patterns
+    (usage_stats); each lattice derives them once and keeps them, so
+    lamp_report, then minimize, on the 162-element lattice derives them
+    15 times: once for the input, which both read, and once for each of
+    the 14 results."""
+    derived = []
+    derive = multifork_module._derive_usage
+    monkeypatch.setattr(multifork_module, "_derive_usage",
+                        lambda pl: derived.append(pl.seq) or derive(pl))
+    pl = build(parse_dsl(
+        "grid 2 1\nfork 1 0 2\nfork 2 0 4\nfork 0 0 6\nfork 4 0 4\nfork 0 1 6\nfork 3 1 2"))
+    report = lamp_report(pl)
+    assert derived == [pl.seq]
+    fixed, trace = minimize(pl)
+    assert len(trace) == 14 and len(derived) == 15 == len(set(derived))
+    assert derived[-1] == fixed.seq
+    assert lamp_report(pl) == report and len(derived) == 15
 
 
 @pytest.mark.slow

@@ -193,7 +193,7 @@ def test_a_bare_diagram_draws_its_own_covers(tmp_path):
         ids = [at[point] for point in zip(*pl.diagram.heights()[:2])]
         svg = render(d, "svg")
         assert svg.count("<line") == len(d.lattice.poset.covers)
-        den, xs, ys, _ = d._drawing
+        den, xs, ys = d._drawing[:3]
         assert den == pl.points[0]
         assert [(xs[ids[u]], ys[ids[u]]) for u in range(pl.n)] == list(zip(*pl.points[1:]))
         assert render(d, "tikz").count("\\draw") == len(d.lattice.poset.covers)
