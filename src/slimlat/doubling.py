@@ -109,19 +109,21 @@ def double(seq, t):
     if not (1 <= t <= len(seq.steps)):
         raise PreconditionError(f"step {t} out of range 1..{len(seq.steps)}")
     orig = build(seq)
-    replay = f"`slimlat double --step {t}` replays it on\n{emit_dsl(seq)}"
+
+    def failure(check):  # the replay text is made only for a failed check
+        return InternalInconsistencyError(
+            f"{check}; `slimlat double --step {t}` replays it on\n{emit_dsl(seq)}")
+
     try:
         pl = build(_doubled_sequence(seq, t))
     except PreconditionError as e:
-        raise InternalInconsistencyError(f"the doubled sequence fails at {e}; {replay}") from e
+        raise failure(f"the doubled sequence fails at {e}") from e
 
     tubes, length = pl.antube() - orig.antube(), pl.length() - orig.length()
     if (tubes, length) != (2, 2):
-        raise InternalInconsistencyError(
-            f"doubling added {tubes} tubes and {length} to the length, not 2; {replay}"
-        )
+        raise failure(f"doubling added {tubes} tubes and {length} to the length, not 2")
     at, n = seq.grid_p + seq.grid_q + t - 1, seq.grid_p + seq.grid_q + len(seq.steps)
     doubled = poset_double(_sequence_lamp_poset(seq, range(n)), at)
     if _con_by_place(pl, [*range(at + 1), n, *range(at + 1, n)]) != doubled.up:
-        raise InternalInconsistencyError(f"J(Con L) is not the doubled lamp poset; {replay}")
+        raise failure("J(Con L) is not the doubled lamp poset")
     return pl.seq, pl

@@ -11,6 +11,8 @@ tube to its (lamp, index), in a cached property; the lamp order
 (lamps, lt, poset) is the fork rule that `realize` reads, run over a
 built lattice's own sequence, read in any ids (_boundary_tubes); a bare
 diagram crosses one door into its own ids (multifork.reprovenance).
+A built lattice keeps each lamp's and each congruence's place in its
+sequence (_lamp_places, _congruence_places): Lamp L = J(Con L) by place.
 """
 
 from __future__ import annotations
@@ -119,17 +121,25 @@ def lamp_creation_step(pl, lamp):
     return pl.tube_records[lamp.tubes[0]].step
 
 
-def _tube_con(cl, tube):
-    """The index in the CongruenceLattice cl of the congruence that
-    collapses a neon tube, a (foot, peak) pair, or None.  A tube is a
-    prime interval, so its congruence is join-irreducible and listed;
-    Con L lists a congruence before every coarser one (its mask is
-    smaller), so it is the first listed one that collapses the tube,
-    whose mask holds the join-irreducibles below the peak and not below
-    the foot."""
-    foot, peak = tube
-    d = cl.below[peak] & ~cl.below[foot]
+def _tube_con(cl, d):
+    """The index in the CongruenceLattice cl of the congruence of a neon
+    tube, or None, d the mask of the join-irreducibles below its peak and
+    not below its foot.  A tube is a prime interval, so its congruence is
+    join-irreducible and listed, and Con L lists a congruence before every
+    coarser one (its mask is smaller): it is the first whose mask holds d."""
     return next((i for i, c in enumerate(cl.collapsed) if not d & ~c), None)
+
+
+def _order_by_place(pl, lt):
+    """({lamp foot: place}, up-set masks): lt, strict order pairs on pl's
+    lamp feet (lamp_poset), with each lamp named by its place in pl.seq
+    (_lamp_places, kept as pl._lamp_places), in _con_by_place's form."""
+    lamps = lamps_of_diagram(pl.diagram)
+    name = {lamps[i].foot: x for x, i in enumerate(pl._lamp_places)}
+    up = [1 << x for x in range(len(name))]
+    for a, b in lt:
+        up[name[a]] |= 1 << name[b]
+    return name, tuple(up)
 
 
 def _con_by_place(pl, names):
@@ -154,14 +164,13 @@ def _congruence_places(pl):
     record: step t's tubes sit at place p + q + t - 1, and the boundary
     tubes (step 0) take places 0..p + q - 1 in left-chain order
     (_boundary_tubes)."""
-    cl = congruence_lattice(pl.lattice)
-    pq = pl.seq.grid_p + pl.seq.grid_q
+    lat, pq = pl.lattice, pl.seq.grid_p + pl.seq.grid_q
+    cl, down, jmask = congruence_lattice(lat), lat.poset.down, sum(map((1).__lshift__, lat.jir()))
     m = pq + len(pl.seq.steps)
-    boundary = {e: x for x, e in enumerate(_boundary_tubes(pl.diagram))}
-    place = {}
+    boundary, place = {e: x for x, e in enumerate(_boundary_tubes(pl.diagram))}, {}
     for e, r in pl.tube_records.items():
         x = r.step + pq - 1 if r.step else boundary[e]
-        i = _tube_con(cl, e)
+        i = _tube_con(cl, jmask & down[e[1]] & ~down[e[0]])
         if i is None or place.setdefault(i, x) != x:
             return None
     # the places lie below m, so m distinct ones are all of them
@@ -170,30 +179,23 @@ def _congruence_places(pl):
     return tuple(place[i] for i in range(m))
 
 
-def verify_lamp_con_iso(pl):
-    """Check Lamp L = Jir(Con L) via the congruences of the neon tubes.
-
-    Returns (ok, witness) where witness maps lamp foot -> index of its
-    congruence in the independently computed list (_tube_con).
+def verify_lamp_con_iso(obj):
+    """Check Lamp L = J(Con L) by place on a built lattice, or on a bare
+    diagram's door lattice (PlanarDiagram._door_lattice), as its lamp
+    order is read: each tube's record must carry its lamp's place (step t
+    at p + q + t - 1, a boundary tube step 0), and J(Con L) named by place
+    (_con_by_place) must be lamp_poset's order named by place
+    (_order_by_place).  Returns (ok, witness) where witness maps lamp foot
+    -> index of its congruence in Con L.
     """
-    lamps, lt, _ = lamp_poset(pl)
-    cl = congruence_lattice(pl.lattice)
-    if len(lamps) != cl.jir_count():
+    pl = obj if hasattr(obj, "diagram") else obj._door_lattice()
+    lamps, lt, _ = lamp_poset(obj)
+    name, up = _order_by_place(pl, lt)
+    pq, records = pl.seq.grid_p + pl.seq.grid_q, pl.tube_records
+    if (any(records[e].step != max(name[l.foot] - pq + 1, 0) for l in lamps for e in l.tubes)
+            or _con_by_place(pl, range(len(up))) != up):
         return False, None
-    witness = {}
-    for l in lamps:
-        found = {_tube_con(cl, e) for e in l.tubes}
-        if len(found) != 1 or None in found:
-            return False, None
-        witness[l.foot] = found.pop()
-    if len(set(witness.values())) != len(lamps):
-        return False, None
-    # order preservation both ways: the witness is a bijection, so the
-    # lamps above each lamp map onto its congruence's up-set
-    up = [1 << i for i in range(len(lamps))]
-    for a, b in lt:
-        up[witness[a]] |= 1 << witness[b]
-    return (True, witness) if tuple(up) == cl.jir_poset.up else (False, None)
+    return True, {l.foot: pl._con_places.index(name[l.foot]) for l in lamps}
 
 
 # ---------------------------------------------------------------------------

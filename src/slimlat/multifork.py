@@ -40,7 +40,7 @@ from .errors import (
 )
 from .lamps import (
     _congruence_places, _derive_usage, _diagram_of, _lamp_places, lamps_of_diagram)
-from .order import MAX_ELEMENTS, Poset, is_distributive_ideal_grid
+from .order import MAX_ELEMENTS, Poset, _picked, is_distributive_ideal_grid
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,19 +130,14 @@ class ProvenancedLattice:
         read off the lattice's own sequence."""
         lamps = lamps_of_diagram(self.diagram)
         poset = _sequence_lamp_poset(self.seq, self._lamp_places)
-        feet, lt = [l.foot for l in lamps], []
-        for i, m in enumerate(poset.up):
-            rest, foot = m ^ 1 << i, feet[i]
-            while rest:  # a few bits: lowest first
-                low = rest & -rest
-                lt.append((foot, feet[low.bit_length() - 1]))
-                rest ^= low
+        feet = [l.foot for l in lamps]
+        lt = [(a, b) for a, m in zip(feet, poset.up) for b in _picked(feet, m) if b != a]
         return lamps, frozenset(lt), poset
 
     @cached_property
     def _lamp_places(self):
         """Each lamp's place in the sequence (lamps._lamp_places), kept for
-        the lamp order and the removals."""
+        the lamp order and the lamp checks."""
         return _lamp_places(self)
 
     @cached_property
@@ -153,7 +148,7 @@ class ProvenancedLattice:
 
     @cached_property
     def _con_places(self):
-        """Each congruence's lamp place (lamps._congruence_places), kept for _con_by_place."""
+        """Each congruence's lamp place (lamps._congruence_places), kept for the lamp checks."""
         return _congruence_places(self)
 
     @property

@@ -665,8 +665,8 @@ class CongruenceLattice:
     """Join-irreducible congruences of a finite lattice, ordered by refinement.
 
     Congruence i, theta, is fixed by its collapsed mask collapsed[i], the
-    join-irreducibles j with j_ theta j: x theta y iff below[x] and below[y],
-    the masks of the join-irreducibles below x and y, agree outside it.
+    join-irreducibles j with j_ theta j: x theta y iff the masks of the
+    join-irreducibles below x and below y agree outside it.
     jir_poset orders them by refinement, which is inclusion of the masks;
     they are listed by mask size, so a congruence comes before every
     coarser one (_congruence_lattice).  |Con L| (con_size) is derived on
@@ -675,8 +675,8 @@ class CongruenceLattice:
     a lattice is freed with its last reference, not by the cyclic
     collector."""
 
-    def __init__(self, collapsed, jir_poset, below):
-        self.collapsed, self.jir_poset, self.below = collapsed, jir_poset, below
+    def __init__(self, collapsed, jir_poset):
+        self.collapsed, self.jir_poset = collapsed, jir_poset
 
     def jir_count(self):
         return len(self.collapsed)
@@ -778,12 +778,11 @@ def _congruence_lattice(lat):
     that collapses a cover y < x is then the least one, con(y, x)
     (lamps._tube_con).
     """
-    below = tuple(map(sum(map((1).__lshift__, lat.jir())).__and__, lat.poset.down))
     masks = sorted(dict.fromkeys([_collapsed(lat._dep, 1 << j) for j in lat.jir()]),
                    key=int.bit_count)
     poset = Poset._from_up([sum(1 << k for k, e in enumerate(masks[i:], i) if not c & ~e)
                             for i, c in enumerate(masks)])
-    return CongruenceLattice(tuple(masks), poset, below)
+    return CongruenceLattice(tuple(masks), poset)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .errors import DiagramError, InternalInconsistencyError, PreconditionError
 from .lamps import (
     _con_by_place,
     _diagram_of,
+    _order_by_place,
     is_used,
     lamp_creation_step,
     lamp_poset,
@@ -89,13 +90,12 @@ def _removed_sequence(seq, s, i):
 
 
 def _labelled_lamps(pl):
-    """(tube count, strict order pairs) of pl's lamps, each named by its
-    place in pl.seq (lamps._lamp_places), which a removal keeps: it keeps
-    the grid and every fork."""
+    """(tube count, up-set masks) of pl's lamps, each named by its place in
+    pl.seq (lamps._order_by_place), which a removal keeps: it keeps the
+    grid and every fork."""
     lamps, lt, _ = lamp_poset(pl)
-    name = {lamps[i].foot: at for at, i in enumerate(pl._lamp_places)}
-    return ({name[l.foot]: len(l.tubes) for l in lamps},
-            {(name[a], name[b]) for a, b in lt})
+    name, up = _order_by_place(pl, lt)
+    return {name[l.foot]: len(l.tubes) for l in lamps}, up
 
 
 def _remove_fork(pl, lamp, tube, rule):

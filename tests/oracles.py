@@ -271,10 +271,13 @@ def restrict(poset, keep):
     return Poset(len(keep), covers), keep
 
 
-def jir_congs(cl):
-    """Each join-irreducible congruence of the CongruenceLattice cl, in its
-    order, as the partition of its lattice."""
-    return tuple(Congruence.from_parent([m & ~c for m in cl.below]) for c in cl.collapsed)
+def jir_congs(lat, cl):
+    """Each join-irreducible congruence of the CongruenceLattice cl, Con of
+    lat, in its order, as the partition of lat: x, y share a block iff the
+    join-irreducibles below them outside its collapsed mask agree."""
+    jmask = sum(1 << j for j in lat.jir())
+    below = [m & jmask for m in lat.poset.down]
+    return tuple(Congruence.from_parent([m & ~c for m in below]) for c in cl.collapsed)
 
 
 def coords_of(pl):
@@ -813,7 +816,7 @@ def is_congruence(lat, cong):
 def verify_jir_congruences(lat, cl):
     """Each congruence that cl, Con of lat, lists must not be the join of
     strictly smaller ones."""
-    congs = jir_congs(cl)
+    congs = jir_congs(lat, cl)
     for c in congs:
         below = [d for d in congs if d != c and refines(d, c)]
         if congruence_join(lat, below).block_index == c.block_index:

@@ -23,7 +23,14 @@ from slimlat.lamps import (
 )
 from slimlat.explore import enumerate_index
 from slimlat.reduce import check_bounds, minimize
-from slimlat.multifork import build, decompose, grid, multifork_extend, reprovenance
+from slimlat.multifork import (
+    TubeRecord,
+    build,
+    decompose,
+    grid,
+    multifork_extend,
+    reprovenance,
+)
 from slimlat.order import Congruence, Poset, congruence_lattice, named_posets, poset_iso
 
 from oracles import (
@@ -532,6 +539,40 @@ def test_lamp_report_flags_a_wrong_lamp_order(monkeypatch):
     monkeypatch.setattr(lamps_module, "lamp_poset", lambda obj: (lamps, wrong, poset))
     rep = lamp_report(pl)
     assert rep["congruence_iso_ok"] is False and rep["iso_witness"] is None
+
+
+def test_lamp_report_flags_congruences_at_swapped_places(monkeypatch):
+    """With the congruence places (lamps._congruence_places) of the
+    first boundary lamp and step 1's lamp swapped, J(Con L) by place is
+    no longer the lamp order by place: the boundary lamp is maximal and
+    step 1's lamp is not."""
+    place_con = multifork._congruence_places
+
+    def swapped(pl):
+        places = list(place_con(pl))
+        i, j = places.index(0), places.index(pl.seq.grid_p + pl.seq.grid_q)
+        places[i], places[j] = places[j], places[i]
+        return tuple(places)
+
+    assert lamp_report(g22_fork2())["congruence_iso_ok"]
+    monkeypatch.setattr(multifork, "_congruence_places", swapped)
+    rep = lamp_report(g22_fork2())
+    assert rep["congruence_iso_ok"] is False and rep["iso_witness"] is None
+
+
+def test_lamp_con_iso_rejects_a_tube_whose_record_is_not_its_lamps():
+    """Each tube's record must carry its lamp's step: with the congruence
+    places kept, one tube of the internal lamp moved to step 0, the
+    boundary tubes' step, fails the check, and so does one boundary tube
+    moved to step 1."""
+    for internal in (True, False):
+        pl = g22_fork2()
+        assert pl._con_places is not None
+        lamp = next(l for l in lamps_of_diagram(pl.diagram) if (l.kind == "internal") == internal)
+        tube = lamp.tubes[-1]
+        record = pl.tube_records[tube]
+        pl.tube_records = {**pl.tube_records, tube: TubeRecord(1 - record.step, record.cells)}
+        assert verify_lamp_con_iso(pl) == (False, None), lamp
 
 
 # Usage --------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import oracles
@@ -283,6 +285,27 @@ def test_lamp_report_and_minimize_derive_the_usage_once_per_lattice(monkeypatch,
     assert len(trace) == 14 and len(derived) == 15 == len(set(derived))
     assert derived[-1] == fixed.seq
     assert lamp_report(pl) == report and len(derived) == 15
+
+
+def test_lamp_report_and_minimize_map_each_tube_to_its_congruence_once(monkeypatch, empty_memo):
+    """The lamp report and each removal read the congruence of each neon
+    tube off the kept congruence places (lamps._congruence_places), so
+    lamp_report, then minimize, on the 162-element lattice run _tube_con
+    once per tube of each of its 15 lattices: the input, which both read,
+    and the 14 results."""
+    calls, derived = [], []
+    tube_con, place_con = lamps_module._tube_con, multifork_module._congruence_places
+    monkeypatch.setattr(lamps_module, "_tube_con",
+                        lambda cl, tube: calls.append(id(cl)) or tube_con(cl, tube))
+    monkeypatch.setattr(multifork_module, "_congruence_places",
+                        lambda pl: derived.append(pl) or place_con(pl))
+    pl = build(parse_dsl(
+        "grid 2 1\nfork 1 0 2\nfork 2 0 4\nfork 0 0 6\nfork 4 0 4\nfork 0 1 6\nfork 3 1 2"))
+    assert lamp_report(pl)["congruence_iso_ok"]
+    fixed, trace = minimize(pl)
+    assert len(trace) == 14 and len(derived) == 15 and derived[-1] is fixed
+    tubes = {id(congruence_lattice(d.lattice)): d.antube() for d in derived}
+    assert len(tubes) == 15 and Counter(calls) == tubes
 
 
 @pytest.mark.slow
